@@ -66,26 +66,6 @@ pub fn cache_sizes() -> (String, String) {
     (l2, llc)
 }
 
-/// The filesystem type `path` lives on, from `/proc/self/mountinfo`.
-pub fn fs_type(path: &Path) -> String {
-    let Ok(abs) = std::fs::canonicalize(path) else {
-        return "unknown".into();
-    };
-    let Ok(info) = std::fs::read_to_string("/proc/self/mountinfo") else {
-        return "unknown".into();
-    };
-    info.lines()
-        .filter_map(|line| {
-            let (left, right) = line.split_once(" - ")?;
-            let mount = left.split_whitespace().nth(4)?;
-            let fstype = right.split_whitespace().next()?;
-            abs.starts_with(mount)
-                .then(|| (mount.len(), format!("{fstype} (mounted at {mount})")))
-        })
-        .max_by_key(|(len, _)| *len)
-        .map_or("unknown".into(), |(_, t)| t)
-}
-
 /// Which lowering stages engaged in a schedule.
 pub fn stage_flags(c: &CompiledPlan) -> String {
     let f = |b: bool| u8::from(b);

@@ -2,25 +2,28 @@
 //!
 //! ```text
 //! cargo run --release --manifest-path perfbench/Cargo.toml -- \
-//!     --workload <serve_small|large_replay|cold_start> --seed <n> --seconds <s> --trace <0|1>
+//!     --workload <serve_small|large_replay> --seed <n> --seconds <s> --trace <0|1>
 //! ```
 //!
 //! One seeded client drives the caller-facing entry points
 //! (`Planner::transform`/`transform_batch`, `apply_plan`, `par_apply_plan`,
-//! `Srht::sketch_batch_with_scratch`, `ShardedStore` with
-//! `Planner::with_store`), checks every output bit for bit against the
-//! benchmark's own reference, and prints the end-to-end metrics. With
-//! `--trace 1` it also serves the workload with a span around every
-//! library call, reports the tracing overhead, and times each layer's
-//! public calls (see `probes.rs`); the last line then carries the
-//! per-layer metrics instead. The last line of standard output is always
-//! one JSON object: `{"correct", "attempted", "failed", "metrics"}`.
+//! `Srht::sketch_batch_with_scratch`), checks every output bit for bit
+//! against the benchmark's own reference, and prints the end-to-end
+//! metrics. With `--trace 1` it also serves the workload with a span
+//! around every library call, reports the tracing overhead, and times each
+//! layer's public calls (see `probes.rs`, which also probes the
+//! `ShardedStore` behind `Planner::with_store`); the last line then
+//! carries the per-layer metrics instead. The last line of standard output
+//! is always one JSON object: `{"correct", "attempted", "failed",
+//! "metrics"}`.
 //!
 //! `--setup-only` is internal: the run starts fresh copies of itself with
 //! it to measure set-up in a new process each time.
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 
+#[allow(unsafe_code)]
+mod cpus;
 mod header;
 mod probes;
 mod trace;
@@ -32,16 +35,23 @@ use std::process::{Command, ExitCode, Stdio};
 use wht_core::{apply_plan, ExecPolicy, Plan};
 use wht_parallel::WorkerPool;
 
+use crate::cpus::Cpus;
 use crate::trace::Tracer;
 use crate::util::{
-    json_num, median, mem_available_kib, metric, quantile, reference_wht, run_dir, small_ints,
-    verdict, vm_hwm_kib, Metric, Rng, Tally,
+    json_num, median, mem_available_kib, metric, quantile, reference_wht, rss_kib, run_dir,
+    small_ints, verdict, Metric, Rng, Tally,
 };
-use crate::workloads::{serve_for, setup, ColdStart, LargeReplay, ServeSmall, Workload};
+use crate::workloads::{serve_for, setup, Kind, LargeReplay, ServeSmall, Workload};
+
+const WORKLOADS: [&str; 2] = ["serve_small", "large_replay"];
 
 /// Set-ups measured per untraced run, each in a fresh process (the run's
 /// own process is one of them); `setup_s` is their median.
-const SETUPS: usize = 5;
+const SETUPS: usize = 9;
+/// Blocks' worth of latency samples a serving pass reserves up front, so
+/// that booking a sample never moves a vector: reserved pages become
+/// resident only once written, and `peak_rss_mib` subtracts those.
+const RESERVED_BLOCKS: usize = 1 << 14;
 /// large_replay holds about 0.5 GiB of vectors and its probes 0.4 GiB.
 const LARGE_MEM_KIB: u64 = 1200 * 1024;
 
@@ -89,7 +99,7 @@ fn parse_args() -> Result<Args, String> {
         }
     }
     let workload = workload.ok_or("--workload is required")?;
-    if !["serve_small", "large_replay", "cold_start"].contains(&workload.as_str()) {
+    if !WORKLOADS.contains(&workload.as_str()) {
         return Err(format!("unknown workload {workload}"));
     }
     Ok(Args {
@@ -102,10 +112,10 @@ fn parse_args() -> Result<Args, String> {
 }
 
 fn make(args: &Args) -> Box<dyn Workload> {
-    match args.workload.as_str() {
-        "serve_small" => Box::new(ServeSmall::new(args.seed)),
-        "large_replay" => Box::new(LargeReplay::new(args.seed)),
-        _ => Box::new(ColdStart::new(args.seed)),
+    if args.workload == "serve_small" {
+        Box::new(ServeSmall::new(args.seed))
+    } else {
+        Box::new(LargeReplay::new(args.seed))
     }
 }
 
@@ -240,29 +250,61 @@ fn fresh_setup(args: &Args, traced: bool) -> Result<(f64, u64, u64), String> {
     }
 }
 
-/// The end-to-end metrics of one serving pass.
+/// Peak memory of the library, in KiB: the largest resident set seen
+/// after set-up and between blocks, less what the benchmark itself holds,
+/// namely everything resident before the first library call (inputs,
+/// references, filled work buffers, reserved sample storage) and the
+/// pages of latency samples written since.
+struct Rss {
+    peak: u64,
+    base: u64,
+    samples: u64,
+}
+
+impl Rss {
+    /// `peak` excludes the serving pass's own samples; `held` are the
+    /// tallies of earlier serving passes, still resident.
+    fn new(peak: u64, base: u64, held: &[&Tally]) -> Rss {
+        Rss {
+            peak,
+            base,
+            samples: held.iter().map(|t| t.sample_kib()).sum(),
+        }
+    }
+
+    fn library_mib(&self) -> f64 {
+        self.peak.saturating_sub(self.base + self.samples) as f64 / 1024.0
+    }
+}
+
+/// The end-to-end metrics of one serving pass. `melem_per_s` is the median
+/// over blocks of the elements each block transformed per second inside
+/// calls: every block holds the same requests, so each is one sample of
+/// the whole mix, and the median leaves out the blocks that a burst of
+/// load elsewhere on the host slowed (or the first blocks, while caches
+/// warm up).
 struct E2e {
     melem_per_s: f64,
     p50_us: f64,
     p99_us: f64,
     setup_s: f64,
-    rss_mib: f64,
+    rss: Rss,
     samples: usize,
     beyond_p99: usize,
     setups: Vec<f64>,
 }
 
 impl E2e {
-    fn new(t: &Tally, setups: &[f64], hwm_kib: Option<u64>) -> E2e {
+    fn new(t: &Tally, setups: &[f64], rss: Rss) -> E2e {
         let lat = t.latencies();
         let n = lat.len();
         let rank = ((0.99 * n as f64).ceil() as usize).clamp(1, n.max(1));
         E2e {
-            melem_per_s: t.elems as f64 / t.busy_ns.max(1) as f64 * 1e3,
+            melem_per_s: median(&t.block_melem_per_s()),
             p50_us: quantile(&lat, 0.5) as f64 / 1e3,
             p99_us: quantile(&lat, 0.99) as f64 / 1e3,
             setup_s: median(setups),
-            rss_mib: hwm_kib.unwrap_or(0) as f64 / 1024.0,
+            rss,
             samples: n,
             beyond_p99: n.saturating_sub(rank),
             setups: setups.to_vec(),
@@ -275,7 +317,7 @@ impl E2e {
             metric("latency_p50_us", self.p50_us, "us"),
             metric("latency_p99_us", self.p99_us, "us"),
             metric("setup_s", self.setup_s, "s"),
-            metric("peak_rss_mib", self.rss_mib, "MiB"),
+            metric("peak_rss_mib", self.rss.library_mib(), "MiB"),
         ]
     }
 
@@ -283,8 +325,10 @@ impl E2e {
         let failed_frac = t.failed as f64 / t.attempted.max(1) as f64;
         println!("{title}");
         println!(
-            "  melem_per_s      {:>14.3} Melem/s  ({} elements in {:.3} s inside calls)",
+            "  melem_per_s      {:>14.3} Melem/s  (median of {} blocks; whole pass {:.3}: {} elements in {:.3} s inside calls)",
             self.melem_per_s,
+            t.blocks.len(),
+            t.elems as f64 / t.busy_ns.max(1) as f64 * 1e3,
             t.elems,
             t.busy_ns as f64 / 1e9
         );
@@ -303,8 +347,10 @@ impl E2e {
             self.setups
         );
         println!(
-            "  peak_rss_mib     {:>14.1} MiB      (VmHWM of the serving process)",
-            self.rss_mib
+            "  peak_rss_mib     {:>14.3} MiB      (peak RSS less {:.1} MiB resident before the first library call and {:.1} MiB of earlier latency samples)",
+            self.rss.library_mib(),
+            self.rss.base as f64 / 1024.0,
+            self.rss.samples as f64 / 1024.0
         );
         println!(
             "  failed_frac      {:>14.6}          ({} failed of {} attempted)",
@@ -390,7 +436,11 @@ fn run(args: &Args) -> Result<(), String> {
     println!("caches:         L2 {l2}, LLC {llc}");
     println!("global pool:    {} workers", wht_core::env::threads());
     println!("environment:    no WHT_* variable set; process-default ExecPolicy");
-    println!("client:         closed loop, 1 thread");
+    let cpus = Cpus::allowed();
+    println!(
+        "client:         closed loop, 1 thread, taking turns block by block on {} allowed CPU(s)",
+        cpus.count()
+    );
 
     // Set-up, each time in a fresh process.
     let mut totals = Tally::default();
@@ -413,8 +463,14 @@ fn run(args: &Args) -> Result<(), String> {
     }
 
     let mut w = make(args);
+    // Sample storage is reserved before the baseline, so that only the
+    // samples written later add resident pages.
+    let mut setup_tally = tally_for(w.as_ref(), 1);
+    let mut tally = tally_for(w.as_ref(), RESERVED_BLOCKS);
+    let mut traced_tally = tally_for(w.as_ref(), usize::from(args.trace) * RESERVED_BLOCKS);
+    let rss_now = || rss_kib().ok_or("cannot read Rss from /proc/self/smaps_rollup");
+    let base_kib = rss_now()?;
     let mut tracer = Tracer::new(args.trace);
-    let mut setup_tally = Tally::default();
     let ns = setup(w.as_mut(), args.seed, &mut tracer, &mut setup_tally);
     if args.trace {
         &mut traced_setups
@@ -423,6 +479,7 @@ fn run(args: &Args) -> Result<(), String> {
     }
     .push(ns as f64 / 1e9);
     totals.absorb_counts(&setup_tally);
+    let setup_peak = rss_now()?;
 
     println!("seed:           {}", args.seed);
     println!(
@@ -431,25 +488,26 @@ fn run(args: &Args) -> Result<(), String> {
         w.mix().specs.len(),
         w.mix().block_len()
     );
-    if args.workload == "cold_start" {
-        println!(
-            "store fs:       {} (stores stay inside the checkout)",
-            header::fs_type(&dir)
-        );
-    }
 
+    // A traced run serves twice (untraced, then traced) for half the time
+    // each, so that it measures for `--seconds` in all.
+    let pass_s = if args.trace {
+        args.seconds / 2.0
+    } else {
+        args.seconds
+    };
     tracer.on = false;
-    let groups = w.mix().specs.len();
-    let mut tally = Tally::with_groups(groups);
     let served = serve_for(
         w.as_mut(),
         args.seed,
-        args.seconds,
+        pass_s,
         1,
+        &cpus,
         &mut tracer,
         &mut tally,
     );
-    let plain = E2e::new(&tally, &plain_setups, vm_hwm_kib());
+    let rss = Rss::new(served.peak_kib.max(setup_peak), base_kib, &[]);
+    let plain = E2e::new(&tally, &plain_setups, rss);
     totals.absorb_counts(&tally);
     println!(
         "stream digest:  {:016x} ({} requests, {} blocks)",
@@ -460,17 +518,18 @@ fn run(args: &Args) -> Result<(), String> {
 
     let metrics = if args.trace {
         tracer.on = true;
-        let mut traced_tally = Tally::with_groups(groups);
         let first = served.requests + 1;
         let again = serve_for(
             w.as_mut(),
             args.seed,
-            args.seconds,
+            pass_s,
             first,
+            &cpus,
             &mut tracer,
             &mut traced_tally,
         );
-        let traced = E2e::new(&traced_tally, &traced_setups, vm_hwm_kib());
+        let rss = Rss::new(again.peak_kib, base_kib, &[&tally]);
+        let traced = E2e::new(&traced_tally, &traced_setups, rss);
         totals.absorb_counts(&traced_tally);
         println!(
             "traced stream:  {:016x} ({} requests, {} blocks)",
@@ -488,14 +547,30 @@ fn run(args: &Args) -> Result<(), String> {
                 100.0 * d / a.value
             );
         }
+        // Every global-pool job so far came from a par_apply_plan request.
         let pool = WorkerPool::global().stats();
+        let par: u64 = [&setup_tally, &tally, &traced_tally]
+            .iter()
+            .map(|t| par_requests(w.as_ref(), t))
+            .sum();
+        let per_call = |count: u64| {
+            if par == 0 {
+                0.0
+            } else {
+                count as f64 / par as f64
+            }
+        };
+        println!(
+            "pool traffic:   {} jobs and {} steals over {par} par_apply_plan requests",
+            pool.jobs, pool.steals
+        );
         print_schedules(w.as_mut());
         drop(w);
         let layers = probes::run(
             args.seed,
             &mut tracer,
             &mut totals,
-            (pool.jobs, pool.steals),
+            (per_call(pool.jobs), per_call(pool.steals)),
         );
         let spans = dir.join(format!("spans-{}-seed{}.tsv", args.workload, args.seed));
         tracer
@@ -538,6 +613,25 @@ fn run(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
+/// A tally with room for `blocks` blocks of `w`'s mix.
+fn tally_for(w: &dyn Workload, blocks: usize) -> Tally {
+    Tally::with_capacity(
+        w.mix().specs.iter().map(|&(_, copies)| copies * blocks),
+        blocks,
+    )
+}
+
+/// `par_apply_plan` requests booked in `t`.
+fn par_requests(w: &dyn Workload, t: &Tally) -> u64 {
+    w.mix()
+        .specs
+        .iter()
+        .zip(&t.groups)
+        .filter(|((spec, _), _)| spec.kind == Kind::Par)
+        .map(|(_, g)| g.len() as u64)
+        .sum()
+}
+
 fn print_schedules(w: &mut dyn Workload) {
     println!("served schedules (stages engaged):");
     for (name, c) in w.schedules() {
@@ -550,7 +644,10 @@ fn main() -> ExitCode {
         Ok(a) => a,
         Err(e) => {
             eprintln!("perfbench: {e}");
-            eprintln!("usage: perfbench --workload <serve_small|large_replay|cold_start> --seed <n> --seconds <s> --trace <0|1>");
+            eprintln!(
+                "usage: perfbench --workload <{}> --seed <n> --seconds <s> --trace <0|1>",
+                WORKLOADS.join("|")
+            );
             return ExitCode::from(2);
         }
     };

@@ -6,18 +6,21 @@
 //! and `par_apply_plan` replay. Every traced run measures the same set,
 //! so the numbers compare across workloads.
 //!
-//! Which end-to-end metric each layer metric should move:
+//! Which end-to-end metric each layer metric should move. large_replay
+//! spends about a third of its time in each of `Planner::transform`,
+//! `par_apply_plan` and `apply_plan` (most of it in apply n24); its p50
+//! falls inside apply n18 and its p99 inside apply n24.
 //!
 //! | layer (module) | metrics | should move |
 //! |---|---|---|
-//! | replay (`core::compile` replay, `codelets`) | `core.apply.*`, `host.copy_gbs` | `melem_per_s` on large_replay (most) and serve_small |
-//! | lowering stages (`compile::{fuse,relayout,recodelet,stages}`, simd/batch/stream policies) | `core.ablate.*` | a ratio ≈ 1.0 predicts that deleting the stage leaves `melem_per_s` unchanged where it engages (stream, relayout: large_replay at n = 24; batch: serve_small) |
+//! | replay (`core::compile` replay, `codelets`) | `core.apply.*`, `host.copy_gbs` | `melem_per_s` on both workloads; `latency_p50_us` on large_replay (apply n18) |
+//! | lowering stages (`compile::{fuse,relayout,recodelet,stages}`, simd/batch/stream policies) | `core.ablate.*` | a ratio ≈ 1.0 predicts that deleting the stage leaves `melem_per_s` unchanged where it engages (stream, relayout: large_replay at n = 24, which also sets its `latency_p99_us`; batch: serve_small) |
 //! | entry path (`apply_plan` schedule cache, `search::planner` warm path) | `core.entry.*`, `search.planner.entry_ns.*` | `latency_p50_us` on serve_small; nothing on large_replay |
 //! | batch stage, `core::srht` | `core.batch.gain.*`, `core.srht.ns_per_row.*` | `melem_per_s` and `latency_p99_us` on serve_small |
-//! | lowering, `core::verify` | `core.lower_us.*`, `core.verify_us.*` | `setup_s` on every workload; `latency_p50_us` on cold_start |
-//! | `search::memo`, `search::cost` | `search.evals/pruned/us.*`; `search.choice_ratio.*`, `search.model_pearson` | evals and us: cold_start latency and `setup_s`; choice_ratio: `melem_per_s` on large_replay and serve_small |
-//! | `search::store` | `store.*` | cold_start `latency_p50_us` and `latency_p99_us` (save: first boots; load: restarts) |
-//! | `parallel::pool`, `parallel::engine` | `parallel.*` | `melem_per_s` and `latency_p50_us` on large_replay; nothing on the other two |
+//! | lowering, `core::verify` | `core.lower_us.*`, `core.verify_us.*` | `setup_s` on both workloads |
+//! | `search::memo`, `search::cost` | `search.evals/pruned/us.*`; `search.choice_ratio.*`, `search.model_pearson` | evals and us: `setup_s`; choice_ratio: `melem_per_s` on both workloads |
+//! | `search::store` | `store.*` | none: no served workload opens a store |
+//! | `parallel::pool`, `parallel::engine` | `parallel.*` | `melem_per_s` on large_replay; nothing on serve_small |
 
 use std::time::Instant;
 
@@ -56,7 +59,7 @@ pub const LAYERS: &[(&str, &str, &str, &str)] = &[
         "core.apply",
         "lower",
         "replay",
-        "melem_per_s on large_replay (most) and serve_small",
+        "melem_per_s on both workloads; latency_p50_us on large_replay",
     ),
     (
         "host.copy_gbs",
@@ -74,13 +77,13 @@ pub const LAYERS: &[(&str, &str, &str, &str)] = &[
         "core.ablate.relayout",
         "higher",
         "lowering stages",
-        "melem_per_s on large_replay (n24)",
+        "melem_per_s, latency_p99_us on large_replay (apply n24)",
     ),
     (
         "core.ablate.stream",
         "higher",
         "lowering stages",
-        "melem_per_s on large_replay (n24)",
+        "melem_per_s, latency_p99_us on large_replay (apply n24)",
     ),
     (
         "core.ablate",
@@ -116,62 +119,45 @@ pub const LAYERS: &[(&str, &str, &str, &str)] = &[
         "core.lower_us",
         "lower",
         "lowering",
-        "setup_s everywhere; latency_p50_us on cold_start",
+        "setup_s on both workloads",
     ),
     (
         "core.verify_us",
         "lower",
         "core::verify",
-        "setup_s everywhere; latency_p50_us on cold_start",
+        "setup_s on both workloads",
     ),
     (
         "search.choice_ratio",
         "lower",
         "search::memo+cost",
-        "melem_per_s on large_replay, serve_small",
+        "melem_per_s on both workloads",
     ),
     (
         "search.model_pearson",
         "higher",
         "search::cost",
-        "melem_per_s on large_replay, serve_small",
+        "melem_per_s on both workloads",
     ),
+    ("search.pruned", "higher", "search::memo", "setup_s"),
+    ("search", "lower", "search::memo+cost", "setup_s"),
     (
-        "search.pruned",
-        "higher",
-        "search::memo",
-        "latency on cold_start; setup_s",
-    ),
-    (
-        "search",
-        "lower",
-        "search::memo+cost",
-        "latency on cold_start; setup_s",
-    ),
-    (
-        "store.save",
+        "store",
         "lower",
         "search::store",
-        "cold_start latency (first boots)",
+        "none (no served workload opens a store)",
     ),
-    (
-        "store.load",
-        "lower",
-        "search::store",
-        "cold_start latency (restarts)",
-    ),
-    ("store", "lower", "search::store", "cold_start latency"),
     (
         "parallel.speedup_2t",
         "higher",
         "parallel",
-        "melem_per_s, latency_p50_us on large_replay",
+        "melem_per_s on large_replay",
     ),
     (
         "parallel",
         "lower",
         "parallel",
-        "melem_per_s, latency_p50_us on large_replay",
+        "melem_per_s on large_replay",
     ),
 ];
 
@@ -286,9 +272,9 @@ fn copy_gbs(p: &mut Probe<'_>) -> f64 {
     (2 * 8 * len) as f64 / median(&v)
 }
 
-/// Run every probe. `pool` is the global pool's (jobs, steals) over the
-/// workload's own traffic.
-pub fn run(seed: u64, tracer: &mut Tracer, tally: &mut Tally, pool: (u64, u64)) -> Vec<Metric> {
+/// Run every probe. `pool` is the global pool's (jobs, steals) per
+/// `par_apply_plan` request of the workload's own traffic.
+pub fn run(seed: u64, tracer: &mut Tracer, tally: &mut Tally, pool: (f64, f64)) -> Vec<Metric> {
     let mut p = Probe {
         tracer,
         tally,
@@ -489,7 +475,8 @@ pub fn run(seed: u64, tracer: &mut Tracer, tally: &mut Tally, pool: (u64, u64)) 
 
             let srht = Srht::new(n, size / 8, seed).expect("m = 2^n / 8 is a valid sample size");
             let m = srht.sample_len();
-            let sketch_want = reference_sketch(&rows, size, srht.signs(), srht.indices());
+            let mut sketch_want = vec![0.0; BATCH_ROWS * m];
+            reference_sketch(&rows, size, srht.signs(), srht.indices(), &mut sketch_want);
             let mut out = vec![0.0; BATCH_ROWS * m];
             let res =
                 srht.sketch_batch_with_scratch(&served, &rows, BATCH_ROWS, &mut out, &mut scratch);
@@ -533,8 +520,8 @@ pub fn run(seed: u64, tracer: &mut Tracer, tally: &mut Tally, pool: (u64, u64)) 
     }
     let (us, _) = p.time_us("WorkerPool::run", 400, || global.run(&|_, _| {}));
     p.put("parallel.dispatch_ns".into(), us * 1e3, "ns");
-    p.put("parallel.jobs".into(), pool.0 as f64, "count");
-    p.put("parallel.steals".into(), pool.1 as f64, "count");
+    p.put("parallel.jobs_per_call".into(), pool.0, "1/call");
+    p.put("parallel.steals_per_call".into(), pool.1, "1/call");
     p.out
 }
 

@@ -119,23 +119,25 @@ pub fn reference_rows<T: Scalar>(rows: &[T], size: usize) -> Vec<T> {
     out
 }
 
-/// Reference SRHT sketch of every row: signs, transform, then the sample.
+/// Reference SRHT sketch of every row into `out`: signs, transform, then
+/// the sample.
 pub fn reference_sketch<T: Scalar>(
     rows: &[T],
     size: usize,
     signs: &[i8],
     indices: &[usize],
-) -> Vec<T> {
-    let mut out = Vec::with_capacity(rows.len() / size * indices.len());
+    out: &mut [T],
+) {
     let mut row = vec![T::ZERO; size];
-    for src in rows.chunks(size) {
+    for (src, dst) in rows.chunks(size).zip(out.chunks_mut(indices.len())) {
         for ((d, &s), &sign) in row.iter_mut().zip(src).zip(signs) {
             *d = if sign < 0 { T::ZERO - s } else { s };
         }
         reference_wht(&mut row);
-        out.extend(indices.iter().map(|&i| row[i]));
+        for (d, &i) in dst.iter_mut().zip(indices) {
+            *d = row[i];
+        }
     }
-    out
 }
 
 pub fn same_bits<T: Elem>(a: &[T], b: &[T]) -> bool {
@@ -158,15 +160,28 @@ pub struct Tally {
     pub elems: u64,
     pub busy_ns: u64,
     pub groups: Vec<Vec<u64>>,
+    /// `[elements, ns inside calls]` of each block served.
+    pub blocks: Vec<[u64; 2]>,
     pub notes: Vec<String>,
 }
 
 impl Tally {
-    pub fn with_groups(groups: usize) -> Tally {
+    /// One latency group per mix entry, each with room for `caps[i]`
+    /// samples, and room for `blocks` block records.
+    pub fn with_capacity(caps: impl IntoIterator<Item = usize>, blocks: usize) -> Tally {
         Tally {
-            groups: vec![Vec::new(); groups],
+            groups: caps.into_iter().map(Vec::with_capacity).collect(),
+            blocks: Vec::with_capacity(blocks),
             ..Tally::default()
         }
+    }
+
+    /// Elements per second inside calls, in millions, of each block.
+    pub fn block_melem_per_s(&self) -> Vec<f64> {
+        self.blocks
+            .iter()
+            .map(|&[elems, ns]| elems as f64 / ns.max(1) as f64 * 1e3)
+            .collect()
     }
 
     /// Book one request: it fails if its call returned an error or its
@@ -200,6 +215,19 @@ impl Tally {
         self.attempted += other.attempted;
         self.failed += other.failed;
         self.notes.extend(other.notes.iter().take(8).cloned());
+    }
+
+    /// Resident memory the latency samples and block records added, in
+    /// KiB. Each is one reserved allocation whose first page (it holds the
+    /// allocator's header) was resident already; records fill the pages
+    /// after it.
+    pub fn sample_kib(&self) -> u64 {
+        let kib = |bytes: usize| bytes.div_ceil(4096).saturating_sub(1) as u64 * 4;
+        self.groups
+            .iter()
+            .map(|g| kib(std::mem::size_of_val(g.as_slice())))
+            .sum::<u64>()
+            + kib(std::mem::size_of_val(self.blocks.as_slice()))
     }
 
     pub fn latencies(&self) -> Vec<u64> {
@@ -254,17 +282,20 @@ fn proc_kib(path: &str, key: &str) -> Option<u64> {
     line[key.len()..].split_whitespace().next()?.parse().ok()
 }
 
-/// Peak resident set of this process (`VmHWM`), in KiB.
-pub fn vm_hwm_kib() -> Option<u64> {
-    proc_kib("/proc/self/status", "VmHWM:")
+/// Resident set of this process now, in KiB, counted page by page from
+/// `/proc/self/smaps_rollup`. `VmRSS` and `VmHWM` come from per-CPU
+/// counters that can be off by a few hundred KiB, which is as much as the
+/// library itself holds.
+pub fn rss_kib() -> Option<u64> {
+    proc_kib("/proc/self/smaps_rollup", "Rss:")
 }
 
 pub fn mem_available_kib() -> Option<u64> {
     proc_kib("/proc/meminfo", "MemAvailable:")
 }
 
-/// Scratch directory for stores and span files: inside the build's target
-/// directory, so a run writes nothing outside its checkout.
+/// Scratch directory for the store probe and span files: inside the
+/// build's target directory, so a run writes nothing outside its checkout.
 pub fn run_dir() -> PathBuf {
     let exe = std::env::current_exe().expect("the running executable has a path");
     // <target>/release/perfbench -> <target>/perfbench-run

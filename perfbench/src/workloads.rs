@@ -1,4 +1,4 @@
-//! The three workloads. Each is a closed loop: one client thread sends its
+//! The two workloads. Each is a closed loop: one client thread sends its
 //! next request only when the previous one has returned, as a caller
 //! blocked on the library does. Requests come in blocks that hold every
 //! request kind of the mix an exact number of times, shuffled by the
@@ -6,17 +6,17 @@
 //! the latency quantiles fall at the same place in it.
 
 use std::collections::BTreeMap;
-use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 use wht_core::{apply_plan, compiled_for, CompiledPlan, Plan, Srht};
 use wht_parallel::{par_apply_plan, Threads};
-use wht_search::{FusedTrafficCost, Planner, ShardedStore};
+use wht_search::{FusedTrafficCost, Planner};
 
+use crate::cpus::Cpus;
 use crate::trace::{Tracer, SETUP};
 use crate::util::{
-    clear_shards, fnv_words, reference_rows, reference_sketch, run_dir, same_bits, small_ints,
-    verdict, Elem, Rng, Tally, FNV_OFFSET,
+    fnv_words, reference_rows, reference_sketch, rss_kib, small_ints, verdict, Elem, Rng, Tally,
+    FNV_OFFSET,
 };
 
 pub type Pl = Planner<FusedTrafficCost>;
@@ -41,8 +41,6 @@ pub enum Kind {
     Batch(usize),
     Sketch,
     Par,
-    Boot,
-    Restart,
 }
 
 impl Kind {
@@ -53,8 +51,6 @@ impl Kind {
             Kind::Batch(rows) => format!("batch{rows}"),
             Kind::Sketch => "sketch".into(),
             Kind::Par => "par2".into(),
-            Kind::Boot => "boot".into(),
-            Kind::Restart => "restart".into(),
         }
     }
 
@@ -65,8 +61,6 @@ impl Kind {
             Kind::Batch(rows) => 3 | (rows as u64) << 8,
             Kind::Sketch => 4,
             Kind::Par => 5,
-            Kind::Boot => 6,
-            Kind::Restart => 7,
         }
     }
 }
@@ -137,8 +131,8 @@ pub trait Workload {
     fn mix(&self) -> &Mix;
 
     /// The library calls that build the serving state (planners, plans,
-    /// sketches, stores); returns the ns spent inside them.
-    fn prepare(&mut self, tracer: &mut Tracer, tally: &mut Tally) -> u64;
+    /// sketches); returns the ns spent inside them.
+    fn prepare(&mut self, tracer: &mut Tracer) -> u64;
 
     /// Serve one request of mix entry `i` and book it into `tally`.
     fn serve(&mut self, i: usize, req: u64, rng: &mut Rng, tracer: &mut Tracer, tally: &mut Tally);
@@ -151,7 +145,7 @@ pub trait Workload {
 /// kind, n, scalar) has served once. Only time inside library calls
 /// counts; input generation and reference checks are excluded.
 pub fn setup(w: &mut dyn Workload, seed: u64, tracer: &mut Tracer, tally: &mut Tally) -> u64 {
-    let mut ns = w.prepare(tracer, tally);
+    let mut ns = w.prepare(tracer);
     let before = tally.busy_ns;
     let mut rng = Rng::new(seed, 999);
     for i in 0..w.mix().specs.len() {
@@ -165,15 +159,19 @@ pub struct Served {
     pub requests: u64,
     pub blocks: u64,
     pub digest: u64,
+    /// Largest resident set seen between blocks, less the pages of this
+    /// pass's own latency samples, in KiB.
+    pub peak_kib: u64,
 }
 
 /// Serve whole blocks until `seconds` have passed and at least
-/// `MIN_REQUESTS` requests were served.
+/// `MIN_REQUESTS` requests were served, each block on the next of `cpus`.
 pub fn serve_for(
     w: &mut dyn Workload,
     seed: u64,
     seconds: f64,
     first_req: u64,
+    cpus: &Cpus,
     tracer: &mut Tracer,
     tally: &mut Tally,
 ) -> Served {
@@ -183,29 +181,43 @@ pub fn serve_for(
     fnv_words(&mut digest, &[seed]);
     let mut req = first_req;
     let mut blocks = 0u64;
+    let mut peak_kib = 0;
     loop {
+        cpus.take_turn(blocks);
         let (order, mut rng) = w.mix().block(seed, blocks);
+        let (elems, busy_ns) = (tally.elems, tally.busy_ns);
         for i in order {
             fnv_words(&mut digest, &[codes[i]]);
             w.serve(i, req, &mut rng, tracer, tally);
             req += 1;
         }
+        tally
+            .blocks
+            .push([tally.elems - elems, tally.busy_ns - busy_ns]);
         blocks += 1;
+        let rss = rss_kib().unwrap_or(0);
+        peak_kib = peak_kib.max(rss.saturating_sub(tally.sample_kib()));
         let elapsed = t0.elapsed().as_secs_f64();
         if (elapsed >= seconds && req - first_req >= MIN_REQUESTS) || elapsed >= HARD_LIMIT_S {
             break;
         }
     }
+    cpus.release();
     Served {
         requests: req - first_req,
         blocks,
         digest,
+        peak_kib,
     }
 }
 
 /// Expand `(size weight) × (scalar weight) × (kind weight)` into mix
 /// entries with those exact products as copies per block.
-fn product_mix(sizes: &[(u32, usize)], scalars: &[(Sc, usize)], kinds: &[(Kind, usize)]) -> Mix {
+fn product_mix(
+    sizes: &[(u32, usize)],
+    scalars: &[(Sc, usize)],
+    kinds: &[(Kind, usize)],
+) -> Vec<(Spec, usize)> {
     let mut specs = Vec::new();
     for &(n, wn) in sizes {
         for &(sc, ws) in scalars {
@@ -214,7 +226,7 @@ fn product_mix(sizes: &[(u32, usize)], scalars: &[(Sc, usize)], kinds: &[(Kind, 
             }
         }
     }
-    Mix { specs }
+    specs
 }
 
 fn planner_schedule(p: &mut Pl, n: u32) -> CompiledPlan {
@@ -228,6 +240,8 @@ const SMALL_SIZES: [u32; 4] = [6, 8, 10, 12];
 /// Rows per input pool; batch and sketch requests take a seeded window.
 const POOL_ROWS: usize = 320;
 const SKETCH_ROWS: usize = 64;
+/// A sketch keeps one element in this many.
+const SKETCH_RATIO: usize = 8;
 
 struct Rows<T> {
     size: usize,
@@ -245,7 +259,7 @@ impl<T: Elem> Rows<T> {
             size,
             input,
             expected,
-            sketched: Vec::new(),
+            sketched: vec![T::ONE; POOL_ROWS * size / SKETCH_RATIO],
         }
     }
 }
@@ -257,10 +271,12 @@ struct Bufs<T> {
 }
 
 impl<T: Elem> Bufs<T> {
+    /// Filled rather than zeroed, so that the pages are resident before
+    /// the first library call and `peak_rss_mib` leaves them out.
     fn new() -> Bufs<T> {
         Bufs {
-            work: vec![T::ZERO; 256 << 12],
-            out: vec![T::ZERO; SKETCH_ROWS << 12],
+            work: vec![T::ONE; 256 << 12],
+            out: vec![T::ONE; SKETCH_ROWS << 12],
             scratch: Vec::new(),
         }
     }
@@ -288,23 +304,35 @@ pub struct ServeSmall {
 impl ServeSmall {
     /// Weighted toward small sizes and single vectors, mostly f64; batch
     /// requests sit below (4 rows) and above (64, 256 rows) the batch
-    /// stage's 16-row threshold. The weights put p50 in the middle of the
-    /// dense 1-2 µs cluster (n6 batches of 4, n8 single vectors) and p99
-    /// in the middle of the n12 sketches, not on a gap between clusters,
-    /// where a small shift of one group would move the quantile far.
+    /// stage's 16-row threshold. Single vectors and batches/sketches have
+    /// their own size weights, so that p50 falls in the middle of one
+    /// group and p99 inside another. Per block of 1080: the n6 single
+    /// vectors (420) are the fastest, the n8 f64 single vectors (240)
+    /// come next, and the other 420 requests are slower, so p50 is the
+    /// median of the n8 f64 single vectors; the n12 batches of 256 (5) and
+    /// sketches (10) are the slowest, so p99 falls inside the sketches.
+    /// Either quantile then moves only with its own group. A quantile on a
+    /// gap between groups moves with the tails of its neighbours: one size
+    /// weight for every kind puts p50 between the n8 and n10 groups, where
+    /// the 45th and 55th percentiles are 1.7x apart.
     pub fn new(seed: u64) -> ServeSmall {
-        let mix = product_mix(
-            &[(6, 5), (8, 2), (10, 1), (12, 1)],
-            &[(Sc::F64, 4), (Sc::F32, 1)],
+        let scalars = [(Sc::F64, 4), (Sc::F32, 1)];
+        let mut specs = product_mix(
+            &[(6, 7), (8, 5), (10, 1), (12, 1)],
+            &scalars,
+            &[(Kind::Transform, 7), (Kind::ApplyPlan, 5)],
+        );
+        specs.extend(product_mix(
+            &[(6, 3), (8, 1), (10, 1), (12, 1)],
+            &scalars,
             &[
-                (Kind::Transform, 7),
-                (Kind::ApplyPlan, 5),
                 (Kind::Batch(4), 3),
                 (Kind::Batch(64), 2),
                 (Kind::Batch(256), 1),
                 (Kind::Sketch, 2),
             ],
-        );
+        ));
+        let mix = Mix { specs };
         let mut rng = Rng::new(seed, 1);
         let f64s = SMALL_SIZES
             .iter()
@@ -383,7 +411,7 @@ impl Workload for ServeSmall {
         &self.mix
     }
 
-    fn prepare(&mut self, tracer: &mut Tracer, _tally: &mut Tally) -> u64 {
+    fn prepare(&mut self, tracer: &mut Tracer) -> u64 {
         let mut ns = 0;
         let (mut planner, t) = tracer.call("Planner::new", SETUP, new_planner);
         ns += t;
@@ -393,7 +421,9 @@ impl Workload for ServeSmall {
             self.canon
                 .insert(n, plan.expect("a canonical plan exists for every n"));
             let size = 1usize << n;
-            let (srht, t) = tracer.call("Srht::new", SETUP, || Srht::new(n, size / 8, self.seed));
+            let (srht, t) = tracer.call("Srht::new", SETUP, || {
+                Srht::new(n, size / SKETCH_RATIO, self.seed)
+            });
             ns += t;
             let srht = srht.expect("m = 2^n / 8 is a valid sample size");
             let (plan, t) = tracer.call("Planner::plan", SETUP, || planner.plan(n).cloned());
@@ -408,9 +438,9 @@ impl Workload for ServeSmall {
             ns += t;
             let (signs, idx) = (srht.signs(), srht.indices());
             let p64 = self.f64s.get_mut(&n).expect("pool per size");
-            p64.sketched = reference_sketch(&p64.input, size, signs, idx);
+            reference_sketch(&p64.input, size, signs, idx, &mut p64.sketched);
             let p32 = self.f32s.get_mut(&n).expect("pool per size");
-            p32.sketched = reference_sketch(&p32.input, size, signs, idx);
+            reference_sketch(&p32.input, size, signs, idx, &mut p32.sketched);
             self.sketch.insert(n, (srht, compiled));
         }
         self.planner = Some(planner);
@@ -482,19 +512,22 @@ pub struct LargeReplay {
 
 impl LargeReplay {
     pub fn new(seed: u64) -> LargeReplay {
-        // Copies per block of 200, 2.5% at n = 24. Sorted by latency the
-        // groups run apply n18 (70%) < par2 n18 < ... < apply n24 (2.5%),
-        // so p50 falls inside apply n18 and p99 in the middle of apply
-        // n24, away from any boundary between groups. n = 24 is served by
-        // apply_plan only: it is the path whose schedule relayouts and
-        // streams there. The planner's and the pool's replays are the most
-        // sensitive to load on sibling hyperthreads (up to 2x on a shared
-        // 2-vCPU host), so they keep a small share of the time.
+        // Copies per block of 200, 2.5% at n = 24. Each entry point
+        // carries about a third of the time (on a 2-vCPU Xeon:
+        // Planner::transform 32%, par_apply_plan 32%, apply_plan 36%, of
+        // which n24 29%), so doubling any one of them moves melem_per_s by
+        // about a quarter. apply n18 is the fastest group and 70% of the
+        // requests, so p50 falls inside it; apply n24 is the slowest and
+        // 2.5%, so p99 falls in its middle. Both are apply_plan groups:
+        // on a shared host the planner's and the pool's replays drift by
+        // up to a quarter between runs, and a quantile inside them would
+        // too. n = 24 is served by apply_plan only: it is the path whose
+        // schedule relayouts and streams there.
         let mut specs = Vec::new();
         for (n, t, a, p) in [
-            (18, 10, 140, 20),
-            (20, 4, 12, 4),
-            (22, 1, 3, 1),
+            (18, 8, 140, 8),
+            (20, 10, 2, 12),
+            (22, 7, 0, 8),
             (24, 0, 5, 0),
         ] {
             for (kind, copies) in [(Kind::Transform, t), (Kind::ApplyPlan, a), (Kind::Par, p)] {
@@ -522,7 +555,8 @@ impl LargeReplay {
         LargeReplay {
             mix: Mix { specs },
             data,
-            work: vec![0.0; 1 << 24],
+            // Filled, so resident before the first library call.
+            work: vec![1.0; 1 << 24],
             planner: None,
             canon: BTreeMap::new(),
         }
@@ -534,7 +568,7 @@ impl Workload for LargeReplay {
         &self.mix
     }
 
-    fn prepare(&mut self, tracer: &mut Tracer, _tally: &mut Tally) -> u64 {
+    fn prepare(&mut self, tracer: &mut Tracer) -> u64 {
         let (planner, mut ns) = tracer.call("Planner::new", SETUP, new_planner);
         for n in LARGE_SIZES {
             let (plan, t) = tracer.call("Plan::iterative", SETUP, || Plan::iterative(n));
@@ -546,18 +580,16 @@ impl Workload for LargeReplay {
         ns
     }
 
-    fn serve(
-        &mut self,
-        i: usize,
-        req: u64,
-        _rng: &mut Rng,
-        tracer: &mut Tracer,
-        tally: &mut Tally,
-    ) {
+    fn serve(&mut self, i: usize, req: u64, rng: &mut Rng, tracer: &mut Tracer, tally: &mut Tally) {
         let spec = self.mix.specs[i].0;
         let size = 1usize << spec.n;
         let (input, expected) = &self.data[&spec.n];
-        let x = &mut self.work[..size];
+        // A seeded slot of the work buffer: an n18 vector fills the 2 MiB
+        // L2, so which physical pages it lands on sets its conflict misses.
+        // Moving it between requests makes a run average over many
+        // placements instead of reading the one its process happened to get.
+        let at = rng.below(self.work.len() / size) * size;
+        let x = &mut self.work[at..at + size];
         x.copy_from_slice(input);
         let canon = &self.canon[&spec.n];
         let planner = self.planner.as_mut().expect("prepared");
@@ -585,184 +617,5 @@ impl Workload for LargeReplay {
                 (spec.label(), schedule)
             })
             .collect()
-    }
-}
-
-// ---------------------------------------------------------------- cold_start
-
-// Runs with `--workload cold_start` but is not listed in BENCHMARK.json:
-// each first boot commits n shards with two fsyncs apiece, and the
-// stores must stay inside the checkout, so on a disk-backed checkout the
-// fsync latency of the disk (which drifts by a fifth between runs) sets
-// every metric. The run header names the store's filesystem.
-const COLD_SIZES: [u32; 5] = [8, 10, 12, 14, 16];
-
-pub struct ColdStart {
-    mix: Mix,
-    data: BTreeMap<u32, (Vec<f64>, Vec<f64>)>,
-    work: Vec<f64>,
-    root: PathBuf,
-}
-
-impl ColdStart {
-    pub fn new(seed: u64) -> ColdStart {
-        // Copies per block of 100, every size equally often. Every restart
-        // is faster than every first boot, so an exact half of each would
-        // put p50 on the boundary between them (the slowest restart);
-        // 45% boots put it in the middle of the n16 restarts.
-        let mut specs = Vec::new();
-        for n in COLD_SIZES {
-            specs.push((
-                Spec {
-                    kind: Kind::Boot,
-                    n,
-                    sc: Sc::F64,
-                },
-                9,
-            ));
-            specs.push((
-                Spec {
-                    kind: Kind::Restart,
-                    n,
-                    sc: Sc::F64,
-                },
-                11,
-            ));
-        }
-        let mut rng = Rng::new(seed, 3);
-        let data = COLD_SIZES
-            .iter()
-            .map(|&n| {
-                let input: Vec<f64> = small_ints(1 << n, &mut rng);
-                let expected = reference_rows(&input, 1 << n);
-                (n, (input, expected))
-            })
-            .collect();
-        ColdStart {
-            mix: Mix { specs },
-            data,
-            work: vec![0.0; 1 << 16],
-            root: run_dir().join(format!("cold-{}", std::process::id())),
-        }
-    }
-
-    fn restart_dir(&self, n: u32) -> PathBuf {
-        self.root.join(format!("restart-n{n:02}"))
-    }
-
-    /// One fresh process's worth of work: a new `Planner` on `dir`, one
-    /// transform, and (on a first boot) the store written back. Returns
-    /// the request's wall time and verdict.
-    fn boot(
-        &mut self,
-        dir: &Path,
-        n: u32,
-        first: bool,
-        req: u64,
-        tracer: &mut Tracer,
-    ) -> (u64, Result<bool, String>) {
-        let size = 1usize << n;
-        let (input, expected) = &self.data[&n];
-        let x = &mut self.work[..size];
-        x.copy_from_slice(input);
-        let t0 = Instant::now();
-        let outcome = (|| -> Result<(), String> {
-            let (store, _) = tracer.call("ShardedStore::open", req, || ShardedStore::open(dir));
-            let store = store.map_err(|e| e.to_string())?;
-            let (planner, _) = tracer.call("Planner::new", req, new_planner);
-            let (mut planner, _) =
-                tracer.call("Planner::with_store", req, || planner.with_store(&store));
-            let (res, _) = tracer.call("Planner::transform", req, || planner.transform(x));
-            res.map_err(|e| e.to_string())?;
-            if let Some(d) = planner.store_diagnostics().first() {
-                return Err(format!("store load quarantined a shard: {d}"));
-            }
-            if first {
-                let (saved, _) =
-                    tracer.call("Planner::save_store", req, || planner.save_store(&store));
-                let saved = saved.map_err(|e| e.to_string())?;
-                if saved != n as usize {
-                    return Err(format!("first boot wrote {saved} shards, expected {n}"));
-                }
-            } else if planner.evaluations() != 0 {
-                return Err(format!("restart evaluated {} costs", planner.evaluations()));
-            }
-            Ok(())
-        })();
-        let t1 = Instant::now();
-        if tracer.on {
-            tracer.mark(
-                if first {
-                    "request:first_boot"
-                } else {
-                    "request:restart"
-                },
-                req,
-                t0,
-                t1,
-            );
-        }
-        let ns = u64::try_from((t1 - t0).as_nanos()).unwrap_or(u64::MAX);
-        (ns, outcome.map(|()| same_bits(x, expected)))
-    }
-}
-
-impl Workload for ColdStart {
-    fn mix(&self) -> &Mix {
-        &self.mix
-    }
-
-    /// Populates one store per size with a first boot's shards; restarts
-    /// load it.
-    fn prepare(&mut self, tracer: &mut Tracer, tally: &mut Tally) -> u64 {
-        let _ = std::fs::remove_dir_all(&self.root);
-        let mut ns = 0;
-        for n in COLD_SIZES {
-            let dir = self.restart_dir(n);
-            let (t, v) = self.boot(&dir, n, true, SETUP, tracer);
-            ns += t;
-            tally.settle(usize::MAX, &format!("populate n{n}"), 0, 0, v);
-        }
-        ns
-    }
-
-    fn serve(
-        &mut self,
-        i: usize,
-        req: u64,
-        _rng: &mut Rng,
-        tracer: &mut Tracer,
-        tally: &mut Tally,
-    ) {
-        let spec = self.mix.specs[i].0;
-        let (ns, v) = if spec.kind == Kind::Boot {
-            let dir = self.root.join("first-boot");
-            let out = self.boot(&dir, spec.n, true, req, tracer);
-            clear_shards(&dir);
-            out
-        } else {
-            let dir = self.restart_dir(spec.n);
-            self.boot(&dir, spec.n, false, req, tracer)
-        };
-        tally.settle(i, &spec.label(), ns, 1u64 << spec.n, v);
-    }
-
-    fn schedules(&mut self) -> Vec<(String, CompiledPlan)> {
-        let mut planner = new_planner();
-        COLD_SIZES
-            .iter()
-            .map(|&n| {
-                (
-                    format!("Planner::transform n{n}"),
-                    planner_schedule(&mut planner, n),
-                )
-            })
-            .collect()
-    }
-}
-
-impl Drop for ColdStart {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.root);
     }
 }
