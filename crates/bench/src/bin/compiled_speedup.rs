@@ -48,13 +48,15 @@
 //! at batch size 1.
 //!
 //! A third, parallel table follows (emitting **`BENCH_parallel.json`**,
-//! schema version 1, override with `--parallel-json PATH`): an
+//! schema version 2, override with `--parallel-json PATH`): an
 //! empty-work dispatch-overhead microbench (one no-op job through the
-//! persistent `WorkerPool` vs a spawn-and-join `thread::scope` crew of
-//! the same size — the per-call cost the pool exists to delete), then
-//! canonical plans × n = 20–26 × threads ∈ {1, 2, 4, all} (clamped to
-//! the host) through three executors: `scoped` (spawn-per-call crew),
-//! `pooled` (persistent pool, cached arenas), and `pooled+stream`
+//! persistent global `WorkerPool` vs a per-call `WorkerPool::new` crew of
+//! the same size, built, dispatched and joined every call — the per-call
+//! cost the persistent pool exists to delete), then canonical plans ×
+//! n = 20–26 × threads ∈ {1, 2, 4, all} (clamped to the host) through
+//! three executors: `per-call` (a `WorkerPool::new(k)` crew per call, the
+//! path crews larger than the global pool take), `pooled` (persistent
+//! pool, cached arenas), and `pooled+stream`
 //! (non-temporal scatter + prefetched gather on the relayout tail,
 //! forced eager so every measured size reports the memory-path effect).
 //! The n = 26 rows are skipped when `/proc/meminfo` reports too little
@@ -132,8 +134,10 @@ struct BatchFile {
 }
 
 /// Schema version of `BENCH_parallel.json` (independent of the other
-/// artifacts: this file starts at 1).
-const PARALLEL_SCHEMA_VERSION: u64 = 1;
+/// artifacts). Version 2 replaced the spawn-per-call scoped baseline
+/// (`scoped_ns`, executor `scoped`) with a per-call `WorkerPool`
+/// (`per_call_ns`, executor `per-call`).
+const PARALLEL_SCHEMA_VERSION: u64 = 2;
 
 /// One measured (plan, size, threads, executor) cell of the parallel
 /// table.
@@ -154,9 +158,11 @@ struct DispatchOverhead {
     workers: u64,
     /// ns per no-op dispatch through the persistent pool.
     pooled_ns: f64,
-    /// ns per no-op spawn-and-join `thread::scope` crew.
-    scoped_ns: f64,
-    /// `scoped_ns / pooled_ns` — how much per-call cost the pool deletes.
+    /// ns per no-op dispatch through a `WorkerPool::new(workers)` built
+    /// and dropped (spawn + dispatch + join) every call.
+    per_call_ns: f64,
+    /// `per_call_ns / pooled_ns` — how much per-call cost the persistent
+    /// pool deletes.
     ratio: f64,
 }
 
@@ -583,16 +589,16 @@ fn mem_available_bytes() -> Option<u64> {
 
 /// The persistent-pool acceptance table: the empty-work dispatch
 /// overhead microbench, then canonical plans × large sizes × thread
-/// counts through scoped, pooled, and pooled+streaming executors —
-/// `BENCH_parallel.json` out.
+/// counts through per-call-pool, pooled, and pooled+streaming executors
+/// — `BENCH_parallel.json` out.
 fn parallel_bench(reps: usize, json_path: &str) {
-    use wht_parallel::{par_apply_compiled_on, par_apply_compiled_scoped, Threads, WorkerPool};
+    use wht_parallel::{par_apply_compiled_on, Threads, WorkerPool};
     let host_threads = wht_core::env::threads();
     let pool = WorkerPool::global();
 
     // --- Dispatch overhead: what does one parallel call cost before any
-    // work happens? The pool parks its crew on a condvar; the scoped
-    // baseline pays thread creation + join every call.
+    // work happens? The global pool parks its crew on a condvar; a
+    // per-call pool pays thread creation + join every call.
     let crew = pool.workers();
     pool.run(&|_, _| {}).expect("no-op job cannot panic");
     let pooled_iters = 2_000u32;
@@ -601,38 +607,37 @@ fn parallel_bench(reps: usize, json_path: &str) {
         pool.run(&|_, _| {}).expect("no-op job cannot panic");
     }
     let pooled_ns = t.elapsed().as_secs_f64() * 1e9 / f64::from(pooled_iters);
-    let scoped_iters = 500u32;
+    let per_call_iters = 500u32;
     let t = Instant::now();
-    for _ in 0..scoped_iters {
-        std::thread::scope(|scope| {
-            for _ in 0..crew {
-                scope.spawn(|| {});
-            }
-        });
+    for _ in 0..per_call_iters {
+        WorkerPool::new(crew)
+            .run(&|_, _| {})
+            .expect("no-op job cannot panic");
     }
-    let scoped_ns = t.elapsed().as_secs_f64() * 1e9 / f64::from(scoped_iters);
+    let per_call_ns = t.elapsed().as_secs_f64() * 1e9 / f64::from(per_call_iters);
     let dispatch = DispatchOverhead {
         workers: crew as u64,
         pooled_ns,
-        scoped_ns,
-        ratio: scoped_ns / pooled_ns,
+        per_call_ns,
+        ratio: per_call_ns / pooled_ns,
     };
     println!(
         "\nempty-work dispatch overhead ({crew}-worker crew): pooled {pooled_ns:.0} ns/call, \
-         scoped spawn+join {scoped_ns:.0} ns/call — pool is {:.1}x cheaper \
-         (acceptance: >= 10x)",
+         per-call pool spawn+join {per_call_ns:.0} ns/call — persistent pool is {:.1}x \
+         cheaper than a per-call crew (acceptance: >= 10x)",
         dispatch.ratio
     );
 
     // --- Replay table: the production lowering pipeline, streamed and
     // not, through both dispatchers at each crew size.
     println!(
-        "\nparallel compiled replay (min ns/transform over {reps} blocks, f64; scoped = \
-         spawn-per-call crew, pooled = persistent pool, +stream = non-temporal relayout tail)"
+        "\nparallel compiled replay (min ns/transform over {reps} blocks, f64; per-call = \
+         WorkerPool::new crew per call, pooled = persistent pool, +stream = non-temporal \
+         relayout tail)"
     );
     println!(
         "{:>3}  {:<10}  {:>7}  {:>13}  {:>13}  {:>13}  {:>9}  {:>11}",
-        "n", "plan", "threads", "scoped", "pooled", "pooled+strm", "pool/scop", "strm/pooled"
+        "n", "plan", "threads", "per-call", "pooled", "pooled+strm", "pool/call", "strm/pooled"
     );
     let mut thread_counts: Vec<usize> = [1usize, 2, 4, host_threads]
         .into_iter()
@@ -685,8 +690,9 @@ fn parallel_bench(reps: usize, json_path: &str) {
                     }
                     best * 1e9
                 };
-                let t_scoped = time_exec(&mut |x| {
-                    par_apply_compiled_scoped(&cached, x, Threads(threads)).expect("sized above");
+                let t_per_call = time_exec(&mut |x| {
+                    par_apply_compiled_on(&WorkerPool::new(threads), &cached, x, Threads(threads))
+                        .expect("sized above");
                 });
                 let t_pooled = time_exec(&mut |x| {
                     par_apply_compiled_on(pool, &cached, x, Threads(threads)).expect("sized above");
@@ -697,7 +703,7 @@ fn parallel_bench(reps: usize, json_path: &str) {
                 });
                 let melem = |ns: f64| size as f64 / ns * 1e3;
                 for (executor, t) in [
-                    ("scoped", t_scoped),
+                    ("per-call", t_per_call),
                     ("pooled", t_pooled),
                     ("pooled+stream", t_stream),
                 ] {
@@ -715,10 +721,10 @@ fn parallel_bench(reps: usize, json_path: &str) {
                     n,
                     name,
                     threads,
-                    t_scoped,
+                    t_per_call,
                     t_pooled,
                     t_stream,
-                    t_scoped / t_pooled,
+                    t_per_call / t_pooled,
                     t_pooled / t_stream
                 );
             }
@@ -731,13 +737,13 @@ fn parallel_bench(reps: usize, json_path: &str) {
         schema_version: PARALLEL_SCHEMA_VERSION,
         bench: "parallel".to_string(),
         methodology: format!(
-            "min-of-{reps}-blocks ns per transform, f64, one warm pass; executors: scoped = \
-             par_apply_compiled_scoped (spawn-and-join crew per call), pooled = \
+            "min-of-{reps}-blocks ns per transform, f64, one warm pass; executors: per-call = \
+             par_apply_compiled_on a WorkerPool::new(threads) built and joined per call, pooled = \
              par_apply_compiled_on the process-global persistent WorkerPool (parked workers, \
              cached scratch arenas), pooled+stream = same pool with StreamPolicy::eager() \
              (non-temporal scatter + prefetched gather on the eager relayout tail; the \
              production default engages past 2^24 elems). Dispatch overhead = ns per \
-             empty-work call, pool vs thread::scope, same crew size."
+             empty-work call, global pool vs per-call WorkerPool::new, same crew size."
         ),
         host_threads: host_threads as u64,
         numa_nodes: report.numa_nodes as u64,

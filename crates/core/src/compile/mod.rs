@@ -28,10 +28,9 @@
 //!
 //! Between compilation and execution the schedule passes through a
 //! sequence of explicit rewrite **stages** over the [`SuperPass`]
-//! schedule IR — each one a validated, output-bit-preserving rewrite,
+//! schedule IR — each one a verified, output-bit-preserving rewrite,
 //! each gated by one field of a single [`ExecPolicy`]
-//! ([`CompiledPlan::lower`] runs them in order; [`LoweringStage`] is the
-//! stage abstraction new rewrites implement):
+//! ([`CompiledPlan::lower`] runs them in order):
 //!
 //! 1. **Fuse** ([`CompiledPlan::fuse`], [`FusionPolicy`]) — merge
 //!    contiguous small-stride pass runs into cache-blocked super-passes.
@@ -48,8 +47,8 @@
 //!    Because strides multiply monotonically, only the small-stride prefix
 //!    can fuse.
 //! 2. **Relayout** ([`CompiledPlan::relayout`], [`RelayoutPolicy`]) — the
-//!    paper's DDL remedy for the unfusable large-stride tail (the
-//!    recursive form lives in [`crate::ddl`]). The tail computes
+//!    paper's DDL remedy for the unfusable large-stride tail. The tail
+//!    computes
 //!    `WHT(rows) ⊗ I(row_stride)` on the vector viewed as a
 //!    `rows × row_stride` matrix, so a [`Relayout`] super-pass **gathers**
 //!    blocks of `cols` contiguous columns into cache-sized scratch,
@@ -85,7 +84,7 @@
 //! types over random plans and policies.
 //!
 //! Each stage records what it did on the unit it produced
-//! ([`SuperPass::provenance`]), [`CompiledPlan::validate`] re-checks the
+//! ([`SuperPass::provenance`]), [`CompiledPlan::verify`] re-proves the
 //! schedule invariants after every stage in debug builds, and
 //! [`CompiledPlan::traverse`] reports the lowered schedule — units,
 //! backends, relayout geometry, provenance — to [`ExecHooks`] consumers,
@@ -105,7 +104,6 @@ mod fuse;
 mod policy;
 mod recodelet;
 mod relayout;
-mod stages;
 #[cfg(test)]
 mod tests;
 
@@ -113,7 +111,6 @@ pub use policy::{
     resolve_knob, BatchPolicy, ExecKey, ExecPolicy, FusionPolicy, PolicyKnob, RecodeletPolicy,
     RelayoutPolicy, StreamPolicy, SMALL_MERGE_ROWS,
 };
-pub use stages::{lowering_stages, LoweringStage};
 
 use crate::codelets::{
     apply_codelet, apply_pass_lanes, gather_lanes_tile, gather_lanes_tile_prefetch, gather_rows,
@@ -124,6 +121,7 @@ use crate::engine::ExecHooks;
 use crate::error::WhtError;
 use crate::plan::Plan;
 use crate::scalar::Scalar;
+use crate::verify::VerifySite;
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
@@ -187,7 +185,8 @@ impl Pass {
     /// so they may run concurrently (the parallel engine's contract).
     #[inline]
     pub unsafe fn apply_invocation<T: Scalar>(&self, x: &mut [T], q: usize) {
-        // SAFETY: forwarded contract; `k` is validated at compile() time.
+        // SAFETY: forwarded contract; `k` comes from a valid plan or a
+        // verified schedule.
         unsafe { apply_codelet(self.k, x, self.invocation_base(q), self.codelet_stride()) };
     }
 
@@ -368,7 +367,7 @@ impl SuperPass {
     /// Assemble a super-pass from tile-relative parts (scalar backend;
     /// chain [`SuperPass::with_backend`] to select the lane kernels).
     /// This is a plain carrier — no invariants are checked here;
-    /// [`CompiledPlan::from_super_passes`] / [`CompiledPlan::validate`]
+    /// [`CompiledPlan::from_super_passes`] / [`CompiledPlan::verify`]
     /// are the validity gate for hand-built schedules.
     pub fn new(parts: Vec<Pass>, tile: usize, tiles: usize, base: usize, stride: usize) -> Self {
         SuperPass {
@@ -388,7 +387,7 @@ impl SuperPass {
     /// blocks of `rows * cols` gathered elements, and the parts run over
     /// each gathered block at unit stride. A plain carrier like
     /// [`SuperPass::new`] — [`CompiledPlan::from_super_passes`] /
-    /// [`CompiledPlan::validate`] gate hand-built schedules.
+    /// [`CompiledPlan::verify`] gate hand-built schedules.
     pub fn new_relayout(parts: Vec<Pass>, relayout: Relayout) -> Self {
         SuperPass {
             parts,
@@ -418,8 +417,8 @@ impl SuperPass {
     }
 
     /// Base element offset of the super-pass (`0` for every valid
-    /// top-level unit — the canonical frame [`CompiledPlan::validate`]
-    /// and the [`crate::verify`] checks both require).
+    /// top-level unit — the canonical frame the [`crate::verify`]
+    /// checks require).
     #[inline]
     pub fn base(&self) -> usize {
         self.base
@@ -531,7 +530,7 @@ impl SuperPass {
     /// is how the parallel engine keeps every worker busy when there are
     /// fewer tiles than threads.
     ///
-    /// Only meaningful under the [`CompiledPlan::validate`] invariants
+    /// Only meaningful under the [`CompiledPlan::verify`] invariants
     /// (every part tiles its tile exactly once): then tile `j`'s blocks
     /// are exactly blocks `j·r .. (j+1)·r` of the flat pass.
     ///
@@ -563,12 +562,16 @@ impl SuperPass {
                 stride: self.stride,
             };
         }
+        // Saturating, like the relayout branch: hand-built units can hold
+        // absurd extents, which the verifier must diagnose, not overflow on.
         Pass {
             k: part.k,
-            r: part.r * self.tiles,
+            r: part.r.saturating_mul(self.tiles),
             s: part.s,
-            base: self.base + part.base * self.stride,
-            stride: part.stride * self.stride,
+            base: self
+                .base
+                .saturating_add(part.base.saturating_mul(self.stride)),
+            stride: part.stride.saturating_mul(self.stride),
         }
     }
 
@@ -581,7 +584,7 @@ impl SuperPass {
     /// `j < self.tiles()`, `self.relayout().is_none()`, and the whole
     /// super-pass must be in bounds: `base + (span() - 1) · stride <
     /// x.len()`, with every part tiling its tile (the
-    /// [`CompiledPlan::validate`] invariants).
+    /// [`CompiledPlan::verify`] invariants).
     #[inline]
     pub unsafe fn apply_tile<T: Scalar>(&self, x: &mut [T], j: usize) {
         debug_assert!(self.relayout.is_none());
@@ -602,7 +605,7 @@ impl SuperPass {
     /// # Safety
     /// `self.relayout().is_some()`, `j < self.tiles()`,
     /// `scratch.len() >= self.tile_elems()`, `x.len() >= self.span()`,
-    /// and the [`CompiledPlan::validate`] invariants hold.
+    /// and the [`CompiledPlan::verify`] invariants hold.
     #[inline]
     pub unsafe fn apply_gathered_block<T: Scalar>(&self, x: &mut [T], j: usize, scratch: &mut [T]) {
         let rl = self
@@ -611,7 +614,7 @@ impl SuperPass {
         let block = &mut scratch[..self.tile];
         // SAFETY: (gather/scatter) block j's last source element is
         // (rows-1)*row_stride + j*cols + cols-1 < rows*row_stride =
-        // span() <= x.len() (validate invariant + caller contract), and
+        // span() <= x.len() (verify invariant + caller contract), and
         // block.len() == rows*cols exactly. The streamed variants share
         // the plain kernels' contracts and move the same bytes.
         unsafe {
@@ -637,7 +640,7 @@ impl SuperPass {
     /// through `scratch` for relayout units).
     ///
     /// # Safety
-    /// `base + (span() - 1) · stride < x.len()` plus the validate
+    /// `base + (span() - 1) · stride < x.len()` plus the verify
     /// invariants; for relayout units `scratch.len() >= tile_elems()`.
     pub(crate) unsafe fn apply_all<T: Scalar>(&self, x: &mut [T], scratch: &mut [T]) {
         for j in 0..self.tiles {
@@ -831,35 +834,62 @@ impl CompiledPlan {
         }
     }
 
-    /// Compile and fuse in one step: `CompiledPlan::compile(plan).fuse(policy)`.
-    pub fn compile_fused(plan: &Plan, policy: &FusionPolicy) -> Self {
-        Self::compile(plan).fuse(policy)
-    }
-
-    /// Compile under the three pre-pipeline executor knobs — fusion, tail
-    /// relayout, and kernel backend:
-    /// `compile(plan).fuse(fusion).relayout(relayout).with_simd(simd)`.
-    ///
-    /// This is the legacy entry point kept for callers that predate the
-    /// staged pipeline; it never runs the re-codelet stage.
-    /// Prefer [`CompiledPlan::compile_exec`], which lowers through the
-    /// full pipeline under one [`ExecPolicy`].
-    pub fn compile_with(
-        plan: &Plan,
-        fusion: &FusionPolicy,
-        relayout: &RelayoutPolicy,
-        simd: &SimdPolicy,
-    ) -> Self {
-        Self::compile(plan)
-            .fuse(fusion)
-            .relayout(relayout)
-            .with_simd(simd)
-    }
-
     /// Compile and lower through the full staged pipeline under `policy`:
     /// `CompiledPlan::compile(plan).lower(policy)`.
     pub fn compile_exec(plan: &Plan, policy: &ExecPolicy) -> Self {
         Self::compile(plan).lower(policy)
+    }
+
+    /// Lower this schedule through the full staged pipeline under
+    /// `policy`, in execution order: fuse → relayout → recodelet →
+    /// backend-select → batch → stream. The order is fixed here once:
+    /// fusion must run before relayout (the tail is whatever fusion could
+    /// not merge), re-fusing later would discard the relayout grouping,
+    /// re-codeleting before backend selection keeps the structural
+    /// rewrites together, the batch stage's cross/tail split is derived
+    /// from the final flat factor list and inherits the selected backend
+    /// (every earlier stage resets the batch product it would
+    /// invalidate), and the stream stage — a pure dispatch marking over
+    /// whatever units the pipeline produced — runs last.
+    ///
+    /// In debug builds every stage's output is re-proved by the full
+    /// static verifier ([`CompiledPlan::verify`] — bounds, disjointness,
+    /// coverage, scratch sizing), so a pipeline regression fails at the
+    /// stage that caused it with a diagnostic naming the violated
+    /// invariant. This is the production lowering — [`compiled_for`]
+    /// caches exactly `compile(plan).lower(policy)` per `(plan, policy)`.
+    #[must_use]
+    pub fn lower(&self, policy: &ExecPolicy) -> CompiledPlan {
+        self.fuse(&policy.fusion)
+            .verified_after("fuse")
+            .relayout(&policy.relayout)
+            .verified_after("relayout")
+            .recodelet(&policy.recodelet)
+            .verified_after("recodelet")
+            .with_simd(&policy.simd)
+            .verified_after("backend-select")
+            .with_batch(&policy.batch)
+            .verified_after("batch")
+            .with_stream(&policy.stream)
+            .verified_after("stream")
+    }
+
+    /// Debug builds: assert that lowering stage `stage` left a schedule
+    /// [`CompiledPlan::verify`] proves safe. Release builds: identity.
+    fn verified_after(self, stage: &str) -> CompiledPlan {
+        if cfg!(debug_assertions) {
+            let diags = self.verify();
+            assert!(
+                diags.is_empty(),
+                "lowering stage {stage:?} produced an unsafe schedule:\n{}",
+                diags
+                    .iter()
+                    .map(ToString::to_string)
+                    .collect::<Vec<_>>()
+                    .join("\n")
+            );
+        }
+        self
     }
 
     /// `true` if any scheduling unit is a relayout super-pass.
@@ -1050,43 +1080,29 @@ impl CompiledPlan {
         self.batch.is_some()
     }
 
-    /// Assemble a compiled plan from hand-built super-passes, validating
-    /// every schedule invariant.
+    /// Assemble a compiled plan from hand-built super-passes, gated by
+    /// the full static verifier ([`CompiledPlan::verify`]) in every build.
     ///
     /// # Errors
-    /// The typed [`CompiledPlan::validate`] errors ([`WhtError::InvalidSchedule`],
-    /// [`WhtError::LeafSizeOutOfRange`]) on a malformed schedule, and
-    /// [`WhtError::SizeTooLarge`] when `n` exceeds [`crate::plan::MAX_N`]
-    /// (`2^n` would not even be a representable vector length — before
-    /// this guard, `n >= 64` wrapped [`CompiledPlan::size`] to a tiny
-    /// value in release builds and every downstream check validated
-    /// against the wrong extent).
+    /// [`WhtError::InvalidSchedule`] on a schedule `verify` rejects,
+    /// carrying the first diagnostic that names a unit (its index and the
+    /// rendered diagnostic, invariant name first), or the first
+    /// schedule-wide one (index = the schedule length) when no unit is
+    /// at fault; and [`WhtError::SizeTooLarge`] when `n` exceeds
+    /// [`crate::plan::MAX_N`] (`2^n` would not even be a representable
+    /// vector length — before this guard, `n >= 64` wrapped
+    /// [`CompiledPlan::size`] to a tiny value in release builds and every
+    /// downstream check ran against the wrong extent).
     pub fn from_super_passes(n: u32, schedule: Vec<SuperPass>) -> Result<Self, WhtError> {
         if n > crate::plan::MAX_N {
             return Err(WhtError::SizeTooLarge { n });
         }
-        // Saturating arithmetic throughout: hand-built schedules can hold
-        // absurd extents, and the contract is a typed error from
-        // validate(), never an overflow panic while deriving this view.
+        // flat_pass saturates: hand-built schedules can hold absurd
+        // extents, and the contract is a typed error from verify(), never
+        // an overflow panic while deriving this view.
         let passes = schedule
             .iter()
-            .flat_map(|sp| {
-                sp.parts.iter().enumerate().map(move |(p, part)| {
-                    if sp.relayout.is_some() {
-                        // The relayout-aware mapping back to the in-place
-                        // factor (already overflow-safe).
-                        sp.flat_pass(p)
-                    } else {
-                        Pass {
-                            k: part.k,
-                            r: part.r.saturating_mul(sp.tiles),
-                            s: part.s,
-                            base: sp.base.saturating_add(part.base.saturating_mul(sp.stride)),
-                            stride: part.stride.saturating_mul(sp.stride),
-                        }
-                    }
-                })
-            })
+            .flat_map(|sp| (0..sp.parts.len()).map(move |p| sp.flat_pass(p)))
             .collect();
         let plan = CompiledPlan {
             n,
@@ -1094,8 +1110,18 @@ impl CompiledPlan {
             schedule,
             batch: None,
         };
-        plan.validate()?;
-        Ok(plan)
+        let diags = plan.verify();
+        let at_unit = diags.iter().find_map(|d| match d.site {
+            VerifySite::Unit { unit, .. } => Some((unit, d)),
+            _ => None,
+        });
+        match at_unit.or_else(|| diags.first().map(|d| (plan.schedule.len(), d))) {
+            None => Ok(plan),
+            Some((index, d)) => Err(WhtError::InvalidSchedule {
+                index,
+                msg: d.to_string(),
+            }),
+        }
     }
 
     /// Exponent of the transform (`log2` of its size).
@@ -1197,7 +1223,7 @@ impl CompiledPlan {
             // SAFETY: every lowering stage emits only super-passes with
             // base = 0, stride = 1 and span() == size() whose parts tile
             // each tile exactly (and whose relayout geometry partitions
-            // the vector); from_super_passes() validates the same
+            // the vector); from_super_passes() verifies the same
             // invariants; the length was checked above; and scratch
             // covers the largest gathered block.
             unsafe { sp.apply_all(x, scratch) };
@@ -1239,7 +1265,7 @@ impl CompiledPlan {
     /// (`LANES` · tile columns — L1-sized) and
     /// [`CompiledPlan::scratch_elems`] on first use, never shrunk — the
     /// warm path allocates nothing (asserted by the counting-allocator
-    /// test alongside the DDL one).
+    /// test in `tests/noalloc.rs`).
     ///
     /// # Errors
     /// [`WhtError::LengthMismatch`] unless `x.len() == rows * self.size()`.
@@ -1536,137 +1562,6 @@ impl CompiledPlan {
             self.traverse_units((groups * w + row) * size, scratch_base, hooks);
         }
     }
-
-    /// Re-check the schedule invariants: every super-pass is a top-level
-    /// `tiles × tile` blocking of the full index space, and every part
-    /// tiles its tile exactly once without escaping it. Holds by
-    /// construction for every lowering stage's output (and is re-asserted
-    /// after each stage in debug builds — see [`CompiledPlan::lower`]);
-    /// for hand-built schedules ([`CompiledPlan::from_super_passes`])
-    /// this is the validity gate, and it never panics — malformed
-    /// schedules come back as typed errors.
-    ///
-    /// # Errors
-    /// [`WhtError::InvalidSchedule`] naming the offending super-pass, or
-    /// [`WhtError::LeafSizeOutOfRange`] for an out-of-range codelet.
-    pub fn validate(&self) -> Result<(), WhtError> {
-        let size = self.size();
-        let invalid = |index: usize, msg: String| Err(WhtError::InvalidSchedule { index, msg });
-        for (index, sp) in self.schedule.iter().enumerate() {
-            if sp.parts.is_empty() {
-                return invalid(index, "super-pass has no parts".into());
-            }
-            if sp.tile == 0 || sp.tiles == 0 {
-                return invalid(index, "super-pass has an empty tile grid".into());
-            }
-            if sp.base != 0 || sp.stride != 1 {
-                return invalid(
-                    index,
-                    format!(
-                        "top-level super-pass must have base 0 and stride 1, got base {} stride {}",
-                        sp.base, sp.stride
-                    ),
-                );
-            }
-            if let Some(rl) = sp.relayout {
-                // Relayout geometry: the tile grid must be exactly the
-                // rows × row_stride matrix view's column partition.
-                if rl.rows == 0 || rl.cols == 0 || rl.row_stride == 0 {
-                    return invalid(index, "relayout with an empty geometry".into());
-                }
-                if rl.cols > rl.row_stride || rl.row_stride % rl.cols != 0 {
-                    return invalid(
-                        index,
-                        format!(
-                            "relayout columns {} do not partition the row length {}",
-                            rl.cols, rl.row_stride
-                        ),
-                    );
-                }
-                if rl.rows.checked_mul(rl.cols) != Some(sp.tile)
-                    || rl.row_stride / rl.cols != sp.tiles
-                {
-                    return invalid(
-                        index,
-                        format!(
-                            "relayout geometry {}x{} cols {} disagrees with the \
-                             {} tiles x {} elements grid",
-                            rl.rows, rl.row_stride, rl.cols, sp.tiles, sp.tile
-                        ),
-                    );
-                }
-                if rl.rows.checked_mul(rl.row_stride) != Some(size) {
-                    return invalid(
-                        index,
-                        format!(
-                            "relayout matrix view {}x{} does not cover the \
-                             {size}-element vector",
-                            rl.rows, rl.row_stride
-                        ),
-                    );
-                }
-            }
-            match sp.tiles.checked_mul(sp.tile) {
-                Some(span) if span == size => {}
-                Some(span) if span > size => {
-                    return invalid(
-                        index,
-                        format!(
-                            "{} tiles of {} elements span {span}, exceeding the vector length {size}",
-                            sp.tiles, sp.tile
-                        ),
-                    );
-                }
-                Some(span) => {
-                    return invalid(
-                        index,
-                        format!(
-                            "{} tiles of {} elements cover only {span} of {size} elements",
-                            sp.tiles, sp.tile
-                        ),
-                    );
-                }
-                None => return invalid(index, "tile grid size overflows".into()),
-            }
-            for (p, part) in sp.parts.iter().enumerate() {
-                if !(1..=crate::plan::MAX_LEAF_K).contains(&part.k) {
-                    return Err(WhtError::LeafSizeOutOfRange { k: part.k });
-                }
-                if part.r == 0 || part.s == 0 {
-                    return invalid(index, format!("part {p} has an empty invocation grid"));
-                }
-                let Some(pspan) = part.checked_span() else {
-                    return invalid(index, format!("part {p} span overflows"));
-                };
-                // Farthest tile-relative element the part touches.
-                let reach = (pspan - 1)
-                    .checked_mul(part.stride)
-                    .and_then(|v| v.checked_add(part.base))
-                    .unwrap_or(usize::MAX);
-                if reach >= sp.tile {
-                    return invalid(
-                        index,
-                        format!(
-                            "part {p} escapes its tile: reaches element {reach} of a \
-                             {}-element tile (overlapping tiles)",
-                            sp.tile
-                        ),
-                    );
-                }
-                if part.base != 0 || part.stride != 1 || pspan != sp.tile {
-                    return invalid(
-                        index,
-                        format!(
-                            "part {p} does not tile its tile exactly once \
-                             (base {}, stride {}, span {pspan} vs tile {})",
-                            part.base, part.stride, sp.tile
-                        ),
-                    );
-                }
-            }
-        }
-        Ok(())
-    }
 }
 
 /// Emit the factor schedule of `plan` given `s` = product of the sizes of
@@ -1752,28 +1647,4 @@ pub fn compiled_for_exec(plan: &Plan, policy: &ExecPolicy) -> Rc<CompiledPlan> {
             .insert(key, Rc::clone(&compiled));
         compiled
     })
-}
-
-/// [`compiled_for`] with the three pre-pipeline executor knobs — the
-/// legacy API pin kept for callers that predate [`ExecPolicy`]
-/// (equivalent to [`compiled_for_exec`] with the re-codeleting
-/// stage disabled, matching the schedules this entry point always
-/// produced). Prefer [`compiled_for_exec`].
-pub fn compiled_for_with(
-    plan: &Plan,
-    policy: &FusionPolicy,
-    relayout: &RelayoutPolicy,
-    simd: &SimdPolicy,
-) -> Rc<CompiledPlan> {
-    compiled_for_exec(
-        plan,
-        &ExecPolicy {
-            fusion: *policy,
-            relayout: *relayout,
-            recodelet: RecodeletPolicy::disabled(),
-            simd: *simd,
-            batch: BatchPolicy::disabled(),
-            stream: StreamPolicy::disabled(),
-        },
-    )
 }

@@ -1,7 +1,7 @@
 //! Executor configuration: the per-stage policies of the lowering
 //! pipeline and the [`ExecPolicy`] that carries all of them.
 //!
-//! Each lowering stage (see [`crate::compile::LoweringStage`]) is gated by
+//! Each lowering stage (see [`CompiledPlan::lower`](crate::compile::CompiledPlan::lower)) is gated by
 //! one policy struct; [`ExecPolicy`] bundles the six so the whole
 //! executor configuration travels as **one value** — one environment
 //! snapshot, one schedule-cache key, one wisdom record, one resolution.
@@ -567,7 +567,7 @@ impl Default for StreamPolicy {
 /// ## Where a policy comes from (precedence)
 ///
 /// 1. **API pin** — an explicit policy passed through the API
-///    (`Planner::with_exec`/`with_fusion`/…,
+///    (`Planner::with_exec`,
 ///    [`compiled_for_exec`](crate::compile::compiled_for_exec)) always
 ///    wins.
 /// 2. **Wisdom** — a tuning recorded with a wisdom entry replays the

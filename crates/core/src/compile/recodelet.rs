@@ -33,8 +33,8 @@
 //! the elements both factors touch, so every add/sub sees the same
 //! operands in either grouping: **the same butterfly DAG, so the same
 //! output bits** — for floats (no reassociation happens) and integers
-//! alike. Property-tested against the recursive, DDL, and per-factor
-//! relayout executors for all four scalar types.
+//! alike. Property-tested against the recursive and per-factor relayout
+//! executors for all four scalar types.
 //!
 //! ## Why the merge is bounded
 //!
@@ -127,7 +127,7 @@ impl CompiledPlan {
 /// exponent stays within `max_k`, and the merged call's strided span
 /// `2^k · s_g` respects the footprint cap (or the group stays within
 /// [`SMALL_MERGE_ROWS`] rows). The merged part's grid is re-derived from
-/// the tile it must cover exactly (the validate invariant).
+/// the tile it must cover exactly (the verify coverage invariant).
 fn merge_chained_parts(parts: &[Pass], tile: usize, policy: &RecodeletPolicy) -> Vec<Pass> {
     let max_k = policy.max_k.min(MAX_LEAF_K);
     let mut out: Vec<Pass> = Vec::with_capacity(parts.len());

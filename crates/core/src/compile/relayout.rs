@@ -26,7 +26,7 @@ impl CompiledPlan {
     ///
     /// Like [`CompiledPlan::fuse`], this is a regrouping:
     /// [`CompiledPlan::passes`] is unchanged, output bits cannot change
-    /// (property-tested against the recursive, DDL, and direct compiled
+    /// (property-tested against the recursive and direct compiled
     /// paths), and the backend rides along. Applying it to a schedule
     /// whose tail is already relayouted returns an equal schedule.
     #[must_use]

@@ -26,7 +26,7 @@ fn schedule_shape_one_pass_per_leaf() {
             assert_eq!(compiled.passes().len(), plan.leaf_count(), "plan {plan}");
             assert_eq!(compiled.super_passes().len(), compiled.passes().len());
             assert!(!compiled.is_fused());
-            assert!(compiled.validate().is_ok());
+            assert!(compiled.verify().is_empty());
             // Strides multiply up: pass i runs at stride = product of
             // earlier factor sizes.
             let mut s = 1usize;
@@ -80,7 +80,7 @@ fn fusion_merges_the_small_stride_prefix() {
         assert_eq!(sp.tiles(), 1);
         assert_eq!(sp.provenance(), Provenance::default());
     }
-    assert!(fused.validate().is_ok());
+    assert!(fused.verify().is_empty());
 }
 
 #[test]
@@ -97,7 +97,7 @@ fn degenerate_budgets_are_the_limits() {
     assert_eq!(all.super_passes()[0].tiles(), 1);
     assert_eq!(all.super_passes()[0].tile_elems(), all.size());
     assert_eq!(all.super_passes()[0].parts().len(), compiled.passes().len());
-    assert!(all.validate().is_ok());
+    assert!(all.verify().is_empty());
 }
 
 #[test]
@@ -142,16 +142,16 @@ fn simd_relabeling_is_bit_identical_and_recorded() {
         let input = signal(n);
         for plan in test_plans(n) {
             for budget in [0usize, 1 << 5, usize::MAX] {
-                let scalar = CompiledPlan::compile_fused(&plan, &FusionPolicy::new(budget));
+                let scalar = CompiledPlan::compile(&plan).fuse(&FusionPolicy::new(budget));
                 let simd = scalar.with_simd(&SimdPolicy::auto());
-                // The relabeling is recorded, validates, and keeps the
+                // The relabeling is recorded, verifies, and keeps the
                 // factor list...
                 assert!(simd.is_simd() && !scalar.is_simd());
                 assert!(simd
                     .super_passes()
                     .iter()
                     .all(|sp| sp.backend() == PassBackend::Lanes));
-                assert!(simd.validate().is_ok());
+                assert!(simd.verify().is_empty());
                 assert_eq!(simd.passes(), scalar.passes());
                 // ...and both backends produce identical bits.
                 let mut a = input.clone();
@@ -195,7 +195,7 @@ fn relayout_rewrites_the_unfusable_tail() {
     assert_eq!(tail.tiles(), (1 << 6) / 2);
     assert_eq!(tail.span(), relaid.size());
     assert_eq!(relaid.scratch_elems(), 1 << 9);
-    assert!(relaid.validate().is_ok(), "{:?}", relaid.validate());
+    assert!(relaid.verify().is_empty(), "{:?}", relaid.verify());
     // Scratch parts run at unit global stride with s = cols * c.
     let mut c = 1usize;
     for part in tail.parts() {
@@ -228,7 +228,7 @@ fn relayout_rewrites_the_unfusable_tail() {
 fn relayout_policy_gates() {
     let n = 14u32;
     let fused =
-        CompiledPlan::compile_fused(&Plan::iterative(n).unwrap(), &FusionPolicy::new(1 << 6));
+        CompiledPlan::compile(&Plan::iterative(n).unwrap()).fuse(&FusionPolicy::new(1 << 6));
     // Disabled, too-small vectors, short tails, and resident vectors
     // all leave the schedule unchanged.
     assert_eq!(fused.relayout(&RelayoutPolicy::disabled()), fused);
@@ -260,7 +260,7 @@ fn relayout_policy_gates() {
     let tail = partial.super_passes().last().unwrap();
     assert_eq!(tail.parts().len(), 7);
     assert_eq!(tail.relayout().unwrap().rows, 1 << 7);
-    assert!(partial.validate().is_ok());
+    assert!(partial.verify().is_empty());
     let input = signal(n);
     let mut want = input.clone();
     fused.apply(&mut want).unwrap();
@@ -272,7 +272,8 @@ fn relayout_policy_gates() {
 #[test]
 fn relayout_units_round_trip_through_from_super_passes() {
     let plan = Plan::iterative(12).unwrap();
-    let relaid = CompiledPlan::compile_fused(&plan, &FusionPolicy::new(1 << 5))
+    let relaid = CompiledPlan::compile(&plan)
+        .fuse(&FusionPolicy::new(1 << 5))
         .relayout(&RelayoutPolicy::eager(1 << 8));
     assert!(relaid.has_relayout());
     let rebuilt = CompiledPlan::from_super_passes(12, relaid.super_passes().to_vec()).unwrap();
@@ -327,9 +328,9 @@ fn recodelet_merges_chained_factors_in_head_and_tail() {
     // scratch merge into one small[8] codelet, and the 6-factor fused
     // head into a small[8]-bounded group.
     let n = 14u32;
-    let relaid =
-        CompiledPlan::compile_fused(&Plan::iterative(n).unwrap(), &FusionPolicy::new(1 << 6))
-            .relayout(&RelayoutPolicy::eager(1 << 9));
+    let relaid = CompiledPlan::compile(&Plan::iterative(n).unwrap())
+        .fuse(&FusionPolicy::new(1 << 6))
+        .relayout(&RelayoutPolicy::eager(1 << 9));
     let merged = relaid.recodelet(&uncapped(8));
     assert!(merged.has_recodeleted());
     let tail = merged.super_passes().last().unwrap();
@@ -361,7 +362,7 @@ fn recodelet_merges_chained_factors_in_head_and_tail() {
         relaid.super_passes().last().unwrap().relayout()
     );
     assert_eq!(tail.tile_elems(), 1 << 9);
-    assert!(merged.validate().is_ok(), "{:?}", merged.validate());
+    assert!(merged.verify().is_empty(), "{:?}", merged.verify());
     // The factor list is re-derived: 1 merged head factor + 1 merged tail
     // factor, and the merged flat passes are the in-place merged factors.
     assert_eq!(merged.passes().len(), 2);
@@ -388,9 +389,9 @@ fn recodelet_respects_the_codelet_cap_and_chains_greedily() {
     // 10 tail factors at max_k = 4: greedy left-to-right merge gives
     // small[4] + small[4] + small[2].
     let n = 16u32;
-    let relaid =
-        CompiledPlan::compile_fused(&Plan::iterative(n).unwrap(), &FusionPolicy::new(1 << 6))
-            .relayout(&RelayoutPolicy::eager(1 << 11));
+    let relaid = CompiledPlan::compile(&Plan::iterative(n).unwrap())
+        .fuse(&FusionPolicy::new(1 << 6))
+        .relayout(&RelayoutPolicy::eager(1 << 11));
     assert_eq!(relaid.super_passes().last().unwrap().parts().len(), 10);
     let merged = relaid.recodelet(&RecodeletPolicy::new(4));
     let tail = merged.super_passes().last().unwrap();
@@ -399,7 +400,7 @@ fn recodelet_respects_the_codelet_cap_and_chains_greedily() {
         vec![4, 4, 2]
     );
     assert_eq!(tail.provenance().recodeleted, 7);
-    assert!(merged.validate().is_ok());
+    assert!(merged.verify().is_empty());
     // Caps above MAX_LEAF_K clamp to the unrolled family's edge.
     let clamped = relaid.recodelet(&uncapped(99));
     assert!(clamped
@@ -409,11 +410,9 @@ fn recodelet_respects_the_codelet_cap_and_chains_greedily() {
         .all(|p| p.k <= crate::plan::MAX_LEAF_K));
     // Mixed-radix tails merge too: binary_iterative(16, 2) has k=2
     // factors; its 5-part scratch tail merges under max_k = 8 into 8+2.
-    let blocked = CompiledPlan::compile_fused(
-        &Plan::binary_iterative(n, 2).unwrap(),
-        &FusionPolicy::new(1 << 6),
-    )
-    .relayout(&RelayoutPolicy::eager(1 << 11));
+    let blocked = CompiledPlan::compile(&Plan::binary_iterative(n, 2).unwrap())
+        .fuse(&FusionPolicy::new(1 << 6))
+        .relayout(&RelayoutPolicy::eager(1 << 11));
     let tail_ks: Vec<u32> = blocked
         .super_passes()
         .last()
@@ -453,9 +452,9 @@ fn recodelet_footprint_cap_bounds_strided_merges() {
     // exemption — so the default policy must stop each group at
     // small[8] (8 rows) even though max_k = 4 alone would allow 16.
     // (Compiling touches no data; a 2^24 schedule is cheap.)
-    let relaid =
-        CompiledPlan::compile_fused(&Plan::iterative(24).unwrap(), &FusionPolicy::default())
-            .relayout(&RelayoutPolicy::eager(RelayoutPolicy::DEFAULT_BUDGET_ELEMS));
+    let relaid = CompiledPlan::compile(&Plan::iterative(24).unwrap())
+        .fuse(&FusionPolicy::default())
+        .relayout(&RelayoutPolicy::eager(RelayoutPolicy::DEFAULT_BUDGET_ELEMS));
     let tail = relaid.super_passes().last().unwrap();
     assert_eq!(tail.parts().len(), 7);
     assert_eq!(
@@ -509,15 +508,15 @@ fn recodelet_footprint_cap_bounds_strided_merges() {
             .collect::<Vec<_>>(),
         vec![4, 3]
     );
-    assert!(merged.validate().is_ok() && unbounded.validate().is_ok());
+    assert!(merged.verify().is_empty() && unbounded.verify().is_empty());
 }
 
 #[test]
 fn recodelet_gates_and_idempotence() {
     let n = 14u32;
-    let relaid =
-        CompiledPlan::compile_fused(&Plan::iterative(n).unwrap(), &FusionPolicy::new(1 << 6))
-            .relayout(&RelayoutPolicy::eager(1 << 9));
+    let relaid = CompiledPlan::compile(&Plan::iterative(n).unwrap())
+        .fuse(&FusionPolicy::new(1 << 6))
+        .relayout(&RelayoutPolicy::eager(1 << 9));
     // Disabled policies and single-factor-only schedules are no-ops.
     assert_eq!(relaid.recodelet(&RecodeletPolicy::disabled()), relaid);
     assert_eq!(relaid.recodelet(&RecodeletPolicy::new(1)), relaid);
@@ -529,7 +528,7 @@ fn recodelet_gates_and_idempotence() {
     );
     // A fused head merges even without a relayout unit.
     let fused_only =
-        CompiledPlan::compile_fused(&Plan::iterative(n).unwrap(), &FusionPolicy::new(1 << 6));
+        CompiledPlan::compile(&Plan::iterative(n).unwrap()).fuse(&FusionPolicy::new(1 << 6));
     let head_merged = fused_only.recodelet(&RecodeletPolicy::default());
     assert!(head_merged.has_recodeleted() && !head_merged.has_relayout());
     assert!(head_merged.super_passes()[0].provenance().recodeleted > 0);
@@ -571,21 +570,6 @@ fn lower_runs_the_documented_stage_order() {
     assert!(lowered.is_fused() && lowered.has_relayout());
     assert!(lowered.has_recodeleted() && lowered.is_simd());
     assert!(lowered.is_batched());
-    // Stage names, for provenance reporting.
-    assert_eq!(
-        lowering_stages(&policy)
-            .iter()
-            .map(|s| s.name())
-            .collect::<Vec<_>>(),
-        vec![
-            "fuse",
-            "relayout",
-            "recodelet",
-            "backend-select",
-            "batch",
-            "stream"
-        ]
-    );
     // All stages disabled: the pipeline is the identity on the compiled
     // schedule (the pure scalar unfused baseline).
     let baseline = CompiledPlan::compile(&plan).lower(&ExecPolicy::all_disabled());
@@ -653,9 +637,9 @@ fn relayout_traverse_reports_scratch_addresses_and_copies() {
         }
     }
     let n = 10u32;
-    let relaid =
-        CompiledPlan::compile_fused(&Plan::iterative(n).unwrap(), &FusionPolicy::new(1 << 5))
-            .relayout(&RelayoutPolicy::eager(1 << 7));
+    let relaid = CompiledPlan::compile(&Plan::iterative(n).unwrap())
+        .fuse(&FusionPolicy::new(1 << 5))
+        .relayout(&RelayoutPolicy::eager(1 << 7));
     assert!(relaid.has_relayout());
     let blocks = relaid.super_passes().last().unwrap().tiles();
     let mut w = Watch::default();
@@ -701,7 +685,7 @@ fn traverse_visits_same_leaf_multiset_as_interpreter() {
         FusionPolicy::new(64),
         FusionPolicy::unbounded(),
     ] {
-        let compiled = CompiledPlan::compile_fused(&plan, &policy);
+        let compiled = CompiledPlan::compile(&plan).fuse(&policy);
         let mut flat: Vec<(u32, usize, usize)> = Vec::new();
         compiled.traverse(&mut Collect(&mut flat));
         assert_eq!(flat.len(), interp.len());
@@ -759,41 +743,33 @@ fn cached_compile_returns_identical_schedule() {
     // against schedules built under the same env SimdPolicy, so the
     // test holds on every CI leg.)
     let env_simd = SimdPolicy::from_env();
-    let unfused = compiled_for_with(
-        &plan,
-        &FusionPolicy::disabled(),
-        &RelayoutPolicy::disabled(),
-        &env_simd,
-    );
+    let unfused = compiled_for_exec(&plan, &ExecPolicy::all_disabled().with_simd(env_simd));
     assert_eq!(*unfused, CompiledPlan::compile(&plan).with_simd(&env_simd));
-    let fused = compiled_for_with(
+    let fused = compiled_for_exec(
         &plan,
-        &FusionPolicy::new(1 << 8),
-        &RelayoutPolicy::disabled(),
-        &env_simd,
+        &ExecPolicy::all_disabled()
+            .with_fusion(FusionPolicy::new(1 << 8))
+            .with_simd(env_simd),
     );
     assert_eq!(
         *fused,
-        CompiledPlan::compile_with(
-            &plan,
-            &FusionPolicy::new(1 << 8),
-            &RelayoutPolicy::disabled(),
-            &env_simd
-        )
+        CompiledPlan::compile(&plan)
+            .fuse(&FusionPolicy::new(1 << 8))
+            .with_simd(&env_simd)
     );
     // The kernel backend is part of the cache key too.
-    let scalar = compiled_for_with(
+    let scalar = compiled_for_exec(
         &plan,
-        &FusionPolicy::new(1 << 8),
-        &RelayoutPolicy::disabled(),
-        &SimdPolicy::disabled(),
+        &ExecPolicy::all_disabled()
+            .with_fusion(FusionPolicy::new(1 << 8))
+            .with_simd(SimdPolicy::disabled()),
     );
     assert!(!scalar.is_simd());
-    let lanes = compiled_for_with(
+    let lanes = compiled_for_exec(
         &plan,
-        &FusionPolicy::new(1 << 8),
-        &RelayoutPolicy::disabled(),
-        &SimdPolicy::auto(),
+        &ExecPolicy::all_disabled()
+            .with_fusion(FusionPolicy::new(1 << 8))
+            .with_simd(SimdPolicy::auto()),
     );
     assert!(lanes.is_simd());
     assert_eq!(scalar.passes(), lanes.passes());
@@ -845,7 +821,7 @@ fn tile_pass_restriction_is_consistent_with_apply() {
     // Drive a fused schedule tile by tile through the public
     // `tile_pass` API and compare against the built-in executor.
     let plan = Plan::iterative(9).unwrap();
-    let fused = CompiledPlan::compile_fused(&plan, &FusionPolicy::new(1 << 4));
+    let fused = CompiledPlan::compile(&plan).fuse(&FusionPolicy::new(1 << 4));
     assert!(fused.is_fused());
     let input = signal(9);
     let mut whole = input.clone();
@@ -869,7 +845,7 @@ fn tile_pass_restriction_is_consistent_with_apply() {
 #[test]
 fn from_super_passes_round_trips_valid_schedules() {
     let plan = Plan::balanced(10, 3).unwrap();
-    let fused = CompiledPlan::compile_fused(&plan, &FusionPolicy::new(1 << 5));
+    let fused = CompiledPlan::compile(&plan).fuse(&FusionPolicy::new(1 << 5));
     let rebuilt = CompiledPlan::from_super_passes(10, fused.super_passes().to_vec()).unwrap();
     assert_eq!(rebuilt.super_passes(), fused.super_passes());
     assert_eq!(rebuilt.passes(), fused.passes());
@@ -888,11 +864,11 @@ fn budget_sweeps_stay_correct_across_cache_eviction() {
     let plan = Plan::iterative(10).unwrap();
     let reference = CompiledPlan::compile(&plan);
     for b in 0..CACHE_CAP + 8 {
-        let c = compiled_for_with(
+        let c = compiled_for_exec(
             &plan,
-            &FusionPolicy::new(b + 2),
-            &RelayoutPolicy::disabled(),
-            &SimdPolicy::from_env(),
+            &ExecPolicy::all_disabled()
+                .with_fusion(FusionPolicy::new(b + 2))
+                .with_simd(SimdPolicy::from_env()),
         );
         assert_eq!(c.passes(), reference.passes(), "budget {}", b + 2);
     }
@@ -1042,7 +1018,9 @@ fn batch_stage_declines_when_it_cannot_help() {
     let big = CompiledPlan::compile(&Plan::iterative(19).unwrap());
     assert!(!big.with_batch(&BatchPolicy::default()).is_batched());
     // A hand-built schedule whose every pass is already full lane width
-    // has nothing to run cross-transform.
+    // has nothing to run cross-transform. (`verify` proves bounds,
+    // disjointness, coverage and Σk = n, not that the strides chain into
+    // a WHT, so five stride-16 passes at n = 5 pass the gate.)
     let wide = Pass {
         k: 1,
         r: 1,
@@ -1051,7 +1029,8 @@ fn batch_stage_declines_when_it_cannot_help() {
         stride: 1,
     };
     let all_wide =
-        CompiledPlan::from_super_passes(5, vec![SuperPass::new(vec![wide], 32, 1, 0, 1)]).unwrap();
+        CompiledPlan::from_super_passes(5, vec![SuperPass::new(vec![wide; 5], 32, 1, 0, 1)])
+            .unwrap();
     assert!(!all_wide.with_batch(&BatchPolicy::default()).is_batched());
     // A hand-built schedule with decreasing inner extents is not in
     // canonical chained form: the narrow passes are no prefix, so the
@@ -1153,7 +1132,7 @@ fn apply_batch_checks_geometry_and_handles_the_empty_batch() {
 fn apply_batch_scratch_warms_once_and_is_reused() {
     // The warm path allocates nothing: one scratch grow on first use,
     // then stable capacity across batches (the counting-allocator proof
-    // lives in tests/ddl_noalloc.rs; this pins the sizing contract).
+    // lives in tests/noalloc.rs; this pins the sizing contract).
     let compiled = CompiledPlan::compile(&Plan::iterative(8).unwrap()).lower(&ExecPolicy {
         batch: BatchPolicy::new(1),
         ..ExecPolicy::default()

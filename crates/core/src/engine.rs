@@ -56,7 +56,7 @@ use crate::scalar::Scalar;
 /// The schedule is **fused by default** — consecutive small-stride passes
 /// are merged into cache-blocked super-passes under the process
 /// [`crate::compile::FusionPolicy`] (opt out with `WHT_NO_FUSE=1`, or call
-/// [`crate::compile::compiled_for_with`] with an explicit policy). The
+/// [`crate::compile::compiled_for_exec`] with an explicit policy). The
 /// result is bit-identical to the recursive interpreter either way (see
 /// the `compile` module docs); callers that specifically want the paper's
 /// interpreted loop nest — the artifact the measurement substrate times —

@@ -53,13 +53,14 @@ pub enum WhtError {
     /// A configuration value (cache geometry, measurement repetitions, ...)
     /// was invalid; the message explains the constraint.
     InvalidConfig(String),
-    /// A hand-built compiled schedule violates the pass/tile invariants
-    /// (see `CompiledPlan::validate`): a part escapes its tile, tiles
+    /// A hand-built compiled schedule violates the schedule invariants
+    /// `CompiledPlan::verify` proves: a part escapes its tile, tiles
     /// overlap or exceed the vector length, coverage has holes, ...
     InvalidSchedule {
-        /// Index of the offending super-pass in the schedule.
+        /// Index of the offending super-pass in the schedule (the
+        /// schedule's length when the violation is schedule-wide).
         index: usize,
-        /// Which invariant broke.
+        /// The verifier's diagnostic: invariant, site, and message.
         msg: String,
     },
     /// A worker of the persistent parallel pool panicked while running

@@ -40,12 +40,12 @@
 //! | [`parse`] | WHT-package plan grammar (`split[small[1],...]` strings) |
 //! | [`codelets`] | unrolled base cases `small[1]`..`small[8]`, the SIMD lane-block backend ([`SimdPolicy`]), and the relayout gather/scatter copy kernels |
 //! | [`engine`] | the triply-nested-loop interpreter ([`apply_plan_recursive`]) and the hook-based traversal ([`traverse`]) instrumentation builds on |
-//! | [`compile`] | flattened pass schedules and the staged lowering pipeline: [`CompiledPlan`] compilation, the [`ExecPolicy`]-driven stage sequence fuse ([`FusionPolicy`], [`SuperPass`]) → DDL tail relayout ([`RelayoutPolicy`], [`Relayout`]) → re-codelet ([`RecodeletPolicy`]) → kernel backend selection ([`PassBackend`]), per-unit stage [`Provenance`], the zero-recursion executor behind [`apply_plan`], the per-thread `(plan, ExecPolicy)` schedule cache |
+//! | [`compile`] | flattened pass schedules and the staged lowering pipeline: [`CompiledPlan`] compilation, the [`ExecPolicy`]-driven stage chain of [`CompiledPlan::lower`] — fuse ([`FusionPolicy`], [`SuperPass`]) → tail relayout, the paper's DDL in compiled form ([`RelayoutPolicy`], [`Relayout`]) → re-codelet ([`RecodeletPolicy`]) → kernel backend selection ([`PassBackend`]) → batch ([`BatchPolicy`]) → stream ([`StreamPolicy`]) — per-unit stage [`Provenance`], the zero-recursion executor behind [`apply_plan`], the per-thread `(plan, ExecPolicy)` schedule cache |
 //! | [`mod@env`] | the one place `WHT_*` environment knobs are read, with the knob table and the uniform parse contract |
 //! | [`srht`] | SRHT sketching ([`Srht`]): Rademacher signs and subsampling fused into the batched executor's transposes |
 //! | [`mod@reference`] | `O(N^2)` ground truth ([`naive_wht`]) and test helpers |
 //! | [`testkit`] | shared test scaffolding: seeded random-plan generator, `O(n·2^n)` fast reference transform, deterministic signals |
-//! | [`verify`] | static schedule safety verifier: proves bounds, write-disjointness, coverage/permutation, and exact scratch sizing of a lowered schedule ([`CompiledPlan::verify`], [`VerifyDiagnostic`]) |
+//! | [`verify`] | static schedule safety verifier: proves bounds, write-disjointness, coverage/permutation, and exact scratch sizing of a lowered schedule ([`CompiledPlan::verify`], [`VerifyDiagnostic`]); the gate [`CompiledPlan::from_super_passes`] applies to hand-built schedules |
 //! | [`ordering`] | natural (Hadamard) vs sequency (Walsh) ordering |
 //! | [`scalar`] | element types: `f64` (default), `f32`, `i64`, `i32` |
 
@@ -53,7 +53,6 @@
 
 pub mod codelets;
 pub mod compile;
-pub mod ddl;
 pub mod dyadic;
 pub mod engine;
 pub mod env;
@@ -73,11 +72,10 @@ pub use codelets::{
     gather_rows_checked, lane_width, scatter_rows_checked, SimdPolicy,
 };
 pub use compile::{
-    compiled_for, compiled_for_exec, compiled_for_with, lowering_stages, resolve_knob, BatchPolicy,
-    BatchSchedule, CompiledPlan, ExecPolicy, FusionPolicy, LoweringStage, Pass, PassBackend,
-    PolicyKnob, Provenance, RecodeletPolicy, Relayout, RelayoutPolicy, StreamPolicy, SuperPass,
+    compiled_for, compiled_for_exec, resolve_knob, BatchPolicy, BatchSchedule, CompiledPlan,
+    ExecPolicy, FusionPolicy, Pass, PassBackend, PolicyKnob, Provenance, RecodeletPolicy, Relayout,
+    RelayoutPolicy, StreamPolicy, SuperPass,
 };
-pub use ddl::{apply_plan_ddl, apply_plan_ddl_with_scratch, DdlConfig};
 pub use dyadic::{dyadic_autocorrelation, dyadic_convolution, dyadic_convolution_naive};
 pub use engine::{apply_plan, apply_plan_recursive, for_each_leaf_call, traverse, ExecHooks};
 pub use error::WhtError;

@@ -5,12 +5,11 @@
 //!
 //! The `unsafe` kernels in [`crate::codelets`] replay whatever schedule
 //! the lowering pipeline hands them; their soundness rests entirely on
-//! schedule-level invariants. [`CompiledPlan::validate`] gates the
-//! *structural* form (and stops at the first violation); this module is
-//! the full analyzer: it walks the same IR symbolically, checks every
-//! invariant family the executor and the parallel engine rely on, and
-//! returns **all** violations as typed [`VerifyDiagnostic`]s (site, unit
-//! provenance, violated invariant) instead of one error. Differential
+//! schedule-level invariants. This module is the analyzer that proves
+//! them: it walks the IR symbolically, checks every invariant family the
+//! executor and the parallel engine rely on, and returns **all**
+//! violations as typed [`VerifyDiagnostic`]s (site, unit provenance,
+//! violated invariant) instead of one error. Differential
 //! tests witness "bit-identical on the inputs we sampled"; `verify()`
 //! upgrades that to "cannot fault for any input".
 //!
@@ -55,11 +54,13 @@
 //!
 //! # Wiring
 //!
-//! Three layers consume the verifier:
+//! Four layers consume the verifier:
 //! - [`CompiledPlan::verify`] — the public API; returns every diagnostic.
 //! - [`CompiledPlan::lower`] re-proves the schedule after **every**
-//!   pipeline stage in debug builds (replacing the weaker structural
-//!   `validate()` assert it used to carry).
+//!   pipeline stage in debug builds.
+//! - [`CompiledPlan::from_super_passes`] gates hand-built schedules with
+//!   it in every build, returning the first diagnostic as a typed
+//!   [`WhtError::InvalidSchedule`](crate::WhtError::InvalidSchedule).
 //! - the `verifier_fuzz` test runs the checker over thousands of random
 //!   plans × [`ExecPolicy`](crate::ExecPolicy) points and
 //!   mutation-tests it (corrupted stride/offset/k must be rejected with
@@ -252,10 +253,12 @@ fn checked_span(p: &Pass) -> Option<usize> {
 
 /// Checked farthest element a pass touches relative to its own frame:
 /// `base + (span − 1) · stride`. `None` on overflow (including span
-/// overflow).
+/// overflow) and for an empty pass, which reaches nothing.
 fn checked_reach(p: &Pass) -> Option<usize> {
     let span = checked_span(p)?;
-    (span - 1).checked_mul(p.stride)?.checked_add(p.base)
+    span.checked_sub(1)?
+        .checked_mul(p.stride)?
+        .checked_add(p.base)
 }
 
 /// What [`check_pass_in_frame`] established about a pass, gating the
@@ -960,10 +963,6 @@ impl CompiledPlan {
     /// batched product alike. Returns **all** violations (empty means
     /// proven); see the [module docs](crate::verify) for the invariant
     /// families and what each guards.
-    ///
-    /// Strictly stronger than [`CompiledPlan::validate`] (which stops at
-    /// the first structural violation): everything `validate` rejects,
-    /// `verify` also rejects, with a categorized diagnostic.
     pub fn verify(&self) -> Vec<VerifyDiagnostic> {
         let mut diags = verify_schedule(self.n(), self.super_passes());
         diags.extend(verify_flat_passes(self.n(), self.passes()));

@@ -1,43 +1,61 @@
 //! Allocation regression tests for the warm scratch-reuse paths, run
 //! under a counting global allocator: once a caller-owned scratch buffer
 //! has been sized by a first (warmup) application, replaying the same
-//! plan must hit the heap **zero** times — both for the recursive DDL
-//! engine (`apply_plan_ddl_with_scratch`) and the compiled relayout
-//! executor (`CompiledPlan::apply_with_scratch`). Per-subtree heap churn
-//! in `ddl_rec` (a fresh inner scratch per gathered subtree) is exactly
-//! the regression this file pins down.
+//! plan must hit the heap **zero** times — both for the compiled relayout
+//! executor (`CompiledPlan::apply_with_scratch`) and the batched path
+//! (`CompiledPlan::apply_batch_with_scratch`).
+//!
+//! The counter is per thread: the test harness runs tests (and their
+//! allocations) concurrently, so a process-wide counter would charge one
+//! test with its siblings' heap traffic.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use wht_core::ddl::DdlConfig;
+use std::cell::Cell;
 use wht_core::{
-    apply_plan_ddl_with_scratch, BatchPolicy, CompiledPlan, ExecPolicy, FusionPolicy, Plan,
-    RelayoutPolicy, Scalar, SimdPolicy,
+    BatchPolicy, CompiledPlan, ExecPolicy, FusionPolicy, Plan, RelayoutPolicy, Scalar, SimdPolicy,
 };
 
 /// System allocator wrapper that counts every allocation (including
-/// reallocs, which acquire new memory too). Deallocations are free.
+/// reallocs, which acquire new memory too) on the allocating thread.
+/// Deallocations are free.
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    /// Allocations made by this thread. Const-initialized and
+    /// destructor-free, so reading it never allocates (which would
+    /// recurse into the allocator).
+    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+}
 
-// SAFETY: pure pass-through to `System` plus a side-effect-free atomic
-// counter bump — every GlobalAlloc contract obligation is `System`'s.
+/// Bump this thread's counter. `try_with` because the allocator also
+/// runs while thread-local storage is being torn down.
+fn count() {
+    let _ = ALLOCATIONS.try_with(|c| c.set(c.get() + 1));
+}
+
+/// Allocations this thread has made so far.
+fn allocations() -> usize {
+    ALLOCATIONS.with(Cell::get)
+}
+
+// SAFETY: pure pass-through to `System` plus a side-effect-free
+// thread-local counter bump — every GlobalAlloc contract obligation is
+// `System`'s.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::SeqCst);
+        count();
         // SAFETY: forwarded caller contract.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::SeqCst);
+        count();
         // SAFETY: forwarded caller contract.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::SeqCst);
+        count();
         // SAFETY: forwarded caller contract.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -58,49 +76,6 @@ fn signal(n: u32) -> Vec<f64> {
 }
 
 #[test]
-fn ddl_with_scratch_does_not_allocate_after_warmup() {
-    // left_recursive is the shape whose strides grow fastest — every
-    // level past the threshold gathers, so this exercises the split-based
-    // scratch reuse hardest.
-    let n = 12u32;
-    let plan = Plan::left_recursive(n).unwrap();
-    let cfg = DdlConfig::default();
-    let mut x = signal(n);
-    let mut scratch: Vec<f64> = Vec::new();
-
-    // Warmup: sizes the scratch once (and computes the reference result).
-    apply_plan_ddl_with_scratch(&plan, &mut x, cfg, &mut scratch).unwrap();
-    let mut reference = signal(n);
-    wht_core::apply_plan_recursive(&plan, &mut reference).unwrap();
-    assert_eq!(x, reference, "warmup run must be correct");
-
-    // Warm replays: zero heap traffic, still correct.
-    let mut y = signal(n);
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
-    apply_plan_ddl_with_scratch(&plan, &mut y, cfg, &mut scratch).unwrap();
-    apply_plan_ddl_with_scratch(&plan, &mut y, cfg, &mut scratch).unwrap();
-    let after = ALLOCATIONS.load(Ordering::SeqCst);
-    assert_eq!(
-        after - before,
-        0,
-        "warm DDL replays must not touch the heap"
-    );
-
-    // A tighter threshold (more gathers) re-sizes at most once, then is
-    // allocation-free again.
-    let tight = DdlConfig {
-        stride_threshold_log2: 0,
-    };
-    let mut z = signal(n);
-    apply_plan_ddl_with_scratch(&plan, &mut z, tight, &mut scratch).unwrap();
-    let mut w = signal(n);
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
-    apply_plan_ddl_with_scratch(&plan, &mut w, tight, &mut scratch).unwrap();
-    let after = ALLOCATIONS.load(Ordering::SeqCst);
-    assert_eq!(after - before, 0);
-}
-
-#[test]
 fn compiled_relayout_with_scratch_does_not_allocate_after_warmup() {
     let n = 14u32;
     let relaid = CompiledPlan::compile(&Plan::iterative(n).unwrap())
@@ -114,10 +89,10 @@ fn compiled_relayout_with_scratch_does_not_allocate_after_warmup() {
     assert_eq!(scratch.len(), relaid.scratch_elems());
 
     let mut y = signal(n);
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let before = allocations();
     relaid.apply_with_scratch(&mut y, &mut scratch).unwrap();
     relaid.apply_with_scratch(&mut y, &mut scratch).unwrap();
-    let after = ALLOCATIONS.load(Ordering::SeqCst);
+    let after = allocations();
     assert_eq!(
         after - before,
         0,
@@ -151,7 +126,7 @@ fn apply_batch_with_scratch_does_not_allocate_after_warmup() {
         .apply_batch_with_scratch(&mut x, rows, &mut scratch)
         .unwrap();
 
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let before = allocations();
     compiled
         .apply_batch_with_scratch(&mut x, rows, &mut scratch)
         .unwrap();
@@ -164,7 +139,7 @@ fn apply_batch_with_scratch_does_not_allocate_after_warmup() {
     compiled
         .apply_batch_with_scratch(&mut x[..small_rows * size], small_rows, &mut scratch)
         .unwrap();
-    let after = ALLOCATIONS.load(Ordering::SeqCst);
+    let after = allocations();
     assert_eq!(
         after - before,
         0,

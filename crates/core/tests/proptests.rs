@@ -167,8 +167,8 @@ proptest! {
         let unfused = CompiledPlan::compile(&plan);
         let fused = unfused.fuse(&policy);
         let simd = fused.with_simd(&SimdPolicy::auto());
-        prop_assert!(fused.validate().is_ok());
-        prop_assert!(simd.validate().is_ok());
+        prop_assert!(fused.verify().is_empty());
+        prop_assert!(simd.verify().is_empty());
         prop_assert!(simd.is_simd() && !fused.is_simd());
         prop_assert_eq!(fused.passes(), unfused.passes(), "fusion must not edit the factor list");
         prop_assert_eq!(simd.passes(), fused.passes(), "backend selection must not edit the factor list");
@@ -269,8 +269,8 @@ proptest! {
         let unfused = CompiledPlan::compile(&plan);
         let fused = unfused.fuse(&FusionPolicy::new(budget));
         let simd = fused.with_simd(&SimdPolicy::auto());
-        prop_assert!(fused.validate().is_ok());
-        prop_assert!(simd.validate().is_ok() && simd.is_simd());
+        prop_assert!(fused.verify().is_empty());
+        prop_assert!(simd.verify().is_empty() && simd.is_simd());
         // Unfused vs fused: same program, one execution each per type.
         let probe: Vec<i64> = wht_core::testkit::random_signal(plan.size(), seed ^ 1);
         let mut a = probe.clone();
@@ -407,8 +407,7 @@ proptest! {
     /// The acceptance harness for the relayout tail: at n = 16..=20, for
     /// random plans and fusion × gathered-block budget combinations, the
     /// relayouted compiled executor (scalar and SIMD) is bit-identical to
-    /// the recursive interpreter *and* to the recursive DDL engine, for
-    /// all four scalar types.
+    /// the recursive interpreter, for all four scalar types.
     #[test]
     fn relayout_differential_harness_to_n20(
         n in 16u32..=20,
@@ -416,14 +415,10 @@ proptest! {
         fuse_budget in (0u32..3).prop_map(|i| [0usize, 1 << 10, 1 << 13][i as usize]),
         block_budget in (0u32..3).prop_map(|i| [1usize << 10, 1 << 13, 1 << 15][i as usize]),
     ) {
-        use wht_core::ddl::{apply_plan_ddl, DdlConfig};
         fn check<T: Scalar>(plan: &Plan, relaid: &CompiledPlan, simd: &CompiledPlan, seed: u64) {
             let input: Vec<T> = wht_core::testkit::random_signal(plan.size(), seed);
             let mut rec = input.clone();
             apply_plan_recursive(plan, &mut rec).unwrap();
-            let mut ddl = input.clone();
-            apply_plan_ddl(plan, &mut ddl, DdlConfig::default()).unwrap();
-            assert_eq!(ddl, rec, "ddl/interpreted divergence for {plan}");
             let mut gathered = input.clone();
             relaid.apply(&mut gathered).unwrap();
             assert_eq!(gathered, rec, "relayout/interpreted divergence for {plan}");
@@ -436,8 +431,8 @@ proptest! {
             .fuse(&FusionPolicy::new(fuse_budget))
             .relayout(&wht_core::RelayoutPolicy::eager(block_budget));
         let simd = relaid.with_simd(&SimdPolicy::auto());
-        prop_assert!(relaid.validate().is_ok());
-        prop_assert!(simd.validate().is_ok());
+        prop_assert!(relaid.verify().is_empty());
+        prop_assert!(simd.verify().is_empty());
         prop_assert_eq!(
             relaid.passes(),
             CompiledPlan::compile(&plan).passes(),
@@ -452,9 +447,8 @@ proptest! {
     /// The acceptance harness for the re-codeleted tail (lowering stage
     /// 3): at n = 16..=20, for random plans and fusion × gathered-block ×
     /// merged-codelet-cap combinations, the re-codeleted executor (scalar
-    /// and SIMD) is bit-identical to the recursive interpreter, the
-    /// recursive DDL engine, *and* the per-factor relayout executor it
-    /// rewrites, for all four scalar types — the same butterfly DAG in a
+    /// and SIMD) is bit-identical to the recursive interpreter *and* the
+    /// per-factor relayout executor it rewrites, for all four scalar types — the same butterfly DAG in a
     /// bigger codelet.
     #[test]
     fn recodelet_differential_harness_to_n20(
@@ -464,7 +458,6 @@ proptest! {
         block_budget in (0u32..3).prop_map(|i| [1usize << 10, 1 << 13, 1 << 15][i as usize]),
         max_k in 2u32..=8,
     ) {
-        use wht_core::ddl::{apply_plan_ddl, DdlConfig};
         use wht_core::RecodeletPolicy;
         fn check<T: Scalar>(
             plan: &Plan,
@@ -476,9 +469,6 @@ proptest! {
             let input: Vec<T> = wht_core::testkit::random_signal(plan.size(), seed);
             let mut rec = input.clone();
             apply_plan_recursive(plan, &mut rec).unwrap();
-            let mut ddl = input.clone();
-            apply_plan_ddl(plan, &mut ddl, DdlConfig::default()).unwrap();
-            assert_eq!(ddl, rec, "ddl/interpreted divergence for {plan}");
             let mut per_factor = input.clone();
             relaid.apply(&mut per_factor).unwrap();
             assert_eq!(per_factor, rec, "relayout/interpreted divergence for {plan}");
@@ -498,8 +488,8 @@ proptest! {
             .relayout(&wht_core::RelayoutPolicy::eager(block_budget));
         let merged = relaid.recodelet(&RecodeletPolicy::new(max_k));
         let simd = merged.with_simd(&SimdPolicy::auto());
-        prop_assert!(merged.validate().is_ok());
-        prop_assert!(simd.validate().is_ok());
+        prop_assert!(merged.verify().is_empty());
+        prop_assert!(simd.verify().is_empty());
         // Every merged part respects the cap, and the factor lists of the
         // two views of the merged schedule stay consistent.
         for sp in merged.super_passes() {
@@ -561,7 +551,7 @@ proptest! {
             .with_simd(if simd_on { SimdPolicy::auto() } else { SimdPolicy::disabled() })
             .with_batch(BatchPolicy::new(block_rows));
         let compiled = CompiledPlan::compile(&plan).lower(&exec);
-        prop_assert!(compiled.validate().is_ok());
+        prop_assert!(compiled.verify().is_empty());
         prop_assert_eq!(compiled.is_batched(), block_rows > 0);
         check::<f64>(&compiled, rows, seed);
         check::<f32>(&compiled, rows, seed);
@@ -648,7 +638,7 @@ proptest! {
             .lower(&base.with_stream(StreamPolicy::disabled()));
         let streamed = CompiledPlan::compile(&plan)
             .lower(&base.with_stream(StreamPolicy::eager()));
-        prop_assert!(streamed.validate().is_ok());
+        prop_assert!(streamed.verify().is_empty());
         check::<f64>(&cached, &streamed, seed);
         check::<f32>(&cached, &streamed, seed);
         check::<i64>(&cached, &streamed, seed);
@@ -666,7 +656,7 @@ fn streamed_replay_matches_cached_at_n20() {
     let base = ExecPolicy::default().with_relayout(RelayoutPolicy::eager(1 << 10));
     let cached = CompiledPlan::compile(&plan).lower(&base.with_stream(StreamPolicy::disabled()));
     let streamed = CompiledPlan::compile(&plan).lower(&base.with_stream(StreamPolicy::eager()));
-    assert!(streamed.validate().is_ok());
+    assert!(streamed.verify().is_empty());
     let input: Vec<f64> = wht_core::testkit::random_signal(1 << n, 7);
     let mut cold = input.clone();
     cached.apply(&mut cold).unwrap();

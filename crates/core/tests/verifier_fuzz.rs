@@ -705,7 +705,7 @@ fn oversized_exponent_is_rejected_as_overflow() {
 
 /// Regression test for the `n` guard on hand-built schedules: before it,
 /// `from_super_passes(64, ..)` wrapped `size()` to 1 in release builds
-/// and validated the whole schedule against the wrong extent.
+/// and checked the whole schedule against the wrong extent.
 #[test]
 fn from_super_passes_rejects_oversized_exponent() {
     let (_, units) = valid_units();
@@ -715,13 +715,13 @@ fn from_super_passes_rejects_oversized_exponent() {
     }
 }
 
-/// Everything `validate()` rejects, `verify()` must reject too (the
-/// verifier is strictly stronger; acceptance criterion). Random corrupted
-/// schedules: whenever `from_super_passes` errors, the standalone
-/// verifier must also produce diagnostics, and whenever it accepts, the
-/// verifier must be clean.
+/// `from_super_passes` gates hand-built schedules with exactly the
+/// verifier. Random corrupted schedules: whenever it errors, the
+/// standalone verifier must also produce diagnostics and the error must
+/// name the corrupted unit; whenever it accepts, the verifier must be
+/// clean.
 #[test]
-fn verify_is_at_least_as_strict_as_validate() {
+fn from_super_passes_rejects_exactly_what_verify_rejects() {
     let mut rng = Rng(0x5EED);
     let mut rejected = 0;
     for _ in 0..400 {
@@ -776,13 +776,17 @@ fn verify_is_at_least_as_strict_as_validate() {
         match CompiledPlan::from_super_passes(n, units) {
             Ok(compiled) => assert!(
                 diags.is_empty() && compiled.verify().is_empty(),
-                "validate accepted but verify rejected: {diags:?}"
+                "from_super_passes accepted but verify rejected: {diags:?}"
             ),
-            Err(_) => {
+            Err(err) => {
                 rejected += 1;
                 assert!(
                     !diags.is_empty(),
-                    "validate rejected (n={n}, warped={warped:?}) but verify was silent"
+                    "from_super_passes rejected (n={n}, warped={warped:?}) but verify was silent"
+                );
+                assert!(
+                    matches!(err, WhtError::InvalidSchedule { index, .. } if index == victim),
+                    "error must name unit {victim}: {err:?}"
                 );
             }
         }

@@ -16,7 +16,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod ddl_trace;
 pub mod instrumented;
 pub mod policy_trace;
 pub mod pool;
@@ -25,7 +24,6 @@ pub mod simcycles;
 pub mod timer;
 pub mod trace;
 
-pub use ddl_trace::ddl_trace_misses;
 pub use instrumented::{
     batch_instruction_count, batch_op_counts, compiled_instruction_count, compiled_op_counts,
     measured_instruction_count, measured_op_counts, InstructionCounter,

@@ -453,7 +453,7 @@ mod tests {
         // backend-invariant, so the trace executor charges SIMD and scalar
         // schedules identically while the report records which kernel ran.
         let plan = Plan::iterative(14).unwrap();
-        let scalar = CompiledPlan::compile_fused(&plan, &FusionPolicy::new(1 << 10));
+        let scalar = CompiledPlan::compile(&plan).fuse(&FusionPolicy::new(1 << 10));
         let simd = scalar.with_simd(&SimdPolicy::auto());
 
         let mut h = Hierarchy::opteron();
@@ -485,7 +485,7 @@ mod tests {
         // 2^12-element gathered blocks.
         let n = 16u32;
         let plan = Plan::iterative(n).unwrap();
-        let fused = CompiledPlan::compile_fused(&plan, &FusionPolicy::new(1 << 10));
+        let fused = CompiledPlan::compile(&plan).fuse(&FusionPolicy::new(1 << 10));
         let relaid = fused.relayout(&RelayoutPolicy::eager(1 << 12));
         assert!(relaid.has_relayout());
         let tail_parts = relaid.super_passes().last().unwrap().parts().len() as u64;
@@ -550,7 +550,8 @@ mod tests {
         // load/store passes.
         let n = 16u32;
         let plan = Plan::iterative(n).unwrap();
-        let relaid = CompiledPlan::compile_fused(&plan, &FusionPolicy::new(1 << 10))
+        let relaid = CompiledPlan::compile(&plan)
+            .fuse(&FusionPolicy::new(1 << 10))
             .relayout(&RelayoutPolicy::eager(1 << 12));
         let merged = relaid.recodelet(&RecodeletPolicy::default());
         assert!(merged.has_recodeleted());

@@ -11,25 +11,18 @@
 //! each worker; compiled schedules expose all passes as flat, fully
 //! shardable grids.
 //!
-//! ## Two dispatch paths, one worker body
+//! ## One dispatch path
 //!
-//! [`par_apply_compiled`] and [`par_apply_batch`] are thin wrappers that
-//! pick how the crew is *provisioned*, not what it runs:
-//!
-//! - **Pooled** (the default for `threads <=` the global pool's crew):
-//!   the schedule is dispatched to the process-global persistent
-//!   [`WorkerPool`] — zero spawn/join per call,
-//!   per-worker scratch arenas cached across calls (the warm path
-//!   allocates nothing), and a panicking worker surfaces
-//!   [`WhtError::WorkerPanicked`] instead of deadlocking. Explicit
-//!   pools go through [`par_apply_compiled_on`] / [`par_apply_batch_on`].
-//! - **Scoped** ([`par_apply_compiled_scoped`] /
-//!   [`par_apply_batch_scoped`]): spawn-and-join per call, for crews
-//!   larger than the pool and as the overhead baseline the benchmark
-//!   quantifies the pool against.
-//!
-//! Both paths shard the same `Unit` list through the same claiming
-//! protocol (`run_units`), so output is bit-identical between them and
+//! Every parallel replay is a [`WorkerPool`] dispatch
+//! ([`par_apply_compiled_on`] / [`par_apply_batch_on`]): zero spawn/join
+//! per call on a persistent crew, per-worker scratch arenas cached across
+//! calls (the warm path allocates nothing), and a panicking worker
+//! surfaces [`WhtError::WorkerPanicked`] instead of deadlocking.
+//! [`par_apply_compiled`] and [`par_apply_batch`] only pick the pool: the
+//! process-global one when `threads` fits its crew, otherwise a per-call
+//! `WorkerPool::new(threads)` — so `Threads(k)` always means a crew of
+//! `k`, sharding the same `Unit` list through the same claiming protocol
+//! (`run_units`), and output is bit-identical whatever the crew size and
 //! to sequential execution.
 //!
 //! ## Units of work
@@ -83,21 +76,21 @@
 //! `j` (disjoint `2^k·s`-aligned blocks) or in `t` (distinct residues mod
 //! `s`), so their element sets are disjoint. Distinct *tiles* of one
 //! super-pass are disjoint contiguous blocks by the schedule invariants
-//! (`CompiledPlan::validate`), and the parts within a claimed tile run
+//! (`CompiledPlan::verify`), and the parts within a claimed tile run
 //! sequentially on the claiming worker. Distributing disjoint units over
 //! threads is race-free even though the *slices* overlap; a raw pointer
-//! wrapper carries the buffer across the workers (scoped threads or the
-//! pool's blocked-dispatcher protocol both bound worker lifetimes by the
-//! buffer's), and the barrier between units orders every cross-unit
-//! dependence. A streamed relayout unit's non-temporal stores are
-//! published by the `sfence` its scatter issues before the worker
+//! wrapper carries the buffer across the workers (the pool's
+//! blocked-dispatcher protocol bounds every worker access by the
+//! buffer's lifetime), and the barrier between units orders every
+//! cross-unit dependence. A streamed relayout unit's non-temporal stores
+//! are published by the `sfence` its scatter issues before the worker
 //! reaches the barrier, so the ordering argument is unchanged.
 //!
 //! Because each worker runs the same codelet on the same values as the
 //! sequential schedule (order within a unit is irrelevant: units are
 //! disjoint), parallel output is **bit-identical** to sequential output —
 //! property-tested in `tests/proptests.rs` (fused, relayout, batch;
-//! pooled, scoped, and sequential against each other).
+//! global-pool, per-call-pool, and sequential against each other).
 //!
 //! ## Batched execution
 //!
@@ -113,17 +106,16 @@
 
 use crate::pool::{scratch_words, PoisonBarrier, PoisonOnPanic, WorkerPool};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Barrier;
 use wht_core::{CompiledPlan, Pass, Plan, Scalar, WhtError};
 
 /// Raw-pointer wrapper that lets worker threads write disjoint element
 /// sets of one buffer.
 struct SendPtr<T>(*mut T);
 // SAFETY: the wrapper is only ever used under a protocol that bounds the
-// workers' use by the buffer's lifetime (`std::thread::scope`, or the
-// pool dispatcher blocking until its generation drains), and the
-// sharding protocol (verified write-disjointness of schedule units /
-// lane-aligned row chunks) means no two threads touch the same element.
+// workers' use by the buffer's lifetime (the pool dispatcher blocking
+// until its generation drains), and the sharding protocol (verified
+// write-disjointness of schedule units / lane-aligned row chunks) means
+// no two threads touch the same element.
 unsafe impl<T: Send> Send for SendPtr<T> {}
 // SAFETY: shared references to the wrapper only hand out the raw pointer;
 // all dereferences go through the per-thread disjoint slices below.
@@ -282,28 +274,9 @@ fn shard_range(owner: usize, workers: usize, count: usize) -> (usize, usize) {
     (owner * count / workers, (owner + 1) * count / workers)
 }
 
-/// Inter-unit synchronization: `true` to continue, `false` to bail (a
-/// crew member died — only the pool's `PoisonBarrier` can report that).
-trait SyncPoint: Sync {
-    fn sync(&self) -> bool;
-}
-
-impl SyncPoint for Barrier {
-    fn sync(&self) -> bool {
-        Barrier::wait(self);
-        true
-    }
-}
-
-impl SyncPoint for PoisonBarrier {
-    fn sync(&self) -> bool {
-        self.wait()
-    }
-}
-
-/// One worker's replay of the whole unit list — the body both dispatch
-/// paths run: claim chunks from the worker's own stable range, steal
-/// from the rest of the crew once drained, synchronize between units.
+/// One worker's replay of the whole unit list: claim chunks from the
+/// worker's own stable range, steal from the rest of the crew once
+/// drained, synchronize between units.
 ///
 /// # Safety
 /// `data` must hold the full transform the units were built for;
@@ -321,7 +294,7 @@ unsafe fn run_units<T: Scalar>(
     worker: usize,
     workers: usize,
     scratch: &mut [T],
-    barrier: &dyn SyncPoint,
+    barrier: &PoisonBarrier,
     steals: &AtomicU64,
 ) {
     for (unit, ctrs) in units.iter().zip(counters) {
@@ -358,7 +331,7 @@ unsafe fn run_units<T: Scalar>(
         // published theirs with an sfence before arriving here). A
         // `false` means a crew member died — bail, the dispatcher
         // reports the failure.
-        if !barrier.sync() {
+        if !barrier.wait() {
             return;
         }
     }
@@ -400,8 +373,8 @@ pub fn par_apply_plan<T: Scalar>(
 ///
 /// Crews up to the process-global [`WorkerPool`]'s size dispatch through
 /// the pool (persistent workers, cached scratch — zero spawn/join);
-/// larger crews fall back to [`par_apply_compiled_scoped`]. One thread
-/// runs the sequential engine directly.
+/// larger crews dispatch through a per-call `WorkerPool::new(threads)`.
+/// One thread runs the sequential engine directly.
 ///
 /// # Errors
 /// [`WhtError::LengthMismatch`] unless `x.len() == compiled.size()`;
@@ -424,11 +397,11 @@ pub fn par_apply_compiled<T: Scalar>(
     if threads.0 == 1 {
         return compiled.apply(x);
     }
-    let pool = WorkerPool::global();
-    if threads.0 <= pool.workers() {
-        par_apply_compiled_on(pool, compiled, x, threads)
+    let global = WorkerPool::global();
+    if threads.0 <= global.workers() {
+        par_apply_compiled_on(global, compiled, x, threads)
     } else {
-        par_apply_compiled_scoped(compiled, x, threads)
+        par_apply_compiled_on(&WorkerPool::new(threads.0), compiled, x, threads)
     }
 }
 
@@ -500,91 +473,6 @@ pub fn par_apply_compiled_on<T: Scalar>(
     result
 }
 
-/// Parallel in-place WHT over an already-compiled schedule with a
-/// **spawn-per-call scoped crew** — the pre-pool engine, kept public as
-/// the dispatch-overhead baseline and for crews larger than the
-/// persistent pool.
-///
-/// # Errors
-/// [`WhtError::LengthMismatch`] unless `x.len() == compiled.size()`;
-/// [`WhtError::InvalidConfig`] for zero threads.
-pub fn par_apply_compiled_scoped<T: Scalar>(
-    compiled: &CompiledPlan,
-    x: &mut [T],
-    threads: Threads,
-) -> Result<(), WhtError> {
-    if threads.0 == 0 {
-        return Err(WhtError::InvalidConfig("threads must be >= 1".into()));
-    }
-    if x.len() != compiled.size() {
-        return Err(WhtError::LengthMismatch {
-            expected: compiled.size(),
-            got: x.len(),
-        });
-    }
-    if threads.0 == 1 {
-        return compiled.apply(x);
-    }
-    let workers = threads.0;
-    let units = build_units(compiled, workers, T::LANES);
-    let counters: Vec<Vec<AtomicUsize>> = units
-        .iter()
-        .map(|_| (0..workers).map(|_| AtomicUsize::new(0)).collect())
-        .collect();
-    // Workers are spawned once for the whole schedule (a deep plan has
-    // `leaf_count` passes — respawning per unit would multiply thread
-    // start-up cost by that factor); a Barrier between units plays the
-    // role the scope join played per pass, ordering every cross-unit
-    // dependence.
-    let barrier = Barrier::new(workers);
-    let steals = AtomicU64::new(0);
-    let needs_scratch = units.iter().any(|u| matches!(u, Unit::GatheredBlocks(_)));
-    let scratch_elems = compiled.scratch_elems();
-    let ptr = SendPtr(x.as_mut_ptr());
-    let len = x.len();
-    std::thread::scope(|scope| {
-        for w in 0..workers {
-            let units = &units;
-            let counters = &counters;
-            let barrier = &barrier;
-            let steals = &steals;
-            let ptr = &ptr;
-            scope.spawn(move || {
-                // Private gather scratch, allocated once per worker per
-                // call and only when a relayout unit will actually run.
-                let mut scratch: Vec<T> = if needs_scratch {
-                    vec![T::ZERO; scratch_elems]
-                } else {
-                    Vec::new()
-                };
-                // SAFETY: each claim index is taken by exactly one
-                // worker; distinct claims touch disjoint elements
-                // (module docs), all within `len` (schedule invariant +
-                // the length check above); the scope bounds worker
-                // lifetimes by the buffer's.
-                let data = unsafe { std::slice::from_raw_parts_mut(ptr.0, len) };
-                // SAFETY: data holds the full transform, scratch covers
-                // scratch_elems() whenever a gathered unit exists,
-                // counters are fresh with one per worker per unit, and
-                // the barrier has exactly `workers` parties.
-                unsafe {
-                    run_units(
-                        data,
-                        units,
-                        counters,
-                        w,
-                        workers,
-                        &mut scratch,
-                        barrier,
-                        steals,
-                    )
-                };
-            });
-        }
-    });
-    Ok(())
-}
-
 /// Lane-aligned contiguous row spans for a batch of `rows` rows over
 /// `workers` workers: spans `0..workers-1` hold whole lane groups, the
 /// last span absorbs the `rows % w` remainder — identical membership to
@@ -617,7 +505,7 @@ fn batch_spans(rows: usize, w: usize, workers: usize) -> Vec<(usize, usize)> {
 /// [`CompiledPlan::apply_batch`] on the whole batch.
 ///
 /// Crews up to the process-global [`WorkerPool`]'s size dispatch through
-/// the pool; larger crews fall back to [`par_apply_batch_scoped`].
+/// the pool; larger crews through a per-call `WorkerPool::new(threads)`.
 ///
 /// # Errors
 /// [`WhtError::LengthMismatch`] unless `x.len() == rows *
@@ -645,11 +533,11 @@ pub fn par_apply_batch<T: Scalar>(
     if threads.0 == 1 || rows < 2 * T::LANES {
         return compiled.apply_batch(x, rows);
     }
-    let pool = WorkerPool::global();
-    if threads.0 <= pool.workers() {
-        par_apply_batch_on(pool, compiled, x, rows, threads)
+    let global = WorkerPool::global();
+    if threads.0 <= global.workers() {
+        par_apply_batch_on(global, compiled, x, rows, threads)
     } else {
-        par_apply_batch_scoped(compiled, x, rows, threads)
+        par_apply_batch_on(&WorkerPool::new(threads.0), compiled, x, rows, threads)
     }
 }
 
@@ -708,55 +596,6 @@ pub fn par_apply_batch_on<T: Scalar>(
     })
 }
 
-/// Scoped (spawn-per-call) batched engine — the pre-pool path, kept
-/// public as the dispatch-overhead baseline and for crews larger than
-/// the persistent pool.
-///
-/// # Errors
-/// [`WhtError::LengthMismatch`] unless `x.len() == rows *
-/// compiled.size()`; [`WhtError::InvalidConfig`] for zero threads.
-pub fn par_apply_batch_scoped<T: Scalar>(
-    compiled: &CompiledPlan,
-    x: &mut [T],
-    rows: usize,
-    threads: Threads,
-) -> Result<(), WhtError> {
-    if threads.0 == 0 {
-        return Err(WhtError::InvalidConfig("threads must be >= 1".into()));
-    }
-    let size = compiled.size();
-    let expected = rows.saturating_mul(size);
-    if x.len() != expected {
-        return Err(WhtError::LengthMismatch {
-            expected,
-            got: x.len(),
-        });
-    }
-    let w = T::LANES;
-    if threads.0 == 1 || rows < 2 * w {
-        return compiled.apply_batch(x, rows);
-    }
-    let workers = threads.0.min(rows / w);
-    let spans = batch_spans(rows, w, workers);
-    std::thread::scope(|scope| {
-        let mut rest: &mut [T] = x;
-        let mut consumed = 0usize;
-        for &(start, chunk_rows) in &spans {
-            debug_assert_eq!(start, consumed);
-            let (chunk, tail) = rest.split_at_mut(chunk_rows * size);
-            rest = tail;
-            consumed += chunk_rows;
-            scope.spawn(move || {
-                let mut scratch: Vec<T> = Vec::new();
-                compiled
-                    .apply_batch_with_scratch(chunk, chunk_rows, &mut scratch)
-                    .expect("chunk geometry is exact by construction");
-            });
-        }
-    });
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -796,7 +635,7 @@ mod tests {
             for plan in [Plan::iterative(n).unwrap(), Plan::balanced(n, 3).unwrap()] {
                 let input = signal(n);
                 for budget in [0usize, 1 << 4, 1 << 7, usize::MAX] {
-                    let fused = CompiledPlan::compile_fused(&plan, &FusionPolicy::new(budget));
+                    let fused = CompiledPlan::compile(&plan).fuse(&FusionPolicy::new(budget));
                     let mut seq = input.clone();
                     fused.apply(&mut seq).unwrap();
                     for threads in [2usize, 3, 8] {
@@ -819,7 +658,7 @@ mod tests {
         let plan = Plan::iterative(n).unwrap();
         let input = signal(n);
         for budget in [1usize << (n - 1), 1 << (n - 6)] {
-            let fused = CompiledPlan::compile_fused(&plan, &FusionPolicy::new(budget));
+            let fused = CompiledPlan::compile(&plan).fuse(&FusionPolicy::new(budget));
             assert!(fused.is_fused());
             let mut seq = input.clone();
             fused.apply(&mut seq).unwrap();
@@ -841,12 +680,9 @@ mod tests {
         let n = 13u32;
         for plan in [Plan::iterative(n).unwrap(), Plan::balanced(n, 4).unwrap()] {
             for budget in [0usize, 1 << (n - 1), 1 << (n - 6)] {
-                let simd = CompiledPlan::compile_with(
-                    &plan,
-                    &FusionPolicy::new(budget),
-                    &wht_core::RelayoutPolicy::disabled(),
-                    &SimdPolicy::auto(),
-                );
+                let simd = CompiledPlan::compile(&plan)
+                    .fuse(&FusionPolicy::new(budget))
+                    .with_simd(&SimdPolicy::auto());
                 assert!(simd.is_simd());
                 let input = signal(n);
                 let mut seq = input.clone();
@@ -963,11 +799,12 @@ mod tests {
     }
 
     #[test]
-    fn pooled_scoped_and_sequential_agree_bit_for_bit() {
+    fn explicit_pool_overflow_crew_and_sequential_agree_bit_for_bit() {
         use wht_core::{ExecPolicy, FusionPolicy, RelayoutPolicy};
-        // The same lowered schedule through all three dispatch paths on
-        // an explicit 3-worker pool: the pool must agree with the scoped
-        // crew and the sequential replay exactly, floats and integers.
+        // The same lowered schedule through an explicit 3-worker pool
+        // and through the default entry point with up to 8 threads (past
+        // the global crew on small hosts, so a per-call pool serves it):
+        // both must agree with the sequential replay exactly.
         let pool = crate::pool::WorkerPool::new(3);
         let n = 14u32;
         for plan in [Plan::iterative(n).unwrap(), Plan::balanced(n, 3).unwrap()] {
@@ -979,13 +816,13 @@ mod tests {
             let input = signal(n);
             let mut seq = input.clone();
             lowered.apply(&mut seq).unwrap();
-            for threads in [2usize, 3, 7] {
+            for threads in [2usize, 3, 7, 8] {
                 let mut pooled = input.clone();
                 par_apply_compiled_on(&pool, &lowered, &mut pooled, Threads(threads)).unwrap();
-                let mut scoped = input.clone();
-                par_apply_compiled_scoped(&lowered, &mut scoped, Threads(threads)).unwrap();
+                let mut crew = input.clone();
+                par_apply_compiled(&lowered, &mut crew, Threads(threads)).unwrap();
                 assert_eq!(pooled, seq, "pooled vs sequential, {threads} threads");
-                assert_eq!(scoped, seq, "scoped vs sequential, {threads} threads");
+                assert_eq!(crew, seq, "crew of {threads} vs sequential");
             }
         }
         assert!(pool.stats().jobs > 0);
@@ -1065,7 +902,7 @@ mod tests {
         assert!(par_apply_compiled_on(&pool, &compiled, &mut short, Threads(2)).is_err());
         assert!(par_apply_compiled_on(&pool, &compiled, &mut ok, Threads(0)).is_err());
         assert!(par_apply_batch_on(&pool, &compiled, &mut ok, 1, Threads(0)).is_err());
-        assert!(par_apply_batch_scoped(&compiled, &mut ok, 3, Threads(2)).is_err());
+        assert!(par_apply_batch(&compiled, &mut ok, 3, Threads(2)).is_err());
     }
 
     #[test]
@@ -1074,8 +911,8 @@ mod tests {
         // Rows chosen to exercise every chunking regime: fewer rows than
         // one lane group per worker (sequential fallback), an exact
         // multiple of the widest lane width, and a ragged remainder.
-        // Pooled and scoped crews must both agree with the sequential
-        // batch replay.
+        // The default entry point (global or per-call pool) and an
+        // explicit pool must both agree with the sequential batch replay.
         let pool = crate::pool::WorkerPool::new(3);
         let n = 8u32;
         for plan in [Plan::iterative(n).unwrap(), Plan::balanced(n, 3).unwrap()] {

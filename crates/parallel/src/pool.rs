@@ -1,7 +1,6 @@
 //! Persistent worker pool with topology-aware placement.
 //!
-//! The scoped engine ([`crate::engine::par_apply_compiled_scoped`])
-//! spawns and joins its whole crew on **every** call — fine for one
+//! Spawning and joining a crew on **every** call is fine for one
 //! n = 26 transform, ruinous for a replay service dispatching thousands
 //! of LLC-resident transforms per second, where thread start-up dwarfs
 //! the work itself. This module keeps one long-lived crew
@@ -673,28 +672,25 @@ mod tests {
         assert_eq!(err, WhtError::WorkerPanicked { workers: 2 });
     }
 
-    #[cfg(target_os = "linux")]
-    fn live_threads() -> usize {
-        std::fs::read_dir("/proc/self/task").unwrap().count()
-    }
-
     #[test]
-    #[cfg(target_os = "linux")]
     fn drop_joins_every_worker_and_calls_leak_no_threads() {
-        let baseline = live_threads();
-        {
-            let pool = WorkerPool::new(3);
-            for _ in 0..1000 {
-                pool.run(&|_, _| {}).unwrap();
-            }
-            assert_eq!(
-                live_threads(),
-                baseline + 3,
-                "1000 dispatches must not spawn extra threads"
-            );
+        // Counts the pool's own crew, not the process's threads (sibling
+        // tests spawn and join threads concurrently): every worker holds
+        // one handle on the shared state, so its strong count is the
+        // pool's own handle plus one per live worker.
+        let pool = WorkerPool::new(3);
+        for _ in 0..1000 {
+            pool.run(&|_, _| {}).unwrap();
         }
-        // Drop joined the crew.
-        assert_eq!(live_threads(), baseline);
+        assert_eq!(
+            std::sync::Arc::strong_count(&pool.shared),
+            1 + 3,
+            "1000 dispatches must not spawn extra workers"
+        );
+        let shared = std::sync::Arc::downgrade(&pool.shared);
+        drop(pool);
+        // Drop joined the crew: no worker holds the shared state anymore.
+        assert!(shared.upgrade().is_none());
     }
 
     #[test]

@@ -11,8 +11,8 @@ use wht_core::{
     RecodeletPolicy, RelayoutPolicy, Scalar, SimdPolicy, StreamPolicy,
 };
 use wht_parallel::{
-    par_apply_batch_on, par_apply_batch_scoped, par_apply_compiled, par_apply_compiled_on,
-    par_apply_compiled_scoped, par_apply_plan, Threads, WorkerPool,
+    par_apply_batch, par_apply_batch_on, par_apply_compiled, par_apply_compiled_on, par_apply_plan,
+    Threads, WorkerPool,
 };
 
 /// One shared 4-worker pool for the whole proptest binary: real pools are
@@ -140,7 +140,7 @@ proptest! {
     ) {
         let budget = if budget_bits == 0 { 0 } else { 1usize << budget_bits };
         let plan = random_plan(n, seed);
-        let fused = CompiledPlan::compile_fused(&plan, &FusionPolicy::new(budget));
+        let fused = CompiledPlan::compile(&plan).fuse(&FusionPolicy::new(budget));
         let input: Vec<i64> = random_signal(plan.size(), seed);
         let mut seq = input.clone();
         fused.apply(&mut seq).unwrap();
@@ -149,12 +149,13 @@ proptest! {
         prop_assert_eq!(par, seq, "plan {}, budget {}", plan, budget);
     }
 
-    /// The three dispatch paths — persistent pool, scoped spawn-per-call
-    /// crew, and the sequential replay — agree bit for bit on random
-    /// plans lowered through random executor policies (fusion, relayout,
-    /// re-codeleting, SIMD, streaming), for all four scalar types.
+    /// An explicit persistent pool, the default entry point's crew (the
+    /// global pool, or a per-call pool for crews past it), and the
+    /// sequential replay agree bit for bit on random plans lowered
+    /// through random executor policies (fusion, relayout, re-codeleting,
+    /// SIMD, streaming), for all four scalar types.
     #[test]
-    fn pooled_scoped_and_sequential_agree_on_random_lowered_schedules(
+    fn pooled_crew_and_sequential_agree_on_random_lowered_schedules(
         n in 1u32..=13,
         seed in any::<u64>(),
         threads in 2usize..=8,
@@ -170,9 +171,9 @@ proptest! {
             let mut pooled = input.clone();
             par_apply_compiled_on(pool(), lowered, &mut pooled, Threads(threads)).unwrap();
             assert_eq!(pooled, seq, "pooled vs sequential ({threads} threads)");
-            let mut scoped = input;
-            par_apply_compiled_scoped(lowered, &mut scoped, Threads(threads)).unwrap();
-            assert_eq!(scoped, seq, "scoped vs sequential ({threads} threads)");
+            let mut crew = input;
+            par_apply_compiled(lowered, &mut crew, Threads(threads)).unwrap();
+            assert_eq!(crew, seq, "crew of {threads} vs sequential");
         }
         let plan = random_plan(n, seed);
         // Relayout block budgets below 2^6 are degenerate; fold the low
@@ -186,12 +187,13 @@ proptest! {
         check::<i32>(&lowered, seed, threads);
     }
 
-    /// Pooled and scoped batched execution agree bit for bit with the
-    /// sequential batch replay on random row counts (every chunking
-    /// regime: sub-lane-group, exact multiples, ragged remainders),
-    /// with and without streaming.
+    /// Batched execution on an explicit pool and through the default
+    /// entry point's crew agrees bit for bit with the sequential batch
+    /// replay on random row counts (every chunking regime:
+    /// sub-lane-group, exact multiples, ragged remainders), with and
+    /// without streaming.
     #[test]
-    fn pooled_and_scoped_batches_agree_with_sequential(
+    fn pooled_and_crew_batches_agree_with_sequential(
         n in 1u32..=8,
         seed in any::<u64>(),
         rows in 1usize..=80,
@@ -205,9 +207,9 @@ proptest! {
             let mut pooled = input.clone();
             par_apply_batch_on(pool(), lowered, &mut pooled, rows, Threads(threads)).unwrap();
             assert_eq!(pooled, seq, "pooled batch ({rows} rows, {threads} threads)");
-            let mut scoped = input;
-            par_apply_batch_scoped(lowered, &mut scoped, rows, Threads(threads)).unwrap();
-            assert_eq!(scoped, seq, "scoped batch ({rows} rows, {threads} threads)");
+            let mut crew = input;
+            par_apply_batch(lowered, &mut crew, rows, Threads(threads)).unwrap();
+            assert_eq!(crew, seq, "crew batch ({rows} rows, {threads} threads)");
         }
         let plan = random_plan(n, seed);
         let policy = policy_point(4, 0, false, true, 8, stream);

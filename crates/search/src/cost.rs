@@ -936,7 +936,8 @@ mod tests {
         let a = in_place.cost(&plan19).unwrap();
         let b = relaid.cost(&plan19).unwrap();
         assert!((a - b).abs() < 1e-6, "{a} vs {b}");
-        assert!(!CompiledPlan::compile_fused(&plan19, &fusion)
+        assert!(!CompiledPlan::compile(&plan19)
+            .fuse(&fusion)
             .relayout(&RelayoutPolicy::eager(RelayoutPolicy::DEFAULT_BUDGET_ELEMS))
             .has_relayout());
     }

@@ -32,9 +32,11 @@
 //! [`wht_core::resolve_knob`], **API pin > wisdom > environment >
 //! default** — exactly once per compiled size:
 //!
-//! - `Planner::with_*` (or [`Planner::with_exec`]) **pins** a policy: it
-//!   beats recorded wisdom, including this planner's own earlier
-//!   searches.
+//! - [`Planner::with_exec`] is the one API **pin**: the whole policy it
+//!   sets beats recorded wisdom, including this planner's own earlier
+//!   searches. To change one stage, pin the planner's own policy with
+//!   that stage replaced (`planner.exec().with_fusion(..)`, via
+//!   [`ExecPolicy`]'s builders).
 //! - An unpinned but *disabled* policy (what a `WHT_NO_*` kill switch
 //!   produces at construction) also beats wisdom: imported tuning must
 //!   never re-enable a stage the process opted out of.
@@ -215,7 +217,7 @@ pub(crate) struct WisdomRecord {
     pub(crate) measured_ns: Option<u64>,
 }
 
-/// Serialized wisdom entry, current (version-6) shape: the plan travels
+/// Serialized wisdom entry, current (version-7) shape: the plan travels
 /// as its WHT-package grammar string (stable, human-readable, validated
 /// on parse), the executor tuning as one nested [`Tuning`] record, plus
 /// the optional provenance and measurement columns.
@@ -230,7 +232,7 @@ struct WisdomEntryOut {
 }
 
 /// Permissive read-side entry covering every supported version: versions
-/// 3–6 carry `tuning` (earlier records simply lack the later fields);
+/// 3–7 carry `tuning` (earlier records simply lack the later fields);
 /// versions 1–2 carried the flat fields, which migrate into a [`Tuning`]
 /// on load. Unknown fields are ignored by the JSON layer (forward
 /// compatibility).
@@ -304,60 +306,11 @@ impl Wisdom {
         Some(self.entries.get(&n)?.get(backend)?.tuning)
     }
 
-    /// Tile budget (elements) recorded with the `(n, backend)` entry:
-    /// `Some(0)` means the recorder had fusion off, `None` means no
-    /// choice was recorded (or no entry exists) and the reader's default
-    /// policy applies.
-    pub fn fuse_budget(&self, n: u32, backend: &str) -> Option<usize> {
-        self.tuning(n, backend)?
-            .fuse_budget
-            .map(|b| usize::try_from(b).unwrap_or(usize::MAX))
-    }
-
-    /// Kernel backend recorded with the `(n, backend)` entry:
-    /// `Some(true)` means the recorder tuned with the SIMD lane kernels,
-    /// `Some(false)` with the scalar kernels, `None` means no choice was
-    /// recorded (or no entry exists) and the reader's default policy
-    /// applies.
-    pub fn simd_enabled(&self, n: u32, backend: &str) -> Option<bool> {
-        self.tuning(n, backend)?.simd
-    }
-
-    /// Relayout tuning recorded with the `(n, backend)` entry: the
-    /// gathered-block budget (elements) the recorder's executor relayouted
-    /// the tail with at this size, `Some(0)` meaning relayout did not
-    /// engage, `None` meaning no choice was recorded (or no entry exists)
-    /// and the reader's default policy applies.
-    pub fn relayout_budget(&self, n: u32, backend: &str) -> Option<usize> {
-        self.tuning(n, backend)?
-            .relayout
-            .map(|b| usize::try_from(b).unwrap_or(usize::MAX))
-    }
-
-    /// Batched-execution tuning recorded with the `(n, backend)` entry:
-    /// the row-block threshold the recorder's executor built its batch
-    /// schedule with at this size, `Some(0)` meaning it built none
-    /// (stage off, or the size is past the batch cap), `None` meaning no
-    /// choice was recorded (or no entry exists) and the reader's default
-    /// policy applies.
-    pub fn batch_block(&self, n: u32, backend: &str) -> Option<usize> {
-        self.tuning(n, backend)?
-            .batch
-            .map(|b| usize::try_from(b).unwrap_or(usize::MAX))
-    }
-
-    /// The [`CostObjective`] recorded with the `(n, backend)` entry:
-    /// which weighting the recorder's vectored cost backend collapsed its
-    /// terms under when the plan won. `None` means default weights, a
-    /// pre-version-5 record, or no entry at all.
-    pub fn objective(&self, n: u32, backend: &str) -> Option<CostObjective> {
-        self.tuning(n, backend)?.objective
-    }
-
     /// Record (or overwrite) the best plan for `(n, backend)` with no
     /// executor tuning attached.
     ///
     /// # Errors
+    /// [`WhtError::SizeTooLarge`] if `n` exceeds [`wht_core::MAX_N`];
     /// [`WhtError::LengthMismatch`] if `plan.n() != n` — wisdom for size
     /// `n` must transform size-`2^n` inputs.
     pub fn insert(&mut self, n: u32, backend: &str, plan: Plan) -> Result<(), WhtError> {
@@ -365,34 +318,12 @@ impl Wisdom {
     }
 
     /// Record (or overwrite) the best plan for `(n, backend)`, attaching
-    /// the tile budget the recorder compiled with (`Some(0)` = fusion
-    /// off) but no other executor choice.
-    ///
-    /// # Errors
-    /// [`WhtError::LengthMismatch`] if `plan.n() != n`.
-    pub fn insert_with_budget(
-        &mut self,
-        n: u32,
-        backend: &str,
-        plan: Plan,
-        fuse_budget: Option<usize>,
-    ) -> Result<(), WhtError> {
-        self.insert_with_tuning(
-            n,
-            backend,
-            plan,
-            Tuning {
-                fuse_budget: fuse_budget.map(|b| b as u64),
-                ..Tuning::default()
-            },
-        )
-    }
-
-    /// Record (or overwrite) the best plan for `(n, backend)`, attaching
     /// the full executor [`Tuning`] it was recorded under.
     ///
     /// # Errors
-    /// [`WhtError::LengthMismatch`] if `plan.n() != n`.
+    /// [`WhtError::SizeTooLarge`] if `n` exceeds [`wht_core::MAX_N`] (a
+    /// wisdom file can claim any `n`); [`WhtError::LengthMismatch`] if
+    /// `plan.n() != n`.
     pub fn insert_with_tuning(
         &mut self,
         n: u32,
@@ -400,6 +331,9 @@ impl Wisdom {
         plan: Plan,
         tuning: Tuning,
     ) -> Result<(), WhtError> {
+        if n > wht_core::MAX_N {
+            return Err(WhtError::SizeTooLarge { n });
+        }
         if plan.n() != n {
             return Err(WhtError::LengthMismatch {
                 expected: 1usize << n,
@@ -525,7 +459,7 @@ impl Wisdom {
     }
 
     /// Render the store as JSON (entries sorted for determinism), in the
-    /// current (version-6) format.
+    /// current (version-7) format.
     pub fn to_json(&self) -> String {
         let mut entries: Vec<WisdomEntryOut> = self
             .entries
@@ -550,13 +484,14 @@ impl Wisdom {
     }
 
     /// Parse a store from JSON, validating every plan. Version-1 through
-    /// version-3 stores migrate transparently (see the module docs'
-    /// format history) and re-serialize as the current version.
+    /// version-6 stores migrate transparently (see the module docs'
+    /// format history) and re-serialize as the current version 7.
     ///
     /// # Errors
     /// [`WhtError::InvalidConfig`] on malformed JSON or a version
     /// mismatch; [`WhtError::Parse`] / structural errors on a bad plan
-    /// string.
+    /// string; [`WhtError::SizeTooLarge`] / [`WhtError::LengthMismatch`]
+    /// on an entry whose `n` is out of range or disagrees with its plan.
     pub fn from_json(json: &str) -> Result<Self, WhtError> {
         let file: WisdomFileIn = serde_json::from_str(json)
             .map_err(|e| WhtError::InvalidConfig(format!("wisdom JSON: {e}")))?;
@@ -569,7 +504,7 @@ impl Wisdom {
         let mut wisdom = Wisdom::new();
         for entry in file.entries {
             let plan: Plan = entry.plan.parse()?;
-            // Versions 3-6 carry the nested record; versions 1-2 carried
+            // Versions 3-7 carry the nested record; versions 1-2 carried
             // flat columns, which migrate into the same shape. A nested
             // record wins over any stray flat fields.
             let tuning = entry.tuning.unwrap_or(Tuning {
@@ -726,30 +661,6 @@ fn unsupported_version(text: &str) -> Option<u32> {
     }
 }
 
-/// Which knobs of the planner's [`ExecPolicy`] were explicitly pinned
-/// through the API (and therefore beat recorded wisdom — the precedence
-/// rule's first clause).
-#[derive(Debug, Clone, Copy, Default)]
-struct PinnedKnobs {
-    fusion: bool,
-    simd: bool,
-    relayout: bool,
-    recodelet: bool,
-    batch: bool,
-    stream: bool,
-}
-
-impl PinnedKnobs {
-    const ALL: PinnedKnobs = PinnedKnobs {
-        fusion: true,
-        simd: true,
-        relayout: true,
-        recodelet: true,
-        batch: true,
-        stream: true,
-    };
-}
-
 /// Production entry point: owns a cost backend, a [`Wisdom`] store, and a
 /// compiled-schedule cache; serves `planner.transform(&mut x)` with
 /// memoized search amortized to zero on the warm path (see the module
@@ -759,10 +670,10 @@ pub struct Planner<C: PlanCost> {
     cost: C,
     opts: DpOptions,
     /// The planner's own executor configuration (environment snapshot at
-    /// construction, fields replaced by the `with_*` builders).
+    /// construction, replaced by [`Planner::with_exec`]).
     exec: ExecPolicy,
-    /// Which fields of `exec` were pinned through the API.
-    pinned: PinnedKnobs,
+    /// Whether `exec` was pinned through [`Planner::with_exec`].
+    pinned: bool,
     wisdom: Wisdom,
     compiled: HashMap<u32, CompiledPlan>,
     /// Solved search groups, kept across `plan` calls: a later, larger
@@ -793,7 +704,7 @@ impl<C: PlanCost> Planner<C> {
             cost,
             opts,
             exec: ExecPolicy::from_env(),
-            pinned: PinnedKnobs::default(),
+            pinned: false,
             wisdom: Wisdom::new(),
             compiled: HashMap::new(),
             memo: MemoTable::new(),
@@ -812,112 +723,9 @@ impl<C: PlanCost> Planner<C> {
     #[must_use]
     pub fn with_exec(mut self, exec: ExecPolicy) -> Self {
         self.exec = exec;
-        self.pinned = PinnedKnobs::ALL;
+        self.pinned = true;
         self.compiled.clear();
         self
-    }
-
-    /// Override the fusion policy (builder style). Drops compiled
-    /// schedules so already-served sizes recompile under the new policy,
-    /// and **pins** the policy: budgets recorded in wisdom (including by
-    /// this planner's own earlier searches) no longer override it. This
-    /// is the API opt-out: `with_fusion(FusionPolicy::disabled())` serves
-    /// unfused schedules whatever the environment or the wisdom says.
-    #[must_use]
-    pub fn with_fusion(mut self, fusion: FusionPolicy) -> Self {
-        self.exec.fusion = fusion;
-        self.pinned.fusion = true;
-        self.compiled.clear();
-        self
-    }
-
-    /// The fusion policy new wisdom is recorded with and cold sizes are
-    /// compiled under — resolution per the module docs' precedence rule.
-    pub fn fusion(&self) -> FusionPolicy {
-        self.exec.fusion
-    }
-
-    /// Override the SIMD kernel policy (builder style); same pin
-    /// semantics as [`Planner::with_fusion`].
-    #[must_use]
-    pub fn with_simd(mut self, simd: SimdPolicy) -> Self {
-        self.exec.simd = simd;
-        self.pinned.simd = true;
-        self.compiled.clear();
-        self
-    }
-
-    /// The SIMD policy new wisdom is recorded with and cold sizes are
-    /// compiled under — resolution per the module docs' precedence rule.
-    pub fn simd(&self) -> SimdPolicy {
-        self.exec.simd
-    }
-
-    /// Override the tail-relayout policy (builder style); same pin
-    /// semantics as [`Planner::with_fusion`].
-    #[must_use]
-    pub fn with_relayout(mut self, relayout: RelayoutPolicy) -> Self {
-        self.exec.relayout = relayout;
-        self.pinned.relayout = true;
-        self.compiled.clear();
-        self
-    }
-
-    /// The relayout policy new wisdom is recorded with and cold sizes are
-    /// compiled under — resolution per the module docs' precedence rule.
-    pub fn relayout(&self) -> RelayoutPolicy {
-        self.exec.relayout
-    }
-
-    /// Override the re-codeleting policy (builder style); same pin
-    /// semantics as [`Planner::with_fusion`].
-    #[must_use]
-    pub fn with_recodelet(mut self, recodelet: RecodeletPolicy) -> Self {
-        self.exec.recodelet = recodelet;
-        self.pinned.recodelet = true;
-        self.compiled.clear();
-        self
-    }
-
-    /// The re-codeleting policy new wisdom is recorded with and cold
-    /// sizes are compiled under — resolution per the module docs'
-    /// precedence rule.
-    pub fn recodelet(&self) -> RecodeletPolicy {
-        self.exec.recodelet
-    }
-
-    /// Override the batched-execution policy (builder style); same pin
-    /// semantics as [`Planner::with_fusion`].
-    #[must_use]
-    pub fn with_batch(mut self, batch: BatchPolicy) -> Self {
-        self.exec.batch = batch;
-        self.pinned.batch = true;
-        self.compiled.clear();
-        self
-    }
-
-    /// The batched-execution policy new wisdom is recorded with and cold
-    /// sizes are compiled under — resolution per the module docs'
-    /// precedence rule.
-    pub fn batch(&self) -> BatchPolicy {
-        self.exec.batch
-    }
-
-    /// Override the streaming-memory-codelet policy (builder style); same
-    /// pin semantics as [`Planner::with_fusion`].
-    #[must_use]
-    pub fn with_stream(mut self, stream: StreamPolicy) -> Self {
-        self.exec.stream = stream;
-        self.pinned.stream = true;
-        self.compiled.clear();
-        self
-    }
-
-    /// The streaming-memory-codelet policy new wisdom is recorded with
-    /// and cold sizes are compiled under — resolution per the module
-    /// docs' precedence rule.
-    pub fn stream(&self) -> StreamPolicy {
-        self.exec.stream
     }
 
     /// The planner's own executor configuration (before per-size wisdom
@@ -1066,18 +874,18 @@ impl<C: PlanCost> Planner<C> {
         let t = self.wisdom.tuning(n, self.cost.name()).unwrap_or_default();
         ExecPolicy {
             fusion: resolve_knob(
-                self.pinned.fusion,
+                self.pinned,
                 self.exec.fusion,
                 t.fuse_budget
                     .map(|b| FusionPolicy::new(usize::try_from(b).unwrap_or(usize::MAX))),
             ),
             relayout: resolve_knob(
-                self.pinned.relayout,
+                self.pinned,
                 self.exec.relayout,
                 t.relayout.map(replay_relayout),
             ),
             recodelet: resolve_knob(
-                self.pinned.recodelet,
+                self.pinned,
                 self.exec.recodelet,
                 // The record is a bool (the stage's shape knobs are
                 // host-tuning, not per-size wisdom), so a recorded *on*
@@ -1093,7 +901,7 @@ impl<C: PlanCost> Planner<C> {
                 }),
             ),
             simd: resolve_knob(
-                self.pinned.simd,
+                self.pinned,
                 self.exec.simd,
                 t.simd.map(|on| {
                     if on {
@@ -1103,13 +911,9 @@ impl<C: PlanCost> Planner<C> {
                     }
                 }),
             ),
-            batch: resolve_knob(
-                self.pinned.batch,
-                self.exec.batch,
-                t.batch.map(replay_batch),
-            ),
+            batch: resolve_knob(self.pinned, self.exec.batch, t.batch.map(replay_batch)),
             stream: resolve_knob(
-                self.pinned.stream,
+                self.pinned,
                 self.exec.stream,
                 // On/off record, like `recodelet`: the engagement
                 // threshold is host tuning, so a recorded *on* replays
@@ -1386,6 +1190,19 @@ mod tests {
     use crate::cost::{CombinedModelCost, InstructionCost};
     use wht_core::{apply_plan, max_abs_diff, naive_wht};
 
+    /// A planner pinned through `with_exec` to the environment's policy
+    /// with `edit` applied — how a caller overrides one stage.
+    fn pinned_to(edit: impl FnOnce(ExecPolicy) -> ExecPolicy) -> Planner<InstructionCost> {
+        Planner::new(InstructionCost::default()).with_exec(edit(ExecPolicy::from_env()))
+    }
+
+    /// The tuning recorded with the `(m, "instruction-model")` entry.
+    fn tuning_of(wisdom: &Wisdom, m: u32) -> Tuning {
+        wisdom
+            .tuning(m, "instruction-model")
+            .expect("entry recorded")
+    }
+
     #[test]
     fn transform_matches_reference_and_amortizes_search() {
         let mut planner = Planner::new(InstructionCost::default());
@@ -1487,41 +1304,35 @@ mod tests {
     #[test]
     fn wisdom_records_the_tile_budget_and_round_trips_it() {
         // The planner stamps its fusion budget on every entry it records.
-        let mut planner =
-            Planner::new(InstructionCost::default()).with_fusion(FusionPolicy::new(1 << 9));
+        let mut planner = pinned_to(|p| p.with_fusion(FusionPolicy::new(1 << 9)));
         planner.plan(8).unwrap();
         for m in 1..=8u32 {
-            assert_eq!(
-                planner.wisdom().fuse_budget(m, "instruction-model"),
-                Some(1 << 9)
-            );
+            assert_eq!(tuning_of(planner.wisdom(), m).fuse_budget, Some(1 << 9));
         }
         // ...and the budget survives the JSON round trip.
         let back = Wisdom::from_json(&planner.wisdom().to_json()).unwrap();
         assert_eq!(&back, planner.wisdom());
-        assert_eq!(back.fuse_budget(8, "instruction-model"), Some(1 << 9));
+        assert_eq!(tuning_of(&back, 8).fuse_budget, Some(1 << 9));
 
         // A fusion-off planner records budget 0, distinct from "not
         // recorded".
-        let mut off =
-            Planner::new(InstructionCost::default()).with_fusion(FusionPolicy::disabled());
+        let mut off = pinned_to(|p| p.with_fusion(FusionPolicy::disabled()));
         off.plan(4).unwrap();
         let back = Wisdom::from_json(&off.wisdom().to_json()).unwrap();
-        assert_eq!(back.fuse_budget(4, "instruction-model"), Some(0));
+        assert_eq!(tuning_of(&back, 4).fuse_budget, Some(0));
         let mut plain = Wisdom::new();
         plain
             .insert(4, "instruction-model", Plan::iterative(4).unwrap())
             .unwrap();
-        assert_eq!(plain.fuse_budget(4, "instruction-model"), None);
-        assert!(plain.tuning(4, "instruction-model").unwrap().is_empty());
+        assert_eq!(tuning_of(&plain, 4).fuse_budget, None);
+        assert!(tuning_of(&plain, 4).is_empty());
     }
 
     #[test]
     fn recorded_budget_overrides_the_importing_planners_policy() {
         // Tune with fusion off; a default (fusion-on) importer must still
         // compile that size unfused, honoring the recorded configuration.
-        let mut tuned =
-            Planner::new(InstructionCost::default()).with_fusion(FusionPolicy::disabled());
+        let mut tuned = pinned_to(|p| p.with_fusion(FusionPolicy::disabled()));
         tuned.plan(10).unwrap();
         let wisdom = Wisdom::from_json(&tuned.wisdom().to_json()).unwrap();
 
@@ -1538,7 +1349,7 @@ mod tests {
         let legacy =
             "{\"version\":1,\"entries\":[{\"n\":4,\"backend\":\"x\",\"plan\":\"split[small[2],small[2]]\"}]}";
         let w = Wisdom::from_json(legacy).unwrap();
-        assert_eq!(w.fuse_budget(4, "x"), None);
+        assert_eq!(w.tuning(4, "x").unwrap().fuse_budget, None);
     }
 
     #[test]
@@ -1550,16 +1361,18 @@ mod tests {
         // re-enable fusion past the kill switch.
         let mut wisdom = Wisdom::new();
         wisdom
-            .insert_with_budget(
+            .insert_with_tuning(
                 10,
                 "instruction-model",
                 Plan::iterative(10).unwrap(),
-                Some(1 << 9),
+                Tuning {
+                    fuse_budget: Some(1 << 9),
+                    ..Tuning::default()
+                },
             )
             .unwrap();
         let mut planner = Planner::new(InstructionCost::default()).with_wisdom(wisdom);
         planner.exec.fusion = FusionPolicy::disabled();
-        planner.pinned.fusion = false;
         let mut x: Vec<f64> = (0..1024).map(|j| (j % 5) as f64).collect();
         planner.transform(&mut x).unwrap();
         assert!(
@@ -1569,29 +1382,27 @@ mod tests {
     }
 
     #[test]
-    fn with_fusion_pins_the_policy_over_recorded_budgets() {
+    fn with_exec_pins_the_fusion_policy_over_recorded_budgets() {
         // A planner that already recorded a fused budget for a size must
-        // still honor a later explicit opt-out — with_fusion pins the
+        // still honor a later explicit opt-out — with_exec pins the
         // policy, beating the planner's own earlier wisdom.
-        let mut planner =
-            Planner::new(InstructionCost::default()).with_fusion(FusionPolicy::new(1 << 12));
+        let mut planner = pinned_to(|p| p.with_fusion(FusionPolicy::new(1 << 12)));
         let mut x: Vec<f64> = (0..4096).map(|j| (j % 7) as f64).collect();
         planner.transform(&mut x).unwrap();
         assert!(planner.compiled.get(&12).unwrap().is_fused());
-        assert_eq!(
-            planner.wisdom().fuse_budget(12, "instruction-model"),
-            Some(1 << 12)
-        );
+        assert_eq!(tuning_of(planner.wisdom(), 12).fuse_budget, Some(1 << 12));
 
-        let mut planner = planner.with_fusion(FusionPolicy::disabled());
+        let exec = planner.exec().with_fusion(FusionPolicy::disabled());
+        let mut planner = planner.with_exec(exec);
         let mut y: Vec<f64> = (0..4096).map(|j| (j % 7) as f64).collect();
         planner.transform(&mut y).unwrap();
         assert!(
             !planner.compiled.get(&12).unwrap().is_fused(),
-            "explicit with_fusion(disabled) must beat the recorded budget"
+            "an explicitly pinned disabled fusion must beat the recorded budget"
         );
         // And flipping back on works the same way.
-        let mut planner = planner.with_fusion(FusionPolicy::unbounded());
+        let exec = planner.exec().with_fusion(FusionPolicy::unbounded());
+        let mut planner = planner.with_exec(exec);
         let mut z: Vec<f64> = (0..4096).map(|j| (j % 7) as f64).collect();
         planner.transform(&mut z).unwrap();
         assert!(planner.compiled.get(&12).unwrap().is_fused());
@@ -1600,25 +1411,20 @@ mod tests {
     #[test]
     fn wisdom_records_the_kernel_backend_and_round_trips_it() {
         // The planner stamps its SIMD policy on every entry it records...
-        let mut planner =
-            Planner::new(InstructionCost::default()).with_simd(SimdPolicy::disabled());
+        let mut planner = pinned_to(|p| p.with_simd(SimdPolicy::disabled()));
         planner.plan(8).unwrap();
         for m in 1..=8u32 {
-            assert_eq!(
-                planner.wisdom().simd_enabled(m, "instruction-model"),
-                Some(false)
-            );
+            assert_eq!(tuning_of(planner.wisdom(), m).simd, Some(false));
         }
         // ...and the record survives the JSON round trip.
         let back = Wisdom::from_json(&planner.wisdom().to_json()).unwrap();
         assert_eq!(&back, planner.wisdom());
-        assert_eq!(back.simd_enabled(8, "instruction-model"), Some(false));
+        assert_eq!(tuning_of(&back, 8).simd, Some(false));
 
         // An importing planner with an unpinned enabled policy replays the
         // recorded scalar choice.
         let mut warm = Planner::new(InstructionCost::default()).with_wisdom(back);
         warm.exec.simd = SimdPolicy::auto();
-        warm.pinned.simd = false;
         let mut x: Vec<f64> = (0..256).map(|j| (j % 7) as f64).collect();
         warm.transform(&mut x).unwrap();
         assert!(
@@ -1630,7 +1436,7 @@ mod tests {
         let legacy =
             "{\"version\":1,\"entries\":[{\"n\":4,\"backend\":\"x\",\"plan\":\"split[small[2],small[2]]\"}]}";
         let w = Wisdom::from_json(legacy).unwrap();
-        assert_eq!(w.simd_enabled(4, "x"), None);
+        assert_eq!(w.tuning(4, "x").unwrap().simd, None);
     }
 
     #[test]
@@ -1652,7 +1458,6 @@ mod tests {
             .unwrap();
         let mut planner = Planner::new(InstructionCost::default()).with_wisdom(wisdom.clone());
         planner.exec.simd = SimdPolicy::disabled();
-        planner.pinned.simd = false;
         let mut x: Vec<f64> = (0..1024).map(|j| (j % 5) as f64).collect();
         planner.transform(&mut x).unwrap();
         assert!(
@@ -1660,15 +1465,13 @@ mod tests {
             "a disabled default policy must beat the recorded backend"
         );
 
-        // And an explicit with_simd pin beats the record in both
-        // directions.
-        let mut pinned = Planner::new(InstructionCost::default())
-            .with_wisdom(wisdom)
-            .with_simd(SimdPolicy::disabled());
+        // And an explicit pin beats the record in both directions.
+        let mut pinned = pinned_to(|p| p.with_simd(SimdPolicy::disabled())).with_wisdom(wisdom);
         let mut y: Vec<f64> = (0..1024).map(|j| (j % 5) as f64).collect();
         pinned.transform(&mut y).unwrap();
         assert!(!pinned.compiled.get(&10).unwrap().is_simd());
-        let mut repinned = pinned.with_simd(SimdPolicy::auto());
+        let exec = pinned.exec().with_simd(SimdPolicy::auto());
+        let mut repinned = pinned.with_exec(exec);
         let mut z: Vec<f64> = (0..1024).map(|j| (j % 5) as f64).collect();
         repinned.transform(&mut z).unwrap();
         assert!(repinned.compiled.get(&10).unwrap().is_simd());
@@ -1681,9 +1484,10 @@ mod tests {
         // planner's executor would actually relayout that size's plan —
         // a policy knob (min_passes) or a short-tailed DP winner that
         // declines relayout must record 0, whatever the size gates say.
-        let mut planner = Planner::new(InstructionCost::default())
-            .with_fusion(FusionPolicy::new(1 << 6))
-            .with_relayout(RelayoutPolicy::eager(1 << 9));
+        let mut planner = pinned_to(|p| {
+            p.with_fusion(FusionPolicy::new(1 << 6))
+                .with_relayout(RelayoutPolicy::eager(1 << 9))
+        });
         planner.plan(14).unwrap();
         for m in 1..=14u32 {
             let plan_m = planner
@@ -1692,32 +1496,33 @@ mod tests {
                 .unwrap()
                 .clone();
             let executed = CompiledPlan::compile(&plan_m)
-                .fuse(&planner.fusion())
-                .relayout(&planner.relayout())
+                .fuse(&planner.exec().fusion)
+                .relayout(&planner.exec().relayout)
                 .has_relayout();
             assert_eq!(
-                planner.wisdom().relayout_budget(m, "instruction-model"),
+                tuning_of(planner.wisdom(), m).relayout,
                 Some(if executed { 1 << 9 } else { 0 }),
                 "record must match the executed schedule at n = {m}"
             );
         }
         assert_eq!(
-            planner.wisdom().relayout_budget(8, "instruction-model"),
+            tuning_of(planner.wisdom(), 8).relayout,
             Some(0),
             "sizes inside the block budget cannot gather and record 0"
         );
         // And a policy whose min_passes declines every tail records 0
         // everywhere even though its size gates pass.
-        let mut never = Planner::new(InstructionCost::default())
-            .with_fusion(FusionPolicy::new(1 << 6))
-            .with_relayout(RelayoutPolicy {
-                min_passes: 99,
-                ..RelayoutPolicy::eager(1 << 9)
-            });
+        let mut never = pinned_to(|p| {
+            p.with_fusion(FusionPolicy::new(1 << 6))
+                .with_relayout(RelayoutPolicy {
+                    min_passes: 99,
+                    ..RelayoutPolicy::eager(1 << 9)
+                })
+        });
         never.plan(14).unwrap();
         for m in 1..=14u32 {
             assert_eq!(
-                never.wisdom().relayout_budget(m, "instruction-model"),
+                tuning_of(never.wisdom(), m).relayout,
                 Some(0),
                 "a declining policy must not record a tuning it never ran"
             );
@@ -1749,7 +1554,6 @@ mod tests {
         // WHT_NO_RELAYOUT leg would otherwise kill-switch the replay,
         // which has its own test below).
         warm.exec.relayout = RelayoutPolicy::default();
-        warm.pinned.relayout = false;
         let mut x: Vec<f64> = (0..1 << 14).map(|j| (j % 11) as f64 - 5.0).collect();
         let want = naive_wht(&x);
         warm.transform(&mut x).unwrap();
@@ -1792,7 +1596,6 @@ mod tests {
             .unwrap();
         let mut warm = Planner::new(InstructionCost::default()).with_wisdom(wisdom);
         warm.exec.relayout = RelayoutPolicy::default();
-        warm.pinned.relayout = false;
         let mut x: Vec<f64> = (0..1 << 10).map(|j| (j % 9) as f64 - 4.0).collect();
         let want = naive_wht(&x);
         warm.transform(&mut x).unwrap();
@@ -1823,7 +1626,6 @@ mod tests {
             .unwrap();
         let mut planner = Planner::new(InstructionCost::default()).with_wisdom(wisdom.clone());
         planner.exec.relayout = RelayoutPolicy::disabled();
-        planner.pinned.relayout = false;
         let mut x: Vec<f64> = (0..1 << 14).map(|j| (j % 5) as f64).collect();
         planner.transform(&mut x).unwrap();
         assert!(
@@ -1831,14 +1633,19 @@ mod tests {
             "a disabled default policy must beat the recorded tuning"
         );
 
-        // And an explicit with_relayout pin beats the record both ways.
-        let mut pinned = Planner::new(InstructionCost::default())
-            .with_wisdom(wisdom)
-            .with_relayout(RelayoutPolicy::disabled());
+        // And an explicit pin beats the record both ways. (The pin covers
+        // every knob, so it carries the recorded fusion budget too: the
+        // tail is whatever fusion leaves.)
+        let mut pinned = pinned_to(|p| {
+            p.with_fusion(FusionPolicy::new(1 << 6))
+                .with_relayout(RelayoutPolicy::disabled())
+        })
+        .with_wisdom(wisdom);
         let mut y: Vec<f64> = (0..1 << 14).map(|j| (j % 5) as f64).collect();
         pinned.transform(&mut y).unwrap();
         assert!(!pinned.compiled.get(&14).unwrap().has_relayout());
-        let mut repinned = pinned.with_relayout(RelayoutPolicy::eager(1 << 9));
+        let exec = pinned.exec().with_relayout(RelayoutPolicy::eager(1 << 9));
+        let mut repinned = pinned.with_exec(exec);
         let mut z: Vec<f64> = (0..1 << 14).map(|j| (j % 5) as f64).collect();
         repinned.transform(&mut z).unwrap();
         assert!(repinned.compiled.get(&14).unwrap().has_relayout());
@@ -1853,12 +1660,12 @@ mod tests {
                        \"plan\":\"split[small[2],small[2]]\",\"fuse_budget\":512,\
                        \"simd\":true}]}";
         let w = Wisdom::from_json(legacy).unwrap();
-        assert_eq!(w.fuse_budget(4, "x"), Some(512));
-        assert_eq!(w.simd_enabled(4, "x"), Some(true));
-        assert_eq!(w.relayout_budget(4, "x"), None);
+        assert_eq!(w.tuning(4, "x").unwrap().fuse_budget, Some(512));
+        assert_eq!(w.tuning(4, "x").unwrap().simd, Some(true));
+        assert_eq!(w.tuning(4, "x").unwrap().relayout, None);
         assert_eq!(w.tuning(4, "x").unwrap().recodelet, None);
-        assert_eq!(w.batch_block(4, "x"), None);
-        assert_eq!(w.objective(4, "x"), None);
+        assert_eq!(w.tuning(4, "x").unwrap().batch, None);
+        assert_eq!(w.tuning(4, "x").unwrap().objective, None);
         let json = w.to_json();
         assert!(json.contains("\"version\": 7"), "{json}");
         assert!(json.contains("\"tuning\""), "{json}");
@@ -1879,9 +1686,9 @@ mod tests {
                       small[4]]\",\"tuning\":{\"fuse_budget\":4096,\"simd\":true,\
                       \"relayout\":0,\"recodelet\":true}}]}";
         let w = Wisdom::from_json(legacy).unwrap();
-        assert_eq!(w.fuse_budget(12, "instruction-model"), Some(4096));
+        assert_eq!(tuning_of(&w, 12).fuse_budget, Some(4096));
         assert_eq!(
-            w.batch_block(12, "instruction-model"),
+            tuning_of(&w, 12).batch,
             None,
             "a stage the blob predates records no choice"
         );
@@ -1891,7 +1698,6 @@ mod tests {
         // migrated replay is bit-identical to a fresh computation.
         let mut warm = Planner::new(InstructionCost::default()).with_wisdom(migrated);
         warm.exec = ExecPolicy::default();
-        warm.pinned = PinnedKnobs::default();
         assert_eq!(
             warm.resolved_exec(12).batch,
             BatchPolicy::default(),
@@ -1914,11 +1720,11 @@ mod tests {
                       small[1],small[1],small[1],small[1],small[1],small[1]]\",\
                       \"fuse_budget\":64,\"simd\":true,\"relayout\":512}]}";
         let w = Wisdom::from_json(legacy).unwrap();
-        assert_eq!(w.fuse_budget(14, "instruction-model"), Some(64));
-        assert_eq!(w.simd_enabled(14, "instruction-model"), Some(true));
-        assert_eq!(w.relayout_budget(14, "instruction-model"), Some(512));
+        assert_eq!(tuning_of(&w, 14).fuse_budget, Some(64));
+        assert_eq!(tuning_of(&w, 14).simd, Some(true));
+        assert_eq!(tuning_of(&w, 14).relayout, Some(512));
         assert_eq!(
-            w.tuning(14, "instruction-model").unwrap().recodelet,
+            tuning_of(&w, 14).recodelet,
             None,
             "a stage the blob predates records no choice"
         );
@@ -1927,15 +1733,12 @@ mod tests {
         assert_eq!(migrated, w);
         // ...and replay the recorded configuration: the resolved policy
         // matches the legacy per-knob resolution exactly, and with the
-        // post-v2 stages pinned off, the compiled schedule is *equal* to
-        // what the pre-pipeline executor compiled for this blob.
+        // post-v2 stages killed (an unpinned disabled policy beats
+        // wisdom, which records no choice for them anyway), the compiled
+        // schedule is *equal* to what the pre-pipeline executor compiled
+        // for this blob.
         let mut warm = Planner::new(InstructionCost::default()).with_wisdom(migrated);
         warm.exec = ExecPolicy::default();
-        warm.pinned = PinnedKnobs {
-            recodelet: true,
-            batch: true,
-            ..PinnedKnobs::default()
-        };
         warm.exec.recodelet = RecodeletPolicy::disabled();
         warm.exec.batch = BatchPolicy::disabled();
         let resolved = warm.resolved_exec(14);
@@ -1949,12 +1752,10 @@ mod tests {
         let plan = warm.wisdom().get(14, "instruction-model").unwrap().clone();
         assert_eq!(
             warm.compiled.get(&14).unwrap(),
-            &CompiledPlan::compile_with(
-                &plan,
-                &FusionPolicy::new(64),
-                &replay_relayout(512),
-                &SimdPolicy::auto()
-            ),
+            &CompiledPlan::compile(&plan)
+                .fuse(&FusionPolicy::new(64))
+                .relayout(&replay_relayout(512))
+                .with_simd(&SimdPolicy::auto()),
             "v2 blob + pinned-off later stages = the pre-refactor schedule, exactly"
         );
         // With the importer's default (unpinned) tail policy the schedule
@@ -1962,7 +1763,6 @@ mod tests {
         let mut modern = Planner::new(InstructionCost::default())
             .with_wisdom(Wisdom::from_json(legacy).unwrap());
         modern.exec = ExecPolicy::default();
-        modern.pinned = PinnedKnobs::default();
         let mut y: Vec<f64> = (0..1 << 14).map(|j| (j % 11) as f64 - 5.0).collect();
         modern.transform(&mut y).unwrap();
         assert_eq!(
@@ -1982,9 +1782,9 @@ mod tests {
                       \"tuning\":{\"fuse_budget\":64,\"simd\":false,\"relayout\":32,\
                       \"recodelet\":true,\"prefetch_distance\":8}}]}";
         let w = Wisdom::from_json(future).unwrap();
-        assert_eq!(w.fuse_budget(4, "x"), Some(64));
-        assert_eq!(w.simd_enabled(4, "x"), Some(false));
-        assert_eq!(w.relayout_budget(4, "x"), Some(32));
+        assert_eq!(w.tuning(4, "x").unwrap().fuse_budget, Some(64));
+        assert_eq!(w.tuning(4, "x").unwrap().simd, Some(false));
+        assert_eq!(w.tuning(4, "x").unwrap().relayout, Some(32));
         assert_eq!(w.tuning(4, "x").unwrap().recodelet, Some(true));
     }
 
@@ -2007,7 +1807,6 @@ mod tests {
             .unwrap();
         let mut planner = Planner::new(InstructionCost::default()).with_wisdom(wisdom.clone());
         planner.exec = ExecPolicy::default();
-        planner.pinned = PinnedKnobs::default();
         let mut x: Vec<f64> = (0..1 << 14).map(|j| (j % 5) as f64).collect();
         planner.transform(&mut x).unwrap();
         let compiled = planner.compiled.get(&14).unwrap();
@@ -2035,17 +1834,17 @@ mod tests {
         let mut killed = Planner::new(InstructionCost::default()).with_wisdom(on_record);
         killed.exec = ExecPolicy::default();
         killed.exec.recodelet = RecodeletPolicy::disabled();
-        killed.pinned = PinnedKnobs::default();
         assert!(!killed.resolved_exec(14).recodelet.enabled());
-        // ...and an explicit pin beats the record both ways. (The other
-        // knobs are set to unpinned defaults by hand so the recorded
-        // fusion/relayout tuning replays identically on every CI leg.)
-        let mut pinned = Planner::new(InstructionCost::default()).with_wisdom(wisdom);
-        pinned.exec = ExecPolicy::default();
-        pinned.pinned = PinnedKnobs {
-            recodelet: true,
-            ..PinnedKnobs::default()
-        };
+        // ...and an explicit pin beats the record both ways. (The pin
+        // covers every knob, so it carries the fusion/relayout tuning
+        // the record replays, identically on every CI leg.)
+        let mut pinned = Planner::new(InstructionCost::default())
+            .with_wisdom(wisdom)
+            .with_exec(
+                ExecPolicy::default()
+                    .with_fusion(FusionPolicy::new(1 << 6))
+                    .with_relayout(replay_relayout(1 << 9)),
+            );
         assert!(pinned.resolved_exec(14).recodelet.enabled());
         let mut y: Vec<f64> = (0..1 << 14).map(|j| (j % 5) as f64).collect();
         pinned.transform(&mut y).unwrap();
@@ -2099,35 +1898,34 @@ mod tests {
         // The record is read off the lowered schedule: small sizes build
         // the batch product and record the policy's threshold; a size
         // past the batch cap records 0 even though the policy is on.
-        let mut planner = Planner::new(InstructionCost::default()).with_batch(BatchPolicy::new(32));
+        let mut planner = pinned_to(|p| p.with_batch(BatchPolicy::new(32)));
         planner.plan(10).unwrap();
         for m in 1..=10u32 {
             assert_eq!(
-                planner.wisdom().batch_block(m, "instruction-model"),
+                tuning_of(planner.wisdom(), m).batch,
                 Some(32),
                 "sizes within the cap record the threshold at n = {m}"
             );
         }
         let back = Wisdom::from_json(&planner.wisdom().to_json()).unwrap();
         assert_eq!(&back, planner.wisdom());
-        assert_eq!(back.batch_block(10, "instruction-model"), Some(32));
+        assert_eq!(tuning_of(&back, 10).batch, Some(32));
 
         // A batch-off planner records 0, distinct from "not recorded".
-        let mut off = Planner::new(InstructionCost::default()).with_batch(BatchPolicy::disabled());
+        let mut off = pinned_to(|p| p.with_batch(BatchPolicy::disabled()));
         off.plan(4).unwrap();
-        assert_eq!(off.wisdom().batch_block(4, "instruction-model"), Some(0));
+        assert_eq!(tuning_of(off.wisdom(), 4).batch, Some(0));
 
         // A size past the batch cap records 0 under an enabled policy.
-        let mut big = Planner::new(InstructionCost::default()).with_batch(BatchPolicy::new(32));
+        let mut big = pinned_to(|p| p.with_batch(BatchPolicy::new(32)));
         big.plan(20).unwrap();
-        assert_eq!(big.wisdom().batch_block(20, "instruction-model"), Some(0));
-        assert_eq!(big.wisdom().batch_block(10, "instruction-model"), Some(32));
+        assert_eq!(tuning_of(big.wisdom(), 20).batch, Some(0));
+        assert_eq!(tuning_of(big.wisdom(), 10).batch, Some(32));
 
         // An importing planner with an unpinned default policy replays
         // the recorded threshold.
         let mut warm = Planner::new(InstructionCost::default()).with_wisdom(back);
         warm.exec.batch = BatchPolicy::default();
-        warm.pinned.batch = false;
         assert_eq!(warm.resolved_exec(10).batch, BatchPolicy::new(32));
     }
 
@@ -2150,7 +1948,6 @@ mod tests {
             .unwrap();
         let mut planner = Planner::new(InstructionCost::default()).with_wisdom(wisdom.clone());
         planner.exec.batch = BatchPolicy::disabled();
-        planner.pinned.batch = false;
         assert!(
             !planner.resolved_exec(10).batch.enabled(),
             "a disabled default policy must beat the recorded threshold"
@@ -2174,15 +1971,13 @@ mod tests {
             .unwrap();
         let mut reader = Planner::new(InstructionCost::default()).with_wisdom(off_record);
         reader.exec.batch = BatchPolicy::default();
-        reader.pinned.batch = false;
         assert!(!reader.resolved_exec(10).batch.enabled());
 
-        // ...and an explicit with_batch pin beats the record both ways.
-        let pinned = Planner::new(InstructionCost::default())
-            .with_wisdom(wisdom)
-            .with_batch(BatchPolicy::disabled());
+        // ...and an explicit pin beats the record both ways.
+        let pinned = pinned_to(|p| p.with_batch(BatchPolicy::disabled())).with_wisdom(wisdom);
         assert!(!pinned.resolved_exec(10).batch.enabled());
-        let repinned = pinned.with_batch(BatchPolicy::new(8));
+        let exec = pinned.exec().with_batch(BatchPolicy::new(8));
+        let repinned = pinned.with_exec(exec);
         assert_eq!(repinned.resolved_exec(10).batch, BatchPolicy::new(8));
     }
 
@@ -2272,9 +2067,12 @@ mod tests {
                       \"tuning\":{\"fuse_budget\":4096,\"simd\":true,\
                       \"relayout\":0,\"recodelet\":true,\"batch\":0}}]}";
         let w = Wisdom::from_json(legacy).unwrap();
-        assert_eq!(w.fuse_budget(10, "combined-model"), Some(4096));
         assert_eq!(
-            w.objective(10, "combined-model"),
+            w.tuning(10, "combined-model").unwrap().fuse_budget,
+            Some(4096)
+        );
+        assert_eq!(
+            w.tuning(10, "combined-model").unwrap().objective,
             None,
             "a field the blob predates records no choice"
         );
@@ -2303,13 +2101,16 @@ mod tests {
         planner.plan(12).unwrap();
         let backend = planner.backend_name();
         assert_eq!(
-            planner.wisdom().objective(12, backend),
+            planner.wisdom().tuning(12, backend).unwrap().objective,
             Some(CostObjective::Memory)
         );
         let json = planner.wisdom().to_json();
         assert!(json.contains("\"objective\": \"Memory\""), "{json}");
         let reloaded = Wisdom::from_json(&json).unwrap();
-        assert_eq!(reloaded.objective(12, backend), Some(CostObjective::Memory));
+        assert_eq!(
+            reloaded.tuning(12, backend).unwrap().objective,
+            Some(CostObjective::Memory)
+        );
         // Same-objective importer: warm. Different objective: re-search.
         let mut same = Planner::new(CombinedModelCost::paper_default())
             .with_objective(CostObjective::Memory)
@@ -2322,7 +2123,7 @@ mod tests {
         other.plan(12).unwrap();
         assert!(other.evaluations() > 0);
         assert_eq!(
-            other.wisdom().objective(12, backend),
+            other.wisdom().tuning(12, backend).unwrap().objective,
             Some(CostObjective::Latency),
             "the stale entry is replaced under the new objective"
         );

@@ -1,12 +1,14 @@
 //! Corruption coverage for the full wisdom version corpus (satellite 3):
 //! every historical blob format (v1–v6, plus current v7) in truncated,
 //! bit-flipped, and future-version form must be rejected with the right
-//! `StoreDiagnostic` through `Wisdom::load_or_default`, and a damaged
-//! blob must never be partially applied.
+//! `StoreDiagnostic` through `Wisdom::load_or_default`, a damaged blob
+//! must never be partially applied, and an entry whose size is out of
+//! range is a typed diagnostic rather than a panic.
 
 use std::fs;
 use std::path::PathBuf;
-use wht_search::{failpoints, StoreDiagnostic, Wisdom};
+use wht_core::WhtError;
+use wht_search::{encode_shard, failpoints, ShardedStore, StoreDiagnostic, Wisdom};
 
 fn temp_dir(tag: &str) -> PathBuf {
     let dir =
@@ -186,5 +188,44 @@ fn a_blob_with_one_bad_entry_is_never_partially_applied() {
     );
     assert!(w.is_empty());
     assert_eq!(diags.len(), 1);
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn an_entry_past_max_n_is_a_typed_diagnostic_not_a_panic() {
+    // `n` comes straight from the file; 70 is past MAX_N and past the
+    // width of a shift, so deriving the entry's length from it must not
+    // happen before the range check.
+    let _isolate = failpoints::scope();
+    let blob = "{\"version\":7,\"entries\":[{\"n\":70,\"backend\":\"x\",\
+                \"plan\":\"split[small[2],small[2]]\"}]}";
+    assert_eq!(
+        Wisdom::from_json(blob).unwrap_err(),
+        WhtError::SizeTooLarge { n: 70 }
+    );
+    let dir = temp_dir("oversized");
+    // The legacy blob loader degrades to empty wisdom plus a diagnostic.
+    let path = dir.join("oversized.json");
+    fs::write(&path, blob).unwrap();
+    let (w, diags) = Wisdom::load_or_default(&path);
+    assert!(w.is_empty());
+    assert_eq!(diags.len(), 1);
+    assert!(
+        matches!(diags[0], StoreDiagnostic::Corrupt { .. }),
+        "got {}",
+        diags[0]
+    );
+    // So does the sharded store's payload path.
+    let root = dir.join("store");
+    fs::create_dir_all(&root).unwrap();
+    fs::write(root.join("n70-x.shard"), encode_shard(1, blob.as_bytes())).unwrap();
+    let loaded = ShardedStore::open(&root).unwrap().load();
+    assert!(loaded.wisdom.is_empty());
+    assert_eq!(loaded.diagnostics.len(), 1);
+    assert!(
+        matches!(loaded.diagnostics[0], StoreDiagnostic::Corrupt { .. }),
+        "got {}",
+        loaded.diagnostics[0]
+    );
     let _ = fs::remove_dir_all(&dir);
 }

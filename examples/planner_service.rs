@@ -15,9 +15,10 @@
 //! planner resolves through one precedence rule: **API pin > wisdom >
 //! environment > default**. Concretely:
 //!
-//! - `.with_exec(policy)` (or a per-stage `.with_fusion(...)` /
-//!   `.with_simd(...)` / `.with_relayout(...)` / `.with_recodelet(...)`)
-//!   pins the choice — recorded wisdom no longer overrides it.
+//! - `.with_exec(policy)` is the one API pin: the whole policy it sets
+//!   beats recorded wisdom. To change one stage, pin the planner's own
+//!   policy with that stage replaced, e.g.
+//!   `.with_exec(ExecPolicy::from_env().with_fusion(FusionPolicy::disabled()))`.
 //! - The `WHT_NO_FUSE` / `WHT_NO_SIMD` / `WHT_NO_RELAYOUT` /
 //!   `WHT_NO_RECODELET` kill switches disable a stage process-wide, and
 //!   imported wisdom can never re-enable it (see `wht_core::env` for the

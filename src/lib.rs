@@ -12,7 +12,7 @@
 //! | [`measure`] (`wht-measure`) | timing, instrumented execution, trace-driven miss measurement |
 //! | [`stats`] (`wht-stats`) | Pearson, histograms, IQR fences, pruning curves, grid search |
 //! | [`search`] (`wht-search`) | plan search: the memoized branch-and-bound engine ([`memo_search`](wht_search::memo_search) over a [`MemoTable`](wht_search::MemoTable) of factor-span groups with provenance), the classic DP autotuner ([`dp_search`](wht_search::dp_search)), exhaustive/random/model-pruned strategies, vectored cost backends ([`VectorCost`](wht_search::VectorCost): one term vector, objective-driven weightings via [`CostObjective`](wht_search::CostObjective)), the [`Planner`](wht_search::Planner) facade with wisdom caching, and crash-safe wisdom persistence: the sharded [`ShardedStore`](wht_search::ShardedStore) (atomic commit, typed [`StoreDiagnostic`](wht_search::StoreDiagnostic) quarantine, keep-best merge) with a hermetic fault-injection layer (`wht_search::failpoints`, `WHT_FAILPOINTS`) |
-//! | [`parallel`] (`wht-parallel`) | multi-threaded WHT over a persistent NUMA-aware [`WorkerPool`](wht_parallel::WorkerPool) (zero spawn/join on the warm path, stable shard ranges with work stealing, [`PoolStats`](wht_parallel::PoolStats) introspection), scoped spawn-per-call crews as baseline/overflow, and parallel measurement sweeps |
+//! | [`parallel`] (`wht-parallel`) | multi-threaded WHT over a persistent NUMA-aware [`WorkerPool`](wht_parallel::WorkerPool) (zero spawn/join on the warm path, stable shard ranges with work stealing, [`PoolStats`](wht_parallel::PoolStats) introspection) — one dispatch path, with a per-call pool for crews larger than the global one — and parallel measurement sweeps |
 //!
 //! ## Quick start
 //!
@@ -58,11 +58,10 @@ pub use wht_core::{Plan, WhtError};
 pub mod prelude {
     pub use wht_cachesim::{Cache, CacheConfig, Hierarchy};
     pub use wht_core::{
-        apply_plan, apply_plan_recursive, compiled_for_exec, compiled_for_with, lane_width,
-        naive_wht, parse_plan, to_sequency_order, BatchPolicy, CompiledPlan, ExecPolicy,
-        FusionPolicy, Pass, PassBackend, Plan, Provenance, RecodeletPolicy, Relayout,
-        RelayoutPolicy, Scalar, SimdPolicy, Srht, StreamPolicy, SuperPass, VerifyDiagnostic,
-        VerifyInvariant, WhtError,
+        apply_plan, apply_plan_recursive, compiled_for_exec, lane_width, naive_wht, parse_plan,
+        to_sequency_order, BatchPolicy, CompiledPlan, ExecPolicy, FusionPolicy, Pass, PassBackend,
+        Plan, Provenance, RecodeletPolicy, Relayout, RelayoutPolicy, Scalar, SimdPolicy, Srht,
+        StreamPolicy, SuperPass, VerifyDiagnostic, VerifyInvariant, WhtError,
     };
     pub use wht_measure::{
         batch_op_counts, batch_super_pass_traffic, measure_plan, super_pass_traffic,
@@ -74,8 +73,7 @@ pub mod prelude {
     };
     pub use wht_parallel::{
         measure_sweep, par_apply_batch, par_apply_batch_on, par_apply_compiled,
-        par_apply_compiled_on, par_apply_compiled_scoped, par_apply_plan, PoolStats, Threads,
-        WorkerPool,
+        par_apply_compiled_on, par_apply_plan, PoolStats, Threads, WorkerPool,
     };
     pub use wht_search::{
         atomic_write, dp_search, memo_search, pruned_search, random_search, CombinedModelCost,

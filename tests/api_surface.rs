@@ -81,12 +81,7 @@ fn fusion_layer_through_the_prelude() {
     assert_eq!(par, seq);
 
     // The explicit-policy cache entry point honors every opt-out.
-    let via_cache = compiled_for_with(
-        &plan,
-        &FusionPolicy::disabled(),
-        &RelayoutPolicy::disabled(),
-        &SimdPolicy::disabled(),
-    );
+    let via_cache = compiled_for_exec(&plan, &ExecPolicy::all_disabled());
     assert!(!via_cache.is_fused());
     assert!(!via_cache.is_simd());
     assert!(!via_cache.has_relayout());
@@ -95,11 +90,11 @@ fn fusion_layer_through_the_prelude() {
     assert_eq!(unfused, seq);
 
     // And the SIMD lane backend is prelude-reachable and bit-identical.
-    let lanes = compiled_for_with(
+    let lanes = compiled_for_exec(
         &plan,
-        &FusionPolicy::new(1 << 6),
-        &RelayoutPolicy::disabled(),
-        &SimdPolicy::auto(),
+        &ExecPolicy::all_disabled()
+            .with_fusion(FusionPolicy::new(1 << 6))
+            .with_simd(SimdPolicy::auto()),
     );
     assert!(lanes.is_simd());
     let mut simd = input.clone();
@@ -128,20 +123,24 @@ fn fusion_layer_through_the_prelude() {
 
 #[test]
 fn ddl_engine_is_a_drop_in_replacement() {
-    use wht::core::ddl::{apply_plan_ddl, DdlConfig};
-    // n = 15 is past the simulated L1 (2^13 doubles), where relayout pays.
+    // The paper's DDL lives in the compiled executor as the relayout
+    // stage. n = 15 is past the simulated L1 (2^13 doubles), where
+    // relayout pays.
     let plan = Plan::left_recursive(15).unwrap();
+    let in_place = CompiledPlan::compile(&plan).fuse(&FusionPolicy::new(1 << 8));
+    let relaid = in_place.relayout(&RelayoutPolicy::eager(1 << 10));
+    assert!(relaid.has_relayout());
     let input: Vec<f64> = (0..1 << 15).map(|v| ((v * 7) % 29) as f64 - 14.0).collect();
     let mut plain = input.clone();
-    apply_plan(&plan, &mut plain).unwrap();
+    apply_plan_recursive(&plan, &mut plain).unwrap();
     let mut ddl = input;
-    apply_plan_ddl(&plan, &mut ddl, DdlConfig::default()).unwrap();
+    relaid.apply(&mut ddl).unwrap();
     assert_eq!(plain, ddl);
 
     // And it does what it exists for: fewer L1 misses on the hostile shape.
     let mut h = Hierarchy::opteron();
-    let base = wht::measure::trace_misses(&plan, &mut h)[0].misses;
-    let relayout = wht::measure::ddl_trace_misses(&plan, &mut h, 3)[0].misses;
+    let base = wht::measure::trace_misses_compiled(&in_place, &mut h)[0].misses;
+    let relayout = wht::measure::trace_misses_compiled(&relaid, &mut h)[0].misses;
     assert!(relayout < base, "DDL {relayout} should beat {base} at n=15");
 }
 
