@@ -108,8 +108,8 @@ mod relayout;
 mod tests;
 
 pub use policy::{
-    resolve_knob, BatchPolicy, ExecKey, ExecPolicy, FusionPolicy, PolicyKnob, RecodeletPolicy,
-    RelayoutPolicy, StreamPolicy, SMALL_MERGE_ROWS,
+    BatchPolicy, ExecKey, ExecPolicy, FusionPolicy, RecodeletPolicy, RelayoutPolicy, StreamPolicy,
+    SMALL_MERGE_ROWS,
 };
 
 use crate::codelets::{

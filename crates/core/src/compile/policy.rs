@@ -4,16 +4,7 @@
 //! Each lowering stage (see [`CompiledPlan::lower`](crate::compile::CompiledPlan::lower)) is gated by
 //! one policy struct; [`ExecPolicy`] bundles the six so the whole
 //! executor configuration travels as **one value** — one environment
-//! snapshot, one schedule-cache key, one wisdom record, one resolution.
-//!
-//! ## Resolution precedence
-//!
-//! Wherever a policy can come from more than one place, the order is
-//! **API pin > wisdom > environment > default**, with one refinement: a
-//! *disabled* environment/default policy is a kill switch that recorded
-//! wisdom cannot re-enable (`WHT_NO_FUSE=1` must win over a wisdom entry
-//! recorded with fusion on). [`resolve_knob`] implements that rule once
-//! for every knob; `wht_search::Planner` is its production caller.
+//! snapshot, one schedule-cache key.
 
 use crate::codelets::SimdPolicy;
 use crate::env;
@@ -145,8 +136,7 @@ impl RelayoutPolicy {
     /// 1.1–1.3× at `n >= 24` and is neutral-to-negative below (the
     /// copies are pure overhead while the tail still hits cache), so the
     /// default engages exactly where the win is. Hosts with smaller LLCs
-    /// tune it down via `WHT_RELAYOUT_THRESHOLD`; wisdom entries tune it
-    /// per size.
+    /// tune it down via `WHT_RELAYOUT_THRESHOLD`.
     pub const DEFAULT_MIN_ELEMS: usize = 1 << 24;
 
     /// Default minimum tail length: gather + scatter cost about two full
@@ -178,8 +168,7 @@ impl RelayoutPolicy {
 
     /// Policy that engages at *every* size (no `min_elems` floor) — what
     /// differential tests use so small transforms exercise the relayout
-    /// path, and what a wisdom entry recorded as "relayout on for this
-    /// size" replays in `wht-search`.
+    /// path.
     pub fn eager(budget_elems: usize) -> Self {
         RelayoutPolicy {
             budget_elems,
@@ -396,8 +385,7 @@ impl BatchPolicy {
     /// (3.2–4.3× aggregate over a per-transform `apply_plan` loop at
     /// n = 6, 1.5–1.9× at n = 8) and is within noise of the per-row
     /// replay once the full-width tail dominates (n ≥ 10), so the default
-    /// engages as soon as a full group of any type exists; wisdom entries
-    /// tune it per size.
+    /// engages as soon as a full group of any type exists.
     pub const DEFAULT_BLOCK_ROWS: usize = 16;
 
     /// Policy with an explicit engagement threshold.
@@ -471,8 +459,7 @@ impl Default for BatchPolicy {
 ///
 /// Mirrors the other stages: environment (`WHT_NO_STREAM=1` disables,
 /// `WHT_STREAM_THRESHOLD=<elems>` overrides the floor), explicit policies
-/// pin through the API, wisdom records/replays it per size (Tuning v7),
-/// and the schedule cache keys on it.
+/// pin through the API, and the schedule cache keys on it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StreamPolicy {
     /// Vector size (elements) below which the copy sweeps keep cached
@@ -560,27 +547,14 @@ impl Default for StreamPolicy {
 
 /// The full executor configuration, as **one value**: every stage of the
 /// lowering pipeline (fuse → relayout → re-codelet → backend-select) reads
-/// its policy from here, the per-thread schedule cache keys on
-/// [`ExecPolicy::cache_key`], and `wht_search` records/replays it per
-/// wisdom entry.
+/// its policy from here, and the per-thread schedule cache keys on
+/// [`ExecPolicy::cache_key`].
 ///
-/// ## Where a policy comes from (precedence)
-///
-/// 1. **API pin** — an explicit policy passed through the API
-///    (`Planner::with_exec`,
-///    [`compiled_for_exec`](crate::compile::compiled_for_exec)) always
-///    wins.
-/// 2. **Wisdom** — a tuning recorded with a wisdom entry replays the
-///    recorder's configuration per size…
-/// 3. **Environment** — …unless the process environment *disables* the
-///    stage (`WHT_NO_*` kill switches, which wisdom must never
-///    re-enable), or no tuning was recorded, in which case the
-///    environment snapshot applies ([`ExecPolicy::from_env`]).
-/// 4. **Default** — with no environment override, the documented
-///    per-stage defaults.
-///
-/// [`resolve_knob`] is that rule as code; every knob resolves through it
-/// exactly once per compiled schedule.
+/// A schedule compiles under an explicit policy when the caller passes one
+/// (`Planner::with_exec`,
+/// [`compiled_for_exec`](crate::compile::compiled_for_exec)), and under
+/// the [`ExecPolicy::from_env`] snapshot otherwise. Nothing else sets it:
+/// wisdom records which plan won a search, never how it was executed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ExecPolicy {
     /// Cache-blocked prefix fusion (stage 1).
@@ -694,68 +668,5 @@ impl ExecPolicy {
             self.batch.cache_key(),
             self.stream.cache_key(),
         )
-    }
-}
-
-/// A policy that can act as one knob of the precedence rule: anything
-/// with an on/off notion ([`resolve_knob`] needs to recognize the
-/// kill-switch state).
-pub trait PolicyKnob: Copy {
-    /// `true` when the policy actually engages its stage.
-    fn enabled(&self) -> bool;
-}
-
-impl PolicyKnob for FusionPolicy {
-    fn enabled(&self) -> bool {
-        FusionPolicy::enabled(self)
-    }
-}
-
-impl PolicyKnob for RelayoutPolicy {
-    fn enabled(&self) -> bool {
-        RelayoutPolicy::enabled(self)
-    }
-}
-
-impl PolicyKnob for RecodeletPolicy {
-    fn enabled(&self) -> bool {
-        RecodeletPolicy::enabled(self)
-    }
-}
-
-impl PolicyKnob for SimdPolicy {
-    fn enabled(&self) -> bool {
-        SimdPolicy::enabled(self)
-    }
-}
-
-impl PolicyKnob for BatchPolicy {
-    fn enabled(&self) -> bool {
-        BatchPolicy::enabled(self)
-    }
-}
-
-impl PolicyKnob for StreamPolicy {
-    fn enabled(&self) -> bool {
-        StreamPolicy::enabled(self)
-    }
-}
-
-/// The one precedence rule for every executor knob (see
-/// [`ExecPolicy`]'s docs): an explicitly **pinned** policy wins
-/// unconditionally; an unpinned but **disabled** policy is a kill switch
-/// that recorded wisdom cannot re-enable; otherwise a **recorded** wisdom
-/// tuning wins; otherwise the policy itself (environment snapshot or
-/// default) applies.
-///
-/// `wht_search::Planner` used to hand-roll this three times (fusion,
-/// SIMD, relayout), each copy drifting slightly; every stage — current
-/// and future — now resolves through this single function, and the
-/// property tests in `wht-search` pin the precedence per knob.
-pub fn resolve_knob<P: PolicyKnob>(pinned: bool, policy: P, recorded: Option<P>) -> P {
-    if pinned || !policy.enabled() {
-        policy
-    } else {
-        recorded.unwrap_or(policy)
     }
 }

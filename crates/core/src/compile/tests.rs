@@ -875,58 +875,6 @@ fn budget_sweeps_stay_correct_across_cache_eviction() {
 }
 
 #[test]
-fn resolve_knob_precedence_truth_table_for_every_knob() {
-    // The one precedence rule, pinned per knob type: pin > (disabled
-    // default as kill switch) > wisdom > env/default. `policy` plays the
-    // role of the env/default layer; `recorded` is the wisdom layer.
-    fn check<P: PolicyKnob + PartialEq + std::fmt::Debug>(enabled: P, disabled: P, recorded: P) {
-        // 1. A pin wins over everything, enabled or not.
-        assert_eq!(resolve_knob(true, enabled, Some(recorded)), enabled);
-        assert_eq!(resolve_knob(true, disabled, Some(recorded)), disabled);
-        // 2. Unpinned + disabled default = kill switch: wisdom cannot
-        //    re-enable it.
-        assert_eq!(resolve_knob(false, disabled, Some(recorded)), disabled);
-        assert_eq!(resolve_knob(false, disabled, Some(enabled)), disabled);
-        // 3. Unpinned + enabled default: recorded wisdom wins...
-        assert_eq!(resolve_knob(false, enabled, Some(recorded)), recorded);
-        // 4. ...and absent wisdom, the default applies.
-        assert_eq!(resolve_knob(false, enabled, None), enabled);
-        assert_eq!(resolve_knob(false, disabled, None), disabled);
-    }
-    check(
-        FusionPolicy::new(1 << 10),
-        FusionPolicy::disabled(),
-        FusionPolicy::new(1 << 4),
-    );
-    check(
-        RelayoutPolicy::eager(1 << 10),
-        RelayoutPolicy::disabled(),
-        RelayoutPolicy::new(1 << 4),
-    );
-    check(
-        RecodeletPolicy::default(),
-        RecodeletPolicy::disabled(),
-        RecodeletPolicy::new(3),
-    );
-    check(
-        SimdPolicy::auto(),
-        SimdPolicy::disabled(),
-        SimdPolicy::auto(),
-    );
-    check(
-        BatchPolicy::default(),
-        BatchPolicy::disabled(),
-        BatchPolicy::new(64),
-    );
-    // A recorded *disabled* choice (e.g. wisdom tuned with fusion off)
-    // replays as disabled under an enabled, unpinned default.
-    assert_eq!(
-        resolve_knob(false, FusionPolicy::default(), Some(FusionPolicy::new(0))),
-        FusionPolicy::new(0)
-    );
-}
-
-#[test]
 fn env_policy_constructors() {
     assert!(!FusionPolicy::disabled().enabled());
     assert!(!FusionPolicy::new(1).enabled());

@@ -37,9 +37,9 @@
 //!
 //! Each kill switch also has an API equivalent (`*Policy::disabled()`)
 //! that *pins* the choice per call site; the environment configures the
-//! process-wide default that [`crate::apply_plan`] snapshots once. The
-//! precedence between API pins, recorded wisdom, environment, and
-//! defaults is documented on [`crate::compile::ExecPolicy`].
+//! process-wide default that [`crate::apply_plan`] snapshots once. An
+//! explicit [`crate::compile::ExecPolicy`] replaces that snapshot, and
+//! nothing else does: wisdom carries plans, not policy.
 
 /// `true` when kill-switch variable `name` is set on: any non-empty value
 /// other than `0`.

@@ -72,9 +72,9 @@ pub use codelets::{
     gather_rows_checked, lane_width, scatter_rows_checked, SimdPolicy,
 };
 pub use compile::{
-    compiled_for, compiled_for_exec, resolve_knob, BatchPolicy, BatchSchedule, CompiledPlan,
-    ExecPolicy, FusionPolicy, Pass, PassBackend, PolicyKnob, Provenance, RecodeletPolicy, Relayout,
-    RelayoutPolicy, StreamPolicy, SuperPass,
+    compiled_for, compiled_for_exec, BatchPolicy, BatchSchedule, CompiledPlan, ExecPolicy,
+    FusionPolicy, Pass, PassBackend, Provenance, RecodeletPolicy, Relayout, RelayoutPolicy,
+    StreamPolicy, SuperPass,
 };
 pub use dyadic::{dyadic_autocorrelation, dyadic_convolution, dyadic_convolution_naive};
 pub use engine::{apply_plan, apply_plan_recursive, for_each_leaf_call, traverse, ExecHooks};

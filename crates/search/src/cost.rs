@@ -7,10 +7,7 @@
 
 use serde::{Deserialize, Serialize};
 use wht_cachesim::Hierarchy;
-use wht_core::{
-    lane_width, BatchPolicy, CompiledPlan, ExecPolicy, FusionPolicy, Plan, RecodeletPolicy,
-    RelayoutPolicy, SimdPolicy, StreamPolicy, WhtError,
-};
+use wht_core::{lane_width, CompiledPlan, ExecPolicy, FusionPolicy, Plan, WhtError};
 use wht_measure::{simulated_cycles, time_plan, SimMachine, TimingConfig};
 use wht_models::{analytic_misses, instruction_count, op_counts, CostModel, ModelCache};
 
@@ -476,10 +473,9 @@ pub struct FusedTrafficCost {
     /// batch stage's size cap); the sub-group remainder — and the whole
     /// batch when disengaged — replays at `rows ×` the single-transform
     /// cost. `None` (the default) scores one transform, exactly as
-    /// before. This is what lets `wht_search::Planner` tune
-    /// [`wht_core::BatchPolicy::block_rows`] from wisdom: the crossover
-    /// where `Some(rows)` stops preferring the batched schedule *is* the
-    /// threshold.
+    /// before. Sweeping `rows` locates the crossover where `Some(rows)`
+    /// stops preferring the batched schedule — the measurement behind
+    /// [`wht_core::BatchPolicy::block_rows`].
     pub batch_rows: Option<usize>,
     /// Collapse weights over the term vector: `work` multiplies the
     /// single-transform instruction term, `traffic` the streamed-element
@@ -524,42 +520,14 @@ impl FusedTrafficCost {
         self.batch_rows = Some(rows);
         self
     }
-
-    /// Cost under an explicit fusion policy + kernel backend, with the
-    /// default relayout policy and re-codeleting
-    /// ([`FusedTrafficCost::with_exec`] pins the full configuration).
-    pub fn with_backends(policy: FusionPolicy, simd: SimdPolicy) -> Self {
-        FusedTrafficCost::with_executor(policy, RelayoutPolicy::default(), simd)
-    }
-
-    /// Cost under the three pre-pipeline executor knobs: fusion policy,
-    /// tail-relayout policy, and kernel backend (re-codeleting at
-    /// its default).
-    pub fn with_executor(policy: FusionPolicy, relayout: RelayoutPolicy, simd: SimdPolicy) -> Self {
-        FusedTrafficCost::with_exec(ExecPolicy {
-            fusion: policy,
-            relayout,
-            recodelet: RecodeletPolicy::default(),
-            simd,
-            batch: BatchPolicy::default(),
-            stream: StreamPolicy::default(),
-        })
-    }
-
-    /// Explicit fusion policy with the process-default remaining stages
-    /// (lane kernels unless `WHT_NO_SIMD=1`, tail relayout per
-    /// `WHT_NO_RELAYOUT` / `WHT_RELAYOUT_THRESHOLD`, re-codeleting per
-    /// `WHT_NO_RECODELET`) — the env-aware constructor, so a
-    /// default-built cost model ranks plans for the executor this
-    /// process actually runs.
-    pub fn with_policy(policy: FusionPolicy) -> Self {
-        FusedTrafficCost::with_exec(ExecPolicy::from_env().with_fusion(policy))
-    }
 }
 
+/// The environment-aware cost: ranks plans for the executor this
+/// process runs ([`ExecPolicy::from_env`], the snapshot a default
+/// `wht_search::Planner` compiles under).
 impl Default for FusedTrafficCost {
     fn default() -> Self {
-        FusedTrafficCost::with_policy(FusionPolicy::default())
+        FusedTrafficCost::with_exec(ExecPolicy::from_env())
     }
 }
 
@@ -790,6 +758,7 @@ impl PlanCost for WallClockCost {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wht_core::{BatchPolicy, RecodeletPolicy, RelayoutPolicy, SimdPolicy};
 
     #[test]
     fn model_backends_are_deterministic() {
@@ -811,8 +780,9 @@ mod tests {
         // the fusion-off policy must cost strictly more at a size where
         // the schedule fuses.
         let plan = Plan::iterative(18).unwrap();
-        let mut on = FusedTrafficCost::default();
-        let mut off = FusedTrafficCost::with_policy(FusionPolicy::disabled());
+        let exec = ExecPolicy::from_env().with_fusion(FusionPolicy::default());
+        let mut on = FusedTrafficCost::with_exec(exec);
+        let mut off = FusedTrafficCost::with_exec(exec.with_fusion(FusionPolicy::disabled()));
         assert!(on.cost(&plan).unwrap() < off.cost(&plan).unwrap());
         // An unbounded budget makes one vector-sized tile, which cannot be
         // cache-resident: the model must charge it the unfused traffic,
@@ -841,8 +811,9 @@ mod tests {
     fn fused_traffic_learns_the_vector_width() {
         let plan = Plan::iterative(18).unwrap();
         let policy = FusionPolicy::default();
-        let mut simd = FusedTrafficCost::with_backends(policy, SimdPolicy::auto());
-        let mut scalar = FusedTrafficCost::with_backends(policy, SimdPolicy::disabled());
+        let fused = ExecPolicy::default().with_fusion(policy);
+        let mut simd = FusedTrafficCost::with_exec(fused.with_simd(SimdPolicy::auto()));
+        let mut scalar = FusedTrafficCost::with_exec(fused.with_simd(SimdPolicy::disabled()));
         assert_eq!(simd.simd_lanes, wht_core::lane_width::<f64>());
         assert_eq!(scalar.simd_lanes, 1);
         // The lane backend retires the leaf work W columns at a time, so

@@ -22,7 +22,7 @@
 //!   search, and the paper's model-pruned search;
 //! * [`planner`] — the production facade: a [`Planner`] owning a cost
 //!   backend, amortizing memoized search across calls through an
-//!   FFTW-style [`Wisdom`] cache (JSON save/load) and serving transforms
+//!   FFTW-style [`Wisdom`] cache of winning plans and serving transforms
 //!   from compiled pass schedules;
 //! * [`store`] — the crash-safe persistence layer under that cache (see
 //!   the contract below);
@@ -37,17 +37,15 @@
 //! length, FNV-1a 64 checksum) over a single-entry wisdom JSON payload.
 //! The guarantees, in order of line of defense:
 //!
-//! 1. **Atomic commit** ([`atomic_write`]): every shard (and the legacy
-//!    single-blob [`Wisdom::save`], and `wht-bench`'s `BENCH_*.json`
-//!    artifacts) is written temp-file → fsync → rename → dir-fsync. A
-//!    crash at any byte leaves the previous committed file intact;
-//!    uncommitted temp files are never loaded.
+//! 1. **Atomic commit** ([`atomic_write`]): every shard (and
+//!    `wht-bench`'s `BENCH_*.json` artifacts) is written temp-file →
+//!    fsync → rename → dir-fsync. A crash at any byte leaves the previous
+//!    committed file intact; uncommitted temp files are never loaded.
 //! 2. **Detection** ([`decode_shard`]): a shard damaged anyway —
-//!    truncated, bit-flipped, bad magic, future container version — is
-//!    *detectable*, never *loadable*; the failure is a typed
-//!    [`StoreDiagnostic`] (`Corrupt` / `Truncated` / `VersionUnknown` /
-//!    `ChecksumMismatch` / `IoFailed`), and the same classification
-//!    covers legacy blobs ([`Wisdom::load_or_default`]).
+//!    truncated, bit-flipped, bad magic, another container or wisdom
+//!    format version — is *detectable*, never *loadable*; the failure is
+//!    a typed [`StoreDiagnostic`] (`Corrupt` / `Truncated` /
+//!    `VersionUnknown` / `ChecksumMismatch` / `IoFailed`).
 //! 3. **Quarantine, not failure** ([`ShardedStore::load`]): bad shards
 //!    move into `quarantine/` with their diagnostic; the remaining
 //!    shards merge normally (best entry per key: measured-fastest when
@@ -55,7 +53,7 @@
 //!    whole and never partially applies a damaged shard.
 //! 4. **Graceful degradation** ([`Planner::with_store`]): whatever the
 //!    store's condition — up to 100% of shards corrupt — the planner
-//!    never panics and never serves poisoned tuning; affected sizes
+//!    never panics and never serves a poisoned plan; affected sizes
 //!    cold-search on first use, bit-identically, and
 //!    [`Planner::explain`] / [`Planner::store_diagnostics`] report what
 //!    was quarantined.
@@ -100,7 +98,7 @@ pub use dp::{dp_search, split_compositions, DpOptions, DpResult};
 pub use failpoints::Fault;
 pub use local::{local_search, mutate, LocalSearchOptions};
 pub use memo::{memo_search, memo_to_dp_result, Group, GroupProvenance, MemoResult, MemoTable};
-pub use planner::{PlanProvenance, Planner, Tuning, Wisdom};
+pub use planner::{PlanProvenance, Planner, Wisdom};
 pub use store::{
     atomic_write, decode_shard, encode_shard, fnv1a64, host_fingerprint, ShardedStore,
     StoreDiagnostic, StoreLoad,

@@ -14,80 +14,54 @@
 //!    the spans it has never seen, and [`Planner::explain`] can say which
 //!    composition won each searched size and why.
 //! 2. The chosen plan is lowered through the staged pipeline of
-//!    `wht_core::compile` under one **resolved** [`ExecPolicy`]
+//!    `wht_core::compile` under the planner's [`ExecPolicy`]
 //!    (fuse → relayout → re-codelet → kernel backend → batch), and the
 //!    compiled schedule is cached — steady-state traffic is a wisdom hit
 //!    plus a flat schedule replay: zero cost evaluations, zero tree
 //!    walks.
 //! 3. Wisdom round-trips through JSON ([`Wisdom::to_json`] /
-//!    [`Wisdom::from_json`], or [`Wisdom::save`] / [`Wisdom::load`]), so a
-//!    fleet can ship pre-tuned wisdom and a fresh process starts warm —
-//!    the FFTW `wisdom` workflow, keyed by `(n, cost-backend name)`. Each
-//!    entry records the executor [`Tuning`] it was recorded with, and an
-//!    importing planner replays that configuration per size.
+//!    [`Wisdom::from_json`]) and persists in a crash-safe [`ShardedStore`]
+//!    ([`Planner::save_store`] / [`Planner::with_store`]), so a fleet can
+//!    ship pre-tuned wisdom and a fresh process starts warm — the FFTW
+//!    `wisdom` workflow, keyed by `(n, cost-backend name)`.
 //!
-//! ## How a policy is resolved
+//! ## Wisdom holds plans; the policy decides execution
 //!
-//! Every executor knob resolves through one rule —
-//! [`wht_core::resolve_knob`], **API pin > wisdom > environment >
-//! default** — exactly once per compiled size:
+//! A wisdom entry records what the search decided and nothing about how
+//! the winner was executed. Every size compiles under one [`ExecPolicy`]:
+//! the one [`Planner::with_exec`] set, else the [`ExecPolicy::from_env`]
+//! snapshot [`Planner::new`] takes. A planner that imports wisdom runs the
+//! recorder's plans under its *own* policy; output bits cannot differ,
+//! because every lowering stage is bit-identical to the recursive
+//! interpreter.
 //!
-//! - [`Planner::with_exec`] is the one API **pin**: the whole policy it
-//!   sets beats recorded wisdom, including this planner's own earlier
-//!   searches. To change one stage, pin the planner's own policy with
-//!   that stage replaced (`planner.exec().with_fusion(..)`, via
-//!   [`ExecPolicy`]'s builders).
-//! - An unpinned but *disabled* policy (what a `WHT_NO_*` kill switch
-//!   produces at construction) also beats wisdom: imported tuning must
-//!   never re-enable a stage the process opted out of.
-//! - Otherwise a recorded [`Tuning`] replays the recorder's
-//!   configuration, and absent any record the planner's environment
-//!   snapshot / defaults apply.
+//! ## Wisdom format (version 8)
 //!
-//! ## Wisdom format history
+//! ```text
+//! {"version": 8, "entries": [{"n": 4, "backend": "instruction-model",
+//!   "plan": "split[small[2],small[2]]", "objective": null,
+//!   "provenance": {"composition": [2, 2], "candidates": 8, "evaluated": 5,
+//!                  "pruned": 3, "cost": 42.5},
+//!   "measured_ns": 910}]}
+//! ```
 //!
-//! - **Version 7** (current): [`Tuning`] gains the `stream` field —
-//!   whether the recorder's executor ran with the streaming-store /
-//!   prefetch memory codelets enabled (lowering stage 6). An on/off
-//!   record only: the stage's engagement threshold
-//!   (`WHT_STREAM_THRESHOLD`) is host tuning, so an importer replaying
-//!   `Some(true)` uses its *own* policy's threshold — and the stage is
-//!   bit-identical either way, so a migrated replay cannot change
-//!   output. Version-6 blobs load transparently (no choice recorded).
-//! - **Version 6**: each entry gains two optional columns —
-//!   `provenance` (the memo search's winning composition and candidate
-//!   counts, a [`PlanProvenance`] record, so [`Planner::explain`]
-//!   survives a process restart) and `measured_ns` (measured wall-clock
-//!   evidence for the entry's plan; the sharded store's merge keeps the
-//!   measured-fastest entry per key — see [`crate::store`]). Version-5
-//!   blobs load transparently (both columns simply absent).
-//! - **Version 5**: [`Tuning`] gains the `objective` field —
-//!   which [`CostObjective`] weighting the recorder's vectored cost
-//!   backend collapsed its terms under when the entry's plan won, or
-//!   absent when the backend ran with its default weights. A planner
-//!   re-aimed via [`Planner::with_objective`] treats entries recorded
-//!   under a *different* objective as misses (the plan was optimal for a
-//!   different collapse) while legacy planners keep reading every entry.
-//!   Version-4 blobs load transparently (no objective recorded).
-//! - **Version 4**: [`Tuning`] gains the `batch` field — the
-//!   row-block threshold the recorder's batched executor engaged at, or
-//!   `0` when batching was off. Version-3 blobs load transparently (the
-//!   field is simply absent: no choice recorded).
-//! - **Version 3** (PR 5): each entry carries one forward-compatible
-//!   `tuning` record ([`Tuning`]) — new executor stages add fields there,
-//!   never new entry-level columns. Unknown fields inside `tuning` (from
-//!   newer builds) are ignored on load.
-//! - **Version 2** (PR 4): flat per-entry `fuse_budget` / `simd` /
-//!   `relayout` columns. Loads transparently — the flat fields migrate
-//!   into a [`Tuning`] with no `recodelet` choice recorded — and
-//!   re-serializes as version 3.
-//! - **Version 1** (PR 2): as version 2 without `relayout`. Same
-//!   migration path.
+//! - `n`, `backend`: the entry's key.
+//! - `plan`: the winner in the WHT-package grammar, parsed and validated
+//!   on load.
+//! - `objective`: the [`CostObjective`] the vectored cost backend was
+//!   collapsed under when the plan won (`null`: the backend's own
+//!   weights). A planner aimed at a different objective
+//!   ([`Planner::with_objective`]) treats the entry as a miss.
+//! - `provenance`: how the plan won its memo search ([`PlanProvenance`]),
+//!   so [`Planner::explain`] survives a process restart.
+//! - `measured_ns`: measured wall-clock evidence; the store's merge keeps
+//!   the measured-fastest entry per key (see [`crate::store`]).
 //!
-//! Migrated blobs replay bit-identically: the recorded knobs resolve
-//! exactly as they did when written, and the stages they predate resolve
-//! to the importer's defaults (which never change output bits — every
-//! lowering stage is bit-exact by construction).
+//! [`Wisdom::from_json`] reads version 8 only and ignores unknown fields.
+//! A document of any other version is refused: in a store its shard is
+//! quarantined as [`StoreDiagnostic::VersionUnknown`] and its sizes
+//! cold-search. Wisdom caches search results, so an old store costs one
+//! search per size, never a wrong answer.
 //!
 //! ```
 //! use wht_search::{InstructionCost, Planner};
@@ -99,7 +73,7 @@
 //! planner.transform(&mut x)?;          // warm call: pure replay
 //! assert_eq!(planner.evaluations(), evals_after_first);
 //!
-//! // Ship the tuning to another process:
+//! // Ship the search results to another process:
 //! let json = planner.wisdom().to_json();
 //! let warm = wht_search::Wisdom::from_json(&json)?;
 //! assert!(warm.get(10, planner.backend_name()).is_some());
@@ -109,67 +83,15 @@
 use crate::cost::{CostObjective, PlanCost, VectorCost};
 use crate::dp::DpOptions;
 use crate::memo::{memo_search, MemoTable};
-use crate::store::{atomic_write, ShardedStore, StoreDiagnostic};
+use crate::store::{ShardedStore, StoreDiagnostic};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
-use std::path::Path;
-use wht_core::{
-    resolve_knob, BatchPolicy, CompiledPlan, ExecPolicy, FusionPolicy, Plan, RecodeletPolicy,
-    RelayoutPolicy, Scalar, SimdPolicy, StreamPolicy, WhtError,
-};
-
-/// Per-entry executor tuning: which configuration the recorder's executor
-/// actually ran when the entry's plan was chosen. One forward-compatible
-/// record — every lowering stage owns one optional field, `None` meaning
-/// "no choice recorded, the reader's policy applies" (distinct from a
-/// recorded *off*, which replays as off).
-///
-/// Stored sizes are `u64` so wisdom written on 64-bit hosts loads on
-/// 32-bit ones (values saturate to `usize::MAX` on conversion).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub struct Tuning {
-    /// Fused-tile budget in elements; `Some(0)` = fusion was off.
-    pub fuse_budget: Option<u64>,
-    /// Kernel backend: `Some(true)` = the SIMD lane kernels.
-    pub simd: Option<bool>,
-    /// Relayout gathered-block budget in elements at this size;
-    /// `Some(0)` = the recorder's executor did not gather this size.
-    pub relayout: Option<u64>,
-    /// Whether the re-codelet stage ran. An on/off record only: the
-    /// stage's shape knobs (`max_k`, `footprint_elems`) are host tuning,
-    /// so an importer replaying `Some(true)` uses its *own* policy's
-    /// shape rather than the recorder's.
-    pub recodelet: Option<bool>,
-    /// Batched-execution row-block threshold at this size; `Some(0)` =
-    /// the recorder's executor did not build a batch schedule for this
-    /// size (stage off, or the size is past the batch cap).
-    pub batch: Option<u64>,
-    /// Whether the streaming-store / prefetch memory codelets (stage 6)
-    /// were enabled in the recorder's executor. On/off only: the
-    /// engagement threshold is host tuning, so an importer replaying
-    /// `Some(true)` uses its *own* [`StreamPolicy`] threshold rather
-    /// than the recorder's.
-    pub stream: Option<bool>,
-    /// The [`CostObjective`] the recorder's vectored cost backend was
-    /// collapsed under when this plan won; `None` = default weights (or a
-    /// pre-version-5 record). Unlike the executor knobs above this is not
-    /// replayed into an [`ExecPolicy`] — it gates wisdom *reuse*: a
-    /// planner aimed at a different objective must re-search, not replay
-    /// a plan that was optimal for a different collapse.
-    pub objective: Option<CostObjective>,
-}
-
-impl Tuning {
-    /// `true` when no choice at all was recorded.
-    pub fn is_empty(&self) -> bool {
-        *self == Tuning::default()
-    }
-}
+use wht_core::{CompiledPlan, ExecPolicy, Plan, Scalar, WhtError};
 
 /// How a wisdom entry's plan won its memo search: the winning
 /// composition and the candidate counts, lifted out of the searcher's
 /// [`crate::memo::GroupProvenance`] into a serializable record so
-/// [`Planner::explain`] survives a process restart (wisdom version 6).
+/// [`Planner::explain`] survives a process restart.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PlanProvenance {
     /// The winning composition's part spans (`None`: the leaf codelet
@@ -206,68 +128,61 @@ impl PlanProvenance {
     }
 }
 
-/// One best-known plan plus everything recorded with it: the executor
-/// tuning, the search provenance (version 6), and measured wall-clock
-/// evidence when any exists.
+/// One best-known plan plus everything recorded with it: the objective
+/// it won under, the search provenance, and measured wall-clock evidence
+/// when any exists.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct WisdomRecord {
     pub(crate) plan: Plan,
-    pub(crate) tuning: Tuning,
+    pub(crate) objective: Option<CostObjective>,
     pub(crate) provenance: Option<PlanProvenance>,
     pub(crate) measured_ns: Option<u64>,
 }
 
-/// Serialized wisdom entry, current (version-7) shape: the plan travels
-/// as its WHT-package grammar string (stable, human-readable, validated
-/// on parse), the executor tuning as one nested [`Tuning`] record, plus
-/// the optional provenance and measurement columns.
-#[derive(Debug, Clone, Serialize)]
-struct WisdomEntryOut {
+/// One serialized entry (see the module docs' format section). The plan
+/// travels as its WHT-package grammar string: stable, human-readable, and
+/// validated on parse.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+struct WisdomEntry {
     n: u32,
     backend: String,
     plan: String,
-    tuning: Tuning,
+    objective: Option<CostObjective>,
     provenance: Option<PlanProvenance>,
     measured_ns: Option<u64>,
 }
 
-/// Permissive read-side entry covering every supported version: versions
-/// 3–7 carry `tuning` (earlier records simply lack the later fields);
-/// versions 1–2 carried the flat fields, which migrate into a [`Tuning`]
-/// on load. Unknown fields are ignored by the JSON layer (forward
-/// compatibility).
-#[derive(Debug, Clone, Deserialize)]
-struct WisdomEntryIn {
-    n: u32,
-    backend: String,
-    plan: String,
-    tuning: Option<Tuning>,
-    provenance: Option<PlanProvenance>,
-    measured_ns: Option<u64>,
-    fuse_budget: Option<u64>,
-    simd: Option<bool>,
-    relayout: Option<u64>,
+impl WisdomEntry {
+    fn new(n: u32, backend: &str, record: &WisdomRecord) -> Self {
+        WisdomEntry {
+            n,
+            backend: backend.to_string(),
+            plan: record.plan.to_string(),
+            objective: record.objective,
+            provenance: record.provenance.clone(),
+            measured_ns: record.measured_ns,
+        }
+    }
 }
 
-/// Serialized wisdom store (write side).
-#[derive(Debug, Clone, Serialize)]
-struct WisdomFileOut {
+/// One serialized wisdom document.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+struct WisdomFile {
     version: u32,
-    entries: Vec<WisdomEntryOut>,
+    entries: Vec<WisdomEntry>,
 }
 
-/// Serialized wisdom store (read side).
-#[derive(Debug, Clone, Deserialize)]
-struct WisdomFileIn {
-    version: u32,
-    entries: Vec<WisdomEntryIn>,
+/// The one wisdom format version this build writes and reads.
+const WISDOM_VERSION: u32 = 8;
+
+/// Render `entries` as a current-version wisdom document.
+fn render(entries: Vec<WisdomEntry>) -> String {
+    serde_json::to_string_pretty(&WisdomFile {
+        version: WISDOM_VERSION,
+        entries,
+    })
+    .expect("wisdom serialization is infallible")
 }
-
-const WISDOM_VERSION: u32 = 7;
-
-/// Oldest wisdom format [`Wisdom::from_json`] still reads (see the module
-/// docs' format history).
-const WISDOM_MIN_VERSION: u32 = 1;
 
 /// Best-known plans keyed by `(n, cost-backend name)` — the FFTW-style
 /// wisdom store behind [`Planner`].
@@ -295,82 +210,71 @@ impl Wisdom {
         self.len() == 0
     }
 
+    /// The whole `(n, backend)` record, if any — how the planner reads
+    /// the objective an entry was searched under.
+    pub(crate) fn record(&self, n: u32, backend: &str) -> Option<&WisdomRecord> {
+        self.entries.get(&n)?.get(backend)
+    }
+
     /// Best known plan for size `2^n` under `backend`, if recorded.
     pub fn get(&self, n: u32, backend: &str) -> Option<&Plan> {
-        Some(&self.entries.get(&n)?.get(backend)?.plan)
+        Some(&self.record(n, backend)?.plan)
     }
 
-    /// The executor [`Tuning`] recorded with the `(n, backend)` entry,
-    /// `None` when no entry exists.
-    pub fn tuning(&self, n: u32, backend: &str) -> Option<Tuning> {
-        Some(self.entries.get(&n)?.get(backend)?.tuning)
-    }
-
-    /// Record (or overwrite) the best plan for `(n, backend)` with no
-    /// executor tuning attached.
+    /// Record (or overwrite) the best plan for `(n, backend)`, with no
+    /// objective, provenance or measurement attached.
     ///
     /// # Errors
     /// [`WhtError::SizeTooLarge`] if `n` exceeds [`wht_core::MAX_N`];
     /// [`WhtError::LengthMismatch`] if `plan.n() != n` — wisdom for size
     /// `n` must transform size-`2^n` inputs.
     pub fn insert(&mut self, n: u32, backend: &str, plan: Plan) -> Result<(), WhtError> {
-        self.insert_with_tuning(n, backend, plan, Tuning::default())
+        self.insert_checked(
+            n,
+            backend,
+            WisdomRecord {
+                plan,
+                objective: None,
+                provenance: None,
+                measured_ns: None,
+            },
+        )
     }
 
-    /// Record (or overwrite) the best plan for `(n, backend)`, attaching
-    /// the full executor [`Tuning`] it was recorded under.
-    ///
-    /// # Errors
-    /// [`WhtError::SizeTooLarge`] if `n` exceeds [`wht_core::MAX_N`] (a
-    /// wisdom file can claim any `n`); [`WhtError::LengthMismatch`] if
-    /// `plan.n() != n`.
-    pub fn insert_with_tuning(
+    /// [`Wisdom::insert`] for a whole record: every entry passes these
+    /// checks, whether a search or a wisdom document produced it (a
+    /// document can claim any `n`).
+    fn insert_checked(
         &mut self,
         n: u32,
         backend: &str,
-        plan: Plan,
-        tuning: Tuning,
+        record: WisdomRecord,
     ) -> Result<(), WhtError> {
         if n > wht_core::MAX_N {
             return Err(WhtError::SizeTooLarge { n });
         }
-        if plan.n() != n {
+        if record.plan.n() != n {
             return Err(WhtError::LengthMismatch {
                 expected: 1usize << n,
-                got: plan.size(),
+                got: record.plan.size(),
             });
         }
-        self.entries.entry(n).or_default().insert(
-            backend.to_string(),
-            WisdomRecord {
-                plan,
-                tuning,
-                provenance: None,
-                measured_ns: None,
-            },
-        );
+        self.insert_record(n, backend, record);
         Ok(())
     }
 
     /// The search provenance recorded with the `(n, backend)` entry —
-    /// how its plan won — or `None` when no entry exists or the entry
-    /// predates wisdom version 6.
+    /// how its plan won — or `None` when no entry exists or none was
+    /// recorded.
     pub fn provenance(&self, n: u32, backend: &str) -> Option<&PlanProvenance> {
-        self.entries.get(&n)?.get(backend)?.provenance.as_ref()
-    }
-
-    /// Attach search provenance to an existing `(n, backend)` entry.
-    pub(crate) fn set_provenance(&mut self, n: u32, backend: &str, provenance: PlanProvenance) {
-        if let Some(record) = self.entries.get_mut(&n).and_then(|b| b.get_mut(backend)) {
-            record.provenance = Some(provenance);
-        }
+        self.record(n, backend)?.provenance.as_ref()
     }
 
     /// Measured wall-clock evidence (nanoseconds) recorded with the
     /// `(n, backend)` entry, if any. The sharded store's merge keeps the
     /// measured-fastest entry per key.
     pub fn measured_ns(&self, n: u32, backend: &str) -> Option<u64> {
-        self.entries.get(&n)?.get(backend)?.measured_ns
+        self.record(n, backend)?.measured_ns
     }
 
     /// Record measured wall-clock evidence for the `(n, backend)` entry's
@@ -420,19 +324,8 @@ impl Wisdom {
     /// The single `(n, backend)` entry rendered as a current-version
     /// wisdom JSON document — the payload of one store shard.
     pub(crate) fn entry_json(&self, n: u32, backend: &str) -> Option<String> {
-        let record = self.entries.get(&n)?.get(backend)?;
-        let file = WisdomFileOut {
-            version: WISDOM_VERSION,
-            entries: vec![WisdomEntryOut {
-                n,
-                backend: backend.to_string(),
-                plan: record.plan.to_string(),
-                tuning: record.tuning,
-                provenance: record.provenance.clone(),
-                measured_ns: record.measured_ns,
-            }],
-        };
-        Some(serde_json::to_string_pretty(&file).expect("wisdom serialization is infallible"))
+        let record = self.record(n, backend)?;
+        Some(render(vec![WisdomEntry::new(n, backend, record)]))
     }
 
     /// Merge `incoming` into this store, key by key: missing entries are
@@ -440,7 +333,7 @@ impl Wisdom {
     /// incoming one carries **strictly better measured evidence** (a
     /// faster `measured_ns`, or any measurement where the incumbent has
     /// none). Without evidence the incumbent wins — absorbing a store
-    /// must never silently discard this process's own fresher tuning.
+    /// must never silently discard this process's own fresher searches.
     pub fn absorb(&mut self, incoming: Wisdom) {
         for (n, backend, record) in incoming.into_records() {
             let replace = match self.entries.get(&n).and_then(|b| b.get(&backend)) {
@@ -459,140 +352,56 @@ impl Wisdom {
     }
 
     /// Render the store as JSON (entries sorted for determinism), in the
-    /// current (version-7) format.
+    /// current version-8 format.
     pub fn to_json(&self) -> String {
-        let mut entries: Vec<WisdomEntryOut> = self
+        let mut entries: Vec<WisdomEntry> = self
             .entries
             .iter()
             .flat_map(|(n, backends)| {
-                backends.iter().map(|(backend, record)| WisdomEntryOut {
-                    n: *n,
-                    backend: backend.clone(),
-                    plan: record.plan.to_string(),
-                    tuning: record.tuning,
-                    provenance: record.provenance.clone(),
-                    measured_ns: record.measured_ns,
-                })
+                backends
+                    .iter()
+                    .map(|(backend, record)| WisdomEntry::new(*n, backend, record))
             })
             .collect();
         entries.sort_by(|a, b| (a.n, &a.backend).cmp(&(b.n, &b.backend)));
-        serde_json::to_string_pretty(&WisdomFileOut {
-            version: WISDOM_VERSION,
-            entries,
-        })
-        .expect("wisdom serialization is infallible")
+        render(entries)
     }
 
-    /// Parse a store from JSON, validating every plan. Version-1 through
-    /// version-6 stores migrate transparently (see the module docs'
-    /// format history) and re-serialize as the current version 7.
+    /// Parse a version-8 store from JSON, validating every plan. Unknown
+    /// fields are ignored; every other version is refused.
     ///
     /// # Errors
-    /// [`WhtError::InvalidConfig`] on malformed JSON or a version
-    /// mismatch; [`WhtError::Parse`] / structural errors on a bad plan
-    /// string; [`WhtError::SizeTooLarge`] / [`WhtError::LengthMismatch`]
-    /// on an entry whose `n` is out of range or disagrees with its plan.
+    /// [`WhtError::InvalidConfig`] on malformed JSON or any version but 8;
+    /// [`WhtError::Parse`] / structural errors on a bad plan string;
+    /// [`WhtError::SizeTooLarge`] / [`WhtError::LengthMismatch`] on an
+    /// entry whose `n` is out of range or disagrees with its plan.
     pub fn from_json(json: &str) -> Result<Self, WhtError> {
-        let file: WisdomFileIn = serde_json::from_str(json)
+        let file: WisdomFile = serde_json::from_str(json)
             .map_err(|e| WhtError::InvalidConfig(format!("wisdom JSON: {e}")))?;
-        if !(WISDOM_MIN_VERSION..=WISDOM_VERSION).contains(&file.version) {
+        if file.version != WISDOM_VERSION {
             return Err(WhtError::InvalidConfig(format!(
-                "wisdom version {} unsupported (expected {WISDOM_MIN_VERSION}..={WISDOM_VERSION})",
+                "wisdom version {} unsupported (this build reads version {WISDOM_VERSION})",
                 file.version
             )));
         }
         let mut wisdom = Wisdom::new();
         for entry in file.entries {
-            let plan: Plan = entry.plan.parse()?;
-            // Versions 3-7 carry the nested record; versions 1-2 carried
-            // flat columns, which migrate into the same shape. A nested
-            // record wins over any stray flat fields.
-            let tuning = entry.tuning.unwrap_or(Tuning {
-                fuse_budget: entry.fuse_budget,
-                simd: entry.simd,
-                relayout: entry.relayout,
-                recodelet: None,
-                batch: None,
-                stream: None,
-                objective: None,
-            });
-            wisdom.insert_with_tuning(entry.n, &entry.backend, plan, tuning)?;
-            if let Some(provenance) = entry.provenance {
-                wisdom.set_provenance(entry.n, &entry.backend, provenance);
-            }
-            if let Some(ns) = entry.measured_ns {
-                wisdom.record_measurement(entry.n, &entry.backend, ns)?;
-            }
+            let record = WisdomRecord {
+                plan: entry.plan.parse()?,
+                objective: entry.objective,
+                provenance: entry.provenance,
+                measured_ns: entry.measured_ns,
+            };
+            wisdom.insert_checked(entry.n, &entry.backend, record)?;
         }
         Ok(wisdom)
-    }
-
-    /// Write the store to `path` as JSON, atomically and durably
-    /// (temp file + fsync + rename — see [`crate::store::atomic_write`]):
-    /// a crash mid-save leaves the previous blob intact, never a torn
-    /// half-JSON.
-    ///
-    /// # Errors
-    /// [`WhtError::Io`] naming the failed step.
-    pub fn save(&self, path: impl AsRef<Path>) -> Result<(), WhtError> {
-        atomic_write(path.as_ref(), self.to_json().as_bytes())
-    }
-
-    /// Read a store previously written by [`Wisdom::save`].
-    ///
-    /// # Errors
-    /// [`WhtError::InvalidConfig`] wrapping I/O failures and the parse
-    /// errors of [`Wisdom::from_json`]. Callers that must not fail on a
-    /// damaged blob use [`Wisdom::load_or_default`] instead.
-    pub fn load(path: impl AsRef<Path>) -> Result<Self, WhtError> {
-        let text = std::fs::read_to_string(path.as_ref()).map_err(|e| {
-            WhtError::InvalidConfig(format!("reading wisdom {}: {e}", path.as_ref().display()))
-        })?;
-        Wisdom::from_json(&text)
-    }
-
-    /// [`Wisdom::load`] with the store's quarantine-and-degrade contract
-    /// instead of a hard failure: a missing file is a clean cold start
-    /// (empty wisdom, no diagnostic); an unreadable or damaged blob
-    /// yields empty wisdom plus a typed [`StoreDiagnostic`] saying
-    /// exactly what was wrong, and the damaged file is moved aside into
-    /// a sibling `quarantine/` directory so the next save starts clean.
-    /// Never panics, never errors, never partially applies a blob.
-    pub fn load_or_default(path: impl AsRef<Path>) -> (Self, Vec<StoreDiagnostic>) {
-        let path = path.as_ref();
-        let name = path.display().to_string();
-        let text = match std::fs::read_to_string(path) {
-            Ok(text) => text,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                return (Wisdom::new(), Vec::new());
-            }
-            Err(e) => {
-                return (
-                    Wisdom::new(),
-                    vec![StoreDiagnostic::IoFailed {
-                        shard: name,
-                        detail: e.to_string(),
-                    }],
-                );
-            }
-        };
-        match classify_wisdom_json(&name, &text) {
-            Ok(wisdom) => (wisdom, Vec::new()),
-            Err(diag) => {
-                if let Some(parent) = path.parent() {
-                    crate::store::quarantine_file(parent, path);
-                }
-                (Wisdom::new(), vec![diag])
-            }
-        }
     }
 }
 
 /// Parse a wisdom JSON document, classifying any failure as a typed
 /// [`StoreDiagnostic`] — truncation (the parser ran off the end of the
-/// text), an unsupported future version, or plain corruption. Shared by
-/// the sharded store's payload path and [`Wisdom::load_or_default`], so
-/// one classification covers both the shard and legacy-blob formats.
+/// text), a version other than 8, or plain corruption. The sharded
+/// store's payload path.
 pub(crate) fn classify_wisdom_json(name: &str, text: &str) -> Result<Wisdom, StoreDiagnostic> {
     match Wisdom::from_json(text) {
         Ok(wisdom) => Ok(wisdom),
@@ -626,7 +435,7 @@ pub(crate) fn classify_wisdom_json(name: &str, text: &str) -> Result<Wisdom, Sto
 /// the cut lands after a complete token, where the parser reports a
 /// structural error ("expected ',' or '}'", a half literal) instead of
 /// running off the input. Restricted to the JSON layer so a bad plan
-/// string's own byte offsets (tiny, relative to the whole blob) never
+/// string's own byte offsets (tiny, relative to the whole document) never
 /// match.
 fn json_failed_at_end(msg: &str, len: usize) -> bool {
     if !msg.contains("wisdom JSON") || !msg.contains("at byte ") {
@@ -654,11 +463,7 @@ fn unsupported_version(text: &str) -> Option<u32> {
         version: u32,
     }
     let v: VersionOnly = serde_json::from_str(text).ok()?;
-    if (WISDOM_MIN_VERSION..=WISDOM_VERSION).contains(&v.version) {
-        None
-    } else {
-        Some(v.version)
-    }
+    (v.version != WISDOM_VERSION).then_some(v.version)
 }
 
 /// Production entry point: owns a cost backend, a [`Wisdom`] store, and a
@@ -669,11 +474,9 @@ fn unsupported_version(text: &str) -> Option<u32> {
 pub struct Planner<C: PlanCost> {
     cost: C,
     opts: DpOptions,
-    /// The planner's own executor configuration (environment snapshot at
-    /// construction, replaced by [`Planner::with_exec`]).
+    /// The executor configuration every size compiles under (environment
+    /// snapshot at construction, replaced by [`Planner::with_exec`]).
     exec: ExecPolicy,
-    /// Whether `exec` was pinned through [`Planner::with_exec`].
-    pinned: bool,
     wisdom: Wisdom,
     compiled: HashMap<u32, CompiledPlan>,
     /// Solved search groups, kept across `plan` calls: a later, larger
@@ -682,9 +485,8 @@ pub struct Planner<C: PlanCost> {
     /// The named weighting the cost backend was last aimed at via
     /// [`Planner::with_objective`]; `None` = the backend's own weights.
     objective: Option<CostObjective>,
-    /// Diagnostics accumulated from store/blob loads this planner
-    /// degraded through ([`Planner::with_store`],
-    /// [`Planner::with_wisdom_file`]) — surfaced via
+    /// Diagnostics accumulated from store loads this planner degraded
+    /// through ([`Planner::with_store`]) — surfaced via
     /// [`Planner::store_diagnostics`] and [`Planner::explain`].
     store_diagnostics: Vec<StoreDiagnostic>,
     evaluations: usize,
@@ -704,7 +506,6 @@ impl<C: PlanCost> Planner<C> {
             cost,
             opts,
             exec: ExecPolicy::from_env(),
-            pinned: false,
             wisdom: Wisdom::new(),
             compiled: HashMap::new(),
             memo: MemoTable::new(),
@@ -714,29 +515,26 @@ impl<C: PlanCost> Planner<C> {
         }
     }
 
-    /// Override the **whole** executor configuration (builder style),
-    /// pinning every knob: recorded wisdom no longer overrides any stage.
+    /// Replace the **whole** executor configuration (builder style).
     /// Drops compiled schedules so already-served sizes recompile under
     /// the new configuration. `with_exec(ExecPolicy::all_disabled())` is
     /// the full API opt-out: the pure scalar unfused baseline, whatever
-    /// the environment or the wisdom says.
+    /// the environment says.
     #[must_use]
     pub fn with_exec(mut self, exec: ExecPolicy) -> Self {
         self.exec = exec;
-        self.pinned = true;
         self.compiled.clear();
         self
     }
 
-    /// The planner's own executor configuration (before per-size wisdom
-    /// resolution).
+    /// The executor configuration every size compiles under.
     pub fn exec(&self) -> &ExecPolicy {
         &self.exec
     }
 
     /// Adopt previously saved wisdom (builder style). Drops any compiled
-    /// schedules so already-served sizes re-resolve against the new
-    /// wisdom instead of silently replaying superseded plans.
+    /// schedules so already-served sizes recompile the new wisdom's plans
+    /// instead of silently replaying superseded ones.
     #[must_use]
     pub fn with_wisdom(mut self, wisdom: Wisdom) -> Self {
         self.wisdom = wisdom;
@@ -746,33 +544,19 @@ impl<C: PlanCost> Planner<C> {
 
     /// Warm the planner from a [`ShardedStore`] (builder style), under
     /// the **degradation contract**: whatever the store's condition —
-    /// missing shards, some corrupt, all corrupt — this never fails and
-    /// never panics. Intact shards merge into the planner's wisdom
-    /// ([`Wisdom::absorb`]: holes fill, measured evidence wins, this
-    /// planner's own fresher tuning is never discarded); damaged shards
-    /// are quarantined by the load and reported through
-    /// [`Planner::store_diagnostics`] and [`Planner::explain`], and the
-    /// affected sizes simply cold-search on first use — a warm **miss**,
-    /// never poisoned tuning.
+    /// missing shards, some corrupt, all corrupt, written by another
+    /// format version — this never fails and never panics. Intact shards
+    /// merge into the planner's wisdom ([`Wisdom::absorb`]: holes fill,
+    /// measured evidence wins, this planner's own fresher searches are
+    /// never discarded); refused shards are quarantined by the load and
+    /// reported through [`Planner::store_diagnostics`] and
+    /// [`Planner::explain`], and the affected sizes simply cold-search on
+    /// first use — a warm **miss**, never a poisoned plan.
     #[must_use]
     pub fn with_store(mut self, store: &ShardedStore) -> Self {
         let loaded = store.load();
         self.store_diagnostics.extend(loaded.diagnostics);
         self.wisdom.absorb(loaded.wisdom);
-        self.compiled.clear();
-        self
-    }
-
-    /// Warm the planner from a legacy single-blob wisdom file (builder
-    /// style), with the same degradation contract as
-    /// [`Planner::with_store`]: a missing file is a clean cold start, a
-    /// damaged one is quarantined and reported, never an error or a
-    /// panic ([`Wisdom::load_or_default`]).
-    #[must_use]
-    pub fn with_wisdom_file(mut self, path: impl AsRef<Path>) -> Self {
-        let (wisdom, diagnostics) = Wisdom::load_or_default(path);
-        self.store_diagnostics.extend(diagnostics);
-        self.wisdom.absorb(wisdom);
         self.compiled.clear();
         self
     }
@@ -788,8 +572,8 @@ impl<C: PlanCost> Planner<C> {
         store.save(&self.wisdom)
     }
 
-    /// Diagnostics from every store/blob load this planner degraded
-    /// through (empty when all loads were clean).
+    /// Diagnostics from every store load this planner degraded through
+    /// (empty when all loads were clean).
     pub fn store_diagnostics(&self) -> &[StoreDiagnostic] {
         &self.store_diagnostics
     }
@@ -818,12 +602,12 @@ impl<C: PlanCost> Planner<C> {
     /// cost terms, as one human-readable line. A size this planner
     /// instance searched reports the live memo's account; a size served
     /// from imported wisdom falls back to the provenance persisted in the
-    /// entry (wisdom version 6, marked `[replayed from wisdom]`), so the
-    /// account survives a process restart. When the size has already been
+    /// entry (marked `[replayed from wisdom]`), so the account survives a
+    /// process restart. When the size has already been
     /// compiled, the line also carries the static verifier's verdict on
     /// the schedule actually serving traffic ([`CompiledPlan::verify`]):
     /// `verified` when every invariant proved clean, otherwise the
-    /// diagnostic count and the first violation. When any store/blob load
+    /// diagnostic count and the first violation. When any store load
     /// degraded ([`Planner::store_diagnostics`]), the line ends with a
     /// quarantine summary. `None` when this planner neither searched the
     /// size nor holds an entry with recorded provenance.
@@ -865,69 +649,12 @@ impl<C: PlanCost> Planner<C> {
         &self.wisdom
     }
 
-    /// The [`ExecPolicy`] size `2^n` would compile under right now: every
-    /// knob resolved through the one precedence rule (API pin > wisdom >
-    /// environment > default, with disabled-default as a kill switch —
-    /// see [`wht_core::resolve_knob`]). Exposed so services and tests can
-    /// inspect the decision without compiling.
-    pub fn resolved_exec(&self, n: u32) -> ExecPolicy {
-        let t = self.wisdom.tuning(n, self.cost.name()).unwrap_or_default();
-        ExecPolicy {
-            fusion: resolve_knob(
-                self.pinned,
-                self.exec.fusion,
-                t.fuse_budget
-                    .map(|b| FusionPolicy::new(usize::try_from(b).unwrap_or(usize::MAX))),
-            ),
-            relayout: resolve_knob(
-                self.pinned,
-                self.exec.relayout,
-                t.relayout.map(replay_relayout),
-            ),
-            recodelet: resolve_knob(
-                self.pinned,
-                self.exec.recodelet,
-                // The record is a bool (the stage's shape knobs are
-                // host-tuning, not per-size wisdom), so a recorded *on*
-                // replays through the reader's own policy — preserving
-                // its WHT_RECODELET_* environment tuning — rather than
-                // clobbering it with the compiled-in default.
-                t.recodelet.map(|on| {
-                    if on {
-                        self.exec.recodelet
-                    } else {
-                        RecodeletPolicy::disabled()
-                    }
-                }),
-            ),
-            simd: resolve_knob(
-                self.pinned,
-                self.exec.simd,
-                t.simd.map(|on| {
-                    if on {
-                        SimdPolicy::auto()
-                    } else {
-                        SimdPolicy::disabled()
-                    }
-                }),
-            ),
-            batch: resolve_knob(self.pinned, self.exec.batch, t.batch.map(replay_batch)),
-            stream: resolve_knob(
-                self.pinned,
-                self.exec.stream,
-                // On/off record, like `recodelet`: the engagement
-                // threshold is host tuning, so a recorded *on* replays
-                // through the reader's own policy (preserving its
-                // WHT_STREAM_THRESHOLD environment tuning).
-                t.stream.map(|on| {
-                    if on {
-                        self.exec.stream
-                    } else {
-                        StreamPolicy::disabled()
-                    }
-                }),
-            ),
-        }
+    /// The [`ExecPolicy`] size `2^n` compiles under: this planner's own
+    /// ([`Planner::exec`]) at every size, whatever its wisdom holds.
+    /// Exposed so services can inspect the configuration without
+    /// compiling.
+    pub fn resolved_exec(&self, _n: u32) -> ExecPolicy {
+        self.exec
     }
 
     /// Whether the `(m, backend)` wisdom entry may serve this planner: it
@@ -935,10 +662,9 @@ impl<C: PlanCost> Planner<C> {
     /// must have been recorded under that same objective (a plan optimal
     /// for a different collapse is a miss, not a hit).
     fn wisdom_entry_is_current(&self, m: u32, backend: &str) -> bool {
-        match self.wisdom.tuning(m, backend) {
-            None => false,
-            Some(t) => self.objective.is_none() || t.objective == self.objective,
-        }
+        self.wisdom
+            .record(m, backend)
+            .is_some_and(|r| self.objective.is_none() || r.objective == self.objective)
     }
 
     /// Best plan for size `2^n`: wisdom hit, or one memoized search whose
@@ -951,93 +677,31 @@ impl<C: PlanCost> Planner<C> {
         if !self.wisdom_entry_is_current(n, backend) {
             let res = memo_search(n, &self.opts, &mut self.cost, &mut self.memo)?;
             self.evaluations += res.evaluations;
-            // Record the executor tuning this planner compiles with, so a
-            // process importing the wisdom replays the same configuration
-            // (budget 0 = fusion off; simd = which kernels ran; relayout
-            // = the gathered-block budget where this plan's schedule
-            // actually relayouts at that size, 0 where it does not — the
-            // record must reflect the executed configuration, so it is
-            // read off the compiled schedule itself rather than the
-            // policy gates: a policy knob like `min_passes`, or a plan
-            // shape with too short a tail, can decline relayout even
-            // where the size gates pass, and an importer must not replay
-            // a schedule this planner never ran).
-            let budget = if self.exec.fusion.enabled() {
-                self.exec.fusion.budget_elems as u64
-            } else {
-                0
-            };
             for m in 1..=n {
                 // Smaller sizes only fill holes (or replace entries
                 // recorded under a different objective): an imported
                 // entry may encode better (e.g. measured) wisdom than
                 // this search.
                 if m == n || !self.wisdom_entry_is_current(m, backend) {
-                    let plan = self
-                        .memo
-                        .group(m)
-                        .expect("memo_search solved every span up to n")
-                        .plan
-                        .clone();
-                    let relayout = if self.exec.relayout.enabled()
-                        && CompiledPlan::compile(&plan)
-                            .fuse(&self.exec.fusion)
-                            .relayout(&self.exec.relayout)
-                            .has_relayout()
-                    {
-                        self.exec.relayout.budget_elems as u64
-                    } else {
-                        0
-                    };
-                    // Like relayout, the batch record is read off the
-                    // lowered schedule: a size past the batch cap never
-                    // built the product, and an importer must not replay
-                    // a threshold this planner's executor never ran.
-                    let batch = if self.exec.batch.enabled()
-                        && CompiledPlan::compile(&plan)
-                            .with_batch(&self.exec.batch)
-                            .is_batched()
-                    {
-                        self.exec.batch.block_rows as u64
-                    } else {
-                        0
-                    };
-                    self.wisdom.insert_with_tuning(
-                        m,
-                        backend,
-                        plan,
-                        Tuning {
-                            fuse_budget: Some(budget),
-                            simd: Some(self.exec.simd.enabled()),
-                            relayout: Some(relayout),
-                            recodelet: Some(self.exec.recodelet.enabled()),
-                            batch: Some(batch),
-                            // On/off like `recodelet`: engagement is a
-                            // call-time property (vector length against
-                            // the host-tuned threshold), so the record
-                            // is whether the stage ran at all.
-                            stream: Some(self.exec.stream.enabled()),
-                            objective: self.objective,
-                        },
-                    )?;
-                    // Persist the memo's account of the choice alongside
-                    // the plan, so explain(m) survives a process restart
-                    // (wisdom version 6).
                     let group = self
                         .memo
                         .group(m)
                         .expect("memo_search solved every span up to n");
-                    self.wisdom.set_provenance(
-                        m,
-                        backend,
-                        PlanProvenance {
+                    let record = WisdomRecord {
+                        plan: group.plan.clone(),
+                        objective: self.objective,
+                        // The memo's account of the choice travels with
+                        // the plan, so explain(m) survives a restart.
+                        provenance: Some(PlanProvenance {
                             composition: group.provenance.composition.clone(),
                             candidates: group.provenance.candidates as u64,
                             evaluated: group.provenance.evaluated as u64,
                             pruned: group.provenance.pruned as u64,
                             cost: group.cost,
-                        },
-                    );
+                        }),
+                        measured_ns: None,
+                    };
+                    self.wisdom.insert_checked(m, backend, record)?;
                 }
             }
         }
@@ -1045,6 +709,17 @@ impl<C: PlanCost> Planner<C> {
             .wisdom
             .get(n, backend)
             .expect("entry inserted or present above"))
+    }
+
+    /// The compiled schedule serving size `2^n`, searched and lowered
+    /// under this planner's policy on first use.
+    fn schedule(&mut self, n: u32) -> Result<&CompiledPlan, WhtError> {
+        if !self.compiled.contains_key(&n) {
+            let plan = self.plan(n)?.clone();
+            self.compiled
+                .insert(n, CompiledPlan::compile_exec(&plan, &self.exec));
+        }
+        Ok(self.compiled.get(&n).expect("inserted above"))
     }
 
     /// In-place transform `x <- WHT(x.len()) * x` using the best known
@@ -1065,19 +740,14 @@ impl<C: PlanCost> Planner<C> {
         if n > wht_core::MAX_N {
             return Err(WhtError::SizeTooLarge { n });
         }
-        if !self.compiled.contains_key(&n) {
-            let plan = self.plan(n)?.clone();
-            let exec = self.resolved_exec(n);
-            self.compiled
-                .insert(n, CompiledPlan::compile_exec(&plan, &exec));
-        }
+        let compiled = self.schedule(n)?;
         // Measure the replay and feed the wall-clock back into the wisdom
         // entry it executed (fastest sample wins, matching the sharded
         // store's measured-fastest merge) — so a planner that merely
         // *runs* accumulates the measured evidence the store's
         // cross-process merge arbitrates on.
         let start = std::time::Instant::now();
-        self.compiled.get(&n).expect("inserted above").apply(x)?;
+        compiled.apply(x)?;
         let ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
         let backend = self.cost.name();
         if self
@@ -1095,7 +765,7 @@ impl<C: PlanCost> Planner<C> {
     /// In-place **batched** transform: `x` viewed as `rows` adjacent
     /// contiguous transforms of size `x.len() / rows`, each mapped
     /// through the best known plan for that size via
-    /// [`CompiledPlan::apply_batch`] — past the resolved row-block
+    /// [`CompiledPlan::apply_batch`] — past the policy's row-block
     /// threshold the batch runs the cross-transform lane path, below it
     /// (or under `WHT_NO_BATCH`) every row replays the per-transform
     /// schedule, bit-identically either way.
@@ -1121,16 +791,7 @@ impl<C: PlanCost> Planner<C> {
         if n > wht_core::MAX_N {
             return Err(WhtError::SizeTooLarge { n });
         }
-        if !self.compiled.contains_key(&n) {
-            let plan = self.plan(n)?.clone();
-            let exec = self.resolved_exec(n);
-            self.compiled
-                .insert(n, CompiledPlan::compile_exec(&plan, &exec));
-        }
-        self.compiled
-            .get(&n)
-            .expect("inserted above")
-            .apply_batch(x, rows)
+        self.schedule(n)?.apply_batch(x, rows)
     }
 }
 
@@ -1143,7 +804,7 @@ impl<C: VectorCost> Planner<C> {
     /// records from now on carries the objective — so an importer can
     /// tell a latency-tuned plan from a memory-tuned one, and a planner
     /// aimed at one objective never silently replays the other's plans
-    /// ([`Tuning::objective`]).
+    /// (see the module docs' format section).
     #[must_use]
     pub fn with_objective(mut self, objective: CostObjective) -> Self {
         self.cost.set_objective(objective);
@@ -1154,53 +815,50 @@ impl<C: VectorCost> Planner<C> {
     }
 }
 
-/// How a recorded relayout tuning replays: `0` means the recorder's
-/// executor did not gather this size (stays off), a nonzero budget
-/// replays at the engine's floor (`min_passes = 2`, no size gate) rather
-/// than the default policy's knobs — the record only exists because the
-/// recorder's schedule actually gathered, and a recorder tuned with
-/// `min_passes` below the default must not have its configuration
-/// silently dropped on import.
-fn replay_relayout(budget: u64) -> RelayoutPolicy {
-    if budget == 0 {
-        RelayoutPolicy::disabled()
-    } else {
-        RelayoutPolicy {
-            budget_elems: usize::try_from(budget).unwrap_or(usize::MAX),
-            min_elems: 0,
-            min_passes: 2,
-        }
-    }
-}
-
-/// How a recorded batch tuning replays: `0` means the recorder's executor
-/// built no batch schedule for this size (stays off); a nonzero record
-/// replays the recorder's row-block threshold exactly.
-fn replay_batch(block: u64) -> BatchPolicy {
-    if block == 0 {
-        BatchPolicy::disabled()
-    } else {
-        BatchPolicy::new(usize::try_from(block).unwrap_or(usize::MAX))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cost::{CombinedModelCost, InstructionCost};
-    use wht_core::{apply_plan, max_abs_diff, naive_wht};
+    use wht_core::{
+        apply_plan, max_abs_diff, naive_wht, BatchPolicy, FusionPolicy, RecodeletPolicy,
+        RelayoutPolicy, SimdPolicy,
+    };
 
-    /// A planner pinned through `with_exec` to the environment's policy
-    /// with `edit` applied — how a caller overrides one stage.
+    /// A planner set through `with_exec` to the environment's policy with
+    /// `edit` applied — how a caller overrides one stage.
     fn pinned_to(edit: impl FnOnce(ExecPolicy) -> ExecPolicy) -> Planner<InstructionCost> {
         Planner::new(InstructionCost::default()).with_exec(edit(ExecPolicy::from_env()))
     }
 
-    /// The tuning recorded with the `(m, "instruction-model")` entry.
-    fn tuning_of(wisdom: &Wisdom, m: u32) -> Tuning {
+    /// Wisdom for size `2^n`, searched by a planner running `recorder` and
+    /// shipped through JSON.
+    fn recorded_under(recorder: ExecPolicy, n: u32) -> Wisdom {
+        let mut planner = Planner::new(InstructionCost::default()).with_exec(recorder);
+        planner.plan(n).unwrap();
+        Wisdom::from_json(&planner.wisdom().to_json()).unwrap()
+    }
+
+    /// Wisdom holding `plan` for its size — a many-factor shape gives
+    /// every stage something to do.
+    fn wisdom_with(plan: Plan) -> Wisdom {
+        let mut wisdom = Wisdom::new();
+        wisdom.insert(plan.n(), "instruction-model", plan).unwrap();
         wisdom
-            .tuning(m, "instruction-model")
-            .expect("entry recorded")
+    }
+
+    /// The schedule a planner running `exec` serves for size `2^n` out of
+    /// `wisdom`: warm, correct, and compiled under `exec` itself.
+    fn served(exec: ExecPolicy, wisdom: &Wisdom, n: u32) -> CompiledPlan {
+        let mut planner = Planner::new(InstructionCost::default())
+            .with_exec(exec)
+            .with_wisdom(wisdom.clone());
+        assert_eq!(planner.resolved_exec(n), exec);
+        let mut x: Vec<f64> = (0..1 << n).map(|j| (j % 13) as f64 - 6.0).collect();
+        let want = naive_wht(&x);
+        planner.transform(&mut x).unwrap();
+        assert!(max_abs_diff(&x, &want) < 1e-9);
+        assert_eq!(planner.evaluations(), 0, "the wisdom covers the size");
+        planner.compiled.remove(&n).expect("served")
     }
 
     #[test]
@@ -1250,6 +908,7 @@ mod tests {
         let mut tuned = Planner::new(CombinedModelCost::paper_default());
         tuned.plan(10).unwrap();
         let json = tuned.wisdom().to_json();
+        assert!(json.contains("\"version\": 8"), "{json}");
 
         let wisdom = Wisdom::from_json(&json).unwrap();
         assert_eq!(&wisdom, tuned.wisdom());
@@ -1302,95 +961,55 @@ mod tests {
     }
 
     #[test]
-    fn wisdom_records_the_tile_budget_and_round_trips_it() {
-        // The planner stamps its fusion budget on every entry it records.
-        let mut planner = pinned_to(|p| p.with_fusion(FusionPolicy::new(1 << 9)));
-        planner.plan(8).unwrap();
-        for m in 1..=8u32 {
-            assert_eq!(tuning_of(planner.wisdom(), m).fuse_budget, Some(1 << 9));
-        }
-        // ...and the budget survives the JSON round trip.
-        let back = Wisdom::from_json(&planner.wisdom().to_json()).unwrap();
-        assert_eq!(&back, planner.wisdom());
-        assert_eq!(tuning_of(&back, 8).fuse_budget, Some(1 << 9));
+    fn imported_wisdom_compiles_under_the_importers_policy() {
+        // The recorder runs fusion off and an eager relayout; the importer
+        // keeps its own (environment) policy and serves exactly the
+        // schedule a fresh planner with that policy compiles.
+        let n = 14;
+        let input: Vec<f64> = (0..1 << n).map(|j| (j % 11) as f64 - 5.0).collect();
+        let mut recorder = pinned_to(|p| {
+            p.with_fusion(FusionPolicy::disabled())
+                .with_relayout(RelayoutPolicy::eager(1 << 9))
+        });
+        let mut recorded = input.clone();
+        recorder.transform(&mut recorded).unwrap();
+        let wisdom = Wisdom::from_json(&recorder.wisdom().to_json()).unwrap();
 
-        // A fusion-off planner records budget 0, distinct from "not
-        // recorded".
-        let mut off = pinned_to(|p| p.with_fusion(FusionPolicy::disabled()));
-        off.plan(4).unwrap();
-        let back = Wisdom::from_json(&off.wisdom().to_json()).unwrap();
-        assert_eq!(tuning_of(&back, 4).fuse_budget, Some(0));
-        let mut plain = Wisdom::new();
-        plain
-            .insert(4, "instruction-model", Plan::iterative(4).unwrap())
-            .unwrap();
-        assert_eq!(tuning_of(&plain, 4).fuse_budget, None);
-        assert!(tuning_of(&plain, 4).is_empty());
-    }
+        let mut importer = Planner::new(InstructionCost::default()).with_wisdom(wisdom);
+        assert_eq!(importer.resolved_exec(n), *importer.exec());
+        let mut imported = input.clone();
+        importer.transform(&mut imported).unwrap();
+        assert_eq!(importer.evaluations(), 0, "served from the import");
 
-    #[test]
-    fn recorded_budget_overrides_the_importing_planners_policy() {
-        // Tune with fusion off; a default (fusion-on) importer must still
-        // compile that size unfused, honoring the recorded configuration.
-        let mut tuned = pinned_to(|p| p.with_fusion(FusionPolicy::disabled()));
-        tuned.plan(10).unwrap();
-        let wisdom = Wisdom::from_json(&tuned.wisdom().to_json()).unwrap();
-
-        let mut warm = Planner::new(InstructionCost::default()).with_wisdom(wisdom);
-        let mut x: Vec<f64> = (0..1024).map(|j| (j % 13) as f64).collect();
-        let want = naive_wht(&x);
-        warm.transform(&mut x).unwrap();
-        assert!(max_abs_diff(&x, &want) < 1e-9);
-        assert!(
-            !warm.compiled.get(&10).unwrap().is_fused(),
-            "recorded budget 0 must win over the importer's default policy"
-        );
-        // Version-1 wisdom without the field still loads (budget absent).
-        let legacy =
-            "{\"version\":1,\"entries\":[{\"n\":4,\"backend\":\"x\",\"plan\":\"split[small[2],small[2]]\"}]}";
-        let w = Wisdom::from_json(legacy).unwrap();
-        assert_eq!(w.tuning(4, "x").unwrap().fuse_budget, None);
+        let mut fresh = Planner::new(InstructionCost::default());
+        let mut searched = input;
+        fresh.transform(&mut searched).unwrap();
+        assert_eq!(importer.compiled.get(&n), fresh.compiled.get(&n));
+        assert_eq!(imported, searched);
+        assert_eq!(imported, recorded, "the policy never changes output bits");
     }
 
     #[test]
     fn disabled_default_policy_is_a_kill_switch_over_recorded_budgets() {
-        // An *unpinned* disabled policy is what WHT_NO_FUSE=1 produces at
-        // construction (simulated here by setting the private fields —
-        // tests must not mutate process env under a threaded test
-        // runner). Imported wisdom carrying a fused budget must not
-        // re-enable fusion past the kill switch.
-        let mut wisdom = Wisdom::new();
-        wisdom
-            .insert_with_tuning(
-                10,
-                "instruction-model",
-                Plan::iterative(10).unwrap(),
-                Tuning {
-                    fuse_budget: Some(1 << 9),
-                    ..Tuning::default()
-                },
-            )
-            .unwrap();
-        let mut planner = Planner::new(InstructionCost::default()).with_wisdom(wisdom);
-        planner.exec.fusion = FusionPolicy::disabled();
-        let mut x: Vec<f64> = (0..1024).map(|j| (j % 5) as f64).collect();
-        planner.transform(&mut x).unwrap();
-        assert!(
-            !planner.compiled.get(&10).unwrap().is_fused(),
-            "a disabled default policy must beat the recorded budget"
-        );
+        // Wisdom carries only the plan, so a planner with fusion off (what
+        // WHT_NO_FUSE=1 produces at construction) serves it unfused, and
+        // one with fusion on serves it fused.
+        let wisdom = wisdom_with(Plan::iterative(10).unwrap());
+        let fused = ExecPolicy::default().with_fusion(FusionPolicy::new(1 << 9));
+        let off = fused.with_fusion(FusionPolicy::disabled());
+        assert!(!served(off, &wisdom, 10).is_fused());
+        assert!(served(fused, &wisdom, 10).is_fused());
     }
 
     #[test]
     fn with_exec_pins_the_fusion_policy_over_recorded_budgets() {
-        // A planner that already recorded a fused budget for a size must
-        // still honor a later explicit opt-out — with_exec pins the
-        // policy, beating the planner's own earlier wisdom.
+        // A planner that already served a size fused must honor a later
+        // explicit opt-out: with_exec drops the compiled schedule, and the
+        // size recompiles its own wisdom's plan under the new policy.
         let mut planner = pinned_to(|p| p.with_fusion(FusionPolicy::new(1 << 12)));
         let mut x: Vec<f64> = (0..4096).map(|j| (j % 7) as f64).collect();
         planner.transform(&mut x).unwrap();
         assert!(planner.compiled.get(&12).unwrap().is_fused());
-        assert_eq!(tuning_of(planner.wisdom(), 12).fuse_budget, Some(1 << 12));
 
         let exec = planner.exec().with_fusion(FusionPolicy::disabled());
         let mut planner = planner.with_exec(exec);
@@ -1398,7 +1017,7 @@ mod tests {
         planner.transform(&mut y).unwrap();
         assert!(
             !planner.compiled.get(&12).unwrap().is_fused(),
-            "an explicitly pinned disabled fusion must beat the recorded budget"
+            "an explicitly pinned disabled fusion must beat the earlier schedule"
         );
         // And flipping back on works the same way.
         let exec = planner.exec().with_fusion(FusionPolicy::unbounded());
@@ -1409,576 +1028,102 @@ mod tests {
     }
 
     #[test]
-    fn wisdom_records_the_kernel_backend_and_round_trips_it() {
-        // The planner stamps its SIMD policy on every entry it records...
-        let mut planner = pinned_to(|p| p.with_simd(SimdPolicy::disabled()));
-        planner.plan(8).unwrap();
-        for m in 1..=8u32 {
-            assert_eq!(tuning_of(planner.wisdom(), m).simd, Some(false));
-        }
-        // ...and the record survives the JSON round trip.
-        let back = Wisdom::from_json(&planner.wisdom().to_json()).unwrap();
-        assert_eq!(&back, planner.wisdom());
-        assert_eq!(tuning_of(&back, 8).simd, Some(false));
-
-        // An importing planner with an unpinned enabled policy replays the
-        // recorded scalar choice.
-        let mut warm = Planner::new(InstructionCost::default()).with_wisdom(back);
-        warm.exec.simd = SimdPolicy::auto();
-        let mut x: Vec<f64> = (0..256).map(|j| (j % 7) as f64).collect();
-        warm.transform(&mut x).unwrap();
-        assert!(
-            !warm.compiled.get(&8).unwrap().is_simd(),
-            "recorded scalar tuning must win over the importer's default"
-        );
-
-        // Entries without the field (legacy wisdom) record no choice.
-        let legacy =
-            "{\"version\":1,\"entries\":[{\"n\":4,\"backend\":\"x\",\"plan\":\"split[small[2],small[2]]\"}]}";
-        let w = Wisdom::from_json(legacy).unwrap();
-        assert_eq!(w.tuning(4, "x").unwrap().simd, None);
-    }
-
-    #[test]
     fn simd_kill_switch_and_pinning_beat_recorded_backends() {
-        // Imported wisdom tuned with the lane kernels must not re-enable
-        // them past an (unpinned) disabled policy — what WHT_NO_SIMD=1
-        // produces at construction.
-        let mut wisdom = Wisdom::new();
-        wisdom
-            .insert_with_tuning(
-                10,
-                "instruction-model",
-                Plan::iterative(10).unwrap(),
-                Tuning {
-                    simd: Some(true),
-                    ..Tuning::default()
-                },
-            )
-            .unwrap();
-        let mut planner = Planner::new(InstructionCost::default()).with_wisdom(wisdom.clone());
-        planner.exec.simd = SimdPolicy::disabled();
-        let mut x: Vec<f64> = (0..1024).map(|j| (j % 5) as f64).collect();
-        planner.transform(&mut x).unwrap();
-        assert!(
-            !planner.compiled.get(&10).unwrap().is_simd(),
-            "a disabled default policy must beat the recorded backend"
-        );
-
-        // And an explicit pin beats the record in both directions.
-        let mut pinned = pinned_to(|p| p.with_simd(SimdPolicy::disabled())).with_wisdom(wisdom);
-        let mut y: Vec<f64> = (0..1024).map(|j| (j % 5) as f64).collect();
-        pinned.transform(&mut y).unwrap();
-        assert!(!pinned.compiled.get(&10).unwrap().is_simd());
-        let exec = pinned.exec().with_simd(SimdPolicy::auto());
-        let mut repinned = pinned.with_exec(exec);
-        let mut z: Vec<f64> = (0..1024).map(|j| (j % 5) as f64).collect();
-        repinned.transform(&mut z).unwrap();
-        assert!(repinned.compiled.get(&10).unwrap().is_simd());
-    }
-
-    #[test]
-    fn wisdom_records_relayout_tuning_and_round_trips_it() {
-        // The record is read off the compiled schedule itself: for every
-        // size the recorded budget is nonzero exactly where this
-        // planner's executor would actually relayout that size's plan —
-        // a policy knob (min_passes) or a short-tailed DP winner that
-        // declines relayout must record 0, whatever the size gates say.
-        let mut planner = pinned_to(|p| {
-            p.with_fusion(FusionPolicy::new(1 << 6))
-                .with_relayout(RelayoutPolicy::eager(1 << 9))
-        });
-        planner.plan(14).unwrap();
-        for m in 1..=14u32 {
-            let plan_m = planner
-                .wisdom()
-                .get(m, "instruction-model")
-                .unwrap()
-                .clone();
-            let executed = CompiledPlan::compile(&plan_m)
-                .fuse(&planner.exec().fusion)
-                .relayout(&planner.exec().relayout)
-                .has_relayout();
-            assert_eq!(
-                tuning_of(planner.wisdom(), m).relayout,
-                Some(if executed { 1 << 9 } else { 0 }),
-                "record must match the executed schedule at n = {m}"
-            );
-        }
-        assert_eq!(
-            tuning_of(planner.wisdom(), 8).relayout,
-            Some(0),
-            "sizes inside the block budget cannot gather and record 0"
-        );
-        // And a policy whose min_passes declines every tail records 0
-        // everywhere even though its size gates pass.
-        let mut never = pinned_to(|p| {
-            p.with_fusion(FusionPolicy::new(1 << 6))
-                .with_relayout(RelayoutPolicy {
-                    min_passes: 99,
-                    ..RelayoutPolicy::eager(1 << 9)
-                })
-        });
-        never.plan(14).unwrap();
-        for m in 1..=14u32 {
-            assert_eq!(
-                tuning_of(never.wisdom(), m).relayout,
-                Some(0),
-                "a declining policy must not record a tuning it never ran"
-            );
-        }
-        // ...and the record survives the JSON round trip.
-        let back = Wisdom::from_json(&planner.wisdom().to_json()).unwrap();
-        assert_eq!(&back, planner.wisdom());
-
-        // An importing planner with an unpinned default policy replays
-        // the recorded tuning: the served schedule relayouts at n = 14
-        // even though the default policy's size floor would decline it.
-        // (The recorded plan is pinned to a many-factor shape so its
-        // fused schedule actually has a gatherable tail.)
-        let mut imported = Wisdom::new();
-        imported
-            .insert_with_tuning(
-                14,
-                "instruction-model",
-                Plan::iterative(14).unwrap(),
-                Tuning {
-                    fuse_budget: Some(1 << 6),
-                    relayout: Some(1 << 9),
-                    ..Tuning::default()
-                },
-            )
-            .unwrap();
-        let mut warm = Planner::new(InstructionCost::default()).with_wisdom(imported);
-        // Unpinned default policy regardless of the CI leg's env (the
-        // WHT_NO_RELAYOUT leg would otherwise kill-switch the replay,
-        // which has its own test below).
-        warm.exec.relayout = RelayoutPolicy::default();
-        let mut x: Vec<f64> = (0..1 << 14).map(|j| (j % 11) as f64 - 5.0).collect();
-        let want = naive_wht(&x);
-        warm.transform(&mut x).unwrap();
-        assert!(max_abs_diff(&x, &want) < 1e-9);
-        assert!(
-            warm.compiled.get(&14).unwrap().has_relayout(),
-            "recorded relayout tuning must be replayed by the importer"
-        );
-        assert_eq!(warm.evaluations(), 0);
-    }
-
-    #[test]
-    fn recorded_relayout_replays_at_the_engine_floor_not_the_default_knobs() {
-        // A recorder tuned with min_passes = 2 can gather a 2-pass tail
-        // and record its budget; the importer must replay that exact
-        // configuration instead of re-gating it through the default
-        // min_passes = 3 (which would silently drop the tuning).
-        // binary_iterative(10, 2) fused at 2^6 leaves a 2-pass tail
-        // (strides 64 and 256) that a 2^9 block budget can gather.
-        let plan = Plan::binary_iterative(10, 2).unwrap();
-        let two_pass_tail = CompiledPlan::compile(&plan)
-            .fuse(&FusionPolicy::new(1 << 6))
-            .relayout(&RelayoutPolicy {
-                min_passes: 2,
-                ..RelayoutPolicy::eager(1 << 9)
-            });
-        assert!(two_pass_tail.has_relayout(), "test precondition");
-        let mut wisdom = Wisdom::new();
-        wisdom
-            .insert_with_tuning(
-                10,
-                "instruction-model",
-                plan,
-                Tuning {
-                    fuse_budget: Some(1 << 6),
-                    relayout: Some(1 << 9),
-                    ..Tuning::default()
-                },
-            )
-            .unwrap();
-        let mut warm = Planner::new(InstructionCost::default()).with_wisdom(wisdom);
-        warm.exec.relayout = RelayoutPolicy::default();
-        let mut x: Vec<f64> = (0..1 << 10).map(|j| (j % 9) as f64 - 4.0).collect();
-        let want = naive_wht(&x);
-        warm.transform(&mut x).unwrap();
-        assert!(max_abs_diff(&x, &want) < 1e-9);
-        assert!(
-            warm.compiled.get(&10).unwrap().has_relayout(),
-            "a recorded 2-pass-tail tuning must survive import"
-        );
+        // Wisdom searched with scalar kernels does not carry the backend:
+        // each importer serves it with its own.
+        let scalar = ExecPolicy::default().with_simd(SimdPolicy::disabled());
+        let wisdom = recorded_under(scalar, 10);
+        assert!(!served(scalar, &wisdom, 10).is_simd());
+        let lanes = scalar.with_simd(SimdPolicy::auto());
+        assert!(served(lanes, &wisdom, 10).is_simd());
     }
 
     #[test]
     fn relayout_kill_switch_and_pinning_beat_recorded_tuning() {
-        // Imported wisdom tuned with relayout must not re-enable it past
-        // an (unpinned) disabled policy — what WHT_NO_RELAYOUT=1 produces
-        // at construction.
-        let mut wisdom = Wisdom::new();
-        wisdom
-            .insert_with_tuning(
-                14,
-                "instruction-model",
-                Plan::iterative(14).unwrap(),
-                Tuning {
-                    fuse_budget: Some(1 << 6),
-                    relayout: Some(1 << 9),
-                    ..Tuning::default()
-                },
-            )
-            .unwrap();
-        let mut planner = Planner::new(InstructionCost::default()).with_wisdom(wisdom.clone());
-        planner.exec.relayout = RelayoutPolicy::disabled();
-        let mut x: Vec<f64> = (0..1 << 14).map(|j| (j % 5) as f64).collect();
-        planner.transform(&mut x).unwrap();
-        assert!(
-            !planner.compiled.get(&14).unwrap().has_relayout(),
-            "a disabled default policy must beat the recorded tuning"
-        );
-
-        // And an explicit pin beats the record both ways. (The pin covers
-        // every knob, so it carries the recorded fusion budget too: the
-        // tail is whatever fusion leaves.)
-        let mut pinned = pinned_to(|p| {
-            p.with_fusion(FusionPolicy::new(1 << 6))
-                .with_relayout(RelayoutPolicy::disabled())
-        })
-        .with_wisdom(wisdom);
-        let mut y: Vec<f64> = (0..1 << 14).map(|j| (j % 5) as f64).collect();
-        pinned.transform(&mut y).unwrap();
-        assert!(!pinned.compiled.get(&14).unwrap().has_relayout());
-        let exec = pinned.exec().with_relayout(RelayoutPolicy::eager(1 << 9));
-        let mut repinned = pinned.with_exec(exec);
-        let mut z: Vec<f64> = (0..1 << 14).map(|j| (j % 5) as f64).collect();
-        repinned.transform(&mut z).unwrap();
-        assert!(repinned.compiled.get(&14).unwrap().has_relayout());
-    }
-
-    #[test]
-    fn version_1_wisdom_migrates_and_round_trips_as_current() {
-        // A version-1 store (pre-relayout) must load — its entries carry
-        // no relayout, recodelet, batch, or objective choice — and
-        // re-serialize as the current version without bricking anything.
-        let legacy = "{\"version\":1,\"entries\":[{\"n\":4,\"backend\":\"x\",\
-                       \"plan\":\"split[small[2],small[2]]\",\"fuse_budget\":512,\
-                       \"simd\":true}]}";
-        let w = Wisdom::from_json(legacy).unwrap();
-        assert_eq!(w.tuning(4, "x").unwrap().fuse_budget, Some(512));
-        assert_eq!(w.tuning(4, "x").unwrap().simd, Some(true));
-        assert_eq!(w.tuning(4, "x").unwrap().relayout, None);
-        assert_eq!(w.tuning(4, "x").unwrap().recodelet, None);
-        assert_eq!(w.tuning(4, "x").unwrap().batch, None);
-        assert_eq!(w.tuning(4, "x").unwrap().objective, None);
-        let json = w.to_json();
-        assert!(json.contains("\"version\": 7"), "{json}");
-        assert!(json.contains("\"tuning\""), "{json}");
-        let back = Wisdom::from_json(&json).unwrap();
-        assert_eq!(back, w);
-        // Future versions stay rejected.
-        assert!(Wisdom::from_json("{\"version\":8,\"entries\":[]}").is_err());
-    }
-
-    #[test]
-    fn version_3_wisdom_migrates_and_records_no_batch_choice() {
-        // A version-3 store (nested tuning, pre-batch) must load with its
-        // record intact and no batch choice — the reader's own policy
-        // applies — and re-serialize as the current version, replaying
-        // identically.
-        let legacy = "{\"version\":3,\"entries\":[{\"n\":12,\"backend\":\
-                      \"instruction-model\",\"plan\":\"split[small[4],small[4],\
-                      small[4]]\",\"tuning\":{\"fuse_budget\":4096,\"simd\":true,\
-                      \"relayout\":0,\"recodelet\":true}}]}";
-        let w = Wisdom::from_json(legacy).unwrap();
-        assert_eq!(tuning_of(&w, 12).fuse_budget, Some(4096));
-        assert_eq!(
-            tuning_of(&w, 12).batch,
-            None,
-            "a stage the blob predates records no choice"
-        );
-        let migrated = Wisdom::from_json(&w.to_json()).unwrap();
-        assert_eq!(migrated, w);
-        // The importer's unpinned default batch policy applies, and the
-        // migrated replay is bit-identical to a fresh computation.
-        let mut warm = Planner::new(InstructionCost::default()).with_wisdom(migrated);
-        warm.exec = ExecPolicy::default();
-        assert_eq!(
-            warm.resolved_exec(12).batch,
-            BatchPolicy::default(),
-            "no recorded choice -> the reader's default policy"
-        );
-        let mut x: Vec<f64> = (0..1 << 12).map(|j| (j % 13) as f64 - 6.0).collect();
-        let want = naive_wht(&x);
-        warm.transform(&mut x).unwrap();
-        assert!(max_abs_diff(&x, &want) < 1e-9, "migrated replay is exact");
-        assert_eq!(warm.evaluations(), 0);
-    }
-
-    #[test]
-    fn version_2_wisdom_migrates_and_replays_like_the_recorder() {
-        // A version-2 store (flat fuse_budget/simd/relayout columns, the
-        // PR 4 format) must load with every recorded knob intact...
-        let legacy = "{\"version\":2,\"entries\":[{\"n\":14,\"backend\":\
-                      \"instruction-model\",\"plan\":\"split[small[1],small[1],\
-                      small[1],small[1],small[1],small[1],small[1],small[1],\
-                      small[1],small[1],small[1],small[1],small[1],small[1]]\",\
-                      \"fuse_budget\":64,\"simd\":true,\"relayout\":512}]}";
-        let w = Wisdom::from_json(legacy).unwrap();
-        assert_eq!(tuning_of(&w, 14).fuse_budget, Some(64));
-        assert_eq!(tuning_of(&w, 14).simd, Some(true));
-        assert_eq!(tuning_of(&w, 14).relayout, Some(512));
-        assert_eq!(
-            tuning_of(&w, 14).recodelet,
-            None,
-            "a stage the blob predates records no choice"
-        );
-        // ...re-serialize as version 3...
-        let migrated = Wisdom::from_json(&w.to_json()).unwrap();
-        assert_eq!(migrated, w);
-        // ...and replay the recorded configuration: the resolved policy
-        // matches the legacy per-knob resolution exactly, and with the
-        // post-v2 stages killed (an unpinned disabled policy beats
-        // wisdom, which records no choice for them anyway), the compiled
-        // schedule is *equal* to what the pre-pipeline executor compiled
-        // for this blob.
-        let mut warm = Planner::new(InstructionCost::default()).with_wisdom(migrated);
-        warm.exec = ExecPolicy::default();
-        warm.exec.recodelet = RecodeletPolicy::disabled();
-        warm.exec.batch = BatchPolicy::disabled();
-        let resolved = warm.resolved_exec(14);
-        assert_eq!(resolved.fusion, FusionPolicy::new(64));
-        assert!(resolved.simd.enabled());
-        assert_eq!(resolved.relayout, replay_relayout(512));
-        let mut x: Vec<f64> = (0..1 << 14).map(|j| (j % 11) as f64 - 5.0).collect();
-        let want = naive_wht(&x);
-        warm.transform(&mut x).unwrap();
-        assert!(max_abs_diff(&x, &want) < 1e-9, "migrated replay is exact");
-        let plan = warm.wisdom().get(14, "instruction-model").unwrap().clone();
-        assert_eq!(
-            warm.compiled.get(&14).unwrap(),
-            &CompiledPlan::compile(&plan)
-                .fuse(&FusionPolicy::new(64))
-                .relayout(&replay_relayout(512))
-                .with_simd(&SimdPolicy::auto()),
-            "v2 blob + pinned-off later stages = the pre-refactor schedule, exactly"
-        );
-        // With the importer's default (unpinned) tail policy the schedule
-        // additionally re-codelets — and output bits cannot change.
-        let mut modern = Planner::new(InstructionCost::default())
-            .with_wisdom(Wisdom::from_json(legacy).unwrap());
-        modern.exec = ExecPolicy::default();
-        let mut y: Vec<f64> = (0..1 << 14).map(|j| (j % 11) as f64 - 5.0).collect();
-        modern.transform(&mut y).unwrap();
-        assert_eq!(
-            y, x,
-            "re-codeleted replay of migrated wisdom is bit-identical"
-        );
-        assert!(modern.compiled.get(&14).unwrap().has_recodeleted());
-    }
-
-    #[test]
-    fn unknown_json_fields_are_tolerated() {
-        // Forward compatibility: a store written by a newer build with
-        // extra tuning fields must still load here — unknown fields are
-        // ignored, known ones are honored.
-        let future = "{\"version\":3,\"future_knob\":\"xyz\",\"entries\":[{\"n\":4,\
-                      \"backend\":\"x\",\"plan\":\"split[small[2],small[2]]\",\
-                      \"tuning\":{\"fuse_budget\":64,\"simd\":false,\"relayout\":32,\
-                      \"recodelet\":true,\"prefetch_distance\":8}}]}";
-        let w = Wisdom::from_json(future).unwrap();
-        assert_eq!(w.tuning(4, "x").unwrap().fuse_budget, Some(64));
-        assert_eq!(w.tuning(4, "x").unwrap().simd, Some(false));
-        assert_eq!(w.tuning(4, "x").unwrap().relayout, Some(32));
-        assert_eq!(w.tuning(4, "x").unwrap().recodelet, Some(true));
+        // The importer's relayout policy alone decides whether a tail that
+        // can be gathered is.
+        let wisdom = wisdom_with(Plan::iterative(14).unwrap());
+        let fused = ExecPolicy::default().with_fusion(FusionPolicy::new(1 << 6));
+        let off = fused.with_relayout(RelayoutPolicy::disabled());
+        assert!(!served(off, &wisdom, 14).has_relayout());
+        let eager = fused.with_relayout(RelayoutPolicy::eager(1 << 9));
+        assert!(served(eager, &wisdom, 14).has_relayout());
+        // binary_iterative(10, 2) fused at 2^6 leaves a 2-pass tail
+        // (strides 64 and 256): gathered only under a policy that allows
+        // two passes, and correct when it is.
+        let two_pass = wisdom_with(Plan::binary_iterative(10, 2).unwrap());
+        assert!(!served(eager, &two_pass, 10).has_relayout());
+        let floor = fused.with_relayout(RelayoutPolicy {
+            min_passes: 2,
+            ..RelayoutPolicy::eager(1 << 9)
+        });
+        assert!(served(floor, &two_pass, 10).has_relayout());
     }
 
     #[test]
     fn recodelet_resolves_through_the_same_precedence_rule() {
-        // Recorded off beats the importer's default-on...
-        let mut wisdom = Wisdom::new();
-        wisdom
-            .insert_with_tuning(
-                14,
-                "instruction-model",
-                Plan::iterative(14).unwrap(),
-                Tuning {
-                    fuse_budget: Some(1 << 6),
-                    relayout: Some(1 << 9),
-                    recodelet: Some(false),
-                    ..Tuning::default()
-                },
-            )
-            .unwrap();
-        let mut planner = Planner::new(InstructionCost::default()).with_wisdom(wisdom.clone());
-        planner.exec = ExecPolicy::default();
-        let mut x: Vec<f64> = (0..1 << 14).map(|j| (j % 5) as f64).collect();
-        planner.transform(&mut x).unwrap();
-        let compiled = planner.compiled.get(&14).unwrap();
-        assert!(compiled.has_relayout());
-        assert!(
-            !compiled.has_recodeleted(),
-            "recorded recodelet=false must replay per-factor"
+        // Re-codeleting follows the importer's policy like every other
+        // stage, and never changes output bits.
+        let wisdom = wisdom_with(Plan::iterative(14).unwrap());
+        let tail = ExecPolicy::default()
+            .with_fusion(FusionPolicy::new(1 << 6))
+            .with_relayout(RelayoutPolicy::eager(1 << 9));
+        let per_factor = served(
+            tail.with_recodelet(RecodeletPolicy::disabled()),
+            &wisdom,
+            14,
         );
-        // ...an unpinned disabled default is a kill switch over a
-        // recorded on...
-        let mut on_record = Wisdom::new();
-        on_record
-            .insert_with_tuning(
-                14,
-                "instruction-model",
-                Plan::iterative(14).unwrap(),
-                Tuning {
-                    fuse_budget: Some(1 << 6),
-                    relayout: Some(1 << 9),
-                    recodelet: Some(true),
-                    ..Tuning::default()
-                },
-            )
-            .unwrap();
-        let mut killed = Planner::new(InstructionCost::default()).with_wisdom(on_record);
-        killed.exec = ExecPolicy::default();
-        killed.exec.recodelet = RecodeletPolicy::disabled();
-        assert!(!killed.resolved_exec(14).recodelet.enabled());
-        // ...and an explicit pin beats the record both ways. (The pin
-        // covers every knob, so it carries the fusion/relayout tuning
-        // the record replays, identically on every CI leg.)
-        let mut pinned = Planner::new(InstructionCost::default())
-            .with_wisdom(wisdom)
-            .with_exec(
-                ExecPolicy::default()
-                    .with_fusion(FusionPolicy::new(1 << 6))
-                    .with_relayout(replay_relayout(1 << 9)),
-            );
-        assert!(pinned.resolved_exec(14).recodelet.enabled());
-        let mut y: Vec<f64> = (0..1 << 14).map(|j| (j % 5) as f64).collect();
-        pinned.transform(&mut y).unwrap();
-        assert!(pinned.compiled.get(&14).unwrap().has_recodeleted());
+        let merged = served(tail, &wisdom, 14);
+        assert!(per_factor.has_relayout() && !per_factor.has_recodeleted());
+        assert!(merged.has_recodeleted());
+        let mut x: Vec<f64> = (0..1 << 14).map(|j| (j % 5) as f64).collect();
+        let mut y = x.clone();
+        per_factor.apply(&mut x).unwrap();
+        merged.apply(&mut y).unwrap();
         assert_eq!(y, x, "re-codeleting never changes output bits");
     }
 
     #[test]
+    fn batch_kill_switch_and_pinning_beat_recorded_thresholds() {
+        // Wisdom searched under one row threshold is served under the
+        // importer's: off, or its own threshold.
+        let wisdom = recorded_under(ExecPolicy::default().with_batch(BatchPolicy::new(16)), 10);
+        let off = ExecPolicy::default().with_batch(BatchPolicy::disabled());
+        assert!(!served(off, &wisdom, 10).is_batched());
+        let eight = ExecPolicy::default().with_batch(BatchPolicy::new(8));
+        assert!(served(eight, &wisdom, 10).is_batched());
+    }
+
+    #[test]
     fn with_exec_pins_every_knob() {
-        // Wisdom records a full executor configuration; with_exec must
-        // beat all of it at once.
-        let mut wisdom = Wisdom::new();
-        wisdom
-            .insert_with_tuning(
-                14,
-                "instruction-model",
-                Plan::iterative(14).unwrap(),
-                Tuning {
-                    fuse_budget: Some(1 << 6),
-                    simd: Some(true),
-                    relayout: Some(1 << 9),
-                    recodelet: Some(true),
-                    batch: Some(16),
-                    stream: Some(true),
-                    objective: None,
-                },
-            )
-            .unwrap();
-        let mut planner = Planner::new(InstructionCost::default())
-            .with_wisdom(wisdom)
-            .with_exec(ExecPolicy::all_disabled());
-        let resolved = planner.resolved_exec(14);
-        assert!(!resolved.fusion.enabled());
-        assert!(!resolved.simd.enabled());
-        assert!(!resolved.relayout.enabled());
-        assert!(!resolved.recodelet.enabled());
-        assert!(!resolved.batch.enabled());
-        assert!(!resolved.stream.enabled());
-        let mut x: Vec<f64> = (0..1 << 14).map(|j| (j % 5) as f64).collect();
-        let want = naive_wht(&x);
-        planner.transform(&mut x).unwrap();
-        assert!(max_abs_diff(&x, &want) < 1e-9);
-        let compiled = planner.compiled.get(&14).unwrap();
+        // Wisdom searched with every stage on is served with every stage
+        // off under with_exec(all_disabled).
+        let wisdom = recorded_under(ExecPolicy::default(), 14);
+        let compiled = served(ExecPolicy::all_disabled(), &wisdom, 14);
         assert!(!compiled.is_fused() && !compiled.is_simd());
         assert!(!compiled.has_relayout() && !compiled.has_recodeleted());
-        assert!(!compiled.is_batched());
+        assert!(!compiled.is_batched() && !compiled.has_streamed());
     }
 
     #[test]
-    fn wisdom_records_the_batch_threshold_and_round_trips_it() {
-        // The record is read off the lowered schedule: small sizes build
-        // the batch product and record the policy's threshold; a size
-        // past the batch cap records 0 even though the policy is on.
-        let mut planner = pinned_to(|p| p.with_batch(BatchPolicy::new(32)));
-        planner.plan(10).unwrap();
-        for m in 1..=10u32 {
-            assert_eq!(
-                tuning_of(planner.wisdom(), m).batch,
-                Some(32),
-                "sizes within the cap record the threshold at n = {m}"
-            );
-        }
-        let back = Wisdom::from_json(&planner.wisdom().to_json()).unwrap();
-        assert_eq!(&back, planner.wisdom());
-        assert_eq!(tuning_of(&back, 10).batch, Some(32));
-
-        // A batch-off planner records 0, distinct from "not recorded".
-        let mut off = pinned_to(|p| p.with_batch(BatchPolicy::disabled()));
-        off.plan(4).unwrap();
-        assert_eq!(tuning_of(off.wisdom(), 4).batch, Some(0));
-
-        // A size past the batch cap records 0 under an enabled policy.
-        let mut big = pinned_to(|p| p.with_batch(BatchPolicy::new(32)));
-        big.plan(20).unwrap();
-        assert_eq!(tuning_of(big.wisdom(), 20).batch, Some(0));
-        assert_eq!(tuning_of(big.wisdom(), 10).batch, Some(32));
-
-        // An importing planner with an unpinned default policy replays
-        // the recorded threshold.
-        let mut warm = Planner::new(InstructionCost::default()).with_wisdom(back);
-        warm.exec.batch = BatchPolicy::default();
-        assert_eq!(warm.resolved_exec(10).batch, BatchPolicy::new(32));
-    }
-
-    #[test]
-    fn batch_kill_switch_and_pinning_beat_recorded_thresholds() {
-        // Imported wisdom tuned with batching must not re-enable it past
-        // an (unpinned) disabled policy — what WHT_NO_BATCH=1 produces at
-        // construction.
-        let mut wisdom = Wisdom::new();
-        wisdom
-            .insert_with_tuning(
-                10,
-                "instruction-model",
-                Plan::iterative(10).unwrap(),
-                Tuning {
-                    batch: Some(16),
-                    ..Tuning::default()
-                },
-            )
-            .unwrap();
-        let mut planner = Planner::new(InstructionCost::default()).with_wisdom(wisdom.clone());
-        planner.exec.batch = BatchPolicy::disabled();
-        assert!(
-            !planner.resolved_exec(10).batch.enabled(),
-            "a disabled default policy must beat the recorded threshold"
+    fn unknown_json_fields_are_tolerated() {
+        // Forward compatibility within version 8: fields this build does
+        // not know, at the top level and inside an entry, are ignored;
+        // known ones are honored.
+        let doc = "{\"version\":8,\"future_knob\":\"xyz\",\"entries\":[{\"n\":4,\
+                   \"backend\":\"x\",\"plan\":\"split[small[2],small[2]]\",\
+                   \"objective\":\"Memory\",\"measured_ns\":77,\
+                   \"hints\":{\"prefetch_distance\":8,\"lanes\":[4,8]}}]}";
+        let w = Wisdom::from_json(doc).unwrap();
+        assert_eq!(
+            w.get(4, "x").unwrap().to_string(),
+            "split[small[2],small[2]]"
         );
-        let mut x: Vec<f64> = (0..1024).map(|j| (j % 5) as f64).collect();
-        planner.transform(&mut x).unwrap();
-        assert!(!planner.compiled.get(&10).unwrap().is_batched());
-
-        // Recorded off beats the importer's default-on...
-        let mut off_record = Wisdom::new();
-        off_record
-            .insert_with_tuning(
-                10,
-                "instruction-model",
-                Plan::iterative(10).unwrap(),
-                Tuning {
-                    batch: Some(0),
-                    ..Tuning::default()
-                },
-            )
-            .unwrap();
-        let mut reader = Planner::new(InstructionCost::default()).with_wisdom(off_record);
-        reader.exec.batch = BatchPolicy::default();
-        assert!(!reader.resolved_exec(10).batch.enabled());
-
-        // ...and an explicit pin beats the record both ways.
-        let pinned = pinned_to(|p| p.with_batch(BatchPolicy::disabled())).with_wisdom(wisdom);
-        assert!(!pinned.resolved_exec(10).batch.enabled());
-        let exec = pinned.exec().with_batch(BatchPolicy::new(8));
-        let repinned = pinned.with_exec(exec);
-        assert_eq!(repinned.resolved_exec(10).batch, BatchPolicy::new(8));
+        assert_eq!(
+            w.record(4, "x").unwrap().objective,
+            Some(CostObjective::Memory)
+        );
+        assert_eq!(w.measured_ns(4, "x"), Some(77));
     }
 
     #[test]
@@ -2008,16 +1153,19 @@ mod tests {
 
     #[test]
     fn wisdom_save_load_files() {
+        // The on-disk form is the sharded store: one file per entry, read
+        // back whole by a fresh planner.
+        let _isolate = crate::failpoints::scope();
+        let dir = std::env::temp_dir().join(format!("wht_wisdom_test_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
         let mut planner = Planner::new(InstructionCost::default());
         planner.plan(8).unwrap();
-        let dir = std::env::temp_dir().join("wht_wisdom_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join(format!("wisdom_{}.json", std::process::id()));
-        planner.wisdom().save(&path).unwrap();
-        let loaded = Wisdom::load(&path).unwrap();
-        assert_eq!(&loaded, planner.wisdom());
-        std::fs::remove_file(&path).ok();
-        assert!(Wisdom::load(dir.join("missing.json")).is_err());
+        let store = ShardedStore::open(&dir).unwrap();
+        assert_eq!(planner.save_store(&store).unwrap(), 8);
+        let warm = Planner::new(InstructionCost::default()).with_store(&store);
+        assert!(warm.store_diagnostics().is_empty());
+        assert_eq!(warm.wisdom(), planner.wisdom());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -2048,47 +1196,18 @@ mod tests {
     #[test]
     fn malformed_wisdom_rejected() {
         assert!(Wisdom::from_json("not json").is_err());
-        assert!(Wisdom::from_json("{\"version\":99,\"entries\":[]}").is_err());
+        // Version 8 only: older documents are refused like future ones.
+        for version in [1, 7, 9, 99] {
+            let doc = format!("{{\"version\":{version},\"entries\":[]}}");
+            assert!(Wisdom::from_json(&doc).is_err(), "version {version}");
+        }
+        assert!(Wisdom::from_json("{\"version\":8,\"entries\":[]}").is_ok());
         let bad_plan =
-            "{\"version\":1,\"entries\":[{\"n\":4,\"backend\":\"x\",\"plan\":\"small[\"}]}";
+            "{\"version\":8,\"entries\":[{\"n\":4,\"backend\":\"x\",\"plan\":\"small[\"}]}";
         assert!(Wisdom::from_json(bad_plan).is_err());
         let wrong_size =
-            "{\"version\":1,\"entries\":[{\"n\":4,\"backend\":\"x\",\"plan\":\"small[3]\"}]}";
+            "{\"version\":8,\"entries\":[{\"n\":4,\"backend\":\"x\",\"plan\":\"small[3]\"}]}";
         assert!(Wisdom::from_json(wrong_size).is_err());
-    }
-
-    #[test]
-    fn version_4_wisdom_migrates_and_records_no_objective() {
-        // A version-4 store (pre-objective) must load with its tuning
-        // intact and no objective recorded — so a default-weighted reader
-        // replays it, and an objective-aimed reader re-searches.
-        let legacy = "{\"version\":4,\"entries\":[{\"n\":10,\"backend\":\
-                      \"combined-model\",\"plan\":\"split[small[5],small[5]]\",\
-                      \"tuning\":{\"fuse_budget\":4096,\"simd\":true,\
-                      \"relayout\":0,\"recodelet\":true,\"batch\":0}}]}";
-        let w = Wisdom::from_json(legacy).unwrap();
-        assert_eq!(
-            w.tuning(10, "combined-model").unwrap().fuse_budget,
-            Some(4096)
-        );
-        assert_eq!(
-            w.tuning(10, "combined-model").unwrap().objective,
-            None,
-            "a field the blob predates records no choice"
-        );
-        let migrated = Wisdom::from_json(&w.to_json()).unwrap();
-        assert_eq!(migrated, w);
-        // A legacy (objective-less) planner serves the entry warm...
-        let mut warm = Planner::new(CombinedModelCost::paper_default()).with_wisdom(w.clone());
-        warm.plan(10).unwrap();
-        assert_eq!(warm.evaluations(), 0);
-        // ...while a planner aimed at an explicit objective treats it as
-        // stale and re-searches.
-        let mut aimed = Planner::new(CombinedModelCost::paper_default())
-            .with_wisdom(w)
-            .with_objective(CostObjective::Memory);
-        aimed.plan(10).unwrap();
-        assert!(aimed.evaluations() > 0);
     }
 
     #[test]
@@ -2101,14 +1220,14 @@ mod tests {
         planner.plan(12).unwrap();
         let backend = planner.backend_name();
         assert_eq!(
-            planner.wisdom().tuning(12, backend).unwrap().objective,
+            planner.wisdom().record(12, backend).unwrap().objective,
             Some(CostObjective::Memory)
         );
         let json = planner.wisdom().to_json();
         assert!(json.contains("\"objective\": \"Memory\""), "{json}");
         let reloaded = Wisdom::from_json(&json).unwrap();
         assert_eq!(
-            reloaded.tuning(12, backend).unwrap().objective,
+            reloaded.record(12, backend).unwrap().objective,
             Some(CostObjective::Memory)
         );
         // Same-objective importer: warm. Different objective: re-search.
@@ -2123,10 +1242,20 @@ mod tests {
         other.plan(12).unwrap();
         assert!(other.evaluations() > 0);
         assert_eq!(
-            other.wisdom().tuning(12, backend).unwrap().objective,
+            other.wisdom().record(12, backend).unwrap().objective,
             Some(CostObjective::Latency),
             "the stale entry is replaced under the new objective"
         );
+        // An entry searched under the backend's own weights records no
+        // objective: it is a miss for a planner aimed at one.
+        let mut plain = Planner::new(CombinedModelCost::paper_default());
+        plain.plan(10).unwrap();
+        assert_eq!(plain.wisdom().record(10, backend).unwrap().objective, None);
+        let mut aimed = Planner::new(CombinedModelCost::paper_default())
+            .with_wisdom(plain.wisdom().clone())
+            .with_objective(CostObjective::Memory);
+        aimed.plan(10).unwrap();
+        assert!(aimed.evaluations() > 0);
     }
 
     #[test]
@@ -2165,9 +1294,8 @@ mod tests {
         );
         // Every smaller span was solved by the same memo search.
         assert!(planner.explain(3).is_some());
-        // A wisdom-served planner replays the persisted provenance
-        // (wisdom version 6): the account survives a process restart,
-        // marked as a replay.
+        // A wisdom-served planner replays the persisted provenance: the
+        // account survives a process restart, marked as a replay.
         let mut warm =
             Planner::new(InstructionCost::default()).with_wisdom(planner.wisdom().clone());
         warm.plan(8).unwrap();

@@ -1,8 +1,7 @@
 //! Crash-safe sharded wisdom store.
 //!
-//! [`crate::Wisdom`] alone is one JSON blob per process: a torn write or
-//! a corrupt byte loses the fleet's entire tuning history. This module is
-//! the durable layer underneath it — the "persistent memo" the roadmap
+//! [`crate::Wisdom`] alone is one in-memory table per process. This module
+//! is the durable layer underneath it — the "persistent memo" the roadmap
 //! points at (optd's persistent memo store; FFTW's on-disk wisdom):
 //!
 //! ## Shard layout
@@ -16,7 +15,7 @@
 //!
 //! (`backend` sanitized for filenames, disambiguated by an FNV hash of
 //! the exact name; the payload carries the authoritative key). A fleet
-//! pools tuning by dropping many hosts' shards into one directory;
+//! pools its searches by dropping many hosts' shards into one directory;
 //! [`ShardedStore::load`] merges them key-wise, keeping the
 //! **measured-fastest** entry when timing evidence exists and the
 //! **newest** (by write stamp) otherwise.
@@ -30,7 +29,7 @@
 //! 12      8     write stamp (unix seconds), u64 LE
 //! 20      8     payload length, u64 LE
 //! 28      8     FNV-1a 64 checksum of the payload, u64 LE
-//! 36      len   payload: one wisdom JSON document (current version)
+//! 36      len   payload: one version-8 wisdom JSON document
 //! ```
 //!
 //! ## Crash-safety contract
@@ -41,8 +40,8 @@
 //! committed version or a stray `.tmp` file (which [`ShardedStore::load`]
 //! ignores — uncommitted writes never surface). A shard that is
 //! nevertheless damaged (torn by an unclean filesystem, bit-flipped,
-//! truncated, written by a future version) is **detectable** via the
-//! header and is *quarantined*, never loaded: [`ShardedStore::load`]
+//! truncated, written in another format version) is **detectable** and
+//! is *quarantined*, never loaded: [`ShardedStore::load`]
 //! moves it into `quarantine/` and reports a typed [`StoreDiagnostic`]
 //! while the remaining shards load normally. The store never panics and
 //! never fails an entire load because one shard is bad; with 100% of
@@ -62,20 +61,21 @@ use std::fmt;
 use std::fs::{self, File};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use wht_core::WhtError;
 
 /// First 8 bytes of every shard file.
 pub const SHARD_MAGIC: [u8; 8] = *b"WHTSHRD\0";
 
 /// Current shard *container* format (the header above). Independent of
-/// the wisdom JSON version inside the payload, which migrates on its own
-/// schedule.
+/// the wisdom JSON version inside the payload, which the payload declares
+/// itself.
 pub const SHARD_VERSION: u32 = 1;
 
 /// Fixed header length in bytes.
 pub const SHARD_HEADER_LEN: usize = 36;
 
-/// Why a shard (or a legacy wisdom blob) was refused and quarantined.
+/// Why a shard was refused and quarantined.
 /// One variant per failure class so operators and tests can tell a
 /// truncation from a flipped bit from a future format.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -96,8 +96,9 @@ pub enum StoreDiagnostic {
         /// How short it came up.
         detail: String,
     },
-    /// The shard (or wisdom blob) declares a format this build does not
-    /// know; refusing is the only safe answer.
+    /// The shard container, or the wisdom document inside it, declares a
+    /// format version this build does not read; refusing is the only safe
+    /// answer.
     VersionUnknown {
         /// File name (or path) of the offending shard.
         shard: String,
@@ -187,6 +188,10 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
     h
 }
 
+/// Per-process temp-file sequence: no two [`atomic_write`] calls of one
+/// process share a temp file.
+static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
+
 fn io_err(op: &str, path: &Path, detail: impl fmt::Display) -> WhtError {
     WhtError::Io {
         op: op.to_string(),
@@ -199,14 +204,17 @@ fn io_err(op: &str, path: &Path, detail: impl fmt::Display) -> WhtError {
 /// same directory → write → fsync → rename over `path` → directory
 /// fsync. A crash at any point leaves either the old file or the new one
 /// at `path`, never a mixture; a graceful failure cleans up its temp
-/// file. Each step is a named [`crate::failpoints`] site
+/// file. Each call writes its own temp file (named for the process and a
+/// per-process sequence number), so concurrent commits to one path —
+/// two threads, or two processes — each land whole and the last rename
+/// wins. Each step is a named [`crate::failpoints`] site
 /// (`atomic::create` / `atomic::write` / `atomic::fsync` /
 /// `atomic::rename` / `atomic::dir_fsync`), which is how the
 /// crash-consistency matrix replays every failure schedule.
 ///
-/// Used for wisdom shards, the legacy single-blob [`Wisdom::save`], and
-/// the benchmark artifacts (`BENCH_*.json`, results CSVs) — an
-/// interrupted run can no longer leave a truncated half-artifact behind.
+/// Used for wisdom shards and the benchmark artifacts (`BENCH_*.json`,
+/// results CSVs) — an interrupted run can no longer leave a truncated
+/// half-artifact behind.
 ///
 /// # Errors
 /// [`WhtError::Io`] naming the failed step. After an error the target
@@ -220,9 +228,10 @@ pub fn atomic_write(path: &Path, bytes: &[u8]) -> Result<(), WhtError> {
         .file_name()
         .ok_or_else(|| io_err("create", path, "path has no file name"))?;
     let tmp = dir.join(format!(
-        ".{}.tmp.{}",
+        ".{}.tmp.{}.{}",
         name.to_string_lossy(),
-        std::process::id()
+        std::process::id(),
+        TMP_SEQ.fetch_add(1, Ordering::Relaxed)
     ));
 
     // Site: atomic::create — nothing on disk yet, so Err and Kill agree.
@@ -626,10 +635,10 @@ fn read_shard(name: &str, path: &Path) -> Result<(u64, Wisdom), StoreDiagnostic>
     Ok((stamp, wisdom))
 }
 
-/// Move a refused shard (or legacy wisdom blob) into `root/quarantine/`,
-/// never overwriting an earlier quarantined file of the same name.
-/// Best-effort: `true` when the file actually moved.
-pub(crate) fn quarantine_file(root: &Path, path: &Path) -> bool {
+/// Move a refused shard into `root/quarantine/`, never overwriting an
+/// earlier quarantined file of the same name. Best-effort: `true` when
+/// the file actually moved.
+fn quarantine_file(root: &Path, path: &Path) -> bool {
     let qdir = root.join("quarantine");
     if fs::create_dir_all(&qdir).is_err() {
         return false;
@@ -764,6 +773,57 @@ mod tests {
             .filter(|e| e.file_name().to_string_lossy().contains("tmp"))
             .collect();
         assert!(stray.is_empty(), "{stray:?}");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn concurrent_commits_to_one_path_each_land_whole() {
+        // Two threads of one process commit shards of different lengths
+        // to one path, round after round in lockstep: every commit must
+        // succeed, and the file must always decode to one whole shard.
+        let dir = temp_dir("race");
+        let path = dir.join("n03-race.shard");
+        let short = encode_shard(1, &[b'a'; 64]);
+        let long = encode_shard(2, &vec![b'b'; 200_000]);
+        let lockstep = std::sync::Barrier::new(2);
+        // Each thread records its failures instead of panicking, so
+        // neither is left waiting at the barrier for the other.
+        let failures: Vec<String> = std::thread::scope(|s| {
+            let workers = [&short, &long].map(|bytes| {
+                let (path, short, long, lockstep) = (&path, &short, &long, &lockstep);
+                s.spawn(move || {
+                    let _isolate = failpoints::scope();
+                    let mut failures = Vec::new();
+                    for round in 0..200 {
+                        lockstep.wait();
+                        let outcome = atomic_write(path, bytes)
+                            .map_err(|e| e.to_string())
+                            .and_then(|()| fs::read(path).map_err(|e| e.to_string()))
+                            .and_then(|on_disk| match decode_shard("race", &on_disk) {
+                                Err(diag) => Err(diag.to_string()),
+                                Ok(_) if on_disk != *short && on_disk != *long => {
+                                    Err("a valid shard that neither thread wrote".into())
+                                }
+                                Ok(_) => Ok(()),
+                            });
+                        if let Err(e) = outcome {
+                            failures.push(format!("round {round}: {e}"));
+                        }
+                    }
+                    failures
+                })
+            });
+            workers
+                .into_iter()
+                .flat_map(|w| w.join().expect("worker ran to completion"))
+                .collect()
+        });
+        assert!(
+            failures.is_empty(),
+            "{} of 400 commits failed; first: {}",
+            failures.len(),
+            failures[0]
+        );
         let _ = fs::remove_dir_all(&dir);
     }
 

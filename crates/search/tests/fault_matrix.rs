@@ -491,73 +491,11 @@ fn explain_survives_a_process_restart_through_the_store() {
     rm(&dir);
 }
 
-/// Satellite 1 regression: a corrupt legacy single-blob wisdom file
-/// degrades (quarantine + default) instead of hard-failing, and a planner
-/// built over it still serves.
-#[test]
-fn legacy_blob_load_or_default_quarantines_and_degrades() {
-    let _isolate = failpoints::scope();
-    let dir = temp_dir("legacy");
-    let path = dir.join("wisdom.json");
-
-    // Missing file: clean cold start, no diagnostic.
-    let (w, diags) = Wisdom::load_or_default(&path);
-    assert!(w.is_empty() && diags.is_empty());
-
-    // Corrupt blob: default + Corrupt diagnostic + quarantined file.
-    fs::write(&path, "{\"version\":2,\"entries\":[{\"n\":4!!!garbage").unwrap();
-    let (w, diags) = Wisdom::load_or_default(&path);
-    assert!(w.is_empty());
-    assert_eq!(diags.len(), 1);
-    assert!(
-        !path.exists(),
-        "the damaged blob must be quarantined so the next save starts clean"
-    );
-    assert!(dir.join("quarantine").is_dir());
-
-    // And the planner builder route serves transforms regardless.
-    fs::write(&path, "truncated {\"version\":").unwrap();
-    let mut planner = Planner::new(InstructionCost::default()).with_wisdom_file(&path);
-    assert_eq!(planner.store_diagnostics().len(), 1);
-    let mut x: Vec<f64> = (0..32).map(|j| (j % 5) as f64).collect();
-    let want = naive_wht(&x);
-    planner.transform(&mut x).unwrap();
-    assert!(max_abs_diff(&x, &want) < 1e-12);
-    rm(&dir);
-}
-
-/// Wisdom saved by the legacy path is now atomically committed too: an
-/// injected rename failure leaves the previous blob intact.
-#[test]
-fn legacy_blob_save_is_atomic() {
-    let _isolate = failpoints::scope();
-    let dir = temp_dir("legacy_atomic");
-    let path = dir.join("wisdom.json");
-    let mut w = Wisdom::new();
-    w.insert(3, "lb", plan_a()).unwrap();
-    w.save(&path).unwrap();
-    let committed = fs::read(&path).unwrap();
-
-    let mut w2 = Wisdom::new();
-    w2.insert(3, "lb", plan_b()).unwrap();
-    let result = {
-        let _armed = failpoints::arm("atomic::rename", Fault::Err);
-        w2.save(&path)
-    };
-    assert!(matches!(result, Err(WhtError::Io { .. })));
-    assert_eq!(
-        fs::read(&path).unwrap(),
-        committed,
-        "a failed save must leave the committed blob byte-identical"
-    );
-    rm(&dir);
-}
-
 /// Shard container decode classifies damage without touching a
 /// filesystem (pure-function matrix rider covering the clamp edges).
 #[test]
 fn shard_codec_classification_is_exact() {
-    let payload = br#"{"version":6,"entries":[]}"#;
+    let payload = br#"{"version":8,"entries":[]}"#;
     let bytes = encode_shard(9, payload);
     let (stamp, back) = decode_shard("x", &bytes).unwrap();
     assert_eq!((stamp, back), (9, payload.as_slice()));

@@ -10,21 +10,13 @@
 //! Executor knobs: served transforms replay schedules lowered through the
 //! staged pipeline of `wht_core::compile` — prefix fusion, DDL tail
 //! relayout past the size threshold, re-codeleting, SIMD lane
-//! kernels — under **one** `ExecPolicy`. Each wisdom entry records the
-//! executor `Tuning` it was recorded with, and every knob of an importing
-//! planner resolves through one precedence rule: **API pin > wisdom >
-//! environment > default**. Concretely:
-//!
-//! - `.with_exec(policy)` is the one API pin: the whole policy it sets
-//!   beats recorded wisdom. To change one stage, pin the planner's own
-//!   policy with that stage replaced, e.g.
-//!   `.with_exec(ExecPolicy::from_env().with_fusion(FusionPolicy::disabled()))`.
-//! - The `WHT_NO_FUSE` / `WHT_NO_SIMD` / `WHT_NO_RELAYOUT` /
-//!   `WHT_NO_RECODELET` kill switches disable a stage process-wide, and
-//!   imported wisdom can never re-enable it (see `wht_core::env` for the
-//!   full knob table).
-//! - Otherwise recorded tuning replays the recorder's configuration per
-//!   size, and the environment snapshot / defaults fill the gaps.
+//! kernels — under **one** `ExecPolicy`: the one `.with_exec(policy)`
+//! sets, else the environment snapshot `Planner::new` takes (the
+//! `WHT_NO_*` kill switches and tuning knobs; see `wht_core::env` for the
+//! full table). Wisdom carries only the plans the tuning process
+//! searched, so the serving process runs them under its own policy. To
+//! change one stage, replace it in the planner's policy, e.g.
+//! `.with_exec(ExecPolicy::from_env().with_fusion(FusionPolicy::disabled()))`.
 
 use std::time::Instant;
 use wht::prelude::*;
@@ -112,12 +104,13 @@ fn main() -> Result<(), WhtError> {
         looped / batched.max(f64::EPSILON)
     );
 
-    // The configuration a size actually compiles under is one resolved
-    // ExecPolicy — inspectable without compiling anything.
+    // Every size compiles under the serving planner's own ExecPolicy —
+    // inspectable without compiling anything.
     let resolved: ExecPolicy = server.resolved_exec(n);
+    assert_eq!(&resolved, server.exec(), "wisdom never changes the policy");
     let on_off = |on: bool| if on { "on" } else { "off" };
     println!(
-        "resolved executor config for n={n}: fusion {} (budget {} elems), \
+        "serving executor config (every size): fusion {} (budget {} elems), \
          tail relayout {} past {} elems, re-codeleting {} (max small[{}]), \
          SIMD lanes {}, batching {} past {} rows",
         on_off(resolved.fusion.enabled()),
@@ -131,9 +124,9 @@ fn main() -> Result<(), WhtError> {
         resolved.batch.block_rows,
     );
     println!(
-        "(kill switches: WHT_NO_FUSE / WHT_NO_SIMD / WHT_NO_RELAYOUT / \
-         WHT_NO_RECODELET / WHT_NO_BATCH; pins: with_exec or the \
-         per-stage with_* builders)"
+        "(set by the environment — kill switches WHT_NO_FUSE / WHT_NO_SIMD / \
+         WHT_NO_RELAYOUT / WHT_NO_RECODELET / WHT_NO_BATCH — or by with_exec; \
+         the imported wisdom never changes it)"
     );
     assert_eq!(
         server.evaluations(),

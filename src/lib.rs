@@ -79,7 +79,7 @@ pub mod prelude {
         atomic_write, dp_search, memo_search, pruned_search, random_search, CombinedModelCost,
         CostObjective, CostVec, CostWeights, DpOptions, FusedTrafficCost, InstructionCost,
         MemoTable, PlanCost, PlanProvenance, Planner, ShardedStore, SimCyclesCost, StoreDiagnostic,
-        StoreLoad, Tuning, VectorCost, WallClockCost, Wisdom,
+        StoreLoad, VectorCost, WallClockCost, Wisdom,
     };
     pub use wht_space::{plan_count, sample_plans_seeded, Sampler};
     pub use wht_stats::{describe, pearson, Histogram, PruneCurve};
