@@ -730,8 +730,8 @@ fn parallel_bench(reps: usize, json_path: &str) {
             }
         }
     }
-    let report = pool.report();
-    println!("pool after run: {report}");
+    let stats = pool.stats();
+    println!("pool after run: {stats}");
 
     let file = ParallelFile {
         schema_version: PARALLEL_SCHEMA_VERSION,
@@ -746,8 +746,8 @@ fn parallel_bench(reps: usize, json_path: &str) {
              empty-work call, global pool vs per-call WorkerPool::new, same crew size."
         ),
         host_threads: host_threads as u64,
-        numa_nodes: report.numa_nodes as u64,
-        pinned: report.pinned,
+        numa_nodes: stats.numa_nodes as u64,
+        pinned: stats.pinned,
         reps: reps as u64,
         dispatch,
         rows,

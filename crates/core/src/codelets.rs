@@ -26,8 +26,10 @@
 //! every butterfly into `W`-wide arithmetic on `[T; W]` blocks loaded and
 //! stored with unit stride — the shape LLVM reliably auto-vectorizes on
 //! stable Rust. [`apply_pass_lanes`] runs a whole pass that way
-//! (sub-blocks of width 8/4/2 mop up `s < W` heads, and the `s == 1` head
-//! pass uses a contiguous load/compute/store codelet variant);
+//! (sub-blocks of width 8/4/2 mop up `s < W` heads, the `s == 1` head
+//! pass uses a contiguous load/compute/store codelet variant, and a pass
+//! wider than eight rows over more than 32 KiB per call runs as chained
+//! sweeps of at most eight rows);
 //! [`apply_codelet_cols`] is the same kernel restricted to a column range,
 //! the parallel engine's unit of work. On `x86_64`, `f64`/`f32` lane
 //! kernels are additionally compiled under
@@ -39,8 +41,10 @@
 //! the same values as the scalar loop — vector lanes never interact in an
 //! add/sub — so lane-blocked output is bit-identical for floats and exact
 //! for integers (property-tested in `tests/proptests.rs`). Each element is
-//! still read exactly once and written exactly once per pass, so the
-//! trace-executor accounting contract above is unchanged.
+//! still read exactly once and written exactly once per sweep, so the
+//! trace-executor accounting contract above holds for every pass except a
+//! wide one, which the lane backend runs as two or three sweeps where the
+//! trace charges one.
 //!
 //! [`SimdPolicy`] mirrors [`crate::compile::FusionPolicy`]: the compiled
 //! executor selects the lane backend by default, `WHT_NO_SIMD=1` (or
@@ -536,15 +540,58 @@ pub unsafe fn apply_codelet_cols<T: Scalar>(
     unsafe { codelet_cols_body(k, x, base, s, cols) }
 }
 
+/// Most codelet rows one sweep of [`apply_pass_lanes`] keeps in flight
+/// once a pass is wide: eight rows fit one L1 set's associativity at any
+/// stride — the same bound [`crate::compile::SMALL_MERGE_ROWS`] puts on
+/// the re-codelet stage's merges.
+const WIDE_SWEEP_ROWS: usize = crate::compile::SMALL_MERGE_ROWS;
+
+/// Bytes one codelet call spans (`2^k · s` elements) past which more
+/// than [`WIDE_SWEEP_ROWS`] of its rows share an L1 set (the set index
+/// repeats every 4 KiB). For `f64` this is the re-codelet stage's default
+/// footprint cap, `RecodeletPolicy::DEFAULT_FOOTPRINT_ELEMS`.
+const WIDE_PASS_SPAN_BYTES: usize = 32 << 10;
+
 /// Apply one whole pass `I(r) ⊗ WHT(2^k) ⊗ I(s)` at unit global stride
 /// through the lane-block backend (the kernel `PassBackend::Lanes`
 /// schedules select — see `wht_core::compile`). Same AVX2/portable
 /// dispatch as [`apply_codelet_cols`], hoisted above the row loop.
 ///
+/// A **wide** pass — more than eight codelet rows over more than 32 KiB
+/// per call — runs as chained sweeps of at most eight rows:
+/// `WHT(2^k) = (WHT(2^b) ⊗ I(2^a)) · (I(2^b) ⊗ WHT(2^a))`, the codelet's
+/// own `h < 2^a` stages first, so every butterfly sees the same operands
+/// and the output bits do not change (the re-codelet identity read
+/// backwards; see [`crate::compile::CompiledPlan::recodelet`]). Run as
+/// one sweep, each call keeps all `2^k` rows in flight; at a page-multiple
+/// stride they map to one L1 set and, when the vector's pages are
+/// physically contiguous, to one L2 set, so the pass's speed depends on
+/// where the OS placed the vector. perfbench's large_replay serves the
+/// planner's n = 20 schedule, a `small[5]` at a 256 KiB stride after a
+/// fused head holding a `small[6]` at 4 KiB: over ten 30 s runs on a
+/// 2-vCPU Xeon (2 MiB L2, 105 MiB L3) its per-run median call took
+/// 9.7–17.8 ms as single sweeps and 5.3–6.5 ms as chained ones.
+///
 /// # Safety
 /// `k` in `1..=MAX_LEAF_K` and `base + r * 2^k * s - 1 < x.len()`.
 #[inline]
 pub unsafe fn apply_pass_lanes<T: Scalar>(k: u32, x: &mut [T], base: usize, r: usize, s: usize) {
+    let rows = 1usize << k;
+    let span = rows
+        .saturating_mul(s)
+        .saturating_mul(std::mem::size_of::<T>());
+    if rows > WIDE_SWEEP_ROWS && span > WIDE_PASS_SPAN_BYTES {
+        let a = WIDE_SWEEP_ROWS.trailing_zeros();
+        let b = k - a;
+        // SAFETY: both sweeps cover exactly this pass's elements —
+        // r·2^b rows of 2^a·s and r rows of 2^b·(2^a·s), each r·2^k·s —
+        // and a, b are in 1..k.
+        unsafe {
+            apply_pass_lanes(a, x, base, r << b, s);
+            apply_pass_lanes(b, x, base, r, s << a);
+        }
+        return;
+    }
     #[cfg(target_arch = "x86_64")]
     {
         use std::any::TypeId;
@@ -1740,21 +1787,27 @@ mod tests {
 
     /// The lane-block kernels against the scalar per-column loop: same
     /// pass, bit-identical elements, for every leaf size, a spread of
-    /// inner extents (below, at, and above every block width), and all
-    /// four scalar types.
+    /// inner extents (below, at, and above every block width, plus twice
+    /// the narrowest stride that makes a pass of more than eight rows
+    /// wide, so it runs as chained sweeps), and all four scalar types —
+    /// the floats on inputs whose sums round, so a sweep order that
+    /// reassociated any butterfly would show.
     #[test]
     fn lane_pass_is_bit_identical_to_scalar_columns() {
-        fn check<T: Scalar>() {
+        fn check<T: Scalar>(value: fn(usize) -> T) {
             for k in 1..=MAX_LEAF_K {
-                for s in [1usize, 2, 3, 4, 6, 8, 16, 17, 32] {
+                let rows = 1usize << k;
+                let mut strides = vec![1usize, 2, 3, 4, 6, 8, 16, 17, 32];
+                if rows > WIDE_SWEEP_ROWS {
+                    strides.push(2 * WIDE_PASS_SPAN_BYTES / (rows * std::mem::size_of::<T>()));
+                }
+                for s in strides {
                     let r = 3usize;
-                    let len = r * (1usize << k) * s;
-                    let input: Vec<T> = (0..len)
-                        .map(|j| T::from_i64(((j * 37 + 11) % 251) as i64 - 125))
-                        .collect();
+                    let len = r * rows * s;
+                    let input: Vec<T> = (0..len).map(value).collect();
                     let mut scalar = input.clone();
                     for j in 0..r {
-                        let row = j * (1usize << k) * s;
+                        let row = j * rows * s;
                         for t in 0..s {
                             // SAFETY: (row + t) + (2^k - 1) * s < len.
                             unsafe { apply_codelet(k, &mut scalar, row + t, s) };
@@ -1767,10 +1820,10 @@ mod tests {
                 }
             }
         }
-        check::<f64>();
-        check::<f32>();
-        check::<i64>();
-        check::<i32>();
+        check::<f64>(|j| ((j * 37 + 11) % 251) as f64 * 0.37 - 41.3);
+        check::<f32>(|j| ((j * 37 + 11) % 251) as f32 * 0.37 - 41.3);
+        check::<i64>(|j| ((j * 37 + 11) % 251) as i64 - 125);
+        check::<i32>(|j| ((j * 37 + 11) % 251) as i32 - 125);
     }
 
     /// The lane transposes are exact inverses, for every scalar type and

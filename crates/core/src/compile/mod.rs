@@ -300,10 +300,6 @@ pub struct Provenance {
     /// part count minus re-codeleted part count; `0` when the stage left
     /// the unit alone).
     pub recodeleted: usize,
-    /// This unit executes in the batched cross-transform domain (only ever
-    /// set on the units [`CompiledPlan::traverse_batch`] synthesizes from a
-    /// [`BatchSchedule`]; the single-transform schedule never carries it).
-    pub batched: bool,
     /// The stream stage marked this unit's copy sweeps for streaming
     /// memory codelets: the relayout gather prefetches ahead and the
     /// scatter writes through non-temporal stores (see
@@ -1421,20 +1417,11 @@ impl CompiledPlan {
     pub fn traverse<H: ExecHooks>(&self, hooks: &mut H) {
         let scratch_base = self.size().next_multiple_of(64);
         hooks.enter_split(self.n, self.schedule.len());
-        self.traverse_units(0, scratch_base, hooks);
-    }
-
-    /// The body of [`CompiledPlan::traverse`], shifted by `offset`
-    /// elements: one schedule replay reported at the addresses of the row
-    /// starting there ([`CompiledPlan::traverse_batch`] reuses it per
-    /// batch row). Scratch addresses are *not* shifted — every row streams
-    /// through the same scratch, exactly as execution does.
-    fn traverse_units<H: ExecHooks>(&self, offset: usize, scratch_base: usize, hooks: &mut H) {
         for sp in &self.schedule {
             hooks.super_pass(sp);
             for j in 0..sp.tiles {
                 if let Some(rl) = sp.relayout {
-                    hooks.relayout_gather(offset + j * rl.cols, rl, scratch_base);
+                    hooks.relayout_gather(j * rl.cols, rl, scratch_base);
                     for p in 0..sp.parts.len() {
                         let pass = sp.parts[p];
                         hooks.child_loops(pass.k, pass.r, pass.s);
@@ -1446,110 +1433,10 @@ impl CompiledPlan {
                             );
                         }
                     }
-                    hooks.relayout_scatter(offset + j * rl.cols, rl, scratch_base);
+                    hooks.relayout_scatter(j * rl.cols, rl, scratch_base);
                 } else {
                     for p in 0..sp.parts.len() {
                         let pass = sp.tile_pass(p, j);
-                        hooks.child_loops(pass.k, pass.r, pass.s);
-                        for q in 0..pass.invocations() {
-                            hooks.leaf_call(
-                                pass.k,
-                                offset + pass.invocation_base(q),
-                                pass.codelet_stride(),
-                            );
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// The batched counterpart of [`CompiledPlan::traverse`]: replay
-    /// [`CompiledPlan::apply_batch`]'s program for a `rows × 2^n` batch
-    /// datalessly, reporting each step to `hooks` — so batched traffic is
-    /// charged through the **existing** [`ExecHooks`] surface, no new
-    /// hook methods. `lanes` is the lane width of the scalar type being
-    /// modeled ([`Scalar::LANES`]; `traverse` is dataless, so the caller
-    /// names it).
-    ///
-    /// Hook mapping: each engaged lane group is reported as one
-    /// synthesized cross-transform [`SuperPass`] — `relayout` geometry
-    /// `{rows: lanes, row_stride: 2^n, cols: 2^n}`, so the two transposes
-    /// are charged exactly like relayout's gather/scatter copies
-    /// (`lanes · 2^n` elements each), with the scaled head passes' leaf
-    /// calls at scratch addresses (past the whole batch, rounded to a
-    /// cache line) — followed, when the tail is non-empty, by one direct
-    /// super-pass whose `lanes` tiles are the group's rows, leaf calls at
-    /// the real row addresses. Both carry
-    /// [`Provenance::batched`]. Disengaged batches (no
-    /// [`BatchSchedule`], or `rows` below the threshold) and the
-    /// sub-lane-group remainder replay the ordinary schedule per row at
-    /// each row's offset, exactly as `apply_batch` executes them.
-    pub fn traverse_batch<H: ExecHooks>(&self, rows: usize, lanes: usize, hooks: &mut H) {
-        let size = self.size();
-        let w = lanes.max(1);
-        let scratch_base = (rows * size).next_multiple_of(64);
-        let Some(b) = self.batch.as_ref().filter(|b| rows >= b.block_rows.max(w)) else {
-            hooks.enter_split(self.n, rows * self.schedule.len());
-            for row in 0..rows {
-                self.traverse_units(row * size, scratch_base, hooks);
-            }
-            return;
-        };
-        let groups = rows / w;
-        let rem = rows % w;
-        let group_units = if b.tail.is_empty() { 1 } else { 2 };
-        hooks.enter_split(self.n, groups * group_units + rem * self.schedule.len());
-        let rl = Relayout {
-            rows: w,
-            row_stride: size,
-            cols: size,
-        };
-        let batched = Provenance {
-            batched: true,
-            ..Provenance::default()
-        };
-        for g in 0..groups {
-            let base = g * w * size;
-            let cross = SuperPass {
-                parts: b.cross.iter().map(|p| Pass { s: p.s * w, ..*p }).collect(),
-                tile: w * size,
-                tiles: 1,
-                base,
-                stride: 1,
-                backend: b.backend,
-                relayout: Some(rl),
-                provenance: batched,
-            };
-            hooks.super_pass(&cross);
-            hooks.relayout_gather(base, rl, scratch_base);
-            for pass in &cross.parts {
-                hooks.child_loops(pass.k, pass.r, pass.s);
-                for q in 0..pass.invocations() {
-                    hooks.leaf_call(
-                        pass.k,
-                        scratch_base + pass.invocation_base(q),
-                        pass.codelet_stride(),
-                    );
-                }
-            }
-            hooks.relayout_scatter(base, rl, scratch_base);
-            if !b.tail.is_empty() {
-                let tail = SuperPass {
-                    parts: b.tail.clone(),
-                    tile: size,
-                    tiles: w,
-                    base,
-                    stride: 1,
-                    backend: b.backend,
-                    relayout: None,
-                    provenance: batched,
-                };
-                hooks.super_pass(&tail);
-                for j in 0..w {
-                    for p in 0..tail.parts.len() {
-                        // tile_pass folds the group base in (tail.base).
-                        let pass = tail.tile_pass(p, j);
                         hooks.child_loops(pass.k, pass.r, pass.s);
                         for q in 0..pass.invocations() {
                             hooks.leaf_call(pass.k, pass.invocation_base(q), pass.codelet_stride());
@@ -1557,9 +1444,6 @@ impl CompiledPlan {
                     }
                 }
             }
-        }
-        for row in 0..rem {
-            self.traverse_units((groups * w + row) * size, scratch_base, hooks);
         }
     }
 }

@@ -130,13 +130,18 @@ impl RelayoutPolicy {
     /// through the same cache level the fused head's tiles live in.
     pub const DEFAULT_BUDGET_ELEMS: usize = FusionPolicy::DEFAULT_BUDGET_ELEMS;
 
-    /// Default engagement threshold: `2^24` elements (128 MiB of `f64`s)
-    /// — decisively past the ~100 MiB LLC of the reference host, where
-    /// tail sweeps actually pay DRAM. Measured there, relayout wins
-    /// 1.1–1.3× at `n >= 24` and is neutral-to-negative below (the
-    /// copies are pure overhead while the tail still hits cache), so the
-    /// default engages exactly where the win is. Hosts with smaller LLCs
-    /// tune it down via `WHT_RELAYOUT_THRESHOLD`.
+    /// Default engagement threshold: `2^24` elements (128 MiB of `f64`s),
+    /// meant to sit past the last-level cache, where tail sweeps pay
+    /// DRAM; below it the copies would run while the tail still hits
+    /// cache. Measured with perfbench's `core.ablate.relayout.n24` (time
+    /// with the stage off over time with it on, on `apply_plan`'s f64
+    /// schedule; above 1.0 means the stage helps): 1.06–1.74 in three
+    /// traced runs on a 2-vCPU Xeon with a 300 MiB L3, 1.25 and 1.27 in
+    /// two on one with a 105 MiB L3. Sizes below the floor are not
+    /// measured with the stage on: there the ablation reads exactly 1.0
+    /// because the stage does not engage.
+    /// `core.ablate.relayout.nN` re-measures it; hosts with smaller LLCs
+    /// can lower the floor via `WHT_RELAYOUT_THRESHOLD`.
     pub const DEFAULT_MIN_ELEMS: usize = 1 << 24;
 
     /// Default minimum tail length: gather + scatter cost about two full
@@ -380,12 +385,16 @@ pub struct BatchPolicy {
 impl BatchPolicy {
     /// Default engagement threshold: one full lane group of the widest
     /// scalar type (16 rows — `f32`/`i32` lane width; two groups of
-    /// `f64`/`i64`). Measured (AVX2 host, f64, `BENCH_batch.json`), the
-    /// cross path wins decisively where lone transforms leave lanes idle
-    /// (3.2–4.3× aggregate over a per-transform `apply_plan` loop at
-    /// n = 6, 1.5–1.9× at n = 8) and is within noise of the per-row
-    /// replay once the full-width tail dominates (n ≥ 10), so the default
-    /// engages as soon as a full group of any type exists.
+    /// `f64`/`i64`), so the path engages as soon as a full group of any
+    /// type exists. Measured with perfbench's `core.batch.gain.nN` (a
+    /// per-row `apply_with_scratch` loop over the same schedule, divided
+    /// by `apply_batch_with_scratch`; f64, 64 rows, AVX2): on a 2-vCPU
+    /// Xeon with a 300 MiB L3, 1.5–2.5 at n = 6, 1.05–1.42 at n = 8 and
+    /// 0.93–1.10 at n = 10–12 in three traced runs; on one with a 105 MiB
+    /// L3, 1.57 and 2.05 at n = 6 and 0.69–1.14 at n = 8–12 in two. So
+    /// the stage gains where lone transforms leave lanes idle (n = 6) and
+    /// shows no gain once the full-width tail dominates.
+    /// `core.batch.gain.nN` and `core.ablate.batch.nN` re-measure it.
     pub const DEFAULT_BLOCK_ROWS: usize = 16;
 
     /// Policy with an explicit engagement threshold.
@@ -469,14 +478,16 @@ pub struct StreamPolicy {
 }
 
 impl StreamPolicy {
-    /// Default engagement threshold: `2^24` elements — the same
-    /// decisively-past-the-LLC floor as
+    /// Default engagement threshold: `2^24` elements — the same floor as
     /// [`RelayoutPolicy::DEFAULT_MIN_ELEMS`], because the two policies
-    /// gate the same physical situation: sweeps whose lines cannot
-    /// survive in cache until reuse. Below it the scatter's lines are
-    /// often the next pass's working set and evicting them loses;
-    /// past it they were never going to survive anyway and the saved
-    /// read-for-ownership traffic is pure win.
+    /// aim at the same situation: sweeps whose lines cannot survive in
+    /// cache until reuse. No gain has been measured at it: perfbench's
+    /// `core.ablate.stream.n24` (time with streaming off over time with
+    /// it on, on `apply_plan`'s f64 schedule; above 1.0 means streaming
+    /// helps) read 0.78–1.04 in three traced runs on a 2-vCPU Xeon with a
+    /// 300 MiB L3, and 0.92 and 0.98 in two on one with a 105 MiB L3, so
+    /// streaming was at best neutral there and sometimes slower.
+    /// `core.ablate.stream.nN` re-measures it.
     pub const DEFAULT_MIN_ELEMS: usize = RelayoutPolicy::DEFAULT_MIN_ELEMS;
 
     /// Policy with an explicit engagement floor.

@@ -193,8 +193,8 @@ impl fmt::Display for VerifyDiagnostic {
         if let Some(p) = self.provenance {
             write!(
                 f,
-                " (provenance: fused={} relayouted={} recodeleted={} batched={})",
-                p.fused, p.relayouted, p.recodeleted, p.batched
+                " (provenance: fused={} relayouted={} recodeleted={})",
+                p.fused, p.relayouted, p.recodeleted
             )?;
         }
         Ok(())

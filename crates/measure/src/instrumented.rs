@@ -107,36 +107,6 @@ pub fn compiled_instruction_count(compiled: &CompiledPlan, cost: &CostModel) -> 
     cost.total(&compiled_op_counts(compiled))
 }
 
-/// Operation counts of the **batched** replay — the same counter driven
-/// by [`CompiledPlan::traverse_batch`], so what is measured is exactly
-/// the program [`CompiledPlan::apply_batch`] executes for a `rows × 2^n`
-/// batch with lane width `lanes` ([`wht_core::Scalar::LANES`] of the
-/// element type being modeled). Engaged lane groups pay the two
-/// transpose copies — charged through the relayout gather/scatter hooks,
-/// one load, one store, and two address computations per copied element —
-/// and run every scaled cross pass once per group; the sub-group
-/// remainder, and the whole batch when the schedule carries no engaged
-/// [`wht_core::BatchSchedule`], replay the ordinary per-row program. The
-/// butterfly count is invariant either way (`rows ×` the single-transform
-/// arith) — batching only moves loads, stores, and bookkeeping.
-pub fn batch_op_counts(compiled: &CompiledPlan, rows: usize, lanes: usize) -> OpCounts {
-    let mut counter = InstructionCounter::new();
-    compiled.traverse_batch(rows, lanes, &mut counter);
-    counter.counts()
-}
-
-/// Instruction count of the batched replay under `cost` — what PAPI
-/// would report for one [`CompiledPlan::apply_batch`] call on the
-/// abstract machine.
-pub fn batch_instruction_count(
-    compiled: &CompiledPlan,
-    rows: usize,
-    lanes: usize,
-    cost: &CostModel,
-) -> u64 {
-    cost.total(&batch_op_counts(compiled, rows, lanes))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -240,46 +210,6 @@ mod tests {
         assert_eq!(r.loads, f.loads + 2 * size);
         assert_eq!(r.stores, f.stores + 2 * size);
         assert_eq!(r.addr, f.addr + 4 * size);
-    }
-
-    #[test]
-    fn batch_counts_charge_the_transposes_and_save_bookkeeping() {
-        use wht_core::BatchPolicy;
-        let n = 10u32;
-        let w = 8usize; // f64 lane width: the batch path's group size
-        let plan = Plan::iterative(n).unwrap();
-        let compiled = CompiledPlan::compile(&plan).with_batch(&BatchPolicy::new(1));
-        assert!(compiled.is_batched());
-        let single = compiled_op_counts(&compiled);
-
-        // Below the lane width the batched replay is the per-row program
-        // — identical bill, one shared schedule entry aside.
-        let rows = 5usize;
-        let few = batch_op_counts(&compiled, rows, w);
-        let mut want = single.scale(rows as u64);
-        want.node_invocations = 1;
-        assert_eq!(few, want);
-
-        // Engaged: 2 full lane groups + 3 remainder rows.
-        let rows = 19usize;
-        let b = batch_op_counts(&compiled, rows, w);
-        let size = 1u64 << n;
-        let groups = (rows / w) as u64;
-        // The butterfly DAG is the batch invariant: same arith, same
-        // codelet calls, same k-loop trips as `rows` lone transforms...
-        assert_eq!(b.arith, single.arith * rows as u64);
-        assert_eq!(b.leaf_calls, single.leaf_calls * rows as u64);
-        assert_eq!(b.k_iters, single.k_iters * rows as u64);
-        // ...each engaged group pays the gather and scatter copies on top
-        // (1 load + 1 store + 2 addr per copied element, two copies of
-        // the w·2^n group)...
-        let copies = groups * 2 * (w as u64) * size;
-        assert_eq!(b.loads, single.loads * rows as u64 + copies);
-        assert_eq!(b.stores, single.stores * rows as u64 + copies);
-        assert_eq!(b.addr, single.addr * rows as u64 + 2 * copies);
-        // ...and each scaled cross pass runs once per group instead of
-        // once per row — the j-loop saving the transposed domain buys.
-        assert!(b.j_iters < single.j_iters * rows as u64);
     }
 
     #[test]

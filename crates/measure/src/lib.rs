@@ -18,22 +18,20 @@
 
 pub mod instrumented;
 pub mod policy_trace;
-pub mod pool;
 pub mod record;
 pub mod simcycles;
 pub mod timer;
 pub mod trace;
 
 pub use instrumented::{
-    batch_instruction_count, batch_op_counts, compiled_instruction_count, compiled_op_counts,
-    measured_instruction_count, measured_op_counts, InstructionCounter,
+    compiled_instruction_count, compiled_op_counts, measured_instruction_count, measured_op_counts,
+    InstructionCounter,
 };
 pub use policy_trace::{opteron_l1_policy_misses, policy_trace_misses};
-pub use pool::PoolReport;
 pub use record::{measure_plan, MeasureOptions, Measurement};
 pub use simcycles::{simulated_cycles, SimMachine};
 pub use timer::{time_compiled_plan, time_plan, TimingConfig, TimingResult};
 pub use trace::{
-    batch_super_pass_traffic, direct_mapped_unit_misses, opteron_misses, super_pass_traffic,
-    trace_misses, trace_misses_compiled, SuperPassTraffic, TraceExecutor,
+    direct_mapped_unit_misses, opteron_misses, super_pass_traffic, trace_misses,
+    trace_misses_compiled, SuperPassTraffic, TraceExecutor,
 };

@@ -142,8 +142,11 @@ pub struct SuperPassTraffic {
     pub tile_elems: usize,
     /// Kernel backend the executor replays this super-pass with (recorded
     /// in the schedule; the lane backend loads `W`-element blocks but
-    /// still reads and writes each element exactly once, so the access
-    /// and miss columns are charged identically for both backends).
+    /// still reads and writes each element exactly once per pass, so the
+    /// access and miss columns are charged identically for both backends —
+    /// except for a pass wider than eight rows over more than 32 KiB per
+    /// call, which the lane backend runs as chained sweeps; see
+    /// `wht_core::apply_pass_lanes`).
     pub backend: PassBackend,
     /// `Some` when the unit is a relayout super-pass (its "tiles" are
     /// gathered blocks): the row's accesses then include the gather and
@@ -233,36 +236,6 @@ pub fn super_pass_traffic(
         open: None,
     };
     compiled.traverse(&mut tracer);
-    tracer.close();
-    *hierarchy = tracer.hierarchy;
-    tracer.report
-}
-
-/// Per-super-pass traffic of one cold **batched** replay of `compiled`
-/// for a `rows × 2^n` batch through `hierarchy` (reset first): the same
-/// tracer driven by [`CompiledPlan::traverse_batch`], so the rows segment
-/// exactly the program [`CompiledPlan::apply_batch`] runs. Each engaged
-/// lane group contributes one synthesized cross-transform unit — relayout
-/// geometry `{rows: lanes, cols: 2^n}`, so its transpose pair is traced
-/// like a relayout's gather/scatter copies, with the scaled head passes
-/// running at resident scratch addresses — followed by one direct unit
-/// whose `lanes` tiles are the group's rows; both carry
-/// [`Provenance::batched`]. The sub-group remainder, and the whole batch
-/// when no [`wht_core::BatchSchedule`] engages, replay the ordinary
-/// per-row rows at each row's offset.
-pub fn batch_super_pass_traffic(
-    compiled: &CompiledPlan,
-    rows: usize,
-    lanes: usize,
-    hierarchy: &mut Hierarchy,
-) -> Vec<SuperPassTraffic> {
-    hierarchy.reset();
-    let mut tracer = SuperPassTracer {
-        hierarchy: hierarchy.clone(),
-        report: Vec::new(),
-        open: None,
-    };
-    compiled.traverse_batch(rows, lanes, &mut tracer);
     tracer.close();
     *hierarchy = tracer.hierarchy;
     tracer.report
@@ -576,60 +549,6 @@ mod tests {
         let per_factor_tail = super_pass_traffic(&relaid, &mut h).last().unwrap().accesses;
         assert_eq!(per_factor_tail, 2 * size * 6 + 4 * size);
         assert!(tail.accesses < per_factor_tail);
-    }
-
-    #[test]
-    fn batched_traffic_reports_the_synthesized_units_and_partitions_the_bill() {
-        use wht_core::{BatchPolicy, CompiledPlan};
-        let n = 12u32;
-        let w = 8usize; // f64 lane width
-        let rows = 19usize; // 2 full lane groups + 3 remainder rows
-        let plan = Plan::iterative(n).unwrap();
-        let compiled = CompiledPlan::compile(&plan).with_batch(&BatchPolicy::new(1));
-        let b = compiled.batch_schedule().unwrap();
-        let (cross, tail) = (b.cross().len() as u64, b.tail().len() as u64);
-        assert!(cross > 0 && tail > 0);
-
-        let mut h = Hierarchy::opteron();
-        let report = batch_super_pass_traffic(&compiled, rows, w, &mut h);
-        let groups = rows / w;
-        let units = compiled.super_passes().len();
-        assert_eq!(report.len(), groups * 2 + (rows % w) * units);
-        let size = 1u64 << n;
-        let group_elems = (w as u64) * size;
-        for g in 0..groups {
-            // One synthesized cross-transform unit per group: a
-            // relayout-shaped transpose pair (4 accesses per group
-            // element) around the scaled head passes...
-            let head = &report[g * 2];
-            assert!(head.provenance.batched);
-            let rl = head.relayout.unwrap();
-            assert_eq!((rl.rows, rl.cols), (w, 1usize << n));
-            assert_eq!(head.accesses, 2 * group_elems * cross + 4 * group_elems);
-            // ...then one direct unit replaying the tail over the
-            // group's rows as its tiles.
-            let rest = &report[g * 2 + 1];
-            assert!(rest.provenance.batched);
-            assert_eq!(rest.relayout, None);
-            assert_eq!(rest.tiles, w);
-            assert_eq!(rest.accesses, 2 * group_elems * tail);
-        }
-        // The remainder replays the ordinary schedule, unmarked.
-        for row in &report[groups * 2..] {
-            assert!(!row.provenance.batched);
-        }
-        // Aggregate bill: rows × the per-row accesses, plus exactly the
-        // two transpose copies per engaged group.
-        let mut h = Hierarchy::opteron();
-        let single: u64 = super_pass_traffic(&compiled, &mut h)
-            .iter()
-            .map(|r| r.accesses)
-            .sum();
-        let total: u64 = report.iter().map(|r| r.accesses).sum();
-        assert_eq!(
-            total,
-            single * rows as u64 + groups as u64 * 4 * group_elems
-        );
     }
 
     #[test]

@@ -46,6 +46,7 @@
 //! deadlocking or aborting. Barrier-synchronized jobs bail through
 //! `PoisonBarrier` so a panic on one worker releases the others.
 
+use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex, OnceLock};
 use wht_core::{Scalar, WhtError};
@@ -187,8 +188,9 @@ fn parse_cpulist(s: &str) -> Vec<usize> {
     cpus
 }
 
-/// Snapshot of a pool's shape and activity, for `wht-measure` hooks and
-/// the benchmark report.
+/// Snapshot of a pool's shape and activity, recorded alongside parallel
+/// measurements so a replayed number carries the crew geometry that
+/// produced it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PoolStats {
     /// Crew size.
@@ -208,6 +210,21 @@ pub struct PoolStats {
     /// Work-stealing claims: chunks a worker took from another worker's
     /// stable range after draining its own.
     pub steals: u64,
+}
+
+impl fmt::Display for PoolStats {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "{} workers over {} NUMA node{} ({}), {} jobs, {} steals",
+            self.workers,
+            self.numa_nodes,
+            if self.numa_nodes == 1 { "" } else { "s" },
+            if self.pinned { "pinned" } else { "unpinned" },
+            self.jobs,
+            self.steals,
+        )
+    }
 }
 
 /// A persistent crew of worker threads executing type-erased jobs (see
@@ -308,21 +325,6 @@ impl WorkerPool {
             pinned: false,
             jobs,
             steals: self.steals.load(Ordering::Relaxed),
-        }
-    }
-
-    /// The same snapshot as [`WorkerPool::stats`], converted to the
-    /// plain-data [`wht_measure::PoolReport`] that measurement records
-    /// and the benchmark attach to parallel numbers.
-    pub fn report(&self) -> wht_measure::PoolReport {
-        let stats = self.stats();
-        wht_measure::PoolReport {
-            workers: stats.workers,
-            numa_nodes: stats.numa_nodes,
-            placement: stats.placement,
-            pinned: stats.pinned,
-            jobs: stats.jobs,
-            steals: stats.steals,
         }
     }
 
@@ -572,6 +574,33 @@ pub(crate) fn scratch_words<T: Scalar>(arena: &mut Vec<u64>, elems: usize) -> &m
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
+
+    #[test]
+    fn display_mentions_the_key_fields() {
+        let s = PoolStats {
+            workers: 4,
+            numa_nodes: 2,
+            placement: vec![0, 1, 0, 1],
+            pinned: false,
+            jobs: 17,
+            steals: 3,
+        }
+        .to_string();
+        assert!(s.contains("4 workers"), "{s}");
+        assert!(s.contains("2 NUMA nodes"), "{s}");
+        assert!(s.contains("unpinned"), "{s}");
+        assert!(s.contains("17 jobs"), "{s}");
+        assert!(s.contains("3 steals"), "{s}");
+        let uma = PoolStats {
+            workers: 1,
+            numa_nodes: 1,
+            placement: vec![0],
+            pinned: false,
+            jobs: 0,
+            steals: 0,
+        };
+        assert!(uma.to_string().contains("1 NUMA node ("), "{uma}");
+    }
 
     #[test]
     fn cpulist_parsing() {

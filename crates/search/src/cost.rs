@@ -5,7 +5,6 @@
 //! that search. Both are [`PlanCost`] implementations here, so every search
 //! strategy works with either backend.
 
-use serde::{Deserialize, Serialize};
 use wht_cachesim::Hierarchy;
 use wht_core::{lane_width, CompiledPlan, ExecPolicy, FusionPolicy, Plan, WhtError};
 use wht_measure::{simulated_cycles, time_plan, SimMachine, TimingConfig};
@@ -24,11 +23,10 @@ pub trait PlanCost {
 
     /// The term vector behind `cost(plan)`, for provenance recording.
     ///
-    /// Scalar-only backends return `Ok(None)` (the default); vectored
-    /// backends ([`VectorCost`]) return the same [`CostVec`] as
-    /// [`VectorCost::cost_vector`] so the memo table can stamp each group
-    /// winner with *which terms* made it win without the search being
-    /// generic over the vector trait.
+    /// Scalar-only backends return `Ok(None)` (the default); the model
+    /// backends return their [`CostVec`], whose weighted slot equals
+    /// `cost(plan)`, so the memo table can stamp each group winner with
+    /// *which terms* made it win.
     ///
     /// # Errors
     /// Same failure modes as [`PlanCost::cost`].
@@ -81,24 +79,16 @@ pub struct CostVec(pub Vec<f64>);
 impl CostVec {
     /// Slot of the weighted collapse (what [`PlanCost::cost`] returns).
     pub const WEIGHTED: usize = 0;
-    /// Slot of the work term (single-transform instructions / flops).
+    /// Slot of the work term (instructions / flops).
     pub const WORK: usize = 1;
     /// Slot of the memory-traffic term (streamed elements or model misses).
     pub const TRAFFIC: usize = 2;
-    /// Slot of the lane-width-adjusted work term (full-SIMD-width work,
-    /// what a batched cross-transform execution retires).
-    pub const LANE_WORK: usize = 3;
     /// Number of slots.
-    pub const LEN: usize = 4;
+    pub const LEN: usize = 3;
 
-    /// Build from the three named terms, collapsing under `weights`.
-    pub fn from_terms(work: f64, traffic: f64, lane_work: f64, weights: CostWeights) -> Self {
-        CostVec(vec![
-            weights.collapse(work, traffic, lane_work),
-            work,
-            traffic,
-            lane_work,
-        ])
+    /// Build from the two named terms, collapsing under `weights`.
+    pub fn from_terms(work: f64, traffic: f64, weights: CostWeights) -> Self {
+        CostVec(vec![weights.collapse(work, traffic), work, traffic])
     }
 
     /// The weighted collapse (slot 0).
@@ -116,34 +106,26 @@ impl CostVec {
         self.0[Self::TRAFFIC]
     }
 
-    /// The lane-width-adjusted work term.
-    pub fn lane_work(&self) -> f64 {
-        self.0[Self::LANE_WORK]
-    }
-
     /// One-line rendering for logs and `Planner::explain`.
     pub fn explain(&self) -> String {
         format!(
-            "weighted={:.3} (work={:.3}, traffic={:.3}, lane_work={:.3})",
+            "weighted={:.3} (work={:.3}, traffic={:.3})",
             self.weighted(),
             self.work(),
-            self.traffic(),
-            self.lane_work()
+            self.traffic()
         )
     }
 }
 
 /// Weights collapsing a [`CostVec`]'s named terms into one comparable
 /// scalar — optd's `compute_cost + io_cost * 10.0` generalized to the
-/// three terms this package models.
+/// two terms this package models.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostWeights {
-    /// Weight on single-transform work (instructions / flops).
+    /// Weight on work (instructions / flops).
     pub work: f64,
     /// Weight on memory traffic (streamed elements or model misses).
     pub traffic: f64,
-    /// Weight on lane-width-adjusted (full-SIMD-width) work.
-    pub lane_work: f64,
 }
 
 impl Default for CostWeights {
@@ -152,74 +134,14 @@ impl Default for CostWeights {
         CostWeights {
             work: 1.0,
             traffic: 0.0,
-            lane_work: 0.0,
         }
     }
 }
 
 impl CostWeights {
-    /// Collapse the three terms into the comparable scalar.
-    pub fn collapse(&self, work: f64, traffic: f64, lane_work: f64) -> f64 {
-        self.work * work + self.traffic * traffic + self.lane_work * lane_work
-    }
-}
-
-/// A named multi-objective policy: which weighting a [`VectorCost`]
-/// backend collapses its term vector under. One objective swap re-aims the
-/// same memo search at latency, memory traffic, or batched throughput;
-/// `Planner` records the choice in wisdom so replays stay consistent.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum CostObjective {
-    /// Single-transform latency: the backend's default weighting.
-    Latency,
-    /// Memory traffic only: minimize streamed elements / model misses.
-    Memory,
-    /// Saturated-batch throughput: full-lane-width work; memory latency
-    /// (not bandwidth) hides behind the batch.
-    BatchThroughput,
-}
-
-impl CostObjective {
-    /// Every objective, for iteration in tests and benches.
-    pub const ALL: [CostObjective; 3] = [
-        CostObjective::Latency,
-        CostObjective::Memory,
-        CostObjective::BatchThroughput,
-    ];
-
-    /// Stable lowercase name for logs.
-    pub fn name(self) -> &'static str {
-        match self {
-            CostObjective::Latency => "latency",
-            CostObjective::Memory => "memory",
-            CostObjective::BatchThroughput => "batch-throughput",
-        }
-    }
-}
-
-/// A [`PlanCost`] that exposes its term vector and its collapse weights —
-/// optd's `CostModel` shape. `cost(plan)` must equal
-/// `cost_vector(plan)?.weighted()` so scalar searches and vector
-/// provenance never disagree.
-pub trait VectorCost: PlanCost {
-    /// The full term vector for one plan (slot 0 = weighted collapse).
-    ///
-    /// # Errors
-    /// Same failure modes as [`PlanCost::cost`].
-    fn cost_vector(&mut self, plan: &Plan) -> Result<CostVec, WhtError>;
-
-    /// The collapse weights currently in effect.
-    fn weights(&self) -> CostWeights;
-
-    /// Replace the collapse weights (re-aims every subsequent `cost`).
-    fn set_weights(&mut self, weights: CostWeights);
-
-    /// This backend's weighting for a named objective.
-    fn objective_weights(&self, objective: CostObjective) -> CostWeights;
-
-    /// Re-aim the backend at a named objective.
-    fn set_objective(&mut self, objective: CostObjective) {
-        self.set_weights(self.objective_weights(objective));
+    /// Collapse the two terms into the comparable scalar.
+    pub fn collapse(&self, work: f64, traffic: f64) -> f64 {
+        self.work * work + self.traffic * traffic
     }
 }
 
@@ -229,31 +151,22 @@ pub trait VectorCost: PlanCost {
 pub struct InstructionCost {
     /// Abstract machine weights.
     pub cost_model: CostModel,
-    /// Collapse weights over (work, traffic, lane_work). The model has no
-    /// traffic term and its work is lane-agnostic, so work and lane_work
-    /// both carry the instruction count; the default (`work = 1`) makes
-    /// `cost` the plain instruction count.
-    pub weights: CostWeights,
-}
-
-impl InstructionCost {
-    fn instruction_term(&self, plan: &Plan) -> f64 {
-        instruction_count(plan, &self.cost_model) as f64
-    }
 }
 
 impl PlanCost for InstructionCost {
     fn cost(&mut self, plan: &Plan) -> Result<f64, WhtError> {
-        let i = self.instruction_term(plan);
-        Ok(self.weights.collapse(i, 0.0, i))
+        Ok(instruction_count(plan, &self.cost_model) as f64)
     }
 
     fn name(&self) -> &'static str {
         "instruction-model"
     }
 
+    /// The model has no traffic term: the vector carries the instruction
+    /// count as its work term and collapses to it.
     fn cost_terms(&mut self, plan: &Plan) -> Result<Option<CostVec>, WhtError> {
-        Ok(Some(self.cost_vector(plan)?))
+        let i = self.cost(plan)?;
+        Ok(Some(CostVec::from_terms(i, 0.0, CostWeights::default())))
     }
 
     fn compose_lower_bound(&self, m: u32, parts: &[(u32, f64)]) -> Option<f64> {
@@ -261,43 +174,10 @@ impl PlanCost for InstructionCost {
         // recursion is invocation-linear and the overhead term is exactly
         // computable from the part exponents, so scaled-children + overhead
         // is a *tight* lower bound (exact when the children are the memo's
-        // own best plans) whenever the collapse is monotone in the
-        // instruction term (non-negative weights).
-        if self.weights.work < 0.0 || self.weights.traffic < 0.0 || self.weights.lane_work < 0.0 {
-            return None;
-        }
+        // own best plans).
         let exps: Vec<u32> = parts.iter().map(|&(c, _)| c).collect();
         let ov = self.cost_model.split_overhead(m, &exps) as f64;
-        Some((self.weights.work + self.weights.lane_work) * ov + invocation_scaled_bound(m, parts))
-    }
-}
-
-impl VectorCost for InstructionCost {
-    fn cost_vector(&mut self, plan: &Plan) -> Result<CostVec, WhtError> {
-        let i = self.instruction_term(plan);
-        Ok(CostVec::from_terms(i, 0.0, i, self.weights))
-    }
-
-    fn weights(&self) -> CostWeights {
-        self.weights
-    }
-
-    fn set_weights(&mut self, weights: CostWeights) {
-        self.weights = weights;
-    }
-
-    fn objective_weights(&self, objective: CostObjective) -> CostWeights {
-        // The model has one real signal; every objective reads it through
-        // a different slot, but the ordering only changes if a caller
-        // mixes in custom terms via set_weights.
-        match objective {
-            CostObjective::Latency | CostObjective::Memory => CostWeights::default(),
-            CostObjective::BatchThroughput => CostWeights {
-                work: 0.0,
-                traffic: 0.0,
-                lane_work: 1.0,
-            },
-        }
+        Some(ov + invocation_scaled_bound(m, parts))
     }
 }
 
@@ -338,8 +218,16 @@ impl PlanCost for CombinedModelCost {
         "combined-model"
     }
 
+    /// `I` is the work term and `M` the traffic term, collapsed under
+    /// `alpha` and `beta`.
     fn cost_terms(&mut self, plan: &Plan) -> Result<Option<CostVec>, WhtError> {
-        Ok(Some(self.cost_vector(plan)?))
+        let i = instruction_count(plan, &self.cost_model) as f64;
+        let m = analytic_misses(plan, self.cache) as f64;
+        let weights = CostWeights {
+            work: self.alpha,
+            traffic: self.beta,
+        };
+        Ok(Some(CostVec::from_terms(i, m, weights)))
     }
 
     fn compose_lower_bound(&self, m: u32, parts: &[(u32, f64)]) -> Option<f64> {
@@ -366,54 +254,6 @@ impl PlanCost for CombinedModelCost {
             lb -= self.beta * (parts.len() as f64 - 1.0) * (1u64 << m) as f64;
         }
         Some(lb)
-    }
-}
-
-impl VectorCost for CombinedModelCost {
-    fn cost_vector(&mut self, plan: &Plan) -> Result<CostVec, WhtError> {
-        let i = instruction_count(plan, &self.cost_model) as f64;
-        let m = analytic_misses(plan, self.cache) as f64;
-        Ok(CostVec::from_terms(i, m, i, self.weights()))
-    }
-
-    fn weights(&self) -> CostWeights {
-        CostWeights {
-            work: self.alpha,
-            traffic: self.beta,
-            lane_work: 0.0,
-        }
-    }
-
-    /// `work` maps onto `alpha`, `traffic` onto `beta`; the model has no
-    /// lane-width term, so `lane_work` is ignored (the vector still
-    /// carries the instruction count in that slot for inspection).
-    fn set_weights(&mut self, weights: CostWeights) {
-        self.alpha = weights.work;
-        self.beta = weights.traffic;
-    }
-
-    fn objective_weights(&self, objective: CostObjective) -> CostWeights {
-        match objective {
-            // The paper's fitted latency blend.
-            CostObjective::Latency => CostWeights {
-                work: 1.0,
-                traffic: 0.05,
-                lane_work: 0.0,
-            },
-            // Pure miss minimization.
-            CostObjective::Memory => CostWeights {
-                work: 0.0,
-                traffic: 1.0,
-                lane_work: 0.0,
-            },
-            // A saturated batch hides memory latency behind independent
-            // transforms; throughput is instruction-bound.
-            CostObjective::BatchThroughput => CostWeights {
-                work: 1.0,
-                traffic: 0.0,
-                lane_work: 0.0,
-            },
-        }
     }
 }
 
@@ -454,34 +294,14 @@ pub struct FusedTrafficCost {
     /// `min(s, W)`, because the lane-block kernels retire columns in
     /// unit-stride blocks and a single transform only offers a pass `s`
     /// adjacent columns — the narrow head passes (`s < W`) cannot go full
-    /// width (the batched cross-transform path exists precisely to fix
-    /// that; see [`FusedTrafficCost::batch_rows`]). `1` models the scalar
-    /// backend; loop bookkeeping is never divided (the lane kernels run
-    /// the same pass/row loops). Matching the ranking model to the
-    /// executor matters: under SIMD the ALU term shrinks, so memory
-    /// traffic weighs relatively more and traffic-lean plans rank higher
-    /// — exactly what wall-clock measurement shows.
+    /// width. `1` models the scalar backend; loop bookkeeping is never
+    /// divided (the lane kernels run the same pass/row loops). Matching
+    /// the ranking model to the executor matters: under SIMD the ALU term
+    /// shrinks, so memory traffic weighs relatively more and traffic-lean
+    /// plans rank higher — exactly what wall-clock measurement shows.
     pub simd_lanes: usize,
-    /// `Some(rows)`: score the **batched** execution of a `rows × 2^n`
-    /// batch through [`CompiledPlan::apply_batch`] instead of one
-    /// transform — the total for all `rows`. When the lowered schedule
-    /// carries a batch product and `rows` reaches its threshold, engaged
-    /// lane groups run every pass at full width (that is what the
-    /// transposed domain buys) and are charged one streamed sweep of the
-    /// group for the transpose pair (the gather's read of `x` and the
-    /// scatter's write back; the scratch side is cache-resident by the
-    /// batch stage's size cap); the sub-group remainder — and the whole
-    /// batch when disengaged — replays at `rows ×` the single-transform
-    /// cost. `None` (the default) scores one transform, exactly as
-    /// before. Sweeping `rows` locates the crossover where `Some(rows)`
-    /// stops preferring the batched schedule — the measurement behind
-    /// [`wht_core::BatchPolicy::block_rows`].
-    pub batch_rows: Option<usize>,
-    /// Collapse weights over the term vector: `work` multiplies the
-    /// single-transform instruction term, `traffic` the streamed-element
-    /// term, `lane_work` the full-SIMD-width instruction term (what a
-    /// batched cross-transform execution retires). The historical
-    /// `alpha`/`beta` scalars are `weights.work`/`weights.traffic`.
+    /// Collapse weights: `work` multiplies the instruction term (the
+    /// `alpha` above), `traffic` the streamed-element term (`beta`).
     pub weights: CostWeights,
 }
 
@@ -504,21 +324,11 @@ impl FusedTrafficCost {
                 1
             },
             exec,
-            batch_rows: None,
             weights: CostWeights {
                 work: 1.0,
                 traffic: 4.0,
-                lane_work: 0.0,
             },
         }
-    }
-
-    /// This cost with batched scoring for `rows`-row batches (builder
-    /// style; see [`FusedTrafficCost::batch_rows`]).
-    #[must_use]
-    pub fn with_batch_rows(mut self, rows: usize) -> Self {
-        self.batch_rows = Some(rows);
-        self
     }
 }
 
@@ -532,10 +342,9 @@ impl Default for FusedTrafficCost {
 }
 
 impl FusedTrafficCost {
-    /// The (work, traffic, lane_work) term triple behind [`Self::cost`]:
-    /// single-transform instruction term, streamed elements, and the
-    /// full-SIMD-width instruction term.
-    fn terms(&self, plan: &Plan) -> (f64, f64, f64) {
+    /// The (work, traffic) term pair behind [`Self::cost`]: instruction
+    /// term and streamed elements of one transform.
+    fn terms(&self, plan: &Plan) -> (f64, f64) {
         // Lower the plan exactly as the executor will; everything below
         // scores that schedule generically, stage-agnostically.
         let compiled = CompiledPlan::compile(plan).lower(&self.exec);
@@ -552,13 +361,10 @@ impl FusedTrafficCost {
             + self.cost_model.addr * ops.addr) as f64;
         let bookkeeping = self.cost_model.total(&ops) as f64 - plan_leaf_work;
         let lanes = self.simd_lanes.max(1);
-        // Leaf work twice over: at each pass's single-transform effective
-        // width min(s, W) — a lone transform only offers a pass s adjacent
-        // unit-stride columns, so the narrow head passes cannot fill the
-        // lanes — and at full width, which is what the batched
-        // cross-transform domain restores for every pass.
-        let mut leaf_single = 0f64;
-        let mut leaf_full = 0f64;
+        // Leaf work at each pass's effective width min(s, W): a lone
+        // transform only offers a pass s adjacent unit-stride columns,
+        // so the narrow head passes cannot fill the lanes.
+        let mut leaf = 0f64;
         for pass in compiled.passes() {
             // One codelet invocation of size 2^k: k·2^k butterfly ops,
             // 2^k loads + 2^k stores, one address computation per load
@@ -569,8 +375,7 @@ impl FusedTrafficCost {
                 * (self.cost_model.arith * u64::from(pass.k) * size
                     + (self.cost_model.load + self.cost_model.store + 2 * self.cost_model.addr)
                         * size)) as f64;
-            leaf_single += work / pass.s.max(1).min(lanes) as f64;
-            leaf_full += work / lanes as f64;
+            leaf += work / pass.s.max(1).min(lanes) as f64;
         }
         // Traffic term: sweeps per scheduling unit, off the lowered
         // schedule. A relayout unit is charged two streamed sweeps — the
@@ -593,51 +398,14 @@ impl FusedTrafficCost {
                 sp.span() * sweeps
             })
             .sum();
-        let single = (
-            bookkeeping + leaf_single,
-            (2 * streamed) as f64,
-            bookkeeping + leaf_full,
-        );
-        let Some(rows) = self.batch_rows else {
-            return single;
-        };
-        // Batched scoring: model what apply_batch runs for this batch.
-        // Engaged lane groups pay one streamed sweep of the whole group —
-        // the transpose pair moves the group through memory exactly once
-        // (gather reads x, scatter writes it back; the transposed scratch
-        // is cache-resident by the batch stage's size cap, and the tail
-        // passes run on the still-resident group) — and every pass goes
-        // full width in the transposed domain, so an engaged group's work
-        // *is* the full-width term (charged to both work and lane_work).
-        let w = lanes;
-        let engaged = compiled
-            .batch_schedule()
-            .filter(|b| rows >= b.block_rows().max(w));
-        match engaged {
-            Some(_) => {
-                let groups = (rows / w) as f64;
-                let rem = (rows % w) as f64;
-                let group_work = w as f64 * (bookkeeping + leaf_full);
-                let group_traffic = (2 * w * compiled.size()) as f64;
-                (
-                    groups * group_work + rem * single.0,
-                    groups * group_traffic + rem * single.1,
-                    groups * group_work + rem * single.2,
-                )
-            }
-            None => (
-                rows as f64 * single.0,
-                rows as f64 * single.1,
-                rows as f64 * single.2,
-            ),
-        }
+        (bookkeeping + leaf, (2 * streamed) as f64)
     }
 }
 
 impl PlanCost for FusedTrafficCost {
     fn cost(&mut self, plan: &Plan) -> Result<f64, WhtError> {
-        let (work, traffic, lane_work) = self.terms(plan);
-        Ok(self.weights.collapse(work, traffic, lane_work))
+        let (work, traffic) = self.terms(plan);
+        Ok(self.weights.collapse(work, traffic))
     }
 
     fn name(&self) -> &'static str {
@@ -645,7 +413,8 @@ impl PlanCost for FusedTrafficCost {
     }
 
     fn cost_terms(&mut self, plan: &Plan) -> Result<Option<CostVec>, WhtError> {
-        Ok(Some(self.cost_vector(plan)?))
+        let (work, traffic) = self.terms(plan);
+        Ok(Some(CostVec::from_terms(work, traffic, self.weights)))
     }
 
     // No compose_lower_bound override: fusion collapses the sweeps of
@@ -653,46 +422,6 @@ impl PlanCost for FusedTrafficCost {
     // its parts in isolation — the invocation-scaled bound is unsound
     // here, and the memo search falls back to exhaustive evaluation
     // (still memoized across sizes and searches).
-}
-
-impl VectorCost for FusedTrafficCost {
-    fn cost_vector(&mut self, plan: &Plan) -> Result<CostVec, WhtError> {
-        let (work, traffic, lane_work) = self.terms(plan);
-        Ok(CostVec::from_terms(work, traffic, lane_work, self.weights))
-    }
-
-    fn weights(&self) -> CostWeights {
-        self.weights
-    }
-
-    fn set_weights(&mut self, weights: CostWeights) {
-        self.weights = weights;
-    }
-
-    fn objective_weights(&self, objective: CostObjective) -> CostWeights {
-        match objective {
-            // The measured single-transform blend (the default).
-            CostObjective::Latency => CostWeights {
-                work: 1.0,
-                traffic: 4.0,
-                lane_work: 0.0,
-            },
-            // Pure streamed-element minimization.
-            CostObjective::Memory => CostWeights {
-                work: 0.0,
-                traffic: 1.0,
-                lane_work: 0.0,
-            },
-            // Batched serving: every pass runs full width in the
-            // transposed domain, so single-width work is irrelevant and
-            // bandwidth still costs.
-            CostObjective::BatchThroughput => CostWeights {
-                work: 0.0,
-                traffic: 4.0,
-                lane_work: 1.0,
-            },
-        }
-    }
 }
 
 /// Deterministic simulated cycles on the reference Opteron (trace-driven:
@@ -758,7 +487,7 @@ impl PlanCost for WallClockCost {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wht_core::{BatchPolicy, RecodeletPolicy, RelayoutPolicy, SimdPolicy};
+    use wht_core::{RecodeletPolicy, RelayoutPolicy, SimdPolicy};
 
     #[test]
     fn model_backends_are_deterministic() {
@@ -914,63 +643,6 @@ mod tests {
     }
 
     #[test]
-    fn fused_traffic_scores_batched_execution_below_per_row() {
-        // Small n, SIMD on: the narrow head passes (s < W) throttle the
-        // single-transform leaf term, and the batched transposed domain
-        // runs every pass at full width — so a big batch must score
-        // strictly below rows independent transforms whenever the
-        // lowered schedule carries an engaged batch product.
-        let plan = Plan::iterative(8).unwrap();
-        let exec = ExecPolicy::default().with_simd(SimdPolicy::auto());
-        let single = FusedTrafficCost::with_exec(exec).cost(&plan).unwrap();
-        let rows = 64;
-        let batched = FusedTrafficCost::with_exec(exec)
-            .with_batch_rows(rows)
-            .cost(&plan)
-            .unwrap();
-        assert!(
-            batched < rows as f64 * single,
-            "64-row batch must beat 64 per-row transforms \
-             ({batched} vs {} = 64 x {single})",
-            rows as f64 * single
-        );
-        // The knob the Planner tunes from this: a disabled batch stage
-        // scores exactly rows x the single-transform cost — no product,
-        // no discount.
-        let off = exec.with_batch(BatchPolicy::disabled());
-        assert_eq!(
-            FusedTrafficCost::with_exec(off)
-                .with_batch_rows(rows)
-                .cost(&plan)
-                .unwrap(),
-            rows as f64 * FusedTrafficCost::with_exec(off).cost(&plan).unwrap()
-        );
-        // Below the engagement threshold (block_rows.max(W)) the executor
-        // replays per row, and the model must agree exactly — a 1-row
-        // "batch" in particular is neutral.
-        for small in [1usize, 8] {
-            assert!(small < BatchPolicy::DEFAULT_BLOCK_ROWS.max(lane_width::<f64>()));
-            assert_eq!(
-                FusedTrafficCost::with_exec(exec)
-                    .with_batch_rows(small)
-                    .cost(&plan)
-                    .unwrap(),
-                small as f64 * single
-            );
-        }
-        // Past the batch stage's size cap no product is built, so the
-        // batched score degenerates to per-row there too.
-        let big = Plan::iterative(19).unwrap();
-        assert_eq!(
-            FusedTrafficCost::with_exec(exec)
-                .with_batch_rows(rows)
-                .cost(&big)
-                .unwrap(),
-            rows as f64 * FusedTrafficCost::with_exec(exec).cost(&big).unwrap()
-        );
-    }
-
-    #[test]
     fn names_are_distinct() {
         let names = [
             InstructionCost::default().name(),
@@ -1014,31 +686,24 @@ mod tests {
         assert!(lr > rr);
     }
 
-    /// `cost` must equal the vector's weighted collapse for every vector
-    /// backend under every objective — scalar searches and provenance
-    /// stamping may never disagree.
+    /// `cost` must equal the term vector's weighted collapse for every
+    /// model backend — scalar searches and provenance stamping may never
+    /// disagree.
     #[test]
     fn vector_collapse_matches_scalar_cost() {
-        fn check<C: VectorCost>(mut c: C) {
+        fn check<C: PlanCost>(mut c: C) {
             let plan = Plan::iterative(14).unwrap();
-            for obj in CostObjective::ALL {
-                c.set_objective(obj);
-                let v = c.cost_vector(&plan).unwrap();
-                let s = c.cost(&plan).unwrap();
-                assert_eq!(v.weighted(), s, "{} under {}", c.name(), obj.name());
-                assert_eq!(v.0.len(), CostVec::LEN);
-                let terms = c.cost_terms(&plan).unwrap().expect("vector backend");
-                assert_eq!(terms, v);
-            }
+            let v = c.cost_terms(&plan).unwrap().expect("model backend");
+            assert_eq!(v.weighted(), c.cost(&plan).unwrap(), "{}", c.name());
+            assert_eq!(v.0.len(), CostVec::LEN);
         }
         check(InstructionCost::default());
         check(CombinedModelCost::paper_default());
         check(FusedTrafficCost::default());
     }
 
-    /// Defaults are unchanged by the vector layer: the instruction backend
-    /// still returns the plain count, the combined backend the paper
-    /// blend, the traffic backend the work + 4·traffic collapse.
+    /// The instruction backend returns the plain count, the traffic
+    /// backend the work + 4·traffic collapse.
     #[test]
     fn default_weights_reproduce_legacy_costs() {
         let plan = Plan::iterative(12).unwrap();
@@ -1048,23 +713,8 @@ mod tests {
             instruction_count(&plan, &CostModel::default()) as f64
         );
         let mut f = FusedTrafficCost::default();
-        let v = f.cost_vector(&plan).unwrap();
+        let v = f.cost_terms(&plan).unwrap().expect("model backend");
         assert_eq!(f.cost(&plan).unwrap(), v.work() + 4.0 * v.traffic());
-    }
-
-    /// Objectives are real policy changes: under the fused-traffic backend
-    /// the memory objective scores a plan by streamed elements alone.
-    #[test]
-    fn objectives_reweight_the_same_terms() {
-        let plan = Plan::iterative(18).unwrap();
-        let mut c = FusedTrafficCost::default();
-        let v = c.cost_vector(&plan).unwrap();
-        c.set_objective(CostObjective::Memory);
-        assert_eq!(c.cost(&plan).unwrap(), v.traffic());
-        c.set_objective(CostObjective::BatchThroughput);
-        assert_eq!(c.cost(&plan).unwrap(), v.lane_work() + 4.0 * v.traffic());
-        c.set_objective(CostObjective::Latency);
-        assert_eq!(c.cost(&plan).unwrap(), v.weighted());
     }
 
     /// The invocation-scaled composition bound must never exceed the true

@@ -6,11 +6,10 @@
 //! * [`cost`] — pluggable cost backends: instruction model, combined
 //!   `alpha*I + beta*M` model, fusion-aware traffic model (scores the
 //!   cache-blocked schedule the compiled executor actually replays),
-//!   deterministic simulated cycles, wall clock — plus the vectored
-//!   layer ([`VectorCost`]/[`CostVec`]/[`CostObjective`]): each model
-//!   backend exposes its (work, traffic, lane-work) terms and collapses
-//!   them under swappable weights, so one objective swap re-aims every
-//!   search at latency, memory, or batched throughput;
+//!   deterministic simulated cycles, wall clock. Each scores one
+//!   transform under fixed weights; the model backends also report the
+//!   (work, traffic) terms behind their cost as a [`CostVec`], which the
+//!   memo stamps on each winner;
 //! * [`dp`] — the package's dynamic-programming autotuner (the source of
 //!   the paper's "best" algorithms), kept as the evaluate-everything
 //!   baseline;
@@ -91,8 +90,8 @@ pub mod strategies;
 
 pub use calibrate::{calibrate, CalibrateOptions, CalibratedCost};
 pub use cost::{
-    invocation_scaled_bound, CombinedModelCost, CostObjective, CostVec, CostWeights,
-    FusedTrafficCost, InstructionCost, PlanCost, SimCyclesCost, VectorCost, WallClockCost,
+    invocation_scaled_bound, CombinedModelCost, CostVec, CostWeights, FusedTrafficCost,
+    InstructionCost, PlanCost, SimCyclesCost, WallClockCost,
 };
 pub use dp::{dp_search, split_compositions, DpOptions, DpResult};
 pub use failpoints::Fault;

@@ -55,7 +55,7 @@ pub struct Group {
     pub plan: Plan,
     /// Its (collapsed, scalar) cost.
     pub cost: f64,
-    /// Its term vector, when the backend is vectored
+    /// Its term vector, when the backend reports one
     /// ([`PlanCost::cost_terms`]); `None` for scalar-only backends.
     pub terms: Option<CostVec>,
     /// How it won.
@@ -92,9 +92,8 @@ impl Group {
 /// Groups are only valid for one (backend, [`DpOptions`]) context; a
 /// `memo_search` under a different context resets the table. The backend
 /// is identified by [`PlanCost::name`] — callers that mutate a backend's
-/// weights in place (e.g. [`crate::VectorCost::set_weights`]) must call
-/// [`MemoTable::clear`] themselves, since the name does not change
-/// (`Planner` does this when its objective changes).
+/// weights in place must call [`MemoTable::clear`] themselves, since the
+/// name does not change.
 #[derive(Debug, Clone, Default)]
 pub struct MemoTable {
     context: Option<(&'static str, DpOptions)>,

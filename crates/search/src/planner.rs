@@ -39,7 +39,7 @@
 //!
 //! ```text
 //! {"version": 8, "entries": [{"n": 4, "backend": "instruction-model",
-//!   "plan": "split[small[2],small[2]]", "objective": null,
+//!   "plan": "split[small[2],small[2]]",
 //!   "provenance": {"composition": [2, 2], "candidates": 8, "evaluated": 5,
 //!                  "pruned": 3, "cost": 42.5},
 //!   "measured_ns": 910}]}
@@ -48,20 +48,17 @@
 //! - `n`, `backend`: the entry's key.
 //! - `plan`: the winner in the WHT-package grammar, parsed and validated
 //!   on load.
-//! - `objective`: the [`CostObjective`] the vectored cost backend was
-//!   collapsed under when the plan won (`null`: the backend's own
-//!   weights). A planner aimed at a different objective
-//!   ([`Planner::with_objective`]) treats the entry as a miss.
 //! - `provenance`: how the plan won its memo search ([`PlanProvenance`]),
 //!   so [`Planner::explain`] survives a process restart.
 //! - `measured_ns`: measured wall-clock evidence; the store's merge keeps
 //!   the measured-fastest entry per key (see [`crate::store`]).
 //!
-//! [`Wisdom::from_json`] reads version 8 only and ignores unknown fields.
-//! A document of any other version is refused: in a store its shard is
-//! quarantined as [`StoreDiagnostic::VersionUnknown`] and its sizes
-//! cold-search. Wisdom caches search results, so an old store costs one
-//! search per size, never a wrong answer.
+//! [`Wisdom::from_json`] reads version 8 only and ignores unknown fields,
+//! so version-8 entries that carry an `objective` column still load (it
+//! is not written back). A document of any other version is refused: in
+//! a store its shard is quarantined as [`StoreDiagnostic::VersionUnknown`]
+//! and its sizes cold-search. Wisdom caches search results, so an old
+//! store costs one search per size, never a wrong answer.
 //!
 //! ```
 //! use wht_search::{InstructionCost, Planner};
@@ -80,7 +77,7 @@
 //! # Ok::<(), wht_core::WhtError>(())
 //! ```
 
-use crate::cost::{CostObjective, PlanCost, VectorCost};
+use crate::cost::PlanCost;
 use crate::dp::DpOptions;
 use crate::memo::{memo_search, MemoTable};
 use crate::store::{ShardedStore, StoreDiagnostic};
@@ -128,13 +125,11 @@ impl PlanProvenance {
     }
 }
 
-/// One best-known plan plus everything recorded with it: the objective
-/// it won under, the search provenance, and measured wall-clock evidence
-/// when any exists.
+/// One best-known plan plus everything recorded with it: the search
+/// provenance and measured wall-clock evidence when any exists.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct WisdomRecord {
     pub(crate) plan: Plan,
-    pub(crate) objective: Option<CostObjective>,
     pub(crate) provenance: Option<PlanProvenance>,
     pub(crate) measured_ns: Option<u64>,
 }
@@ -147,7 +142,6 @@ struct WisdomEntry {
     n: u32,
     backend: String,
     plan: String,
-    objective: Option<CostObjective>,
     provenance: Option<PlanProvenance>,
     measured_ns: Option<u64>,
 }
@@ -158,7 +152,6 @@ impl WisdomEntry {
             n,
             backend: backend.to_string(),
             plan: record.plan.to_string(),
-            objective: record.objective,
             provenance: record.provenance.clone(),
             measured_ns: record.measured_ns,
         }
@@ -210,8 +203,7 @@ impl Wisdom {
         self.len() == 0
     }
 
-    /// The whole `(n, backend)` record, if any — how the planner reads
-    /// the objective an entry was searched under.
+    /// The whole `(n, backend)` record, if any.
     pub(crate) fn record(&self, n: u32, backend: &str) -> Option<&WisdomRecord> {
         self.entries.get(&n)?.get(backend)
     }
@@ -222,7 +214,7 @@ impl Wisdom {
     }
 
     /// Record (or overwrite) the best plan for `(n, backend)`, with no
-    /// objective, provenance or measurement attached.
+    /// provenance or measurement attached.
     ///
     /// # Errors
     /// [`WhtError::SizeTooLarge`] if `n` exceeds [`wht_core::MAX_N`];
@@ -234,7 +226,6 @@ impl Wisdom {
             backend,
             WisdomRecord {
                 plan,
-                objective: None,
                 provenance: None,
                 measured_ns: None,
             },
@@ -388,7 +379,6 @@ impl Wisdom {
         for entry in file.entries {
             let record = WisdomRecord {
                 plan: entry.plan.parse()?,
-                objective: entry.objective,
                 provenance: entry.provenance,
                 measured_ns: entry.measured_ns,
             };
@@ -482,9 +472,6 @@ pub struct Planner<C: PlanCost> {
     /// Solved search groups, kept across `plan` calls: a later, larger
     /// search only solves the spans no earlier search has seen.
     memo: MemoTable,
-    /// The named weighting the cost backend was last aimed at via
-    /// [`Planner::with_objective`]; `None` = the backend's own weights.
-    objective: Option<CostObjective>,
     /// Diagnostics accumulated from store loads this planner degraded
     /// through ([`Planner::with_store`]) — surfaced via
     /// [`Planner::store_diagnostics`] and [`Planner::explain`].
@@ -509,7 +496,6 @@ impl<C: PlanCost> Planner<C> {
             wisdom: Wisdom::new(),
             compiled: HashMap::new(),
             memo: MemoTable::new(),
-            objective: None,
             store_diagnostics: Vec::new(),
             evaluations: 0,
         }
@@ -584,12 +570,6 @@ impl<C: PlanCost> Planner<C> {
         self.cost.name()
     }
 
-    /// The named objective the cost backend is currently aimed at
-    /// ([`Planner::with_objective`]); `None` = the backend's own weights.
-    pub fn objective(&self) -> Option<CostObjective> {
-        self.objective
-    }
-
     /// The persistent memo of solved search groups (spans searched by
     /// *this* planner instance; wisdom imported from elsewhere carries no
     /// groups).
@@ -598,7 +578,7 @@ impl<C: PlanCost> Planner<C> {
     }
 
     /// Why size `2^n`'s plan won: the winning composition, the candidate
-    /// counts (evaluated / pruned), and — for vectored backends — the
+    /// counts (evaluated / pruned), and — for the model backends — the
     /// cost terms, as one human-readable line. A size this planner
     /// instance searched reports the live memo's account; a size served
     /// from imported wisdom falls back to the provenance persisted in the
@@ -657,16 +637,6 @@ impl<C: PlanCost> Planner<C> {
         self.exec
     }
 
-    /// Whether the `(m, backend)` wisdom entry may serve this planner: it
-    /// must exist, and — when the planner is aimed at a named objective —
-    /// must have been recorded under that same objective (a plan optimal
-    /// for a different collapse is a miss, not a hit).
-    fn wisdom_entry_is_current(&self, m: u32, backend: &str) -> bool {
-        self.wisdom
-            .record(m, backend)
-            .is_some_and(|r| self.objective.is_none() || r.objective == self.objective)
-    }
-
     /// Best plan for size `2^n`: wisdom hit, or one memoized search whose
     /// entire per-size table is recorded as wisdom.
     ///
@@ -674,22 +644,19 @@ impl<C: PlanCost> Planner<C> {
     /// Propagates search option validation and cost-backend failures.
     pub fn plan(&mut self, n: u32) -> Result<&Plan, WhtError> {
         let backend = self.cost.name();
-        if !self.wisdom_entry_is_current(n, backend) {
+        if self.wisdom.get(n, backend).is_none() {
             let res = memo_search(n, &self.opts, &mut self.cost, &mut self.memo)?;
             self.evaluations += res.evaluations;
             for m in 1..=n {
-                // Smaller sizes only fill holes (or replace entries
-                // recorded under a different objective): an imported
-                // entry may encode better (e.g. measured) wisdom than
-                // this search.
-                if m == n || !self.wisdom_entry_is_current(m, backend) {
+                // Smaller sizes only fill holes: an imported entry may
+                // encode better (e.g. measured) wisdom than this search.
+                if m == n || self.wisdom.get(m, backend).is_none() {
                     let group = self
                         .memo
                         .group(m)
                         .expect("memo_search solved every span up to n");
                     let record = WisdomRecord {
                         plan: group.plan.clone(),
-                        objective: self.objective,
                         // The memo's account of the choice travels with
                         // the plan, so explain(m) survives a restart.
                         provenance: Some(PlanProvenance {
@@ -792,26 +759,6 @@ impl<C: PlanCost> Planner<C> {
             return Err(WhtError::SizeTooLarge { n });
         }
         self.schedule(n)?.apply_batch(x, rows)
-    }
-}
-
-impl<C: VectorCost> Planner<C> {
-    /// Re-aim the planner at a named multi-objective weighting (builder
-    /// style): the cost backend's collapse weights become
-    /// [`VectorCost::objective_weights`] for `objective`, the memo and
-    /// compiled-schedule caches are dropped (their entries were scored
-    /// under the old collapse), and every wisdom entry this planner
-    /// records from now on carries the objective — so an importer can
-    /// tell a latency-tuned plan from a memory-tuned one, and a planner
-    /// aimed at one objective never silently replays the other's plans
-    /// (see the module docs' format section).
-    #[must_use]
-    pub fn with_objective(mut self, objective: CostObjective) -> Self {
-        self.cost.set_objective(objective);
-        self.objective = Some(objective);
-        self.memo.clear();
-        self.compiled.clear();
-        self
     }
 }
 
@@ -1109,21 +1056,29 @@ mod tests {
     fn unknown_json_fields_are_tolerated() {
         // Forward compatibility within version 8: fields this build does
         // not know, at the top level and inside an entry, are ignored;
-        // known ones are honored.
+        // known ones are honored. `objective` is one of them: stores
+        // written while entries carried it load with no diagnostic, serve
+        // a plain planner warm, and re-render without it.
         let doc = "{\"version\":8,\"future_knob\":\"xyz\",\"entries\":[{\"n\":4,\
-                   \"backend\":\"x\",\"plan\":\"split[small[2],small[2]]\",\
+                   \"backend\":\"instruction-model\",\"plan\":\"split[small[2],small[2]]\",\
                    \"objective\":\"Memory\",\"measured_ns\":77,\
                    \"hints\":{\"prefetch_distance\":8,\"lanes\":[4,8]}}]}";
         let w = Wisdom::from_json(doc).unwrap();
+        let backend = "instruction-model";
         assert_eq!(
-            w.get(4, "x").unwrap().to_string(),
+            w.get(4, backend).unwrap().to_string(),
             "split[small[2],small[2]]"
         );
-        assert_eq!(
-            w.record(4, "x").unwrap().objective,
-            Some(CostObjective::Memory)
-        );
-        assert_eq!(w.measured_ns(4, "x"), Some(77));
+        assert_eq!(w.measured_ns(4, backend), Some(77));
+        let json = w.to_json();
+        assert!(!json.contains("objective"), "{json}");
+        let mut planner = Planner::new(InstructionCost::default()).with_wisdom(w);
+        assert_eq!(planner.backend_name(), backend);
+        let mut x: Vec<f64> = (0..16).map(|j| (j % 5) as f64).collect();
+        let want = naive_wht(&x);
+        planner.transform(&mut x).unwrap();
+        assert_eq!(x, want);
+        assert_eq!(planner.evaluations(), 0, "served from the loaded entry");
     }
 
     #[test]
@@ -1208,77 +1163,6 @@ mod tests {
         let wrong_size =
             "{\"version\":8,\"entries\":[{\"n\":4,\"backend\":\"x\",\"plan\":\"small[3]\"}]}";
         assert!(Wisdom::from_json(wrong_size).is_err());
-    }
-
-    #[test]
-    fn objective_round_trips_through_wisdom() {
-        // The acceptance contract: the planner selects among named
-        // weightings via the vector-cost trait, and wisdom round-trips
-        // the choice.
-        let mut planner =
-            Planner::new(CombinedModelCost::paper_default()).with_objective(CostObjective::Memory);
-        planner.plan(12).unwrap();
-        let backend = planner.backend_name();
-        assert_eq!(
-            planner.wisdom().record(12, backend).unwrap().objective,
-            Some(CostObjective::Memory)
-        );
-        let json = planner.wisdom().to_json();
-        assert!(json.contains("\"objective\": \"Memory\""), "{json}");
-        let reloaded = Wisdom::from_json(&json).unwrap();
-        assert_eq!(
-            reloaded.record(12, backend).unwrap().objective,
-            Some(CostObjective::Memory)
-        );
-        // Same-objective importer: warm. Different objective: re-search.
-        let mut same = Planner::new(CombinedModelCost::paper_default())
-            .with_objective(CostObjective::Memory)
-            .with_wisdom(reloaded.clone());
-        same.plan(12).unwrap();
-        assert_eq!(same.evaluations(), 0);
-        let mut other = Planner::new(CombinedModelCost::paper_default())
-            .with_objective(CostObjective::Latency)
-            .with_wisdom(reloaded);
-        other.plan(12).unwrap();
-        assert!(other.evaluations() > 0);
-        assert_eq!(
-            other.wisdom().record(12, backend).unwrap().objective,
-            Some(CostObjective::Latency),
-            "the stale entry is replaced under the new objective"
-        );
-        // An entry searched under the backend's own weights records no
-        // objective: it is a miss for a planner aimed at one.
-        let mut plain = Planner::new(CombinedModelCost::paper_default());
-        plain.plan(10).unwrap();
-        assert_eq!(plain.wisdom().record(10, backend).unwrap().objective, None);
-        let mut aimed = Planner::new(CombinedModelCost::paper_default())
-            .with_wisdom(plain.wisdom().clone())
-            .with_objective(CostObjective::Memory);
-        aimed.plan(10).unwrap();
-        assert!(aimed.evaluations() > 0);
-    }
-
-    #[test]
-    fn objectives_select_different_plans_for_the_same_backend() {
-        // Two weightings must be able to disagree about the best plan —
-        // otherwise the multi-objective layer is a no-op. Under the
-        // combined model, latency blends instructions with misses while
-        // memory ignores instructions entirely, which flips the winner at
-        // out-of-model-cache sizes.
-        let n = 16;
-        let mut latency =
-            Planner::new(CombinedModelCost::paper_default()).with_objective(CostObjective::Latency);
-        let lat_plan = latency.plan(n).unwrap().clone();
-        let mut memory =
-            Planner::new(CombinedModelCost::paper_default()).with_objective(CostObjective::Memory);
-        let mem_plan = memory.plan(n).unwrap().clone();
-        assert_ne!(
-            lat_plan, mem_plan,
-            "latency and memory objectives should pick different plans at n={n}"
-        );
-        // And each planner's explain names its memo-search provenance.
-        let line = latency.explain(n).expect("searched this instance");
-        assert!(line.contains("candidates"), "{line}");
     }
 
     #[test]

@@ -3,7 +3,9 @@
 //! truncated, bit-flipped, of any other version, partly bad, or names a
 //! size past `MAX_N` must be refused with the right `StoreDiagnostic`,
 //! quarantined, and never partially applied — and a store of version-7
-//! shards leaves a planner to cold-search, bit-identically.
+//! shards leaves a planner to cold-search, bit-identically. Version-8
+//! entries that still carry the dropped `objective` column load clean
+//! and serve warm.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -21,24 +23,29 @@ fn temp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// One handcrafted, valid version-8 payload per optional column.
+/// The cost backend every corpus entry is keyed under, so a plain
+/// `Planner::new(InstructionCost::default())` can serve it.
+const BACKEND: &str = "instruction-model";
+
+/// One handcrafted, valid version-8 payload per optional column, plus the
+/// `objective` column that entries no longer carry.
 fn corpus() -> Vec<(&'static str, String)> {
     vec![
         (
             "bare",
-            "{\"version\":8,\"entries\":[{\"n\":4,\"backend\":\"x\",\
+            "{\"version\":8,\"entries\":[{\"n\":4,\"backend\":\"instruction-model\",\
              \"plan\":\"split[small[2],small[2]]\"}]}"
                 .to_string(),
         ),
         (
             "objective",
-            "{\"version\":8,\"entries\":[{\"n\":4,\"backend\":\"x\",\
+            "{\"version\":8,\"entries\":[{\"n\":4,\"backend\":\"instruction-model\",\
              \"plan\":\"split[small[2],small[2]]\",\"objective\":\"Latency\"}]}"
                 .to_string(),
         ),
         (
             "provenance",
-            "{\"version\":8,\"entries\":[{\"n\":4,\"backend\":\"x\",\
+            "{\"version\":8,\"entries\":[{\"n\":4,\"backend\":\"instruction-model\",\
              \"plan\":\"split[small[2],small[2]]\",\"objective\":null,\
              \"provenance\":{\"composition\":[2,2],\"candidates\":8,\"evaluated\":5,\
              \"pruned\":3,\"cost\":42.5},\"measured_ns\":910}]}"
@@ -52,7 +59,7 @@ fn corpus() -> Vec<(&'static str, String)> {
 fn load_as_shard(dir: &Path, tag: &str, payload: &str) -> (PathBuf, StoreLoad) {
     let root = dir.join(tag);
     fs::create_dir_all(&root).unwrap();
-    let shard = root.join("n04-x-00000000-host.shard");
+    let shard = root.join(format!("n04-{BACKEND}-00000000-host.shard"));
     fs::write(&shard, encode_shard(1, payload.as_bytes())).unwrap();
     let loaded = ShardedStore::open(&root).unwrap().load();
     (shard, loaded)
@@ -90,19 +97,30 @@ fn every_corpus_blob_loads_clean_as_a_control() {
             "[{tag}]"
         );
         assert!(shard.exists(), "[{tag}] intact shard stays");
-        assert!(loaded.wisdom.get(4, "x").is_some(), "[{tag}]");
-        let back = Wisdom::from_json(&loaded.wisdom.to_json()).unwrap();
+        assert!(loaded.wisdom.get(4, BACKEND).is_some(), "[{tag}]");
+        let json = loaded.wisdom.to_json();
+        assert!(
+            !json.contains("objective"),
+            "[{tag}] not written back: {json}"
+        );
+        let back = Wisdom::from_json(&json).unwrap();
         assert_eq!(back, loaded.wisdom, "[{tag}] round trip");
+        // A plain planner serves the loaded entry without searching.
+        let mut planner = Planner::new(InstructionCost::default()).with_wisdom(loaded.wisdom);
+        assert_eq!(planner.backend_name(), BACKEND);
+        let mut x: Vec<f64> = (0..16).map(|j| ((j * 7) % 5) as f64 - 2.0).collect();
+        let want = wht_core::naive_wht(&x);
+        planner.transform(&mut x).unwrap();
+        assert_eq!(x, want, "[{tag}]");
+        assert_eq!(planner.evaluations(), 0, "[{tag}] served warm");
     }
     // The optional columns are restored.
-    let (_, objective) = load_as_shard(&dir, "objective-again", &corpus()[1].1);
-    assert!(objective
-        .wisdom
-        .to_json()
-        .contains("\"objective\": \"Latency\""));
     let (_, full) = load_as_shard(&dir, "provenance-again", &corpus()[2].1);
-    assert_eq!(full.wisdom.measured_ns(4, "x"), Some(910));
-    let p = full.wisdom.provenance(4, "x").expect("provenance restored");
+    assert_eq!(full.wisdom.measured_ns(4, BACKEND), Some(910));
+    let p = full
+        .wisdom
+        .provenance(4, BACKEND)
+        .expect("provenance restored");
     assert_eq!(p.composition.as_deref(), Some(&[2u32, 2][..]));
     assert_eq!((p.candidates, p.evaluated, p.pruned), (8, 5, 3));
     let _ = fs::remove_dir_all(&dir);

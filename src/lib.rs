@@ -11,7 +11,7 @@
 //! | [`cachesim`] (`wht-cachesim`) | set-associative LRU cache simulator (Opteron presets) |
 //! | [`measure`] (`wht-measure`) | timing, instrumented execution, trace-driven miss measurement |
 //! | [`stats`] (`wht-stats`) | Pearson, histograms, IQR fences, pruning curves, grid search |
-//! | [`search`] (`wht-search`) | plan search: the memoized branch-and-bound engine ([`memo_search`](wht_search::memo_search) over a [`MemoTable`](wht_search::MemoTable) of factor-span groups with provenance), the classic DP autotuner ([`dp_search`](wht_search::dp_search)), exhaustive/random/model-pruned strategies, vectored cost backends ([`VectorCost`](wht_search::VectorCost): one term vector, objective-driven weightings via [`CostObjective`](wht_search::CostObjective)), the [`Planner`](wht_search::Planner) facade with wisdom caching, and crash-safe wisdom persistence: the sharded [`ShardedStore`](wht_search::ShardedStore) (atomic commit, typed [`StoreDiagnostic`](wht_search::StoreDiagnostic) quarantine, keep-best merge) with a hermetic fault-injection layer (`wht_search::failpoints`, `WHT_FAILPOINTS`) |
+//! | [`search`] (`wht-search`) | plan search: the memoized branch-and-bound engine ([`memo_search`](wht_search::memo_search) over a [`MemoTable`](wht_search::MemoTable) of factor-span groups with provenance), the classic DP autotuner ([`dp_search`](wht_search::dp_search)), exhaustive/random/model-pruned strategies, cost backends that each score one transform under fixed weights ([`PlanCost`](wht_search::PlanCost); the model backends also report their work/traffic terms as a [`CostVec`](wht_search::CostVec)), the [`Planner`](wht_search::Planner) facade with wisdom caching, and crash-safe wisdom persistence: the sharded [`ShardedStore`](wht_search::ShardedStore) (atomic commit, typed [`StoreDiagnostic`](wht_search::StoreDiagnostic) quarantine, keep-best merge) with a hermetic fault-injection layer (`wht_search::failpoints`, `WHT_FAILPOINTS`) |
 //! | [`parallel`] (`wht-parallel`) | multi-threaded WHT over a persistent NUMA-aware [`WorkerPool`](wht_parallel::WorkerPool) (zero spawn/join on the warm path, stable shard ranges with work stealing, [`PoolStats`](wht_parallel::PoolStats) introspection) — one dispatch path, with a per-call pool for crews larger than the global one — and parallel measurement sweeps |
 //!
 //! ## Quick start
@@ -64,9 +64,8 @@ pub mod prelude {
         StreamPolicy, SuperPass, VerifyDiagnostic, VerifyInvariant, WhtError,
     };
     pub use wht_measure::{
-        batch_op_counts, batch_super_pass_traffic, measure_plan, super_pass_traffic,
-        time_compiled_plan, time_plan, MeasureOptions, Measurement, PoolReport, SimMachine,
-        SuperPassTraffic, TimingConfig,
+        measure_plan, super_pass_traffic, time_compiled_plan, time_plan, MeasureOptions,
+        Measurement, SimMachine, SuperPassTraffic, TimingConfig,
     };
     pub use wht_models::{
         analytic_misses, instruction_count, op_counts, CombinedModel, CostModel, ModelCache,
@@ -77,9 +76,9 @@ pub mod prelude {
     };
     pub use wht_search::{
         atomic_write, dp_search, memo_search, pruned_search, random_search, CombinedModelCost,
-        CostObjective, CostVec, CostWeights, DpOptions, FusedTrafficCost, InstructionCost,
-        MemoTable, PlanCost, PlanProvenance, Planner, ShardedStore, SimCyclesCost, StoreDiagnostic,
-        StoreLoad, VectorCost, WallClockCost, Wisdom,
+        CostVec, CostWeights, DpOptions, FusedTrafficCost, InstructionCost, MemoTable, PlanCost,
+        PlanProvenance, Planner, ShardedStore, SimCyclesCost, StoreDiagnostic, StoreLoad,
+        WallClockCost, Wisdom,
     };
     pub use wht_space::{plan_count, sample_plans_seeded, Sampler};
     pub use wht_stats::{describe, pearson, Histogram, PruneCurve};
