@@ -40,11 +40,11 @@ fn cmd_inspect(dir: &str) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let (intact, diagnostics) = store.fsck();
-    let loaded = store.load();
+    let loaded = store.fsck();
     println!(
-        "store {dir}: {intact} intact shard(s), {} damaged, host fingerprint {}",
-        diagnostics.len(),
+        "store {dir}: {} intact shard(s), {} damaged, host fingerprint {}",
+        loaded.shards_loaded,
+        loaded.diagnostics.len(),
         store.host()
     );
     let mut keys = loaded.wisdom.entry_keys();
@@ -77,22 +77,23 @@ fn cmd_fsck(dir: &str, quarantine: bool) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let (intact, diagnostics) = if quarantine {
+    let loaded = if quarantine {
         let loaded = store.load();
         println!(
             "store {dir}: {} damaged shard(s) moved to quarantine/",
             loaded.quarantined
         );
-        (loaded.shards_loaded, loaded.diagnostics)
+        loaded
     } else {
         store.fsck()
     };
     println!(
-        "store {dir}: {intact} intact shard(s), {} damaged",
-        diagnostics.len()
+        "store {dir}: {} intact shard(s), {} damaged",
+        loaded.shards_loaded,
+        loaded.diagnostics.len()
     );
-    report_damage(&diagnostics);
-    if diagnostics.is_empty() {
+    report_damage(&loaded.diagnostics);
+    if loaded.diagnostics.is_empty() {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE

@@ -21,7 +21,6 @@
 //! | `fig11` | percentile pruning curves vs alpha*I + beta*M, n = 18 |
 //! | `table_space` | the O(7^n) space-size claim, exact counts |
 //! | `table_theory` | model moments/extremes vs Monte-Carlo + normality |
-//! | `compiled_speedup` | compiled pass-schedule replay vs the recursive interpreter, per canonical plan and size |
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -181,9 +181,9 @@ pub fn apply_codelet_checked<T: Scalar>(
 // ---------------------------------------------------------------------------
 
 /// Opt-in/opt-out switch for the lane-block codelet backend, mirroring
-/// [`crate::compile::FusionPolicy`]: the production executor reads it from
-/// the environment once per process ([`SimdPolicy::from_env`]), and
-/// explicit policies pin the choice through the API.
+/// [`crate::compile::FusionPolicy`]: `WHT_NO_SIMD=1` disables it for the
+/// process (see [`crate::compile::ExecPolicy::from_env`]), and explicit
+/// policies pin the choice through the API.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SimdPolicy {
     /// Whether compiled schedules select the lane-block kernels for their
@@ -201,18 +201,6 @@ impl SimdPolicy {
     /// codelet loop.
     pub fn disabled() -> Self {
         SimdPolicy { use_lanes: false }
-    }
-
-    /// Policy from the process environment: `WHT_NO_SIMD=1` (the uniform
-    /// [`crate::env`] kill-switch contract) disables the lane backend,
-    /// anything else keeps the default. Read fresh on every call; the
-    /// production entry point ([`crate::compile::compiled_for`]) snapshots
-    /// [`crate::compile::ExecPolicy::from_env`] once per process.
-    pub fn from_env() -> Self {
-        if crate::env::flag("WHT_NO_SIMD") {
-            return SimdPolicy::disabled();
-        }
-        SimdPolicy::auto()
     }
 
     /// `true` if this policy selects the lane-block backend.

@@ -54,24 +54,6 @@ impl FusionPolicy {
         }
     }
 
-    /// Policy from the process environment: `WHT_NO_FUSE=1` disables
-    /// fusion, `WHT_FUSE_BUDGET=<elems>` overrides the tile budget, and
-    /// the default applies otherwise. Read fresh on every call; the
-    /// production entry point ([`crate::compile::compiled_for`]) snapshots
-    /// [`ExecPolicy::from_env`] once per process.
-    ///
-    /// # Panics
-    /// If `WHT_FUSE_BUDGET` is set but malformed (the uniform
-    /// [`crate::env`] contract).
-    pub fn from_env() -> Self {
-        if env::flag("WHT_NO_FUSE") {
-            return FusionPolicy::disabled();
-        }
-        env::parse("WHT_FUSE_BUDGET")
-            .map(FusionPolicy::new)
-            .unwrap_or_default()
-    }
-
     /// `true` if this policy can fuse anything at all (a tile of two
     /// elements is the smallest possible fusion product).
     pub fn enabled(&self) -> bool {
@@ -101,11 +83,9 @@ impl Default for FusionPolicy {
 /// when the large-stride tail of a fused schedule is rewritten into
 /// gather → unit-stride super-passes → scatter (see the module docs).
 ///
-/// Mirrors [`FusionPolicy`]: the production executor reads it from the
-/// environment once per process (`WHT_NO_RELAYOUT=1` disables,
-/// `WHT_RELAYOUT_THRESHOLD=<elems>` overrides `min_elems`), explicit
-/// policies pin the choice through the API, and the per-thread schedule
-/// cache keys on it.
+/// Mirrors [`FusionPolicy`]: `WHT_NO_RELAYOUT=1` disables it for the
+/// process (see [`ExecPolicy::from_env`]), explicit policies pin the
+/// choice through the API, and the per-thread schedule cache keys on it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RelayoutPolicy {
     /// Maximum elements of one gathered block — the scratch working set a
@@ -141,7 +121,8 @@ impl RelayoutPolicy {
     /// measured with the stage on: there the ablation reads exactly 1.0
     /// because the stage does not engage.
     /// `core.ablate.relayout.nN` re-measures it; hosts with smaller LLCs
-    /// can lower the floor via `WHT_RELAYOUT_THRESHOLD`.
+    /// can lower the floor through an explicit policy
+    /// ([`ExecPolicy::with_relayout`]).
     pub const DEFAULT_MIN_ELEMS: usize = 1 << 24;
 
     /// Default minimum tail length: gather + scatter cost about two full
@@ -180,26 +161,6 @@ impl RelayoutPolicy {
             min_elems: 0,
             min_passes: Self::DEFAULT_MIN_PASSES,
         }
-    }
-
-    /// Policy from the process environment: `WHT_NO_RELAYOUT=1` disables
-    /// relayout, `WHT_RELAYOUT_THRESHOLD=<elems>` overrides the
-    /// engagement size floor, and the default applies otherwise. Read
-    /// fresh on every call; the production entry point snapshots
-    /// [`ExecPolicy::from_env`] once per process.
-    ///
-    /// # Panics
-    /// If `WHT_RELAYOUT_THRESHOLD` is set but malformed (the uniform
-    /// [`crate::env`] contract).
-    pub fn from_env() -> Self {
-        if env::flag("WHT_NO_RELAYOUT") {
-            return RelayoutPolicy::disabled();
-        }
-        let mut policy = RelayoutPolicy::default();
-        if let Some(min_elems) = env::parse("WHT_RELAYOUT_THRESHOLD") {
-            policy.min_elems = min_elems;
-        }
-        policy
     }
 
     /// `true` if this policy can relayout anything at all (a gathered
@@ -306,32 +267,6 @@ impl RecodeletPolicy {
         }
     }
 
-    /// Policy from the process environment: `WHT_NO_RECODELET=1`
-    /// disables the stage, `WHT_RECODELET_MAX_K=<k>` overrides the
-    /// merged-codelet cap, `WHT_RECODELET_FOOTPRINT=<elems>` the per-call
-    /// footprint cap, and the defaults apply otherwise.
-    ///
-    /// # Panics
-    /// If `WHT_RECODELET_MAX_K` is set but malformed or exceeds
-    /// [`MAX_LEAF_K`] (the uniform [`crate::env`] contract: a knob that
-    /// cannot mean what it says must crash, not silently clamp), or
-    /// `WHT_RECODELET_FOOTPRINT` is malformed.
-    pub fn from_env() -> Self {
-        if env::flag("WHT_NO_RECODELET") {
-            return RecodeletPolicy::disabled();
-        }
-        let mut policy = RecodeletPolicy::default();
-        if let Some(k) = env::parse("WHT_RECODELET_MAX_K") {
-            policy.max_k = u32::try_from(k).ok().filter(|&k| k <= MAX_LEAF_K).unwrap_or_else(|| {
-                panic!("WHT_RECODELET_MAX_K must be a codelet exponent in 0..={MAX_LEAF_K}, got {k}")
-            });
-        }
-        if let Some(footprint) = env::parse("WHT_RECODELET_FOOTPRINT") {
-            policy.footprint_elems = footprint;
-        }
-        policy
-    }
-
     /// `true` if this policy can merge anything at all (the smallest
     /// merge is two `small[1]` factors into a `small[2]`).
     pub fn enabled(&self) -> bool {
@@ -369,9 +304,9 @@ impl Default for RecodeletPolicy {
 /// lane block) runs full-width *across* transforms; the two transposes
 /// cost about two sweeps of the group, so the path only pays off once
 /// enough rows amortize them. `block_rows` is that measured engagement
-/// threshold. Mirrors [`FusionPolicy`]: environment (`WHT_NO_BATCH=1`
-/// disables, `WHT_BATCH_BLOCK=<rows>` overrides the threshold), explicit
-/// policies pin through the API, and the schedule cache keys on it.
+/// threshold. Mirrors [`FusionPolicy`]: `WHT_NO_BATCH=1` disables it for
+/// the process, explicit policies pin it through the API, and the
+/// schedule cache keys on it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BatchPolicy {
     /// Minimum batch rows at which [`CompiledPlan::apply_batch`](crate::compile::CompiledPlan::apply_batch)
@@ -406,24 +341,6 @@ impl BatchPolicy {
     /// ordinary schedule.
     pub fn disabled() -> Self {
         BatchPolicy { block_rows: 0 }
-    }
-
-    /// Policy from the process environment: `WHT_NO_BATCH=1` disables the
-    /// stage, `WHT_BATCH_BLOCK=<rows>` overrides the engagement threshold
-    /// (`0` also disables), and the default applies otherwise. Read fresh
-    /// on every call; the production entry point snapshots
-    /// [`ExecPolicy::from_env`] once per process.
-    ///
-    /// # Panics
-    /// If `WHT_BATCH_BLOCK` is set but malformed (the uniform
-    /// [`crate::env`] contract).
-    pub fn from_env() -> Self {
-        if env::flag("WHT_NO_BATCH") {
-            return BatchPolicy::disabled();
-        }
-        env::parse("WHT_BATCH_BLOCK")
-            .map(BatchPolicy::new)
-            .unwrap_or_default()
     }
 
     /// `true` if this policy can batch anything at all (a threshold of one
@@ -466,9 +383,9 @@ impl Default for BatchPolicy {
 /// an `sfence` at the end of every streamed sweep keeps the ordering
 /// argument of the parallel engine's per-unit barriers unchanged.
 ///
-/// Mirrors the other stages: environment (`WHT_NO_STREAM=1` disables,
-/// `WHT_STREAM_THRESHOLD=<elems>` overrides the floor), explicit policies
-/// pin through the API, and the schedule cache keys on it.
+/// Mirrors the other stages: `WHT_NO_STREAM=1` disables it for the
+/// process, explicit policies pin it through the API, and the schedule
+/// cache keys on it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StreamPolicy {
     /// Vector size (elements) below which the copy sweeps keep cached
@@ -506,24 +423,6 @@ impl StreamPolicy {
     /// tests use so small transforms exercise the non-temporal path.
     pub fn eager() -> Self {
         StreamPolicy { min_elems: 0 }
-    }
-
-    /// Policy from the process environment: `WHT_NO_STREAM=1` disables
-    /// streaming, `WHT_STREAM_THRESHOLD=<elems>` overrides the engagement
-    /// floor, and the default applies otherwise. Read fresh on every
-    /// call; the production entry point snapshots
-    /// [`ExecPolicy::from_env`] once per process.
-    ///
-    /// # Panics
-    /// If `WHT_STREAM_THRESHOLD` is set but malformed (the uniform
-    /// [`crate::env`] contract).
-    pub fn from_env() -> Self {
-        if env::flag("WHT_NO_STREAM") {
-            return StreamPolicy::disabled();
-        }
-        env::parse("WHT_STREAM_THRESHOLD")
-            .map(StreamPolicy::new)
-            .unwrap_or_default()
     }
 
     /// `true` if this policy can stream anything at all.
@@ -594,20 +493,32 @@ pub type ExecKey = (
 );
 
 impl ExecPolicy {
-    /// The whole executor configuration from the process environment —
-    /// one read for every `WHT_*` knob (see [`crate::env`] for the
-    /// table). The production entry point
-    /// ([`crate::compile::compiled_for`]) snapshots this once per
-    /// process.
+    /// The whole executor configuration from the process environment:
+    /// the default policy with every stage whose `WHT_NO_*` kill switch
+    /// is on disabled (see [`crate::env`] for the table). Read fresh on
+    /// every call; the production entry point
+    /// ([`crate::compile::compiled_for`]) snapshots it once per process.
     pub fn from_env() -> Self {
-        ExecPolicy {
-            fusion: FusionPolicy::from_env(),
-            relayout: RelayoutPolicy::from_env(),
-            recodelet: RecodeletPolicy::from_env(),
-            simd: SimdPolicy::from_env(),
-            batch: BatchPolicy::from_env(),
-            stream: StreamPolicy::from_env(),
+        let mut policy = ExecPolicy::default();
+        if env::flag("WHT_NO_FUSE") {
+            policy.fusion = FusionPolicy::disabled();
         }
+        if env::flag("WHT_NO_RELAYOUT") {
+            policy.relayout = RelayoutPolicy::disabled();
+        }
+        if env::flag("WHT_NO_RECODELET") {
+            policy.recodelet = RecodeletPolicy::disabled();
+        }
+        if env::flag("WHT_NO_SIMD") {
+            policy.simd = SimdPolicy::disabled();
+        }
+        if env::flag("WHT_NO_BATCH") {
+            policy.batch = BatchPolicy::disabled();
+        }
+        if env::flag("WHT_NO_STREAM") {
+            policy.stream = StreamPolicy::disabled();
+        }
+        policy
     }
 
     /// Every stage off: the pure-scalar, unfused, in-place baseline

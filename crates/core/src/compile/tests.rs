@@ -742,7 +742,7 @@ fn cached_compile_returns_identical_schedule() {
     // Distinct policies are distinct cache entries. (Comparisons are
     // against schedules built under the same env SimdPolicy, so the
     // test holds on every CI leg.)
-    let env_simd = SimdPolicy::from_env();
+    let env_simd = ExecPolicy::from_env().simd;
     let unfused = compiled_for_exec(&plan, &ExecPolicy::all_disabled().with_simd(env_simd));
     assert_eq!(*unfused, CompiledPlan::compile(&plan).with_simd(&env_simd));
     let fused = compiled_for_exec(
@@ -868,7 +868,7 @@ fn budget_sweeps_stay_correct_across_cache_eviction() {
             &plan,
             &ExecPolicy::all_disabled()
                 .with_fusion(FusionPolicy::new(b + 2))
-                .with_simd(SimdPolicy::from_env()),
+                .with_simd(ExecPolicy::from_env().simd),
         );
         assert_eq!(c.passes(), reference.passes(), "budget {}", b + 2);
     }

@@ -3,43 +3,39 @@
 //! Every executor policy used to read and parse its own environment
 //! variables, each with slightly different parse behavior (one panicked on
 //! malformed input, others silently defaulted). This module is the single
-//! place process-environment configuration enters the workspace: the
-//! policy constructors ([`crate::compile::ExecPolicy::from_env`] and the
-//! per-stage `from_env`s it delegates to) call [`flag`] and [`parse`], so
-//! every knob shares one documented, tested contract:
+//! place process-environment configuration enters the workspace:
+//! [`crate::compile::ExecPolicy::from_env`] reads the kill switches through
+//! [`flag`] and [`threads`] reads the crew size, so every knob shares one
+//! documented, tested contract:
 //!
 //! - A **kill switch** (`WHT_NO_*`) is *on* when the variable is set to any
 //!   non-empty value other than `0` — `WHT_NO_FUSE=1` disables,
 //!   `WHT_NO_FUSE=0` and `WHT_NO_FUSE=` (empty) do not.
-//! - A **value knob** must parse as a plain unsigned integer; a malformed
-//!   value **panics** with a message naming the variable. Silently falling
-//!   back to the default would run every benchmark and transform under the
-//!   wrong configuration with no signal, which is strictly worse than a
-//!   crash at startup.
+//! - A **value knob** (`WHT_THREADS`) must parse as a plain unsigned
+//!   integer; a malformed value **panics** with a message naming the
+//!   variable. Silently falling back to the default would run every
+//!   benchmark and transform under the wrong configuration with no signal,
+//!   which is strictly worse than a crash at startup.
 //!
 //! ## The knobs
 //!
 //! | variable | effect | default |
 //! |----------|--------|---------|
 //! | `WHT_NO_FUSE` | kill switch: replay unfused schedules | fusion on |
-//! | `WHT_FUSE_BUDGET` | fused-tile budget in elements | `2^17` |
 //! | `WHT_NO_SIMD` | kill switch: scalar codelet loops | lane kernels on |
-//! | `WHT_NO_RELAYOUT` | kill switch: large-stride tail sweeps in place | relayout on past the threshold |
-//! | `WHT_RELAYOUT_THRESHOLD` | vector size (elements) past which the tail relayouts | `2^24` |
+//! | `WHT_NO_RELAYOUT` | kill switch: large-stride tail sweeps in place | relayout on past `2^24` elements |
 //! | `WHT_NO_RECODELET` | kill switch: every scheduling unit keeps one pass per factor | re-codeleting on |
-//! | `WHT_RECODELET_MAX_K` | largest merged codelet exponent (`0`/`1` disable; max [`crate::plan::MAX_LEAF_K`]) | `4` |
-//! | `WHT_RECODELET_FOOTPRINT` | largest strided span (elements) one merged codelet call may touch | `4096` |
-//! | `WHT_NO_BATCH` | kill switch: [`apply_batch`](crate::compile::CompiledPlan::apply_batch) replays every row per-transform | batching on past the row threshold |
-//! | `WHT_BATCH_BLOCK` | batch rows past which `apply_batch` runs cross-transform (`0` disables) | `16` |
-//! | `WHT_NO_STREAM` | kill switch: relayout/batch copy sweeps use plain cached stores | streaming stores on past the threshold |
-//! | `WHT_STREAM_THRESHOLD` | vector size (elements) past which the copy sweeps use non-temporal stores | `2^24` |
+//! | `WHT_NO_BATCH` | kill switch: [`apply_batch`](crate::compile::CompiledPlan::apply_batch) replays every row per-transform | batching on from 16 rows |
+//! | `WHT_NO_STREAM` | kill switch: relayout/batch copy sweeps use plain cached stores | streaming stores on past `2^24` elements |
 //! | `WHT_THREADS` | worker crew size for the parallel engine and bench sweeps (`0` panics) | all cores |
 //!
 //! Each kill switch also has an API equivalent (`*Policy::disabled()`)
-//! that *pins* the choice per call site; the environment configures the
-//! process-wide default that [`crate::apply_plan`] snapshots once. An
-//! explicit [`crate::compile::ExecPolicy`] replaces that snapshot, and
-//! nothing else does: wisdom carries plans, not policy.
+//! that *pins* the choice per call site, and the other stage settings
+//! (tile budgets, thresholds, codelet caps) exist only in the API. The
+//! environment configures the process-wide default that
+//! [`crate::apply_plan`] snapshots once. An explicit
+//! [`crate::compile::ExecPolicy`] replaces that snapshot, and nothing
+//! else does: wisdom carries plans, not policy.
 
 /// `true` when kill-switch variable `name` is set on: any non-empty value
 /// other than `0`.
@@ -54,18 +50,10 @@ pub fn flag_value(raw: Option<&str>) -> bool {
     raw.is_some_and(|v| !v.is_empty() && v != "0")
 }
 
-/// The value of integer knob `name`, `None` when unset.
-///
-/// # Panics
-/// If the variable is set but not a plain unsigned integer (see the
-/// module docs for why malformed knobs crash instead of defaulting).
-pub fn parse(name: &str) -> Option<usize> {
-    std::env::var(name).ok().map(|v| parse_value(name, &v))
-}
-
-/// The pure strict-parse behind [`parse`]: surrounding whitespace is
-/// tolerated, anything else panics with a message naming the knob.
-pub fn parse_value(name: &str, raw: &str) -> usize {
+/// The strict value-knob parse: surrounding whitespace is tolerated,
+/// anything else panics with a message naming the knob (see the module
+/// docs for why malformed knobs crash instead of defaulting).
+fn parse_value(name: &str, raw: &str) -> usize {
     raw.trim()
         .parse()
         .unwrap_or_else(|_| panic!("{name} must be an unsigned integer, got {raw:?}"))
@@ -123,21 +111,23 @@ mod tests {
 
     #[test]
     fn value_knobs_parse_strictly() {
-        assert_eq!(parse_value("WHT_FUSE_BUDGET", "4096"), 4096);
-        assert_eq!(parse_value("WHT_FUSE_BUDGET", " 512 "), 512);
-        assert_eq!(parse_value("WHT_RELAYOUT_THRESHOLD", "0"), 0);
+        assert_eq!(parse_value("WHT_THREADS", "4096"), 4096);
+        assert_eq!(parse_value("WHT_THREADS", " 512 "), 512);
+        assert_eq!(parse_value("WHT_THREADS", "0"), 0);
     }
 
     #[test]
-    #[should_panic(expected = "WHT_FUSE_BUDGET")]
+    #[should_panic(expected = "WHT_THREADS")]
     fn malformed_value_panics_naming_the_knob() {
-        parse_value("WHT_FUSE_BUDGET", "32k");
+        parse_value("WHT_THREADS", "32k");
     }
 
+    /// The crew-size resolution goes through the same strict parse: a
+    /// negative count is refused, not clamped.
     #[test]
-    #[should_panic(expected = "WHT_RECODELET_MAX_K")]
+    #[should_panic(expected = "WHT_THREADS")]
     fn every_knob_shares_the_strict_contract() {
-        parse_value("WHT_RECODELET_MAX_K", "-3");
+        threads_value(Some("-3"), 4);
     }
 
     #[test]

@@ -193,8 +193,8 @@ impl fmt::Display for VerifyDiagnostic {
         if let Some(p) = self.provenance {
             write!(
                 f,
-                " (provenance: fused={} relayouted={} recodeleted={})",
-                p.fused, p.relayouted, p.recodeleted
+                " (provenance: fused={} relayouted={} recodeleted={} streamed={})",
+                p.fused, p.relayouted, p.recodeleted, p.streamed
             )?;
         }
         Ok(())

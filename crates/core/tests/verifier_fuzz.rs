@@ -20,10 +20,12 @@ use proptest::prelude::*;
 use wht_core::testkit::{decode_plan, random_plan, random_signal, reference_wht};
 use wht_core::verify::{
     verify_batch_split, verify_flat_passes, verify_schedule, VerifyDiagnostic, VerifyInvariant,
+    VerifySite,
 };
 use wht_core::{
-    compiled_for_exec, BatchPolicy, CompiledPlan, ExecPolicy, FusionPolicy, Pass, RecodeletPolicy,
-    Relayout, RelayoutPolicy, Scalar, SimdPolicy, StreamPolicy, SuperPass, WhtError, MAX_N,
+    compiled_for_exec, BatchPolicy, CompiledPlan, ExecPolicy, FusionPolicy, Pass, Provenance,
+    RecodeletPolicy, Relayout, RelayoutPolicy, Scalar, SimdPolicy, StreamPolicy, SuperPass,
+    WhtError, MAX_N,
 };
 
 /// SplitMix64 — the same deterministic generator `testkit` seeds plans
@@ -202,6 +204,31 @@ fn assert_rejects(diags: &[VerifyDiagnostic], want: VerifyInvariant, ctx: &str) 
     assert!(
         diags.iter().any(|d| d.invariant == want),
         "{ctx}: expected a {want} diagnostic, got {diags:?}"
+    );
+}
+
+/// A diagnostic names every stage that shaped the offending unit,
+/// including the stream stage.
+#[test]
+fn diagnostic_display_names_every_provenance_stage() {
+    let diag = VerifyDiagnostic {
+        site: VerifySite::Unit {
+            unit: 3,
+            part: None,
+        },
+        provenance: Some(Provenance {
+            fused: true,
+            relayouted: true,
+            recodeleted: 2,
+            streamed: true,
+        }),
+        invariant: VerifyInvariant::Bounds,
+        message: "index 70 past the end of a 64-element vector".to_string(),
+    };
+    let shown = diag.to_string();
+    assert!(
+        shown.ends_with("(provenance: fused=true relayouted=true recodeleted=2 streamed=true)"),
+        "{shown}"
     );
 }
 

@@ -30,7 +30,7 @@ pub use instrumented::{
 pub use policy_trace::{opteron_l1_policy_misses, policy_trace_misses};
 pub use record::{measure_plan, MeasureOptions, Measurement};
 pub use simcycles::{simulated_cycles, SimMachine};
-pub use timer::{time_compiled_plan, time_plan, TimingConfig, TimingResult};
+pub use timer::{time_plan, TimingConfig, TimingResult};
 pub use trace::{
     direct_mapped_unit_misses, opteron_misses, super_pass_traffic, trace_misses,
     trace_misses_compiled, SuperPassTraffic, TraceExecutor,

@@ -14,7 +14,7 @@
 //! timed region.
 
 use std::time::Instant;
-use wht_core::{apply_plan_recursive, CompiledPlan, Plan, WhtError};
+use wht_core::{apply_plan_recursive, Plan, WhtError};
 
 /// Timing methodology parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -85,37 +85,16 @@ pub struct TimingResult {
 /// This deliberately times [`apply_plan_recursive`] — the paper's measured
 /// artifact — so that wall-clock numbers stay consistent with the
 /// instrumented counts and traces in one [`crate::Measurement`], which are
-/// all derived from the recursive loop nest. Use [`time_compiled_plan`]
-/// to time the compiled execution layer.
+/// all derived from the recursive loop nest. The compiled execution
+/// layer is timed by perfbench (`perfbench/` at the repository root).
 ///
 /// # Errors
 /// [`WhtError::InvalidConfig`] for zero `reps`.
 pub fn time_plan(plan: &Plan, cfg: &TimingConfig) -> Result<TimingResult, WhtError> {
-    time_apply(plan.n(), cfg, |buf| apply_plan_recursive(plan, buf))
-}
-
-/// Time the compiled-schedule executor ([`CompiledPlan::apply`]) on
-/// freshly allocated data — the production fast path's number.
-///
-/// # Errors
-/// [`WhtError::InvalidConfig`] for zero `reps`.
-pub fn time_compiled_plan(
-    compiled: &CompiledPlan,
-    cfg: &TimingConfig,
-) -> Result<TimingResult, WhtError> {
-    time_apply(compiled.n(), cfg, |buf| compiled.apply(buf))
-}
-
-/// Shared timing methodology (see the module docs) over any in-place
-/// transform of size `2^n`.
-fn time_apply(
-    n: u32,
-    cfg: &TimingConfig,
-    mut apply: impl FnMut(&mut [f64]) -> Result<(), WhtError>,
-) -> Result<TimingResult, WhtError> {
     if cfg.reps == 0 {
         return Err(WhtError::InvalidConfig("reps must be >= 1".into()));
     }
+    let n = plan.n();
     let size = 1usize << n;
     let iters = cfg.resolved_iters(n);
 
@@ -129,7 +108,7 @@ fn time_apply(
     let mut buf = pristine.clone();
 
     for _ in 0..cfg.warmup {
-        apply(&mut buf)?;
+        apply_plan_recursive(plan, &mut buf)?;
     }
 
     let mut per_transform: Vec<f64> = Vec::with_capacity(cfg.reps);
@@ -137,7 +116,7 @@ fn time_apply(
         buf.copy_from_slice(&pristine);
         let start = Instant::now();
         for _ in 0..iters {
-            apply(&mut buf)?;
+            apply_plan_recursive(plan, &mut buf)?;
         }
         let elapsed = start.elapsed().as_nanos() as f64;
         per_transform.push(elapsed / iters as f64);
@@ -168,18 +147,6 @@ mod tests {
     }
 
     #[test]
-    fn compiled_timing_reports_positive_times() {
-        let compiled = CompiledPlan::compile(&Plan::right_recursive(8).unwrap());
-        let r = time_compiled_plan(&compiled, &TimingConfig::fast()).unwrap();
-        assert!(r.median_ns > 0.0 && r.min_ns <= r.median_ns);
-        let cfg = TimingConfig {
-            reps: 0,
-            ..TimingConfig::default()
-        };
-        assert!(time_compiled_plan(&compiled, &cfg).is_err());
-    }
-
-    #[test]
     fn iteration_resolution_respects_overflow_cap() {
         let cfg = TimingConfig::default();
         // n = 20: cap = 900/20 = 45 blocks.
@@ -202,7 +169,10 @@ mod tests {
             reps: 0,
             ..TimingConfig::default()
         };
-        assert!(time_plan(&plan, &cfg).is_err());
+        assert!(matches!(
+            time_plan(&plan, &cfg),
+            Err(WhtError::InvalidConfig(_))
+        ));
     }
 
     #[test]

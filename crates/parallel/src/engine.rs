@@ -63,10 +63,10 @@
 //! `[w·count/k, (w+1)·count/k)` — the same range for the same worker
 //! across passes **and across calls**, so on a NUMA host the pages a
 //! worker first touched stay the pages it keeps touching (first-touch
-//! locality; the pool records the worker→node placement in its
-//! [`PoolStats`](crate::pool::PoolStats)). A worker that drains its own
-//! range steals chunks from the next workers' ranges (wrap-around), so
-//! skew never idles the crew; steals are counted into the pool's stats.
+//! locality). A worker that drains its own range steals chunks from the
+//! next workers' ranges (wrap-around), so skew never idles the crew;
+//! steals are counted into the pool's
+//! [`PoolStats`](crate::pool::PoolStats).
 //! Claim order never affects output — units are write-disjoint.
 //!
 //! ## Safety argument

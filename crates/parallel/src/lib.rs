@@ -7,9 +7,8 @@
 //!   on a condvar, a lazy process-global default sized by the strict
 //!   `WHT_THREADS` knob (`wht_core::env::threads`), per-worker scratch
 //!   arenas cached across calls (the warm replay path allocates
-//!   nothing), NUMA topology detection from sysfs with round-robin
-//!   worker→node placement, and [`PoolStats`] introspection (jobs,
-//!   steals, placement). A panicking worker surfaces
+//!   nothing), and [`PoolStats`] introspection (workers, jobs, steals).
+//!   A panicking worker surfaces
 //!   [`wht_core::WhtError::WorkerPanicked`] instead of deadlocking, and
 //!   the pool stays serviceable afterwards.
 //! * [`engine`] — the multi-threaded WHT ([`par_apply_plan`] /
@@ -48,5 +47,5 @@ pub use engine::{
     par_apply_batch, par_apply_batch_on, par_apply_compiled, par_apply_compiled_on, par_apply_plan,
     Threads,
 };
-pub use pool::{PoolStats, Topology, WorkerPool};
+pub use pool::{PoolStats, WorkerPool};
 pub use sweep::measure_sweep;

@@ -1,4 +1,4 @@
-//! Persistent worker pool with topology-aware placement.
+//! Persistent worker pool.
 //!
 //! Spawning and joining a crew on **every** call is fine for one
 //! n = 26 transform, ruinous for a replay service dispatching thousands
@@ -25,17 +25,13 @@
 //! given size the warm path allocates **nothing** — the relayout gather
 //! scratch and the batch transpose tile both live in the arena.
 //!
-//! ## Topology-aware placement
+//! ## Locality
 //!
-//! [`Topology::detect`] reads `/sys/devices/system/node` (falling back
-//! to one node when the hierarchy is absent — non-Linux, sandboxes) and
-//! the pool records a round-robin worker→node placement. The engine
-//! shards every unit into **stable per-worker ranges** (worker `w`
-//! always owns claim indices `[w·count/k, (w+1)·count/k)`), so across
+//! The engine shards every unit into **stable per-worker ranges** (worker
+//! `w` always owns claim indices `[w·count/k, (w+1)·count/k)`), so across
 //! passes and across calls the same worker touches the same shard of
 //! the vector — first-touch page locality without OS pinning, which the
-//! vendored dependency set cannot express (no `libc`); [`PoolStats`]
-//! reports `pinned: false` so consumers know the placement is advisory.
+//! vendored dependency set cannot express (no `libc`).
 //!
 //! ## Failure containment
 //!
@@ -102,92 +98,6 @@ impl Shared {
     }
 }
 
-/// NUMA node layout of the host, read from
-/// `/sys/devices/system/node/node*/cpulist`. Hermetic: no syscalls
-/// beyond ordinary file reads, and a single synthetic node covering
-/// every CPU when the hierarchy is absent.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Topology {
-    /// CPU ids per node, ordered by node id.
-    nodes: Vec<Vec<usize>>,
-}
-
-impl Topology {
-    /// Detect the host topology (see the type docs for the fallback).
-    pub fn detect() -> Topology {
-        Topology::from_sysfs(std::path::Path::new("/sys/devices/system/node"))
-    }
-
-    fn from_sysfs(root: &std::path::Path) -> Topology {
-        let mut found: Vec<(usize, Vec<usize>)> = Vec::new();
-        if let Ok(entries) = std::fs::read_dir(root) {
-            for entry in entries.flatten() {
-                let name = entry.file_name();
-                let Some(id) = name
-                    .to_str()
-                    .and_then(|s| s.strip_prefix("node"))
-                    .and_then(|s| s.parse::<usize>().ok())
-                else {
-                    continue;
-                };
-                let Ok(list) = std::fs::read_to_string(entry.path().join("cpulist")) else {
-                    continue;
-                };
-                let cpus = parse_cpulist(&list);
-                if !cpus.is_empty() {
-                    found.push((id, cpus));
-                }
-            }
-        }
-        found.sort_by_key(|(id, _)| *id);
-        let mut nodes: Vec<Vec<usize>> = found.into_iter().map(|(_, cpus)| cpus).collect();
-        if nodes.is_empty() {
-            let cpus = std::thread::available_parallelism()
-                .map(|v| v.get())
-                .unwrap_or(1);
-            nodes = vec![(0..cpus).collect()];
-        }
-        Topology { nodes }
-    }
-
-    /// Number of NUMA nodes (at least 1).
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// CPU ids of node `node`.
-    pub fn cpus(&self, node: usize) -> &[usize] {
-        &self.nodes[node]
-    }
-}
-
-/// Parse a sysfs cpulist (`"0-3,8,10-11"`) into CPU ids. Malformed
-/// pieces are skipped rather than failing the whole detection — a
-/// partial topology beats a panic inside a constructor.
-fn parse_cpulist(s: &str) -> Vec<usize> {
-    let mut cpus = Vec::new();
-    for piece in s.trim().split(',') {
-        if piece.is_empty() {
-            continue;
-        }
-        match piece.split_once('-') {
-            Some((lo, hi)) => {
-                if let (Ok(lo), Ok(hi)) = (lo.trim().parse::<usize>(), hi.trim().parse::<usize>()) {
-                    if lo <= hi && hi - lo < 4096 {
-                        cpus.extend(lo..=hi);
-                    }
-                }
-            }
-            None => {
-                if let Ok(cpu) = piece.trim().parse::<usize>() {
-                    cpus.push(cpu);
-                }
-            }
-        }
-    }
-    cpus
-}
-
 /// Snapshot of a pool's shape and activity, recorded alongside parallel
 /// measurements so a replayed number carries the crew geometry that
 /// produced it.
@@ -195,16 +105,6 @@ fn parse_cpulist(s: &str) -> Vec<usize> {
 pub struct PoolStats {
     /// Crew size.
     pub workers: usize,
-    /// NUMA nodes the host exposes.
-    pub numa_nodes: usize,
-    /// Round-robin worker→node placement (`placement[w]` is worker
-    /// `w`'s node).
-    pub placement: Vec<usize>,
-    /// Whether workers are OS-pinned to their node. Always `false` in
-    /// this build: the vendored dependency set has no affinity syscall,
-    /// so placement is advisory (stable shard ranges give first-touch
-    /// locality instead).
-    pub pinned: bool,
     /// Jobs dispatched over the pool's lifetime.
     pub jobs: u64,
     /// Work-stealing claims: chunks a worker took from another worker's
@@ -216,13 +116,8 @@ impl fmt::Display for PoolStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{} workers over {} NUMA node{} ({}), {} jobs, {} steals",
-            self.workers,
-            self.numa_nodes,
-            if self.numa_nodes == 1 { "" } else { "s" },
-            if self.pinned { "pinned" } else { "unpinned" },
-            self.jobs,
-            self.steals,
+            "{} workers, {} jobs, {} steals",
+            self.workers, self.jobs, self.steals,
         )
     }
 }
@@ -234,8 +129,6 @@ impl fmt::Display for PoolStats {
 pub struct WorkerPool {
     shared: std::sync::Arc<Shared>,
     handles: Vec<std::thread::JoinHandle<()>>,
-    topology: Topology,
-    placement: Vec<usize>,
     steals: AtomicU64,
     /// Cached scratch arena for the single-worker inline dispatch path
     /// (the dispatcher runs the lone share itself — no cross-thread
@@ -247,7 +140,6 @@ impl std::fmt::Debug for WorkerPool {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("WorkerPool")
             .field("workers", &self.handles.len())
-            .field("numa_nodes", &self.topology.node_count())
             .finish_non_exhaustive()
     }
 }
@@ -256,11 +148,6 @@ impl WorkerPool {
     /// Spawn a pool of `workers` threads (clamped to at least 1),
     /// parked until the first [`WorkerPool::run`].
     pub fn new(workers: usize) -> WorkerPool {
-        WorkerPool::with_topology(workers, Topology::detect())
-    }
-
-    /// [`WorkerPool::new`] over an explicit topology (tests).
-    fn with_topology(workers: usize, topology: Topology) -> WorkerPool {
         let workers = workers.max(1);
         let shared = std::sync::Arc::new(Shared {
             state: Mutex::new(State {
@@ -274,7 +161,6 @@ impl WorkerPool {
             work_cv: Condvar::new(),
             done_cv: Condvar::new(),
         });
-        let placement: Vec<usize> = (0..workers).map(|w| w % topology.node_count()).collect();
         let handles = (0..workers)
             .map(|w| {
                 let shared = std::sync::Arc::clone(&shared);
@@ -287,8 +173,6 @@ impl WorkerPool {
         WorkerPool {
             shared,
             handles,
-            topology,
-            placement,
             steals: AtomicU64::new(0),
             inline_arena: Mutex::new(Vec::new()),
         }
@@ -307,22 +191,11 @@ impl WorkerPool {
         self.handles.len()
     }
 
-    /// The detected host topology.
-    pub fn topology(&self) -> &Topology {
-        &self.topology
-    }
-
     /// Snapshot the pool's shape and activity.
     pub fn stats(&self) -> PoolStats {
-        let (jobs, _) = {
-            let st = self.shared.lock();
-            (st.jobs, ())
-        };
+        let jobs = self.shared.lock().jobs;
         PoolStats {
             workers: self.workers(),
-            numa_nodes: self.topology.node_count(),
-            placement: self.placement.clone(),
-            pinned: false,
             jobs,
             steals: self.steals.load(Ordering::Relaxed),
         }
@@ -579,50 +452,11 @@ mod tests {
     fn display_mentions_the_key_fields() {
         let s = PoolStats {
             workers: 4,
-            numa_nodes: 2,
-            placement: vec![0, 1, 0, 1],
-            pinned: false,
             jobs: 17,
             steals: 3,
         }
         .to_string();
-        assert!(s.contains("4 workers"), "{s}");
-        assert!(s.contains("2 NUMA nodes"), "{s}");
-        assert!(s.contains("unpinned"), "{s}");
-        assert!(s.contains("17 jobs"), "{s}");
-        assert!(s.contains("3 steals"), "{s}");
-        let uma = PoolStats {
-            workers: 1,
-            numa_nodes: 1,
-            placement: vec![0],
-            pinned: false,
-            jobs: 0,
-            steals: 0,
-        };
-        assert!(uma.to_string().contains("1 NUMA node ("), "{uma}");
-    }
-
-    #[test]
-    fn cpulist_parsing() {
-        assert_eq!(parse_cpulist("0\n"), vec![0]);
-        assert_eq!(parse_cpulist("0-3"), vec![0, 1, 2, 3]);
-        assert_eq!(parse_cpulist("0-2,8,10-11\n"), vec![0, 1, 2, 8, 10, 11]);
-        assert_eq!(parse_cpulist(""), Vec::<usize>::new());
-        assert_eq!(parse_cpulist("garbage,4,x-y,2-1"), vec![4]);
-    }
-
-    #[test]
-    fn topology_detection_never_comes_back_empty() {
-        let t = Topology::detect();
-        assert!(t.node_count() >= 1);
-        assert!(!t.cpus(0).is_empty());
-    }
-
-    #[test]
-    fn topology_fallback_is_single_node() {
-        let t = Topology::from_sysfs(std::path::Path::new("/nonexistent/sysfs/node"));
-        assert_eq!(t.node_count(), 1);
-        assert!(!t.cpus(0).is_empty());
+        assert_eq!(s, "4 workers, 17 jobs, 3 steals");
     }
 
     #[test]
@@ -639,9 +473,6 @@ mod tests {
         let stats = pool.stats();
         assert_eq!(stats.workers, 4);
         assert_eq!(stats.jobs, 100);
-        assert!(!stats.pinned);
-        assert_eq!(stats.placement.len(), 4);
-        assert!(stats.placement.iter().all(|&node| node < stats.numa_nodes));
     }
 
     #[test]

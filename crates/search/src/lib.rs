@@ -37,8 +37,8 @@
 //! The guarantees, in order of line of defense:
 //!
 //! 1. **Atomic commit** ([`atomic_write`]): every shard (and
-//!    `wht-bench`'s `BENCH_*.json` artifacts) is written temp-file →
-//!    fsync → rename → dir-fsync. A crash at any byte leaves the previous
+//!    `wht-bench`'s results CSVs) is written temp-file → fsync → rename
+//!    → dir-fsync. A crash at any byte leaves the previous
 //!    committed file intact; uncommitted temp files are never loaded.
 //! 2. **Detection** ([`decode_shard`]): a shard damaged anyway —
 //!    truncated, bit-flipped, bad magic, another container or wisdom

@@ -212,9 +212,8 @@ fn io_err(op: &str, path: &Path, detail: impl fmt::Display) -> WhtError {
 /// `atomic::rename` / `atomic::dir_fsync`), which is how the
 /// crash-consistency matrix replays every failure schedule.
 ///
-/// Used for wisdom shards and the benchmark artifacts (`BENCH_*.json`,
-/// results CSVs) — an interrupted run can no longer leave a truncated
-/// half-artifact behind.
+/// Used for wisdom shards and `wht-bench`'s results CSVs — an
+/// interrupted run can no longer leave a truncated half-artifact behind.
 ///
 /// # Errors
 /// [`WhtError::Io`] naming the failed step. After an error the target
@@ -436,8 +435,9 @@ pub fn host_fingerprint() -> String {
     format!("{}-{:08x}", sanitize(host), fnv1a64(raw.as_bytes()) as u32)
 }
 
-/// The result of [`ShardedStore::load`]: whatever could be read, plus a
-/// diagnostic per shard that could not. A load never fails as a whole.
+/// The result of [`ShardedStore::load`] and [`ShardedStore::fsck`]:
+/// whatever could be read, plus a diagnostic per shard that could not. A
+/// load never fails as a whole.
 #[derive(Debug, Clone, Default)]
 pub struct StoreLoad {
     /// The merged wisdom of every intact shard.
@@ -545,11 +545,11 @@ impl ShardedStore {
         self.load_merged(&[], true)
     }
 
-    /// Verify every shard **without** quarantining or merging: the
-    /// number of intact shards and the diagnostics of the damaged ones.
-    pub fn fsck(&self) -> (usize, Vec<StoreDiagnostic>) {
-        let report = self.load_merged(&[], false);
-        (report.shards_loaded, report.diagnostics)
+    /// [`ShardedStore::load`] **without** quarantining: the merged
+    /// wisdom of the intact shards and the diagnostics of the damaged
+    /// ones, with every file left where it is (`quarantined` is 0).
+    pub fn fsck(&self) -> StoreLoad {
+        self.load_merged(&[], false)
     }
 
     /// [`ShardedStore::load`] across this store *and* `extra_roots`

@@ -9,6 +9,8 @@
 //!   is feasible: the exhaustive space contains nested shapes the
 //!   bottom-up searches never build, so plan identity is not required —
 //!   but for a context-free cost no nested shape can beat the DP optimum.
+//! - the same identity at large sizes: n = 14..=32 (step 2), a fresh
+//!   memo per size, under the instruction and combined models.
 //! - memoization + pruning must actually pay: strictly fewer evaluations
 //!   than dp at n ≥ 16, and an n = 30 search stays within a generous
 //!   evaluation budget (the anti-exponential-blowup gate).
@@ -16,7 +18,7 @@
 use wht_core::MAX_LEAF_K;
 use wht_search::{
     dp_search, exhaustive_search, memo_search, CombinedModelCost, DpOptions, InstructionCost,
-    MemoTable,
+    MemoTable, PlanCost,
 };
 
 #[test]
@@ -67,6 +69,24 @@ fn memo_matches_dp_for_the_combined_model_too() {
             assert_eq!(mm.best, *dp.best_plan(), "plan diverged at n={n}");
         }
     }
+}
+
+/// Pruning must never change the answer at large sizes either: a cold
+/// (fresh-memo) search returns dp's cost and plan at every even n from
+/// 14 to 32, under both model backends and the default options.
+#[test]
+fn memo_matches_dp_at_large_sizes_under_both_models() {
+    fn check<C: PlanCost>(model: &str, make: fn() -> C) {
+        let opts = DpOptions::default();
+        for n in (14..=32u32).step_by(2) {
+            let dp = dp_search(n, &opts, &mut make()).unwrap();
+            let mm = memo_search(n, &opts, &mut make(), &mut MemoTable::new()).unwrap();
+            assert_eq!(mm.cost, dp.best_cost(), "{model}: cost diverged at n={n}");
+            assert_eq!(mm.best, *dp.best_plan(), "{model}: plan diverged at n={n}");
+        }
+    }
+    check("instruction", InstructionCost::default);
+    check("combined", CombinedModelCost::paper_default);
 }
 
 #[test]

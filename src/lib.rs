@@ -12,7 +12,7 @@
 //! | [`measure`] (`wht-measure`) | timing, instrumented execution, trace-driven miss measurement |
 //! | [`stats`] (`wht-stats`) | Pearson, histograms, IQR fences, pruning curves, grid search |
 //! | [`search`] (`wht-search`) | plan search: the memoized branch-and-bound engine ([`memo_search`](wht_search::memo_search) over a [`MemoTable`](wht_search::MemoTable) of factor-span groups with provenance), the classic DP autotuner ([`dp_search`](wht_search::dp_search)), exhaustive/random/model-pruned strategies, cost backends that each score one transform under fixed weights ([`PlanCost`](wht_search::PlanCost); the model backends also report their work/traffic terms as a [`CostVec`](wht_search::CostVec)), the [`Planner`](wht_search::Planner) facade with wisdom caching, and crash-safe wisdom persistence: the sharded [`ShardedStore`](wht_search::ShardedStore) (atomic commit, typed [`StoreDiagnostic`](wht_search::StoreDiagnostic) quarantine, keep-best merge) with a hermetic fault-injection layer (`wht_search::failpoints`, `WHT_FAILPOINTS`) |
-//! | [`parallel`] (`wht-parallel`) | multi-threaded WHT over a persistent NUMA-aware [`WorkerPool`](wht_parallel::WorkerPool) (zero spawn/join on the warm path, stable shard ranges with work stealing, [`PoolStats`](wht_parallel::PoolStats) introspection) — one dispatch path, with a per-call pool for crews larger than the global one — and parallel measurement sweeps |
+//! | [`parallel`] (`wht-parallel`) | multi-threaded WHT over a persistent [`WorkerPool`](wht_parallel::WorkerPool) (zero spawn/join on the warm path, stable shard ranges with work stealing, [`PoolStats`](wht_parallel::PoolStats) introspection) — one dispatch path, with a per-call pool for crews larger than the global one — and parallel measurement sweeps |
 //!
 //! ## Quick start
 //!
@@ -64,8 +64,8 @@ pub mod prelude {
         StreamPolicy, SuperPass, VerifyDiagnostic, VerifyInvariant, WhtError,
     };
     pub use wht_measure::{
-        measure_plan, super_pass_traffic, time_compiled_plan, time_plan, MeasureOptions,
-        Measurement, SimMachine, SuperPassTraffic, TimingConfig,
+        measure_plan, super_pass_traffic, time_plan, MeasureOptions, Measurement, SimMachine,
+        SuperPassTraffic, TimingConfig,
     };
     pub use wht_models::{
         analytic_misses, instruction_count, op_counts, CombinedModel, CostModel, ModelCache,
