@@ -12,10 +12,13 @@
 //! per `(n, backend)` key when evidence exists, else newest write stamp)
 //! and commits the merged result into `<out-dir>` as atomically written
 //! shards under this host's fingerprint. Damaged input shards are
-//! reported and skipped, never merged and never deleted. Exit status is
-//! nonzero when `fsck` finds damage or any command cannot run.
+//! reported and skipped, never merged and never deleted. A store that
+//! is only read — `inspect`'s and `fsck`'s `<store-dir>`, every merge
+//! `<in-dir>` — must be an existing directory: a missing one is an error
+//! naming the path, and nothing is created (only `<out-dir>` is). Exit
+//! status is nonzero when `fsck` finds damage or any command cannot run.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use wht_search::{ShardedStore, StoreDiagnostic};
 
@@ -32,7 +35,22 @@ fn report_damage(diagnostics: &[StoreDiagnostic]) {
     }
 }
 
+/// `Err` naming `dir` unless it is an existing directory. Stores that are
+/// only read go through this before `ShardedStore::open`, which creates
+/// missing directories for writers.
+fn existing(dir: &str) -> Result<(), ExitCode> {
+    if Path::new(dir).is_dir() {
+        Ok(())
+    } else {
+        eprintln!("wht-wisdom: no store directory at {dir}");
+        Err(ExitCode::FAILURE)
+    }
+}
+
 fn cmd_inspect(dir: &str) -> ExitCode {
+    if let Err(code) = existing(dir) {
+        return code;
+    }
     let store = match ShardedStore::open(dir) {
         Ok(store) => store,
         Err(e) => {
@@ -70,6 +88,9 @@ fn cmd_inspect(dir: &str) -> ExitCode {
 }
 
 fn cmd_fsck(dir: &str, quarantine: bool) -> ExitCode {
+    if let Err(code) = existing(dir) {
+        return code;
+    }
     let store = match ShardedStore::open(dir) {
         Ok(store) => store,
         Err(e) => {
@@ -101,6 +122,9 @@ fn cmd_fsck(dir: &str, quarantine: bool) -> ExitCode {
 }
 
 fn cmd_merge(out_dir: &str, in_dirs: &[String]) -> ExitCode {
+    if let Err(code) = in_dirs.iter().try_for_each(|dir| existing(dir)) {
+        return code;
+    }
     let store = match ShardedStore::open(out_dir) {
         Ok(store) => store,
         Err(e) => {

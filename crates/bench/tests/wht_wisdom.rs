@@ -1,6 +1,7 @@
 //! The `wht-wisdom` command line on a store that holds one intact and one
 //! damaged shard: `inspect` and `fsck` report without touching the store,
-//! and only `fsck --quarantine` moves the damaged shard.
+//! and only `fsck --quarantine` moves the damaged shard. A store path
+//! that does not exist is an error that names it, and is never created.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -81,4 +82,34 @@ fn fsck_quarantine_moves_the_damaged_shard() {
     assert!(!dir.join(DAMAGED).exists());
     assert!(dir.join("quarantine").join(DAMAGED).exists());
     fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn a_missing_store_is_an_error_that_names_it_and_creates_nothing() {
+    let root = std::env::temp_dir().join(format!("wht_wisdom_cli_{}_missing", std::process::id()));
+    let _ = fs::remove_dir_all(&root);
+    let missing = root.join("no-such-store");
+    for (command, flags) in [
+        ("inspect", &[][..]),
+        ("fsck", &[]),
+        ("fsck", &["--quarantine"]),
+    ] {
+        let (ok, stdout, stderr) = wht_wisdom(command, &missing, flags);
+        assert!(!ok, "{command} {flags:?} succeeded: {stdout}");
+        assert!(
+            stderr.contains(&*missing.to_string_lossy()),
+            "{command} {flags:?}: {stderr}"
+        );
+        assert!(
+            !root.exists(),
+            "{command} {flags:?} created {}",
+            root.display()
+        );
+    }
+    // merge: the missing input is refused before the output is opened.
+    let out = root.join("out");
+    let (ok, stdout, stderr) = wht_wisdom("merge", &out, &[&*missing.to_string_lossy()]);
+    assert!(!ok, "merge succeeded: {stdout}");
+    assert!(stderr.contains(&*missing.to_string_lossy()), "{stderr}");
+    assert!(!root.exists(), "merge created {}", root.display());
 }

@@ -30,9 +30,10 @@
 //! pass uses a contiguous load/compute/store codelet variant, and a pass
 //! wider than eight rows over more than 32 KiB per call runs as chained
 //! sweeps of at most eight rows);
-//! [`apply_codelet_cols`] is the same kernel restricted to a column range,
-//! the parallel engine's unit of work. On `x86_64`, `f64`/`f32` lane
-//! kernels are additionally compiled under
+//! [`apply_codelet_cols`] is the same kernel restricted to a column range
+//! of one row, which the parallel engine runs for the row fragments of
+//! its claims. On `x86_64`, `f64`/`f32` lane kernels are additionally
+//! compiled under
 //! `#[target_feature(enable = "avx2")]` and selected once per process via
 //! runtime detection; every other type and host uses the portable
 //! fallback, which still vectorizes at the target's baseline width.
@@ -62,7 +63,7 @@
 //! | kernel | precondition | established by | verifier check |
 //! |--------|--------------|----------------|----------------|
 //! | [`apply_codelet`] | `k ≤ MAX_LEAF_K`; `base + (2^k−1)·stride < x.len()` | executor replaying a lowered pass; engine's top-level length check | Structure (`k` in family) + Bounds (farthest-index interval) |
-//! | [`apply_codelet_cols`] | column range inside one pass row at unit global stride; `base + cols−1 + (2^k−1)·s < x.len()` | parallel engine lane-block shards (`blocks_per_row` split of a verified pass) | Bounds + Disjointness (whole-vector flat-pass frame) |
+//! | [`apply_codelet_cols`] | column range inside one pass row at unit global stride; `base + cols−1 + (2^k−1)·s < x.len()` | parallel engine row fragments of a verified flat pass: the partial rows of a pass unit's contiguous invocation range, and the `cols`-wide residue chunk a column unit claims in each `P`-column stretch of a row (the engine checks every grouped stride is a multiple of `P`) | Bounds + Disjointness (whole-vector flat-pass frame) |
 //! | [`apply_pass_lanes`] | whole pass at unit global stride; `base + r·2^k·s ≤ x.len()` | backend-select stage only picks `PassBackend::Lanes` at `stride == 1` | Bounds + Coverage (canonical frame `base = 0`, `stride = 1`, span = extent) |
 //! | [`gather_rows`] / [`scatter_rows`] | block `j`: `(rows−1)·row_stride + j·cols + cols ≤ x.len()`; `block.len() == rows·cols` | relayout units built by the DDL stage | Relayout geometry (Disjointness `row_stride % cols`, Coverage `rows·row_stride == size`, Scratch `rows·cols == tile`) |
 //! | `gather_lanes*` / `scatter_lanes*` | transpose buffer `≥ n·w` elements; source/destination tile in bounds | batched executor tile loop (`cross_tile_cols` geometry) | Batch checks (Bounds `size % tile_cols`, Disjointness `tile_cols % foot`, Scratch `batch_scratch_elems`) |
@@ -493,10 +494,11 @@ fn same_type_slice<T: Scalar, U: Scalar>(x: &mut [T]) -> &mut [U] {
 /// Apply codelet `small[k]` to `cols` adjacent unit-stride columns of a
 /// pass with inner extent `s`, lane-blocked: column `t`'s element `u`
 /// lives at `x[base + t + u * s]`. This is the SIMD backend's unit of
-/// work below a whole pass — the parallel engine shards lane passes with
-/// it. Dispatches to the AVX2 build of the kernel for `f64`/`f32` when
-/// the host supports it (decided once per process), portable otherwise;
-/// every dispatch choice computes bit-identical results.
+/// work below a whole pass — the parallel engine runs the row fragments
+/// of its claims with it. Dispatches to the AVX2 build of the kernel for
+/// `f64`/`f32` when the host supports it (decided once per process),
+/// portable otherwise; every dispatch choice computes bit-identical
+/// results.
 ///
 /// # Safety
 /// `k` in `1..=MAX_LEAF_K`, `cols <= s`, and

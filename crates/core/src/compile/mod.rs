@@ -522,9 +522,9 @@ impl SuperPass {
     /// Part `p` expanded over **all** tiles as one absolute [`Pass`]: the
     /// factor as it would appear in the unfused schedule. Executing the
     /// flat passes part by part replays the super-pass in unfused
-    /// (pass-major) order — bit-identical output, no tile blocking — which
-    /// is how the parallel engine keeps every worker busy when there are
-    /// fewer tiles than threads.
+    /// (pass-major) order — bit-identical output, no tile blocking. The
+    /// parallel engine replays single-tile units, and relayout units with
+    /// fewer gathered blocks than workers, through their flat passes.
     ///
     /// Only meaningful under the [`CompiledPlan::verify`] invariants
     /// (every part tiles its tile exactly once): then tile `j`'s blocks
@@ -535,8 +535,8 @@ impl SuperPass {
     /// `p` back to the in-place factor it relayouts — `s = row_stride ·
     /// c` over the whole vector — so the unfused replay of a relayout
     /// unit is available without any gather/scatter (the parallel
-    /// engine's no-starvation fallback, and the factor-list derivation
-    /// in [`CompiledPlan::from_super_passes`]). A factor the tail
+    /// engine's in-place replay, and the factor-list derivation in
+    /// [`CompiledPlan::from_super_passes`]). A factor the tail
     /// re-codeleting stage merged maps back the same way — to the merged
     /// `WHT(2^{k_1+…+k_m})` factor at the original in-place stride.
     #[inline]

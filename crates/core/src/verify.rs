@@ -32,9 +32,14 @@
 //! `[0, r·2^k·s)` — corroborated concretely for small tiles by
 //! exhaustive write-counting), gathered relayout blocks partition the
 //! vector (`cols` divides `row_stride`), and the shard boundaries the
-//! parallel engine cuts (whole tiles, whole gathered blocks, whole
-//! invocations of a flat pass) never split a butterfly — so
-//! `par_apply_*` is race-free by construction, not by testing.
+//! parallel engine cuts never split a butterfly: whole tiles, whole
+//! gathered blocks, contiguous ranges of whole invocations of a flat
+//! pass, and chunks of residues mod the stride `P` of a run of flat
+//! passes. That last one also needs every stride of the run to be a
+//! multiple of `P`, so that each pass maps each residue class mod `P`
+//! onto itself; this verifier does not require strides to chain, so the
+//! engine checks that itself before it groups a pass. With those
+//! checks, `par_apply_*` is race-free by construction, not by testing.
 //!
 //! **Coverage / permutation** ([`VerifyInvariant::Coverage`]): every
 //! pass writes every element of its unit exactly once (canonical frame:
@@ -498,7 +503,7 @@ fn check_unit(
         // Relayout parts run in scratch coordinates: inner extents must be
         // whole gathered columns, or the scratch-space factor would not
         // map back to any in-place factor (SuperPass::flat_pass's
-        // contract, which the parallel engine's fallback replay uses).
+        // contract, which the parallel engine's in-place replay uses).
         for (pi, part) in sp.parts().iter().enumerate() {
             if rl.cols == 0 || part.s % rl.cols != 0 {
                 diags.push(
@@ -713,8 +718,8 @@ pub fn verify_schedule(n: u32, schedule: &[SuperPass]) -> Vec<VerifyDiagnostic> 
 }
 
 /// Verify the flat factor schedule (the unfused view every regrouping
-/// stage preserves and the parallel engine's pass-major fallback
-/// replays): every pass must cover the whole vector exactly once in the
+/// stage preserves and the parallel engine's in-place replay runs):
+/// every pass must cover the whole vector exactly once in the
 /// canonical frame, and the factor sizes must multiply to `2^n`.
 pub fn verify_flat_passes(n: u32, passes: &[Pass]) -> Vec<VerifyDiagnostic> {
     let mut diags = Diags::new();

@@ -27,70 +27,101 @@
 //!
 //! ## Units of work
 //!
-//! A **fused** super-pass with at least one tile per worker shards by
-//! *tile*: a claimed tile runs all fused factors while cache-hot on the
-//! claiming worker, so the parallel engine inherits the fusion layer's
-//! locality win instead of re-interleaving the factors across threads.
-//! With fewer tiles than workers (a single-tile super-pass, or huge
-//! tiles), tile-sharding would idle most of the crew, so the engine
-//! falls back to the unfused pass-major order and shards each factor
-//! (`SuperPass::flat_pass`) — bit-identical output either way.
+//! The engine lowers the schedule into a list of units separated by
+//! barriers; each unit splits into *claims*, the pieces of work a worker
+//! takes. Workers always run the kernel backend the sequential replay
+//! picked (`PassBackend`, recorded in the schedule), so opting a process
+//! into or out of SIMD changes sequential and parallel execution
+//! together.
 //!
-//! Workers always run the **same kernel backend the sequential replay
-//! picked** (`PassBackend`, recorded in the schedule): a claimed tile
-//! replays through `SuperPass::apply_tile`, which dispatches on the
-//! record, and the flat-pass fallback shards a `Lanes` pass by *lane
-//! block* (one claim = one `W`-column block of one row, the SIMD kernel's
-//! own unit of work — see `wht_core::codelets::apply_codelet_cols`)
-//! instead of by scalar invocation, so opting a process into or out of
-//! SIMD changes sequential and parallel execution together. Either way
-//! the grouping performs the same adds/subs on the same values, so
-//! output stays bit-identical to sequential execution.
+//! * A **tiled** direct super-pass (two or more tiles) shards by *tile*:
+//!   a claimed tile runs all fused factors while cache-hot on the
+//!   claiming worker (`SuperPass::apply_tile`), so the parallel engine
+//!   inherits the fusion layer's locality. It keeps its tiles even when
+//!   there are fewer of them than workers: replaying a fused unit
+//!   pass-major would cost one barrier and one sweep per factor.
+//! * A **relayout** super-pass with at least one gathered block per
+//!   worker shards by *block*: a claimed block is gathered into the
+//!   claiming worker's private scratch, streamed through all tail
+//!   factors, and scattered back (`SuperPass::apply_gathered_block`).
+//! * Every other unit — a single-tile direct unit, or a relayout unit
+//!   with fewer blocks than workers — is replayed as its flat, in-place
+//!   factors (`SuperPass::flat_pass`). Consecutive such units form one
+//!   *run* of flat passes, which the engine cuts greedily from the left:
+//!   - A pass at stride `P` opens a **column unit** when `P` holds at
+//!     least two chunks of 256 columns whose elements, across all rows,
+//!     fit the *budget*: the largest tile of any unit with two or more
+//!     tiles (the default fusion budget when there is none). The unit
+//!     takes every following pass of the run whose stride is a multiple
+//!     of `P`. Claim `c` is the residues `[c·cols, (c+1)·cols)` mod `P`,
+//!     and it runs *every* pass of the unit over them, one kernel call
+//!     per row fragment, with no barrier between passes. A large-stride
+//!     tail thus costs one barrier and one cache-resident sweep per chunk
+//!     instead of one barrier and one full sweep per pass. `cols` is the
+//!     widest power of two that fits the budget, halved while the unit
+//!     has fewer than four chunks per worker and a halved chunk still
+//!     holds 2^14 elements and 256 columns.
+//!   - Any other pass is a **pass unit** on its own: claim `i` is a
+//!     contiguous range of invocations (one invocation is one codelet
+//!     call at one grid point) covering at least 2^14 elements (128 KiB
+//!     of `f64`s) unless the whole pass is smaller. On the lane backend a
+//!     claim's partial rows run as one `apply_codelet_cols` call each and
+//!     its whole rows as one `apply_pass_lanes` call; the scalar backend
+//!     runs the codelet loop.
 //!
-//! A **relayout** super-pass shards by *gathered block*: a claimed block
-//! is gathered into the claiming worker's private scratch, streamed
-//! through all tail factors, and scattered back
-//! (`SuperPass::apply_gathered_block`) — blocks touch pairwise disjoint
-//! column sets, so per-worker scratch is the only extra state. With
-//! fewer blocks than workers the engine falls back to the relayout
-//! unit's *in-place* flat passes (`SuperPass::flat_pass` maps scratch
-//! parts back to the original large-stride factors), sharded like any
-//! other pass — no gather, no starved workers, bit-identical output.
+//! Claim order and grouping never change the butterflies a column sees
+//! or their order, so output stays bit-identical to sequential
+//! execution.
 //!
 //! ## Stable shard ranges and stealing
 //!
 //! Within every unit, worker `w` of `k` owns the stable claim range
 //! `[w·count/k, (w+1)·count/k)` — the same range for the same worker
-//! across passes **and across calls**, so on a NUMA host the pages a
-//! worker first touched stay the pages it keeps touching (first-touch
-//! locality). A worker that drains its own range steals chunks from the
-//! next workers' ranges (wrap-around), so skew never idles the crew;
-//! steals are counted into the pool's
-//! [`PoolStats`](crate::pool::PoolStats).
-//! Claim order never affects output — units are write-disjoint.
+//! across calls, so on a NUMA host the pages a worker first touched
+//! stay the pages it keeps touching (first-touch locality). It takes its
+//! claims a quarter of its range at a time. A worker that drains its own
+//! range steals from the next workers' ranges (wrap-around), so skew
+//! never idles the crew; steals are counted into the pool's
+//! [`PoolStats`](crate::pool::PoolStats). Claim order never affects
+//! output — the claims of a unit are write-disjoint.
 //!
 //! ## Safety argument
 //!
-//! Within one pass, invocation `(j, t)` touches exactly the elements
-//! `{ (j·2^k·s + t) + u·s : u < 2^k }`. Two distinct invocations differ in
-//! `j` (disjoint `2^k·s`-aligned blocks) or in `t` (distinct residues mod
-//! `s`), so their element sets are disjoint. Distinct *tiles* of one
-//! super-pass are disjoint contiguous blocks by the schedule invariants
-//! (`CompiledPlan::verify`), and the parts within a claimed tile run
-//! sequentially on the claiming worker. Distributing disjoint units over
-//! threads is race-free even though the *slices* overlap; a raw pointer
-//! wrapper carries the buffer across the workers (the pool's
-//! blocked-dispatcher protocol bounds every worker access by the
-//! buffer's lifetime), and the barrier between units orders every
-//! cross-unit dependence. A streamed relayout unit's non-temporal stores
-//! are published by the `sfence` its scatter issues before the worker
-//! reaches the barrier, so the ordering argument is unchanged.
+//! Within one flat pass `(k, r, s)`, invocation `(j, t)` touches exactly
+//! the elements `{ j·2^k·s + t + u·s : u < 2^k }`. Two distinct
+//! invocations differ in `j` (disjoint `2^k·s`-aligned blocks) or in `t`
+//! (distinct residues mod `s`), so their element sets are disjoint, and
+//! so are the contiguous invocation ranges of a pass unit's claims.
+//! Distinct *tiles* of one super-pass are disjoint contiguous blocks by
+//! the schedule invariants (`CompiledPlan::verify`), and gathered blocks
+//! partition the vector by column; the parts within a claimed tile or
+//! block run sequentially on the claiming worker.
+//!
+//! A column unit needs one more fact, the **mod-`P` closure**: every pass
+//! of the unit has a stride `s = m·P`, so each element `j·2^k·s + t +
+//! u·s` it touches is congruent to `t` mod `P`. Every pass therefore maps
+//! each residue class mod `P` onto itself, the chunks (disjoint residue
+//! ranges) stay write-disjoint across *all* passes of the unit, and no
+//! barrier is needed between them. Each chunk still sees its passes in
+//! schedule order, so every column gets the same butterflies in the same
+//! order as sequentially. The engine checks `s % P == 0` itself before
+//! it groups a pass, since `verify` does not require strides to chain.
+//!
+//! Distributing disjoint claims over threads is race-free even though
+//! the *slices* overlap; a raw pointer wrapper carries the buffer across
+//! the workers (the pool's blocked-dispatcher protocol bounds every
+//! worker access by the buffer's lifetime). The barrier between units
+//! orders every cross-unit dependence, and the dispatcher's wait for the
+//! crew to drain orders the last unit before the call returns. A
+//! streamed relayout unit's non-temporal stores are published by the
+//! `sfence` its scatter issues before the worker reaches either, so the
+//! ordering argument is unchanged.
 //!
 //! Because each worker runs the same codelet on the same values as the
-//! sequential schedule (order within a unit is irrelevant: units are
-//! disjoint), parallel output is **bit-identical** to sequential output —
-//! property-tested in `tests/proptests.rs` (fused, relayout, batch;
-//! global-pool, per-call-pool, and sequential against each other).
+//! sequential schedule, parallel output is **bit-identical** to
+//! sequential output — property-tested in `tests/proptests.rs` (fused,
+//! relayout, column tails, batch; global-pool, per-call-pool, and
+//! sequential against each other).
 //!
 //! ## Batched execution
 //!
@@ -106,7 +137,7 @@
 
 use crate::pool::{scratch_words, PoisonBarrier, PoisonOnPanic, WorkerPool};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use wht_core::{CompiledPlan, Pass, Plan, Scalar, WhtError};
+use wht_core::{CompiledPlan, FusionPolicy, Pass, PassBackend, Plan, Scalar, SuperPass, WhtError};
 
 /// Raw-pointer wrapper that lets worker threads write disjoint element
 /// sets of one buffer.
@@ -131,28 +162,128 @@ impl Default for Threads {
     }
 }
 
-/// One barrier-separated work unit of a lowered schedule: fused
-/// super-passes shard by tile, single-tile super-passes shard each
-/// part's invocation grid (module docs).
+/// How finely [`build_units`] cuts the units that do not shard by tile or
+/// gathered block (module docs' "Units of work").
+#[derive(Debug, Clone, Copy)]
+struct Grain {
+    /// Fewest elements one claim covers unless its unit is smaller.
+    min_claim: usize,
+    /// Narrowest column chunk a column unit cuts. A power of two at
+    /// least the widest `Scalar::LANES`, so every chunk (a power of two
+    /// of columns, at least this wide) is lane-aligned.
+    min_cols: usize,
+}
+
+/// The grain every dispatch uses. On a 2-vCPU Xeon, claims of one
+/// 8-column lane block each (one kernel call per claim) ran 2-worker
+/// replay of `Plan::iterative(n)` at n = 18–22 slower than one thread.
+/// Claims of at least 2^14 elements (128 KiB of `f64`s) and column
+/// fragments of at least 256 columns keep both the claim protocol and the
+/// kernel calls far from that shape; neither value was tuned.
+const GRAIN: Grain = Grain {
+    min_claim: 1 << 14,
+    min_cols: 256,
+};
+const _: () =
+    assert!(GRAIN.min_cols.is_power_of_two() && GRAIN.min_cols >= wht_core::lane_width::<f32>());
+
+/// One flat (whole-vector, in-place) factor of a unit that does not
+/// shard by tile, and whether it runs on the lane kernels.
+#[derive(Debug, Clone, Copy)]
+struct FlatPass {
+    pass: Pass,
+    /// `PassBackend::Lanes` at unit global stride.
+    lanes: bool,
+}
+
+impl FlatPass {
+    fn of(sp: &SuperPass, p: usize) -> FlatPass {
+        let pass = sp.flat_pass(p);
+        FlatPass {
+            pass,
+            lanes: sp.backend() == PassBackend::Lanes && pass.stride == 1,
+        }
+    }
+
+    /// Run columns `t0 .. t0 + cols` of row `j` of the pass: one
+    /// `apply_codelet_cols` call on the lane backend, the scalar codelet
+    /// loop otherwise.
+    ///
+    /// # Safety
+    /// `j < pass.r`, `t0 + cols <= pass.s`, and `data` holds the vector
+    /// the (verified, whole-vector) pass was built for.
+    unsafe fn run_fragment<T: Scalar>(&self, data: &mut [T], j: usize, t0: usize, cols: usize) {
+        let p = self.pass;
+        let start = p.invocation_base(j * p.s + t0);
+        if self.lanes {
+            // SAFETY: stride == 1, so the fragment's last element is
+            // start + cols - 1 + (2^k - 1)·s <= the row's last element,
+            // inside the vector (caller contract).
+            unsafe { wht_core::apply_codelet_cols(p.k, data, start, p.s, cols) };
+        } else {
+            for t in 0..cols {
+                // SAFETY: invocation j·s + t0 + t of the pass, in bounds
+                // by the caller contract.
+                unsafe {
+                    wht_core::codelets::apply_codelet(
+                        p.k,
+                        data,
+                        start + t * p.stride,
+                        p.codelet_stride(),
+                    )
+                };
+            }
+        }
+    }
+
+    /// Run invocations `q0 .. q1` of the pass: a partial first row and a
+    /// partial last row as one fragment each, the whole rows between as
+    /// one `apply_pass_lanes` call on the lane backend.
+    ///
+    /// # Safety
+    /// `q0 <= q1 <= pass.invocations()`, and `data` holds the vector the
+    /// (verified, whole-vector) pass was built for.
+    unsafe fn run_invocations<T: Scalar>(&self, data: &mut [T], q0: usize, q1: usize) {
+        let p = self.pass;
+        let mut q = q0;
+        while q < q1 {
+            let (j, t) = (q / p.s, q % p.s);
+            let rows = if t == 0 { (q1 - q) / p.s } else { 0 };
+            if self.lanes && rows > 0 {
+                // SAFETY: rows j .. j + rows are whole rows of the pass,
+                // inside the vector; stride == 1 for a lane pass.
+                unsafe { wht_core::apply_pass_lanes(p.k, data, p.invocation_base(q), rows, p.s) };
+                q += rows * p.s;
+            } else {
+                let cols = (p.s - t).min(q1 - q);
+                // SAFETY: j < r and t + cols <= s since q < q1 <= r·s.
+                unsafe { self.run_fragment(data, j, t, cols) };
+                q += cols;
+            }
+        }
+    }
+}
+
+/// One barrier-separated work unit of a lowered schedule (module docs'
+/// "Units of work").
 enum Unit<'a> {
     /// Claim indices are tile numbers of the super-pass.
-    Tiles(&'a wht_core::SuperPass),
+    Tiles(&'a SuperPass),
     /// Claim indices are gathered-block numbers of a relayout
     /// super-pass; each claim gathers into the worker's scratch,
     /// transforms, and scatters back.
-    GatheredBlocks(&'a wht_core::SuperPass),
-    /// Claim indices are invocation numbers of the absolute pass
-    /// (scalar-backend fallback).
-    Invocations(Pass),
-    /// Claim indices are lane blocks of the absolute unit-stride pass:
-    /// index `i` is block `i % blocks_per_row` of row `i /
-    /// blocks_per_row`, covering `width` columns (the last block of a
-    /// row may be narrower). The lane-backend fallback: each claim
-    /// runs the exact kernel unit the sequential SIMD replay runs.
-    LaneBlocks {
-        pass: Pass,
-        blocks_per_row: usize,
-        width: usize,
+    GatheredBlocks(&'a SuperPass),
+    /// One flat pass in `claims` contiguous invocation ranges: claim `i`
+    /// is invocations `[i·len, (i+1)·len)` with `len = invocations /
+    /// claims`, the last claim taking any remainder.
+    Pass { flat: FlatPass, claims: usize },
+    /// Flat passes whose strides are all multiples of `period`: claim `c`
+    /// runs every pass, in order, over the residues `[c·cols,
+    /// (c+1)·cols)` mod `period`.
+    Columns {
+        run: Vec<FlatPass>,
+        period: usize,
+        cols: usize,
     },
 }
 
@@ -160,12 +291,8 @@ impl Unit<'_> {
     fn count(&self) -> usize {
         match self {
             Unit::Tiles(sp) | Unit::GatheredBlocks(sp) => sp.tiles(),
-            Unit::Invocations(pass) => pass.invocations(),
-            Unit::LaneBlocks {
-                pass,
-                blocks_per_row,
-                ..
-            } => pass.r * blocks_per_row,
+            Unit::Pass { claims, .. } => *claims,
+            Unit::Columns { period, cols, .. } => period.div_ceil(*cols),
         }
     }
 
@@ -184,86 +311,137 @@ impl Unit<'_> {
             // scratch_elems(), and the buffer holds the full transform
             // (caller contract).
             Unit::GatheredBlocks(sp) => unsafe { sp.apply_gathered_block(data, i, scratch) },
-            // SAFETY: i < count = invocations() and the buffer holds
-            // the full transform (caller contract).
-            Unit::Invocations(pass) => unsafe { pass.apply_invocation(data, i) },
-            Unit::LaneBlocks {
-                pass,
-                blocks_per_row,
-                width,
-            } => {
-                let row = i / blocks_per_row;
-                let t0 = (i % blocks_per_row) * width;
-                let cols = (*width).min(pass.s - t0);
-                let block = (1usize << pass.k) * pass.s;
-                // SAFETY: row < pass.r and t0 + cols <= pass.s, so the
-                // block stays inside the pass span; pass.stride == 1 was
-                // checked when the unit was built.
-                unsafe {
-                    wht_core::apply_codelet_cols(
-                        pass.k,
-                        data,
-                        pass.base + row * block + t0,
-                        pass.s,
-                        cols,
-                    )
-                };
+            Unit::Pass { flat, claims } => {
+                let inv = flat.pass.invocations();
+                let len = inv / claims;
+                let end = if i + 1 == *claims { inv } else { (i + 1) * len };
+                // SAFETY: i·len <= end <= invocations; data per the
+                // caller contract.
+                unsafe { flat.run_invocations(data, i * len, end) };
             }
-        }
-    }
-}
-
-/// The shared few-units-of-work fallback: replay the super-pass as its
-/// flat (in-place, pass-major) factors, sharded per pass — by lane
-/// block for a lane-backend unit-stride pass (every worker still runs
-/// the kernel the schedule recorded), by scalar invocation otherwise.
-/// Bit-identical output, no starved workers.
-fn push_flat_parts<'a>(units: &mut Vec<Unit<'a>>, sp: &'a wht_core::SuperPass, width: usize) {
-    for p in 0..sp.parts().len() {
-        let pass = sp.flat_pass(p);
-        if sp.backend() == wht_core::PassBackend::Lanes && pass.stride == 1 {
-            units.push(Unit::LaneBlocks {
-                pass,
-                blocks_per_row: pass.s.div_ceil(width),
-                width,
-            });
-        } else {
-            units.push(Unit::Invocations(pass));
+            Unit::Columns { run, period, cols } => {
+                let c0 = i * cols;
+                let width = (*cols).min(period - c0);
+                for flat in run {
+                    let p = flat.pass;
+                    for j in 0..p.r {
+                        // Every period-long stretch of the row's s = m·P
+                        // columns holds this chunk's residues once.
+                        for t in (c0..p.s).step_by(*period) {
+                            // SAFETY: j < r and t + width <= s, because
+                            // period divides s (checked when the unit
+                            // was built) and c0 + width <= period.
+                            unsafe { flat.run_fragment(data, j, t, width) };
+                        }
+                    }
+                }
+            }
         }
     }
 }
 
 /// Lower the compiled schedule into barrier-separated work units for a
 /// crew of `workers` (module docs' "Units of work").
-fn build_units(compiled: &CompiledPlan, workers: usize, width: usize) -> Vec<Unit<'_>> {
-    let mut units: Vec<Unit<'_>> = Vec::new();
-    for sp in compiled.super_passes() {
-        if sp.is_relayout() {
-            if sp.tiles() >= workers {
-                // Enough gathered blocks to keep the crew busy: shard by
-                // block; each worker gathers into its own scratch, so the
-                // fusion-grade locality of the relayouted tail survives
-                // parallel execution.
-                units.push(Unit::GatheredBlocks(sp));
-            } else {
-                // Too few blocks: replay the tail as its original
-                // in-place large-stride passes (flat_pass maps the
-                // scratch parts back), sharded like any other factor.
-                push_flat_parts(&mut units, sp, width);
-            }
-        } else if sp.tiles() >= workers {
-            // Enough tiles to keep every worker busy: shard by tile and
-            // keep the fusion layer's per-tile locality (apply_tile runs
-            // the backend recorded in the schedule).
-            units.push(Unit::Tiles(sp));
+fn build_units(compiled: &CompiledPlan, workers: usize, grain: Grain) -> Vec<Unit<'_>> {
+    let schedule = compiled.super_passes();
+    // Column chunks stay inside the cache level the schedule's own tiles
+    // or gathered blocks were sized for.
+    let budget = schedule
+        .iter()
+        .filter(|sp| sp.tiles() > 1)
+        .map(SuperPass::tile_elems)
+        .max()
+        .unwrap_or(FusionPolicy::DEFAULT_BUDGET_ELEMS);
+    let cut = Cut {
+        size: compiled.size(),
+        budget,
+        workers,
+        grain,
+    };
+    let mut units = Vec::new();
+    let mut run = Vec::new();
+    for sp in schedule {
+        let unit = if sp.is_relayout() {
+            (sp.tiles() >= workers).then_some(Unit::GatheredBlocks(sp))
         } else {
-            // Too few tiles (a single-tile super-pass, or a fused run
-            // whose tiles are huge relative to the crew): fall back to
-            // the unfused pass-major order.
-            push_flat_parts(&mut units, sp, width);
+            (sp.tiles() > 1).then_some(Unit::Tiles(sp))
+        };
+        match unit {
+            Some(unit) => {
+                cut.push_run(&mut units, &run);
+                run.clear();
+                units.push(unit);
+            }
+            None => run.extend((0..sp.parts().len()).map(|p| FlatPass::of(sp, p))),
         }
     }
+    cut.push_run(&mut units, &run);
     units
+}
+
+/// The geometry [`build_units`] cuts a run of flat passes with.
+struct Cut {
+    size: usize,
+    /// Most elements one column chunk may hold.
+    budget: usize,
+    workers: usize,
+    grain: Grain,
+}
+
+impl Cut {
+    /// Cut a run of flat passes into column units and pass units,
+    /// greedily from the left (module docs' "Units of work").
+    fn push_run(&self, units: &mut Vec<Unit<'_>>, run: &[FlatPass]) {
+        let mut i = 0;
+        while i < run.len() {
+            let period = run[i].pass.s;
+            if let Some(cols) = self.chunk_cols(period) {
+                let end = i
+                    + 1
+                    + run[i + 1..]
+                        .iter()
+                        .take_while(|f| f.pass.s.is_multiple_of(period))
+                        .count();
+                units.push(Unit::Columns {
+                    run: run[i..end].to_vec(),
+                    period,
+                    cols,
+                });
+                i = end;
+            } else {
+                let elems = run[i].pass.span();
+                units.push(Unit::Pass {
+                    flat: run[i],
+                    claims: (elems / self.grain.min_claim).clamp(1, run[i].pass.invocations()),
+                });
+                i += 1;
+            }
+        }
+    }
+
+    /// Columns per chunk of a column unit with stride `period`, or `None`
+    /// when the period has no room for two chunks of `min_cols` columns
+    /// within the budget.
+    fn chunk_cols(&self, period: usize) -> Option<usize> {
+        let Grain {
+            min_claim,
+            min_cols,
+        } = self.grain;
+        // Elements one column (one residue mod the period) holds.
+        let depth = self.size / period;
+        let fit = (self.budget / depth).checked_ilog2().map_or(0, |b| 1 << b);
+        let mut cols = (period / 2).min(fit);
+        if cols < min_cols {
+            return None;
+        }
+        while period / cols < 4 * self.workers
+            && cols / 2 >= min_cols
+            && cols / 2 * depth >= min_claim
+        {
+            cols /= 2;
+        }
+        Some(cols)
+    }
 }
 
 /// Worker `owner`'s stable claim range within a unit of `count` claims:
@@ -276,7 +454,9 @@ fn shard_range(owner: usize, workers: usize, count: usize) -> (usize, usize) {
 
 /// One worker's replay of the whole unit list: claim chunks from the
 /// worker's own stable range, steal from the rest of the crew once
-/// drained, synchronize between units.
+/// drained, synchronize between units. There is no barrier after the
+/// last unit: the dispatcher's wait for the crew to drain orders every
+/// write before `WorkerPool::run` returns.
 ///
 /// # Safety
 /// `data` must hold the full transform the units were built for;
@@ -297,7 +477,7 @@ unsafe fn run_units<T: Scalar>(
     barrier: &PoisonBarrier,
     steals: &AtomicU64,
 ) {
-    for (unit, ctrs) in units.iter().zip(counters) {
+    for (u, (unit, ctrs)) in units.iter().zip(counters).enumerate() {
         let count = unit.count();
         let mut stolen = 0u64;
         for v in 0..workers {
@@ -326,12 +506,12 @@ unsafe fn run_units<T: Scalar>(
         if stolen != 0 {
             steals.fetch_add(stolen, Ordering::Relaxed);
         }
-        // No worker may start unit i+1 before every worker has drained
-        // unit i (the wait also publishes all writes; streamed scatters
+        // No worker may start unit u+1 before every worker has drained
+        // unit u (the wait also publishes all writes; streamed scatters
         // published theirs with an sfence before arriving here). A
         // `false` means a crew member died — bail, the dispatcher
         // reports the failure.
-        if !barrier.wait() {
+        if u + 1 < units.len() && !barrier.wait() {
             return;
         }
     }
@@ -340,8 +520,11 @@ unsafe fn run_units<T: Scalar>(
 /// Parallel in-place WHT: `x <- WHT(2^n) * x` with every compiled pass
 /// distributed over `threads` workers.
 ///
-/// Compiles the plan on each call; callers applying one plan repeatedly
-/// should compile once and use [`par_apply_compiled`].
+/// The schedule comes from the calling thread's schedule cache
+/// ([`wht_core::compiled_for`], the one `apply_plan` uses), so only the
+/// first call per plan on a thread compiles it; every call still looks
+/// the plan up there. Callers holding a [`CompiledPlan`] use
+/// [`par_apply_compiled`].
 ///
 /// Falls back to the sequential engine when the plan is a single leaf or
 /// `threads.0 <= 1`.
@@ -429,7 +612,19 @@ pub fn par_apply_compiled_on<T: Scalar>(
     if crew == 1 {
         return compiled.apply(x);
     }
-    let units = build_units(compiled, crew, T::LANES);
+    run_on(pool, compiled, x, &build_units(compiled, crew, GRAIN), crew)
+}
+
+/// Dispatch `units`, built from `compiled` for a crew of `crew`, on
+/// `pool`.
+fn run_on<T: Scalar>(
+    pool: &WorkerPool,
+    compiled: &CompiledPlan,
+    x: &mut [T],
+    units: &[Unit<'_>],
+    crew: usize,
+) -> Result<(), WhtError> {
+    assert!(x.len() == compiled.size() && crew >= 1 && crew <= pool.workers());
     let counters: Vec<Vec<AtomicUsize>> = units
         .iter()
         .map(|_| (0..crew).map(|_| AtomicUsize::new(0)).collect())
@@ -467,7 +662,7 @@ pub fn par_apply_compiled_on<T: Scalar>(
         // scratch covers scratch_elems() whenever a gathered unit
         // exists, counters are fresh with one per worker per unit, and
         // the barrier has exactly `crew` parties.
-        unsafe { run_units(data, &units, &counters, w, crew, scratch, &barrier, &steals) };
+        unsafe { run_units(data, units, &counters, w, crew, scratch, &barrier, &steals) };
     });
     pool.add_steals(steals.load(Ordering::Relaxed));
     result
@@ -607,6 +802,12 @@ mod tests {
             .collect()
     }
 
+    /// A signal with no period: every residue class of every tail stride
+    /// holds different values, so a skipped or misplaced butterfly shows.
+    fn noise(n: u32) -> Vec<f64> {
+        wht_core::testkit::random_signal(1 << n, u64::from(n))
+    }
+
     #[test]
     fn parallel_matches_sequential() {
         for n in [4u32, 8, 12] {
@@ -652,8 +853,9 @@ mod tests {
     fn fused_parallel_exact_on_both_sides_of_the_tile_sharding_threshold() {
         use wht_core::FusionPolicy;
         // tiles = size / budget: with 8 workers, budget N/2 gives 2 tiles
-        // (flat-pass fallback) and budget N/64 gives 64 tiles (tile
-        // sharding). Both must agree with sequential execution exactly.
+        // (fewer tiles than workers, still sharded by tile) and budget
+        // N/64 gives 64 tiles. Both must agree with sequential execution
+        // exactly.
         let n = 14u32;
         let plan = Plan::iterative(n).unwrap();
         let input = signal(n);
@@ -672,11 +874,10 @@ mod tests {
     fn simd_parallel_matches_sequential_bit_for_bit_in_both_sharding_regimes() {
         use wht_core::{FusionPolicy, SimdPolicy};
         // tiles = size / budget: with 8 workers, budget N/2 gives 2 tiles
-        // (lane-block/flat fallback) and budget N/64 gives 64 tiles (tile
-        // sharding); budget 0 leaves every pass a single-tile unit, so the
-        // whole schedule runs through the lane-block fallback. All must
-        // agree with the sequential SIMD replay exactly, for floats and
-        // integers.
+        // and budget N/64 gives 64 tiles (both shard by tile); budget 0
+        // leaves every pass a single-tile unit, so the whole schedule
+        // runs as pass and column units. All must agree with the
+        // sequential SIMD replay exactly, for floats and integers.
         let n = 13u32;
         for plan in [Plan::iterative(n).unwrap(), Plan::balanced(n, 4).unwrap()] {
             for budget in [0usize, 1 << (n - 1), 1 << (n - 6)] {
@@ -708,9 +909,9 @@ mod tests {
         // Fused head tile 2^6 at n = 14 leaves rows = 2^8 tail rows.
         // Block budget 2^9 gives cols 2 -> 32 gathered blocks (block
         // sharding with 8 workers); budget 2^12 gives cols 16 -> 4 blocks
-        // (< 8 workers: in-place flat-pass fallback). Both must agree with
-        // the sequential relayout replay exactly, scalar and SIMD, floats
-        // and integers.
+        // (< 8 workers: replayed in place as column and pass units). Both
+        // must agree with the sequential relayout replay exactly, scalar
+        // and SIMD, floats and integers.
         let n = 14u32;
         for plan in [
             Plan::iterative(n).unwrap(),
@@ -755,8 +956,8 @@ mod tests {
         // but lowered through the full pipeline so the gathered blocks
         // replay merged codelets: the parallel engine shards whatever
         // units the lowered schedule exposes, with no stage-specific
-        // code — block sharding and the in-place flat-pass fallback must
-        // both agree with the sequential re-codeleted replay exactly.
+        // code — block sharding and the in-place replay must both agree
+        // with the sequential re-codeleted replay exactly.
         let n = 14u32;
         for plan in [
             Plan::iterative(n).unwrap(),
@@ -966,6 +1167,242 @@ mod tests {
         let mut seq = ints;
         apply_plan(&plan, &mut seq).unwrap();
         assert_eq!(par, seq);
+    }
+
+    /// Elements each claim of `unit` covers, on a `size`-element vector.
+    fn claim_elems(unit: &Unit<'_>, size: usize) -> Vec<usize> {
+        (0..unit.count())
+            .map(|i| match unit {
+                Unit::Tiles(sp) | Unit::GatheredBlocks(sp) => sp.tile_elems(),
+                Unit::Pass { flat, claims } => {
+                    let inv = flat.pass.invocations();
+                    let len = inv / claims;
+                    let end = if i + 1 == *claims { inv } else { (i + 1) * len };
+                    (end - i * len) << flat.pass.k
+                }
+                Unit::Columns { period, cols, .. } => {
+                    (*cols).min(period - i * cols) * (size / period)
+                }
+            })
+            .collect()
+    }
+
+    /// Every claim of every pass or column unit holds at least the grain's
+    /// floor, unless the unit itself is smaller.
+    fn assert_claims_at_least(units: &[Unit<'_>], size: usize, floor: usize) {
+        for (u, unit) in units.iter().enumerate() {
+            if matches!(unit, Unit::Pass { .. } | Unit::Columns { .. }) {
+                let claims = claim_elems(unit, size);
+                assert_eq!(
+                    claims.iter().sum::<usize>(),
+                    size,
+                    "unit {u} covers the vector"
+                );
+                if size >= floor {
+                    assert!(
+                        claims.iter().all(|&c| c >= floor),
+                        "unit {u}: claims {claims:?} below the {floor}-element floor"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn canonical_schedules_shard_as_head_tiles_plus_one_column_tail() {
+        use wht_core::ExecPolicy;
+        // The default lowering of Plan::iterative(n) at n = 18 and 20 is a
+        // fused head of 2^17-element tiles plus single-tile k = 1 tail
+        // passes at strides 2^17.. : the head shards by tile and the whole
+        // tail is one column unit, whatever the crew.
+        let pools = [
+            crate::pool::WorkerPool::new(2),
+            crate::pool::WorkerPool::new(3),
+        ];
+        for n in [18u32, 20] {
+            let lowered =
+                CompiledPlan::compile(&Plan::iterative(n).unwrap()).lower(&ExecPolicy::default());
+            let input = noise(n);
+            let mut seq = input.clone();
+            lowered.apply(&mut seq).unwrap();
+            for pool in &pools {
+                let crew = pool.workers();
+                let units = build_units(&lowered, crew, GRAIN);
+                assert_eq!(units.len(), 2, "n = {n}, crew {crew}");
+                let Unit::Tiles(head) = &units[0] else {
+                    panic!("n = {n}, crew {crew}: the head does not shard by tile");
+                };
+                assert_eq!(head.tile_elems(), 1 << 17);
+                let Unit::Columns { run, period, .. } = &units[1] else {
+                    panic!("n = {n}, crew {crew}: the tail is not one column unit");
+                };
+                assert_eq!(*period, 1 << 17);
+                assert_eq!(run.len(), lowered.super_passes().len() - 1);
+                assert_claims_at_least(&units, 1 << n, GRAIN.min_claim);
+                let mut par = input.clone();
+                par_apply_compiled_on(pool, &lowered, &mut par, Threads(crew)).unwrap();
+                assert_eq!(par, seq, "n = {n}, crew {crew}");
+            }
+        }
+    }
+
+    /// A hand-built schedule: a fused head of 2^10-element tiles, then
+    /// one single-tile `k = 1` pass per stride in `tail`, on `n = 12`.
+    fn head_and_tail(tail: [usize; 2], backend: wht_core::PassBackend) -> CompiledPlan {
+        let tile = 1usize << 10;
+        let head = (0..10)
+            .map(|b| Pass {
+                k: 1,
+                r: tile >> (b + 1),
+                s: 1 << b,
+                base: 0,
+                stride: 1,
+            })
+            .collect();
+        let mut schedule = vec![SuperPass::new(head, tile, 4, 0, 1).with_backend(backend)];
+        for s in tail {
+            let pass = Pass {
+                k: 1,
+                r: (1 << 12) / (2 * s),
+                s,
+                base: 0,
+                stride: 1,
+            };
+            schedule.push(SuperPass::new(vec![pass], 1 << 12, 1, 0, 1).with_backend(backend));
+        }
+        CompiledPlan::from_super_passes(12, schedule).unwrap()
+    }
+
+    #[test]
+    fn a_tail_stride_that_is_not_a_multiple_of_the_first_is_not_grouped() {
+        use wht_core::PassBackend;
+        // Factors commute, so a tail may run its strides in any order and
+        // still verify; the column unit's mod-P closure holds only for
+        // strides that are multiples of its first one.
+        let pool = crate::pool::WorkerPool::new(2);
+        for backend in [PassBackend::Scalar, PassBackend::Lanes] {
+            for (tail, grouped) in [([1 << 11, 1 << 10], false), ([1 << 10, 1 << 11], true)] {
+                let compiled = head_and_tail(tail, backend);
+                let units = build_units(&compiled, 2, GRAIN);
+                let passes: Vec<usize> = units
+                    .iter()
+                    .filter_map(|u| match u {
+                        Unit::Columns { run, .. } => Some(run.len()),
+                        Unit::Pass { .. } => Some(1),
+                        _ => None,
+                    })
+                    .collect();
+                let want = if grouped { vec![2] } else { vec![1, 1] };
+                assert_eq!(passes, want, "tail strides {tail:?}");
+                let input = noise(12);
+                let mut seq = input.clone();
+                compiled.apply(&mut seq).unwrap();
+                let mut par = input.clone();
+                par_apply_compiled_on(&pool, &compiled, &mut par, Threads(2)).unwrap();
+                assert_eq!(par, seq, "tail strides {tail:?}, {backend:?}");
+                let ints: Vec<i32> = input.iter().map(|&v| v as i32).collect();
+                let mut seq_i = ints.clone();
+                compiled.apply(&mut seq_i).unwrap();
+                let mut par_i = ints;
+                par_apply_compiled_on(&pool, &compiled, &mut par_i, Threads(2)).unwrap();
+                assert_eq!(par_i, seq_i, "tail strides {tail:?}, {backend:?} (i32)");
+            }
+        }
+    }
+
+    #[test]
+    fn unfused_passes_claim_contiguous_ranges_of_at_least_the_floor() {
+        use wht_core::{ExecPolicy, SimdPolicy};
+        // Unfused, every factor is a single-tile unit: the small strides
+        // become pass units of several range claims, the large ones one
+        // column unit.
+        let pool = crate::pool::WorkerPool::new(3);
+        let n = 16u32;
+        for simd in [SimdPolicy::auto(), SimdPolicy::disabled()] {
+            let lowered = CompiledPlan::compile(&Plan::iterative(n).unwrap())
+                .lower(&ExecPolicy::all_disabled().with_simd(simd));
+            let input = noise(n);
+            let mut seq = input.clone();
+            lowered.apply(&mut seq).unwrap();
+            for crew in [2usize, 3] {
+                let units = build_units(&lowered, crew, GRAIN);
+                let ranged = units
+                    .iter()
+                    .filter(|u| matches!(u, Unit::Pass { claims, .. } if *claims > 1))
+                    .count();
+                let columns = units
+                    .iter()
+                    .filter(|u| matches!(u, Unit::Columns { .. }))
+                    .count();
+                assert!(ranged > 0 && columns == 1, "crew {crew}");
+                assert_claims_at_least(&units, 1 << n, GRAIN.min_claim);
+                let mut par = input.clone();
+                par_apply_compiled_on(&pool, &lowered, &mut par, Threads(crew)).unwrap();
+                assert_eq!(par, seq, "{simd:?}, crew {crew}");
+            }
+        }
+    }
+
+    /// The race-detector target: small schedules on explicit pools with a
+    /// fine grain, so one run covers tile, gathered-block, column and
+    /// multi-claim pass units. No global pool is touched (the pools are
+    /// dropped and their workers joined).
+    #[test]
+    fn small_grain_sharding_matches_sequential_on_explicit_pools() {
+        use wht_core::{ExecPolicy, FusionPolicy, RelayoutPolicy, SimdPolicy};
+        fn check<T: Scalar>(pool: &WorkerPool, compiled: &CompiledPlan, crew: usize) -> Vec<u8> {
+            let input: Vec<T> = wht_core::testkit::random_signal(compiled.size(), 7);
+            let mut seq = input.clone();
+            compiled.apply(&mut seq).unwrap();
+            let units = build_units(compiled, crew, FINE);
+            let kinds = units
+                .iter()
+                .map(|u| match u {
+                    Unit::Tiles(_) => 0,
+                    Unit::GatheredBlocks(_) => 1,
+                    Unit::Columns { .. } => 2,
+                    Unit::Pass { claims, .. } => {
+                        assert!(*claims > 1, "a pass unit of one claim");
+                        3
+                    }
+                })
+                .collect();
+            let mut par = input;
+            run_on(pool, compiled, &mut par, &units, crew).unwrap();
+            assert_eq!(par, seq, "crew {crew}");
+            kinds
+        }
+        const FINE: Grain = Grain {
+            min_claim: 16,
+            min_cols: 16,
+        };
+        let n = 10u32;
+        let plan = Plan::iterative(n).unwrap();
+        let pool = crate::pool::WorkerPool::new(3);
+        let mut seen = [false; 4];
+        for simd in [SimdPolicy::disabled(), SimdPolicy::auto()] {
+            for policy in [
+                ExecPolicy::all_disabled(),
+                ExecPolicy::all_disabled().with_fusion(FusionPolicy::new(1 << 6)),
+                // Two gathered blocks: by block on a crew of 2, in place
+                // on a crew of 3.
+                ExecPolicy::all_disabled()
+                    .with_fusion(FusionPolicy::new(1 << 6))
+                    .with_relayout(RelayoutPolicy::eager(1 << 9)),
+            ] {
+                let compiled = CompiledPlan::compile(&plan).lower(&policy.with_simd(simd));
+                for crew in [2usize, 3] {
+                    for kind in check::<f64>(&pool, &compiled, crew) {
+                        seen[usize::from(kind)] = true;
+                    }
+                    check::<i32>(&pool, &compiled, crew);
+                }
+            }
+        }
+        assert_eq!(
+            seen, [true; 4],
+            "tiles, gathered blocks, columns, ranged passes"
+        );
     }
 
     #[test]

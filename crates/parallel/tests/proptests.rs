@@ -23,6 +23,12 @@ fn pool() -> &'static WorkerPool {
     POOL.get_or_init(|| WorkerPool::new(4))
 }
 
+/// An 8-worker pool for the legs that draw crews past [`pool`]'s four.
+fn wide_pool() -> &'static WorkerPool {
+    static POOL: OnceLock<WorkerPool> = OnceLock::new();
+    POOL.get_or_init(|| WorkerPool::new(8))
+}
+
 /// A random point in executor-policy space from proptest-drawn axes,
 /// every lowering stage togglable (streaming eager so it engages on
 /// test-sized transforms).
@@ -218,6 +224,44 @@ proptest! {
         check::<f32>(&lowered, rows, seed, threads);
         check::<i64>(&lowered, rows, seed, threads);
         check::<i32>(&lowered, rows, seed, threads);
+    }
+
+    /// Tails of several single-tile passes (small fusion budgets) and
+    /// relayout units with fewer gathered blocks than workers replay in
+    /// place as column units and range-claimed pass units; an explicit
+    /// pool and the default entry point's crew both agree with the
+    /// sequential replay bit for bit, for all four scalar types.
+    #[test]
+    fn column_and_pass_units_agree_with_sequential(
+        n in 4u32..=14,
+        seed in any::<u64>(),
+        crew_pick in 0usize..4,
+        fuse_bits in 2u32..=8,
+        blocks_bits in 0u32..=2,
+        simd in any::<bool>(),
+    ) {
+        fn check<T: Scalar>(lowered: &CompiledPlan, seed: u64, crew: usize) {
+            let input: Vec<T> = random_signal(lowered.size(), seed);
+            let mut seq = input.clone();
+            lowered.apply(&mut seq).unwrap();
+            let mut pooled = input.clone();
+            par_apply_compiled_on(wide_pool(), lowered, &mut pooled, Threads(crew)).unwrap();
+            assert_eq!(pooled, seq, "pooled vs sequential (crew {crew})");
+            let mut par = input;
+            par_apply_compiled(lowered, &mut par, Threads(crew)).unwrap();
+            assert_eq!(par, seq, "crew of {crew} vs sequential");
+        }
+        let crew = [2, 3, 5, 8][crew_pick];
+        let plan = random_plan(n, seed);
+        // A block budget of size / 2^b gathers 2^b blocks (b = 1, 2):
+        // fewer than the crew except for 2 blocks on a crew of 2.
+        let relayout_bits = if blocks_bits == 0 { 0 } else { n - blocks_bits };
+        let policy = policy_point(fuse_bits, relayout_bits, true, simd, 0, false);
+        let lowered = CompiledPlan::compile(&plan).lower(&policy);
+        check::<f64>(&lowered, seed, crew);
+        check::<f32>(&lowered, seed, crew);
+        check::<i64>(&lowered, seed, crew);
+        check::<i32>(&lowered, seed, crew);
     }
 
     #[test]
