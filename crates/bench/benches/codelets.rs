@@ -6,7 +6,7 @@
 //! quantifies why — elements/second for `small[k]` across k.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use wht_core::{apply_plan, CompiledPlan, FusionPolicy, Plan, SimdPolicy};
+use wht_core::{apply_plan, CompiledPlan, ExecPolicy, FusionPolicy, Plan, SimdPolicy};
 
 fn bench_codelets(c: &mut Criterion) {
     let mut group = c.benchmark_group("codelet_throughput");
@@ -40,12 +40,13 @@ fn bench_lane_kernels(c: &mut Criterion) {
     let size = 1usize << n;
     for k in [1u32, 4, 8] {
         let plan = Plan::binary_iterative(n, k).expect("valid");
-        let fused = CompiledPlan::compile(&plan).fuse(&FusionPolicy::unbounded());
+        let fused = ExecPolicy::all_disabled().with_fusion(FusionPolicy::unbounded());
         group.throughput(Throughput::Elements(size as u64));
-        for (mode, schedule) in [
-            ("scalar", fused.clone()),
-            ("lanes", fused.with_simd(&SimdPolicy::auto())),
+        for (mode, exec) in [
+            ("scalar", fused),
+            ("lanes", fused.with_simd(SimdPolicy::auto())),
         ] {
+            let schedule = CompiledPlan::compile_exec(&plan, &exec);
             group.bench_with_input(
                 BenchmarkId::new(format!("{mode}/small{k}"), n),
                 &schedule,

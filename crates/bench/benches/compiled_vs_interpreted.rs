@@ -4,7 +4,7 @@
 //! `wht_core::compile` layer and its kernel backends.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use wht_core::{apply_plan_recursive, CompiledPlan, FusionPolicy, Plan, SimdPolicy};
+use wht_core::{apply_plan_recursive, CompiledPlan, ExecPolicy, FusionPolicy, Plan, SimdPolicy};
 
 fn canonical_plans(n: u32) -> Vec<(&'static str, Plan)> {
     vec![
@@ -41,15 +41,11 @@ fn bench_compiled_vs_interpreted(c: &mut Criterion) {
                     });
                 },
             );
+            let fused = ExecPolicy::all_disabled().with_fusion(FusionPolicy::default());
             for (mode, schedule) in [
                 ("compiled", compiled.clone()),
-                ("fused", compiled.fuse(&FusionPolicy::default())),
-                (
-                    "simd",
-                    compiled
-                        .fuse(&FusionPolicy::default())
-                        .with_simd(&SimdPolicy::auto()),
-                ),
+                ("fused", compiled.lower(&fused)),
+                ("simd", compiled.lower(&fused.with_simd(SimdPolicy::auto()))),
             ] {
                 group.bench_with_input(
                     BenchmarkId::new(format!("{mode}/{name}"), n),

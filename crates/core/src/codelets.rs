@@ -48,8 +48,9 @@
 //! trace charges one.
 //!
 //! [`SimdPolicy`] mirrors [`crate::compile::FusionPolicy`]: the compiled
-//! executor selects the lane backend by default, `WHT_NO_SIMD=1` (or
-//! [`SimdPolicy::disabled`] through the API) opts out.
+//! executor selects the lane backend by default, and an
+//! [`ExecPolicy`](crate::compile::ExecPolicy) carrying
+//! [`SimdPolicy::disabled`] opts out.
 //!
 //! ## Safety contracts
 //!
@@ -181,10 +182,11 @@ pub fn apply_codelet_checked<T: Scalar>(
 // SIMD lane-block backend (see the module docs).
 // ---------------------------------------------------------------------------
 
-/// Opt-in/opt-out switch for the lane-block codelet backend, mirroring
-/// [`crate::compile::FusionPolicy`]: `WHT_NO_SIMD=1` disables it for the
-/// process (see [`crate::compile::ExecPolicy::from_env`]), and explicit
-/// policies pin the choice through the API.
+/// Opt-in/opt-out switch for the lane-block codelet backend (the
+/// backend-select stage of
+/// [`CompiledPlan::lower`](crate::compile::CompiledPlan::lower)),
+/// mirroring [`crate::compile::FusionPolicy`]: [`SimdPolicy::disabled`]
+/// in an [`ExecPolicy`](crate::compile::ExecPolicy) turns it off.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SimdPolicy {
     /// Whether compiled schedules select the lane-block kernels for their
@@ -552,7 +554,7 @@ const WIDE_PASS_SPAN_BYTES: usize = 32 << 10;
 /// `WHT(2^k) = (WHT(2^b) ⊗ I(2^a)) · (I(2^b) ⊗ WHT(2^a))`, the codelet's
 /// own `h < 2^a` stages first, so every butterfly sees the same operands
 /// and the output bits do not change (the re-codelet identity read
-/// backwards; see [`crate::compile::CompiledPlan::recodelet`]). Run as
+/// backwards; see [`crate::compile::RecodeletPolicy`]). Run as
 /// one sweep, each call keeps all `2^k` rows in flight; at a page-multiple
 /// stride they map to one L1 set and, when the vector's pages are
 /// physically contiguous, to one L2 set, so the pass's speed depends on

@@ -21,7 +21,7 @@ impl CompiledPlan {
     /// disables fusion and reproduces the unfused schedule; an unbounded
     /// budget fuses the entire schedule into one super-pass with a single
     /// vector-sized tile, which replays exactly like the unfused program.
-    pub fn fuse(&self, policy: &FusionPolicy) -> CompiledPlan {
+    pub(crate) fn fuse(&self, policy: &FusionPolicy) -> CompiledPlan {
         let backend = if self.is_simd() {
             PassBackend::Lanes
         } else {

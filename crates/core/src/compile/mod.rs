@@ -32,7 +32,7 @@
 //! each gated by one field of a single [`ExecPolicy`]
 //! ([`CompiledPlan::lower`] runs them in order):
 //!
-//! 1. **Fuse** ([`CompiledPlan::fuse`], [`FusionPolicy`]) — merge
+//! 1. **Fuse** ([`FusionPolicy`]) — merge
 //!    contiguous small-stride pass runs into cache-blocked super-passes.
 //!    A pass at stride `S` covering the whole vector streams all `2^n`
 //!    elements through the cache; a `t`-factor plan therefore moves `t`
@@ -46,9 +46,8 @@
 //!    before moving on, dropping the run's traffic from `m` sweeps to one.
 //!    Because strides multiply monotonically, only the small-stride prefix
 //!    can fuse.
-//! 2. **Relayout** ([`CompiledPlan::relayout`], [`RelayoutPolicy`]) — the
-//!    paper's DDL remedy for the unfusable large-stride tail. The tail
-//!    computes
+//! 2. **Relayout** ([`RelayoutPolicy`]) — the paper's DDL remedy for the
+//!    unfusable large-stride tail. The tail computes
 //!    `WHT(rows) ⊗ I(row_stride)` on the vector viewed as a
 //!    `rows × row_stride` matrix, so a [`Relayout`] super-pass **gathers**
 //!    blocks of `cols` contiguous columns into cache-sized scratch,
@@ -57,8 +56,8 @@
 //!    ([`crate::codelets::gather_rows`]/[`crate::codelets::scatter_rows`]
 //!    traverse addresses sequentially, so prefetchers stream them) —
 //!    collapsing the tail's many sweeps to one gather plus one scatter.
-//! 3. **Re-codelet** ([`CompiledPlan::recodelet`],
-//!    [`RecodeletPolicy`]) — once a unit's working set is cache-resident
+//! 3. **Re-codelet**
+//!    ([`RecodeletPolicy`]) — once a unit's working set is cache-resident
 //!    (a fused tile, a gathered scratch block), its per-factor passes are
 //!    load/store-μop-bound, not memory-bound, and its factors are
 //!    chained (`s, s·2^{k_1}, …`), so consecutive factors regroup into
@@ -69,10 +68,19 @@
 //!    bit-identical. The merge is bounded by a measured per-call
 //!    footprint rule (see the stage docs); single-factor units are never
 //!    touched.
-//! 4. **Backend select** ([`CompiledPlan::with_simd`],
-//!    [`crate::codelets::SimdPolicy`]) — record which kernel replays each
-//!    unit ([`PassBackend`]): the scalar per-column codelet loop, or the
-//!    SIMD lane-block kernels of [`crate::codelets`].
+//! 4. **Backend select** ([`crate::codelets::SimdPolicy`]) — record which
+//!    kernel replays each unit ([`PassBackend`]): the scalar per-column
+//!    codelet loop, or the SIMD lane-block kernels of [`crate::codelets`].
+//! 5. **Batch** ([`BatchPolicy`]) — build the [`BatchSchedule`] that
+//!    [`CompiledPlan::apply_batch`] runs across adjacent transforms.
+//! 6. **Stream** ([`StreamPolicy`]) — mark the relayout and batch copy
+//!    sweeps for the streaming-store memory codelets.
+//!
+//! The stages are not callable one by one: [`CompiledPlan::lower`] is the
+//! only way through them, so the verifier it runs after every stage in
+//! debug builds cannot be skipped. To run a subset, lower under
+//! [`ExecPolicy::all_disabled`] with the wanted stages switched back on
+//! (`ExecPolicy::all_disabled().with_fusion(…)`).
 //!
 //! Every stage is a **schedule rewrite, never a semantics change**: the
 //! recursive engine interleaves nested factors (block-major), the compiled
@@ -92,13 +100,12 @@
 //!
 //! ## One policy, one cache
 //!
-//! [`crate::apply_plan`] replays lowered schedules by default under the
-//! process [`ExecPolicy`] snapshot ([`ExecPolicy::from_env`]; see
-//! [`crate::env`] for the `WHT_*` knob table), served from a per-thread
-//! cache keyed by `(plan, ExecPolicy)` — one key covering every stage, so
-//! mixed-policy traffic never cross-talks and adding a stage never adds a
-//! cache layer. [`compiled_for_exec`] pins an explicit configuration
-//! through the API.
+//! [`crate::apply_plan`] replays schedules lowered under
+//! `ExecPolicy::default()`, served from a per-thread cache keyed by
+//! `(plan, ExecPolicy)` — one key covering every stage, so mixed-policy
+//! traffic never cross-talks and adding a stage never adds a cache layer.
+//! [`compiled_for_exec`] serves any other configuration from the same
+//! cache.
 
 mod fuse;
 mod policy;
@@ -125,7 +132,6 @@ use crate::verify::VerifySite;
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
-use std::sync::OnceLock;
 
 /// One factor `I(r) ⊗ WHT(2^k) ⊗ I(s)` of the flattened product: codelet
 /// `small[k]` applied over the `r × s` iteration grid.
@@ -339,7 +345,8 @@ pub struct SuperPass {
     /// `Some` when the unit is a **relayout** super-pass: "tile" `j` is
     /// gathered block `j` of the [`Relayout`] geometry, the parts are
     /// unit-stride passes over the gathered scratch, and execution runs
-    /// gather → parts → scatter per block (see [`CompiledPlan::relayout`]).
+    /// gather → parts → scatter per block (the relayout stage of
+    /// [`CompiledPlan::lower`]).
     relayout: Option<Relayout>,
     /// Which lowering stages rewrote this unit (see [`Provenance`]).
     provenance: Provenance,
@@ -916,13 +923,13 @@ impl CompiledPlan {
     /// Select the kernel backend under `policy`: every super-pass is
     /// marked [`PassBackend::Lanes`] when the policy is enabled (all
     /// top-level schedule units run at unit stride, the lane kernels'
-    /// habitat), [`PassBackend::Scalar`] otherwise. Like
-    /// [`CompiledPlan::fuse`], this is a *relabeling* of the same factor
-    /// list — output bits cannot change, only which kernel produces them —
-    /// and the choice is recorded in the schedule, so `apply`, the
-    /// parallel engine, and `traverse` all agree on what actually runs.
+    /// habitat), [`PassBackend::Scalar`] otherwise. Like the fusion
+    /// stage, this is a *relabeling* of the same factor list — output
+    /// bits cannot change, only which kernel produces them — and the
+    /// choice is recorded in the schedule, so `apply`, the parallel
+    /// engine, and `traverse` all agree on what actually runs.
     #[must_use]
-    pub fn with_simd(&self, policy: &SimdPolicy) -> CompiledPlan {
+    pub(crate) fn with_simd(&self, policy: &SimdPolicy) -> CompiledPlan {
         let backend = if policy.enabled() {
             PassBackend::Lanes
         } else {
@@ -958,7 +965,7 @@ impl CompiledPlan {
     /// whose flat factors are not in canonical chained form — no product
     /// is built and [`CompiledPlan::apply_batch`] replays per row.
     #[must_use]
-    pub fn with_batch(&self, policy: &BatchPolicy) -> CompiledPlan {
+    pub(crate) fn with_batch(&self, policy: &BatchPolicy) -> CompiledPlan {
         let mut out = self.clone();
         out.batch = self.build_batch(policy);
         out
@@ -1019,7 +1026,7 @@ impl CompiledPlan {
     /// either way — the streamed kernels move the same bytes — so like
     /// every stage this is output-preserving by construction.
     #[must_use]
-    pub fn with_stream(&self, policy: &StreamPolicy) -> CompiledPlan {
+    pub(crate) fn with_stream(&self, policy: &StreamPolicy) -> CompiledPlan {
         let mut out = self.clone();
         if policy.engages(self.size()) {
             for sp in &mut out.schedule {
@@ -1230,8 +1237,8 @@ impl CompiledPlan {
     /// Compute the WHT of every row of a row-major `rows × 2^n` batch in
     /// place — the batched-small fast path. One schedule lookup and one
     /// scratch setup amortize over the whole batch, and when the batch
-    /// stage built a [`BatchSchedule`] (see [`CompiledPlan::with_batch`])
-    /// and `rows` reaches the engagement threshold, lane groups of
+    /// stage built a [`BatchSchedule`] (see [`BatchPolicy`]) and `rows`
+    /// reaches the engagement threshold, lane groups of
     /// [`Scalar::LANES`] adjacent rows run the narrow head passes
     /// **cross-transform**: the group is transposed into scratch
     /// ([`crate::codelets::gather_lanes`]), where every head pass
@@ -1485,31 +1492,20 @@ thread_local! {
     static PLAN_CACHE: RefCell<HashMap<Plan, ConfigCache>> = RefCell::new(HashMap::new());
 }
 
-/// The process-wide default executor configuration, read from the
-/// environment exactly once (see [`ExecPolicy::from_env`] and the knob
-/// table in [`crate::env`]).
-fn env_exec_policy() -> &'static ExecPolicy {
-    static POLICY: OnceLock<ExecPolicy> = OnceLock::new();
-    POLICY.get_or_init(ExecPolicy::from_env)
-}
-
-/// The lazily-lowered schedule for `plan` under the process-default
-/// [`ExecPolicy`] (fusion **on** unless `WHT_NO_FUSE=1`, tail relayout
-/// **on** past its size threshold unless `WHT_NO_RELAYOUT=1`, relayouted
-/// tails re-codeleted unless `WHT_NO_RECODELET=1`, lane kernels **on**
-/// unless `WHT_NO_SIMD=1`): compiled on first use on this thread, then
-/// served from a bounded per-thread cache. This is what lets
-/// [`crate::apply_plan`] keep its signature while paying the tree walk
-/// once per plan instead of once per call.
+/// The lazily-lowered schedule for `plan` under `ExecPolicy::default()`
+/// (every stage on, relayout and streaming past their size floors):
+/// compiled on first use on this thread, then served from a bounded
+/// per-thread cache. This is what lets [`crate::apply_plan`] keep its
+/// signature while paying the tree walk once per plan instead of once
+/// per call. Equal to `compiled_for_exec(plan, &ExecPolicy::default())`.
 pub fn compiled_for(plan: &Plan) -> Rc<CompiledPlan> {
-    compiled_for_exec(plan, env_exec_policy())
+    compiled_for_exec(plan, &ExecPolicy::default())
 }
 
-/// [`compiled_for`] with an explicit executor configuration — the API
-/// pin: the given [`ExecPolicy`] wins over whatever the environment
-/// says, stage by stage (`ExecPolicy::all_disabled()` replays the pure
-/// scalar unfused baseline). Schedules are cached per
-/// `(plan, ExecPolicy)`, so mixed-policy traffic never cross-talks.
+/// [`compiled_for`] under an explicit executor configuration
+/// (`ExecPolicy::all_disabled()` replays the pure scalar unfused
+/// baseline). Schedules are cached per `(plan, ExecPolicy)`, so
+/// mixed-policy traffic never cross-talks.
 pub fn compiled_for_exec(plan: &Plan, policy: &ExecPolicy) -> Rc<CompiledPlan> {
     let key = policy.cache_key();
     PLAN_CACHE.with(|cache| {

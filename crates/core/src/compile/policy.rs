@@ -3,14 +3,14 @@
 //!
 //! Each lowering stage (see [`CompiledPlan::lower`](crate::compile::CompiledPlan::lower)) is gated by
 //! one policy struct; [`ExecPolicy`] bundles the six so the whole
-//! executor configuration travels as **one value** — one environment
-//! snapshot, one schedule-cache key.
+//! executor configuration travels as **one value** — one argument, one
+//! schedule-cache key.
 
 use crate::codelets::SimdPolicy;
-use crate::env;
 use crate::plan::MAX_LEAF_K;
 
-/// Tile-budget policy for [`CompiledPlan::fuse`](crate::compile::CompiledPlan::fuse):
+/// Tile-budget policy for the fusion stage (stage 1 of
+/// [`CompiledPlan::lower`](crate::compile::CompiledPlan::lower)):
 /// how many *elements* a fused tile may span (see the module docs' "how
 /// fusion decides").
 ///
@@ -40,8 +40,7 @@ impl FusionPolicy {
         FusionPolicy { budget_elems }
     }
 
-    /// Fusion off: [`CompiledPlan::fuse`](crate::compile::CompiledPlan::fuse)
-    /// reproduces the unfused schedule.
+    /// Fusion off: the fusion stage reproduces the unfused schedule.
     pub fn disabled() -> Self {
         FusionPolicy { budget_elems: 0 }
     }
@@ -79,13 +78,13 @@ impl Default for FusionPolicy {
     }
 }
 
-/// Policy for [`CompiledPlan::relayout`](crate::compile::CompiledPlan::relayout):
-/// when the large-stride tail of a fused schedule is rewritten into
+/// Policy for the relayout stage (stage 2 of
+/// [`CompiledPlan::lower`](crate::compile::CompiledPlan::lower)): when the
+/// large-stride tail of a fused schedule is rewritten into
 /// gather → unit-stride super-passes → scatter (see the module docs).
 ///
-/// Mirrors [`FusionPolicy`]: `WHT_NO_RELAYOUT=1` disables it for the
-/// process (see [`ExecPolicy::from_env`]), explicit policies pin the
-/// choice through the API, and the per-thread schedule cache keys on it.
+/// Mirrors [`FusionPolicy`]: [`RelayoutPolicy::disabled`] turns the stage
+/// off, and the per-thread schedule cache keys on it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RelayoutPolicy {
     /// Maximum elements of one gathered block — the scratch working set a
@@ -142,8 +141,7 @@ impl RelayoutPolicy {
         }
     }
 
-    /// Relayout off: [`CompiledPlan::relayout`](crate::compile::CompiledPlan::relayout)
-    /// returns the schedule unchanged.
+    /// Relayout off: the relayout stage returns the schedule unchanged.
     pub fn disabled() -> Self {
         RelayoutPolicy {
             budget_elems: 0,
@@ -190,8 +188,9 @@ impl Default for RelayoutPolicy {
     }
 }
 
-/// Policy for [`CompiledPlan::recodelet`](crate::compile::CompiledPlan::recodelet):
-/// how aggressively the chained factors *within* a scheduling unit — a
+/// Policy for the re-codelet stage (stage 3 of
+/// [`CompiledPlan::lower`](crate::compile::CompiledPlan::lower)): how
+/// aggressively the chained factors *within* a scheduling unit — a
 /// fused tile's parts, or a relayouted tail's scratch passes — are
 /// regrouped into larger unrolled codelets (see the module docs'
 /// "re-codeleting the lowered schedule").
@@ -304,9 +303,8 @@ impl Default for RecodeletPolicy {
 /// lane block) runs full-width *across* transforms; the two transposes
 /// cost about two sweeps of the group, so the path only pays off once
 /// enough rows amortize them. `block_rows` is that measured engagement
-/// threshold. Mirrors [`FusionPolicy`]: `WHT_NO_BATCH=1` disables it for
-/// the process, explicit policies pin it through the API, and the
-/// schedule cache keys on it.
+/// threshold. Mirrors [`FusionPolicy`]: [`BatchPolicy::disabled`] turns
+/// the stage off, and the schedule cache keys on it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BatchPolicy {
     /// Minimum batch rows at which [`CompiledPlan::apply_batch`](crate::compile::CompiledPlan::apply_batch)
@@ -383,9 +381,8 @@ impl Default for BatchPolicy {
 /// an `sfence` at the end of every streamed sweep keeps the ordering
 /// argument of the parallel engine's per-unit barriers unchanged.
 ///
-/// Mirrors the other stages: `WHT_NO_STREAM=1` disables it for the
-/// process, explicit policies pin it through the API, and the schedule
-/// cache keys on it.
+/// Mirrors the other stages: [`StreamPolicy::disabled`] turns the stage
+/// off, and the schedule cache keys on it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StreamPolicy {
     /// Vector size (elements) below which the copy sweeps keep cached
@@ -456,15 +453,18 @@ impl Default for StreamPolicy {
 }
 
 /// The full executor configuration, as **one value**: every stage of the
-/// lowering pipeline (fuse → relayout → re-codelet → backend-select) reads
-/// its policy from here, and the per-thread schedule cache keys on
-/// [`ExecPolicy::cache_key`].
+/// lowering pipeline (fuse → relayout → re-codelet → backend-select →
+/// batch → stream) reads its policy from here, and the per-thread schedule
+/// cache keys on [`ExecPolicy::cache_key`].
 ///
-/// A schedule compiles under an explicit policy when the caller passes one
-/// (`Planner::with_exec`,
-/// [`compiled_for_exec`](crate::compile::compiled_for_exec)), and under
-/// the [`ExecPolicy::from_env`] snapshot otherwise. Nothing else sets it:
-/// wisdom records which plan won a search, never how it was executed.
+/// This is the only way to choose how a schedule is lowered. A schedule
+/// compiles under the policy the caller passes (`Planner::with_exec`,
+/// [`compiled_for_exec`](crate::compile::compiled_for_exec),
+/// [`CompiledPlan::lower`](crate::compile::CompiledPlan::lower)), and
+/// under `ExecPolicy::default()` when none is passed
+/// ([`compiled_for`](crate::compile::compiled_for), `Planner::new`). No
+/// environment variable changes it, and wisdom records which plan won a
+/// search, never how it was executed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ExecPolicy {
     /// Cache-blocked prefix fusion (stage 1).
@@ -493,36 +493,17 @@ pub type ExecKey = (
 );
 
 impl ExecPolicy {
-    /// The whole executor configuration from the process environment:
-    /// the default policy with every stage whose `WHT_NO_*` kill switch
-    /// is on disabled (see [`crate::env`] for the table). Read fresh on
-    /// every call; the production entry point
-    /// ([`crate::compile::compiled_for`]) snapshots it once per process.
+    /// Returns `ExecPolicy::default()`: no environment variable configures
+    /// the executor. It exists because the benchmark harness in
+    /// `perfbench/` calls it to check that its process runs the default
+    /// policy.
     pub fn from_env() -> Self {
-        let mut policy = ExecPolicy::default();
-        if env::flag("WHT_NO_FUSE") {
-            policy.fusion = FusionPolicy::disabled();
-        }
-        if env::flag("WHT_NO_RELAYOUT") {
-            policy.relayout = RelayoutPolicy::disabled();
-        }
-        if env::flag("WHT_NO_RECODELET") {
-            policy.recodelet = RecodeletPolicy::disabled();
-        }
-        if env::flag("WHT_NO_SIMD") {
-            policy.simd = SimdPolicy::disabled();
-        }
-        if env::flag("WHT_NO_BATCH") {
-            policy.batch = BatchPolicy::disabled();
-        }
-        if env::flag("WHT_NO_STREAM") {
-            policy.stream = StreamPolicy::disabled();
-        }
-        policy
+        ExecPolicy::default()
     }
 
     /// Every stage off: the pure-scalar, unfused, in-place baseline
-    /// executor (what the combined `WHT_NO_*` kill switches produce).
+    /// executor — one trivial scalar unit per factor. Tests start from it
+    /// and switch single stages on with the `with_*` builders.
     pub fn all_disabled() -> Self {
         ExecPolicy {
             fusion: FusionPolicy::disabled(),

@@ -83,7 +83,7 @@ impl CompiledPlan {
     /// backend and unit geometry ride along; and re-applying the stage is
     /// a no-op (the greedy merge is maximal).
     #[must_use]
-    pub fn recodelet(&self, policy: &RecodeletPolicy) -> CompiledPlan {
+    pub(crate) fn recodelet(&self, policy: &RecodeletPolicy) -> CompiledPlan {
         if !policy.enabled() {
             return self.clone();
         }

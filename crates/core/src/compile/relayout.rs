@@ -30,7 +30,7 @@ impl CompiledPlan {
     /// paths), and the backend rides along. Applying it to a schedule
     /// whose tail is already relayouted returns an equal schedule.
     #[must_use]
-    pub fn relayout(&self, policy: &RelayoutPolicy) -> CompiledPlan {
+    pub(crate) fn relayout(&self, policy: &RelayoutPolicy) -> CompiledPlan {
         let size = 1usize << self.n;
         let mut schedule = self.schedule.clone();
         'relayout: {

@@ -286,28 +286,6 @@ fn relayout_units_round_trip_through_from_super_passes() {
     assert_eq!(a, b);
 }
 
-#[test]
-fn relayout_env_policy_constructors() {
-    assert!(!RelayoutPolicy::disabled().enabled());
-    assert!(!RelayoutPolicy::new(1).enabled());
-    assert!(RelayoutPolicy::new(2).enabled());
-    assert!(RelayoutPolicy::default().enabled());
-    assert_eq!(
-        RelayoutPolicy::default().budget_elems,
-        RelayoutPolicy::DEFAULT_BUDGET_ELEMS
-    );
-    assert_eq!(RelayoutPolicy::eager(64).min_elems, 0);
-    assert_eq!(
-        RelayoutPolicy::disabled().cache_key(),
-        RelayoutPolicy {
-            budget_elems: 0,
-            min_elems: 99,
-            min_passes: 3
-        }
-        .cache_key()
-    );
-}
-
 // ---------------------------------------------------------------------------
 // Re-codeleting (lowering stage 3).
 // ---------------------------------------------------------------------------
@@ -735,27 +713,25 @@ fn cached_compile_returns_identical_schedule() {
     let a = compiled_for(&plan);
     let b = compiled_for(&plan);
     assert!(Rc::ptr_eq(&a, &b), "second lookup must hit the cache");
-    // The default entry point lowers under the process policy; at this
+    // The default entry point lowers under the default policy; at this
     // LLC-resident size no stage rewrites factors, so the factor list is
     // policy-invariant.
     assert_eq!(a.passes(), CompiledPlan::compile(&plan).passes());
-    // Distinct policies are distinct cache entries. (Comparisons are
-    // against schedules built under the same env SimdPolicy, so the
-    // test holds on every CI leg.)
-    let env_simd = ExecPolicy::from_env().simd;
-    let unfused = compiled_for_exec(&plan, &ExecPolicy::all_disabled().with_simd(env_simd));
-    assert_eq!(*unfused, CompiledPlan::compile(&plan).with_simd(&env_simd));
+    // Distinct policies are distinct cache entries.
+    let simd = SimdPolicy::default();
+    let unfused = compiled_for_exec(&plan, &ExecPolicy::all_disabled().with_simd(simd));
+    assert_eq!(*unfused, CompiledPlan::compile(&plan).with_simd(&simd));
     let fused = compiled_for_exec(
         &plan,
         &ExecPolicy::all_disabled()
             .with_fusion(FusionPolicy::new(1 << 8))
-            .with_simd(env_simd),
+            .with_simd(simd),
     );
     assert_eq!(
         *fused,
         CompiledPlan::compile(&plan)
             .fuse(&FusionPolicy::new(1 << 8))
-            .with_simd(&env_simd)
+            .with_simd(&simd)
     );
     // The kernel backend is part of the cache key too.
     let scalar = compiled_for_exec(
@@ -868,14 +844,34 @@ fn budget_sweeps_stay_correct_across_cache_eviction() {
             &plan,
             &ExecPolicy::all_disabled()
                 .with_fusion(FusionPolicy::new(b + 2))
-                .with_simd(ExecPolicy::from_env().simd),
+                .with_simd(SimdPolicy::default()),
         );
         assert_eq!(c.passes(), reference.passes(), "budget {}", b + 2);
     }
 }
 
+/// Every stage policy: `disabled`/`new`/`default` engage as documented,
+/// and all disabled variants share one cache key.
 #[test]
-fn env_policy_constructors() {
+fn policy_constructors() {
+    assert!(!RelayoutPolicy::disabled().enabled());
+    assert!(!RelayoutPolicy::new(1).enabled());
+    assert!(RelayoutPolicy::new(2).enabled());
+    assert!(RelayoutPolicy::default().enabled());
+    assert_eq!(
+        RelayoutPolicy::default().budget_elems,
+        RelayoutPolicy::DEFAULT_BUDGET_ELEMS
+    );
+    assert_eq!(RelayoutPolicy::eager(64).min_elems, 0);
+    assert_eq!(
+        RelayoutPolicy::disabled().cache_key(),
+        RelayoutPolicy {
+            budget_elems: 0,
+            min_elems: 99,
+            min_passes: 3
+        }
+        .cache_key()
+    );
     assert!(!FusionPolicy::disabled().enabled());
     assert!(!FusionPolicy::new(1).enabled());
     assert!(FusionPolicy::new(2).enabled());

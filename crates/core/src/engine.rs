@@ -53,10 +53,11 @@ use crate::scalar::Scalar;
 /// lazily-compiled, per-thread-cached pass schedule
 /// ([`crate::compile::compiled_for`]): first use of a plan pays one tree
 /// walk, every later call replays the flat schedule with zero recursion.
-/// The schedule is **fused by default** — consecutive small-stride passes
-/// are merged into cache-blocked super-passes under the process
-/// [`crate::compile::FusionPolicy`] (opt out with `WHT_NO_FUSE=1`, or call
-/// [`crate::compile::compiled_for_exec`] with an explicit policy). The
+/// The schedule is lowered under `ExecPolicy::default()`, so it is
+/// **fused by default** — consecutive small-stride passes are merged into
+/// cache-blocked super-passes under the default
+/// [`crate::compile::FusionPolicy`] (call
+/// [`crate::compile::compiled_for_exec`] for any other policy). The
 /// result is bit-identical to the recursive interpreter either way (see
 /// the `compile` module docs); callers that specifically want the paper's
 /// interpreted loop nest — the artifact the measurement substrate times —

@@ -1,54 +1,18 @@
-//! Central registry of the `WHT_*` environment knobs.
+//! The crew-size knob, `WHT_THREADS`, and its parse contract.
 //!
-//! Every executor policy used to read and parse its own environment
-//! variables, each with slightly different parse behavior (one panicked on
-//! malformed input, others silently defaulted). This module is the single
-//! place process-environment configuration enters the workspace:
-//! [`crate::compile::ExecPolicy::from_env`] reads the kill switches through
-//! [`flag`] and [`threads`] reads the crew size, so every knob shares one
-//! documented, tested contract:
-//!
-//! - A **kill switch** (`WHT_NO_*`) is *on* when the variable is set to any
-//!   non-empty value other than `0` — `WHT_NO_FUSE=1` disables,
-//!   `WHT_NO_FUSE=0` and `WHT_NO_FUSE=` (empty) do not.
-//! - A **value knob** (`WHT_THREADS`) must parse as a plain unsigned
-//!   integer; a malformed value **panics** with a message naming the
-//!   variable. Silently falling back to the default would run every
-//!   benchmark and transform under the wrong configuration with no signal,
-//!   which is strictly worse than a crash at startup.
-//!
-//! ## The knobs
+//! A **value knob** must parse as a plain unsigned integer; a malformed
+//! value **panics** with a message naming the variable. Silently falling
+//! back to the default would run every benchmark and transform under the
+//! wrong configuration with no signal, which is strictly worse than a
+//! crash at startup. Unset or empty means "not pinned".
 //!
 //! | variable | effect | default |
 //! |----------|--------|---------|
-//! | `WHT_NO_FUSE` | kill switch: replay unfused schedules | fusion on |
-//! | `WHT_NO_SIMD` | kill switch: scalar codelet loops | lane kernels on |
-//! | `WHT_NO_RELAYOUT` | kill switch: large-stride tail sweeps in place | relayout on past `2^24` elements |
-//! | `WHT_NO_RECODELET` | kill switch: every scheduling unit keeps one pass per factor | re-codeleting on |
-//! | `WHT_NO_BATCH` | kill switch: [`apply_batch`](crate::compile::CompiledPlan::apply_batch) replays every row per-transform | batching on from 16 rows |
-//! | `WHT_NO_STREAM` | kill switch: relayout/batch copy sweeps use plain cached stores | streaming stores on past `2^24` elements |
 //! | `WHT_THREADS` | worker crew size for the parallel engine and bench sweeps (`0` panics) | all cores |
 //!
-//! Each kill switch also has an API equivalent (`*Policy::disabled()`)
-//! that *pins* the choice per call site, and the other stage settings
-//! (tile budgets, thresholds, codelet caps) exist only in the API. The
-//! environment configures the process-wide default that
-//! [`crate::apply_plan`] snapshots once. An explicit
-//! [`crate::compile::ExecPolicy`] replaces that snapshot, and nothing
-//! else does: wisdom carries plans, not policy.
-
-/// `true` when kill-switch variable `name` is set on: any non-empty value
-/// other than `0`.
-pub fn flag(name: &str) -> bool {
-    flag_value(std::env::var(name).ok().as_deref())
-}
-
-/// The pure kill-switch predicate behind [`flag`] (`None` = unset).
-/// Factored out so tests can pin the contract without mutating the
-/// process environment under a threaded test runner.
-pub fn flag_value(raw: Option<&str>) -> bool {
-    raw.is_some_and(|v| !v.is_empty() && v != "0")
-}
+//! How a schedule is lowered is not an environment setting: it is the
+//! [`ExecPolicy`](crate::compile::ExecPolicy) passed in code, and
+//! `ExecPolicy::default()` wherever none is passed.
 
 /// The strict value-knob parse: surrounding whitespace is tolerated,
 /// anything else panics with a message naming the knob (see the module
@@ -77,9 +41,8 @@ pub fn threads() -> usize {
 }
 
 /// The pure resolution behind [`threads`] (`None` = unset → `fallback`).
-/// A set-but-empty value also falls back: CI matrixes express "this leg
-/// does not pin the crew" as `WHT_THREADS: ''`, mirroring how the kill
-/// switches treat empty as off.
+/// A set-but-empty value also falls back, so `WHT_THREADS=` means "not
+/// pinned".
 ///
 /// # Panics
 /// On malformed or zero values, naming the knob.
@@ -98,16 +61,6 @@ pub fn threads_value(raw: Option<&str>, fallback: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn kill_switch_contract() {
-        assert!(!flag_value(None), "unset is off");
-        assert!(!flag_value(Some("")), "empty is off");
-        assert!(!flag_value(Some("0")), "explicit zero is off");
-        for on in ["1", "true", "yes", "2", " "] {
-            assert!(flag_value(Some(on)), "{on:?} must switch on");
-        }
-    }
 
     #[test]
     fn value_knobs_parse_strictly() {

@@ -41,7 +41,7 @@
 //! | [`codelets`] | unrolled base cases `small[1]`..`small[8]`, the SIMD lane-block backend ([`SimdPolicy`]), and the relayout gather/scatter copy kernels |
 //! | [`engine`] | the triply-nested-loop interpreter ([`apply_plan_recursive`]) and the hook-based traversal ([`traverse`]) instrumentation builds on |
 //! | [`compile`] | flattened pass schedules and the staged lowering pipeline: [`CompiledPlan`] compilation, the [`ExecPolicy`]-driven stage chain of [`CompiledPlan::lower`] — fuse ([`FusionPolicy`], [`SuperPass`]) → tail relayout, the paper's DDL in compiled form ([`RelayoutPolicy`], [`Relayout`]) → re-codelet ([`RecodeletPolicy`]) → kernel backend selection ([`PassBackend`]) → batch ([`BatchPolicy`]) → stream ([`StreamPolicy`]) — per-unit stage [`Provenance`], the zero-recursion executor behind [`apply_plan`], the per-thread `(plan, ExecPolicy)` schedule cache |
-//! | [`mod@env`] | the one place `WHT_*` environment knobs are read, with the knob table and the uniform parse contract |
+//! | [`mod@env`] | the `WHT_THREADS` crew-size knob and its strict parse contract |
 //! | [`srht`] | SRHT sketching ([`Srht`]): Rademacher signs and subsampling fused into the batched executor's transposes |
 //! | [`mod@reference`] | `O(N^2)` ground truth ([`naive_wht`]) and test helpers |
 //! | [`testkit`] | shared test scaffolding: seeded random-plan generator, `O(n·2^n)` fast reference transform, deterministic signals |

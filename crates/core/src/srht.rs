@@ -32,9 +32,9 @@
 //!
 //! Engagement follows the batch product: the fused path runs exactly when
 //! the compiled schedule carries a [`crate::compile::BatchSchedule`] and
-//! the batch reaches its threshold, so `WHT_NO_BATCH=1` (and every other
-//! way of disabling the batch stage) falls the sketch back to a bit-
-//! identical per-row composition through the ordinary executor.
+//! the batch reaches its threshold, so a schedule lowered with
+//! [`crate::compile::BatchPolicy::disabled`] falls the sketch back to a
+//! bit-identical per-row composition through the ordinary executor.
 //!
 //! ```
 //! use wht_core::{CompiledPlan, ExecPolicy, Plan, Srht};
@@ -359,8 +359,8 @@ mod tests {
 
     #[test]
     fn sketch_falls_back_per_row_when_the_batch_stage_is_off() {
-        // A disabled batch stage (the WHT_NO_BATCH path) must change
-        // nothing about the sketch's bits.
+        // A disabled batch stage must change nothing about the sketch's
+        // bits.
         let n = 8u32;
         let srht = Srht::new(n, 40, 3).unwrap();
         let plan = Plan::binary_iterative(n, 4).unwrap();

@@ -6,7 +6,7 @@
 //! write out of bounds.
 
 use wht_core::VerifyInvariant::{self, Bounds, Coverage, Overflow, Structure};
-use wht_core::{CompiledPlan, FusionPolicy, Plan, Relayout, SuperPass, WhtError};
+use wht_core::{CompiledPlan, ExecPolicy, FusionPolicy, Plan, Relayout, SuperPass, WhtError};
 
 /// A correct tile-relative part for a `tile`-element tile: `small[k]`
 /// covering the tile exactly once at stride `s`.
@@ -42,7 +42,7 @@ fn assert_rejects(
 #[test]
 fn well_formed_hand_built_schedule_is_accepted() {
     // Two fused radix-2 factors over 4-element tiles of a 16-vector,
-    // followed by two single large-stride passes — the shape fuse() makes.
+    // followed by two single large-stride passes — the shape fusion makes.
     let n = 4u32;
     let fused_head = SuperPass::new(vec![part(1, 1, 4), part(1, 2, 4)], 4, 4, 0, 1);
     let tail1 = SuperPass::new(vec![part(1, 4, 16)], 16, 1, 0, 1);
@@ -50,7 +50,10 @@ fn well_formed_hand_built_schedule_is_accepted() {
     let plan = CompiledPlan::from_super_passes(n, vec![fused_head, tail1, tail2]).unwrap();
     assert!(plan.verify().is_empty());
     // And it computes the right transform: it is exactly iterative(4) fused.
-    let want = CompiledPlan::compile(&Plan::iterative(n).unwrap()).fuse(&FusionPolicy::new(4));
+    let want = CompiledPlan::compile_exec(
+        &Plan::iterative(n).unwrap(),
+        &ExecPolicy::all_disabled().with_fusion(FusionPolicy::new(4)),
+    );
     assert_eq!(plan.super_passes(), want.super_passes());
     let mut x: Vec<i64> = (0..16).map(|j| (j * 7 % 13) - 6).collect();
     let mut y = x.clone();
@@ -270,12 +273,15 @@ fn well_formed_hand_built_relayout_schedule_is_accepted() {
     let plan = CompiledPlan::from_super_passes(n, vec![head, tail]).unwrap();
     assert!(plan.verify().is_empty());
     // It computes exactly what the builder pipeline builds.
-    let want = CompiledPlan::compile(&Plan::iterative(n).unwrap())
-        .fuse(&FusionPolicy::new(16))
-        .relayout(&wht_core::RelayoutPolicy {
-            min_passes: 2, // the hand-built tail is exactly two factors
-            ..wht_core::RelayoutPolicy::eager(32)
-        });
+    let want = CompiledPlan::compile_exec(
+        &Plan::iterative(n).unwrap(),
+        &ExecPolicy::all_disabled()
+            .with_fusion(FusionPolicy::new(16))
+            .with_relayout(wht_core::RelayoutPolicy {
+                min_passes: 2, // the hand-built tail is exactly two factors
+                ..wht_core::RelayoutPolicy::eager(32)
+            }),
+    );
     assert_eq!(plan.super_passes(), want.super_passes());
     let mut x: Vec<i64> = (0..64).map(|j| (j * 5 % 17) - 8).collect();
     let mut y = x.clone();

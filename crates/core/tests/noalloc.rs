@@ -78,10 +78,13 @@ fn signal(n: u32) -> Vec<f64> {
 #[test]
 fn compiled_relayout_with_scratch_does_not_allocate_after_warmup() {
     let n = 14u32;
-    let relaid = CompiledPlan::compile(&Plan::iterative(n).unwrap())
-        .fuse(&FusionPolicy::new(1 << 6))
-        .relayout(&RelayoutPolicy::eager(1 << 9))
-        .with_simd(&SimdPolicy::auto());
+    let relaid = CompiledPlan::compile_exec(
+        &Plan::iterative(n).unwrap(),
+        &ExecPolicy::all_disabled()
+            .with_fusion(FusionPolicy::new(1 << 6))
+            .with_relayout(RelayoutPolicy::eager(1 << 9))
+            .with_simd(SimdPolicy::auto()),
+    );
     assert!(relaid.has_relayout());
     let mut x = signal(n);
     let mut scratch: Vec<f64> = Vec::new();

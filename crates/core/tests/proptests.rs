@@ -165,8 +165,9 @@ proptest! {
         }
         let policy = FusionPolicy::new(budget);
         let unfused = CompiledPlan::compile(&plan);
-        let fused = unfused.fuse(&policy);
-        let simd = fused.with_simd(&SimdPolicy::auto());
+        let only_fusion = ExecPolicy::all_disabled().with_fusion(policy);
+        let fused = unfused.lower(&only_fusion);
+        let simd = unfused.lower(&only_fusion.with_simd(SimdPolicy::auto()));
         prop_assert!(fused.verify().is_empty());
         prop_assert!(simd.verify().is_empty());
         prop_assert!(simd.is_simd() && !fused.is_simd());
@@ -267,8 +268,9 @@ proptest! {
         }
         let plan = random_plan(n, seed);
         let unfused = CompiledPlan::compile(&plan);
-        let fused = unfused.fuse(&FusionPolicy::new(budget));
-        let simd = fused.with_simd(&SimdPolicy::auto());
+        let only_fusion = ExecPolicy::all_disabled().with_fusion(FusionPolicy::new(budget));
+        let fused = unfused.lower(&only_fusion);
+        let simd = unfused.lower(&only_fusion.with_simd(SimdPolicy::auto()));
         prop_assert!(fused.verify().is_empty());
         prop_assert!(simd.verify().is_empty() && simd.is_simd());
         // Unfused vs fused: same program, one execution each per type.
@@ -427,10 +429,11 @@ proptest! {
             assert_eq!(lanes, rec, "relayout-simd/interpreted divergence for {plan}");
         }
         let plan = random_plan(n, seed);
-        let relaid = CompiledPlan::compile(&plan)
-            .fuse(&FusionPolicy::new(fuse_budget))
-            .relayout(&wht_core::RelayoutPolicy::eager(block_budget));
-        let simd = relaid.with_simd(&SimdPolicy::auto());
+        let tail = ExecPolicy::all_disabled()
+            .with_fusion(FusionPolicy::new(fuse_budget))
+            .with_relayout(RelayoutPolicy::eager(block_budget));
+        let relaid = CompiledPlan::compile_exec(&plan, &tail);
+        let simd = CompiledPlan::compile_exec(&plan, &tail.with_simd(SimdPolicy::auto()));
         prop_assert!(relaid.verify().is_empty());
         prop_assert!(simd.verify().is_empty());
         prop_assert_eq!(
@@ -483,11 +486,13 @@ proptest! {
             assert_eq!(lanes, rec, "recodelet-simd/interpreted divergence for {plan}");
         }
         let plan = random_plan(n, seed);
-        let relaid = CompiledPlan::compile(&plan)
-            .fuse(&FusionPolicy::new(fuse_budget))
-            .relayout(&wht_core::RelayoutPolicy::eager(block_budget));
-        let merged = relaid.recodelet(&RecodeletPolicy::new(max_k));
-        let simd = merged.with_simd(&SimdPolicy::auto());
+        let tail = ExecPolicy::all_disabled()
+            .with_fusion(FusionPolicy::new(fuse_budget))
+            .with_relayout(RelayoutPolicy::eager(block_budget));
+        let relaid = CompiledPlan::compile_exec(&plan, &tail);
+        let merging = tail.with_recodelet(RecodeletPolicy::new(max_k));
+        let merged = CompiledPlan::compile_exec(&plan, &merging);
+        let simd = CompiledPlan::compile_exec(&plan, &merging.with_simd(SimdPolicy::auto()));
         prop_assert!(merged.verify().is_empty());
         prop_assert!(simd.verify().is_empty());
         // Every merged part respects the cap, and the factor lists of the

@@ -169,10 +169,11 @@ mod tests {
 
     #[test]
     fn fused_counts_keep_leaf_work_and_cut_schedule_overhead() {
-        use wht_core::FusionPolicy;
+        use wht_core::{ExecPolicy, FusionPolicy};
         let plan = Plan::right_recursive(14).unwrap();
         let compiled = CompiledPlan::compile(&plan);
-        let fused = compiled.fuse(&FusionPolicy::new(1 << 10));
+        let fused =
+            compiled.lower(&ExecPolicy::all_disabled().with_fusion(FusionPolicy::new(1 << 10)));
         assert!(fused.is_fused());
         let c = compiled_op_counts(&compiled);
         let f = compiled_op_counts(&fused);
@@ -193,11 +194,13 @@ mod tests {
 
     #[test]
     fn relayout_counts_add_exactly_the_copy_work() {
-        use wht_core::{FusionPolicy, RelayoutPolicy};
+        use wht_core::{ExecPolicy, FusionPolicy, RelayoutPolicy};
         let n = 14u32;
         let plan = Plan::iterative(n).unwrap();
-        let fused = CompiledPlan::compile(&plan).fuse(&FusionPolicy::new(1 << 6));
-        let relaid = fused.relayout(&RelayoutPolicy::eager(1 << 9));
+        let head = ExecPolicy::all_disabled().with_fusion(FusionPolicy::new(1 << 6));
+        let fused = CompiledPlan::compile_exec(&plan, &head);
+        let relaid =
+            CompiledPlan::compile_exec(&plan, &head.with_relayout(RelayoutPolicy::eager(1 << 9)));
         assert!(relaid.has_relayout());
         let f = compiled_op_counts(&fused);
         let r = compiled_op_counts(&relaid);

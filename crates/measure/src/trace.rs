@@ -223,8 +223,9 @@ impl ExecHooks for SuperPassTracer {
 /// unit, in execution order. Driven by the same
 /// [`CompiledPlan::traverse`] the executor order comes from, so the rows
 /// segment exactly the program [`CompiledPlan::apply`] runs — compare the
-/// rows of `compiled` against `compiled.fuse(...)` to see where fusion
-/// removes memory sweeps.
+/// rows of `compiled` against the same plan lowered with fusion on
+/// (`compiled.lower(&ExecPolicy::all_disabled().with_fusion(...))`) to
+/// see where fusion removes memory sweeps.
 pub fn super_pass_traffic(
     compiled: &CompiledPlan,
     hierarchy: &mut Hierarchy,
@@ -366,7 +367,7 @@ mod tests {
 
     #[test]
     fn fusion_cuts_l1_misses_and_the_report_localizes_the_win() {
-        use wht_core::{CompiledPlan, FusionPolicy};
+        use wht_core::{CompiledPlan, ExecPolicy, FusionPolicy};
         // n = 16 (512 KiB of f64) on the Opteron hierarchy (64 KiB L1):
         // unfused, every one of the 16 radix-2 factors sweeps the whole
         // vector through L1; with a half-L1 tile budget the first 12
@@ -374,7 +375,8 @@ mod tests {
         let n = 16u32;
         let plan = Plan::iterative(n).unwrap();
         let compiled = CompiledPlan::compile(&plan);
-        let fused = compiled.fuse(&FusionPolicy::new(1 << 12));
+        let fused =
+            compiled.lower(&ExecPolicy::all_disabled().with_fusion(FusionPolicy::new(1 << 12)));
         assert!(fused.is_fused());
 
         let mut h = Hierarchy::opteron();
@@ -420,14 +422,15 @@ mod tests {
 
     #[test]
     fn backend_selection_never_changes_the_accounting() {
-        use wht_core::{CompiledPlan, FusionPolicy, SimdPolicy};
+        use wht_core::{CompiledPlan, ExecPolicy, FusionPolicy, SimdPolicy};
         // The lane kernels load W-element blocks, but the accounting
         // contract — one read and one write per element per pass — is
         // backend-invariant, so the trace executor charges SIMD and scalar
         // schedules identically while the report records which kernel ran.
         let plan = Plan::iterative(14).unwrap();
-        let scalar = CompiledPlan::compile(&plan).fuse(&FusionPolicy::new(1 << 10));
-        let simd = scalar.with_simd(&SimdPolicy::auto());
+        let fused = ExecPolicy::all_disabled().with_fusion(FusionPolicy::new(1 << 10));
+        let scalar = CompiledPlan::compile_exec(&plan, &fused);
+        let simd = CompiledPlan::compile_exec(&plan, &fused.with_simd(SimdPolicy::auto()));
 
         let mut h = Hierarchy::opteron();
         let scalar_stats = trace_misses_compiled(&scalar, &mut h);
@@ -452,14 +455,16 @@ mod tests {
 
     #[test]
     fn relayout_accounting_charges_the_two_extra_sweeps_and_cuts_misses() {
-        use wht_core::{CompiledPlan, FusionPolicy, RelayoutPolicy};
+        use wht_core::{CompiledPlan, ExecPolicy, FusionPolicy, RelayoutPolicy};
         // n = 16 on the Opteron hierarchy (64 KiB L1): fuse the first 10
         // factors (8 KiB tiles), then relayout the 6-pass tail into
         // 2^12-element gathered blocks.
         let n = 16u32;
         let plan = Plan::iterative(n).unwrap();
-        let fused = CompiledPlan::compile(&plan).fuse(&FusionPolicy::new(1 << 10));
-        let relaid = fused.relayout(&RelayoutPolicy::eager(1 << 12));
+        let head = ExecPolicy::all_disabled().with_fusion(FusionPolicy::new(1 << 10));
+        let fused = CompiledPlan::compile_exec(&plan, &head);
+        let relaid =
+            CompiledPlan::compile_exec(&plan, &head.with_relayout(RelayoutPolicy::eager(1 << 12)));
         assert!(relaid.has_relayout());
         let tail_parts = relaid.super_passes().last().unwrap().parts().len() as u64;
         assert_eq!(tail_parts, 6);
@@ -514,7 +519,7 @@ mod tests {
 
     #[test]
     fn recodeleted_accounting_reports_provenance_and_saved_passes() {
-        use wht_core::{CompiledPlan, FusionPolicy, RecodeletPolicy, RelayoutPolicy};
+        use wht_core::{CompiledPlan, ExecPolicy, FusionPolicy, RecodeletPolicy, RelayoutPolicy};
         // Same geometry as the relayout accounting test; re-codeleting
         // merges the 6 chained scratch factors into [4, 2] and the
         // 10-part fused head into [4, 4, 2], so the 1R/1W-per-pass
@@ -523,10 +528,12 @@ mod tests {
         // load/store passes.
         let n = 16u32;
         let plan = Plan::iterative(n).unwrap();
-        let relaid = CompiledPlan::compile(&plan)
-            .fuse(&FusionPolicy::new(1 << 10))
-            .relayout(&RelayoutPolicy::eager(1 << 12));
-        let merged = relaid.recodelet(&RecodeletPolicy::default());
+        let tail = ExecPolicy::all_disabled()
+            .with_fusion(FusionPolicy::new(1 << 10))
+            .with_relayout(RelayoutPolicy::eager(1 << 12));
+        let relaid = CompiledPlan::compile_exec(&plan, &tail);
+        let merged =
+            CompiledPlan::compile_exec(&plan, &tail.with_recodelet(RecodeletPolicy::default()));
         assert!(merged.has_recodeleted());
         let size = 1u64 << n;
         let mut h = Hierarchy::opteron();

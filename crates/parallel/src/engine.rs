@@ -796,12 +796,6 @@ mod tests {
     use super::*;
     use wht_core::{apply_plan, max_abs_diff, naive_wht, CompiledPlan};
 
-    fn signal(n: u32) -> Vec<f64> {
-        (0..1usize << n)
-            .map(|j| ((j.wrapping_mul(2654435761)) % 4096) as f64 / 512.0 - 4.0)
-            .collect()
-    }
-
     /// A signal with no period: every residue class of every tail stride
     /// holds different values, so a skipped or misplaced butterfly shows.
     fn noise(n: u32) -> Vec<f64> {
@@ -817,7 +811,7 @@ mod tests {
                 Plan::left_recursive(n).unwrap(),
                 Plan::balanced(n, 3).unwrap(),
             ] {
-                let input = signal(n);
+                let input = noise(n);
                 let mut seq = input.clone();
                 apply_plan(&plan, &mut seq).unwrap();
                 for threads in [1usize, 2, 3, 8] {
@@ -831,12 +825,15 @@ mod tests {
 
     #[test]
     fn fused_parallel_matches_sequential_bit_for_bit() {
-        use wht_core::FusionPolicy;
+        use wht_core::{ExecPolicy, FusionPolicy};
         for n in [10u32, 13] {
             for plan in [Plan::iterative(n).unwrap(), Plan::balanced(n, 3).unwrap()] {
-                let input = signal(n);
+                let input = noise(n);
                 for budget in [0usize, 1 << 4, 1 << 7, usize::MAX] {
-                    let fused = CompiledPlan::compile(&plan).fuse(&FusionPolicy::new(budget));
+                    let fused = CompiledPlan::compile_exec(
+                        &plan,
+                        &ExecPolicy::all_disabled().with_fusion(FusionPolicy::new(budget)),
+                    );
                     let mut seq = input.clone();
                     fused.apply(&mut seq).unwrap();
                     for threads in [2usize, 3, 8] {
@@ -851,16 +848,19 @@ mod tests {
 
     #[test]
     fn fused_parallel_exact_on_both_sides_of_the_tile_sharding_threshold() {
-        use wht_core::FusionPolicy;
+        use wht_core::{ExecPolicy, FusionPolicy};
         // tiles = size / budget: with 8 workers, budget N/2 gives 2 tiles
         // (fewer tiles than workers, still sharded by tile) and budget
         // N/64 gives 64 tiles. Both must agree with sequential execution
         // exactly.
         let n = 14u32;
         let plan = Plan::iterative(n).unwrap();
-        let input = signal(n);
+        let input = noise(n);
         for budget in [1usize << (n - 1), 1 << (n - 6)] {
-            let fused = CompiledPlan::compile(&plan).fuse(&FusionPolicy::new(budget));
+            let fused = CompiledPlan::compile_exec(
+                &plan,
+                &ExecPolicy::all_disabled().with_fusion(FusionPolicy::new(budget)),
+            );
             assert!(fused.is_fused());
             let mut seq = input.clone();
             fused.apply(&mut seq).unwrap();
@@ -872,7 +872,7 @@ mod tests {
 
     #[test]
     fn simd_parallel_matches_sequential_bit_for_bit_in_both_sharding_regimes() {
-        use wht_core::{FusionPolicy, SimdPolicy};
+        use wht_core::{ExecPolicy, FusionPolicy, SimdPolicy};
         // tiles = size / budget: with 8 workers, budget N/2 gives 2 tiles
         // and budget N/64 gives 64 tiles (both shard by tile); budget 0
         // leaves every pass a single-tile unit, so the whole schedule
@@ -881,11 +881,14 @@ mod tests {
         let n = 13u32;
         for plan in [Plan::iterative(n).unwrap(), Plan::balanced(n, 4).unwrap()] {
             for budget in [0usize, 1 << (n - 1), 1 << (n - 6)] {
-                let simd = CompiledPlan::compile(&plan)
-                    .fuse(&FusionPolicy::new(budget))
-                    .with_simd(&SimdPolicy::auto());
+                let simd = CompiledPlan::compile_exec(
+                    &plan,
+                    &ExecPolicy::all_disabled()
+                        .with_fusion(FusionPolicy::new(budget))
+                        .with_simd(SimdPolicy::auto()),
+                );
                 assert!(simd.is_simd());
-                let input = signal(n);
+                let input = noise(n);
                 let mut seq = input.clone();
                 simd.apply(&mut seq).unwrap();
                 for threads in [2usize, 3, 8] {
@@ -905,7 +908,7 @@ mod tests {
 
     #[test]
     fn relayout_parallel_matches_sequential_bit_for_bit_in_both_sharding_regimes() {
-        use wht_core::{FusionPolicy, RelayoutPolicy, SimdPolicy};
+        use wht_core::{ExecPolicy, FusionPolicy, RelayoutPolicy, SimdPolicy};
         // Fused head tile 2^6 at n = 14 leaves rows = 2^8 tail rows.
         // Block budget 2^9 gives cols 2 -> 32 gathered blocks (block
         // sharding with 8 workers); budget 2^12 gives cols 16 -> 4 blocks
@@ -919,12 +922,15 @@ mod tests {
         ] {
             for block_budget in [1usize << 9, 1 << 12] {
                 for simd in [SimdPolicy::auto(), SimdPolicy::disabled()] {
-                    let relaid = CompiledPlan::compile(&plan)
-                        .fuse(&FusionPolicy::new(1 << 6))
-                        .relayout(&RelayoutPolicy::eager(block_budget))
-                        .with_simd(&simd);
+                    let relaid = CompiledPlan::compile_exec(
+                        &plan,
+                        &ExecPolicy::all_disabled()
+                            .with_fusion(FusionPolicy::new(1 << 6))
+                            .with_relayout(RelayoutPolicy::eager(block_budget))
+                            .with_simd(simd),
+                    );
                     assert!(relaid.has_relayout(), "plan {plan}");
-                    let input = signal(n);
+                    let input = noise(n);
                     let mut seq = input.clone();
                     relaid.apply(&mut seq).unwrap();
                     for threads in [2usize, 3, 8] {
@@ -977,7 +983,7 @@ mod tests {
                         lowered.has_relayout() && lowered.has_recodeleted(),
                         "plan {plan}"
                     );
-                    let input = signal(n);
+                    let input = noise(n);
                     let mut seq = input.clone();
                     lowered.apply(&mut seq).unwrap();
                     for threads in [2usize, 3, 8] {
@@ -1014,7 +1020,7 @@ mod tests {
                 relayout: RelayoutPolicy::eager(1 << 9),
                 ..ExecPolicy::default()
             });
-            let input = signal(n);
+            let input = noise(n);
             let mut seq = input.clone();
             lowered.apply(&mut seq).unwrap();
             for threads in [2usize, 3, 7, 8] {
@@ -1044,7 +1050,7 @@ mod tests {
             relayout: RelayoutPolicy::eager(1 << 9),
             ..ExecPolicy::default()
         });
-        let input = signal(n);
+        let input = noise(n);
         let mut first = input.clone();
         par_apply_compiled_on(&pool, &lowered, &mut first, Threads(2)).unwrap();
         for _ in 0..10 {
@@ -1059,7 +1065,7 @@ mod tests {
     fn parallel_matches_naive() {
         let n = 10;
         let plan = Plan::balanced(n, 4).unwrap();
-        let input = signal(n);
+        let input = noise(n);
         let want = naive_wht(&input);
         let mut got = input;
         par_apply_plan(&plan, &mut got, Threads::default()).unwrap();
@@ -1071,7 +1077,7 @@ mod tests {
         let n = 11;
         let plan = Plan::binary_iterative(n, 5).unwrap();
         let compiled = CompiledPlan::compile(&plan);
-        let input = signal(n);
+        let input = noise(n);
         let mut via_plan = input.clone();
         par_apply_plan(&plan, &mut via_plan, Threads(4)).unwrap();
         let mut via_compiled = input;
@@ -1082,7 +1088,7 @@ mod tests {
     #[test]
     fn leaf_plan_falls_back() {
         let plan = Plan::leaf(6).unwrap();
-        let input = signal(6);
+        let input = noise(6);
         let want = naive_wht(&input);
         let mut got = input;
         par_apply_plan(&plan, &mut got, Threads(4)).unwrap();
@@ -1123,9 +1129,7 @@ mod tests {
             });
             assert!(lowered.is_batched(), "plan {plan}");
             for rows in [1usize, 7, 64, 131] {
-                let input: Vec<f64> = (0..rows << n)
-                    .map(|j| ((j.wrapping_mul(2654435761)) % 4096) as f64 / 512.0 - 4.0)
-                    .collect();
+                let input: Vec<f64> = wht_core::testkit::random_signal(rows << n, rows as u64);
                 let mut seq = input.clone();
                 lowered.apply_batch(&mut seq, rows).unwrap();
                 for threads in [1usize, 2, 3, 8] {

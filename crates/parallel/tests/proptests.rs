@@ -146,7 +146,10 @@ proptest! {
     ) {
         let budget = if budget_bits == 0 { 0 } else { 1usize << budget_bits };
         let plan = random_plan(n, seed);
-        let fused = CompiledPlan::compile(&plan).fuse(&FusionPolicy::new(budget));
+        let fused = CompiledPlan::compile_exec(
+            &plan,
+            &ExecPolicy::all_disabled().with_fusion(FusionPolicy::new(budget)),
+        );
         let input: Vec<i64> = random_signal(plan.size(), seed);
         let mut seq = input.clone();
         fused.apply(&mut seq).unwrap();

@@ -262,8 +262,8 @@ impl PlanCost for CombinedModelCost {
 ///
 /// The combined model charges analytic cache misses of the interpreter's
 /// execution order; production traffic runs through the compiled layer,
-/// where [`CompiledPlan::fuse`] collapses each fused run to a single
-/// sweep. This backend scores that: `T` counts the elements streamed by
+/// whose fusion stage ([`CompiledPlan::lower`]) collapses each fused run
+/// to a single sweep. This backend scores that: `T` counts the elements streamed by
 /// the fused schedule — a super-pass whose tile fits
 /// [`FusedTrafficCost::cache_elems`] streams its span once (load +
 /// store); one whose tile cannot stay cache-resident streams once per
@@ -311,9 +311,9 @@ impl FusedTrafficCost {
     /// handful of bookkeeping instructions does, matching the combined
     /// model's miss-penalty scale on 8-element lines) and an L2-sized
     /// residency threshold. The lane width models the measured default
-    /// element type, `f64`. Construction is deterministic — nothing here
-    /// reads the process environment (use
-    /// `with_exec(ExecPolicy::from_env())` for that).
+    /// element type, `f64`. Rank plans under the same `exec` the planner
+    /// that serves them lowers under (`Planner::with_exec`): wisdom is
+    /// keyed by size, backend and host, not by policy.
     pub fn with_exec(exec: ExecPolicy) -> Self {
         FusedTrafficCost {
             cost_model: CostModel::default(),
@@ -332,12 +332,11 @@ impl FusedTrafficCost {
     }
 }
 
-/// The environment-aware cost: ranks plans for the executor this
-/// process runs ([`ExecPolicy::from_env`], the snapshot a default
-/// `wht_search::Planner` compiles under).
+/// Ranks plans for `ExecPolicy::default()`, the policy a default
+/// `wht_search::Planner` (and [`wht_core::apply_plan`]) lowers under.
 impl Default for FusedTrafficCost {
     fn default() -> Self {
-        FusedTrafficCost::with_exec(ExecPolicy::from_env())
+        FusedTrafficCost::with_exec(ExecPolicy::default())
     }
 }
 
@@ -509,7 +508,7 @@ mod tests {
         // the fusion-off policy must cost strictly more at a size where
         // the schedule fuses.
         let plan = Plan::iterative(18).unwrap();
-        let exec = ExecPolicy::from_env().with_fusion(FusionPolicy::default());
+        let exec = ExecPolicy::default();
         let mut on = FusedTrafficCost::with_exec(exec);
         let mut off = FusedTrafficCost::with_exec(exec.with_fusion(FusionPolicy::disabled()));
         assert!(on.cost(&plan).unwrap() < off.cost(&plan).unwrap());
@@ -518,7 +517,7 @@ mod tests {
         // not a single sweep. (Re-codeleting pinned off on both sides —
         // it legitimately merges the unbounded unit's parts, which is a
         // *real* sweep reduction, not the fusion identity this pins.)
-        let no_recodelet = ExecPolicy::from_env().with_recodelet(RecodeletPolicy::disabled());
+        let no_recodelet = ExecPolicy::default().with_recodelet(RecodeletPolicy::disabled());
         let mut unbounded =
             FusedTrafficCost::with_exec(no_recodelet.with_fusion(FusionPolicy::unbounded()));
         let mut off_plain =
@@ -636,10 +635,13 @@ mod tests {
         let a = in_place.cost(&plan19).unwrap();
         let b = relaid.cost(&plan19).unwrap();
         assert!((a - b).abs() < 1e-6, "{a} vs {b}");
-        assert!(!CompiledPlan::compile(&plan19)
-            .fuse(&fusion)
-            .relayout(&RelayoutPolicy::eager(RelayoutPolicy::DEFAULT_BUDGET_ELEMS))
-            .has_relayout());
+        assert!(!CompiledPlan::compile_exec(
+            &plan19,
+            &ExecPolicy::all_disabled()
+                .with_fusion(fusion)
+                .with_relayout(RelayoutPolicy::eager(RelayoutPolicy::DEFAULT_BUDGET_ELEMS))
+        )
+        .has_relayout());
     }
 
     #[test]

@@ -7,16 +7,15 @@
 //! cost function — the FFTW wisdom workflow on the paper's algorithm
 //! space. Run with `cargo run --release --example planner_service`.
 //!
-//! Executor knobs: served transforms replay schedules lowered through the
-//! staged pipeline of `wht_core::compile` — prefix fusion, DDL tail
-//! relayout past the size threshold, re-codeleting, SIMD lane
-//! kernels — under **one** `ExecPolicy`: the one `.with_exec(policy)`
-//! sets, else the environment snapshot `Planner::new` takes (the
-//! `WHT_NO_*` kill switches and tuning knobs; see `wht_core::env` for the
-//! full table). Wisdom carries only the plans the tuning process
-//! searched, so the serving process runs them under its own policy. To
-//! change one stage, replace it in the planner's policy, e.g.
-//! `.with_exec(ExecPolicy::from_env().with_fusion(FusionPolicy::disabled()))`.
+//! Executor settings: served transforms replay schedules lowered through
+//! the staged pipeline of `wht_core::compile` — prefix fusion, DDL tail
+//! relayout past the size threshold, re-codeleting, SIMD lane kernels,
+//! batching, streaming stores — under **one** `ExecPolicy`: the one
+//! `.with_exec(policy)` sets, else `ExecPolicy::default()`, which
+//! `Planner::new` starts from. Wisdom carries only the plans the tuning
+//! process searched, so the serving process runs them under its own
+//! policy. To change one stage, replace it in the planner's policy, e.g.
+//! `.with_exec(ExecPolicy::default().with_fusion(FusionPolicy::disabled()))`.
 
 use std::time::Instant;
 use wht::prelude::*;
@@ -65,9 +64,9 @@ fn main() -> Result<(), WhtError> {
     // a time: batched as rows of one matrix, `transform_batch` routes
     // them through the cross-transform lane path — every pass at full
     // SIMD width — and falls back to the per-row replay below the row
-    // threshold or under WHT_NO_BATCH, bit-identically. Small rows is
-    // where batching pays: per-row, a 2^6 transform is too narrow to
-    // fill the lanes.
+    // threshold or with the batch stage disabled, bit-identically. Small
+    // rows is where batching pays: per-row, a 2^6 transform is too narrow
+    // to fill the lanes.
     let n_small = 6u32;
     let row = 1usize << n_small;
     let small: Vec<f64> = (0..row)
@@ -124,8 +123,7 @@ fn main() -> Result<(), WhtError> {
         resolved.batch.block_rows,
     );
     println!(
-        "(set by the environment — kill switches WHT_NO_FUSE / WHT_NO_SIMD / \
-         WHT_NO_RELAYOUT / WHT_NO_RECODELET / WHT_NO_BATCH — or by with_exec; \
+        "(ExecPolicy::default() unless with_exec sets another; \
          the imported wisdom never changes it)"
     );
     assert_eq!(

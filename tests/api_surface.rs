@@ -60,7 +60,8 @@ fn fusion_layer_through_the_prelude() {
     // traffic, and cost a plan fusion-aware — all prelude items.
     let plan = Plan::iterative(12).unwrap();
     let compiled = CompiledPlan::compile(&plan);
-    let fused = compiled.fuse(&FusionPolicy::new(1 << 6));
+    let head = ExecPolicy::all_disabled().with_fusion(FusionPolicy::new(1 << 6));
+    let fused = compiled.lower(&head);
     assert!(fused.is_fused());
     assert_eq!(fused.passes(), compiled.passes());
 
@@ -99,7 +100,7 @@ fn fusion_layer_through_the_prelude() {
 
     // The relayout stage is prelude-reachable, bit-identical, and
     // parallel-safe through the facade.
-    let relaid = fused.relayout(&RelayoutPolicy::eager(1 << 8));
+    let relaid = compiled.lower(&head.with_relayout(RelayoutPolicy::eager(1 << 8)));
     assert!(relaid.has_relayout());
     let mut gathered = input.clone();
     relaid.apply(&mut gathered).unwrap();
@@ -123,8 +124,10 @@ fn ddl_engine_is_a_drop_in_replacement() {
     // stage. n = 15 is past the simulated L1 (2^13 doubles), where
     // relayout pays.
     let plan = Plan::left_recursive(15).unwrap();
-    let in_place = CompiledPlan::compile(&plan).fuse(&FusionPolicy::new(1 << 8));
-    let relaid = in_place.relayout(&RelayoutPolicy::eager(1 << 10));
+    let head = ExecPolicy::all_disabled().with_fusion(FusionPolicy::new(1 << 8));
+    let in_place = CompiledPlan::compile_exec(&plan, &head);
+    let relaid =
+        CompiledPlan::compile_exec(&plan, &head.with_relayout(RelayoutPolicy::eager(1 << 10)));
     assert!(relaid.has_relayout());
     let input: Vec<f64> = (0..1 << 15).map(|v| ((v * 7) % 29) as f64 - 14.0).collect();
     let mut plain = input.clone();

@@ -172,7 +172,7 @@ fn planner_fusion_on_and_off_match_golden_vectors() {
         let floats: Vec<f64> = ints.iter().map(|&v| v as f64).collect();
         let golden_f = naive_wht(&floats);
 
-        let pinned = |fusion| ExecPolicy::from_env().with_fusion(fusion);
+        let pinned = |fusion| ExecPolicy::default().with_fusion(fusion);
         let mut fused =
             Planner::new(InstructionCost::default()).with_exec(pinned(FusionPolicy::new(1 << 8)));
         let mut unfused =
@@ -205,7 +205,7 @@ fn planner_fusion_on_and_off_match_golden_vectors() {
 fn wisdom_round_trip_serves_the_plan_under_the_importers_tile_budget() {
     use wht::core::FusionPolicy;
     let mut tuned = Planner::new(InstructionCost::default())
-        .with_exec(ExecPolicy::from_env().with_fusion(FusionPolicy::new(4096)));
+        .with_exec(ExecPolicy::default().with_fusion(FusionPolicy::new(4096)));
     let mut x: Vec<f64> = (0..1 << 10).map(|j| (j % 23) as f64 - 11.0).collect();
     let want = naive_wht(&x);
     tuned.transform(&mut x).unwrap();
@@ -218,7 +218,7 @@ fn wisdom_round_trip_serves_the_plan_under_the_importers_tile_budget() {
 
     // A warm import serves the size with zero searches, compiled under
     // its own (smaller) budget, bit-identically.
-    let importer = ExecPolicy::from_env().with_fusion(FusionPolicy::new(256));
+    let importer = ExecPolicy::default().with_fusion(FusionPolicy::new(256));
     let mut warm = Planner::new(InstructionCost::default())
         .with_exec(importer)
         .with_wisdom(restored);
@@ -242,7 +242,7 @@ fn planner_relayout_round_trips_and_matches_golden_vectors() {
     let golden = reference_wht(&ints);
 
     let mut tuned = Planner::new(InstructionCost::default()).with_exec(
-        ExecPolicy::from_env()
+        ExecPolicy::default()
             .with_fusion(FusionPolicy::new(1 << 6))
             .with_relayout(RelayoutPolicy::eager(1 << 9)),
     );
@@ -255,7 +255,7 @@ fn planner_relayout_round_trips_and_matches_golden_vectors() {
     assert_eq!(&restored, tuned.wisdom());
 
     let mut off = Planner::new(InstructionCost::default()).with_exec(
-        ExecPolicy::from_env()
+        ExecPolicy::default()
             .with_fusion(FusionPolicy::new(1 << 6))
             .with_relayout(RelayoutPolicy::disabled()),
     );
