@@ -286,6 +286,28 @@ fn relayout_units_round_trip_through_from_super_passes() {
     assert_eq!(a, b);
 }
 
+#[test]
+fn relayout_env_policy_constructors() {
+    assert!(!RelayoutPolicy::disabled().enabled());
+    assert!(!RelayoutPolicy::new(1).enabled());
+    assert!(RelayoutPolicy::new(2).enabled());
+    assert!(RelayoutPolicy::default().enabled());
+    assert_eq!(
+        RelayoutPolicy::default().budget_elems,
+        RelayoutPolicy::DEFAULT_BUDGET_ELEMS
+    );
+    assert_eq!(RelayoutPolicy::eager(64).min_elems, 0);
+    assert_eq!(
+        RelayoutPolicy::disabled().cache_key(),
+        RelayoutPolicy {
+            budget_elems: 0,
+            min_elems: 99,
+            min_passes: 3
+        }
+        .cache_key()
+    );
+}
+
 // ---------------------------------------------------------------------------
 // Re-codeleting (lowering stage 3).
 // ---------------------------------------------------------------------------
@@ -850,28 +872,8 @@ fn budget_sweeps_stay_correct_across_cache_eviction() {
     }
 }
 
-/// Every stage policy: `disabled`/`new`/`default` engage as documented,
-/// and all disabled variants share one cache key.
 #[test]
-fn policy_constructors() {
-    assert!(!RelayoutPolicy::disabled().enabled());
-    assert!(!RelayoutPolicy::new(1).enabled());
-    assert!(RelayoutPolicy::new(2).enabled());
-    assert!(RelayoutPolicy::default().enabled());
-    assert_eq!(
-        RelayoutPolicy::default().budget_elems,
-        RelayoutPolicy::DEFAULT_BUDGET_ELEMS
-    );
-    assert_eq!(RelayoutPolicy::eager(64).min_elems, 0);
-    assert_eq!(
-        RelayoutPolicy::disabled().cache_key(),
-        RelayoutPolicy {
-            budget_elems: 0,
-            min_elems: 99,
-            min_passes: 3
-        }
-        .cache_key()
-    );
+fn env_policy_constructors() {
     assert!(!FusionPolicy::disabled().enabled());
     assert!(!FusionPolicy::new(1).enabled());
     assert!(FusionPolicy::new(2).enabled());

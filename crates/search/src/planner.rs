@@ -795,7 +795,9 @@ mod tests {
 
     /// The schedule a planner running `exec` serves for size `2^n` out of
     /// `wisdom`: warm, bit-identical to the recursive interpreter, and
-    /// compiled under `exec` itself.
+    /// compiled under `exec` itself. A planner that first served the size
+    /// under the default policy and is then re-pointed with `with_exec`
+    /// must recompile exactly this schedule.
     fn served(exec: ExecPolicy, wisdom: &Wisdom, n: u32) -> CompiledPlan {
         let mut planner = Planner::new(InstructionCost::default())
             .with_exec(exec)
@@ -808,7 +810,19 @@ mod tests {
         planner.transform(&mut x).unwrap();
         assert_eq!(x, want, "the policy never changes output bits");
         assert_eq!(planner.evaluations(), 0, "the wisdom covers the size");
-        planner.compiled.remove(&n).expect("served")
+        let fresh = planner.compiled.remove(&n).expect("served");
+
+        let mut roaming = Planner::new(InstructionCost::default()).with_wisdom(wisdom.clone());
+        roaming.transform(&mut vec![1.0f64; 1 << n]).unwrap();
+        let mut roaming = roaming.with_exec(exec);
+        roaming.transform(&mut vec![1.0f64; 1 << n]).unwrap();
+        assert_eq!(
+            roaming.compiled.get(&n),
+            Some(&fresh),
+            "with_exec recompiles"
+        );
+        assert_eq!(roaming.evaluations(), 0, "the wisdom covers the size");
+        fresh
     }
 
     #[test]
@@ -940,73 +954,118 @@ mod tests {
     }
 
     #[test]
-    fn the_importers_exec_policy_alone_decides_each_stage() {
-        // Wisdom carries only the plan. Each row serves one size out of
-        // one wisdom under one policy and says what that policy must make
-        // of the schedule, whatever policy the wisdom was searched under.
-        // A planner that already served the size under the default policy
-        // and is then re-pointed with `with_exec` must recompile it to
-        // exactly the fresh importer's schedule.
-        let fused = |budget| ExecPolicy::default().with_fusion(FusionPolicy::new(budget));
-        let unfused = fused(0);
-        let unbounded = ExecPolicy::default().with_fusion(FusionPolicy::unbounded());
+    fn disabled_default_policy_is_a_kill_switch_over_recorded_budgets() {
+        // Wisdom carries only the plan, so a planner with fusion off
+        // serves it unfused, and one with fusion on serves it fused.
+        let wisdom = wisdom_with(Plan::iterative(10).unwrap());
+        let fused = ExecPolicy::default().with_fusion(FusionPolicy::new(1 << 9));
+        let off = fused.with_fusion(FusionPolicy::disabled());
+        assert!(!served(off, &wisdom, 10).is_fused());
+        assert!(served(fused, &wisdom, 10).is_fused());
+    }
+
+    #[test]
+    fn with_exec_pins_the_fusion_policy_over_recorded_budgets() {
+        // A planner that already served a size fused must honor a later
+        // explicit opt-out: with_exec drops the compiled schedule, and the
+        // size recompiles its own wisdom's plan under the new policy.
+        let mut planner = pinned_to(|p| p.with_fusion(FusionPolicy::new(1 << 12)));
+        let mut x: Vec<f64> = (0..4096).map(|j| (j % 7) as f64).collect();
+        planner.transform(&mut x).unwrap();
+        assert!(planner.compiled.get(&12).unwrap().is_fused());
+
+        let exec = planner.exec().with_fusion(FusionPolicy::disabled());
+        let mut planner = planner.with_exec(exec);
+        let mut y: Vec<f64> = (0..4096).map(|j| (j % 7) as f64).collect();
+        planner.transform(&mut y).unwrap();
+        assert!(
+            !planner.compiled.get(&12).unwrap().is_fused(),
+            "an explicitly pinned disabled fusion must beat the earlier schedule"
+        );
+        // And flipping back on works the same way.
+        let exec = planner.exec().with_fusion(FusionPolicy::unbounded());
+        let mut planner = planner.with_exec(exec);
+        let mut z: Vec<f64> = (0..4096).map(|j| (j % 7) as f64).collect();
+        planner.transform(&mut z).unwrap();
+        assert!(planner.compiled.get(&12).unwrap().is_fused());
+    }
+
+    #[test]
+    fn simd_kill_switch_and_pinning_beat_recorded_backends() {
+        // Wisdom searched with scalar kernels does not carry the backend:
+        // each importer serves it with its own.
         let scalar = ExecPolicy::default().with_simd(SimdPolicy::disabled());
-        let in_place = fused(1 << 6).with_relayout(RelayoutPolicy::disabled());
-        let eager = fused(1 << 6).with_relayout(RelayoutPolicy::eager(1 << 9));
-        let per_factor = eager.with_recodelet(RecodeletPolicy::disabled());
-        let two_passes = fused(1 << 6).with_relayout(RelayoutPolicy {
+        let wisdom = recorded_under(scalar, 10);
+        assert!(!served(scalar, &wisdom, 10).is_simd());
+        let lanes = scalar.with_simd(SimdPolicy::auto());
+        assert!(served(lanes, &wisdom, 10).is_simd());
+    }
+
+    #[test]
+    fn relayout_kill_switch_and_pinning_beat_recorded_tuning() {
+        // The importer's relayout policy alone decides whether a tail that
+        // can be gathered is.
+        let wisdom = wisdom_with(Plan::iterative(14).unwrap());
+        let fused = ExecPolicy::default().with_fusion(FusionPolicy::new(1 << 6));
+        let off = fused.with_relayout(RelayoutPolicy::disabled());
+        assert!(!served(off, &wisdom, 14).has_relayout());
+        let eager = fused.with_relayout(RelayoutPolicy::eager(1 << 9));
+        assert!(served(eager, &wisdom, 14).has_relayout());
+        // binary_iterative(10, 2) fused at 2^6 leaves a 2-pass tail
+        // (strides 64 and 256): gathered only under a policy that allows
+        // two passes, and correct when it is.
+        let two_pass = wisdom_with(Plan::binary_iterative(10, 2).unwrap());
+        assert!(!served(eager, &two_pass, 10).has_relayout());
+        let floor = fused.with_relayout(RelayoutPolicy {
             min_passes: 2,
             ..RelayoutPolicy::eager(1 << 9)
         });
-        let batch = |rows| ExecPolicy::default().with_batch(BatchPolicy::new(rows));
-        let w10 = wisdom_with(Plan::iterative(10).unwrap());
-        let w14 = wisdom_with(Plan::iterative(14).unwrap());
-        // binary_iterative(10, 2) fused at 2^6 leaves a 2-pass tail
-        // (strides 64 and 256): gathered only under a policy that allows
-        // two passes.
-        let t10 = wisdom_with(Plan::binary_iterative(10, 2).unwrap());
-        let f12 = recorded_under(fused(1 << 12), 12);
-        let s10 = recorded_under(scalar, 10);
-        let b10 = recorded_under(batch(16), 10);
-        let d14 = recorded_under(ExecPolicy::default(), 14);
-        type Check = fn(&CompiledPlan) -> bool;
-        let per_factor_tail: Check = |c| c.has_relayout() && !c.has_recodeleted();
-        let merged_tail: Check = |c| c.has_relayout() && c.has_recodeleted();
-        let nothing: Check = |c| {
-            !(c.is_fused()
-                || c.is_simd()
-                || c.has_relayout()
-                || c.has_recodeleted()
-                || c.is_batched()
-                || c.has_streamed())
-        };
-        let rows: [(&Wisdom, u32, &str, ExecPolicy, Check); 15] = [
-            (&w10, 10, "fusion off", unfused, |c| !c.is_fused()),
-            (&w10, 10, "fusion on", fused(1 << 9), |c| c.is_fused()),
-            (&f12, 12, "fused at 2^12", fused(1 << 12), |c| c.is_fused()),
-            (&f12, 12, "pinned off", unfused, |c| !c.is_fused()),
-            (&f12, 12, "unbounded", unbounded, |c| c.is_fused()),
-            (&s10, 10, "scalar", scalar, |c| !c.is_simd()),
-            (&s10, 10, "lanes", ExecPolicy::default(), |c| c.is_simd()),
-            (&w14, 14, "relayout off", in_place, |c| !c.has_relayout()),
-            (&w14, 14, "per-factor tail", per_factor, per_factor_tail),
-            (&w14, 14, "re-codeleted tail", eager, merged_tail),
-            (&t10, 10, "two-pass tail", eager, |c| !c.has_relayout()),
-            (&t10, 10, "two-pass floor", two_passes, |c| c.has_relayout()),
-            (&b10, 10, "batch off", batch(0), |c| !c.is_batched()),
-            (&b10, 10, "batch from 8", batch(8), |c| c.is_batched()),
-            (&d14, 14, "all off", ExecPolicy::all_disabled(), nothing),
-        ];
-        for (wisdom, n, stage, exec, engaged) in rows {
-            let fresh = served(exec, wisdom, n);
-            assert!(engaged(&fresh), "{stage}: wrong schedule at n = {n}");
-            let mut roaming = Planner::new(InstructionCost::default()).with_wisdom(wisdom.clone());
-            roaming.transform(&mut vec![1.0f64; 1 << n]).unwrap();
-            let mut roaming = roaming.with_exec(exec);
-            roaming.transform(&mut vec![1.0f64; 1 << n]).unwrap();
-            assert_eq!(roaming.compiled.get(&n), Some(&fresh), "{stage}: with_exec");
-            assert_eq!(roaming.evaluations(), 0, "the wisdom covers the size");
-        }
+        assert!(served(floor, &two_pass, 10).has_relayout());
+    }
+
+    #[test]
+    fn recodelet_resolves_through_the_same_precedence_rule() {
+        // Re-codeleting follows the importer's policy like every other
+        // stage, and never changes output bits.
+        let wisdom = wisdom_with(Plan::iterative(14).unwrap());
+        let tail = ExecPolicy::default()
+            .with_fusion(FusionPolicy::new(1 << 6))
+            .with_relayout(RelayoutPolicy::eager(1 << 9));
+        let per_factor = served(
+            tail.with_recodelet(RecodeletPolicy::disabled()),
+            &wisdom,
+            14,
+        );
+        let merged = served(tail, &wisdom, 14);
+        assert!(per_factor.has_relayout() && !per_factor.has_recodeleted());
+        assert!(merged.has_recodeleted());
+        let mut x: Vec<f64> = (0..1 << 14).map(|j| (j % 5) as f64).collect();
+        let mut y = x.clone();
+        per_factor.apply(&mut x).unwrap();
+        merged.apply(&mut y).unwrap();
+        assert_eq!(y, x, "re-codeleting never changes output bits");
+    }
+
+    #[test]
+    fn batch_kill_switch_and_pinning_beat_recorded_thresholds() {
+        // Wisdom searched under one row threshold is served under the
+        // importer's: off, or its own threshold.
+        let wisdom = recorded_under(ExecPolicy::default().with_batch(BatchPolicy::new(16)), 10);
+        let off = ExecPolicy::default().with_batch(BatchPolicy::disabled());
+        assert!(!served(off, &wisdom, 10).is_batched());
+        let eight = ExecPolicy::default().with_batch(BatchPolicy::new(8));
+        assert!(served(eight, &wisdom, 10).is_batched());
+    }
+
+    #[test]
+    fn with_exec_pins_every_knob() {
+        // Wisdom searched with every stage on is served with every stage
+        // off under with_exec(all_disabled).
+        let wisdom = recorded_under(ExecPolicy::default(), 14);
+        let compiled = served(ExecPolicy::all_disabled(), &wisdom, 14);
+        assert!(!compiled.is_fused() && !compiled.is_simd());
+        assert!(!compiled.has_relayout() && !compiled.has_recodeleted());
+        assert!(!compiled.is_batched() && !compiled.has_streamed());
     }
 
     #[test]
