@@ -31,8 +31,9 @@
 //! wider than eight rows over more than 32 KiB per call runs as chained
 //! sweeps of at most eight rows);
 //! [`apply_codelet_cols`] is the same kernel restricted to a column range
-//! of one row, which the parallel engine runs for the row fragments of
-//! its claims. On `x86_64`, `f64`/`f32` lane kernels are additionally
+//! of one row (with the same chained split), which the column tail's
+//! chunks and the parallel engine's row fragments run. On `x86_64`,
+//! `f64`/`f32` lane kernels are additionally
 //! compiled under
 //! `#[target_feature(enable = "avx2")]` and selected once per process via
 //! runtime detection; every other type and host uses the portable
@@ -43,7 +44,7 @@
 //! add/sub — so lane-blocked output is bit-identical for floats and exact
 //! for integers (property-tested in `tests/proptests.rs`). Each element is
 //! still read exactly once and written exactly once per sweep, so the
-//! trace-executor accounting contract above holds for every pass except a
+//! trace-executor accounting contract above holds for every call except a
 //! wide one, which the lane backend runs as two or three sweeps where the
 //! trace charges one.
 //!
@@ -64,14 +65,12 @@
 //! | kernel | precondition | established by | verifier check |
 //! |--------|--------------|----------------|----------------|
 //! | [`apply_codelet`] | `k ≤ MAX_LEAF_K`; `base + (2^k−1)·stride < x.len()` | executor replaying a lowered pass; engine's top-level length check | Structure (`k` in family) + Bounds (farthest-index interval) |
-//! | [`apply_codelet_cols`] | column range inside one pass row at unit global stride; `base + cols−1 + (2^k−1)·s < x.len()` | parallel engine row fragments of a verified flat pass: the partial rows of a pass unit's contiguous invocation range, and the `cols`-wide residue chunk a column unit claims in each `P`-column stretch of a row (the engine checks every grouped stride is a multiple of `P`) | Bounds + Disjointness (whole-vector flat-pass frame) |
+//! | [`apply_codelet_cols`] | column range inside one pass row at unit global stride; `base + cols−1 + (2^k−1)·s < x.len()` | the chunk kernel [`crate::compile::apply_columns`]: the `cols`-wide residue chunk of each `P`-column stretch of a row of a verified in-place pass (sequential column tails, and the parallel engine's column units, which check every stride they group themselves is a multiple of `P`); and the parallel engine's partial rows of a pass unit's contiguous invocation range | Bounds + Disjointness (whole-vector flat-pass frame) + the column unit's mod-`P` closure and chunk partition |
 //! | [`apply_pass_lanes`] | whole pass at unit global stride; `base + r·2^k·s ≤ x.len()` | backend-select stage only picks `PassBackend::Lanes` at `stride == 1` | Bounds + Coverage (canonical frame `base = 0`, `stride = 1`, span = extent) |
-//! | [`gather_rows`] / [`scatter_rows`] | block `j`: `(rows−1)·row_stride + j·cols + cols ≤ x.len()`; `block.len() == rows·cols` | relayout units built by the DDL stage | Relayout geometry (Disjointness `row_stride % cols`, Coverage `rows·row_stride == size`, Scratch `rows·cols == tile`) |
 //! | `gather_lanes*` / `scatter_lanes*` | transpose buffer `≥ n·w` elements; source/destination tile in bounds | batched executor tile loop (`cross_tile_cols` geometry) | Batch checks (Bounds `size % tile_cols`, Disjointness `tile_cols % foot`, Scratch `batch_scratch_elems`) |
 //!
-//! The `*_checked` wrappers ([`apply_codelet_checked`],
-//! [`gather_rows_checked`], [`scatter_rows_checked`]) bounds-check at the
-//! call site and are the entry points for hand-built indices (tests,
+//! The checked wrapper [`apply_codelet_checked`] bounds-checks at the
+//! call site and is the entry point for hand-built indices (tests,
 //! external callers).
 
 use crate::plan::MAX_LEAF_K;
@@ -496,11 +495,18 @@ fn same_type_slice<T: Scalar, U: Scalar>(x: &mut [T]) -> &mut [U] {
 /// Apply codelet `small[k]` to `cols` adjacent unit-stride columns of a
 /// pass with inner extent `s`, lane-blocked: column `t`'s element `u`
 /// lives at `x[base + t + u * s]`. This is the SIMD backend's unit of
-/// work below a whole pass — the parallel engine runs the row fragments
-/// of its claims with it. Dispatches to the AVX2 build of the kernel for
-/// `f64`/`f32` when the host supports it (decided once per process),
-/// portable otherwise; every dispatch choice computes bit-identical
-/// results.
+/// work below a whole pass — the column tail's chunks and the parallel
+/// engine's row fragments run with it. Dispatches to the AVX2 build of
+/// the kernel for `f64`/`f32` when the host supports it (decided once
+/// per process), portable otherwise; every dispatch choice computes
+/// bit-identical results.
+///
+/// A **wide** call — more than eight rows over more than 32 KiB — runs
+/// as chained calls of at most eight rows, exactly as
+/// [`apply_pass_lanes`] splits a wide pass: the `2^b` groups of `2^a`
+/// rows (the codelet's `h < 2^a` stages) first, then the `2^a`
+/// interleaved groups of `2^b` rows at stride `2^a · s`. Every butterfly
+/// sees the same operands, so the output bits do not change.
 ///
 /// # Safety
 /// `k` in `1..=MAX_LEAF_K`, `cols <= s`, and
@@ -514,6 +520,20 @@ pub unsafe fn apply_codelet_cols<T: Scalar>(
     cols: usize,
 ) {
     debug_assert!(cols <= s);
+    if let Some((a, b)) = wide_split::<T>(k, s) {
+        // SAFETY: group v's rows v·2^a .. (v+1)·2^a and group w's rows
+        // w, w + 2^a, … are rows of this call, so every fragment stays
+        // inside the caller's range; cols <= s <= 2^a·s.
+        unsafe {
+            for v in 0..1usize << b {
+                apply_codelet_cols(a, x, base + v * (s << a), s, cols);
+            }
+            for w in 0..1usize << a {
+                apply_codelet_cols(b, x, base + w * s, s << a, cols);
+            }
+        }
+        return;
+    }
     #[cfg(target_arch = "x86_64")]
     {
         use std::any::TypeId;
@@ -544,6 +564,20 @@ const WIDE_SWEEP_ROWS: usize = crate::compile::SMALL_MERGE_ROWS;
 /// footprint cap, `RecodeletPolicy::DEFAULT_FOOTPRINT_ELEMS`.
 const WIDE_PASS_SPAN_BYTES: usize = 32 << 10;
 
+/// `Some((a, b))` with `a + b = k` when a call of `2^k` rows at inner
+/// extent `s` is wide (more than [`WIDE_SWEEP_ROWS`] rows spanning more
+/// than [`WIDE_PASS_SPAN_BYTES`]): run it as `2^a`-row sweeps, then
+/// `2^b`-row ones.
+#[inline]
+fn wide_split<T: Scalar>(k: u32, s: usize) -> Option<(u32, u32)> {
+    let rows = 1usize << k;
+    let span = rows
+        .saturating_mul(s)
+        .saturating_mul(std::mem::size_of::<T>());
+    let a = WIDE_SWEEP_ROWS.trailing_zeros();
+    (rows > WIDE_SWEEP_ROWS && span > WIDE_PASS_SPAN_BYTES).then(|| (a, k - a))
+}
+
 /// Apply one whole pass `I(r) ⊗ WHT(2^k) ⊗ I(s)` at unit global stride
 /// through the lane-block backend (the kernel `PassBackend::Lanes`
 /// schedules select — see `wht_core::compile`). Same AVX2/portable
@@ -568,13 +602,7 @@ const WIDE_PASS_SPAN_BYTES: usize = 32 << 10;
 /// `k` in `1..=MAX_LEAF_K` and `base + r * 2^k * s - 1 < x.len()`.
 #[inline]
 pub unsafe fn apply_pass_lanes<T: Scalar>(k: u32, x: &mut [T], base: usize, r: usize, s: usize) {
-    let rows = 1usize << k;
-    let span = rows
-        .saturating_mul(s)
-        .saturating_mul(std::mem::size_of::<T>());
-    if rows > WIDE_SWEEP_ROWS && span > WIDE_PASS_SPAN_BYTES {
-        let a = WIDE_SWEEP_ROWS.trailing_zeros();
-        let b = k - a;
+    if let Some((a, b)) = wide_split::<T>(k, s) {
         // SAFETY: both sweeps cover exactly this pass's elements —
         // r·2^b rows of 2^a·s and r rows of 2^b·(2^a·s), each r·2^k·s —
         // and a, b are in 1..k.
@@ -1212,98 +1240,19 @@ pub unsafe fn scatter_lanes_sampled<T: Scalar>(
 }
 
 // ---------------------------------------------------------------------------
-// Relayout gather/scatter kernels (the DDL copies of the compiled executor).
-// ---------------------------------------------------------------------------
-
-/// Gather `rows` strided row-segments of `cols` contiguous elements each
-/// into the contiguous buffer `dst`: `dst[u*cols + g] = src[base +
-/// u*row_stride + g]`. This is the relayout stage's transpose-in: both the
-/// reads (each row is one contiguous `cols`-element run, rows visited at
-/// monotonically increasing addresses) and the writes (one linear sweep of
-/// `dst`) are sequential in the invocation direction, so hardware
-/// prefetchers stream them — the property the paper's DDL gather relies
-/// on.
-///
-/// # Safety
-/// `cols <= row_stride` (rows must not overlap), `rows * cols <=
-/// dst.len()`, and the last source element must be in bounds:
-/// `base + (rows - 1) * row_stride + cols - 1 < src.len()` (with `rows`,
-/// `cols` nonzero).
-#[inline]
-pub unsafe fn gather_rows<T: Scalar>(
-    src: &[T],
-    base: usize,
-    rows: usize,
-    row_stride: usize,
-    cols: usize,
-    dst: &mut [T],
-) {
-    debug_assert!(cols >= 1 && cols <= row_stride);
-    debug_assert!(rows * cols <= dst.len());
-    debug_assert!(base + (rows - 1) * row_stride + cols - 1 < src.len());
-    for u in 0..rows {
-        // SAFETY: row u's source run ends at base + u*row_stride + cols - 1
-        // and its destination run at (u + 1)*cols - 1, both inside the
-        // bounds of the function contract; src and dst are distinct
-        // borrows, so the runs cannot overlap.
-        unsafe {
-            std::ptr::copy_nonoverlapping(
-                src.as_ptr().add(base + u * row_stride),
-                dst.as_mut_ptr().add(u * cols),
-                cols,
-            );
-        }
-    }
-}
-
-/// Scatter the contiguous buffer `src` back over `rows` strided
-/// row-segments of `dst`: `dst[base + u*row_stride + g] = src[u*cols + g]`
-/// — the exact inverse of [`gather_rows`], with the same
-/// sequential-in-invocation-direction access pattern (linear reads,
-/// monotonically increasing strided writes).
-///
-/// # Safety
-/// Same contract as [`gather_rows`] with `src`/`dst` roles swapped:
-/// `cols <= row_stride`, `rows * cols <= src.len()`, and
-/// `base + (rows - 1) * row_stride + cols - 1 < dst.len()`.
-#[inline]
-pub unsafe fn scatter_rows<T: Scalar>(
-    dst: &mut [T],
-    base: usize,
-    rows: usize,
-    row_stride: usize,
-    cols: usize,
-    src: &[T],
-) {
-    debug_assert!(cols >= 1 && cols <= row_stride);
-    debug_assert!(rows * cols <= src.len());
-    debug_assert!(base + (rows - 1) * row_stride + cols - 1 < dst.len());
-    for u in 0..rows {
-        // SAFETY: mirror of gather_rows — both runs are inside the bounds
-        // of the function contract and the borrows are distinct.
-        unsafe {
-            std::ptr::copy_nonoverlapping(
-                src.as_ptr().add(u * cols),
-                dst.as_mut_ptr().add(base + u * row_stride),
-                cols,
-            );
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Streaming memory codelets: the StreamPolicy variants of the copies above.
+// Streaming memory codelets: the StreamPolicy variants of the lane
+// transposes above.
 //
-// A relayout/batch scatter writes every destination line exactly once and
+// A batch scatter writes every destination line exactly once and
 // nothing reads it back before the next full sweep, so past the LLC a plain
 // cached store pays a read-for-ownership fill per line that streaming
 // (non-temporal) stores skip. The kernels below are bit-identical to their
 // cached twins — they move the same bytes through `_mm256_stream_si256`
 // (type-agnostic: every `Scalar` is 4 or 8 bytes of plain data) — and each
 // streamed sweep ends with one `sfence`, so the stores are globally visible
-// before the call returns and the parallel engine's per-unit barrier
-// ordering argument is unchanged. The gather twins issue `_mm_prefetch`
-// a couple of rows ahead of the copy cursor. All of it dispatches on
+// before the call returns and the parallel engine's ordering argument is
+// unchanged. The gather twin issues `_mm_prefetch` for the head of each
+// source row. All of it dispatches on
 // [`avx2_available`] exactly like the transpose kernels (false under Miri
 // and off-x86, where the portable cached bodies run instead).
 // ---------------------------------------------------------------------------
@@ -1313,12 +1262,6 @@ pub unsafe fn scatter_rows<T: Scalar>(
 /// runs dwarf the scalar head/tail each tile seam costs.
 #[cfg(target_arch = "x86_64")]
 const STREAM_TILE: usize = 512;
-
-/// How many rows ahead of the copy cursor the prefetching gathers reach:
-/// far enough to cover DRAM latency at copy speed, near enough that the
-/// touched lines still sit in L1/L2 when the cursor arrives.
-#[cfg(target_arch = "x86_64")]
-const PREFETCH_AHEAD: usize = 2;
 
 #[cfg(target_arch = "x86_64")]
 mod nt {
@@ -1376,92 +1319,6 @@ mod nt {
         // SAFETY: PREFETCHT0 never faults, whatever the address.
         unsafe { _mm_prefetch::<_MM_HINT_T0>(p as *const i8) }
     }
-}
-
-/// [`scatter_rows`] through non-temporal stores: same contract, same
-/// bytes, but each row's contiguous run is written with
-/// `_mm256_stream_si256` (scalar head/tail at the 32-byte seams) and the
-/// sweep ends with one `sfence`. Falls back to the cached kernel off
-/// x86-64 or without AVX2 (including under Miri).
-///
-/// # Safety
-/// Same contract as [`scatter_rows`].
-#[inline]
-pub unsafe fn scatter_rows_stream<T: Scalar>(
-    dst: &mut [T],
-    base: usize,
-    rows: usize,
-    row_stride: usize,
-    cols: usize,
-    src: &[T],
-) {
-    #[cfg(target_arch = "x86_64")]
-    if avx2_available() {
-        debug_assert!(cols >= 1 && cols <= row_stride);
-        debug_assert!(rows * cols <= src.len());
-        debug_assert!(base + (rows - 1) * row_stride + cols - 1 < dst.len());
-        for u in 0..rows {
-            // SAFETY: same bounds as scatter_rows (mirror of gather_rows);
-            // src and dst are distinct borrows, so the runs cannot
-            // overlap, and slice pointers are element-aligned. AVX2
-            // presence checked above.
-            unsafe {
-                nt::stream_copy(
-                    src.as_ptr().add(u * cols),
-                    dst.as_mut_ptr().add(base + u * row_stride),
-                    cols,
-                );
-            }
-        }
-        nt::sfence();
-        return;
-    }
-    // SAFETY: forwarded contract.
-    unsafe { scatter_rows(dst, base, rows, row_stride, cols, src) }
-}
-
-/// [`gather_rows`] with software prefetch: identical copies, but the
-/// start of the row `PREFETCH_AHEAD` rows ahead of the cursor is hinted
-/// into cache before each row copy, hiding DRAM latency on the strided
-/// read side of an out-of-LLC relayout. Falls back to the plain kernel
-/// off x86-64 or without AVX2 (including under Miri).
-///
-/// # Safety
-/// Same contract as [`gather_rows`].
-#[inline]
-pub unsafe fn gather_rows_prefetch<T: Scalar>(
-    src: &[T],
-    base: usize,
-    rows: usize,
-    row_stride: usize,
-    cols: usize,
-    dst: &mut [T],
-) {
-    #[cfg(target_arch = "x86_64")]
-    if avx2_available() {
-        debug_assert!(cols >= 1 && cols <= row_stride);
-        debug_assert!(rows * cols <= dst.len());
-        debug_assert!(base + (rows - 1) * row_stride + cols - 1 < src.len());
-        for u in 0..rows {
-            if u + PREFETCH_AHEAD < rows {
-                // SAFETY: the prefetched row start is a read the gather
-                // itself performs two iterations later — in bounds per
-                // the contract (and PREFETCHT0 never faults regardless).
-                nt::prefetch(unsafe { src.as_ptr().add(base + (u + PREFETCH_AHEAD) * row_stride) });
-            }
-            // SAFETY: same bounds as gather_rows; distinct borrows.
-            unsafe {
-                std::ptr::copy_nonoverlapping(
-                    src.as_ptr().add(base + u * row_stride),
-                    dst.as_mut_ptr().add(u * cols),
-                    cols,
-                );
-            }
-        }
-        return;
-    }
-    // SAFETY: forwarded contract.
-    unsafe { gather_rows(src, base, rows, row_stride, cols, dst) }
 }
 
 /// [`scatter_lanes_tile`] through non-temporal stores: each destination
@@ -1548,99 +1405,6 @@ pub unsafe fn gather_lanes_tile_prefetch<T: Scalar>(
     }
     // SAFETY: forwarded contract.
     unsafe { gather_lanes_tile(src, cols, row_stride, w, dst) }
-}
-
-/// Validate one gather/scatter geometry against the buffers it would run
-/// on (`strided_len` = the strided side, `contiguous_len` = the scratch
-/// side). Shared by the checked wrappers below.
-fn check_relayout_geometry(
-    rows: usize,
-    row_stride: usize,
-    cols: usize,
-    base: usize,
-    strided_len: usize,
-    contiguous_len: usize,
-) -> Result<(), crate::WhtError> {
-    if row_stride == 0 || cols == 0 {
-        // A zero row stride (or zero-width rows) is a configuration
-        // error, not a short buffer — same diagnosis contract as
-        // `apply_codelet_checked`.
-        return Err(crate::WhtError::InvalidStride {
-            stride: row_stride.min(cols),
-        });
-    }
-    if cols > row_stride {
-        // Rows closer together than their width alias each other: the
-        // copy kernels assume disjoint rows.
-        return Err(crate::WhtError::InvalidStride { stride: row_stride });
-    }
-    if rows == 0 {
-        return Err(crate::WhtError::InvalidConfig(
-            "relayout with zero rows".into(),
-        ));
-    }
-    let block = rows
-        .checked_mul(cols)
-        .ok_or(crate::WhtError::InvalidConfig(
-            "relayout block size overflows".into(),
-        ))?;
-    if block > contiguous_len {
-        return Err(crate::WhtError::LengthMismatch {
-            expected: block,
-            got: contiguous_len,
-        });
-    }
-    let last = base
-        .checked_add((rows - 1).saturating_mul(row_stride))
-        .and_then(|v| v.checked_add(cols - 1))
-        .unwrap_or(usize::MAX);
-    if last >= strided_len {
-        return Err(crate::WhtError::LengthMismatch {
-            expected: last.saturating_add(1),
-            got: strided_len,
-        });
-    }
-    Ok(())
-}
-
-/// Safe, validating wrapper around [`gather_rows`] for standalone use.
-///
-/// # Errors
-/// [`crate::WhtError::InvalidStride`] for a zero `row_stride`/`cols` or
-/// overlapping rows (`cols > row_stride`);
-/// [`crate::WhtError::LengthMismatch`] if either buffer is too short for
-/// the geometry; [`crate::WhtError::InvalidConfig`] for zero rows.
-pub fn gather_rows_checked<T: Scalar>(
-    src: &[T],
-    base: usize,
-    rows: usize,
-    row_stride: usize,
-    cols: usize,
-    dst: &mut [T],
-) -> Result<(), crate::WhtError> {
-    check_relayout_geometry(rows, row_stride, cols, base, src.len(), dst.len())?;
-    // SAFETY: geometry validated just above.
-    unsafe { gather_rows(src, base, rows, row_stride, cols, dst) };
-    Ok(())
-}
-
-/// Safe, validating wrapper around [`scatter_rows`] for standalone use.
-///
-/// # Errors
-/// Same contract as [`gather_rows_checked`] with the buffer roles
-/// swapped.
-pub fn scatter_rows_checked<T: Scalar>(
-    dst: &mut [T],
-    base: usize,
-    rows: usize,
-    row_stride: usize,
-    cols: usize,
-    src: &[T],
-) -> Result<(), crate::WhtError> {
-    check_relayout_geometry(rows, row_stride, cols, base, dst.len(), src.len())?;
-    // SAFETY: geometry validated just above.
-    unsafe { scatter_rows(dst, base, rows, row_stride, cols, src) };
-    Ok(())
 }
 
 /// Reference loop-based small WHT for arbitrary `k`, used by tests to
@@ -1783,7 +1547,10 @@ mod tests {
     /// the narrowest stride that makes a pass of more than eight rows
     /// wide, so it runs as chained sweeps), and all four scalar types —
     /// the floats on inputs whose sums round, so a sweep order that
-    /// reassociated any butterfly would show.
+    /// reassociated any butterfly would show. Each pass also runs as
+    /// `apply_codelet_cols` calls over a ragged column sub-range of every
+    /// row, which the chained split covers the same way at the wide
+    /// stride.
     #[test]
     fn lane_pass_is_bit_identical_to_scalar_columns() {
         fn check<T: Scalar>(value: fn(usize) -> T) {
@@ -1805,10 +1572,24 @@ mod tests {
                             unsafe { apply_codelet(k, &mut scalar, row + t, s) };
                         }
                     }
-                    let mut lanes = input;
+                    let mut lanes = input.clone();
                     // SAFETY: whole pass fits the buffer by construction.
                     unsafe { apply_pass_lanes(k, &mut lanes, 0, r, s) };
                     assert_eq!(lanes, scalar, "k={k}, s={s}");
+                    let t0 = s / 3;
+                    let cols = (s - t0).div_ceil(2);
+                    let mut scalar = input.clone();
+                    let mut ranged = input;
+                    for j in 0..r {
+                        let row = j * rows * s;
+                        for t in t0..t0 + cols {
+                            // SAFETY: (row + t) + (2^k - 1) * s < len.
+                            unsafe { apply_codelet(k, &mut scalar, row + t, s) };
+                        }
+                        // SAFETY: cols <= s - t0 and the row is in bounds.
+                        unsafe { apply_codelet_cols(k, &mut ranged, row + t0, s, cols) };
+                    }
+                    assert_eq!(ranged, scalar, "k={k}, s={s}, columns {t0}..+{cols}");
                 }
             }
         }

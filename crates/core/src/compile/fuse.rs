@@ -11,9 +11,9 @@ impl CompiledPlan {
     /// list ([`CompiledPlan::passes`]) is unchanged; only the grouping
     /// differs, so fusing is idempotent and re-fusing with a different
     /// policy is always safe. The kernel backend rides along: a SIMD
-    /// schedule stays SIMD after re-fusing. Relayout grouping does
+    /// schedule stays SIMD after re-fusing. Column-tail grouping does
     /// **not** ride along — re-fusing rebuilds the grouping from the
-    /// factor list, so chain [`CompiledPlan::relayout`] (and
+    /// factor list, so chain [`CompiledPlan::column_tail`] (and
     /// [`CompiledPlan::recodelet`]) after the final `fuse`, as
     /// [`CompiledPlan::lower`] does.
     ///
@@ -85,7 +85,7 @@ fn fuse_schedule(passes: &[Pass], size: usize, policy: &FusionPolicy) -> Vec<Sup
                 base: 0,
                 stride: 1,
                 backend: PassBackend::Scalar,
-                relayout: None,
+                columns: None,
                 provenance: Provenance {
                     fused: true,
                     ..Provenance::default()

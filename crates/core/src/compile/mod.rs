@@ -46,19 +46,19 @@
 //!    before moving on, dropping the run's traffic from `m` sweeps to one.
 //!    Because strides multiply monotonically, only the small-stride prefix
 //!    can fuse.
-//! 2. **Relayout** ([`RelayoutPolicy`]) — the paper's DDL remedy for the
-//!    unfusable large-stride tail. The tail computes
-//!    `WHT(rows) ⊗ I(row_stride)` on the vector viewed as a
-//!    `rows × row_stride` matrix, so a [`Relayout`] super-pass **gathers**
-//!    blocks of `cols` contiguous columns into cache-sized scratch,
-//!    streams *all* tail factors over the resident scratch at unit global
-//!    stride, and **scatters** the block back
-//!    ([`crate::codelets::gather_rows`]/[`crate::codelets::scatter_rows`]
-//!    traverse addresses sequentially, so prefetchers stream them) —
-//!    collapsing the tail's many sweeps to one gather plus one scatter.
+//! 2. **Column tail** ([`RelayoutPolicy`]) — the paper's remedy for the
+//!    unfusable large-stride tail, run in place. The tail computes
+//!    `WHT(size / P) ⊗ I(P)` with `P` the stride of its first factor, and
+//!    every tail stride is a multiple of `P`, so each residue class mod
+//!    `P` (one *column* of the vector viewed as a `size/P × P` matrix) is
+//!    closed under the whole tail. A [`ColumnTail`] super-pass therefore
+//!    replays the tail **chunk by chunk**: a chunk is `cols` adjacent
+//!    residues, its elements fit the cache budget, and every tail factor
+//!    runs over it in place while it stays resident — collapsing the
+//!    tail's many sweeps to one, with no copies and no scratch.
 //! 3. **Re-codelet**
 //!    ([`RecodeletPolicy`]) — once a unit's working set is cache-resident
-//!    (a fused tile, a gathered scratch block), its per-factor passes are
+//!    (a fused tile, a column chunk), its per-factor passes are
 //!    load/store-μop-bound, not memory-bound, and its factors are
 //!    chained (`s, s·2^{k_1}, …`), so consecutive factors regroup into
 //!    larger unrolled codelets: `WHT(2^a) ⊗ WHT(2^b) → WHT(2^{a+b})`, the
@@ -73,7 +73,7 @@
 //!    codelet loop, or the SIMD lane-block kernels of [`crate::codelets`].
 //! 5. **Batch** ([`BatchPolicy`]) — build the [`BatchSchedule`] that
 //!    [`CompiledPlan::apply_batch`] runs across adjacent transforms.
-//! 6. **Stream** ([`StreamPolicy`]) — mark the relayout and batch copy
+//! 6. **Stream** ([`StreamPolicy`]) — mark the batch product's copy
 //!    sweeps for the streaming-store memory codelets.
 //!
 //! The stages are not callable one by one: [`CompiledPlan::lower`] is the
@@ -84,8 +84,8 @@
 //!
 //! Every stage is a **schedule rewrite, never a semantics change**: the
 //! recursive engine interleaves nested factors (block-major), the compiled
-//! schedule runs pass-major, a fused super-pass tile-major, a relayouted
-//! tail block-major through scratch — but the multiset of butterfly
+//! schedule runs pass-major, a fused super-pass tile-major, a column tail
+//! chunk-major — but the multiset of butterfly
 //! operations and the values they see are identical in all of them (each
 //! stage's docs carry the argument), so every lowered schedule agrees with
 //! the interpreter **bit for bit**, property-tested for all four scalar
@@ -95,7 +95,7 @@
 //! ([`SuperPass::provenance`]), [`CompiledPlan::verify`] re-proves the
 //! schedule invariants after every stage in debug builds, and
 //! [`CompiledPlan::traverse`] reports the lowered schedule — units,
-//! backends, relayout geometry, provenance — to [`ExecHooks`] consumers,
+//! backends, column geometry, provenance — to [`ExecHooks`] consumers,
 //! so what is measured is exactly what [`CompiledPlan::apply`] runs.
 //!
 //! ## One policy, one cache
@@ -107,22 +107,22 @@
 //! [`compiled_for_exec`] serves any other configuration from the same
 //! cache.
 
+mod columns;
 mod fuse;
 mod policy;
 mod recodelet;
-mod relayout;
 #[cfg(test)]
 mod tests;
 
+pub use columns::apply_columns;
 pub use policy::{
     BatchPolicy, ExecKey, ExecPolicy, FusionPolicy, RecodeletPolicy, RelayoutPolicy, StreamPolicy,
     SMALL_MERGE_ROWS,
 };
 
 use crate::codelets::{
-    apply_codelet, apply_pass_lanes, gather_lanes_tile, gather_lanes_tile_prefetch, gather_rows,
-    gather_rows_prefetch, scatter_lanes_tile, scatter_lanes_tile_stream, scatter_rows,
-    scatter_rows_stream, SimdPolicy,
+    apply_codelet, apply_pass_lanes, gather_lanes_tile, gather_lanes_tile_prefetch,
+    scatter_lanes_tile, scatter_lanes_tile_stream, SimdPolicy,
 };
 use crate::engine::ExecHooks;
 use crate::error::WhtError;
@@ -267,25 +267,22 @@ pub enum PassBackend {
     Lanes,
 }
 
-/// Geometry of one relayout super-pass (the compiled executor's DDL
+/// Geometry of one column super-pass (the compiled executor's tail
 /// stage — see the module docs' "the lowering pipeline").
 ///
-/// The vector is viewed as an `rows × row_stride` row-major matrix.
-/// Gathered block `j` copies columns `j*cols .. (j+1)*cols` — i.e. the
-/// strided row-segments `x[u*row_stride + j*cols ..][..cols]` for
-/// `u < rows` — into contiguous scratch of `rows * cols` elements, runs
-/// every tail factor on the scratch at unit global stride, and scatters
-/// the result back. `cols` divides `row_stride`, so the
-/// `row_stride / cols` blocks partition the vector.
+/// The vector is viewed as a `size / period × period` row-major matrix.
+/// Every part's in-place stride is a multiple of `period`, so each column
+/// (residue class mod `period`) is closed under the whole unit. Chunk `c`
+/// is the columns `c·cols .. (c+1)·cols`; [`apply_columns`] runs every
+/// part over one chunk, in place, while the chunk's `size / period ·
+/// cols` elements stay cache-resident. `cols` is a power of two dividing
+/// `period`, so the `period / cols` chunks partition the vector.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct Relayout {
-    /// Strided rows gathered per block (the product of the relayouted
-    /// tail factor sizes, `2^n / row_stride`).
-    pub rows: usize,
-    /// Row length of the matrix view — the stride of the first relayouted
-    /// pass (the product of all factor sizes applied before the tail).
-    pub row_stride: usize,
-    /// Contiguous columns per gathered block.
+pub struct ColumnTail {
+    /// Row length of the matrix view — the in-place stride of the unit's
+    /// first part (the product of all factor sizes applied before it).
+    pub period: usize,
+    /// Columns (residues mod `period`) per chunk.
     pub cols: usize,
 }
 
@@ -299,19 +296,13 @@ pub struct Relayout {
 pub struct Provenance {
     /// The fuse stage merged two or more factors into this unit.
     pub fused: bool,
-    /// The relayout stage rewrote this unit's factors to gather through
-    /// scratch.
+    /// The tail stage ([`RelayoutPolicy`]) grouped this unit's factors
+    /// into a column super-pass.
     pub relayouted: bool,
     /// Factors the re-codelet stage merged away in this unit (original
     /// part count minus re-codeleted part count; `0` when the stage left
     /// the unit alone).
     pub recodeleted: usize,
-    /// The stream stage marked this unit's copy sweeps for streaming
-    /// memory codelets: the relayout gather prefetches ahead and the
-    /// scatter writes through non-temporal stores (see
-    /// [`StreamPolicy`]). A pure dispatch marking — the sweeps move the
-    /// same bytes, so output is bit-identical either way.
-    pub streamed: bool,
 }
 
 /// One scheduling unit of a [`CompiledPlan`]: `parts` consecutive factors
@@ -323,10 +314,15 @@ pub struct Provenance {
 /// parts before touching the next tile — the parts are stored
 /// *tile-relative* (`base`/`stride` of a part are offsets *within* a
 /// tile), and [`SuperPass::tile_pass`] rebases them to absolute passes.
+/// A **column** super-pass ([`ColumnTail`]) has the same shape over its
+/// chunks: "tile" `c` is chunk `c` (`size / period` rows of `cols`
+/// columns, not contiguous in the vector), and the parts are stored in
+/// chunk coordinates (the chunk read row by row as one `tile_elems()`
+/// array); [`SuperPass::flat_pass`] maps them back in place.
 ///
 /// Equality compares the *executed program* — parts, geometry, backend,
-/// relayout — and deliberately ignores [`SuperPass::provenance`]: a
-/// hand-built unit and a stage-built unit that replay identically are
+/// column geometry — and deliberately ignores [`SuperPass::provenance`]:
+/// a hand-built unit and a stage-built unit that replay identically are
 /// the same schedule, whatever their history.
 #[derive(Debug, Clone, Eq)]
 pub struct SuperPass {
@@ -342,12 +338,12 @@ pub struct SuperPass {
     stride: usize,
     /// Kernel backend replaying the parts (see [`PassBackend`]).
     backend: PassBackend,
-    /// `Some` when the unit is a **relayout** super-pass: "tile" `j` is
-    /// gathered block `j` of the [`Relayout`] geometry, the parts are
-    /// unit-stride passes over the gathered scratch, and execution runs
-    /// gather → parts → scatter per block (the relayout stage of
+    /// `Some` when the unit is a **column** super-pass: "tile" `c` is
+    /// chunk `c` of the [`ColumnTail`] geometry, the parts are passes in
+    /// chunk coordinates, and execution runs every part over one chunk
+    /// in place before the next (the tail stage of
     /// [`CompiledPlan::lower`]).
-    relayout: Option<Relayout>,
+    columns: Option<ColumnTail>,
     /// Which lowering stages rewrote this unit (see [`Provenance`]).
     provenance: Provenance,
 }
@@ -362,7 +358,7 @@ impl PartialEq for SuperPass {
             && self.base == other.base
             && self.stride == other.stride
             && self.backend == other.backend
-            && self.relayout == other.relayout
+            && self.columns == other.columns
     }
 }
 
@@ -380,26 +376,27 @@ impl SuperPass {
             base,
             stride,
             backend: PassBackend::Scalar,
-            relayout: None,
+            columns: None,
             provenance: Provenance::default(),
         }
     }
 
-    /// Assemble a **relayout** super-pass from scratch-relative parts and
-    /// a [`Relayout`] geometry: the tile grid is `row_stride / cols`
-    /// blocks of `rows * cols` gathered elements, and the parts run over
-    /// each gathered block at unit stride. A plain carrier like
-    /// [`SuperPass::new`] — [`CompiledPlan::from_super_passes`] /
+    /// Assemble a **column** super-pass over a `2^n`-element vector from
+    /// chunk-relative parts and a [`ColumnTail`] geometry: the tile grid
+    /// is `period / cols` chunks of `2^n / period · cols` elements, and
+    /// the parts run over each chunk read row by row. A plain carrier
+    /// like [`SuperPass::new`] — [`CompiledPlan::from_super_passes`] /
     /// [`CompiledPlan::verify`] gate hand-built schedules.
-    pub fn new_relayout(parts: Vec<Pass>, relayout: Relayout) -> Self {
+    pub fn new_columns(n: u32, parts: Vec<Pass>, columns: ColumnTail) -> Self {
+        let size = 1usize.checked_shl(n).unwrap_or(0);
         SuperPass {
             parts,
-            tile: relayout.rows.saturating_mul(relayout.cols),
-            tiles: relayout.row_stride.checked_div(relayout.cols).unwrap_or(0),
+            tile: (size.checked_div(columns.period).unwrap_or(0)).saturating_mul(columns.cols),
+            tiles: columns.period.checked_div(columns.cols).unwrap_or(0),
             base: 0,
             stride: 1,
             backend: PassBackend::Scalar,
-            relayout: Some(relayout),
+            columns: Some(columns),
             provenance: Provenance {
                 relayouted: true,
                 ..Provenance::default()
@@ -407,16 +404,17 @@ impl SuperPass {
         }
     }
 
-    /// The relayout geometry, if this unit is a relayout super-pass.
+    /// The column geometry, if this unit is a column super-pass.
     #[inline]
-    pub fn relayout(&self) -> Option<Relayout> {
-        self.relayout
+    pub fn columns(&self) -> Option<ColumnTail> {
+        self.columns
     }
 
-    /// `true` if this scheduling unit gathers/scatters through scratch.
+    /// `true` if this scheduling unit is a column super-pass (a tail the
+    /// stage of [`RelayoutPolicy`] grouped).
     #[inline]
-    pub fn is_relayout(&self) -> bool {
-        self.relayout.is_some()
+    pub fn is_column_tail(&self) -> bool {
+        self.columns.is_some()
     }
 
     /// Base element offset of the super-pass (`0` for every valid
@@ -469,7 +467,7 @@ impl SuperPass {
                 ..pass
             }],
             backend: PassBackend::Scalar,
-            relayout: None,
+            columns: None,
             provenance: Provenance::default(),
         }
     }
@@ -506,15 +504,14 @@ impl SuperPass {
 
     /// Part `p` rebased to an absolute [`Pass`] restricted to tile `j`.
     ///
-    /// Only meaningful for direct (non-relayout) super-passes: a relayout
-    /// part runs in *scratch* coordinates (use [`SuperPass::parts`]
-    /// directly against the gathered block, or [`SuperPass::flat_pass`]
-    /// for the equivalent in-place pass).
+    /// Only meaningful for direct (non-column) super-passes: a column
+    /// chunk is not contiguous in the vector (use [`SuperPass::flat_pass`]
+    /// for the in-place pass).
     #[inline]
     pub fn tile_pass(&self, p: usize, j: usize) -> Pass {
         debug_assert!(
-            self.relayout.is_none(),
-            "tile_pass is x-space; relayout parts live in scratch space"
+            self.columns.is_none(),
+            "tile_pass is x-space; column parts live in chunk space"
         );
         let part = self.parts[p];
         Pass {
@@ -530,31 +527,30 @@ impl SuperPass {
     /// factor as it would appear in the unfused schedule. Executing the
     /// flat passes part by part replays the super-pass in unfused
     /// (pass-major) order — bit-identical output, no tile blocking. The
-    /// parallel engine replays single-tile units, and relayout units with
-    /// fewer gathered blocks than workers, through their flat passes.
+    /// parallel engine replays single-tile units and column units through
+    /// their flat passes.
     ///
     /// Only meaningful under the [`CompiledPlan::verify`] invariants
     /// (every part tiles its tile exactly once): then tile `j`'s blocks
     /// are exactly blocks `j·r .. (j+1)·r` of the flat pass.
     ///
-    /// For a **relayout** super-pass the parts are stored in scratch
-    /// coordinates (`s = cols · c` over a gathered block); this maps part
-    /// `p` back to the in-place factor it relayouts — `s = row_stride ·
-    /// c` over the whole vector — so the unfused replay of a relayout
-    /// unit is available without any gather/scatter (the parallel
-    /// engine's in-place replay, and the factor-list derivation in
-    /// [`CompiledPlan::from_super_passes`]). A factor the tail
-    /// re-codeleting stage merged maps back the same way — to the merged
-    /// `WHT(2^{k_1+…+k_m})` factor at the original in-place stride.
+    /// For a **column** super-pass the parts are stored in chunk
+    /// coordinates (`s = cols · c` over one chunk); this maps part `p`
+    /// back to the in-place factor — `s = period · c` over the whole
+    /// vector — which is what [`apply_columns`] runs, chunk by chunk, and
+    /// what [`CompiledPlan::from_super_passes`] derives the factor list
+    /// from. A factor the re-codelet stage merged maps back the same way
+    /// — to the merged `WHT(2^{k_1+…+k_m})` factor at the original
+    /// in-place stride.
     #[inline]
     pub fn flat_pass(&self, p: usize) -> Pass {
         let part = self.parts[p];
-        if let Some(rl) = self.relayout {
+        if let Some(g) = self.columns {
             // part.s = cols * c with c = the product of the tail factor
             // sizes applied before part p; the in-place pass runs the
-            // same factor at s = row_stride * c over the whole vector.
-            let c = part.s.checked_div(rl.cols).unwrap_or(0);
-            let s = rl.row_stride.saturating_mul(c);
+            // same factor at s = period * c over the whole vector.
+            let c = part.s.checked_div(g.cols).unwrap_or(0);
+            let s = g.period.saturating_mul(c);
             let span = self.tiles.saturating_mul(self.tile);
             let block = (1usize << part.k.min(usize::BITS - 1)).saturating_mul(s);
             return Pass {
@@ -565,7 +561,7 @@ impl SuperPass {
                 stride: self.stride,
             };
         }
-        // Saturating, like the relayout branch: hand-built units can hold
+        // Saturating, like the column branch: hand-built units can hold
         // absurd extents, which the verifier must diagnose, not overflow on.
         Pass {
             k: part.k,
@@ -580,17 +576,17 @@ impl SuperPass {
 
     /// Run every part on tile `j` (the fused unit of work; tiles are
     /// pairwise disjoint, so distinct tiles may run concurrently — the
-    /// parallel engine's contract). Direct super-passes only; a relayout
-    /// unit's tile needs scratch ([`SuperPass::apply_gathered_block`]).
+    /// parallel engine's contract). Direct super-passes only; a column
+    /// unit runs its chunks through [`apply_columns`].
     ///
     /// # Safety
-    /// `j < self.tiles()`, `self.relayout().is_none()`, and the whole
+    /// `j < self.tiles()`, `self.columns().is_none()`, and the whole
     /// super-pass must be in bounds: `base + (span() - 1) · stride <
     /// x.len()`, with every part tiling its tile (the
     /// [`CompiledPlan::verify`] invariants).
     #[inline]
     pub unsafe fn apply_tile<T: Scalar>(&self, x: &mut [T], j: usize) {
-        debug_assert!(self.relayout.is_none());
+        debug_assert!(self.columns.is_none());
         for p in 0..self.parts.len() {
             // SAFETY: a valid part stays inside tile `j`, which is inside
             // the super-pass bound forwarded from the caller's contract.
@@ -598,63 +594,35 @@ impl SuperPass {
         }
     }
 
-    /// Run gathered block `j` of a relayout super-pass: gather the block's
-    /// strided columns into `scratch`, stream every part over the
-    /// contiguous scratch (unit global stride — the lane kernels'
-    /// habitat), scatter back. Distinct blocks touch pairwise disjoint
-    /// elements of `x`, so they may run concurrently with per-worker
-    /// scratch (the parallel engine's contract).
-    ///
-    /// # Safety
-    /// `self.relayout().is_some()`, `j < self.tiles()`,
-    /// `scratch.len() >= self.tile_elems()`, `x.len() >= self.span()`,
-    /// and the [`CompiledPlan::verify`] invariants hold.
-    #[inline]
-    pub unsafe fn apply_gathered_block<T: Scalar>(&self, x: &mut [T], j: usize, scratch: &mut [T]) {
-        let rl = self
-            .relayout
-            .expect("apply_gathered_block on a direct super-pass");
-        let block = &mut scratch[..self.tile];
-        // SAFETY: (gather/scatter) block j's last source element is
-        // (rows-1)*row_stride + j*cols + cols-1 < rows*row_stride =
-        // span() <= x.len() (verify invariant + caller contract), and
-        // block.len() == rows*cols exactly. The streamed variants share
-        // the plain kernels' contracts and move the same bytes.
-        unsafe {
-            if self.provenance.streamed {
-                gather_rows_prefetch(x, j * rl.cols, rl.rows, rl.row_stride, rl.cols, block);
-            } else {
-                gather_rows(x, j * rl.cols, rl.rows, rl.row_stride, rl.cols, block);
-            }
-            for p in 0..self.parts.len() {
-                // SAFETY: a valid part tiles the gathered block exactly
-                // (base 0, stride 1, span == tile == block.len()).
-                self.parts[p].apply_full_backend(block, self.backend);
-            }
-            if self.provenance.streamed {
-                scatter_rows_stream(x, j * rl.cols, rl.rows, rl.row_stride, rl.cols, block);
-            } else {
-                scatter_rows(x, j * rl.cols, rl.rows, rl.row_stride, rl.cols, block);
-            }
-        }
-    }
-
-    /// Run the whole super-pass (all tiles, tile-major; gathered blocks
-    /// through `scratch` for relayout units).
+    /// Run the whole super-pass: all tiles, tile-major, or all chunks,
+    /// chunk-major, for a column unit.
     ///
     /// # Safety
     /// `base + (span() - 1) · stride < x.len()` plus the verify
-    /// invariants; for relayout units `scratch.len() >= tile_elems()`.
-    pub(crate) unsafe fn apply_all<T: Scalar>(&self, x: &mut [T], scratch: &mut [T]) {
+    /// invariants.
+    pub(crate) unsafe fn apply_all<T: Scalar>(&self, x: &mut [T]) {
+        if let Some(g) = self.columns {
+            for c in 0..self.tiles {
+                // SAFETY: chunk c's residues [c·cols, (c+1)·cols) lie
+                // inside [0, period), and verify proved every in-place
+                // part whole-vector with a stride that is a multiple of
+                // the period (apply_columns' contract).
+                unsafe {
+                    apply_columns(
+                        x,
+                        (0..self.parts.len()).map(|p| self.flat_pass(p)),
+                        self.backend,
+                        g.period,
+                        c * g.cols,
+                        g.cols,
+                    )
+                };
+            }
+            return;
+        }
         for j in 0..self.tiles {
             // SAFETY: forwarded contract.
-            unsafe {
-                if self.relayout.is_some() {
-                    self.apply_gathered_block(x, j, scratch);
-                } else {
-                    self.apply_tile(x, j);
-                }
-            }
+            unsafe { self.apply_tile(x, j) };
         }
     }
 }
@@ -804,7 +772,7 @@ pub(crate) fn cross_tile_cols_for(cross: &[Pass], size: usize, lanes: usize) -> 
 pub struct CompiledPlan {
     n: u32,
     /// The flat factor schedule, one pass per executed factor. Fusion,
-    /// relayout, and backend selection regroup but never change it; the
+    /// the column tail, and backend selection regroup but never change it; the
     /// re-codelet stage is the one rewrite that replaces factors
     /// (merging chained ones), and it re-derives this list to match.
     passes: Vec<Pass>,
@@ -844,10 +812,10 @@ impl CompiledPlan {
     }
 
     /// Lower this schedule through the full staged pipeline under
-    /// `policy`, in execution order: fuse → relayout → recodelet →
+    /// `policy`, in execution order: fuse → column tail → recodelet →
     /// backend-select → batch → stream. The order is fixed here once:
-    /// fusion must run before relayout (the tail is whatever fusion could
-    /// not merge), re-fusing later would discard the relayout grouping,
+    /// fusion must run before the tail stage (the tail is whatever fusion
+    /// could not merge), re-fusing later would discard the tail grouping,
     /// re-codeleting before backend selection keeps the structural
     /// rewrites together, the batch stage's cross/tail split is derived
     /// from the final flat factor list and inherits the selected backend
@@ -857,7 +825,7 @@ impl CompiledPlan {
     ///
     /// In debug builds every stage's output is re-proved by the full
     /// static verifier ([`CompiledPlan::verify`] — bounds, disjointness,
-    /// coverage, scratch sizing), so a pipeline regression fails at the
+    /// coverage, scratch sizing, column closure), so a pipeline regression fails at the
     /// stage that caused it with a diagnostic naming the violated
     /// invariant. This is the production lowering — [`compiled_for`]
     /// caches exactly `compile(plan).lower(policy)` per `(plan, policy)`.
@@ -865,8 +833,8 @@ impl CompiledPlan {
     pub fn lower(&self, policy: &ExecPolicy) -> CompiledPlan {
         self.fuse(&policy.fusion)
             .verified_after("fuse")
-            .relayout(&policy.relayout)
-            .verified_after("relayout")
+            .column_tail(&policy.relayout)
+            .verified_after("column tail")
             .recodelet(&policy.recodelet)
             .verified_after("recodelet")
             .with_simd(&policy.simd)
@@ -895,29 +863,16 @@ impl CompiledPlan {
         self
     }
 
-    /// `true` if any scheduling unit is a relayout super-pass.
+    /// `true` if any scheduling unit is a column tail (the tail stage of
+    /// [`RelayoutPolicy`] engaged).
     pub fn has_relayout(&self) -> bool {
-        self.schedule.iter().any(SuperPass::is_relayout)
+        self.schedule.iter().any(SuperPass::is_column_tail)
     }
 
     /// `true` if the re-codelet stage merged factors anywhere in this
     /// schedule.
     pub fn has_recodeleted(&self) -> bool {
         self.schedule.iter().any(|sp| sp.provenance.recodeleted > 0)
-    }
-
-    /// Scratch elements one replay of this schedule needs (the largest
-    /// gathered block; `0` when no unit relayouts). [`CompiledPlan::apply`]
-    /// allocates this internally; callers that replay one schedule many
-    /// times pass a reusable buffer to [`CompiledPlan::apply_with_scratch`]
-    /// so the warm path never allocates.
-    pub fn scratch_elems(&self) -> usize {
-        self.schedule
-            .iter()
-            .filter(|sp| sp.relayout.is_some())
-            .map(|sp| sp.tile)
-            .max()
-            .unwrap_or(0)
     }
 
     /// Select the kernel backend under `policy`: every super-pass is
@@ -1016,25 +971,18 @@ impl CompiledPlan {
         })
     }
 
-    /// Mark the schedule's copy sweeps for the streaming memory codelets
-    /// under `policy` (lowering stage 6 — the last stage: a pure dispatch
-    /// marking that rewrites nothing). When the policy engages at this
-    /// transform size, every relayout super-pass's gather prefetches ahead
-    /// and its scatter writes through non-temporal stores; the batched
-    /// product (whose live size depends on the row count) records the
-    /// policy's floor and gates at apply time. Outputs are bit-identical
-    /// either way — the streamed kernels move the same bytes — so like
-    /// every stage this is output-preserving by construction.
+    /// Mark the batch product's copy sweeps for the streaming memory
+    /// codelets under `policy` (lowering stage 6 — the last stage: a pure
+    /// dispatch marking that rewrites nothing). The batched product
+    /// (whose live size depends on the row count) records the policy's
+    /// floor and gates at apply time; the single-transform schedule
+    /// copies nothing, so there is nothing else to mark. Outputs are
+    /// bit-identical either way — the streamed kernels move the same
+    /// bytes — so like every stage this is output-preserving by
+    /// construction.
     #[must_use]
     pub(crate) fn with_stream(&self, policy: &StreamPolicy) -> CompiledPlan {
         let mut out = self.clone();
-        if policy.engages(self.size()) {
-            for sp in &mut out.schedule {
-                if sp.relayout.is_some() {
-                    sp.provenance.streamed = true;
-                }
-            }
-        }
         if policy.enabled() {
             if let Some(b) = out.batch.as_mut() {
                 b.stream_min_elems = policy.min_elems;
@@ -1043,12 +991,14 @@ impl CompiledPlan {
         out
     }
 
-    /// `true` if the stream stage marked any scheduling unit's copy
-    /// sweeps for the streaming memory codelets (the stream-stage
-    /// counterpart of [`CompiledPlan::is_fused`] /
-    /// [`CompiledPlan::is_simd`]).
+    /// `true` if the stream stage marked the batch product's copy sweeps
+    /// to stream at this transform size, i.e. a batch of any row count
+    /// streams (the stream-stage counterpart of
+    /// [`CompiledPlan::is_fused`] / [`CompiledPlan::is_simd`]).
     pub fn has_streamed(&self) -> bool {
-        self.schedule.iter().any(|sp| sp.provenance.streamed)
+        self.batch
+            .as_ref()
+            .is_some_and(|b| b.stream_min_elems <= self.size())
     }
 
     /// The batched-execution product the batch stage built, if any.
@@ -1059,21 +1009,16 @@ impl CompiledPlan {
 
     /// Scratch elements one [`CompiledPlan::apply_batch_with_scratch`]
     /// call needs at lane width `lanes` ([`Scalar::LANES`] of the batch's
-    /// scalar type): the larger of one transposed cross tile and the
-    /// single-transform requirement [`CompiledPlan::scratch_elems`]
-    /// (the per-row remainder path still replays the ordinary schedule).
-    /// Exactly [`CompiledPlan::scratch_elems`] when no batch product was
-    /// built. Like `scratch_elems`, this is a *declared* requirement that
-    /// [`CompiledPlan::verify`] re-derives independently and checks for
-    /// exact equality.
+    /// scalar type): one transposed cross tile, or `0` when no batch
+    /// product was built (the per-row path replays in place). A
+    /// *declared* requirement that [`CompiledPlan::verify`] re-derives
+    /// independently and checks for exact equality.
     pub fn batch_scratch_elems(&self, lanes: usize) -> usize {
-        let single = self.scratch_elems();
-        let Some(b) = self.batch.as_ref() else {
-            return single;
-        };
-        b.cross_tile_cols(self.size(), lanes)
+        self.batch
+            .as_ref()
+            .and_then(|b| b.cross_tile_cols(self.size(), lanes))
             .and_then(|tc| tc.checked_mul(lanes))
-            .map_or(single, |tile| tile.max(single))
+            .unwrap_or(0)
     }
 
     /// `true` if this schedule carries a batched-execution product (the
@@ -1141,15 +1086,15 @@ impl CompiledPlan {
 
     /// The flat factor schedule, in execution order (one pass per
     /// executed factor — one per plan leaf until the re-codeleting
-    /// stage merges chained tail factors). Fusion, relayout, and backend
-    /// selection never change this list — they regroup it.
+    /// stage merges chained tail factors). Fusion, the column tail, and
+    /// backend selection never change this list — they regroup it.
     #[inline]
     pub fn passes(&self) -> &[Pass] {
         &self.passes
     }
 
     /// The execution grouping [`CompiledPlan::apply`] replays: one
-    /// [`SuperPass`] per unfused pass or fused run.
+    /// [`SuperPass`] per unfused pass, fused run or column tail.
     #[inline]
     pub fn super_passes(&self) -> &[SuperPass] {
         &self.schedule
@@ -1161,27 +1106,34 @@ impl CompiledPlan {
     }
 
     /// Compute `x <- WHT(2^n) · x` in place by replaying the schedule
-    /// (tile-major within fused super-passes, gather → transform → scatter
-    /// within relayout super-passes).
-    ///
-    /// Relayout schedules need a scratch buffer of
-    /// [`CompiledPlan::scratch_elems`] elements; this entry point
-    /// allocates it per call (one small, cache-sized allocation —
-    /// negligible against the out-of-cache transforms relayout targets).
-    /// Hot loops replaying one schedule use
-    /// [`CompiledPlan::apply_with_scratch`] to amortize it to zero.
+    /// (tile-major within fused super-passes, chunk-major within column
+    /// tails). The replay needs no scratch and allocates nothing.
     ///
     /// # Errors
     /// [`WhtError::LengthMismatch`] unless `x.len() == self.size()`.
     pub fn apply<T: Scalar>(&self, x: &mut [T]) -> Result<(), WhtError> {
-        let mut scratch = Vec::new();
-        self.apply_with_scratch(x, &mut scratch)
+        if x.len() != self.size() {
+            return Err(WhtError::LengthMismatch {
+                expected: self.size(),
+                got: x.len(),
+            });
+        }
+        for sp in &self.schedule {
+            debug_assert!(sp.base + (sp.span() - 1) * sp.stride < x.len());
+            // SAFETY: every lowering stage emits only super-passes with
+            // base = 0, stride = 1 and span() == size() whose parts tile
+            // each tile exactly (and whose column geometry is closed and
+            // partitions the vector); from_super_passes() verifies the
+            // same invariants; and the length was checked above.
+            unsafe { sp.apply_all(x) };
+        }
+        Ok(())
     }
 
-    /// [`CompiledPlan::apply`] with a caller-owned scratch buffer: grown
-    /// to [`CompiledPlan::scratch_elems`] on first use, never shrunk, so
-    /// replaying a schedule (or a mix of schedules) through one buffer
-    /// allocates nothing after warmup.
+    /// [`CompiledPlan::apply`]; the buffer is left untouched, since the
+    /// single-transform replay needs no scratch. Kept with this signature
+    /// because the benchmark harness in `perfbench/` calls it with the
+    /// buffer it also lends [`CompiledPlan::apply_batch_with_scratch`].
     ///
     /// # Errors
     /// [`WhtError::LengthMismatch`] unless `x.len() == self.size()`.
@@ -1190,48 +1142,8 @@ impl CompiledPlan {
         x: &mut [T],
         scratch: &mut Vec<T>,
     ) -> Result<(), WhtError> {
-        let needed = self.scratch_elems();
-        if scratch.len() < needed {
-            scratch.resize(needed, T::ZERO);
-        }
-        self.apply_in(x, scratch)
-    }
-
-    /// [`CompiledPlan::apply_with_scratch`] over a caller-**sized**
-    /// scratch slice — the zero-alloc hook for executors that manage
-    /// their own scratch arenas (the persistent worker pool lends each
-    /// worker's arena here): no growth, no allocation, ever. Scratch
-    /// contents are ignored (every relayout gathers before it reads).
-    ///
-    /// # Errors
-    /// [`WhtError::LengthMismatch`] unless `x.len() == self.size()`;
-    /// [`WhtError::InvalidConfig`] when `scratch` is shorter than
-    /// [`CompiledPlan::scratch_elems`].
-    pub fn apply_in<T: Scalar>(&self, x: &mut [T], scratch: &mut [T]) -> Result<(), WhtError> {
-        if x.len() != self.size() {
-            return Err(WhtError::LengthMismatch {
-                expected: self.size(),
-                got: x.len(),
-            });
-        }
-        if scratch.len() < self.scratch_elems() {
-            return Err(WhtError::InvalidConfig(format!(
-                "scratch of {} elements is shorter than the schedule's {} gather elements",
-                scratch.len(),
-                self.scratch_elems()
-            )));
-        }
-        for sp in &self.schedule {
-            debug_assert!(sp.base + (sp.span() - 1) * sp.stride < x.len());
-            // SAFETY: every lowering stage emits only super-passes with
-            // base = 0, stride = 1 and span() == size() whose parts tile
-            // each tile exactly (and whose relayout geometry partitions
-            // the vector); from_super_passes() verifies the same
-            // invariants; the length was checked above; and scratch
-            // covers the largest gathered block.
-            unsafe { sp.apply_all(x, scratch) };
-        }
-        Ok(())
+        let _ = scratch;
+        self.apply(x)
     }
 
     /// Compute the WHT of every row of a row-major `rows × 2^n` batch in
@@ -1264,9 +1176,8 @@ impl CompiledPlan {
     }
 
     /// [`CompiledPlan::apply_batch`] with a caller-owned scratch buffer:
-    /// grown to the larger of one transposed cross tile
-    /// (`LANES` · tile columns — L1-sized) and
-    /// [`CompiledPlan::scratch_elems`] on first use, never shrunk — the
+    /// grown to one transposed cross tile
+    /// (`LANES` · tile columns — L1-sized) on first use, never shrunk — the
     /// warm path allocates nothing (asserted by the counting-allocator
     /// test in `tests/noalloc.rs`).
     ///
@@ -1288,8 +1199,8 @@ impl CompiledPlan {
     /// [`CompiledPlan::apply_batch_with_scratch`] over a caller-**sized**
     /// scratch slice (at least
     /// [`CompiledPlan::batch_scratch_elems`]`(T::LANES)` elements) — the
-    /// batched sibling of [`CompiledPlan::apply_in`], same zero-alloc
-    /// contract.
+    /// zero-alloc hook for executors that manage their own scratch arenas
+    /// (the persistent worker pool lends each worker's arena here).
     ///
     /// # Errors
     /// [`WhtError::LengthMismatch`] unless `x.len() == rows *
@@ -1322,7 +1233,7 @@ impl CompiledPlan {
         let w = T::LANES;
         let Some(b) = self.batch.as_ref().filter(|b| rows >= b.block_rows.max(w)) else {
             for row in x.chunks_exact_mut(size) {
-                self.apply_in(row, scratch)?;
+                self.apply(row)?;
             }
             return Ok(());
         };
@@ -1342,8 +1253,8 @@ impl CompiledPlan {
         let tile_elems = tile_cols * w;
         let groups = rows / w;
         // Streaming engages on the *live* batch footprint (rows are a
-        // call-time property): same out-of-LLC rationale as the relayout
-        // units, gated against the floor the stream stage recorded.
+        // call-time property), gated against the floor the stream stage
+        // recorded.
         let stream = x.len() >= b.stream_min_elems;
         for g in 0..groups {
             let block = &mut x[g * group..(g + 1) * group];
@@ -1396,7 +1307,7 @@ impl CompiledPlan {
             }
         }
         for row in x[groups * group..].chunks_exact_mut(size) {
-            self.apply_in(row, scratch)?;
+            self.apply(row)?;
         }
         Ok(())
     }
@@ -1405,42 +1316,39 @@ impl CompiledPlan {
     /// the compiled counterpart of [`crate::engine::traverse`], consumed
     /// by the instrumented counter and the cache-trace executor in
     /// `wht-measure` so that measured and executed work share one
-    /// schedule (including the fused tile-major order — what is measured
-    /// is exactly what [`CompiledPlan::apply`] runs).
+    /// schedule (including the fused tile-major and the column tail's
+    /// chunk-major order — what is measured is exactly what
+    /// [`CompiledPlan::apply`] runs).
     ///
     /// Hook mapping: one [`ExecHooks::enter_split`] for the whole schedule
     /// (`t` = super-pass count), one [`ExecHooks::super_pass`] per
     /// super-pass (carrying the whole [`SuperPass`] — geometry, backend,
-    /// relayout, and per-stage provenance), one [`ExecHooks::child_loops`]
-    /// per part per tile, one [`ExecHooks::leaf_call`] per codelet
-    /// invocation, in execution order. A relayout super-pass additionally
-    /// brackets each gathered block with [`ExecHooks::relayout_gather`] /
-    /// [`ExecHooks::relayout_scatter`], and its leaf calls are reported at
-    /// **scratch** addresses — a conceptual scratch region starting just
-    /// past the vector (at `size()` rounded up to a cache line), exactly
-    /// as a freshly allocated buffer would sit, so trace consumers charge
-    /// the relayout's real memory behaviour: the strided copies sweep the
-    /// vector, the transform itself runs in the resident scratch.
+    /// column geometry, and per-stage provenance), one
+    /// [`ExecHooks::child_loops`] per part per tile, one
+    /// [`ExecHooks::leaf_call`] per codelet invocation, in execution
+    /// order. A column tail reports, per chunk and part, the rows of its
+    /// in-place pass over `(s / period) · cols` columns each, and the leaf
+    /// calls of that chunk at their in-place addresses.
     pub fn traverse<H: ExecHooks>(&self, hooks: &mut H) {
-        let scratch_base = self.size().next_multiple_of(64);
         hooks.enter_split(self.n, self.schedule.len());
         for sp in &self.schedule {
             hooks.super_pass(sp);
             for j in 0..sp.tiles {
-                if let Some(rl) = sp.relayout {
-                    hooks.relayout_gather(j * rl.cols, rl, scratch_base);
+                if let Some(g) = sp.columns {
+                    let c0 = j * g.cols;
                     for p in 0..sp.parts.len() {
-                        let pass = sp.parts[p];
-                        hooks.child_loops(pass.k, pass.r, pass.s);
-                        for q in 0..pass.invocations() {
-                            hooks.leaf_call(
-                                pass.k,
-                                scratch_base + pass.invocation_base(q),
-                                pass.codelet_stride(),
-                            );
-                        }
+                        let pass = sp.flat_pass(p);
+                        hooks.child_loops(pass.k, pass.r, pass.s / g.period * g.cols);
+                        columns::for_each_chunk_call(&pass, g.period, c0, |base| {
+                            for c in 0..g.cols {
+                                hooks.leaf_call(
+                                    pass.k,
+                                    base + c * pass.stride,
+                                    pass.codelet_stride(),
+                                );
+                            }
+                        });
                     }
-                    hooks.relayout_scatter(j * rl.cols, rl, scratch_base);
                 } else {
                     for p in 0..sp.parts.len() {
                         let pass = sp.tile_pass(p, j);
@@ -1493,7 +1401,7 @@ thread_local! {
 }
 
 /// The lazily-lowered schedule for `plan` under `ExecPolicy::default()`
-/// (every stage on, relayout and streaming past their size floors):
+/// (every stage on, streaming past its size floor):
 /// compiled on first use on this thread, then served from a bounded
 /// per-thread cache. This is what lets [`crate::apply_plan`] keep its
 /// signature while paying the tree walk once per plan instead of once

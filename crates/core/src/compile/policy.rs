@@ -78,102 +78,59 @@ impl Default for FusionPolicy {
     }
 }
 
-/// Policy for the relayout stage (stage 2 of
+/// Policy for the tail stage (stage 2 of
 /// [`CompiledPlan::lower`](crate::compile::CompiledPlan::lower)): when the
-/// large-stride tail of a fused schedule is rewritten into
-/// gather → unit-stride super-passes → scatter (see the module docs).
+/// large-stride tail of a fused schedule is grouped into one in-place
+/// column super-pass, replayed chunk by chunk (see the module docs). The
+/// name is the stage's older one, when it gathered the tail through
+/// scratch (the relayout the paper calls DDL).
 ///
 /// Mirrors [`FusionPolicy`]: [`RelayoutPolicy::disabled`] turns the stage
 /// off, and the per-thread schedule cache keys on it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RelayoutPolicy {
-    /// Maximum elements of one gathered block — the scratch working set a
-    /// relayouted tail streams through while cache-resident. `0` and `1`
-    /// disable relayout.
+    /// Maximum elements of one column chunk — the working set every tail
+    /// factor runs over while it stays cache-resident. The stage engages
+    /// only on vectors larger than this. `0` and `1` disable the stage.
     pub budget_elems: usize,
-    /// Vector size (elements) below which relayout never engages. The
-    /// two transpose sweeps only pay for themselves once the tail passes
-    /// actually miss the last-level cache; below that every sweep is a
-    /// cache hit and the copies are pure overhead.
-    pub min_elems: usize,
-    /// Minimum number of trailing passes to gather: relayout replaces
-    /// `tail` full read+write sweeps with the gather's read sweep plus
-    /// the scatter's write sweep, so short tails are not worth the
-    /// scratch churn (see [`RelayoutPolicy::DEFAULT_MIN_PASSES`]).
-    pub min_passes: usize,
 }
 
 impl RelayoutPolicy {
-    /// Default gathered-block budget: the fusion layer's tile budget
-    /// (`2^17` elements = 1 MiB of `f64`s), so the relayouted tail streams
-    /// through the same cache level the fused head's tiles live in.
+    /// Default chunk budget: the fusion layer's tile budget (`2^17`
+    /// elements = 1 MiB of `f64`s), so the column tail runs in the same
+    /// cache level the fused head's tiles live in. Measured with
+    /// perfbench's `core.ablate.relayout.nN` (time with the stage off
+    /// over time with it on, on `apply_plan`'s f64 schedule; above 1.0
+    /// means the stage helps) in three traced large_replay runs on a
+    /// 2-vCPU Xeon with a 2 MiB L2 and a 105 MiB L3: 0.87, 1.10 and 1.31
+    /// at n = 20, 1.54–1.77 at n = 24. Over ten untraced large_replay
+    /// runs on that host the workload's own `apply_plan` p50 fell from
+    /// 6.9 to 5.1 ms at n = 20 and from 136 to 105 ms at n = 24.
     pub const DEFAULT_BUDGET_ELEMS: usize = FusionPolicy::DEFAULT_BUDGET_ELEMS;
 
-    /// Default engagement threshold: `2^24` elements (128 MiB of `f64`s),
-    /// meant to sit past the last-level cache, where tail sweeps pay
-    /// DRAM; below it the copies would run while the tail still hits
-    /// cache. Measured with perfbench's `core.ablate.relayout.n24` (time
-    /// with the stage off over time with it on, on `apply_plan`'s f64
-    /// schedule; above 1.0 means the stage helps): 1.06–1.74 in three
-    /// traced runs on a 2-vCPU Xeon with a 300 MiB L3, 1.25 and 1.27 in
-    /// two on one with a 105 MiB L3. Sizes below the floor are not
-    /// measured with the stage on: there the ablation reads exactly 1.0
-    /// because the stage does not engage.
-    /// `core.ablate.relayout.nN` re-measures it; hosts with smaller LLCs
-    /// can lower the floor through an explicit policy
-    /// ([`ExecPolicy::with_relayout`]).
-    pub const DEFAULT_MIN_ELEMS: usize = 1 << 24;
-
-    /// Default minimum tail length: gather + scatter cost about two full
-    /// sweeps, so a 2-pass tail is break-even on traffic and a strict
-    /// loss once copy overhead counts (measured: gathering the 2-pass
-    /// tail of the blocked-radix-8 shape at n = 26 ran 2.8× *slower*).
-    /// Three or more saved sweeps is where relayout wins — the same
-    /// threshold `FusedTrafficCost` models with its 2-sweep charge.
-    pub const DEFAULT_MIN_PASSES: usize = 3;
-
-    /// Policy with an explicit gathered-block budget and the default
-    /// engagement thresholds.
+    /// Policy with an explicit chunk budget.
     pub fn new(budget_elems: usize) -> Self {
-        RelayoutPolicy {
-            budget_elems,
-            ..RelayoutPolicy::default()
-        }
+        RelayoutPolicy { budget_elems }
     }
 
-    /// Relayout off: the relayout stage returns the schedule unchanged.
+    /// Tail stage off: the stage returns the schedule unchanged.
     pub fn disabled() -> Self {
-        RelayoutPolicy {
-            budget_elems: 0,
-            min_elems: 0,
-            min_passes: 0,
-        }
+        RelayoutPolicy { budget_elems: 0 }
     }
 
-    /// Policy that engages at *every* size (no `min_elems` floor) — what
-    /// differential tests use so small transforms exercise the relayout
-    /// path.
-    pub fn eager(budget_elems: usize) -> Self {
-        RelayoutPolicy {
-            budget_elems,
-            min_elems: 0,
-            min_passes: Self::DEFAULT_MIN_PASSES,
-        }
-    }
-
-    /// `true` if this policy can relayout anything at all (a gathered
-    /// block of two rows is the smallest possible tail).
+    /// `true` if this policy can group anything at all (a chunk of two
+    /// elements is the smallest possible).
     pub fn enabled(&self) -> bool {
         self.budget_elems >= 2
     }
 
     /// Canonical cache key for this policy (all disabled policies are the
     /// same policy).
-    pub(crate) fn cache_key(&self) -> (usize, usize, usize) {
+    pub(crate) fn cache_key(&self) -> usize {
         if self.enabled() {
-            (self.budget_elems, self.min_elems, self.min_passes)
+            self.budget_elems
         } else {
-            (0, 0, 0)
+            0
         }
     }
 }
@@ -182,8 +139,6 @@ impl Default for RelayoutPolicy {
     fn default() -> Self {
         RelayoutPolicy {
             budget_elems: Self::DEFAULT_BUDGET_ELEMS,
-            min_elems: Self::DEFAULT_MIN_ELEMS,
-            min_passes: Self::DEFAULT_MIN_PASSES,
         }
     }
 }
@@ -191,12 +146,12 @@ impl Default for RelayoutPolicy {
 /// Policy for the re-codelet stage (stage 3 of
 /// [`CompiledPlan::lower`](crate::compile::CompiledPlan::lower)): how
 /// aggressively the chained factors *within* a scheduling unit — a
-/// fused tile's parts, or a relayouted tail's scratch passes — are
+/// fused tile's parts, or a column tail's parts — are
 /// regrouped into larger unrolled codelets (see the module docs'
 /// "re-codeleting the lowered schedule").
 ///
 /// A unit's working set is cache-resident by construction (that is what
-/// fusion and relayout bought), so its per-factor passes are
+/// fusion and the column tail bought), so its per-factor passes are
 /// load/store-μop-bound, not memory-bound; merging `m` chained factors
 /// into one `small[k1+…+km]` codelet cuts the unit's load/store passes
 /// `m`-fold while performing the exact same butterflies (the merge is the
@@ -366,17 +321,19 @@ impl Default for BatchPolicy {
     }
 }
 
-/// Policy for the streaming memory codelets: when the relayout/batch copy
-/// sweeps (`scatter_rows` / `scatter_lanes_tile`) write through
-/// non-temporal (`_mm256_stream_si256`) stores instead of plain cached
-/// stores, and their gather twins issue software prefetch.
+/// Policy for the streaming memory codelets: when the batch product's
+/// copy sweeps (`scatter_lanes_tile`) write through non-temporal
+/// (`_mm256_stream_si256`) stores instead of plain cached stores, and its
+/// gather twin issues software prefetch. The single-transform schedule
+/// copies nothing (its tail runs in place), so the batch product is all
+/// this stage marks.
 ///
 /// A scatter writes each destination line exactly once and never reads it
 /// back before the next full sweep, so past the last-level cache a cached
 /// store wastes a read-for-ownership fill per line — a third of the sweep's
 /// DRAM traffic. Non-temporal stores skip the fill; below the LLC they
 /// *evict* lines the next pass wants, so the policy engages only past an
-/// out-of-LLC size floor (same shape as [`RelayoutPolicy::min_elems`]).
+/// out-of-LLC size floor, compared against the live batch length.
 /// The stores move the same bytes, so output is bit-identical either way;
 /// an `sfence` at the end of every streamed sweep keeps the ordering
 /// argument of the parallel engine's per-unit barriers unchanged.
@@ -392,17 +349,14 @@ pub struct StreamPolicy {
 }
 
 impl StreamPolicy {
-    /// Default engagement threshold: `2^24` elements — the same floor as
-    /// [`RelayoutPolicy::DEFAULT_MIN_ELEMS`], because the two policies
-    /// aim at the same situation: sweeps whose lines cannot survive in
-    /// cache until reuse. No gain has been measured at it: perfbench's
-    /// `core.ablate.stream.n24` (time with streaming off over time with
-    /// it on, on `apply_plan`'s f64 schedule; above 1.0 means streaming
-    /// helps) read 0.78–1.04 in three traced runs on a 2-vCPU Xeon with a
-    /// 300 MiB L3, and 0.92 and 0.98 in two on one with a 105 MiB L3, so
-    /// streaming was at best neutral there and sometimes slower.
-    /// `core.ablate.stream.nN` re-measures it.
-    pub const DEFAULT_MIN_ELEMS: usize = RelayoutPolicy::DEFAULT_MIN_ELEMS;
+    /// Default engagement threshold: `2^24` elements (128 MiB of `f64`s),
+    /// meant to sit past the last-level cache, where sweeps' lines cannot
+    /// survive in cache until reuse. No gain has been measured at it: no
+    /// perfbench workload sends a batch this large, and no
+    /// single-transform schedule copies anything, so perfbench's
+    /// `core.ablate.stream.nN` reads exactly 1.0 (three traced
+    /// large_replay runs on a 2-vCPU Xeon with a 105 MiB L3).
+    pub const DEFAULT_MIN_ELEMS: usize = 1 << 24;
 
     /// Policy with an explicit engagement floor.
     pub fn new(min_elems: usize) -> Self {
@@ -417,7 +371,7 @@ impl StreamPolicy {
     }
 
     /// Policy that streams at *every* size (no floor) — what differential
-    /// tests use so small transforms exercise the non-temporal path.
+    /// tests use so small batches exercise the non-temporal path.
     pub fn eager() -> Self {
         StreamPolicy { min_elems: 0 }
     }
@@ -425,12 +379,6 @@ impl StreamPolicy {
     /// `true` if this policy can stream anything at all.
     pub fn enabled(&self) -> bool {
         self.min_elems != usize::MAX
-    }
-
-    /// `true` when a vector of `elems` elements is past the engagement
-    /// floor — the per-schedule gate the lowering stage applies.
-    pub fn engages(&self, elems: usize) -> bool {
-        self.enabled() && elems >= self.min_elems
     }
 
     /// Canonical cache key for this policy (all disabled policies are the
@@ -453,7 +401,7 @@ impl Default for StreamPolicy {
 }
 
 /// The full executor configuration, as **one value**: every stage of the
-/// lowering pipeline (fuse → relayout → re-codelet → backend-select →
+/// lowering pipeline (fuse → column tail → re-codelet → backend-select →
 /// batch → stream) reads its policy from here, and the per-thread schedule
 /// cache keys on [`ExecPolicy::cache_key`].
 ///
@@ -469,7 +417,7 @@ impl Default for StreamPolicy {
 pub struct ExecPolicy {
     /// Cache-blocked prefix fusion (stage 1).
     pub fusion: FusionPolicy,
-    /// DDL tail relayout (stage 2).
+    /// In-place column tail (stage 2).
     pub relayout: RelayoutPolicy,
     /// Re-codeleting of chained factors within units (stage 3).
     pub recodelet: RecodeletPolicy,
@@ -483,14 +431,7 @@ pub struct ExecPolicy {
 
 /// One cache key covering every knob of an [`ExecPolicy`] (see
 /// [`ExecPolicy::cache_key`]).
-pub type ExecKey = (
-    usize,
-    (usize, usize, usize),
-    (u32, usize),
-    bool,
-    usize,
-    usize,
-);
+pub type ExecKey = (usize, usize, (u32, usize), bool, usize, usize);
 
 impl ExecPolicy {
     /// Returns `ExecPolicy::default()`: no environment variable configures
@@ -522,7 +463,7 @@ impl ExecPolicy {
         self
     }
 
-    /// This policy with the relayout stage replaced (builder style).
+    /// This policy with the tail stage replaced (builder style).
     #[must_use]
     pub fn with_relayout(mut self, relayout: RelayoutPolicy) -> Self {
         self.relayout = relayout;

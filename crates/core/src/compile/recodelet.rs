@@ -3,13 +3,13 @@
 //!
 //! ## What merges
 //!
-//! After fusion and relayout, every multi-factor scheduling unit — a
-//! fused tile's parts, a relayouted tail's scratch passes — replays a run
+//! After fusion and the column tail, every multi-factor scheduling unit —
+//! a fused tile's parts, a column tail's parts — replays a run
 //! of **chained** factors over a cache-resident working set: part `i` is
 //! `I(r_i) ⊗ WHT(2^{k_i}) ⊗ I(s_i)` with `s_{i+1} = s_i · 2^{k_i}`. Each
 //! factor is one load/store pass over the unit's elements, and because
-//! the unit is resident those passes cost μops, not memory — the exact
-//! floor that capped the relayout stage's win. This stage merges chained
+//! the unit is resident those passes cost μops, not memory. This stage
+//! merges chained
 //! factors into larger unrolled codelets, cutting an `m`-factor group's
 //! load/store passes to one at identical flops. Trivial single-factor
 //! units (the unfused baseline's sweeps) have nothing to merge within
@@ -33,7 +33,7 @@
 //! the elements both factors touch, so every add/sub sees the same
 //! operands in either grouping: **the same butterfly DAG, so the same
 //! output bits** — for floats (no reassociation happens) and integers
-//! alike. Property-tested against the recursive and per-factor relayout
+//! alike. Property-tested against the recursive and per-factor column
 //! executors for all four scalar types.
 //!
 //! ## Why the merge is bounded
@@ -46,20 +46,23 @@
 //!   ~15% faster than one `small[8]` on the fused head's contiguous
 //!   group.
 //! - **`footprint_elems`** — a merged codelet call at inner extent `s`
-//!   touches `2^k` rows spaced `s` elements apart. At `s` = 1024 (the
-//!   default relayout geometry's `cols`), a `small[128]` call's 128 rows
-//!   sit 8 KiB apart: every row maps to the *same* L1 set (stride ≡ 0
-//!   mod 4 KiB) and a fresh TLB page, and the merged tail measured 10%
-//!   *slower* than the per-factor passes it replaced. Capping the span
-//!   `2^k · s` keeps each call inside a few pages and spread across L1
-//!   sets. Groups of at most [`SMALL_MERGE_ROWS`] rows are exempt —
-//!   size-8 codelets at arbitrary strides are the `blocked8` shape the
-//!   whole size range measures fast.
+//!   touches `2^k` rows spaced `s` elements apart. At `s` = 1024, a
+//!   `small[128]` call's 128 rows sit 8 KiB apart: every row maps to the
+//!   *same* L1 set (stride ≡ 0 mod 4 KiB) and a fresh TLB page, and the
+//!   merged tail measured 10% *slower* than the per-factor passes it
+//!   replaced. Capping the span `2^k · s` keeps each call inside a few
+//!   pages and spread across L1 sets. Groups of at most
+//!   [`SMALL_MERGE_ROWS`] rows are exempt — size-8 codelets at arbitrary
+//!   strides are the `blocked8` shape the whole size range measures fast.
+//!   A column tail's calls run at its *in-place* strides (multiples of
+//!   its period), so its span is measured there, not in the chunk
+//!   coordinates its parts are stored in: past the default fusion budget
+//!   only the eight-row exemption can merge its factors.
 //!
 //! With the default policy (`max_k = 4`, footprint 4096 elements) the
 //! canonical radix-2 plans lower to `[4,4,4,3,2]`-shaped fused tiles and
-//! `[4,4,…]`-shaped relayouted tails, and the full pipeline measured
-//! 1.9–3.4× over the per-factor relayout executor at n = 16–24.
+//! `[3,3,…]`-shaped column tails (the n = 24 tail is `small[3]@2^17,
+//! small[3]@2^20, small[1]@2^23`).
 
 use crate::plan::MAX_LEAF_K;
 
@@ -92,7 +95,10 @@ impl CompiledPlan {
             .schedule
             .iter()
             .map(|sp| {
-                let merged = merge_chained_parts(&sp.parts, sp.tile, policy);
+                // Chunk coordinates shrink a column tail's strides by
+                // period / cols; its calls run at the in-place ones.
+                let scale = sp.columns.map_or(1, |g| g.period / g.cols.max(1));
+                let merged = merge_chained_parts(&sp.parts, sp.tile, scale, policy);
                 if merged.len() == sp.parts.len() {
                     return sp.clone();
                 }
@@ -125,10 +131,17 @@ impl CompiledPlan {
 /// group when its inner extent equals the group's grown block
 /// (`s == s_g · 2^{k_g}`, the chained-stride condition), the combined
 /// exponent stays within `max_k`, and the merged call's strided span
-/// `2^k · s_g` respects the footprint cap (or the group stays within
-/// [`SMALL_MERGE_ROWS`] rows). The merged part's grid is re-derived from
-/// the tile it must cover exactly (the verify coverage invariant).
-fn merge_chained_parts(parts: &[Pass], tile: usize, policy: &RecodeletPolicy) -> Vec<Pass> {
+/// `2^k · s_g · scale` (`scale` maps the stored inner extent to the one
+/// the call runs at) respects the footprint cap (or the group stays
+/// within [`SMALL_MERGE_ROWS`] rows). The merged part's grid is
+/// re-derived from the tile it must cover exactly (the verify coverage
+/// invariant).
+fn merge_chained_parts(
+    parts: &[Pass],
+    tile: usize,
+    scale: usize,
+    policy: &RecodeletPolicy,
+) -> Vec<Pass> {
     let max_k = policy.max_k.min(MAX_LEAF_K);
     let mut out: Vec<Pass> = Vec::with_capacity(parts.len());
     for &part in parts {
@@ -137,6 +150,7 @@ fn merge_chained_parts(parts: &[Pass], tile: usize, policy: &RecodeletPolicy) ->
             let chained = part.s == group.s << group.k;
             let call_friendly = (1usize << k.min(usize::BITS - 1))
                 .checked_mul(group.s)
+                .and_then(|span| span.checked_mul(scale))
                 .is_some_and(|span| span <= policy.footprint_elems)
                 || (1usize << k.min(usize::BITS - 1)) <= SMALL_MERGE_ROWS;
             if chained && k <= max_k && call_friendly {

@@ -170,37 +170,36 @@ fn simd_relabeling_is_bit_identical_and_recorded() {
 
 #[test]
 fn relayout_rewrites_the_unfusable_tail() {
-    // iterative(14) fused at 2^6: 6-factor head + 8 tail passes. An
-    // eager relayout with a 2^9 block budget gathers all 8 tail
-    // factors: rows = 2^14 / 2^6 = 256, cols = 512/256 = 2,
-    // blocks = 64/2 = 32.
+    // iterative(14) fused at 2^6: 6-factor head + 8 tail passes. A
+    // column tail with a 2^12 chunk budget groups all 8 tail factors:
+    // period = 2^6, columns of 2^14 / 2^6 = 256 elements, cols =
+    // 4096/256 = 16, chunks = 64/16 = 4.
     let n = 14u32;
     let compiled = CompiledPlan::compile(&Plan::iterative(n).unwrap());
     let fused = compiled.fuse(&FusionPolicy::new(1 << 6));
-    let relaid = fused.relayout(&RelayoutPolicy::eager(1 << 9));
+    let relaid = fused.column_tail(&RelayoutPolicy::new(1 << 12));
     assert!(relaid.has_relayout());
     assert_eq!(
         relaid.passes(),
         compiled.passes(),
-        "relayout must not touch the factor list"
+        "the column tail must not touch the factor list"
     );
     assert_eq!(relaid.super_passes().len(), 2);
     let tail = &relaid.super_passes()[1];
-    let rl = tail.relayout().expect("tail must be a relayout unit");
+    let g = tail.columns().expect("tail must be a column unit");
     assert!(tail.provenance().relayouted);
     assert_eq!(tail.provenance().recodeleted, 0);
-    assert_eq!((rl.rows, rl.row_stride, rl.cols), (1 << 8, 1 << 6, 2));
+    assert_eq!((g.period, g.cols), (1 << 6, 16));
     assert_eq!(tail.parts().len(), 8);
-    assert_eq!(tail.tile_elems(), 1 << 9);
-    assert_eq!(tail.tiles(), (1 << 6) / 2);
+    assert_eq!(tail.tile_elems(), 1 << 12);
+    assert_eq!(tail.tiles(), (1 << 6) / 16);
     assert_eq!(tail.span(), relaid.size());
-    assert_eq!(relaid.scratch_elems(), 1 << 9);
     assert!(relaid.verify().is_empty(), "{:?}", relaid.verify());
-    // Scratch parts run at unit global stride with s = cols * c.
+    // Chunk-coordinate parts run at unit global stride with s = cols * c.
     let mut c = 1usize;
     for part in tail.parts() {
         assert_eq!((part.base, part.stride), (0, 1));
-        assert_eq!(part.s, 2 * c);
+        assert_eq!(part.s, 16 * c);
         c <<= part.k;
     }
     // The in-place view of each part is the original tail factor.
@@ -214,14 +213,53 @@ fn relayout_rewrites_the_unfusable_tail() {
     let mut got = input.clone();
     relaid.apply(&mut got).unwrap();
     assert_eq!(got, want);
-    // ...including through the SIMD backend and a reusable scratch.
+    // ...including through the SIMD backend, which needs no scratch.
     let simd = relaid.with_simd(&SimdPolicy::auto());
     assert!(simd.has_relayout() && simd.is_simd());
     let mut scratch = Vec::new();
     let mut got2 = input;
     simd.apply_with_scratch(&mut got2, &mut scratch).unwrap();
     assert_eq!(got2, want);
-    assert_eq!(scratch.len(), 1 << 9);
+    assert!(scratch.is_empty());
+}
+
+/// The chunk kernel's unsafe indexing at a size Miri can run: n = 8,
+/// a head fused at 2^5 and a 3-factor column tail of two 128-element
+/// chunks, through both backends and two scalar widths.
+#[test]
+fn column_tail_replays_in_place_at_n8() {
+    let n = 8u32;
+    let plan = Plan::iterative(n).unwrap();
+    for simd in [SimdPolicy::disabled(), SimdPolicy::auto()] {
+        let tailed = CompiledPlan::compile_exec(
+            &plan,
+            &ExecPolicy::all_disabled()
+                .with_fusion(FusionPolicy::new(1 << 5))
+                .with_relayout(RelayoutPolicy::new(1 << 7))
+                .with_simd(simd),
+        );
+        let tail = tailed.super_passes().last().unwrap();
+        assert_eq!(
+            tail.columns(),
+            Some(ColumnTail {
+                period: 32,
+                cols: 16
+            })
+        );
+        assert_eq!((tail.parts().len(), tail.tiles()), (3, 2));
+        let input = signal(n);
+        let mut want = input.clone();
+        apply_plan_recursive(&plan, &mut want).unwrap();
+        let mut got = input.clone();
+        tailed.apply(&mut got).unwrap();
+        assert_eq!(got, want, "{simd:?}");
+        let ints: Vec<i32> = input.iter().map(|&v| v as i32).collect();
+        let mut want = ints.clone();
+        apply_plan_recursive(&plan, &mut want).unwrap();
+        let mut got = ints;
+        tailed.apply(&mut got).unwrap();
+        assert_eq!(got, want, "{simd:?} (i32)");
+    }
 }
 
 #[test]
@@ -229,37 +267,41 @@ fn relayout_policy_gates() {
     let n = 14u32;
     let fused =
         CompiledPlan::compile(&Plan::iterative(n).unwrap()).fuse(&FusionPolicy::new(1 << 6));
-    // Disabled, too-small vectors, short tails, and resident vectors
-    // all leave the schedule unchanged.
-    assert_eq!(fused.relayout(&RelayoutPolicy::disabled()), fused);
-    let below_threshold = RelayoutPolicy {
-        min_elems: 1 << 20,
-        ..RelayoutPolicy::eager(1 << 9)
-    };
-    assert_eq!(fused.relayout(&below_threshold), fused);
-    let long_tail_only = RelayoutPolicy {
-        min_passes: 9,
-        ..RelayoutPolicy::eager(1 << 9)
-    };
-    assert_eq!(fused.relayout(&long_tail_only), fused);
+    // Disabled policies, one-factor tails, and resident vectors all
+    // leave the schedule unchanged.
+    assert_eq!(fused.column_tail(&RelayoutPolicy::disabled()), fused);
+    let one_factor_tail =
+        CompiledPlan::compile(&Plan::iterative(n).unwrap()).fuse(&FusionPolicy::new(1 << 13));
+    assert_eq!(one_factor_tail.super_passes().len(), 2);
     assert_eq!(
-        fused.relayout(&RelayoutPolicy::eager(1 << n)),
-        fused,
-        "a budget holding the whole vector must not relayout"
+        one_factor_tail.column_tail(&RelayoutPolicy::new(1 << 9)),
+        one_factor_tail
     );
-    // Idempotence: relayouting a relayouted schedule changes nothing.
-    let relaid = fused.relayout(&RelayoutPolicy::eager(1 << 9));
+    assert_eq!(
+        fused.column_tail(&RelayoutPolicy::new(1 << n)),
+        fused,
+        "a budget holding the whole vector must not group the tail"
+    );
+    // Idempotence: grouping a grouped tail changes nothing.
+    let relaid = fused.column_tail(&RelayoutPolicy::new(1 << 12));
     assert!(relaid.has_relayout());
-    assert_eq!(relaid.relayout(&RelayoutPolicy::eager(1 << 9)), relaid);
-    // A budget too small for all rows drops the earliest tail passes:
-    // budget 2^7 needs rows <= 128, so the first tail pass (rows 256)
-    // stays in place and 7 factors gather.
-    let partial = fused.relayout(&RelayoutPolicy::eager(1 << 7));
+    assert_eq!(relaid.column_tail(&RelayoutPolicy::new(1 << 12)), relaid);
+    // A budget too small for a 16-column chunk drops the earliest tail
+    // passes: budget 2^11 needs columns of at most 128 elements, so the
+    // first tail pass (columns of 256) stays in place and 7 factors
+    // group at period 2^7.
+    let partial = fused.column_tail(&RelayoutPolicy::new(1 << 11));
     assert!(partial.has_relayout());
     assert_eq!(partial.super_passes().len(), 3);
     let tail = partial.super_passes().last().unwrap();
     assert_eq!(tail.parts().len(), 7);
-    assert_eq!(tail.relayout().unwrap().rows, 1 << 7);
+    assert_eq!(
+        tail.columns().unwrap(),
+        ColumnTail {
+            period: 1 << 7,
+            cols: 16
+        }
+    );
     assert!(partial.verify().is_empty());
     let input = signal(n);
     let mut want = input.clone();
@@ -274,7 +316,7 @@ fn relayout_units_round_trip_through_from_super_passes() {
     let plan = Plan::iterative(12).unwrap();
     let relaid = CompiledPlan::compile(&plan)
         .fuse(&FusionPolicy::new(1 << 5))
-        .relayout(&RelayoutPolicy::eager(1 << 8));
+        .column_tail(&RelayoutPolicy::new(1 << 8));
     assert!(relaid.has_relayout());
     let rebuilt = CompiledPlan::from_super_passes(12, relaid.super_passes().to_vec()).unwrap();
     assert_eq!(rebuilt.super_passes(), relaid.super_passes());
@@ -296,15 +338,10 @@ fn relayout_env_policy_constructors() {
         RelayoutPolicy::default().budget_elems,
         RelayoutPolicy::DEFAULT_BUDGET_ELEMS
     );
-    assert_eq!(RelayoutPolicy::eager(64).min_elems, 0);
+    assert_eq!(RelayoutPolicy::new(64).budget_elems, 64);
     assert_eq!(
         RelayoutPolicy::disabled().cache_key(),
-        RelayoutPolicy {
-            budget_elems: 0,
-            min_elems: 99,
-            min_passes: 3
-        }
-        .cache_key()
+        RelayoutPolicy { budget_elems: 1 }.cache_key()
     );
 }
 
@@ -323,14 +360,14 @@ fn uncapped(max_k: u32) -> RecodeletPolicy {
 
 #[test]
 fn recodelet_merges_chained_factors_in_head_and_tail() {
-    // iterative(14) fused at 2^6, eager relayout at 2^9, merged with an
-    // uncapped footprint at max_k = 8: the 8 radix-2 tail factors over
-    // scratch merge into one small[8] codelet, and the 6-factor fused
-    // head into a small[8]-bounded group.
+    // iterative(14) fused at 2^6, a column tail at 2^12, merged with an
+    // uncapped footprint at max_k = 8: the 8 radix-2 tail factors merge
+    // into one small[8] codelet, and the 6-factor fused head into a
+    // small[8]-bounded group.
     let n = 14u32;
     let relaid = CompiledPlan::compile(&Plan::iterative(n).unwrap())
         .fuse(&FusionPolicy::new(1 << 6))
-        .relayout(&RelayoutPolicy::eager(1 << 9));
+        .column_tail(&RelayoutPolicy::new(1 << 12));
     let merged = relaid.recodelet(&uncapped(8));
     assert!(merged.has_recodeleted());
     let tail = merged.super_passes().last().unwrap();
@@ -342,8 +379,8 @@ fn recodelet_merges_chained_factors_in_head_and_tail() {
     assert_eq!(tail.parts()[0].k, 8);
     assert_eq!(
         tail.parts()[0].s,
-        2,
-        "merged codelet keeps the first factor's extent (cols)"
+        16,
+        "merged codelet keeps the first factor's chunk extent (cols)"
     );
     assert_eq!(tail.provenance().recodeleted, 7);
     assert!(tail.provenance().relayouted);
@@ -358,17 +395,17 @@ fn recodelet_merges_chained_factors_in_head_and_tail() {
     assert!(head.provenance().fused);
     // Geometry, backend, and the tile grid are untouched.
     assert_eq!(
-        tail.relayout(),
-        relaid.super_passes().last().unwrap().relayout()
+        tail.columns(),
+        relaid.super_passes().last().unwrap().columns()
     );
-    assert_eq!(tail.tile_elems(), 1 << 9);
+    assert_eq!(tail.tile_elems(), 1 << 12);
     assert!(merged.verify().is_empty(), "{:?}", merged.verify());
     // The factor list is re-derived: 1 merged head factor + 1 merged tail
     // factor, and the merged flat passes are the in-place merged factors.
     assert_eq!(merged.passes().len(), 2);
     let flat = tail.flat_pass(0);
     assert_eq!((flat.k, flat.s, flat.r), (8, 1 << 6, 1));
-    // Bit-identical to the per-factor relayout replay (and hence to the
+    // Bit-identical to the per-factor column replay (and hence to the
     // recursive engine), through both kernel backends.
     let input = signal(n);
     let mut want = input.clone();
@@ -386,20 +423,21 @@ fn recodelet_merges_chained_factors_in_head_and_tail() {
 
 #[test]
 fn recodelet_respects_the_codelet_cap_and_chains_greedily() {
-    // 10 tail factors at max_k = 4: greedy left-to-right merge gives
-    // small[4] + small[4] + small[2].
+    // 8 tail factors at max_k = 3 (footprint uncapped, so the cap is
+    // the only bound): greedy left-to-right merge gives small[3] +
+    // small[3] + small[2].
     let n = 16u32;
     let relaid = CompiledPlan::compile(&Plan::iterative(n).unwrap())
-        .fuse(&FusionPolicy::new(1 << 6))
-        .relayout(&RelayoutPolicy::eager(1 << 11));
-    assert_eq!(relaid.super_passes().last().unwrap().parts().len(), 10);
-    let merged = relaid.recodelet(&RecodeletPolicy::new(4));
+        .fuse(&FusionPolicy::new(1 << 8))
+        .column_tail(&RelayoutPolicy::new(1 << 12));
+    assert_eq!(relaid.super_passes().last().unwrap().parts().len(), 8);
+    let merged = relaid.recodelet(&uncapped(3));
     let tail = merged.super_passes().last().unwrap();
     assert_eq!(
         tail.parts().iter().map(|p| p.k).collect::<Vec<_>>(),
-        vec![4, 4, 2]
+        vec![3, 3, 2]
     );
-    assert_eq!(tail.provenance().recodeleted, 7);
+    assert_eq!(tail.provenance().recodeleted, 5);
     assert!(merged.verify().is_empty());
     // Caps above MAX_LEAF_K clamp to the unrolled family's edge.
     let clamped = relaid.recodelet(&uncapped(99));
@@ -409,10 +447,10 @@ fn recodelet_respects_the_codelet_cap_and_chains_greedily() {
         .flat_map(|sp| sp.parts())
         .all(|p| p.k <= crate::plan::MAX_LEAF_K));
     // Mixed-radix tails merge too: binary_iterative(16, 2) has k=2
-    // factors; its 5-part scratch tail merges under max_k = 8 into 8+2.
+    // factors; its 4-part column tail merges under max_k = 6 into 6+2.
     let blocked = CompiledPlan::compile(&Plan::binary_iterative(n, 2).unwrap())
-        .fuse(&FusionPolicy::new(1 << 6))
-        .relayout(&RelayoutPolicy::eager(1 << 11));
+        .fuse(&FusionPolicy::new(1 << 8))
+        .column_tail(&RelayoutPolicy::new(1 << 12));
     let tail_ks: Vec<u32> = blocked
         .super_passes()
         .last()
@@ -421,8 +459,8 @@ fn recodelet_respects_the_codelet_cap_and_chains_greedily() {
         .iter()
         .map(|p| p.k)
         .collect();
-    assert_eq!(tail_ks, vec![2; 5]);
-    let bmerged = blocked.recodelet(&uncapped(8));
+    assert_eq!(tail_ks, vec![2; 4]);
+    let bmerged = blocked.recodelet(&uncapped(6));
     assert_eq!(
         bmerged
             .super_passes()
@@ -432,7 +470,7 @@ fn recodelet_respects_the_codelet_cap_and_chains_greedily() {
             .iter()
             .map(|p| p.k)
             .collect::<Vec<_>>(),
-        vec![8, 2]
+        vec![6, 2]
     );
     let input = signal(n);
     let mut want = input.clone();
@@ -445,22 +483,22 @@ fn recodelet_respects_the_codelet_cap_and_chains_greedily() {
 #[test]
 fn recodelet_footprint_cap_bounds_strided_merges() {
     // The production shape where the cap binds: iterative(24) under the
-    // default pipeline gathers rows = 128, cols = 1024, so the 7-part
-    // tail runs over scratch at inner extents s = 1024·c. A merged
-    // small[16] call there would touch 16 rows spanning 16·1024 = 2^14
-    // elements — past the 4096-element footprint and past the 8-row
-    // exemption — so the default policy must stop each group at
-    // small[8] (8 rows) even though max_k = 4 alone would allow 16.
-    // (Compiling touches no data; a 2^24 schedule is cheap.)
+    // default pipeline groups a column tail with period 2^17 and cols =
+    // 1024, so the 7 parts are stored at chunk extents s = 1024·c and run
+    // at in-place strides 2^17·c. A merged small[16] call there would
+    // touch 16 rows 2^17 elements apart — past the 4096-element footprint
+    // and past the 8-row exemption — so the default policy must stop each
+    // group at small[8] (8 rows) even though max_k = 4 alone would allow
+    // 16. (Compiling touches no data; a 2^24 schedule is cheap.)
     let relaid = CompiledPlan::compile(&Plan::iterative(24).unwrap())
         .fuse(&FusionPolicy::default())
-        .relayout(&RelayoutPolicy::eager(RelayoutPolicy::DEFAULT_BUDGET_ELEMS));
+        .column_tail(&RelayoutPolicy::new(RelayoutPolicy::DEFAULT_BUDGET_ELEMS));
     let tail = relaid.super_passes().last().unwrap();
     assert_eq!(tail.parts().len(), 7);
     assert_eq!(
         tail.parts()[0].s,
         1024,
-        "default geometry gathers wide columns"
+        "the default chunk holds wide column runs"
     );
     let merged = relaid.recodelet(&RecodeletPolicy::default());
     let tail_ks: Vec<u32> = merged
@@ -516,7 +554,7 @@ fn recodelet_gates_and_idempotence() {
     let n = 14u32;
     let relaid = CompiledPlan::compile(&Plan::iterative(n).unwrap())
         .fuse(&FusionPolicy::new(1 << 6))
-        .relayout(&RelayoutPolicy::eager(1 << 9));
+        .column_tail(&RelayoutPolicy::new(1 << 9));
     // Disabled policies and single-factor-only schedules are no-ops.
     assert_eq!(relaid.recodelet(&RecodeletPolicy::disabled()), relaid);
     assert_eq!(relaid.recodelet(&RecodeletPolicy::new(1)), relaid);
@@ -526,7 +564,7 @@ fn recodelet_gates_and_idempotence() {
         unfused,
         "trivial single-factor units have nothing to merge within"
     );
-    // A fused head merges even without a relayout unit.
+    // A fused head merges even without a column tail.
     let fused_only =
         CompiledPlan::compile(&Plan::iterative(n).unwrap()).fuse(&FusionPolicy::new(1 << 6));
     let head_merged = fused_only.recodelet(&RecodeletPolicy::default());
@@ -553,7 +591,7 @@ fn lower_runs_the_documented_stage_order() {
     let plan = Plan::iterative(n).unwrap();
     let policy = ExecPolicy {
         fusion: FusionPolicy::new(1 << 6),
-        relayout: RelayoutPolicy::eager(1 << 9),
+        relayout: RelayoutPolicy::new(1 << 9),
         recodelet: RecodeletPolicy::default(),
         simd: SimdPolicy::auto(),
         batch: BatchPolicy::default(),
@@ -562,7 +600,7 @@ fn lower_runs_the_documented_stage_order() {
     let lowered = CompiledPlan::compile(&plan).lower(&policy);
     let by_hand = CompiledPlan::compile(&plan)
         .fuse(&policy.fusion)
-        .relayout(&policy.relayout)
+        .column_tail(&policy.relayout)
         .recodelet(&policy.recodelet)
         .with_simd(&policy.simd)
         .with_batch(&policy.batch);
@@ -589,7 +627,7 @@ fn exec_policy_cache_keys_cover_every_stage() {
     assert_eq!(base.cache_key(), ExecPolicy::default().cache_key());
     for changed in [
         base.with_fusion(FusionPolicy::new(1 << 4)),
-        base.with_relayout(RelayoutPolicy::eager(1 << 4)),
+        base.with_relayout(RelayoutPolicy::new(1 << 4)),
         base.with_recodelet(RecodeletPolicy::new(3)),
         base.with_simd(SimdPolicy::disabled()),
         base.with_batch(BatchPolicy::new(64)),
@@ -614,44 +652,58 @@ fn exec_policy_cache_keys_cover_every_stage() {
 }
 
 #[test]
-fn relayout_traverse_reports_scratch_addresses_and_copies() {
+fn column_tail_traverse_replays_the_chunk_order() {
     #[derive(Default)]
     struct Watch {
-        gathers: usize,
-        scatters: usize,
-        relayout_units: usize,
-        leaf_bases: Vec<usize>,
+        column_units: usize,
+        in_tail: bool,
+        tail_calls: Vec<(u32, usize, usize)>,
     }
     impl ExecHooks for Watch {
         fn super_pass(&mut self, sp: &SuperPass) {
-            self.relayout_units += usize::from(sp.is_relayout());
+            self.in_tail = sp.is_column_tail();
+            self.column_units += usize::from(self.in_tail);
         }
-        fn relayout_gather(&mut self, _b: usize, _rl: Relayout, _s: usize) {
-            self.gathers += 1;
-        }
-        fn relayout_scatter(&mut self, _b: usize, _rl: Relayout, _s: usize) {
-            self.scatters += 1;
-        }
-        fn leaf_call(&mut self, _k: u32, base: usize, _stride: usize) {
-            self.leaf_bases.push(base);
+        fn leaf_call(&mut self, k: u32, base: usize, stride: usize) {
+            if self.in_tail {
+                self.tail_calls.push((k, base, stride));
+            }
         }
     }
-    let n = 10u32;
-    let relaid = CompiledPlan::compile(&Plan::iterative(n).unwrap())
-        .fuse(&FusionPolicy::new(1 << 5))
-        .relayout(&RelayoutPolicy::eager(1 << 7));
-    assert!(relaid.has_relayout());
-    let blocks = relaid.super_passes().last().unwrap().tiles();
+    // iterative(12) fused at 2^7: a 5-factor tail in chunks of 32 rows
+    // × 16 columns, 8 chunks per period.
+    let n = 12u32;
+    let fused =
+        CompiledPlan::compile(&Plan::iterative(n).unwrap()).fuse(&FusionPolicy::new(1 << 7));
+    let tailed = fused.column_tail(&RelayoutPolicy::new(1 << 9));
+    let g = tailed.super_passes().last().unwrap().columns().unwrap();
+    assert_eq!((g.period, g.cols), (1 << 7, 16));
     let mut w = Watch::default();
-    relaid.traverse(&mut w);
-    assert_eq!(w.relayout_units, 1);
-    assert_eq!(w.gathers, blocks);
-    assert_eq!(w.scatters, blocks);
-    // Leaf calls of the relayout unit land in the scratch region just
-    // past the vector; everything else stays inside it.
-    let size = relaid.size();
-    assert!(w.leaf_bases.iter().any(|&b| b >= size));
-    assert!(w.leaf_bases.iter().all(|&b| b < size + (1 << 7)));
+    tailed.traverse(&mut w);
+    assert_eq!(w.column_units, 1);
+    // Chunk-major, in place: every leaf call's column lies in its chunk,
+    // and the chunks come in order.
+    let chunks: Vec<usize> = w
+        .tail_calls
+        .iter()
+        .map(|&(_, base, _)| base % g.period / g.cols)
+        .collect();
+    assert!(chunks.windows(2).all(|c| c[0] <= c[1]));
+    assert_eq!(chunks.last(), Some(&(g.period / g.cols - 1)));
+    assert!(w
+        .tail_calls
+        .iter()
+        .all(|&(_, base, _)| base < tailed.size()));
+    // The same calls as the pass-major tail, in another order.
+    let mut pass_major: Vec<(u32, usize, usize)> = fused.passes()[7..]
+        .iter()
+        .flat_map(|p| {
+            (0..p.invocations()).map(move |q| (p.k, p.invocation_base(q), p.codelet_stride()))
+        })
+        .collect();
+    pass_major.sort_unstable();
+    w.tail_calls.sort_unstable();
+    assert_eq!(w.tail_calls, pass_major);
 }
 
 #[test]
@@ -775,7 +827,7 @@ fn cached_compile_returns_identical_schedule() {
     // configuration.
     let exec = ExecPolicy {
         fusion: FusionPolicy::new(1 << 6),
-        relayout: RelayoutPolicy::eager(1 << 8),
+        relayout: RelayoutPolicy::new(1 << 8),
         recodelet: RecodeletPolicy::default(),
         simd: SimdPolicy::auto(),
         batch: BatchPolicy::default(),
@@ -1091,12 +1143,17 @@ fn apply_batch_scratch_warms_once_and_is_reused() {
         .apply_batch_with_scratch(&mut x, rows, &mut scratch)
         .unwrap();
     let warm = scratch.len();
-    assert!(
-        warm >= compiled.scratch_elems() && warm >= <f64 as Scalar>::LANES,
-        "scratch must cover the per-row schedule and at least one transposed column"
+    assert_eq!(
+        warm,
+        compiled.batch_scratch_elems(<f64 as Scalar>::LANES),
+        "scratch is exactly one transposed cross tile"
     );
     assert!(
-        warm <= (<f64 as Scalar>::LANES * size).max(compiled.scratch_elems()),
+        warm >= <f64 as Scalar>::LANES,
+        "scratch must hold at least one transposed column"
+    );
+    assert!(
+        warm <= <f64 as Scalar>::LANES * size,
         "the cross tile never exceeds one transposed lane group"
     );
     compiled

@@ -141,8 +141,8 @@ pub trait ExecHooks {
     /// [`crate::compile::SuperPass`] — its part/tile geometry, the kernel
     /// backend recorded in the schedule (so measurement consumers see
     /// exactly the program the executor runs, SIMD selection included),
-    /// the gather geometry when the unit is a relayout super-pass (its
-    /// "tiles" are gathered blocks), and the per-stage
+    /// the column geometry when the unit is a column tail (its "tiles"
+    /// are chunks), and the per-stage
     /// [`crate::compile::Provenance`] saying which lowering rewrites
     /// produced it. Passing the unit itself means a new lowering stage
     /// never changes this signature again — consumers read the fields
@@ -154,37 +154,6 @@ pub trait ExecHooks {
     #[inline]
     fn super_pass(&mut self, sp: &crate::compile::SuperPass) {
         let _ = sp;
-    }
-
-    /// A relayout super-pass gathers one block: the strided row-segments
-    /// `x[u·row_stride + x_base ..][..cols]` (`u < rows`) are copied into
-    /// the conceptual scratch region at `scratch_base` (element index just
-    /// past the vector — see [`crate::compile::CompiledPlan::traverse`]).
-    /// Memory contract: one read per source element, one write per scratch
-    /// slot, addresses sequential in the copy direction. Emitted before
-    /// the block's part leaf calls (which run at scratch addresses).
-    #[inline]
-    fn relayout_gather(
-        &mut self,
-        x_base: usize,
-        relayout: crate::compile::Relayout,
-        scratch_base: usize,
-    ) {
-        let _ = (x_base, relayout, scratch_base);
-    }
-
-    /// A relayout super-pass scatters one block back — the exact inverse
-    /// copy of [`ExecHooks::relayout_gather`] (one read per scratch slot,
-    /// one write per destination element), emitted after the block's part
-    /// leaf calls.
-    #[inline]
-    fn relayout_scatter(
-        &mut self,
-        x_base: usize,
-        relayout: crate::compile::Relayout,
-        scratch_base: usize,
-    ) {
-        let _ = (x_base, relayout, scratch_base);
     }
 
     /// Within the current split invocation, child `i` (of size `2^child_n`)

@@ -38,9 +38,9 @@
 //! |--------|----------|
 //! | [`plan`] | the [`Plan`] split tree, canonical algorithms, invariants |
 //! | [`parse`] | WHT-package plan grammar (`split[small[1],...]` strings) |
-//! | [`codelets`] | unrolled base cases `small[1]`..`small[8]`, the SIMD lane-block backend ([`SimdPolicy`]), and the relayout gather/scatter copy kernels |
+//! | [`codelets`] | unrolled base cases `small[1]`..`small[8]`, the SIMD lane-block backend ([`SimdPolicy`]), and the batch path's lane transposes |
 //! | [`engine`] | the triply-nested-loop interpreter ([`apply_plan_recursive`]) and the hook-based traversal ([`traverse`]) instrumentation builds on |
-//! | [`compile`] | flattened pass schedules and the staged lowering pipeline: [`CompiledPlan`] compilation, the [`ExecPolicy`]-driven stage chain of [`CompiledPlan::lower`] — fuse ([`FusionPolicy`], [`SuperPass`]) → tail relayout, the paper's DDL in compiled form ([`RelayoutPolicy`], [`Relayout`]) → re-codelet ([`RecodeletPolicy`]) → kernel backend selection ([`PassBackend`]) → batch ([`BatchPolicy`]) → stream ([`StreamPolicy`]) — per-unit stage [`Provenance`], the zero-recursion executor behind [`apply_plan`], the per-thread `(plan, ExecPolicy)` schedule cache |
+//! | [`compile`] | flattened pass schedules and the staged lowering pipeline: [`CompiledPlan`] compilation, the [`ExecPolicy`]-driven stage chain of [`CompiledPlan::lower`] — fuse ([`FusionPolicy`], [`SuperPass`]) → the in-place column tail, chunk by chunk ([`RelayoutPolicy`], [`ColumnTail`], [`apply_columns`]) → re-codelet ([`RecodeletPolicy`]) → kernel backend selection ([`PassBackend`]) → batch ([`BatchPolicy`]) → stream ([`StreamPolicy`]) — per-unit stage [`Provenance`], the zero-recursion executor behind [`apply_plan`], the per-thread `(plan, ExecPolicy)` schedule cache |
 //! | [`mod@env`] | the `WHT_THREADS` crew-size knob and its strict parse contract |
 //! | [`srht`] | SRHT sketching ([`Srht`]): Rademacher signs and subsampling fused into the batched executor's transposes |
 //! | [`mod@reference`] | `O(N^2)` ground truth ([`naive_wht`]) and test helpers |
@@ -68,13 +68,13 @@ pub mod twod;
 pub mod verify;
 
 pub use codelets::{
-    apply_codelet_checked, apply_codelet_cols, apply_codelet_generic, apply_pass_lanes,
-    gather_rows_checked, lane_width, scatter_rows_checked, SimdPolicy,
+    apply_codelet_checked, apply_codelet_cols, apply_codelet_generic, apply_pass_lanes, lane_width,
+    SimdPolicy,
 };
 pub use compile::{
-    compiled_for, compiled_for_exec, BatchPolicy, BatchSchedule, CompiledPlan, ExecPolicy,
-    FusionPolicy, Pass, PassBackend, Provenance, RecodeletPolicy, Relayout, RelayoutPolicy,
-    StreamPolicy, SuperPass,
+    apply_columns, compiled_for, compiled_for_exec, BatchPolicy, BatchSchedule, ColumnTail,
+    CompiledPlan, ExecPolicy, FusionPolicy, Pass, PassBackend, Provenance, RecodeletPolicy,
+    RelayoutPolicy, StreamPolicy, SuperPass,
 };
 pub use dyadic::{dyadic_autocorrelation, dyadic_convolution, dyadic_convolution_naive};
 pub use engine::{apply_plan, apply_plan_recursive, for_each_leaf_call, traverse, ExecHooks};
@@ -87,6 +87,6 @@ pub use scalar::Scalar;
 pub use srht::Srht;
 pub use twod::{apply_plan_2d, naive_wht_2d};
 pub use verify::{
-    derived_scratch_elems, verify_batch, verify_batch_split, verify_flat_passes, verify_schedule,
-    VerifyDiagnostic, VerifyInvariant, VerifySite,
+    verify_batch, verify_batch_split, verify_flat_passes, verify_schedule, VerifyDiagnostic,
+    VerifyInvariant, VerifySite,
 };

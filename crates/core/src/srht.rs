@@ -221,9 +221,8 @@ impl Srht {
         }
         let w = T::LANES;
         // One scratch serves both paths: the transposed lane group of the
-        // fused path, and the row buffer + executor scratch of the
-        // per-row fallback.
-        let needed = (w * size).max(size + compiled.scratch_elems());
+        // fused path, and the row buffer of the per-row fallback.
+        let needed = w * size;
         if scratch.len() < needed {
             scratch.resize(needed, T::ZERO);
         }
@@ -265,17 +264,16 @@ impl Srht {
         // Per-row composition for the remainder (and for disengaged
         // batches): signed copy, the ordinary executor's schedule replay,
         // sampled store — the same DAG the fused path runs.
-        let (rowbuf, exec_scratch) = scratch.split_at_mut(size);
+        let rowbuf = &mut scratch[..size];
         for row in groups * w..rows {
             let src = &x[row * size..(row + 1) * size];
             for (j, (dst, &v)) in rowbuf.iter_mut().zip(src).enumerate() {
                 *dst = if self.signs[j] < 0 { T::ZERO - v } else { v };
             }
             for sp in compiled.super_passes() {
-                // SAFETY: rowbuf is exactly size elements and exec_scratch
-                // covers scratch_elems() — the apply_with_scratch
-                // invariants, on a split borrow of one buffer.
-                unsafe { sp.apply_all(rowbuf, exec_scratch) };
+                // SAFETY: rowbuf is exactly size elements — the apply
+                // invariant.
+                unsafe { sp.apply_all(rowbuf) };
             }
             for (o, &j) in out[row * m..(row + 1) * m].iter_mut().zip(&self.indices) {
                 *o = rowbuf[j];

@@ -18,9 +18,9 @@
 //! **Bounds** ([`VerifyInvariant::Bounds`]): interval arithmetic over
 //! every index expression the executor evaluates. A part `(k, r, s)` at
 //! `base`/`stride` reaches element `base + (r·2^k·s − 1)·stride` of its
-//! tile; a relayout block's farthest gather source is
-//! `(rows−1)·row_stride + (tiles−1)·cols + (cols−1)`; a batched cross
-//! tile sweeps `tile_cols` columns at a time across a `2^n`-element row.
+//! tile, and its in-place replay the same of the vector; a column tail's
+//! period must divide the vector; a batched cross tile sweeps
+//! `tile_cols` columns at a time across a `2^n`-element row.
 //! All of it must stay inside the declared extent, computed with checked
 //! arithmetic so absurd hand-built extents surface as
 //! [`VerifyInvariant::Overflow`], never as a wrapped index that happens
@@ -30,16 +30,19 @@
 //! output ranges within a pass are pairwise disjoint (the mixed-radix
 //! index map `(j, t, u) ↦ j·2^k·s + t + u·s` is a bijection onto
 //! `[0, r·2^k·s)` — corroborated concretely for small tiles by
-//! exhaustive write-counting), gathered relayout blocks partition the
-//! vector (`cols` divides `row_stride`), and the shard boundaries the
-//! parallel engine cuts never split a butterfly: whole tiles, whole
-//! gathered blocks, contiguous ranges of whole invocations of a flat
-//! pass, and chunks of residues mod the stride `P` of a run of flat
-//! passes. That last one also needs every stride of the run to be a
-//! multiple of `P`, so that each pass maps each residue class mod `P`
-//! onto itself; this verifier does not require strides to chain, so the
-//! engine checks that itself before it groups a pass. With those
-//! checks, `par_apply_*` is race-free by construction, not by testing.
+//! exhaustive write-counting), and the chunk and shard boundaries the
+//! executors cut never split a butterfly: whole tiles, contiguous ranges
+//! of whole invocations of a flat pass, and chunks of residues mod the
+//! period `P` of a column unit. A column unit's chunk width must be a
+//! power of two dividing `P`, so the chunks partition the residues, and
+//! every part's in-place stride must be a multiple of `P` (the **mod-`P`
+//! closure**), so that each part maps each residue class mod `P` onto
+//! itself and chunks stay write-disjoint across all parts. This verifier
+//! does not require the strides of *separate* units to chain, so the
+//! parallel engine checks the closure itself before it groups single-tile
+//! units into a column unit of its own. With those checks, `apply`'s
+//! chunk-major replay and `par_apply_*` are race-free by construction,
+//! not by testing.
 //!
 //! **Coverage / permutation** ([`VerifyInvariant::Coverage`]): every
 //! pass writes every element of its unit exactly once (canonical frame:
@@ -49,13 +52,12 @@
 //! bounds-safe but drops or repeats a factor computes the wrong
 //! transform).
 //!
-//! **Scratch sizing** ([`VerifyInvariant::Scratch`]): the requirement
-//! [`CompiledPlan::scratch_elems`] declares must *equal* the largest
-//! gathered block the verifier derives from the relayout geometry (not
-//! merely exceed it — over-allocation is a bug the ROADMAP's service
-//! front-end would pay per worker), and the batched path's
-//! [`CompiledPlan::batch_scratch_elems`] must equal the L1 tile the
-//! cross sweep actually streams through, for every lane width.
+//! **Scratch sizing** ([`VerifyInvariant::Scratch`]): the batched path's
+//! declared [`CompiledPlan::batch_scratch_elems`] must *equal* the L1
+//! tile the cross sweep actually streams through, for every lane width
+//! (not merely exceed it — over-allocation is a bug the ROADMAP's
+//! service front-end would pay per worker). The single-transform replay
+//! runs in place and needs none.
 //!
 //! # Wiring
 //!
@@ -95,14 +97,14 @@ pub enum VerifyInvariant {
     /// exponent outside the unrolled family, malformed batch split, …).
     Structure,
     /// An index expression escapes its declared extent (tile, vector,
-    /// scratch block, or batched row).
+    /// column period, or batched row).
     Bounds,
     /// An extent/index computation overflows `usize` — the schedule's
     /// arithmetic is not even evaluable, let alone safe.
     Overflow,
-    /// Two writes alias: butterfly outputs within a pass, gathered
-    /// relayout blocks, or parallel shard boundaries that would split a
-    /// butterfly.
+    /// Two writes alias: butterfly outputs within a pass, column chunks
+    /// that are not closed under a part or do not partition the residues,
+    /// or parallel shard boundaries that would split a butterfly.
     Disjointness,
     /// An element is skipped or the factor sequence does not compose to
     /// `WHT(2^n)` (wrong result, even if memory-safe).
@@ -198,8 +200,8 @@ impl fmt::Display for VerifyDiagnostic {
         if let Some(p) = self.provenance {
             write!(
                 f,
-                " (provenance: fused={} relayouted={} recodeleted={} streamed={})",
-                p.fused, p.relayouted, p.recodeleted, p.streamed
+                " (provenance: fused={} relayouted={} recodeleted={})",
+                p.fused, p.relayouted, p.recodeleted
             )?;
         }
         Ok(())
@@ -280,7 +282,7 @@ struct PassCheck {
 }
 
 /// Shared per-pass checks against an `extent`-element frame (a tile, the
-/// whole vector, or a gathered scratch block): structure of the grid,
+/// whole vector, or a column chunk): structure of the grid,
 /// bounds of the farthest index, and the canonical exactly-once coverage
 /// frame.
 fn check_pass_in_frame(
@@ -444,6 +446,35 @@ fn check_unit(
         );
         return;
     }
+    // A column unit's geometry first: its chunk grid is derived from it,
+    // so a bad period or chunk width is the root cause of any grid
+    // finding below.
+    if let Some(g) = sp.columns() {
+        check_column_unit(index, sp, size, diags);
+        // The mod-P closure: column parts are stored in chunk
+        // coordinates, where the in-place stride s = m·period reads
+        // s' = m·cols. An inner extent that is not a whole number of
+        // chunk columns is an in-place stride that is not a multiple of
+        // the period: the part would move elements between chunks.
+        for (pi, part) in sp.parts().iter().enumerate() {
+            if g.cols == 0 || part.s % g.cols != 0 {
+                diags.push(
+                    VerifySite::Unit {
+                        unit: index,
+                        part: Some(pi),
+                    },
+                    prov,
+                    VerifyInvariant::Disjointness,
+                    format!(
+                        "column part inner extent {} is not a multiple of the chunk \
+                         width {}: its in-place stride is not a multiple of the \
+                         period {}, so chunks are not closed under it",
+                        part.s, g.cols, g.period
+                    ),
+                );
+            }
+        }
+    }
     if sp.tile_elems() == 0 || sp.tiles() == 0 {
         diags.push(
             site,
@@ -498,30 +529,6 @@ fn check_unit(
         ),
         Some(_) => {}
     }
-    if let Some(rl) = sp.relayout() {
-        check_relayout_unit(index, sp, size, diags);
-        // Relayout parts run in scratch coordinates: inner extents must be
-        // whole gathered columns, or the scratch-space factor would not
-        // map back to any in-place factor (SuperPass::flat_pass's
-        // contract, which the parallel engine's in-place replay uses).
-        for (pi, part) in sp.parts().iter().enumerate() {
-            if rl.cols == 0 || part.s % rl.cols != 0 {
-                diags.push(
-                    VerifySite::Unit {
-                        unit: index,
-                        part: Some(pi),
-                    },
-                    prov,
-                    VerifyInvariant::Structure,
-                    format!(
-                        "relayout part inner extent {} is not a multiple of the \
-                         gathered column width {}",
-                        part.s, rl.cols
-                    ),
-                );
-            }
-        }
-    }
     for (pi, part) in sp.parts().iter().enumerate() {
         let psite = VerifySite::Unit {
             unit: index,
@@ -562,112 +569,85 @@ fn check_unit(
     }
 }
 
-/// The relayout-specific geometry checks of one unit: block partition
-/// (disjointness), matrix-view coverage, and an independent worst-block
-/// gather bound.
-fn check_relayout_unit(index: usize, sp: &SuperPass, size: usize, diags: &mut Diags) {
-    let rl = sp.relayout().expect("caller checked is_relayout");
+/// The column-specific geometry checks of one unit: the chunk partition
+/// (disjointness), the matrix view (bounds) and the chunk grid the unit
+/// declares (coverage, structure).
+fn check_column_unit(index: usize, sp: &SuperPass, size: usize, diags: &mut Diags) {
+    let g = sp.columns().expect("caller checked is_column_tail");
     let prov = Some(sp.provenance());
     let site = VerifySite::Unit {
         unit: index,
         part: None,
     };
-    if rl.rows == 0 || rl.cols == 0 || rl.row_stride == 0 {
+    if g.period == 0 || g.cols == 0 {
         diags.push(
             site,
             prov,
             VerifyInvariant::Structure,
             format!(
-                "empty relayout geometry (rows = {}, row_stride = {}, cols = {})",
-                rl.rows, rl.row_stride, rl.cols
+                "empty column geometry (period = {}, cols = {})",
+                g.period, g.cols
             ),
         );
         return;
     }
-    // Block partition: gathered block j takes columns [j·cols, (j+1)·cols)
-    // of the matrix view; blocks are pairwise disjoint (and parallel
-    // block-granular shards race-free) iff whole blocks tile the row.
-    if rl.cols > rl.row_stride || !rl.row_stride.is_multiple_of(rl.cols) {
+    // Chunk c takes residues [c·cols, (c+1)·cols) mod the period; the
+    // chunks are pairwise disjoint and cover every residue (so chunk-
+    // granular replay and parallel claims are race-free) iff whole
+    // chunks tile the period.
+    if !g.cols.is_power_of_two() || !g.period.is_multiple_of(g.cols) {
         diags.push(
             site,
             prov,
             VerifyInvariant::Disjointness,
             format!(
-                "gathered blocks of {} columns do not partition the \
-                 {}-column row: blocks would overlap or overrun",
-                rl.cols, rl.row_stride
+                "chunks of {} columns do not partition the {} residues mod \
+                 the period: the chunk width must be a power of two dividing it",
+                g.cols, g.period
             ),
         );
     }
-    if rl.rows.checked_mul(rl.cols) != Some(sp.tile_elems()) {
+    if g.period > size || !size.is_multiple_of(g.period) {
         diags.push(
             site,
             prov,
-            VerifyInvariant::Scratch,
+            VerifyInvariant::Bounds,
             format!(
-                "gathered block is {} × {} elements but the unit declares \
-                 {}-element tiles: scratch sizing would disagree with the gather",
-                rl.rows,
-                rl.cols,
-                sp.tile_elems()
+                "period {} does not divide the {size}-element vector: its \
+                 columns would run past the end",
+                g.period
             ),
         );
+        return;
     }
-    if rl.row_stride / rl.cols.max(1) != sp.tiles() {
-        diags.push(
-            site,
-            prov,
-            VerifyInvariant::Structure,
-            format!(
-                "row of {} columns splits into {} blocks of {} but the unit \
-                 declares {} tiles",
-                rl.row_stride,
-                rl.row_stride / rl.cols.max(1),
-                rl.cols,
-                sp.tiles()
-            ),
-        );
-    }
-    if rl.rows.checked_mul(rl.row_stride) != Some(size) {
+    let depth = size / g.period;
+    if depth.checked_mul(g.cols) != Some(sp.tile_elems()) {
         diags.push(
             site,
             prov,
             VerifyInvariant::Coverage,
             format!(
-                "matrix view {} × {} does not cover the {size}-element vector",
-                rl.rows, rl.row_stride
+                "a chunk holds {depth} × {} elements but the unit declares \
+                 {}-element tiles",
+                g.cols,
+                sp.tile_elems()
             ),
         );
     }
-    // Independent worst-case gather bound, from the raw geometry rather
-    // than the equalities above: the farthest source element of the last
-    // block is (rows−1)·row_stride + (tiles−1)·cols + (cols−1).
-    let reach = (rl.rows - 1)
-        .checked_mul(rl.row_stride)
-        .and_then(|v| {
-            sp.tiles()
-                .checked_sub(1)?
-                .checked_mul(rl.cols)?
-                .checked_add(v)
-        })
-        .and_then(|v| v.checked_add(rl.cols - 1));
-    match reach {
-        None => diags.push(
+    if g.period / g.cols != sp.tiles() {
+        diags.push(
             site,
             prov,
-            VerifyInvariant::Overflow,
-            "gather source index overflows".into(),
-        ),
-        Some(reach) if reach >= size => diags.push(
-            site,
-            prov,
-            VerifyInvariant::Bounds,
+            VerifyInvariant::Structure,
             format!(
-                "last gathered block reads element {reach} of the \
-                 {size}-element vector"
+                "a period of {} columns splits into {} chunks of {} but the \
+                 unit declares {} tiles",
+                g.period,
+                g.period / g.cols,
+                g.cols,
+                sp.tiles()
             ),
-        ),
-        Some(_) => {}
+        );
     }
 }
 
@@ -945,20 +925,6 @@ pub fn verify_batch_split(n: u32, cross: &[Pass], tail: &[Pass]) -> Vec<VerifyDi
     diags.out
 }
 
-/// The scratch requirement the verifier derives from the relayout
-/// geometry alone (largest `rows × cols` gathered block), independently
-/// of the `tile_elems` field [`CompiledPlan::scratch_elems`] reads — so
-/// a drift between the two surfaces as a [`VerifyInvariant::Scratch`]
-/// diagnostic instead of an under- or over-allocation.
-pub fn derived_scratch_elems(schedule: &[SuperPass]) -> usize {
-    schedule
-        .iter()
-        .filter_map(|sp| sp.relayout())
-        .map(|rl| rl.rows.saturating_mul(rl.cols))
-        .max()
-        .unwrap_or(0)
-}
-
 impl CompiledPlan {
     /// Statically prove this lowered schedule safe to execute: every
     /// index in bounds, every write-set disjoint, every element covered
@@ -971,27 +937,13 @@ impl CompiledPlan {
     pub fn verify(&self) -> Vec<VerifyDiagnostic> {
         let mut diags = verify_schedule(self.n(), self.super_passes());
         diags.extend(verify_flat_passes(self.n(), self.passes()));
-        let derived = derived_scratch_elems(self.super_passes());
-        if derived != self.scratch_elems() {
-            diags.push(VerifyDiagnostic {
-                site: VerifySite::Schedule,
-                provenance: None,
-                invariant: VerifyInvariant::Scratch,
-                message: format!(
-                    "declared scratch requirement {} differs from the derived \
-                     largest gathered block {derived}",
-                    self.scratch_elems()
-                ),
-            });
-        }
         if let Some(batch) = self.batch_schedule() {
             diags.extend(verify_batch(self.n(), batch));
             for w in BATCH_LANE_WIDTHS {
                 let declared = self.batch_scratch_elems(w);
                 let expected = batch
                     .cross_tile_cols(self.size(), w)
-                    .and_then(|tc| tc.checked_mul(w))
-                    .map(|tile| tile.max(derived));
+                    .and_then(|tc| tc.checked_mul(w));
                 if expected != Some(declared) {
                     diags.push(VerifyDiagnostic {
                         site: VerifySite::Batch { pass: None },
@@ -1004,43 +956,6 @@ impl CompiledPlan {
                     });
                 }
             }
-        }
-        diags
-    }
-
-    /// Check a caller-provided scratch buffer size against the verified
-    /// requirement — the preallocation guard for callers that size
-    /// scratch once up front (per-worker buffers in a service) instead of
-    /// letting [`CompiledPlan::apply_with_scratch`] grow it: a buffer
-    /// below the derived requirement comes back as a
-    /// [`VerifyInvariant::Scratch`] diagnostic, and any drift between the
-    /// declared and derived requirement is reported exactly as
-    /// [`CompiledPlan::verify`] would.
-    pub fn verify_scratch(&self, provided_elems: usize) -> Vec<VerifyDiagnostic> {
-        let mut diags = Vec::new();
-        let derived = derived_scratch_elems(self.super_passes());
-        if derived != self.scratch_elems() {
-            diags.push(VerifyDiagnostic {
-                site: VerifySite::Schedule,
-                provenance: None,
-                invariant: VerifyInvariant::Scratch,
-                message: format!(
-                    "declared scratch requirement {} differs from the derived \
-                     largest gathered block {derived}",
-                    self.scratch_elems()
-                ),
-            });
-        }
-        if provided_elems < derived {
-            diags.push(VerifyDiagnostic {
-                site: VerifySite::Schedule,
-                provenance: None,
-                invariant: VerifyInvariant::Scratch,
-                message: format!(
-                    "provided scratch of {provided_elems} elements is below the \
-                     derived requirement {derived}"
-                ),
-            });
         }
         diags
     }

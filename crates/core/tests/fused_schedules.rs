@@ -5,8 +5,10 @@
 //! silently-accepted schedule that would make the unsafe executor read or
 //! write out of bounds.
 
-use wht_core::VerifyInvariant::{self, Bounds, Coverage, Overflow, Structure};
-use wht_core::{CompiledPlan, ExecPolicy, FusionPolicy, Plan, Relayout, SuperPass, WhtError};
+use wht_core::VerifyInvariant::{self, Bounds, Coverage, Disjointness, Overflow, Structure};
+use wht_core::{
+    ColumnTail, CompiledPlan, ExecPolicy, FusionPolicy, Plan, RelayoutPolicy, SuperPass, WhtError,
+};
 
 /// A correct tile-relative part for a `tile`-element tile: `small[k]`
 /// covering the tile exactly once at stride `s`.
@@ -242,32 +244,32 @@ fn absurd_extents_return_typed_errors_not_overflow_panics() {
 
 #[test]
 fn well_formed_hand_built_relayout_schedule_is_accepted() {
-    // The shape relayout() makes for iterative(6) fused at 2^2: a 4-factor
-    // head over 4-element tiles, then a relayout unit gathering the
-    // 4-pass... here 4-row tail: rows 4 (2^6/2^4... keep it simple):
-    // fused head covers factors at strides 1..8 (tile 16), the 2-factor
-    // tail is viewed as a 4 x 16 matrix gathered 8 columns at a time.
-    let n = 6u32;
+    // The shape the tail stage makes for iterative(8) fused at 2^5: a
+    // 5-factor head over 32-element tiles, then a column tail over the
+    // 3-factor tail at in-place strides 32, 64 and 128, viewed as an
+    // 8 × 32 matrix and replayed 16 columns (a 128-element chunk) at a
+    // time.
+    let n = 8u32;
     let head = SuperPass::new(
         vec![
-            part(1, 1, 16),
-            part(1, 2, 16),
-            part(1, 4, 16),
-            part(1, 8, 16),
+            part(1, 1, 32),
+            part(1, 2, 32),
+            part(1, 4, 32),
+            part(1, 8, 32),
+            part(1, 16, 32),
         ],
-        16,
-        4,
+        32,
+        8,
         0,
         1,
     );
-    // Scratch block of 4 rows x 8 cols = 32 elements; tail factors at
-    // scratch strides 8 and 16.
-    let tail = SuperPass::new_relayout(
-        vec![part(1, 8, 32), part(1, 16, 32)],
-        Relayout {
-            rows: 4,
-            row_stride: 16,
-            cols: 8,
+    // Chunk coordinates: the in-place strides 32·c read 16·c.
+    let tail = SuperPass::new_columns(
+        n,
+        vec![part(1, 16, 128), part(1, 32, 128), part(1, 64, 128)],
+        ColumnTail {
+            period: 32,
+            cols: 16,
         },
     );
     let plan = CompiledPlan::from_super_passes(n, vec![head, tail]).unwrap();
@@ -276,14 +278,11 @@ fn well_formed_hand_built_relayout_schedule_is_accepted() {
     let want = CompiledPlan::compile_exec(
         &Plan::iterative(n).unwrap(),
         &ExecPolicy::all_disabled()
-            .with_fusion(FusionPolicy::new(16))
-            .with_relayout(wht_core::RelayoutPolicy {
-                min_passes: 2, // the hand-built tail is exactly two factors
-                ..wht_core::RelayoutPolicy::eager(32)
-            }),
+            .with_fusion(FusionPolicy::new(32))
+            .with_relayout(RelayoutPolicy::new(128)),
     );
     assert_eq!(plan.super_passes(), want.super_passes());
-    let mut x: Vec<i64> = (0..64).map(|j| (j * 5 % 17) - 8).collect();
+    let mut x: Vec<i64> = (0..256).map(|j| (j * 5 % 17) - 8).collect();
     let mut y = x.clone();
     plan.apply(&mut x).unwrap();
     want.apply(&mut y).unwrap();
@@ -292,102 +291,73 @@ fn well_formed_hand_built_relayout_schedule_is_accepted() {
 
 #[test]
 fn relayout_geometry_violations_rejected() {
-    // Matrix view not covering the vector: 4 x 8 = 32 of 64 elements
-    // (the 2-block grid of 16-element tiles falls short first).
-    let bad = SuperPass::new_relayout(
-        vec![part(1, 4, 16), part(1, 8, 16)],
-        Relayout {
-            rows: 4,
-            row_stride: 8,
-            cols: 4,
+    // Column units on a 64-element vector (n = 6), period 16, 8-column
+    // chunks of 4 × 8 = 32 elements unless stated otherwise.
+    let g = ColumnTail {
+        period: 16,
+        cols: 8,
+    };
+    // A part whose in-place stride is not a multiple of the period: in
+    // chunk coordinates its inner extent 4 is half a chunk column.
+    let unclosed = SuperPass::new_columns(6, vec![part(1, 4, 32)], g);
+    assert_rejects(
+        6,
+        vec![unclosed],
+        0,
+        Disjointness,
+        "inner extent 4 is not a multiple of the chunk width 8",
+    );
+    // A chunk width that is not a power of two (so cannot divide the
+    // power-of-two period), and one wider than the period.
+    for cols in [6usize, 32] {
+        let ragged = SuperPass::new_columns(6, vec![part(1, 8, 32)], ColumnTail { cols, ..g });
+        assert_rejects(
+            6,
+            vec![ragged],
+            0,
+            Disjointness,
+            &format!("chunks of {cols} columns do not partition the 16 residues"),
+        );
+    }
+    // A part that does not span the whole vector: it covers half of
+    // each chunk.
+    let short_part = SuperPass::new_columns(6, vec![part(1, 8, 16)], g);
+    assert_rejects(
+        6,
+        vec![short_part],
+        0,
+        Coverage,
+        "does not write every element of its tile exactly once",
+    );
+    // Empty geometry.
+    let empty = SuperPass::new_columns(6, vec![part(1, 8, 32)], ColumnTail { cols: 0, ..g });
+    assert_rejects(6, vec![empty], 0, Structure, "empty column geometry");
+    // Absurd extents return typed errors, not overflow panics: a period
+    // past the vector, and a part grid whose span overflows.
+    let far = SuperPass::new_columns(
+        6,
+        vec![part(1, 8, 32)],
+        ColumnTail {
+            period: 1 << 62,
+            cols: 8,
         },
     );
     assert_rejects(
         6,
-        vec![bad],
+        vec![far],
         0,
-        Coverage,
-        "span 32, not the 64-element vector",
+        Bounds,
+        "does not divide the 64-element vector",
     );
-    // Columns that do not partition the row length (6 % 4 != 0): the
-    // 6 / 4 = 1-block grid leaves half the vector uncovered, which the
-    // verifier reports first.
-    let ragged = SuperPass::new_relayout(
-        vec![part(1, 4, 16)],
-        Relayout {
-            rows: 4,
-            row_stride: 6,
-            cols: 4,
-        },
+    let huge = SuperPass::new_columns(
+        6,
+        vec![wht_core::Pass {
+            r: usize::MAX,
+            ..part(1, 8, 32)
+        }],
+        g,
     );
-    assert_rejects(
-        5,
-        vec![ragged],
-        0,
-        Coverage,
-        "span 16, not the 32-element vector",
-    );
-    // Empty geometry.
-    let empty = SuperPass::new_relayout(
-        vec![part(1, 1, 2)],
-        Relayout {
-            rows: 0,
-            row_stride: 4,
-            cols: 2,
-        },
-    );
-    assert_rejects(
-        4,
-        vec![empty],
-        0,
-        Structure,
-        "empty tile grid (2 tiles × 0 elements)",
-    );
-    // A part that does not tile the gathered block exactly once; its
-    // inner extent is not even a whole gathered column.
-    let short_part = SuperPass::new_relayout(
-        vec![part(1, 1, 4)],
-        Relayout {
-            rows: 4,
-            row_stride: 4,
-            cols: 2,
-        },
-    );
-    assert_rejects(
-        4,
-        vec![short_part],
-        0,
-        Structure,
-        "inner extent 1 is not a multiple of the gathered column width 2",
-    );
-    // A part that covers its gathered block exactly but at an inner
-    // extent below one column: its in-place replay has an empty grid,
-    // which must be diagnosed, not underflow.
-    let sub_column = SuperPass::new_relayout(
-        vec![part(3, 1, 8)],
-        Relayout {
-            rows: 2,
-            row_stride: 8,
-            cols: 4,
-        },
-    );
-    assert_rejects(
-        4,
-        vec![sub_column],
-        0,
-        Structure,
-        "inner extent 1 is not a multiple of the gathered column width 4",
-    );
-    // Absurd geometry extents return typed errors, not overflow panics.
-    let absurd = SuperPass::new_relayout(
-        vec![part(1, 1, 2)],
-        Relayout {
-            rows: usize::MAX,
-            row_stride: usize::MAX,
-            cols: usize::MAX,
-        },
-    );
-    assert_rejects(4, vec![absurd], 0, Coverage, "not the 16-element vector");
+    assert_rejects(6, vec![huge], 0, Overflow, "span r·2^k·s overflows");
 }
 
 #[test]

@@ -1,9 +1,9 @@
-//! Allocation regression tests for the warm scratch-reuse paths, run
-//! under a counting global allocator: once a caller-owned scratch buffer
-//! has been sized by a first (warmup) application, replaying the same
-//! plan must hit the heap **zero** times — both for the compiled relayout
-//! executor (`CompiledPlan::apply_with_scratch`) and the batched path
-//! (`CompiledPlan::apply_batch_with_scratch`).
+//! Allocation regression tests for the warm replay paths, run under a
+//! counting global allocator: the single-transform replay
+//! (`CompiledPlan::apply`, `apply_plan`) runs in place and must hit the
+//! heap **zero** times, column tail included; and once a caller-owned
+//! scratch buffer has been sized by a first (warmup) application, the
+//! batched path (`CompiledPlan::apply_batch_with_scratch`) must too.
 //!
 //! The counter is per thread: the test harness runs tests (and their
 //! allocations) concurrently, so a process-wide counter would charge one
@@ -12,7 +12,8 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use wht_core::{
-    BatchPolicy, CompiledPlan, ExecPolicy, FusionPolicy, Plan, RelayoutPolicy, Scalar, SimdPolicy,
+    apply_plan, BatchPolicy, CompiledPlan, ExecPolicy, FusionPolicy, Plan, RelayoutPolicy, Scalar,
+    SimdPolicy,
 };
 
 /// System allocator wrapper that counts every allocation (including
@@ -75,21 +76,49 @@ fn signal(n: u32) -> Vec<f64> {
         .collect()
 }
 
-#[test]
-fn compiled_relayout_with_scratch_does_not_allocate_after_warmup() {
-    let n = 14u32;
-    let relaid = CompiledPlan::compile_exec(
+/// A column-tail schedule at n = 14: a head fused at 2^6, then the
+/// 8-factor tail in 2^9-element chunks.
+fn column_tail_schedule(n: u32) -> CompiledPlan {
+    let tailed = CompiledPlan::compile_exec(
         &Plan::iterative(n).unwrap(),
         &ExecPolicy::all_disabled()
             .with_fusion(FusionPolicy::new(1 << 6))
-            .with_relayout(RelayoutPolicy::eager(1 << 9))
+            .with_relayout(RelayoutPolicy::new(1 << 9))
             .with_simd(SimdPolicy::auto()),
     );
-    assert!(relaid.has_relayout());
+    assert!(tailed.has_relayout());
+    tailed
+}
+
+#[test]
+fn apply_plan_and_column_tail_apply_do_not_allocate() {
+    let n = 14u32;
+    let tailed = column_tail_schedule(n);
+    let plan = Plan::iterative(n).unwrap();
+    let mut x = signal(n);
+    // Warm apply_plan's per-thread schedule cache.
+    apply_plan(&plan, &mut x).unwrap();
+
+    let before = allocations();
+    apply_plan(&plan, &mut x).unwrap();
+    tailed.apply(&mut x).unwrap();
+    tailed.apply(&mut x).unwrap();
+    let after = allocations();
+    assert_eq!(
+        after - before,
+        0,
+        "warm apply_plan and column-tail replays must not touch the heap"
+    );
+}
+
+#[test]
+fn compiled_relayout_with_scratch_does_not_allocate_after_warmup() {
+    let n = 14u32;
+    let relaid = column_tail_schedule(n);
     let mut x = signal(n);
     let mut scratch: Vec<f64> = Vec::new();
     relaid.apply_with_scratch(&mut x, &mut scratch).unwrap();
-    assert_eq!(scratch.len(), relaid.scratch_elems());
+    assert!(scratch.is_empty(), "the column tail runs in place");
 
     let mut y = signal(n);
     let before = allocations();
@@ -99,15 +128,14 @@ fn compiled_relayout_with_scratch_does_not_allocate_after_warmup() {
     assert_eq!(
         after - before,
         0,
-        "warm relayout replays must not touch the heap"
+        "warm column-tail replays must not touch the heap"
     );
 }
 
 #[test]
 fn apply_batch_with_scratch_does_not_allocate_after_warmup() {
     // The batched-small fast path: the first call sizes the scratch for
-    // the transposed cross tile (and the per-row schedule, which also
-    // serves the remainder rows), then every warm batch — engaged lane
+    // the transposed cross tile, then every warm batch — engaged lane
     // groups, remainder, and all — must be allocation-free.
     let n = 10u32;
     let compiled = CompiledPlan::compile(&Plan::iterative(n).unwrap()).lower(&ExecPolicy {

@@ -298,117 +298,14 @@ proptest! {
         prop_assert_eq!(plan.n(), n);
         prop_assert!(plan.validate().is_ok());
     }
-
-    /// scatter(gather(x)) is the identity on the strided buffer and the
-    /// copies never touch elements outside their geometry — for random
-    /// row counts, strides, widths, and bases.
-    #[test]
-    fn scatter_of_gather_is_identity(
-        rows in 1usize..24,
-        row_stride in 1usize..40,
-        cols_sel in 1usize..40,
-        base in 0usize..32,
-        pad in 0usize..16,
-        seed in any::<u64>(),
-    ) {
-        use wht_core::{gather_rows_checked, scatter_rows_checked};
-        let cols = cols_sel.min(row_stride);
-        let len = base + (rows - 1) * row_stride + cols + pad;
-        let x: Vec<i64> = (0..len)
-            .map(|j| ((j as u64).wrapping_mul(seed | 1) >> 17) as i64 % 1000)
-            .collect();
-        let mut dst = vec![0i64; rows * cols + pad];
-        gather_rows_checked(&x, base, rows, row_stride, cols, &mut dst).unwrap();
-        // The gathered block is exactly the strided rows, row-major.
-        for u in 0..rows {
-            for g in 0..cols {
-                prop_assert_eq!(dst[u * cols + g], x[base + u * row_stride + g]);
-            }
-        }
-        // Scattering it back over a scrambled buffer restores exactly the
-        // gathered elements and nothing else.
-        let mut back: Vec<i64> = x.iter().map(|v| v.wrapping_add(7)).collect();
-        scatter_rows_checked(&mut back, base, rows, row_stride, cols, &dst).unwrap();
-        for (j, (orig, now)) in x.iter().zip(back.iter()).enumerate() {
-            let u = j.wrapping_sub(base) / row_stride.max(1);
-            let g = j.wrapping_sub(base) % row_stride.max(1);
-            let touched = j >= base && u < rows && g < cols;
-            if touched {
-                prop_assert_eq!(now, orig, "slot {} must be restored", j);
-            } else {
-                prop_assert_eq!(*now, orig.wrapping_add(7), "slot {} must be untouched", j);
-            }
-        }
-    }
-}
-
-/// Typed-error negative tests for the gather/scatter kernels, matching
-/// the `apply_codelet_checked` diagnosis contract: configuration errors
-/// (zero stride, overlapping rows) come back as `WhtError::InvalidStride`,
-/// short buffers as `LengthMismatch` — never a panic, never a disguised
-/// error kind.
-#[test]
-fn gather_scatter_reject_bad_geometry_with_typed_errors() {
-    use wht_core::{gather_rows_checked, scatter_rows_checked, WhtError};
-    let x = vec![0f64; 64];
-    let mut dst = vec![0f64; 64];
-    // Zero row stride and zero cols are configuration errors.
-    assert_eq!(
-        gather_rows_checked(&x, 0, 4, 0, 1, &mut dst),
-        Err(WhtError::InvalidStride { stride: 0 })
-    );
-    assert_eq!(
-        gather_rows_checked(&x, 0, 4, 8, 0, &mut dst),
-        Err(WhtError::InvalidStride { stride: 0 })
-    );
-    // Overlapping rows (cols > row_stride) alias: a stride problem, not a
-    // length problem.
-    assert_eq!(
-        gather_rows_checked(&x, 0, 4, 2, 3, &mut dst),
-        Err(WhtError::InvalidStride { stride: 2 })
-    );
-    // Out-of-bounds base: the last source element is past the buffer.
-    let err = gather_rows_checked(&x, 60, 4, 8, 2, &mut dst).unwrap_err();
-    assert_eq!(
-        err,
-        WhtError::LengthMismatch {
-            expected: 60 + 3 * 8 + 2,
-            got: 64
-        }
-    );
-    // Destination too small for the gathered block.
-    let mut tiny = vec![0f64; 7];
-    assert_eq!(
-        gather_rows_checked(&x, 0, 4, 8, 2, &mut tiny),
-        Err(WhtError::LengthMismatch {
-            expected: 8,
-            got: 7
-        })
-    );
-    // Scatter shares the whole contract with the roles swapped.
-    let src = vec![0f64; 64];
-    let mut out = vec![0f64; 64];
-    assert_eq!(
-        scatter_rows_checked(&mut out, 0, 4, 0, 1, &src),
-        Err(WhtError::InvalidStride { stride: 0 })
-    );
-    assert!(matches!(
-        scatter_rows_checked(&mut out, 61, 4, 8, 2, &src),
-        Err(WhtError::LengthMismatch { .. })
-    ));
-    // Absurd extents must flow into typed errors, not overflow panics.
-    assert!(matches!(
-        gather_rows_checked(&x, usize::MAX, usize::MAX, usize::MAX, 2, &mut dst),
-        Err(WhtError::LengthMismatch { .. } | WhtError::InvalidConfig(_))
-    ));
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// The acceptance harness for the relayout tail: at n = 16..=20, for
-    /// random plans and fusion × gathered-block budget combinations, the
-    /// relayouted compiled executor (scalar and SIMD) is bit-identical to
+    /// The acceptance harness for the column tail: at n = 16..=20, for
+    /// random plans and fusion × chunk budget combinations, the
+    /// column-tail compiled executor (scalar and SIMD) is bit-identical to
     /// the recursive interpreter, for all four scalar types.
     #[test]
     fn relayout_differential_harness_to_n20(
@@ -431,7 +328,7 @@ proptest! {
         let plan = random_plan(n, seed);
         let tail = ExecPolicy::all_disabled()
             .with_fusion(FusionPolicy::new(fuse_budget))
-            .with_relayout(RelayoutPolicy::eager(block_budget));
+            .with_relayout(RelayoutPolicy::new(block_budget));
         let relaid = CompiledPlan::compile_exec(&plan, &tail);
         let simd = CompiledPlan::compile_exec(&plan, &tail.with_simd(SimdPolicy::auto()));
         prop_assert!(relaid.verify().is_empty());
@@ -448,11 +345,11 @@ proptest! {
     }
 
     /// The acceptance harness for the re-codeleted tail (lowering stage
-    /// 3): at n = 16..=20, for random plans and fusion × gathered-block ×
+    /// 3): at n = 16..=20, for random plans and fusion × chunk budget ×
     /// merged-codelet-cap combinations, the re-codeleted executor (scalar
     /// and SIMD) is bit-identical to the recursive interpreter *and* the
-    /// per-factor relayout executor it rewrites, for all four scalar types — the same butterfly DAG in a
-    /// bigger codelet.
+    /// per-factor column-tail executor it rewrites, for all four scalar
+    /// types — the same butterfly DAG in a bigger codelet.
     #[test]
     fn recodelet_differential_harness_to_n20(
         n in 16u32..=20,
@@ -488,7 +385,7 @@ proptest! {
         let plan = random_plan(n, seed);
         let tail = ExecPolicy::all_disabled()
             .with_fusion(FusionPolicy::new(fuse_budget))
-            .with_relayout(RelayoutPolicy::eager(block_budget));
+            .with_relayout(RelayoutPolicy::new(block_budget));
         let relaid = CompiledPlan::compile_exec(&plan, &tail);
         let merging = tail.with_recodelet(RecodeletPolicy::new(max_k));
         let merged = CompiledPlan::compile_exec(&plan, &merging);
@@ -619,7 +516,9 @@ proptest! {
     /// Streaming (non-temporal scatter + prefetched gather) is a pure
     /// memory-system policy: an eagerly-streamed replay is bit-identical
     /// to the cached replay of the same lowered schedule, for random
-    /// plans and relayout geometries, over every scalar type.
+    /// plans and column-tail geometries, over every scalar type. (The
+    /// stream stage marks only the batch product's copies, so a single
+    /// transform must replay identically whatever it says.)
     #[test]
     fn streamed_replay_is_bit_identical_to_cached(
         n in 8u32..=14,
@@ -637,7 +536,7 @@ proptest! {
         }
         let plan = random_plan(n, seed);
         let base = ExecPolicy::default()
-            .with_relayout(RelayoutPolicy::eager(1usize << relayout_bits))
+            .with_relayout(RelayoutPolicy::new(1usize << relayout_bits))
             .with_simd(if simd_on { SimdPolicy::auto() } else { SimdPolicy::disabled() });
         let cached = CompiledPlan::compile(&plan)
             .lower(&base.with_stream(StreamPolicy::disabled()));
@@ -658,7 +557,7 @@ proptest! {
 fn streamed_replay_matches_cached_at_n20() {
     let n = 20u32;
     let plan = random_plan(n, 0x57_AE_A3);
-    let base = ExecPolicy::default().with_relayout(RelayoutPolicy::eager(1 << 10));
+    let base = ExecPolicy::default().with_relayout(RelayoutPolicy::new(1 << 10));
     let cached = CompiledPlan::compile(&plan).lower(&base.with_stream(StreamPolicy::disabled()));
     let streamed = CompiledPlan::compile(&plan).lower(&base.with_stream(StreamPolicy::eager()));
     assert!(streamed.verify().is_empty());

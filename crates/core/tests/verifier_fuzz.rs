@@ -8,10 +8,10 @@
 //!   the corpus — must verify clean, for the super-pass schedule, the
 //!   flat view, and the batched product alike.
 //! - **Sensitivity of the verifier** (mutation): deliberately corrupted
-//!   schedules (stride, offset, exponent, grid, relayout geometry, batch
-//!   split, scratch claim) must each be *rejected* with a diagnostic
+//!   schedules (stride, offset, exponent, grid, column geometry, batch
+//!   split) must each be *rejected* with a diagnostic
 //!   naming the violated invariant — no silent acceptance. Corruptions
-//!   are injected through `SuperPass::new`/`new_relayout` (unchecked
+//!   are injected through `SuperPass::new`/`new_columns` (unchecked
 //!   carriers by design) and the slice-based `verify_*` entry points,
 //!   since `CompiledPlan::from_super_passes` refuses to carry an invalid
 //!   schedule at all.
@@ -23,8 +23,8 @@ use wht_core::verify::{
     VerifySite,
 };
 use wht_core::{
-    compiled_for_exec, BatchPolicy, CompiledPlan, ExecPolicy, FusionPolicy, Pass, Provenance,
-    RecodeletPolicy, Relayout, RelayoutPolicy, Scalar, SimdPolicy, StreamPolicy, SuperPass,
+    compiled_for_exec, BatchPolicy, ColumnTail, CompiledPlan, ExecPolicy, FusionPolicy, Pass,
+    Provenance, RecodeletPolicy, RelayoutPolicy, Scalar, SimdPolicy, StreamPolicy, SuperPass,
     WhtError, MAX_N,
 };
 
@@ -58,7 +58,7 @@ fn random_policy(rng: &mut Rng) -> ExecPolicy {
         0 => RelayoutPolicy::disabled(),
         // `eager` drops the size floor so small fuzzed transforms
         // actually engage the stage.
-        _ => RelayoutPolicy::eager(1usize << (6 + rng.below(10))),
+        _ => RelayoutPolicy::new(1usize << (6 + rng.below(10))),
     };
     let recodelet = match rng.below(3) {
         0 => RecodeletPolicy::disabled(),
@@ -207,8 +207,7 @@ fn assert_rejects(diags: &[VerifyDiagnostic], want: VerifyInvariant, ctx: &str) 
     );
 }
 
-/// A diagnostic names every stage that shaped the offending unit,
-/// including the stream stage.
+/// A diagnostic names every stage that shaped the offending unit.
 #[test]
 fn diagnostic_display_names_every_provenance_stage() {
     let diag = VerifyDiagnostic {
@@ -220,14 +219,13 @@ fn diagnostic_display_names_every_provenance_stage() {
             fused: true,
             relayouted: true,
             recodeleted: 2,
-            streamed: true,
         }),
         invariant: VerifyInvariant::Bounds,
         message: "index 70 past the end of a 64-element vector".to_string(),
     };
     let shown = diag.to_string();
     assert!(
-        shown.ends_with("(provenance: fused=true relayouted=true recodeleted=2 streamed=true)"),
+        shown.ends_with("(provenance: fused=true relayouted=true recodeleted=2)"),
         "{shown}"
     );
 }
@@ -487,15 +485,12 @@ fn fused_tile_escape_is_rejected_as_bounds() {
     );
 }
 
-/// A valid relayout schedule for `n = 6`: three head factors in-place,
-/// three tail factors through an 8×8-matrix gather of 2-column blocks.
-fn valid_relayout_units() -> (u32, Vec<SuperPass>, Relayout) {
+/// A valid column-tail schedule for `n = 6`: three head factors
+/// in-place, three tail factors over the vector viewed as an 8×8 matrix,
+/// replayed 2 columns (a 16-element chunk) at a time.
+fn valid_relayout_units() -> (u32, Vec<SuperPass>, ColumnTail) {
     let n = 6u32;
-    let rl = Relayout {
-        rows: 8,
-        row_stride: 8,
-        cols: 2,
-    };
+    let rl = ColumnTail { period: 8, cols: 2 };
     let mut units: Vec<SuperPass> = (3..6)
         .map(|i| {
             let s = 1usize << i;
@@ -514,9 +509,10 @@ fn valid_relayout_units() -> (u32, Vec<SuperPass>, Relayout) {
             )
         })
         .collect();
-    // Scratch-coordinate tail parts over a 16-element gathered block:
-    // inner extents are whole gathered columns (multiples of cols = 2).
-    units.push(SuperPass::new_relayout(
+    // Chunk-coordinate tail parts over a 16-element chunk: inner
+    // extents are whole chunk columns (multiples of cols = 2).
+    units.push(SuperPass::new_columns(
+        n,
         vec![
             Pass {
                 k: 1,
@@ -555,24 +551,22 @@ fn valid_relayout_baseline_verifies_clean() {
 fn overlapping_relayout_blocks_are_rejected_as_disjointness() {
     let (n, mut units, rl) = valid_relayout_units();
     let parts = units[3].parts().to_vec();
-    // cols = 3 does not divide the 8-column row: gathered blocks overlap
-    // or overrun.
-    units[3] = SuperPass::new_relayout(parts, Relayout { cols: 3, ..rl });
+    // cols = 3 does not divide the 8-column period: chunks overlap or
+    // overrun.
+    units[3] = SuperPass::new_columns(n, parts, ColumnTail { cols: 3, ..rl });
     assert_rejects(
         &verify_schedule(n, &units),
         VerifyInvariant::Disjointness,
-        "relayout cols 2 -> 3",
+        "column cols 2 -> 3",
     );
     let (_, mut units, rl) = valid_relayout_units();
     let parts = units[3].parts().to_vec();
-    units[3] = SuperPass::new_relayout(parts, Relayout { cols: 16, ..rl });
-    // Columns wider than the row leave no whole block at all — the
-    // carrier derives an empty (0-tile) grid, rejected as malformed
-    // structure before any block could overlap.
+    units[3] = SuperPass::new_columns(n, parts, ColumnTail { cols: 16, ..rl });
+    // Chunks wider than the period leave no whole chunk at all.
     assert_rejects(
         &verify_schedule(n, &units),
-        VerifyInvariant::Structure,
-        "relayout cols 2 -> 16 (wider than the row)",
+        VerifyInvariant::Disjointness,
+        "column cols 2 -> 16 (wider than the period)",
     );
 }
 
@@ -580,12 +574,83 @@ fn overlapping_relayout_blocks_are_rejected_as_disjointness() {
 fn corrupted_relayout_view_is_rejected_as_coverage() {
     let (n, mut units, rl) = valid_relayout_units();
     let parts = units[3].parts().to_vec();
-    // 16 × 8 matrix view claims 128 elements of a 64-element vector.
-    units[3] = SuperPass::new_relayout(parts, Relayout { rows: 16, ..rl });
+    // A 4 × 16 matrix view halves the chunk the parts were built for.
+    units[3] = SuperPass::new_columns(n, parts, ColumnTail { period: 16, ..rl });
     assert_rejects(
         &verify_schedule(n, &units),
         VerifyInvariant::Coverage,
-        "relayout rows 8 -> 16",
+        "column period 8 -> 16",
+    );
+}
+
+/// Hand-built column units with each invariant of the chunk kernel
+/// broken: the verifier must reject every one with a typed diagnostic.
+#[test]
+fn column_unit_violations_are_rejected_with_typed_diagnostics() {
+    let (n, units, rl) = valid_relayout_units();
+    let parts = units[3].parts().to_vec();
+    let with_tail = |tail: SuperPass| {
+        let mut units = units.clone();
+        units[3] = tail;
+        verify_schedule(n, &units)
+    };
+    // A part whose in-place stride (12, from chunk extent 3) is not a
+    // multiple of the period 8.
+    let mut unclosed = parts.clone();
+    unclosed[1] = Pass {
+        s: 3,
+        r: 16 / (2 * 3),
+        ..unclosed[1]
+    };
+    assert_rejects(
+        &with_tail(SuperPass::new_columns(n, unclosed, rl)),
+        VerifyInvariant::Disjointness,
+        "part stride not a multiple of the period",
+    );
+    // Chunk widths that are not a power of two, or do not divide the
+    // period.
+    for cols in [3usize, 6, 16] {
+        assert_rejects(
+            &with_tail(SuperPass::new_columns(
+                n,
+                parts.clone(),
+                ColumnTail { cols, ..rl },
+            )),
+            VerifyInvariant::Disjointness,
+            &format!("chunk width {cols}"),
+        );
+    }
+    // A part that does not span the whole vector: half a chunk.
+    let mut short = parts.clone();
+    short[2] = Pass { r: 1, ..short[1] };
+    assert_rejects(
+        &with_tail(SuperPass::new_columns(n, short, rl)),
+        VerifyInvariant::Coverage,
+        "part spanning half of each chunk",
+    );
+    // Absurd extents: a period past the vector, and a part grid whose
+    // span overflows.
+    assert_rejects(
+        &with_tail(SuperPass::new_columns(
+            n,
+            parts.clone(),
+            ColumnTail {
+                period: 1 << 40,
+                cols: 2,
+            },
+        )),
+        VerifyInvariant::Bounds,
+        "period past the vector",
+    );
+    let mut huge = parts;
+    huge[0] = Pass {
+        r: usize::MAX,
+        ..huge[0]
+    };
+    assert_rejects(
+        &with_tail(SuperPass::new_columns(n, huge, rl)),
+        VerifyInvariant::Overflow,
+        "part grid overflows",
     );
 }
 
@@ -704,19 +769,6 @@ fn corrupted_batch_splits_are_rejected() {
         &diags,
         VerifyInvariant::Disjointness,
         "cross pass s 2 -> 3 (tile splits a butterfly)",
-    );
-}
-
-#[test]
-fn undersized_scratch_claim_is_rejected_as_scratch() {
-    let (n, units, _) = valid_relayout_units();
-    let compiled = CompiledPlan::from_super_passes(n, units).unwrap();
-    assert_eq!(compiled.scratch_elems(), 16, "gathered block is 8x2");
-    assert_eq!(compiled.verify_scratch(16), vec![]);
-    assert_rejects(
-        &compiled.verify_scratch(15),
-        VerifyInvariant::Scratch,
-        "scratch claim one element short",
     );
 }
 

@@ -40,27 +40,19 @@
 //!   inherits the fusion layer's locality. It keeps its tiles even when
 //!   there are fewer of them than workers: replaying a fused unit
 //!   pass-major would cost one barrier and one sweep per factor.
-//! * A **relayout** super-pass with at least one gathered block per
-//!   worker shards by *block*: a claimed block is gathered into the
-//!   claiming worker's private scratch, streamed through all tail
-//!   factors, and scattered back (`SuperPass::apply_gathered_block`).
-//! * Every other unit — a single-tile direct unit, or a relayout unit
-//!   with fewer blocks than workers — is replayed as its flat, in-place
-//!   factors (`SuperPass::flat_pass`). Consecutive such units form one
-//!   *run* of flat passes, which the engine cuts greedily from the left:
-//!   - A pass at stride `P` opens a **column unit** when `P` holds at
-//!     least two chunks of 256 columns whose elements, across all rows,
-//!     fit the *budget*: the largest tile of any unit with two or more
-//!     tiles (the default fusion budget when there is none). The unit
-//!     takes every following pass of the run whose stride is a multiple
-//!     of `P`. Claim `c` is the residues `[c·cols, (c+1)·cols)` mod `P`,
-//!     and it runs *every* pass of the unit over them, one kernel call
-//!     per row fragment, with no barrier between passes. A large-stride
-//!     tail thus costs one barrier and one cache-resident sweep per chunk
-//!     instead of one barrier and one full sweep per pass. `cols` is the
-//!     widest power of two that fits the budget, halved while the unit
-//!     has fewer than four chunks per worker and a halved chunk still
-//!     holds 2^14 elements and 256 columns.
+//! * A **column tail** (the lowered `ColumnTail` super-pass) becomes one
+//!   **column unit** over its in-place factors (`SuperPass::flat_pass`)
+//!   at its own period `P`, re-chunked for the crew (below), when `P`
+//!   has room for two chunks; otherwise its factors are cut like a run.
+//! * Every other unit is a single-tile direct unit, replayed as its flat,
+//!   in-place factor. Consecutive such units form one *run* of flat
+//!   passes, which the engine cuts greedily from the left:
+//!   - A pass at stride `P` opens a column unit of its own when `P` holds
+//!     at least two chunks of 256 columns whose elements, across all
+//!     rows, fit the *budget*: the largest tile of any unit with two or
+//!     more tiles (the default fusion budget when there is none). The
+//!     unit takes every following pass of the run on the same backend
+//!     whose stride is a multiple of `P`.
 //!   - Any other pass is a **pass unit** on its own: claim `i` is a
 //!     contiguous range of invocations (one invocation is one codelet
 //!     call at one grid point) covering at least 2^14 elements (128 KiB
@@ -68,6 +60,15 @@
 //!     claim's partial rows run as one `apply_codelet_cols` call each and
 //!     its whole rows as one `apply_pass_lanes` call; the scalar backend
 //!     runs the codelet loop.
+//!
+//! Claim `c` of a column unit is the residues `[c·cols, (c+1)·cols)` mod
+//! `P`, and it runs *every* pass of the unit over them through the chunk
+//! kernel sequential replay uses (`wht_core::apply_columns`), with no
+//! barrier between passes. A large-stride tail thus costs one barrier and
+//! one cache-resident sweep per chunk instead of one barrier and one full
+//! sweep per pass. `cols` is the widest power of two that fits the
+//! budget, halved while the unit has fewer than four chunks per worker
+//! and a halved chunk still holds 2^14 elements and 256 columns.
 //!
 //! Claim order and grouping never change the butterflies a column sees
 //! or their order, so output stays bit-identical to sequential
@@ -93,9 +94,8 @@
 //! (distinct residues mod `s`), so their element sets are disjoint, and
 //! so are the contiguous invocation ranges of a pass unit's claims.
 //! Distinct *tiles* of one super-pass are disjoint contiguous blocks by
-//! the schedule invariants (`CompiledPlan::verify`), and gathered blocks
-//! partition the vector by column; the parts within a claimed tile or
-//! block run sequentially on the claiming worker.
+//! the schedule invariants (`CompiledPlan::verify`); the parts within a
+//! claimed tile run sequentially on the claiming worker.
 //!
 //! A column unit needs one more fact, the **mod-`P` closure**: every pass
 //! of the unit has a stride `s = m·P`, so each element `j·2^k·s + t +
@@ -104,24 +104,23 @@
 //! ranges) stay write-disjoint across *all* passes of the unit, and no
 //! barrier is needed between them. Each chunk still sees its passes in
 //! schedule order, so every column gets the same butterflies in the same
-//! order as sequentially. The engine checks `s % P == 0` itself before
-//! it groups a pass, since `verify` does not require strides to chain.
+//! order as sequentially. `verify` proves the closure for a lowered
+//! column tail; for a run it groups from single-tile units, whose strides
+//! `verify` does not require to chain, the engine checks `s % P == 0`
+//! itself before it groups a pass.
 //!
 //! Distributing disjoint claims over threads is race-free even though
 //! the *slices* overlap; a raw pointer wrapper carries the buffer across
 //! the workers (the pool's blocked-dispatcher protocol bounds every
 //! worker access by the buffer's lifetime). The barrier between units
 //! orders every cross-unit dependence, and the dispatcher's wait for the
-//! crew to drain orders the last unit before the call returns. A
-//! streamed relayout unit's non-temporal stores are published by the
-//! `sfence` its scatter issues before the worker reaches either, so the
-//! ordering argument is unchanged.
+//! crew to drain orders the last unit before the call returns.
 //!
 //! Because each worker runs the same codelet on the same values as the
 //! sequential schedule, parallel output is **bit-identical** to
 //! sequential output — property-tested in `tests/proptests.rs` (fused,
-//! relayout, column tails, batch; global-pool, per-call-pool, and
-//! sequential against each other).
+//! lowered and engine-grouped column tails, batch; global-pool,
+//! per-call-pool, and sequential against each other).
 //!
 //! ## Batched execution
 //!
@@ -162,8 +161,8 @@ impl Default for Threads {
     }
 }
 
-/// How finely [`build_units`] cuts the units that do not shard by tile or
-/// gathered block (module docs' "Units of work").
+/// How finely [`build_units`] cuts the units that do not shard by tile
+/// (module docs' "Units of work").
 #[derive(Debug, Clone, Copy)]
 struct Grain {
     /// Fewest elements one claim covers unless its unit is smaller.
@@ -269,19 +268,16 @@ impl FlatPass {
 enum Unit<'a> {
     /// Claim indices are tile numbers of the super-pass.
     Tiles(&'a SuperPass),
-    /// Claim indices are gathered-block numbers of a relayout
-    /// super-pass; each claim gathers into the worker's scratch,
-    /// transforms, and scatters back.
-    GatheredBlocks(&'a SuperPass),
     /// One flat pass in `claims` contiguous invocation ranges: claim `i`
     /// is invocations `[i·len, (i+1)·len)` with `len = invocations /
     /// claims`, the last claim taking any remainder.
     Pass { flat: FlatPass, claims: usize },
-    /// Flat passes whose strides are all multiples of `period`: claim `c`
-    /// runs every pass, in order, over the residues `[c·cols,
-    /// (c+1)·cols)` mod `period`.
+    /// Flat passes whose strides are all multiples of `period` (a power
+    /// of two `cols` divides): claim `c` runs every pass, in order, over
+    /// the residues `[c·cols, (c+1)·cols)` mod `period`.
     Columns {
-        run: Vec<FlatPass>,
+        run: Vec<Pass>,
+        backend: PassBackend,
         period: usize,
         cols: usize,
     },
@@ -290,27 +286,22 @@ enum Unit<'a> {
 impl Unit<'_> {
     fn count(&self) -> usize {
         match self {
-            Unit::Tiles(sp) | Unit::GatheredBlocks(sp) => sp.tiles(),
+            Unit::Tiles(sp) => sp.tiles(),
             Unit::Pass { claims, .. } => *claims,
-            Unit::Columns { period, cols, .. } => period.div_ceil(*cols),
+            Unit::Columns { period, cols, .. } => period / cols,
         }
     }
 
     /// Execute claim `i` of this unit on `data`.
     ///
     /// # Safety
-    /// `i < self.count()`, `data` holds the full transform the schedule
-    /// was compiled for, and for [`Unit::GatheredBlocks`] `scratch` holds
-    /// at least the schedule's `scratch_elems()`.
-    unsafe fn exec<T: Scalar>(&self, data: &mut [T], i: usize, scratch: &mut [T]) {
+    /// `i < self.count()` and `data` holds the full transform the
+    /// schedule was compiled for.
+    unsafe fn exec<T: Scalar>(&self, data: &mut [T], i: usize) {
         match self {
             // SAFETY: i < count = tiles() and the buffer holds the full
             // transform (caller contract).
             Unit::Tiles(sp) => unsafe { sp.apply_tile(data, i) },
-            // SAFETY: i < count = tiles(), scratch covers
-            // scratch_elems(), and the buffer holds the full transform
-            // (caller contract).
-            Unit::GatheredBlocks(sp) => unsafe { sp.apply_gathered_block(data, i, scratch) },
             Unit::Pass { flat, claims } => {
                 let inv = flat.pass.invocations();
                 let len = inv / claims;
@@ -319,22 +310,26 @@ impl Unit<'_> {
                 // caller contract.
                 unsafe { flat.run_invocations(data, i * len, end) };
             }
-            Unit::Columns { run, period, cols } => {
-                let c0 = i * cols;
-                let width = (*cols).min(period - c0);
-                for flat in run {
-                    let p = flat.pass;
-                    for j in 0..p.r {
-                        // Every period-long stretch of the row's s = m·P
-                        // columns holds this chunk's residues once.
-                        for t in (c0..p.s).step_by(*period) {
-                            // SAFETY: j < r and t + width <= s, because
-                            // period divides s (checked when the unit
-                            // was built) and c0 + width <= period.
-                            unsafe { flat.run_fragment(data, j, t, width) };
-                        }
-                    }
-                }
+            Unit::Columns {
+                run,
+                backend,
+                period,
+                cols,
+            } => {
+                // SAFETY: every pass is a verified whole-vector pass whose
+                // stride is a multiple of the period (verified for a
+                // column tail, checked by Cut::push_run for a grouped
+                // run), and (i + 1)·cols <= period since cols divides it.
+                unsafe {
+                    wht_core::apply_columns(
+                        data,
+                        run.iter().copied(),
+                        *backend,
+                        *period,
+                        i * cols,
+                        *cols,
+                    )
+                };
             }
         }
     }
@@ -345,7 +340,7 @@ impl Unit<'_> {
 fn build_units(compiled: &CompiledPlan, workers: usize, grain: Grain) -> Vec<Unit<'_>> {
     let schedule = compiled.super_passes();
     // Column chunks stay inside the cache level the schedule's own tiles
-    // or gathered blocks were sized for.
+    // or chunks were sized for.
     let budget = schedule
         .iter()
         .filter(|sp| sp.tiles() > 1)
@@ -361,18 +356,15 @@ fn build_units(compiled: &CompiledPlan, workers: usize, grain: Grain) -> Vec<Uni
     let mut units = Vec::new();
     let mut run = Vec::new();
     for sp in schedule {
-        let unit = if sp.is_relayout() {
-            (sp.tiles() >= workers).then_some(Unit::GatheredBlocks(sp))
-        } else {
-            (sp.tiles() > 1).then_some(Unit::Tiles(sp))
-        };
-        match unit {
-            Some(unit) => {
-                cut.push_run(&mut units, &run);
-                run.clear();
-                units.push(unit);
-            }
-            None => run.extend((0..sp.parts().len()).map(|p| FlatPass::of(sp, p))),
+        if sp.tiles() == 1 && !sp.is_column_tail() {
+            run.extend((0..sp.parts().len()).map(|p| FlatPass::of(sp, p)));
+            continue;
+        }
+        cut.push_run(&mut units, &run);
+        run.clear();
+        match sp.columns() {
+            Some(g) => cut.push_column_tail(&mut units, sp, g.period),
+            None => units.push(Unit::Tiles(sp)),
         }
     }
     cut.push_run(&mut units, &run);
@@ -389,6 +381,23 @@ struct Cut {
 }
 
 impl Cut {
+    /// A lowered column tail as one column unit at its own period
+    /// (`verify` proved every stride a multiple of it), re-chunked for
+    /// the crew; cut like a run when the period has no room for two
+    /// chunks.
+    fn push_column_tail(&self, units: &mut Vec<Unit<'_>>, sp: &SuperPass, period: usize) {
+        let flats: Vec<FlatPass> = (0..sp.parts().len()).map(|p| FlatPass::of(sp, p)).collect();
+        match self.chunk_cols(period) {
+            Some(cols) => units.push(Unit::Columns {
+                run: flats.iter().map(|f| f.pass).collect(),
+                backend: sp.backend(),
+                period,
+                cols,
+            }),
+            None => self.push_run(units, &flats),
+        }
+    }
+
     /// Cut a run of flat passes into column units and pass units,
     /// greedily from the left (module docs' "Units of work").
     fn push_run(&self, units: &mut Vec<Unit<'_>>, run: &[FlatPass]) {
@@ -396,14 +405,20 @@ impl Cut {
         while i < run.len() {
             let period = run[i].pass.s;
             if let Some(cols) = self.chunk_cols(period) {
+                let lanes = run[i].lanes;
                 let end = i
                     + 1
                     + run[i + 1..]
                         .iter()
-                        .take_while(|f| f.pass.s.is_multiple_of(period))
+                        .take_while(|f| f.pass.s.is_multiple_of(period) && f.lanes == lanes)
                         .count();
                 units.push(Unit::Columns {
-                    run: run[i..end].to_vec(),
+                    run: run[i..end].iter().map(|f| f.pass).collect(),
+                    backend: if lanes {
+                        PassBackend::Lanes
+                    } else {
+                        PassBackend::Scalar
+                    },
                     period,
                     cols,
                 });
@@ -459,21 +474,17 @@ fn shard_range(owner: usize, workers: usize, count: usize) -> (usize, usize) {
 /// write before `WorkerPool::run` returns.
 ///
 /// # Safety
-/// `data` must hold the full transform the units were built for;
-/// `scratch` must cover the schedule's `scratch_elems()` whenever any
-/// unit is [`Unit::GatheredBlocks`]; every participating worker must
-/// call this with the same `units`/`counters`/`barrier` and a distinct
-/// `worker < workers`, and `barrier` must have exactly `workers`
-/// parties; `counters` must be fresh (all zero) per dispatch with one
-/// counter per worker per unit.
-#[allow(clippy::too_many_arguments)]
+/// `data` must hold the full transform the units were built for; every
+/// participating worker must call this with the same
+/// `units`/`counters`/`barrier` and a distinct `worker < workers`, and
+/// `barrier` must have exactly `workers` parties; `counters` must be
+/// fresh (all zero) per dispatch with one counter per worker per unit.
 unsafe fn run_units<T: Scalar>(
     data: &mut [T],
     units: &[Unit<'_>],
     counters: &[Vec<AtomicUsize>],
     worker: usize,
     workers: usize,
-    scratch: &mut [T],
     barrier: &PoisonBarrier,
     steals: &AtomicU64,
 ) {
@@ -498,8 +509,8 @@ unsafe fn run_units<T: Scalar>(
                 }
                 for i in base + s..base + (s + chunk).min(rlen) {
                     // SAFETY: i < end <= count by the range arithmetic;
-                    // data/scratch per this function's contract.
-                    unsafe { unit.exec(data, i, scratch) };
+                    // data per this function's contract.
+                    unsafe { unit.exec(data, i) };
                 }
             }
         }
@@ -507,10 +518,8 @@ unsafe fn run_units<T: Scalar>(
             steals.fetch_add(stolen, Ordering::Relaxed);
         }
         // No worker may start unit u+1 before every worker has drained
-        // unit u (the wait also publishes all writes; streamed scatters
-        // published theirs with an sfence before arriving here). A
-        // `false` means a crew member died — bail, the dispatcher
-        // reports the failure.
+        // unit u (the wait also publishes all writes). A `false` means a
+        // crew member died — bail, the dispatcher reports the failure.
         if u + 1 < units.len() && !barrier.wait() {
             return;
         }
@@ -631,14 +640,12 @@ fn run_on<T: Scalar>(
         .collect();
     let barrier = PoisonBarrier::new(crew);
     let steals = AtomicU64::new(0);
-    let needs_scratch = units.iter().any(|u| matches!(u, Unit::GatheredBlocks(_)));
-    let scratch_elems = compiled.scratch_elems();
     let ptr = SendPtr(x.as_mut_ptr());
     // Borrow the whole wrapper so the closure captures `&SendPtr<T>`
     // (not the raw field, which disjoint capture would otherwise grab).
     let ptr = &ptr;
     let len = x.len();
-    let result = pool.run(&|w, arena| {
+    let result = pool.run(&|w, _| {
         // Pool workers beyond the crew sit this dispatch out (the
         // barrier counts only the crew).
         if w >= crew {
@@ -647,11 +654,6 @@ fn run_on<T: Scalar>(
         // Armed before any work: a panic anywhere below poisons the
         // barrier so the rest of the crew bails instead of deadlocking.
         let _guard = PoisonOnPanic(&barrier);
-        let scratch: &mut [T] = if needs_scratch {
-            scratch_words(arena, scratch_elems)
-        } else {
-            &mut []
-        };
         // SAFETY: each claim index is taken by exactly one worker;
         // distinct claims touch disjoint elements (module docs), all
         // within `len` (schedule invariant + the length check above);
@@ -659,10 +661,9 @@ fn run_on<T: Scalar>(
         // pointee outlives every access.
         let data = unsafe { std::slice::from_raw_parts_mut(ptr.0, len) };
         // SAFETY: data holds the full transform (length checked above),
-        // scratch covers scratch_elems() whenever a gathered unit
-        // exists, counters are fresh with one per worker per unit, and
-        // the barrier has exactly `crew` parties.
-        unsafe { run_units(data, units, &counters, w, crew, scratch, &barrier, &steals) };
+        // counters are fresh with one per worker per unit, and the
+        // barrier has exactly `crew` parties.
+        unsafe { run_units(data, units, &counters, w, crew, &barrier, &steals) };
     });
     pool.add_steals(steals.load(Ordering::Relaxed));
     result
@@ -909,11 +910,11 @@ mod tests {
     #[test]
     fn relayout_parallel_matches_sequential_bit_for_bit_in_both_sharding_regimes() {
         use wht_core::{ExecPolicy, FusionPolicy, RelayoutPolicy, SimdPolicy};
-        // Fused head tile 2^6 at n = 14 leaves rows = 2^8 tail rows.
-        // Block budget 2^9 gives cols 2 -> 32 gathered blocks (block
-        // sharding with 8 workers); budget 2^12 gives cols 16 -> 4 blocks
-        // (< 8 workers: replayed in place as column and pass units). Both
-        // must agree with the sequential relayout replay exactly, scalar
+        // Fused head tile 2^6 at n = 14 leaves a column tail at period
+        // 2^6 with 2^8-element columns. Chunk budget 2^9 gives cols 2 ->
+        // 32 chunks, budget 2^12 cols 16 -> 4 chunks; the engine cuts its
+        // own units from the tail's in-place factors either way. Both
+        // must agree with the sequential chunked replay exactly, scalar
         // and SIMD, floats and integers.
         let n = 14u32;
         for plan in [
@@ -926,7 +927,7 @@ mod tests {
                         &plan,
                         &ExecPolicy::all_disabled()
                             .with_fusion(FusionPolicy::new(1 << 6))
-                            .with_relayout(RelayoutPolicy::eager(block_budget))
+                            .with_relayout(RelayoutPolicy::new(block_budget))
                             .with_simd(simd),
                     );
                     assert!(relaid.has_relayout(), "plan {plan}");
@@ -958,12 +959,11 @@ mod tests {
             BatchPolicy, ExecPolicy, FusionPolicy, RecodeletPolicy, RelayoutPolicy, SimdPolicy,
             StreamPolicy,
         };
-        // Same geometry as the relayout test (32 gathered blocks vs 4),
-        // but lowered through the full pipeline so the gathered blocks
-        // replay merged codelets: the parallel engine shards whatever
-        // units the lowered schedule exposes, with no stage-specific
-        // code — block sharding and the in-place replay must both agree
-        // with the sequential re-codeleted replay exactly.
+        // Same geometry as the column-tail test (32 chunks vs 4), but
+        // lowered through the full pipeline so the tail replays merged
+        // codelets: the parallel engine shards whatever units the lowered
+        // schedule exposes — both must agree with the sequential
+        // re-codeleted replay exactly.
         let n = 14u32;
         for plan in [
             Plan::iterative(n).unwrap(),
@@ -973,7 +973,7 @@ mod tests {
                 for simd in [SimdPolicy::auto(), SimdPolicy::disabled()] {
                     let lowered = CompiledPlan::compile(&plan).lower(&ExecPolicy {
                         fusion: FusionPolicy::new(1 << 6),
-                        relayout: RelayoutPolicy::eager(block_budget),
+                        relayout: RelayoutPolicy::new(block_budget),
                         recodelet: RecodeletPolicy::default(),
                         simd,
                         batch: BatchPolicy::default(),
@@ -1017,7 +1017,7 @@ mod tests {
         for plan in [Plan::iterative(n).unwrap(), Plan::balanced(n, 3).unwrap()] {
             let lowered = CompiledPlan::compile(&plan).lower(&ExecPolicy {
                 fusion: FusionPolicy::new(1 << 6),
-                relayout: RelayoutPolicy::eager(1 << 9),
+                relayout: RelayoutPolicy::new(1 << 9),
                 ..ExecPolicy::default()
             });
             let input = noise(n);
@@ -1047,7 +1047,7 @@ mod tests {
         let plan = Plan::iterative(n).unwrap();
         let lowered = CompiledPlan::compile(&plan).lower(&ExecPolicy {
             fusion: FusionPolicy::new(1 << 6),
-            relayout: RelayoutPolicy::eager(1 << 9),
+            relayout: RelayoutPolicy::new(1 << 9),
             ..ExecPolicy::default()
         });
         let input = noise(n);
@@ -1177,16 +1177,14 @@ mod tests {
     fn claim_elems(unit: &Unit<'_>, size: usize) -> Vec<usize> {
         (0..unit.count())
             .map(|i| match unit {
-                Unit::Tiles(sp) | Unit::GatheredBlocks(sp) => sp.tile_elems(),
+                Unit::Tiles(sp) => sp.tile_elems(),
                 Unit::Pass { flat, claims } => {
                     let inv = flat.pass.invocations();
                     let len = inv / claims;
                     let end = if i + 1 == *claims { inv } else { (i + 1) * len };
                     (end - i * len) << flat.pass.k
                 }
-                Unit::Columns { period, cols, .. } => {
-                    (*cols).min(period - i * cols) * (size / period)
-                }
+                Unit::Columns { period, cols, .. } => cols * (size / period),
             })
             .collect()
     }
@@ -1216,9 +1214,10 @@ mod tests {
     fn canonical_schedules_shard_as_head_tiles_plus_one_column_tail() {
         use wht_core::ExecPolicy;
         // The default lowering of Plan::iterative(n) at n = 18 and 20 is a
-        // fused head of 2^17-element tiles plus single-tile k = 1 tail
-        // passes at strides 2^17.. : the head shards by tile and the whole
-        // tail is one column unit, whatever the crew.
+        // fused head of 2^17-element tiles plus a tail at strides 2^17..:
+        // one single-tile k = 1 pass at n = 18, a column tail (one merged
+        // small[3]) at n = 20. The head shards by tile and the whole tail
+        // is one column unit, whatever the crew.
         let pools = [
             crate::pool::WorkerPool::new(2),
             crate::pool::WorkerPool::new(3),
@@ -1348,9 +1347,9 @@ mod tests {
     }
 
     /// The race-detector target: small schedules on explicit pools with a
-    /// fine grain, so one run covers tile, gathered-block, column and
-    /// multi-claim pass units. No global pool is touched (the pools are
-    /// dropped and their workers joined).
+    /// fine grain, so one run covers tile, column (lowered column tails
+    /// and engine-grouped runs) and multi-claim pass units. No global pool
+    /// is touched (the pools are dropped and their workers joined).
     #[test]
     fn small_grain_sharding_matches_sequential_on_explicit_pools() {
         use wht_core::{ExecPolicy, FusionPolicy, RelayoutPolicy, SimdPolicy};
@@ -1363,11 +1362,10 @@ mod tests {
                 .iter()
                 .map(|u| match u {
                     Unit::Tiles(_) => 0,
-                    Unit::GatheredBlocks(_) => 1,
-                    Unit::Columns { .. } => 2,
+                    Unit::Columns { .. } => 1,
                     Unit::Pass { claims, .. } => {
                         assert!(*claims > 1, "a pass unit of one claim");
-                        3
+                        2
                     }
                 })
                 .collect();
@@ -1383,16 +1381,16 @@ mod tests {
         let n = 10u32;
         let plan = Plan::iterative(n).unwrap();
         let pool = crate::pool::WorkerPool::new(3);
-        let mut seen = [false; 4];
+        let mut seen = [false; 3];
         for simd in [SimdPolicy::disabled(), SimdPolicy::auto()] {
             for policy in [
                 ExecPolicy::all_disabled(),
                 ExecPolicy::all_disabled().with_fusion(FusionPolicy::new(1 << 6)),
-                // Two gathered blocks: by block on a crew of 2, in place
-                // on a crew of 3.
+                // A column tail of two 2^9-element chunks, which the
+                // engine re-chunks for the crew.
                 ExecPolicy::all_disabled()
                     .with_fusion(FusionPolicy::new(1 << 6))
-                    .with_relayout(RelayoutPolicy::eager(1 << 9)),
+                    .with_relayout(RelayoutPolicy::new(1 << 9)),
             ] {
                 let compiled = CompiledPlan::compile(&plan).lower(&policy.with_simd(simd));
                 for crew in [2usize, 3] {
@@ -1403,10 +1401,7 @@ mod tests {
                 }
             }
         }
-        assert_eq!(
-            seen, [true; 4],
-            "tiles, gathered blocks, columns, ranged passes"
-        );
+        assert_eq!(seen, [true; 3], "tiles, columns, ranged passes");
     }
 
     #[test]

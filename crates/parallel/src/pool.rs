@@ -22,8 +22,8 @@
 //! Each worker owns a `Vec<u64>` byte arena that survives across jobs
 //! and is lent to every job it runs (`scratch_words` reinterprets it
 //! as `&mut [T]` for the call's scalar type). After the first call at a
-//! given size the warm path allocates **nothing** — the relayout gather
-//! scratch and the batch transpose tile both live in the arena.
+//! given size the warm path allocates **nothing** — the batch transpose
+//! tile lives in the arena.
 //!
 //! ## Locality
 //!

@@ -50,7 +50,7 @@ fn policy_point(
         relayout: if relayout_bits == 0 {
             RelayoutPolicy::disabled()
         } else {
-            RelayoutPolicy::eager(1usize << relayout_bits)
+            RelayoutPolicy::new(1usize << relayout_bits)
         },
         recodelet: if recodelet {
             RecodeletPolicy::default()
@@ -161,8 +161,8 @@ proptest! {
     /// An explicit persistent pool, the default entry point's crew (the
     /// global pool, or a per-call pool for crews past it), and the
     /// sequential replay agree bit for bit on random plans lowered
-    /// through random executor policies (fusion, relayout, re-codeleting,
-    /// SIMD, streaming), for all four scalar types.
+    /// through random executor policies (fusion, column tail,
+    /// re-codeleting, SIMD, streaming), for all four scalar types.
     #[test]
     fn pooled_crew_and_sequential_agree_on_random_lowered_schedules(
         n in 1u32..=13,
@@ -185,8 +185,8 @@ proptest! {
             assert_eq!(crew, seq, "crew of {threads} vs sequential");
         }
         let plan = random_plan(n, seed);
-        // Relayout block budgets below 2^6 are degenerate; fold the low
-        // draws onto "relayout disabled" so that leg stays covered too.
+        // Column chunk budgets below 2^6 are degenerate; fold the low
+        // draws onto "tail stage disabled" so that leg stays covered too.
         let relayout_bits = if relayout_bits < 6 { 0 } else { relayout_bits };
         let policy = policy_point(fuse_bits, relayout_bits, recodelet, simd, 0, stream);
         let lowered = CompiledPlan::compile(&plan).lower(&policy);
@@ -230,8 +230,8 @@ proptest! {
     }
 
     /// Tails of several single-tile passes (small fusion budgets) and
-    /// relayout units with fewer gathered blocks than workers replay in
-    /// place as column units and range-claimed pass units; an explicit
+    /// column tails with fewer chunks than workers replay as the
+    /// engine's column units and range-claimed pass units; an explicit
     /// pool and the default entry point's crew both agree with the
     /// sequential replay bit for bit, for all four scalar types.
     #[test]
@@ -256,8 +256,9 @@ proptest! {
         }
         let crew = [2, 3, 5, 8][crew_pick];
         let plan = random_plan(n, seed);
-        // A block budget of size / 2^b gathers 2^b blocks (b = 1, 2):
-        // fewer than the crew except for 2 blocks on a crew of 2.
+        // A chunk budget of size / 2^b cuts a column tail into 2^b chunks
+        // (b = 1, 2): fewer than the crew except for 2 chunks on a crew
+        // of 2.
         let relayout_bits = if blocks_bits == 0 { 0 } else { n - blocks_bits };
         let policy = policy_point(fuse_bits, relayout_bits, true, simd, 0, false);
         let lowered = CompiledPlan::compile(&plan).lower(&policy);

@@ -278,7 +278,7 @@ pub struct FusedTrafficCost {
     /// The full executor configuration the ranked plans will be lowered
     /// under: the cost function scores `compile(plan).lower(&exec)` —
     /// the exact schedule the executor replays — so every lowering stage
-    /// (fusion's tile blocking, relayout's two-sweep transposes, the
+    /// (fusion's tile blocking, the column tail's chunked sweep, the
     /// re-codeleted tail's merged factors, the kernel backend) shows up
     /// in the ranking the moment it exists, with no per-stage code here.
     pub exec: ExecPolicy,
@@ -377,19 +377,14 @@ impl FusedTrafficCost {
             leaf += work / pass.s.max(1).min(lanes) as f64;
         }
         // Traffic term: sweeps per scheduling unit, off the lowered
-        // schedule. A relayout unit is charged two streamed sweeps — the
-        // gather (strided reads + scratch writes) and the scatter
-        // (scratch reads + strided writes) — instead of the one sweep
-        // per factor its tail would cost in place, so the search picks
-        // relayout exactly where the two transposes beat the saved
-        // sweeps.
+        // schedule. A unit whose tile (a fused tile, a column tail's
+        // chunk) fits the cache streams its span once; one whose tile
+        // does not streams once per part.
         let streamed: usize = compiled
             .super_passes()
             .iter()
             .map(|sp| {
-                let sweeps = if sp.is_relayout() {
-                    2
-                } else if sp.tile_elems() <= self.cache_elems {
+                let sweeps = if sp.tile_elems() <= self.cache_elems {
                     1
                 } else {
                     sp.parts().len()
@@ -514,10 +509,14 @@ mod tests {
         assert!(on.cost(&plan).unwrap() < off.cost(&plan).unwrap());
         // An unbounded budget makes one vector-sized tile, which cannot be
         // cache-resident: the model must charge it the unfused traffic,
-        // not a single sweep. (Re-codeleting pinned off on both sides —
-        // it legitimately merges the unbounded unit's parts, which is a
-        // *real* sweep reduction, not the fusion identity this pins.)
-        let no_recodelet = ExecPolicy::default().with_recodelet(RecodeletPolicy::disabled());
+        // not a single sweep. (Re-codeleting and the column tail pinned
+        // off on both sides — the first legitimately merges the unbounded
+        // unit's parts, the second groups the unfused schedule's
+        // large-stride suffix into resident chunks; both are *real* sweep
+        // reductions, not the fusion identity this pins.)
+        let no_recodelet = ExecPolicy::default()
+            .with_recodelet(RecodeletPolicy::disabled())
+            .with_relayout(RelayoutPolicy::disabled());
         let mut unbounded =
             FusedTrafficCost::with_exec(no_recodelet.with_fusion(FusionPolicy::unbounded()));
         let mut off_plain =
@@ -587,61 +586,49 @@ mod tests {
     }
 
     #[test]
-    fn fused_traffic_scores_relayout_as_two_sweeps_for_the_tail() {
+    fn fused_traffic_scores_a_column_tail_as_one_sweep() {
         // n = 20 with the default 2^17 fusion budget: the fused head is
-        // one resident sweep and the 3-pass tail sweeps three more times.
-        // An eager relayout collapses the tail to its two transpose
-        // sweeps, so the modeled traffic must drop by exactly one
-        // vector sweep — and relayout must never be picked where it
-        // cannot win (the schedule itself declines short tails).
+        // one resident sweep and the 3-pass tail sweeps three more times
+        // in place. The column tail runs all three over one resident
+        // chunk at a time, so the modeled traffic must drop by exactly
+        // two vector sweeps.
         let plan = Plan::iterative(20).unwrap();
-        let fusion = FusionPolicy::default();
         // Tail re-codeleting pinned off on both sides: it changes the
         // leaf-work term (that's its point — asserted below), and this
         // test isolates the traffic charge.
-        let base = ExecPolicy::default()
-            .with_fusion(fusion)
-            .with_recodelet(RecodeletPolicy::disabled());
+        let base = ExecPolicy::default().with_recodelet(RecodeletPolicy::disabled());
         let mut in_place =
             FusedTrafficCost::with_exec(base.with_relayout(RelayoutPolicy::disabled()));
-        let mut relaid = FusedTrafficCost::with_exec(
-            base.with_relayout(RelayoutPolicy::eager(RelayoutPolicy::DEFAULT_BUDGET_ELEMS)),
-        );
+        let mut columns = FusedTrafficCost::with_exec(base);
         let c_in_place = in_place.cost(&plan).unwrap();
-        let c_relaid = relaid.cost(&plan).unwrap();
-        let sweep = relaid.weights.traffic * (2 * (1usize << 20)) as f64;
+        let c_columns = columns.cost(&plan).unwrap();
+        let sweep = columns.weights.traffic * (2 * (1usize << 20)) as f64;
         assert!(
-            (c_in_place - c_relaid - sweep).abs() < 1e-6,
-            "tail of 3 sweeps -> 2 transpose sweeps must save exactly one \
-             ({c_in_place} vs {c_relaid})"
+            (c_in_place - c_columns - 2.0 * sweep).abs() < 1e-6,
+            "tail of 3 sweeps -> 1 chunked sweep must save exactly two \
+             ({c_in_place} vs {c_columns})"
         );
-        // Re-codeleting the relayouted tail merges its chained factors,
-        // shrinking the leaf-work term (fewer load/store passes over the
-        // scratch) while traffic is unchanged — the generic scoring sees
+        // Re-codeleting the column tail merges its chained factors,
+        // shrinking the leaf-work term (fewer load/store passes per
+        // chunk) while traffic is unchanged — the generic scoring sees
         // the stage because it scores the lowered factor list.
-        let mut recodeleted = FusedTrafficCost::with_exec(
-            base.with_relayout(RelayoutPolicy::eager(RelayoutPolicy::DEFAULT_BUDGET_ELEMS))
-                .with_recodelet(RecodeletPolicy::default()),
-        );
+        let mut recodeleted = FusedTrafficCost::default();
         assert!(
-            recodeleted.cost(&plan).unwrap() < c_relaid,
+            recodeleted.cost(&plan).unwrap() < c_columns,
             "the ranking model must see the re-codeleted tail's saved μops"
         );
-        // A 2-pass tail (n = 19) is break-even under the 2-sweep charge,
-        // and the default policy (min_passes = 3) declines to rewrite it
-        // at all — so the two executors and their modeled costs coincide
-        // and plan ranking cannot flip on a non-win.
+        // A 2-pass tail (n = 19) saves one sweep; a 1-pass tail (n = 18)
+        // is left in place, so both executors and their modeled costs
+        // coincide.
         let plan19 = Plan::iterative(19).unwrap();
-        let a = in_place.cost(&plan19).unwrap();
-        let b = relaid.cost(&plan19).unwrap();
+        let sweep19 = sweep / 2.0;
+        let saved = in_place.cost(&plan19).unwrap() - columns.cost(&plan19).unwrap();
+        assert!((saved - sweep19).abs() < 1e-6, "n = 19 saved {saved}");
+        let plan18 = Plan::iterative(18).unwrap();
+        let a = in_place.cost(&plan18).unwrap();
+        let b = columns.cost(&plan18).unwrap();
         assert!((a - b).abs() < 1e-6, "{a} vs {b}");
-        assert!(!CompiledPlan::compile_exec(
-            &plan19,
-            &ExecPolicy::all_disabled()
-                .with_fusion(fusion)
-                .with_relayout(RelayoutPolicy::eager(RelayoutPolicy::DEFAULT_BUDGET_ELEMS))
-        )
-        .has_relayout());
+        assert!(!CompiledPlan::compile_exec(&plan18, &ExecPolicy::default()).has_relayout());
     }
 
     #[test]

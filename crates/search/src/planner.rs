@@ -15,7 +15,7 @@
 //!    composition won each searched size and why.
 //! 2. The chosen plan is lowered through the staged pipeline of
 //!    `wht_core::compile` under the planner's [`ExecPolicy`]
-//!    (fuse → relayout → re-codelet → kernel backend → batch → stream),
+//!    (fuse → column tail → re-codelet → kernel backend → batch → stream),
 //!    and the
 //!    compiled schedule is cached — steady-state traffic is a wisdom hit
 //!    plus a flat schedule replay: zero cost evaluations, zero tree
@@ -926,14 +926,14 @@ mod tests {
 
     #[test]
     fn imported_wisdom_compiles_under_the_importers_policy() {
-        // The recorder runs fusion off and an eager relayout; the importer
+        // The recorder runs fusion off and a small-chunk column tail; the importer
         // keeps its own (default) policy and serves exactly the
         // schedule a fresh planner with that policy compiles.
         let n = 14;
         let input: Vec<f64> = (0..1 << n).map(|j| (j % 11) as f64 - 5.0).collect();
         let mut recorder = pinned_to(|p| {
             p.with_fusion(FusionPolicy::disabled())
-                .with_relayout(RelayoutPolicy::eager(1 << 9))
+                .with_relayout(RelayoutPolicy::new(1 << 9))
         });
         let mut recorded = input.clone();
         recorder.transform(&mut recorded).unwrap();
@@ -1003,24 +1003,24 @@ mod tests {
 
     #[test]
     fn relayout_kill_switch_and_pinning_beat_recorded_tuning() {
-        // The importer's relayout policy alone decides whether a tail that
-        // can be gathered is.
+        // The importer's tail policy alone decides whether a tail that
+        // can be grouped into a column tail is.
         let wisdom = wisdom_with(Plan::iterative(14).unwrap());
         let fused = ExecPolicy::default().with_fusion(FusionPolicy::new(1 << 6));
         let off = fused.with_relayout(RelayoutPolicy::disabled());
         assert!(!served(off, &wisdom, 14).has_relayout());
-        let eager = fused.with_relayout(RelayoutPolicy::eager(1 << 9));
+        let eager = fused.with_relayout(RelayoutPolicy::new(1 << 9));
         assert!(served(eager, &wisdom, 14).has_relayout());
         // binary_iterative(10, 2) fused at 2^6 leaves a 2-pass tail
-        // (strides 64 and 256): gathered only under a policy that allows
-        // two passes, and correct when it is.
+        // (strides 64 and 256), which any engaged policy groups (served()
+        // checks the output); a 1-pass tail is never grouped.
         let two_pass = wisdom_with(Plan::binary_iterative(10, 2).unwrap());
-        assert!(!served(eager, &two_pass, 10).has_relayout());
-        let floor = fused.with_relayout(RelayoutPolicy {
-            min_passes: 2,
-            ..RelayoutPolicy::eager(1 << 9)
-        });
-        assert!(served(floor, &two_pass, 10).has_relayout());
+        assert!(served(eager, &two_pass, 10).has_relayout());
+        let one_pass = wisdom_with(Plan::iterative(10).unwrap());
+        let wide_head = ExecPolicy::default()
+            .with_fusion(FusionPolicy::new(1 << 9))
+            .with_relayout(RelayoutPolicy::new(1 << 8));
+        assert!(!served(wide_head, &one_pass, 10).has_relayout());
     }
 
     #[test]
@@ -1030,7 +1030,7 @@ mod tests {
         let wisdom = wisdom_with(Plan::iterative(14).unwrap());
         let tail = ExecPolicy::default()
             .with_fusion(FusionPolicy::new(1 << 6))
-            .with_relayout(RelayoutPolicy::eager(1 << 9));
+            .with_relayout(RelayoutPolicy::new(1 << 9));
         let per_factor = served(
             tail.with_recodelet(RecodeletPolicy::disabled()),
             &wisdom,

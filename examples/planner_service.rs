@@ -8,9 +8,9 @@
 //! space. Run with `cargo run --release --example planner_service`.
 //!
 //! Executor settings: served transforms replay schedules lowered through
-//! the staged pipeline of `wht_core::compile` — prefix fusion, DDL tail
-//! relayout past the size threshold, re-codeleting, SIMD lane kernels,
-//! batching, streaming stores — under **one** `ExecPolicy`: the one
+//! the staged pipeline of `wht_core::compile` — prefix fusion, the
+//! in-place column tail, re-codeleting, SIMD lane kernels, batching,
+//! streaming stores for large batches — under **one** `ExecPolicy`: the one
 //! `.with_exec(policy)` sets, else `ExecPolicy::default()`, which
 //! `Planner::new` starts from. Wisdom carries only the plans the tuning
 //! process searched, so the serving process runs them under its own
@@ -110,12 +110,12 @@ fn main() -> Result<(), WhtError> {
     let on_off = |on: bool| if on { "on" } else { "off" };
     println!(
         "serving executor config (every size): fusion {} (budget {} elems), \
-         tail relayout {} past {} elems, re-codeleting {} (max small[{}]), \
+         column tail {} (chunks of {} elems), re-codeleting {} (max small[{}]), \
          SIMD lanes {}, batching {} past {} rows",
         on_off(resolved.fusion.enabled()),
         resolved.fusion.budget_elems,
         on_off(resolved.relayout.enabled()),
-        resolved.relayout.min_elems,
+        resolved.relayout.budget_elems,
         on_off(resolved.recodelet.enabled()),
         resolved.recodelet.max_k,
         on_off(resolved.simd.enabled()),

@@ -5,7 +5,7 @@
 //!
 //! | crate | contents |
 //! |-------|----------|
-//! | [`core`] (`wht-core`) | split-tree plans, unrolled codelets, the in-place strided interpreter, and the compiled-plan layer ([`CompiledPlan`](wht_core::CompiledPlan)) behind `apply_plan`: a staged lowering pipeline — cache-blocked pass fusion ([`FusionPolicy`](wht_core::FusionPolicy)) → DDL tail relayout ([`RelayoutPolicy`](wht_core::RelayoutPolicy)) → re-codeleting ([`RecodeletPolicy`](wht_core::RecodeletPolicy)) → SIMD lane-block kernel selection ([`SimdPolicy`](wht_core::SimdPolicy)) → batched-small cross-transform scheduling ([`BatchPolicy`](wht_core::BatchPolicy), behind [`CompiledPlan::apply_batch`](wht_core::CompiledPlan::apply_batch)) → streaming-store/prefetch memory codelets for out-of-LLC replay ([`StreamPolicy`](wht_core::StreamPolicy)) — driven by one [`ExecPolicy`](wht_core::ExecPolicy) passed in code ([`CompiledPlan::lower`](wht_core::CompiledPlan::lower), `compiled_for_exec`, `Planner::with_exec`), every stage on in `ExecPolicy::default()`, which `apply_plan` uses; plus SRHT sketching ([`Srht`](wht_core::Srht)) fused into the batched executor, and the static schedule safety verifier ([`CompiledPlan::verify`](wht_core::CompiledPlan::verify)) proving bounds, write-disjointness, coverage, and scratch sizing of every lowered schedule |
+//! | [`core`] (`wht-core`) | split-tree plans, unrolled codelets, the in-place strided interpreter, and the compiled-plan layer ([`CompiledPlan`](wht_core::CompiledPlan)) behind `apply_plan`: a staged lowering pipeline — cache-blocked pass fusion ([`FusionPolicy`](wht_core::FusionPolicy)) → the in-place column tail, replayed chunk by chunk ([`RelayoutPolicy`](wht_core::RelayoutPolicy)) → re-codeleting ([`RecodeletPolicy`](wht_core::RecodeletPolicy)) → SIMD lane-block kernel selection ([`SimdPolicy`](wht_core::SimdPolicy)) → batched-small cross-transform scheduling ([`BatchPolicy`](wht_core::BatchPolicy), behind [`CompiledPlan::apply_batch`](wht_core::CompiledPlan::apply_batch)) → streaming-store/prefetch memory codelets for out-of-LLC batches ([`StreamPolicy`](wht_core::StreamPolicy)) — driven by one [`ExecPolicy`](wht_core::ExecPolicy) passed in code ([`CompiledPlan::lower`](wht_core::CompiledPlan::lower), `compiled_for_exec`, `Planner::with_exec`), every stage on in `ExecPolicy::default()`, which `apply_plan` uses; plus SRHT sketching ([`Srht`](wht_core::Srht)) fused into the batched executor, and the static schedule safety verifier ([`CompiledPlan::verify`](wht_core::CompiledPlan::verify)) proving bounds, write-disjointness, coverage, and scratch sizing of every lowered schedule |
 //! | [`space`] (`wht-space`) | algorithm-space counting, enumeration, the recursive-split-uniform sampler |
 //! | [`models`] (`wht-models`) | instruction-count model, direct-mapped cache-miss model, combined model, theory |
 //! | [`cachesim`] (`wht-cachesim`) | set-associative LRU cache simulator (Opteron presets) |
@@ -59,8 +59,8 @@ pub mod prelude {
     pub use wht_cachesim::{Cache, CacheConfig, Hierarchy};
     pub use wht_core::{
         apply_plan, apply_plan_recursive, compiled_for_exec, lane_width, naive_wht, parse_plan,
-        to_sequency_order, BatchPolicy, CompiledPlan, ExecPolicy, FusionPolicy, Pass, PassBackend,
-        Plan, Provenance, RecodeletPolicy, Relayout, RelayoutPolicy, Scalar, SimdPolicy, Srht,
+        to_sequency_order, BatchPolicy, ColumnTail, CompiledPlan, ExecPolicy, FusionPolicy, Pass,
+        PassBackend, Plan, Provenance, RecodeletPolicy, RelayoutPolicy, Scalar, SimdPolicy, Srht,
         StreamPolicy, SuperPass, VerifyDiagnostic, VerifyInvariant, WhtError,
     };
     pub use wht_measure::{

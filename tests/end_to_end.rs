@@ -244,7 +244,7 @@ fn planner_relayout_round_trips_and_matches_golden_vectors() {
     let mut tuned = Planner::new(InstructionCost::default()).with_exec(
         ExecPolicy::default()
             .with_fusion(FusionPolicy::new(1 << 6))
-            .with_relayout(RelayoutPolicy::eager(1 << 9)),
+            .with_relayout(RelayoutPolicy::new(1 << 9)),
     );
     let mut a = ints.clone();
     tuned.transform(&mut a).unwrap();

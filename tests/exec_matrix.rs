@@ -36,7 +36,7 @@ fn corner_policy(corner: u8) -> ExecPolicy {
     let off = ExecPolicy::all_disabled();
     ExecPolicy {
         fusion: pick(corner, 0, FusionPolicy::new(1 << 4), off.fusion),
-        relayout: pick(corner, 1, RelayoutPolicy::eager(1 << 6), off.relayout),
+        relayout: pick(corner, 1, RelayoutPolicy::new(1 << 6), off.relayout),
         recodelet: pick(corner, 2, RecodeletPolicy::default(), off.recodelet),
         simd: pick(corner, 3, SimdPolicy::auto(), off.simd),
         batch: pick(corner, 4, BatchPolicy::new(1), off.batch),
@@ -60,13 +60,13 @@ fn marks(c: &CompiledPlan) -> [bool; 6] {
 }
 
 /// Whether a stage has something to rewrite in `corner`: re-codeleting
-/// merges factors within the multi-factor units fusion or relayout build,
-/// and streaming marks relayout copies or the batch product.
+/// merges factors within the multi-factor units fusion or the column tail
+/// build, and streaming marks the batch product's copies.
 fn can_engage(corner: u8, stage: usize) -> bool {
     on(corner, stage)
         && match stage {
             2 => on(corner, 0) || on(corner, 1),
-            5 => on(corner, 1) || on(corner, 4),
+            5 => on(corner, 4),
             _ => true,
         }
 }
@@ -205,33 +205,44 @@ fn each_corner_engages_exactly_the_stages_it_switches_on() {
 #[test]
 fn the_default_policy_engages_every_stage_at_production_sizes() {
     assert_eq!(ExecPolicy::from_env(), ExecPolicy::default());
-    // Compiling touches no data, so a 2^26-element plan is cheap; it is
-    // past the default relayout and streaming floors, iterative(26) fuses
-    // under the default budget, and its relayouted tail re-codelets.
+    // Compiling touches no data, so a 2^26-element plan is cheap: it
+    // fuses a head under the default budget, sweeps the first tail
+    // factor (its columns would be 512 deep, past the 256-row chunk
+    // cap) and groups the other eight into one column tail of
+    // re-codeleted parts of at most eight rows, replayed in place (no
+    // scratch, nothing to stream).
     let plan = Plan::iterative(26).unwrap();
-    assert!(plan.size() >= RelayoutPolicy::default().min_elems);
-    assert!(plan.size() >= StreamPolicy::default().min_elems);
     let compiled = CompiledPlan::compile_exec(&plan, &ExecPolicy::default());
     let units = compiled.super_passes();
-    assert!(units.iter().any(|sp| sp.provenance().fused));
+    assert_eq!(units.len(), 3, "a fused head, one sweep and a column tail");
+    assert!(units[0].provenance().fused && !units[0].is_column_tail());
+    assert_eq!(units[1].parts().len(), 1);
+    assert_eq!(units[1].flat_pass(0).s, 1 << 17);
     assert!(units.iter().all(|sp| sp.backend() == PassBackend::Lanes));
-    assert!(compiled.has_relayout() && compiled.has_recodeleted() && compiled.has_streamed());
+    assert!(compiled.has_relayout() && compiled.has_recodeleted() && !compiled.has_streamed());
     assert!(
         compiled.batch_schedule().is_none(),
         "past the batch size cap"
     );
-    let tail = units.iter().find(|sp| sp.is_relayout()).unwrap();
-    let rl = tail.relayout().unwrap();
-    assert_eq!(rl.rows * rl.row_stride, compiled.size());
+    assert_eq!(compiled.batch_scratch_elems(8), 0, "no scratch");
+    let tail = &units[2];
+    let g = tail.columns().unwrap();
+    assert_eq!(g.period, 1 << 18, "256-row columns");
+    assert_eq!(tail.tile_elems(), compiled.size() / g.period * g.cols);
     assert!(tail.tile_elems() <= RelayoutPolicy::default().budget_elems);
-    assert!(tail.provenance().recodeleted > 0 && tail.provenance().streamed);
+    assert!(tail.parts().iter().all(|p| p.k <= 3), "at most eight rows");
+    assert!(tail.provenance().relayouted && tail.provenance().recodeleted > 0);
 
-    // apply_plan's cache serves the default lowering, batched at n = 12.
+    // apply_plan's cache serves the default lowering, batched at n = 12,
+    // with the stream stage's floor recorded on the batch product.
     let small = Plan::iterative(12).unwrap();
     let served = wht::core::compiled_for(&small);
     let lowered = CompiledPlan::compile_exec(&small, &ExecPolicy::default());
     assert_eq!(*served, lowered);
-    assert!(served.batch_schedule().is_some());
+    assert_eq!(
+        served.batch_schedule().map(|b| b.stream_min_elems()),
+        Some(StreamPolicy::default().min_elems)
+    );
 
     // Every stage off: one trivial, single-tile, scalar unit per pass.
     let baseline = CompiledPlan::compile_exec(&plan, &ExecPolicy::all_disabled());
@@ -239,7 +250,7 @@ fn the_default_policy_engages_every_stage_at_production_sizes() {
     assert!(baseline.batch_schedule().is_none());
     assert!(baseline.super_passes().iter().all(|sp| {
         (sp.parts().len(), sp.tiles(), sp.backend()) == (1, 1, PassBackend::Scalar)
-            && !sp.is_relayout()
+            && !sp.is_column_tail()
             && sp.provenance() == Provenance::default()
     }));
 }
