@@ -60,14 +60,19 @@
 //!    ([`RecodeletPolicy`]) — once a unit's working set is cache-resident
 //!    (a fused tile, a column chunk), its per-factor passes are
 //!    load/store-μop-bound, not memory-bound, and its factors are
-//!    chained (`s, s·2^{k_1}, …`), so consecutive factors regroup into
-//!    larger unrolled codelets: `WHT(2^a) ⊗ WHT(2^b) → WHT(2^{a+b})`, the
-//!    same Kronecker identity the codelets already unroll internally.
-//!    Merging `m` chained factors cuts the unit's load/store passes
-//!    `m`-fold at identical flops — the same butterfly DAG, so output is
-//!    bit-identical. The merge is bounded by a measured per-call
-//!    footprint rule (see the stage docs); single-factor units are never
-//!    touched.
+//!    chained (`s, s·2^{k_1}, …`): together they run the radix-2
+//!    butterfly levels at `s, 2·s, 4·s, …` that every plan runs there, in
+//!    the plan's grouping. The stage re-derives each multi-part unit's
+//!    codelets from those levels: every part `small[k]` expands into its
+//!    `k` chained `small[1]` levels, and consecutive levels merge into
+//!    the largest unrolled codelets `max_k` and a measured per-call
+//!    footprint rule allow (see the stage docs) —
+//!    `WHT(2^a) ⊗ WHT(2^b) ↔ WHT(2^{a+b})`, the same Kronecker identity
+//!    the codelets already unroll internally. Small leaves merge (`m`
+//!    chained factors cost one load/store pass at identical flops) and
+//!    large ones split, so no multi-part unit replays a codelet past
+//!    `max_k` — the same butterfly DAG, so output is bit-identical.
+//!    Single-part units are never touched.
 //! 4. **Backend select** ([`crate::codelets::SimdPolicy`]) — record which
 //!    kernel replays each unit ([`PassBackend`]): the scalar per-column
 //!    codelet loop, or the SIMD lane-block kernels of [`crate::codelets`].
@@ -299,9 +304,12 @@ pub struct Provenance {
     /// The tail stage ([`RelayoutPolicy`]) grouped this unit's factors
     /// into a column super-pass.
     pub relayouted: bool,
-    /// Factors the re-codelet stage merged away in this unit (original
-    /// part count minus re-codeleted part count; `0` when the stage left
-    /// the unit alone).
+    /// Radix-2 levels the re-codelet stage merged away in this unit: the
+    /// unit's levels (the sum of its parts' exponents) minus the codelets
+    /// it replays after the stage, `0` when the stage left the unit
+    /// alone. A radix-2 unit counts the factors merged away; a unit whose
+    /// leaves were split or regrouped (`small[5], small[5]` →
+    /// `small[4], small[4], small[2]`) counts too.
     pub recodeleted: usize,
 }
 
@@ -539,9 +547,8 @@ impl SuperPass {
     /// back to the in-place factor — `s = period · c` over the whole
     /// vector — which is what [`apply_columns`] runs, chunk by chunk, and
     /// what [`CompiledPlan::from_super_passes`] derives the factor list
-    /// from. A factor the re-codelet stage merged maps back the same way
-    /// — to the merged `WHT(2^{k_1+…+k_m})` factor at the original
-    /// in-place stride.
+    /// from. A factor the re-codelet stage regrouped maps back the same
+    /// way — to the regrouped `WHT(2^k)` factor at its in-place stride.
     #[inline]
     pub fn flat_pass(&self, p: usize) -> Pass {
         let part = self.parts[p];
@@ -774,7 +781,8 @@ pub struct CompiledPlan {
     /// The flat factor schedule, one pass per executed factor. Fusion,
     /// the column tail, and backend selection regroup but never change it; the
     /// re-codelet stage is the one rewrite that replaces factors
-    /// (merging chained ones), and it re-derives this list to match.
+    /// (regrouping a multi-part unit's radix-2 levels), and it re-derives
+    /// this list to match.
     passes: Vec<Pass>,
     /// The execution grouping actually replayed by [`CompiledPlan::apply`].
     schedule: Vec<SuperPass>,
@@ -869,8 +877,8 @@ impl CompiledPlan {
         self.schedule.iter().any(SuperPass::is_column_tail)
     }
 
-    /// `true` if the re-codelet stage merged factors anywhere in this
-    /// schedule.
+    /// `true` if the re-codelet stage regrouped factors anywhere in this
+    /// schedule (see [`Provenance::recodeleted`]).
     pub fn has_recodeleted(&self) -> bool {
         self.schedule.iter().any(|sp| sp.provenance.recodeleted > 0)
     }
@@ -1086,8 +1094,9 @@ impl CompiledPlan {
 
     /// The flat factor schedule, in execution order (one pass per
     /// executed factor — one per plan leaf until the re-codeleting
-    /// stage merges chained tail factors). Fusion, the column tail, and
-    /// backend selection never change this list — they regroup it.
+    /// stage regroups a fused tile's or a column tail's factors from their
+    /// radix-2 levels). Fusion, the column tail, and backend selection
+    /// never change this list — they regroup it.
     #[inline]
     pub fn passes(&self) -> &[Pass] {
         &self.passes

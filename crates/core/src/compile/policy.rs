@@ -144,22 +144,26 @@ impl Default for RelayoutPolicy {
 }
 
 /// Policy for the re-codelet stage (stage 3 of
-/// [`CompiledPlan::lower`](crate::compile::CompiledPlan::lower)): how
-/// aggressively the chained factors *within* a scheduling unit — a
-/// fused tile's parts, or a column tail's parts — are
-/// regrouped into larger unrolled codelets (see the module docs'
-/// "re-codeleting the lowered schedule").
+/// [`CompiledPlan::lower`](crate::compile::CompiledPlan::lower)): which
+/// unrolled codelets a multi-part scheduling unit — a fused tile's parts,
+/// or a column tail's parts — replays its radix-2 levels with (see the
+/// module docs' "re-codeleting the lowered schedule").
 ///
 /// A unit's working set is cache-resident by construction (that is what
 /// fusion and the column tail bought), so its per-factor passes are
-/// load/store-μop-bound, not memory-bound; merging `m` chained factors
-/// into one `small[k1+…+km]` codelet cuts the unit's load/store passes
-/// `m`-fold while performing the exact same butterflies (the merge is the
-/// Kronecker identity `WHT(2^a) ⊗ WHT(2^b) = WHT(2^{a+b})` the codelets
-/// already unroll — output is bit-identical).
+/// load/store-μop-bound, not memory-bound. The stage expands every part
+/// `small[k]` of a multi-part unit into its `k` chained `small[1]` levels
+/// and merges them back into the largest codelets this policy allows, so
+/// it regroups both ways: small leaves merge (`m` chained factors become
+/// one `small[k1+…+km]`, cutting the unit's load/store passes `m`-fold)
+/// and leaves past `max_k` split, with the exact same butterflies either
+/// way (the Kronecker identity `WHT(2^a) ⊗ WHT(2^b) = WHT(2^{a+b})` the
+/// codelets already unroll — output is bit-identical). Single-part units
+/// (a single-leaf plan, the unfused baseline's sweeps) are left as they
+/// are.
 ///
 /// Two knobs bound the merge, both measured on the reference host:
-/// `max_k` caps the merged exponent (a `small[8]` at unit stride spills
+/// `max_k` caps the codelet exponent (a `small[8]` at unit stride spills
 /// registers and ran *slower* than two `small[4]`s), and
 /// `footprint_elems` caps a merged codelet call's strided span — a
 /// `small[128]` whose 128 rows sit 8 KiB apart lands every row in one L1
@@ -170,10 +174,11 @@ impl Default for RelayoutPolicy {
 /// flops).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RecodeletPolicy {
-    /// Largest merged codelet exponent: chained factors merge while
-    /// their combined exponent stays `<=` this (capped at
-    /// [`MAX_LEAF_K`], the biggest unrolled codelet). `0` and `1`
-    /// disable the stage — a single factor cannot merge with nothing.
+    /// Largest codelet exponent a multi-part unit replays: its radix-2
+    /// levels merge while their combined exponent stays `<=` this
+    /// (capped at [`MAX_LEAF_K`], the biggest unrolled codelet), so a
+    /// plan's leaf past it is split. `0` and `1` disable the stage: every
+    /// unit keeps the plan's leaves.
     pub max_k: u32,
     /// Largest strided span (elements) one merged codelet call may touch:
     /// factors merge only while `2^k · s` stays `<=` this (or the merged
@@ -189,13 +194,19 @@ pub struct RecodeletPolicy {
 pub const SMALL_MERGE_ROWS: usize = 8;
 
 impl RecodeletPolicy {
-    /// Default merged-codelet cap: `small[4]` (16 elements). Measured on
-    /// the reference host across n = 16–24, `max_k = 4` beat both smaller
+    /// Default codelet cap: `small[4]` (16 elements). Measured on the
+    /// reference host across n = 16–24, `max_k = 4` beat both smaller
     /// caps (more remaining passes) and larger ones (register spills in
     /// the unit-stride head group; footprint violations elsewhere):
     /// lowering the canonical plans' radix-2 schedules to
     /// `[4,4,4,3,2]`-shaped tiles ran 1.9–3.4× faster than per-factor
-    /// replay, while `small[8]` merges gave back a third of that.
+    /// replay, while `small[8]` merges gave back a third of that. The
+    /// same holds for a plan's own leaves: one lane-kernel pass
+    /// (`apply_pass_lanes`, f64) over a 2^17-element tile at inner
+    /// extents 16–64 took 0.24–0.38 ns per element per level as
+    /// `small[5]`/`small[6]` and 0.11–0.20 as `small[3]`/`small[4]` (two
+    /// runs on a 2-vCPU Xeon, 2 MiB L2), which is why the stage splits
+    /// leaves past the cap.
     pub const DEFAULT_MAX_K: u32 = 4;
 
     /// Default per-call footprint cap: `4096` elements (32 KiB of `f64`s
@@ -213,7 +224,7 @@ impl RecodeletPolicy {
         }
     }
 
-    /// Re-codeleting off: every unit keeps one pass per factor.
+    /// Re-codeleting off: every unit keeps one pass per plan leaf.
     pub fn disabled() -> Self {
         RecodeletPolicy {
             max_k: 0,

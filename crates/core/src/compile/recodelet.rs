@@ -1,19 +1,25 @@
 //! Lowering stage 3: re-codeleting the lowered schedule (see the module
 //! docs' "the lowering pipeline").
 //!
-//! ## What merges
+//! ## What regroups
 //!
-//! After fusion and the column tail, every multi-factor scheduling unit —
+//! After fusion and the column tail, every multi-part scheduling unit —
 //! a fused tile's parts, a column tail's parts — replays a run
 //! of **chained** factors over a cache-resident working set: part `i` is
-//! `I(r_i) ⊗ WHT(2^{k_i}) ⊗ I(s_i)` with `s_{i+1} = s_i · 2^{k_i}`. Each
-//! factor is one load/store pass over the unit's elements, and because
-//! the unit is resident those passes cost μops, not memory. This stage
-//! merges chained
-//! factors into larger unrolled codelets, cutting an `m`-factor group's
-//! load/store passes to one at identical flops. Trivial single-factor
-//! units (the unfused baseline's sweeps) have nothing to merge within
-//! and are never touched.
+//! `I(r_i) ⊗ WHT(2^{k_i}) ⊗ I(s_i)` with `s_{i+1} = s_i · 2^{k_i}`. Every
+//! plan in the family runs the same radix-2 butterfly levels there (inner
+//! extents `s_0, 2·s_0, 4·s_0, …`, in order); the plan's leaves only
+//! choose how those levels are grouped into `small[k]` codelets. Because
+//! the unit is resident, each codelet is one load/store pass that costs
+//! μops, not memory, so this stage chooses the grouping again for the
+//! executor: it expands every part `small[k]@s` into its `k` chained
+//! `small[1]` levels and merges the levels back, greedily, into the
+//! largest codelets the policy allows. Small leaves merge (an `m`-factor
+//! group's load/store passes drop to one at identical flops) and large
+//! ones split (a fused tile's `small[6]` replays as `small[4]` +
+//! `small[2]`), so `max_k` caps every codelet a multi-part unit replays,
+//! whatever leaves the plan had. Single-part units (the unfused
+//! baseline's sweeps, a single-leaf plan) are never touched.
 //!
 //! ## Why this is bit-identical
 //!
@@ -33,8 +39,10 @@
 //! the elements both factors touch, so every add/sub sees the same
 //! operands in either grouping: **the same butterfly DAG, so the same
 //! output bits** — for floats (no reassociation happens) and integers
-//! alike. Property-tested against the recursive and per-factor column
-//! executors for all four scalar types.
+//! alike. Read right to left, the identity splits a codelet into its
+//! levels, so expanding and re-merging is bit-identical too.
+//! Property-tested against the recursive and per-factor column executors
+//! for all four scalar types.
 //!
 //! ## Why the merge is bounded
 //!
@@ -59,32 +67,37 @@
 //!   coordinates its parts are stored in: past the default fusion budget
 //!   only the eight-row exemption can merge its factors.
 //!
-//! With the default policy (`max_k = 4`, footprint 4096 elements) the
-//! canonical radix-2 plans lower to `[4,4,4,3,2]`-shaped fused tiles and
-//! `[3,3,…]`-shaped column tails (the n = 24 tail is `small[3]@2^17,
-//! small[3]@2^20, small[1]@2^23`).
+//! With the default policy (`max_k = 4`, footprint 4096 elements) every
+//! plan's multi-part units lower to `[4,4,4,3,2]`-shaped fused tiles and
+//! `[3,3,…]`-shaped column tails (the canonical n = 24 tail is
+//! `small[3]@2^17, small[3]@2^20, small[1]@2^23`). The regrouping depends
+//! only on a unit's levels, so when `2^n` fits
+//! [`FusionPolicy::DEFAULT_BUDGET_ELEMS`](super::FusionPolicy::DEFAULT_BUDGET_ELEMS)
+//! (one fused tile) every plan with two or more leaves lowers to
+//! `Plan::iterative(n)`'s schedule.
 
 use crate::plan::MAX_LEAF_K;
 
 use super::{CompiledPlan, Pass, RecodeletPolicy, SuperPass, SMALL_MERGE_ROWS};
 
 impl CompiledPlan {
-    /// Regroup every scheduling unit's chained factors into larger
-    /// unrolled codelets under `policy`: consecutive parts merge while
-    /// their combined exponent stays `<= policy.max_k` and each merged
-    /// call's strided span stays within `policy.footprint_elems` (or
-    /// [`SMALL_MERGE_ROWS`] rows — greedy, left to right), each merge
-    /// replacing `m` load/store passes over the unit with one at
-    /// identical flops (see the module docs).
+    /// Re-derive every multi-part unit's codelets from its radix-2 levels
+    /// under `policy`: each part `small[k]@s` expands into its `k` chained
+    /// `small[1]` levels, and consecutive levels merge while their
+    /// combined exponent stays `<= policy.max_k` and each merged call's
+    /// strided span stays within `policy.footprint_elems` (or
+    /// [`SMALL_MERGE_ROWS`] rows) — greedy, left to right (see the module
+    /// docs).
     ///
     /// This is the one lowering stage that rewrites the factor list —
-    /// `WHT(2^a) ⊗ WHT(2^b) → WHT(2^{a+b})` is a different (equivalent)
+    /// `WHT(2^a) ⊗ WHT(2^b) ↔ WHT(2^{a+b})` is a different (equivalent)
     /// factorization, so [`CompiledPlan::passes`] is re-derived from the
     /// rewritten schedule (via [`SuperPass::flat_pass`], the same mapping
     /// [`CompiledPlan::from_super_passes`] uses). Output bits cannot
-    /// change (module docs); single-factor units are never touched; the
+    /// change (module docs); single-part units are never touched; the
     /// backend and unit geometry ride along; and re-applying the stage is
-    /// a no-op (the greedy merge is maximal).
+    /// a no-op (the regrouping depends only on the unit's levels, which it
+    /// keeps).
     #[must_use]
     pub(crate) fn recodelet(&self, policy: &RecodeletPolicy) -> CompiledPlan {
         if !policy.enabled() {
@@ -95,17 +108,23 @@ impl CompiledPlan {
             .schedule
             .iter()
             .map(|sp| {
+                if sp.parts.len() < 2 {
+                    return sp.clone();
+                }
                 // Chunk coordinates shrink a column tail's strides by
                 // period / cols; its calls run at the in-place ones.
                 let scale = sp.columns.map_or(1, |g| g.period / g.cols.max(1));
-                let merged = merge_chained_parts(&sp.parts, sp.tile, scale, policy);
-                if merged.len() == sp.parts.len() {
+                let regrouped =
+                    merge_chained_parts(levels(&sp.parts, sp.tile), sp.tile, scale, policy);
+                // Compare parts, not counts: (3, 5) -> (4, 4) keeps two.
+                if regrouped == sp.parts {
                     return sp.clone();
                 }
                 changed = true;
+                let level_count: usize = sp.parts.iter().map(|p| p.k as usize).sum();
                 let mut out = sp.clone();
-                out.provenance.recodeleted = sp.parts.len() - merged.len();
-                out.parts = merged;
+                out.provenance.recodeleted = level_count.saturating_sub(regrouped.len());
+                out.parts = regrouped;
                 out
             })
             .collect();
@@ -127,6 +146,23 @@ impl CompiledPlan {
     }
 }
 
+/// The radix-2 levels of a unit's parts, in execution order: part
+/// `small[k]@s` is the `k` chained `small[1]` factors at inner extents
+/// `s, 2·s, …, 2^{k-1}·s`, each re-gridded to cover the `tile`.
+fn levels(parts: &[Pass], tile: usize) -> impl Iterator<Item = Pass> + '_ {
+    parts.iter().flat_map(move |&part| {
+        (0..part.k).map(move |i| {
+            let s = part.s << i;
+            Pass {
+                k: 1,
+                r: tile / (2 * s),
+                s,
+                ..part
+            }
+        })
+    })
+}
+
 /// Greedy left-to-right merge of chained parts: a part joins the current
 /// group when its inner extent equals the group's grown block
 /// (`s == s_g · 2^{k_g}`, the chained-stride condition), the combined
@@ -137,14 +173,14 @@ impl CompiledPlan {
 /// re-derived from the tile it must cover exactly (the verify coverage
 /// invariant).
 fn merge_chained_parts(
-    parts: &[Pass],
+    parts: impl Iterator<Item = Pass>,
     tile: usize,
     scale: usize,
     policy: &RecodeletPolicy,
 ) -> Vec<Pass> {
     let max_k = policy.max_k.min(MAX_LEAF_K);
-    let mut out: Vec<Pass> = Vec::with_capacity(parts.len());
-    for &part in parts {
+    let mut out: Vec<Pass> = Vec::new();
+    for part in parts {
         if let Some(group) = out.last_mut() {
             let k = group.k + part.k;
             let chained = part.s == group.s << group.k;

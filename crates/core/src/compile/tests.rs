@@ -585,6 +585,112 @@ fn recodelet_gates_and_idempotence() {
     assert_eq!(rebuilt.passes(), merged.passes());
 }
 
+fn part_ks(sp: &SuperPass) -> Vec<u32> {
+    sp.parts().iter().map(|p| p.k).collect()
+}
+
+#[test]
+fn recodelet_regroups_levels_both_ways() {
+    // One fused tile per plan (the whole vector fits the budget): the
+    // stage re-derives its codelets from the tile's radix-2 levels, so
+    // small leaves merge, large ones split, and same-count regroupings
+    // register as rewrites.
+    let fuse_only = ExecPolicy::all_disabled().with_fusion(FusionPolicy::default());
+    let merging = fuse_only.with_recodelet(RecodeletPolicy::default());
+    let leaves = |ks: &[u32]| {
+        // Children run right to left, so list them in reverse.
+        Plan::split(ks.iter().rev().map(|&k| Plan::leaf(k).unwrap()).collect()).unwrap()
+    };
+    for (ks, shape, recodeleted) in [
+        (&[3u32, 5][..], vec![4u32, 4], 8 - 2),
+        (&[6, 2], vec![4, 4], 8 - 2),
+        (&[5, 5], vec![4, 4, 2], 10 - 3),
+        (&[8, 8], vec![4, 4, 4, 3, 1], 16 - 5),
+    ] {
+        let plan = leaves(ks);
+        let n = plan.n();
+        let fused = CompiledPlan::compile_exec(&plan, &fuse_only);
+        assert_eq!(part_ks(&fused.super_passes()[0]), ks);
+        let lowered = CompiledPlan::compile_exec(&plan, &merging);
+        let unit = &lowered.super_passes()[0];
+        assert_eq!(part_ks(unit), shape, "{plan}");
+        assert_eq!(unit.provenance().recodeleted, recodeleted, "{plan}");
+        assert!(lowered.has_recodeleted());
+        assert_eq!(
+            lowered,
+            CompiledPlan::compile_exec(&Plan::iterative(n).unwrap(), &merging),
+            "{plan} must replay the canonical schedule"
+        );
+        assert_eq!(lowered.recodelet(&RecodeletPolicy::default()), lowered);
+        let input = signal(n);
+        let mut want = input.clone();
+        apply_plan_recursive(&plan, &mut want).unwrap();
+        let mut got = input.clone();
+        lowered.apply(&mut got).unwrap();
+        assert_eq!(got, want, "{plan}");
+        let ints: Vec<i32> = input.iter().map(|&v| (v * 100.0) as i32).collect();
+        let mut want = ints.clone();
+        apply_plan_recursive(&plan, &mut want).unwrap();
+        let mut got = ints;
+        lowered.apply(&mut got).unwrap();
+        assert_eq!(got, want, "{plan} (i32)");
+    }
+    // A unit already in the regrouped shape is left alone, provenance
+    // included, and max_k caps every codelet a multi-part unit replays.
+    let settled = CompiledPlan::compile_exec(&leaves(&[4, 4]), &merging);
+    assert!(!settled.has_recodeleted());
+    let capped = CompiledPlan::compile_exec(
+        &leaves(&[8, 2]),
+        &fuse_only.with_recodelet(RecodeletPolicy::new(2)),
+    );
+    assert_eq!(part_ks(&capped.super_passes()[0]), vec![2; 5]);
+    // Single-part units are untouched: a single leaf keeps its codelet.
+    let leaf = Plan::leaf(6).unwrap();
+    assert_eq!(
+        CompiledPlan::compile_exec(&leaf, &merging),
+        CompiledPlan::compile(&leaf)
+    );
+}
+
+#[test]
+fn recodelet_splits_large_leaves_in_a_column_tail() {
+    // Leaves (3, 3 | 5, 3) at n = 14: the head fuses at 2^6 and the
+    // small[5]@64, small[3]@2048 tail groups into 16-column chunks of a
+    // period-64 column tail. The tail's eight levels regroup under the
+    // default policy at in-place strides 64·c: small[4] (a 1024-element
+    // call), small[3] (eight rows, exempt from the footprint), small[1].
+    let plan = Plan::split(
+        [3u32, 5, 3, 3]
+            .iter()
+            .map(|&k| Plan::leaf(k).unwrap())
+            .collect(),
+    )
+    .unwrap();
+    let tailed = ExecPolicy::all_disabled()
+        .with_fusion(FusionPolicy::new(1 << 6))
+        .with_relayout(RelayoutPolicy::new(1 << 12));
+    let relaid = CompiledPlan::compile_exec(&plan, &tailed);
+    let tail = relaid.super_passes().last().unwrap();
+    assert_eq!(part_ks(tail), vec![5, 3]);
+    let merged =
+        CompiledPlan::compile_exec(&plan, &tailed.with_recodelet(RecodeletPolicy::default()));
+    assert_eq!(part_ks(&merged.super_passes()[0]), vec![4, 2]);
+    let merged_tail = merged.super_passes().last().unwrap();
+    assert_eq!(part_ks(merged_tail), vec![4, 3, 1]);
+    assert_eq!(merged_tail.provenance().recodeleted, 8 - 3);
+    assert!(merged_tail.provenance().relayouted);
+    assert_eq!(merged_tail.columns(), tail.columns());
+    assert!(merged.verify().is_empty(), "{:?}", merged.verify());
+    let input = signal(14);
+    let mut want = input.clone();
+    apply_plan_recursive(&plan, &mut want).unwrap();
+    for compiled in [merged.clone(), merged.with_simd(&SimdPolicy::auto())] {
+        let mut got = input.clone();
+        compiled.apply(&mut got).unwrap();
+        assert_eq!(got, want);
+    }
+}
+
 #[test]
 fn lower_runs_the_documented_stage_order() {
     let n = 14u32;
@@ -787,10 +893,27 @@ fn cached_compile_returns_identical_schedule() {
     let a = compiled_for(&plan);
     let b = compiled_for(&plan);
     assert!(Rc::ptr_eq(&a, &b), "second lookup must hit the cache");
-    // The default entry point lowers under the default policy; at this
-    // LLC-resident size no stage rewrites factors, so the factor list is
-    // policy-invariant.
-    assert_eq!(a.passes(), CompiledPlan::compile(&plan).passes());
+    // The default entry point lowers under the default policy. The whole
+    // vector is one fused tile, whose radix-2 levels re-codelet into
+    // (4, 4, 2) whatever the plan's leaves: balanced(10, 4)'s (2, 3, 2, 3)
+    // replays as Plan::iterative(10) does.
+    assert_eq!(
+        *a,
+        CompiledPlan::compile_exec(&plan, &ExecPolicy::default())
+    );
+    assert_eq!(
+        CompiledPlan::compile(&plan)
+            .passes()
+            .iter()
+            .map(|p| p.k)
+            .collect::<Vec<_>>(),
+        vec![2, 3, 2, 3]
+    );
+    assert_eq!(
+        a.passes().iter().map(|p| p.k).collect::<Vec<_>>(),
+        vec![4, 4, 2]
+    );
+    assert_eq!(a.super_passes()[0].provenance().recodeleted, 10 - 3);
     // Distinct policies are distinct cache entries.
     let simd = SimdPolicy::default();
     let unfused = compiled_for_exec(&plan, &ExecPolicy::all_disabled().with_simd(simd));

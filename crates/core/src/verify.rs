@@ -673,8 +673,8 @@ pub fn verify_schedule(n: u32, schedule: &[SuperPass]) -> Vec<VerifyDiagnostic> 
         return diags.out;
     }
     // Σk across every part of every unit: each part is one composed
-    // factor WHT(2^k) of the global Kronecker product (recodeleted parts
-    // carry the merged exponent), so the product of all factor sizes is
+    // factor WHT(2^k) of the global Kronecker product (re-codeleted parts
+    // carry the regrouped exponent), so the product of all factor sizes is
     // 2^Σk and must equal 2^n. `None` once any part is too malformed for
     // its k to mean anything.
     let mut sum_k = Some(0u64);

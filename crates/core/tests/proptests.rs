@@ -344,12 +344,12 @@ proptest! {
         check::<i32>(&plan, &relaid, &simd, seed);
     }
 
-    /// The acceptance harness for the re-codeleted tail (lowering stage
-    /// 3): at n = 16..=20, for random plans and fusion × chunk budget ×
-    /// merged-codelet-cap combinations, the re-codeleted executor (scalar
-    /// and SIMD) is bit-identical to the recursive interpreter *and* the
-    /// per-factor column-tail executor it rewrites, for all four scalar
-    /// types — the same butterfly DAG in a bigger codelet.
+    /// The acceptance harness for re-codeleting (lowering stage 3): at
+    /// n = 16..=20, for random plans and fusion × chunk budget ×
+    /// codelet-cap combinations, the re-codeleted executor (scalar and
+    /// SIMD) is bit-identical to the recursive interpreter *and* the
+    /// column-tail executor it rewrites, for all four scalar types — the
+    /// same butterfly DAG, regrouped into other codelets.
     #[test]
     fn recodelet_differential_harness_to_n20(
         n in 16u32..=20,
@@ -392,17 +392,18 @@ proptest! {
         let simd = CompiledPlan::compile_exec(&plan, &merging.with_simd(SimdPolicy::auto()));
         prop_assert!(merged.verify().is_empty());
         prop_assert!(simd.verify().is_empty());
-        // Every merged part respects the cap, and the factor lists of the
-        // two views of the merged schedule stay consistent.
-        for sp in merged.super_passes() {
+        // Every part of a multi-part unit respects the cap, whatever
+        // leaves the plan had; single-part units are left as they were;
+        // and the factor lists of the two views of the merged schedule
+        // stay consistent.
+        prop_assert_eq!(merged.super_passes().len(), relaid.super_passes().len());
+        for (sp, before) in merged.super_passes().iter().zip(relaid.super_passes()) {
+            if before.parts().len() < 2 {
+                prop_assert_eq!(sp, before);
+                continue;
+            }
             for part in sp.parts() {
-                prop_assert!(part.k <= max_k.max(relaid
-                    .super_passes()
-                    .iter()
-                    .flat_map(|s| s.parts())
-                    .map(|p| p.k)
-                    .max()
-                    .unwrap_or(0)));
+                prop_assert!(part.k <= max_k, "k = {} past max_k = {max_k} in {plan}", part.k);
             }
         }
         let rebuilt =
@@ -412,6 +413,35 @@ proptest! {
         check::<f32>(&plan, &relaid, &merged, &simd, seed);
         check::<i64>(&plan, &relaid, &merged, &simd, seed);
         check::<i32>(&plan, &relaid, &merged, &simd, seed);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Below the fusion budget the whole vector is one fused tile, and
+    /// re-codeleting derives its codelets from the tile's radix-2 levels,
+    /// which every plan shares: under the default policy every plan with
+    /// two or more leaves lowers to `Plan::iterative(n)`'s schedule,
+    /// whatever its leaves.
+    #[test]
+    fn multi_leaf_plans_below_the_fusion_budget_lower_to_the_iterative_schedule(
+        n in 2u32..=FusionPolicy::DEFAULT_BUDGET_ELEMS.ilog2(),
+        seed in any::<u64>(),
+    ) {
+        // random_plan draws a single leaf for about a third of the seeds
+        // at n <= 8; take the first multi-leaf plan from `seed` on.
+        let plan = (0..)
+            .map(|i| random_plan(n, seed.wrapping_add(i)))
+            .find(|p| p.leaf_count() >= 2)
+            .unwrap();
+        let policy = ExecPolicy::default();
+        prop_assert_eq!(
+            CompiledPlan::compile_exec(&plan, &policy),
+            CompiledPlan::compile_exec(&Plan::iterative(n).unwrap(), &policy),
+            "{} lowers off the canonical schedule",
+            plan
+        );
     }
 }
 

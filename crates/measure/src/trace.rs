@@ -123,9 +123,9 @@ pub struct SuperPassTraffic {
     pub columns: Option<ColumnTail>,
     /// Which lowering stages produced this unit (per-stage provenance,
     /// straight off the schedule): e.g. `provenance.recodeleted > 0` says
-    /// the re-codelet stage merged that many factors here, which
-    /// is why the row has fewer, larger leaf calls than the factor list
-    /// of the plan would suggest.
+    /// the re-codelet stage regrouped this unit's radix-2 levels into
+    /// that many fewer codelets, which is why the row's leaf calls differ
+    /// from what the factor list of the plan would suggest.
     pub provenance: Provenance,
     /// Element accesses issued by this super-pass (loads + stores).
     pub accesses: u64,

@@ -271,6 +271,15 @@ impl PlanCost for CombinedModelCost {
 /// lists fuse into fewer resident super-passes under `policy` cost less —
 /// the search optimizes the executor it will actually run, tile budget
 /// included.
+///
+/// Below the fusion budget (`2^n` within
+/// [`FusionPolicy::DEFAULT_BUDGET_ELEMS`] under the default policy) the
+/// whole vector is one fused tile, and the re-codelet stage derives its
+/// codelets from the tile's radix-2 levels, so every plan with two or
+/// more leaves replays `Plan::iterative(n)`'s schedule: such plans score
+/// the same leaf work and traffic and differ only in the bookkeeping term
+/// (the plan tree's loop overhead). There the ranking only chooses
+/// between a single leaf and the canonical schedule.
 #[derive(Debug, Clone)]
 pub struct FusedTrafficCost {
     /// Abstract machine weights for `I`.
@@ -279,7 +288,7 @@ pub struct FusedTrafficCost {
     /// under: the cost function scores `compile(plan).lower(&exec)` —
     /// the exact schedule the executor replays — so every lowering stage
     /// (fusion's tile blocking, the column tail's chunked sweep, the
-    /// re-codeleted tail's merged factors, the kernel backend) shows up
+    /// re-codeleted units' regrouped factors, the kernel backend) shows up
     /// in the ranking the moment it exists, with no per-stage code here.
     pub exec: ExecPolicy,
     /// Elements that fit the cache level tiles are expected to live in.
@@ -350,9 +359,9 @@ impl FusedTrafficCost {
         // Instruction term, split into loop bookkeeping (from the plan
         // tree — the lane kernels run the same pass/row loops) and leaf
         // work re-derived from the *lowered* factor list: a stage that
-        // rewrites factors (the re-codeleted tail merges m chained
-        // factors into one codelet, dropping m-1 load/store passes over
-        // its elements) is scored from what will actually execute.
+        // rewrites factors (re-codeleting regroups a unit's radix-2
+        // levels, so m merged factors drop m-1 load/store passes over
+        // their elements) is scored from what will actually execute.
         let ops = op_counts(plan);
         let plan_leaf_work = (self.cost_model.arith * ops.arith
             + self.cost_model.load * ops.loads
@@ -629,6 +638,37 @@ mod tests {
         let b = columns.cost(&plan18).unwrap();
         assert!((a - b).abs() < 1e-6, "{a} vs {b}");
         assert!(!CompiledPlan::compile_exec(&plan18, &ExecPolicy::default()).has_relayout());
+    }
+
+    #[test]
+    fn fused_traffic_below_the_budget_differs_only_in_bookkeeping() {
+        // 2^12 fits the default fusion budget: every multi-leaf plan
+        // lowers to the canonical schedule, so leaf work and traffic match
+        // it exactly and only the plan tree's loop bookkeeping differs.
+        let c = FusedTrafficCost::default();
+        let bookkeeping = |plan: &Plan| {
+            let ops = op_counts(plan);
+            let m = &c.cost_model;
+            let leaf = m.arith * ops.arith + m.load * ops.loads + m.store * ops.stores;
+            (m.total(&ops) - leaf - m.addr * ops.addr) as f64
+        };
+        let canon = Plan::iterative(12).unwrap();
+        let (work0, traffic0) = c.terms(&canon);
+        let leaf0 = work0 - bookkeeping(&canon);
+        for plan in [
+            Plan::balanced(12, 4).unwrap(),
+            Plan::binary_iterative(12, 6).unwrap(),
+            Plan::right_recursive(12).unwrap(),
+            Plan::split(vec![Plan::leaf(5).unwrap(), Plan::leaf(7).unwrap()]).unwrap(),
+        ] {
+            let (work, traffic) = c.terms(&plan);
+            assert_eq!(traffic, traffic0, "{plan}");
+            assert!(
+                (work - bookkeeping(&plan) - leaf0).abs() < 1e-6,
+                "{plan}: leaf work {} vs {leaf0}",
+                work - bookkeeping(&plan)
+            );
+        }
     }
 
     #[test]

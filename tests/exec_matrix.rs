@@ -60,8 +60,8 @@ fn marks(c: &CompiledPlan) -> [bool; 6] {
 }
 
 /// Whether a stage has something to rewrite in `corner`: re-codeleting
-/// merges factors within the multi-factor units fusion or the column tail
-/// build, and streaming marks the batch product's copies.
+/// regroups factors within the multi-factor units fusion or the column
+/// tail build, and streaming marks the batch product's copies.
 fn can_engage(corner: u8, stage: usize) -> bool {
     on(corner, stage)
         && match stage {
