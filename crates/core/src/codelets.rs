@@ -65,7 +65,7 @@
 //! | kernel | precondition | established by | verifier check |
 //! |--------|--------------|----------------|----------------|
 //! | [`apply_codelet`] | `k ≤ MAX_LEAF_K`; `base + (2^k−1)·stride < x.len()` | executor replaying a lowered pass; engine's top-level length check | Structure (`k` in family) + Bounds (farthest-index interval) |
-//! | [`apply_codelet_cols`] | column range inside one pass row at unit global stride; `base + cols−1 + (2^k−1)·s < x.len()` | the chunk kernel [`crate::compile::apply_columns`]: the `cols`-wide residue chunk of each `P`-column stretch of a row of a verified in-place pass (sequential column tails, and the parallel engine's column units, which check every stride they group themselves is a multiple of `P`); and the parallel engine's partial rows of a pass unit's contiguous invocation range | Bounds + Disjointness (whole-vector flat-pass frame) + the column unit's mod-`P` closure and chunk partition |
+//! | [`apply_codelet_cols`] | column range inside one pass row at unit global stride; `base + cols−1 + (2^k−1)·s < x.len()` | the column tail's chunk kernel (`compile::apply_columns`): the `cols`-wide residue chunk of each `P`-column stretch of a row of a verified column tail's in-place part, run by `SuperPass::apply_tile` for sequential replay and the parallel engine's chunk claims alike; and the parallel engine's partial rows of a pass unit's contiguous invocation range | Bounds + Disjointness (whole-vector flat-pass frame) + the column tail's mod-`P` closure and chunk partition |
 //! | [`apply_pass_lanes`] | whole pass at unit global stride; `base + r·2^k·s ≤ x.len()` | backend-select stage only picks `PassBackend::Lanes` at `stride == 1` | Bounds + Coverage (canonical frame `base = 0`, `stride = 1`, span = extent) |
 //! | `gather_lanes*` / `scatter_lanes*` | transpose buffer `≥ n·w` elements; source/destination tile in bounds | batched executor tile loop (`cross_tile_cols` geometry) | Batch checks (Bounds `size % tile_cols`, Disjointness `tile_cols % foot`, Scratch `batch_scratch_elems`) |
 //!

@@ -153,10 +153,10 @@ impl CompiledPlan {
 }
 
 /// Run every pass of `passes`, in order, over the residues
-/// `[c0, c0 + width)` mod `period` only — one chunk of a column unit.
-/// This is the one chunk kernel: [`CompiledPlan::apply`] replays a
-/// column tail's chunks through it, and the parallel engine runs its
-/// column units' claims through it.
+/// `[c0, c0 + width)` mod `period` only — one chunk of a column tail.
+/// This is the one chunk kernel: [`SuperPass::apply_tile`] runs a column
+/// tail's chunk `j` through it, for [`CompiledPlan::apply`] and the
+/// parallel engine's chunk claims alike.
 ///
 /// Each pass's inner extent `s` is a multiple of `period`, so every
 /// stretch of `period` columns in a row holds the chunk's residues once:
@@ -175,7 +175,7 @@ impl CompiledPlan {
 /// `c0 + width <= period`. [`CompiledPlan::verify`] proves the first two
 /// for the in-place passes of a column unit
 /// ([`SuperPass::flat_pass`]).
-pub unsafe fn apply_columns<T: Scalar>(
+pub(crate) unsafe fn apply_columns<T: Scalar>(
     x: &mut [T],
     passes: impl IntoIterator<Item = Pass>,
     backend: PassBackend,
@@ -187,38 +187,34 @@ pub unsafe fn apply_columns<T: Scalar>(
     for pass in passes {
         debug_assert!(pass.s.is_multiple_of(period));
         let lanes = backend == PassBackend::Lanes && pass.stride == 1;
-        for_each_chunk_call(&pass, period, c0, |start| {
-            // SAFETY: the fragment is columns [t, t + width) of one row
-            // with t ≡ c0 mod period, so t + width <= s (s is a multiple
-            // of period and c0 + width <= period): every element is one
-            // of the pass's own, inside x by the caller's contract. For
-            // the lane kernel stride == 1 and width <= period <= s.
-            unsafe {
-                if lanes {
-                    apply_codelet_cols(pass.k, x, start, pass.s, width);
-                } else {
-                    for c in 0..width {
-                        apply_codelet(pass.k, x, start + c * pass.stride, pass.codelet_stride());
+        let block = (1usize << pass.k) * pass.s;
+        for j in 0..pass.r {
+            let row = pass.base + j * block * pass.stride;
+            let mut t = c0;
+            while t < pass.s {
+                let start = row + t * pass.stride;
+                // SAFETY: the fragment is columns [t, t + width) of row j
+                // with t ≡ c0 mod period, so t + width <= s (s is a
+                // multiple of period and c0 + width <= period): every
+                // element is one of the pass's own, inside x by the
+                // caller's contract. For the lane kernel stride == 1 and
+                // width <= period <= s.
+                unsafe {
+                    if lanes {
+                        apply_codelet_cols(pass.k, x, start, pass.s, width);
+                    } else {
+                        for c in 0..width {
+                            apply_codelet(
+                                pass.k,
+                                x,
+                                start + c * pass.stride,
+                                pass.codelet_stride(),
+                            );
+                        }
                     }
                 }
+                t += period;
             }
-        });
-    }
-}
-
-/// Call `f` with the start index of every row fragment one chunk covers
-/// in `pass`: row `j`, columns from `t` for each
-/// `t = c0, c0 + period, … < s`, in execution order. Shared by
-/// [`apply_columns`] and [`CompiledPlan::traverse`], so the traced order
-/// is the executed one.
-pub(crate) fn for_each_chunk_call(pass: &Pass, period: usize, c0: usize, mut f: impl FnMut(usize)) {
-    let block = (1usize << pass.k) * pass.s;
-    for j in 0..pass.r {
-        let row = pass.base + j * block * pass.stride;
-        let mut t = c0;
-        while t < pass.s {
-            f(row + t * pass.stride);
-            t += period;
         }
     }
 }

@@ -97,11 +97,12 @@
 //! types over random plans and policies.
 //!
 //! Each stage records what it did on the unit it produced
-//! ([`SuperPass::provenance`]), [`CompiledPlan::verify`] re-proves the
-//! schedule invariants after every stage in debug builds, and
-//! [`CompiledPlan::traverse`] reports the lowered schedule — units,
-//! backends, column geometry, provenance — to [`ExecHooks`] consumers,
-//! so what is measured is exactly what [`CompiledPlan::apply`] runs.
+//! ([`SuperPass::provenance`]), and [`CompiledPlan::verify`] re-proves
+//! the schedule invariants after every stage in debug builds. The
+//! lowered schedule is the only place a transform is cut into units of
+//! work: [`CompiledPlan::apply`] runs every unit tile by tile through
+//! [`SuperPass::apply_tile`], and the parallel engine claims the same
+//! tiles (or, for a one-tile unit, ranges of its flat passes).
 //!
 //! ## One policy, one cache
 //!
@@ -119,7 +120,7 @@ mod recodelet;
 #[cfg(test)]
 mod tests;
 
-pub use columns::apply_columns;
+use columns::apply_columns;
 pub use policy::{
     BatchPolicy, ExecKey, ExecPolicy, FusionPolicy, RecodeletPolicy, RelayoutPolicy, StreamPolicy,
     SMALL_MERGE_ROWS,
@@ -129,7 +130,6 @@ use crate::codelets::{
     apply_codelet, apply_pass_lanes, gather_lanes_tile, gather_lanes_tile_prefetch,
     scatter_lanes_tile, scatter_lanes_tile_stream, SimdPolicy,
 };
-use crate::engine::ExecHooks;
 use crate::error::WhtError;
 use crate::plan::Plan;
 use crate::scalar::Scalar;
@@ -187,20 +187,6 @@ impl Pass {
         self.base + (j * ((1usize << self.k) * self.s) + t) * self.stride
     }
 
-    /// Run invocation `q` of this pass on `x`.
-    ///
-    /// # Safety
-    /// `q < self.invocations()` and every index of the invocation must be
-    /// in bounds: `invocation_base(q) + (2^k - 1) · codelet_stride() <
-    /// x.len()`. Distinct invocations of one pass touch disjoint elements,
-    /// so they may run concurrently (the parallel engine's contract).
-    #[inline]
-    pub unsafe fn apply_invocation<T: Scalar>(&self, x: &mut [T], q: usize) {
-        // SAFETY: forwarded contract; `k` comes from a valid plan or a
-        // verified schedule.
-        unsafe { apply_codelet(self.k, x, self.invocation_base(q), self.codelet_stride()) };
-    }
-
     /// Run the whole pass on `x` (all `r·s` invocations, in grid order)
     /// through the scalar per-column codelet loop.
     ///
@@ -254,8 +240,8 @@ impl Pass {
 
 /// Which kernel replays a scheduling unit's codelet work — recorded on
 /// every [`SuperPass`] so the executed program is a property of the
-/// schedule itself: `apply`, the parallel engine, `traverse`, and every
-/// measurement consumer read one record instead of re-deciding.
+/// schedule itself: `apply` and the parallel engine read one record
+/// instead of re-deciding.
 ///
 /// Both backends run the same butterfly operations on the same values
 /// (vector lanes never interact in add/sub), so the backend choice is
@@ -278,9 +264,9 @@ pub enum PassBackend {
 /// The vector is viewed as a `size / period × period` row-major matrix.
 /// Every part's in-place stride is a multiple of `period`, so each column
 /// (residue class mod `period`) is closed under the whole unit. Chunk `c`
-/// is the columns `c·cols .. (c+1)·cols`; [`apply_columns`] runs every
-/// part over one chunk, in place, while the chunk's `size / period ·
-/// cols` elements stay cache-resident. `cols` is a power of two dividing
+/// is the columns `c·cols .. (c+1)·cols`; [`SuperPass::apply_tile`] runs
+/// every part over one chunk, in place, while the chunk's `size / period
+/// · cols` elements stay cache-resident. `cols` is a power of two dividing
 /// `period`, so the `period / cols` chunks partition the vector.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ColumnTail {
@@ -293,10 +279,10 @@ pub struct ColumnTail {
 
 /// Per-unit record of what the lowering pipeline did — the **per-stage
 /// provenance** of a scheduling unit, stamped by each stage that rewrote
-/// it and reported through [`ExecHooks::super_pass`] so measurement
-/// consumers can attribute costs and savings to the stage that caused
-/// them (structure like [`SuperPass::is_fused`] says what a unit *is*;
-/// provenance says which rewrite *made it so*).
+/// it, so verifier diagnostics and measurement consumers can attribute a
+/// unit to the stage that caused it (structure like
+/// [`SuperPass::is_fused`] says what a unit *is*; provenance says which
+/// rewrite *made it so*).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct Provenance {
     /// The fuse stage merged two or more factors into this unit.
@@ -535,8 +521,8 @@ impl SuperPass {
     /// factor as it would appear in the unfused schedule. Executing the
     /// flat passes part by part replays the super-pass in unfused
     /// (pass-major) order — bit-identical output, no tile blocking. The
-    /// parallel engine replays single-tile units and column units through
-    /// their flat passes.
+    /// parallel engine replays single-tile units through their flat
+    /// passes.
     ///
     /// Only meaningful under the [`CompiledPlan::verify`] invariants
     /// (every part tiles its tile exactly once): then tile `j`'s blocks
@@ -545,10 +531,11 @@ impl SuperPass {
     /// For a **column** super-pass the parts are stored in chunk
     /// coordinates (`s = cols · c` over one chunk); this maps part `p`
     /// back to the in-place factor — `s = period · c` over the whole
-    /// vector — which is what [`apply_columns`] runs, chunk by chunk, and
-    /// what [`CompiledPlan::from_super_passes`] derives the factor list
-    /// from. A factor the re-codelet stage regrouped maps back the same
-    /// way — to the regrouped `WHT(2^k)` factor at its in-place stride.
+    /// vector — which is what [`SuperPass::apply_tile`] runs over each
+    /// chunk, and what [`CompiledPlan::from_super_passes`] derives the
+    /// factor list from. A factor the re-codelet stage regrouped maps
+    /// back the same way — to the regrouped `WHT(2^k)` factor at its
+    /// in-place stride.
     #[inline]
     pub fn flat_pass(&self, p: usize) -> Pass {
         let part = self.parts[p];
@@ -581,19 +568,36 @@ impl SuperPass {
         }
     }
 
-    /// Run every part on tile `j` (the fused unit of work; tiles are
-    /// pairwise disjoint, so distinct tiles may run concurrently — the
-    /// parallel engine's contract). Direct super-passes only; a column
-    /// unit runs its chunks through [`apply_columns`].
+    /// Run tile `j`, the unit of work of every super-pass: every part
+    /// over tile `j` of a direct unit, or every in-place part over chunk
+    /// `j` of a column tail, through the chunk kernel. Tiles (and
+    /// chunks) are pairwise write-disjoint, so distinct tiles may run
+    /// concurrently: the parallel engine claims them one by one.
     ///
     /// # Safety
-    /// `j < self.tiles()`, `self.columns().is_none()`, and the whole
-    /// super-pass must be in bounds: `base + (span() - 1) · stride <
-    /// x.len()`, with every part tiling its tile (the
+    /// `j < self.tiles()`, and the whole super-pass must be in bounds:
+    /// `base + (span() - 1) · stride < x.len()`, with every part tiling
+    /// its tile and, for a column tail, every in-place part a
+    /// whole-vector pass whose stride is a multiple of the period (the
     /// [`CompiledPlan::verify`] invariants).
     #[inline]
     pub unsafe fn apply_tile<T: Scalar>(&self, x: &mut [T], j: usize) {
-        debug_assert!(self.columns.is_none());
+        if let Some(g) = self.columns {
+            // SAFETY: chunk j's residues [j·cols, (j+1)·cols) lie inside
+            // [0, period) since cols divides the period, and the rest is
+            // apply_columns' contract, forwarded from the caller's.
+            unsafe {
+                apply_columns(
+                    x,
+                    (0..self.parts.len()).map(|p| self.flat_pass(p)),
+                    self.backend,
+                    g.period,
+                    j * g.cols,
+                    g.cols,
+                )
+            };
+            return;
+        }
         for p in 0..self.parts.len() {
             // SAFETY: a valid part stays inside tile `j`, which is inside
             // the super-pass bound forwarded from the caller's contract.
@@ -601,34 +605,15 @@ impl SuperPass {
         }
     }
 
-    /// Run the whole super-pass: all tiles, tile-major, or all chunks,
-    /// chunk-major, for a column unit.
+    /// Run the whole super-pass: [`SuperPass::apply_tile`] over every
+    /// tile in order (tile-major for a fused unit, chunk-major for a
+    /// column tail).
     ///
     /// # Safety
-    /// `base + (span() - 1) · stride < x.len()` plus the verify
-    /// invariants.
+    /// As [`SuperPass::apply_tile`], for every tile.
     pub(crate) unsafe fn apply_all<T: Scalar>(&self, x: &mut [T]) {
-        if let Some(g) = self.columns {
-            for c in 0..self.tiles {
-                // SAFETY: chunk c's residues [c·cols, (c+1)·cols) lie
-                // inside [0, period), and verify proved every in-place
-                // part whole-vector with a stride that is a multiple of
-                // the period (apply_columns' contract).
-                unsafe {
-                    apply_columns(
-                        x,
-                        (0..self.parts.len()).map(|p| self.flat_pass(p)),
-                        self.backend,
-                        g.period,
-                        c * g.cols,
-                        g.cols,
-                    )
-                };
-            }
-            return;
-        }
         for j in 0..self.tiles {
-            // SAFETY: forwarded contract.
+            // SAFETY: j < tiles; the rest is forwarded.
             unsafe { self.apply_tile(x, j) };
         }
     }
@@ -889,8 +874,8 @@ impl CompiledPlan {
     /// habitat), [`PassBackend::Scalar`] otherwise. Like the fusion
     /// stage, this is a *relabeling* of the same factor list — output
     /// bits cannot change, only which kernel produces them — and the
-    /// choice is recorded in the schedule, so `apply`, the parallel
-    /// engine, and `traverse` all agree on what actually runs.
+    /// choice is recorded in the schedule, so `apply` and the parallel
+    /// engine agree on what actually runs.
     #[must_use]
     pub(crate) fn with_simd(&self, policy: &SimdPolicy) -> CompiledPlan {
         let backend = if policy.enabled() {
@@ -1319,56 +1304,6 @@ impl CompiledPlan {
             self.apply(row)?;
         }
         Ok(())
-    }
-
-    /// Replay the schedule datalessly, reporting each step to `hooks` —
-    /// the compiled counterpart of [`crate::engine::traverse`], consumed
-    /// by the instrumented counter and the cache-trace executor in
-    /// `wht-measure` so that measured and executed work share one
-    /// schedule (including the fused tile-major and the column tail's
-    /// chunk-major order — what is measured is exactly what
-    /// [`CompiledPlan::apply`] runs).
-    ///
-    /// Hook mapping: one [`ExecHooks::enter_split`] for the whole schedule
-    /// (`t` = super-pass count), one [`ExecHooks::super_pass`] per
-    /// super-pass (carrying the whole [`SuperPass`] — geometry, backend,
-    /// column geometry, and per-stage provenance), one
-    /// [`ExecHooks::child_loops`] per part per tile, one
-    /// [`ExecHooks::leaf_call`] per codelet invocation, in execution
-    /// order. A column tail reports, per chunk and part, the rows of its
-    /// in-place pass over `(s / period) · cols` columns each, and the leaf
-    /// calls of that chunk at their in-place addresses.
-    pub fn traverse<H: ExecHooks>(&self, hooks: &mut H) {
-        hooks.enter_split(self.n, self.schedule.len());
-        for sp in &self.schedule {
-            hooks.super_pass(sp);
-            for j in 0..sp.tiles {
-                if let Some(g) = sp.columns {
-                    let c0 = j * g.cols;
-                    for p in 0..sp.parts.len() {
-                        let pass = sp.flat_pass(p);
-                        hooks.child_loops(pass.k, pass.r, pass.s / g.period * g.cols);
-                        columns::for_each_chunk_call(&pass, g.period, c0, |base| {
-                            for c in 0..g.cols {
-                                hooks.leaf_call(
-                                    pass.k,
-                                    base + c * pass.stride,
-                                    pass.codelet_stride(),
-                                );
-                            }
-                        });
-                    }
-                } else {
-                    for p in 0..sp.parts.len() {
-                        let pass = sp.tile_pass(p, j);
-                        hooks.child_loops(pass.k, pass.r, pass.s);
-                        for q in 0..pass.invocations() {
-                            hooks.leaf_call(pass.k, pass.invocation_base(q), pass.codelet_stride());
-                        }
-                    }
-                }
-            }
-        }
     }
 }
 

@@ -1,5 +1,5 @@
 use super::*;
-use crate::engine::{apply_plan_recursive, for_each_leaf_call};
+use crate::engine::apply_plan_recursive;
 use crate::reference::{max_abs_diff, naive_wht};
 
 fn signal(n: u32) -> Vec<f64> {
@@ -758,61 +758,6 @@ fn exec_policy_cache_keys_cover_every_stage() {
 }
 
 #[test]
-fn column_tail_traverse_replays_the_chunk_order() {
-    #[derive(Default)]
-    struct Watch {
-        column_units: usize,
-        in_tail: bool,
-        tail_calls: Vec<(u32, usize, usize)>,
-    }
-    impl ExecHooks for Watch {
-        fn super_pass(&mut self, sp: &SuperPass) {
-            self.in_tail = sp.is_column_tail();
-            self.column_units += usize::from(self.in_tail);
-        }
-        fn leaf_call(&mut self, k: u32, base: usize, stride: usize) {
-            if self.in_tail {
-                self.tail_calls.push((k, base, stride));
-            }
-        }
-    }
-    // iterative(12) fused at 2^7: a 5-factor tail in chunks of 32 rows
-    // × 16 columns, 8 chunks per period.
-    let n = 12u32;
-    let fused =
-        CompiledPlan::compile(&Plan::iterative(n).unwrap()).fuse(&FusionPolicy::new(1 << 7));
-    let tailed = fused.column_tail(&RelayoutPolicy::new(1 << 9));
-    let g = tailed.super_passes().last().unwrap().columns().unwrap();
-    assert_eq!((g.period, g.cols), (1 << 7, 16));
-    let mut w = Watch::default();
-    tailed.traverse(&mut w);
-    assert_eq!(w.column_units, 1);
-    // Chunk-major, in place: every leaf call's column lies in its chunk,
-    // and the chunks come in order.
-    let chunks: Vec<usize> = w
-        .tail_calls
-        .iter()
-        .map(|&(_, base, _)| base % g.period / g.cols)
-        .collect();
-    assert!(chunks.windows(2).all(|c| c[0] <= c[1]));
-    assert_eq!(chunks.last(), Some(&(g.period / g.cols - 1)));
-    assert!(w
-        .tail_calls
-        .iter()
-        .all(|&(_, base, _)| base < tailed.size()));
-    // The same calls as the pass-major tail, in another order.
-    let mut pass_major: Vec<(u32, usize, usize)> = fused.passes()[7..]
-        .iter()
-        .flat_map(|p| {
-            (0..p.invocations()).map(move |q| (p.k, p.invocation_base(q), p.codelet_stride()))
-        })
-        .collect();
-    pass_major.sort_unstable();
-    w.tail_calls.sort_unstable();
-    assert_eq!(w.tail_calls, pass_major);
-}
-
-#[test]
 fn length_mismatch_rejected() {
     let compiled = CompiledPlan::compile(&Plan::iterative(4).unwrap());
     let mut x = vec![0.0f64; 15];
@@ -823,68 +768,6 @@ fn length_mismatch_rejected() {
             got: 15
         })
     );
-}
-
-#[test]
-fn traverse_visits_same_leaf_multiset_as_interpreter() {
-    let plan = Plan::balanced(9, 3).unwrap();
-    let mut interp: Vec<(u32, usize, usize)> = Vec::new();
-    for_each_leaf_call(&plan, |k, b, s| interp.push((k, b, s)));
-    struct Collect<'a>(&'a mut Vec<(u32, usize, usize)>);
-    impl ExecHooks for Collect<'_> {
-        fn leaf_call(&mut self, k: u32, base: usize, stride: usize) {
-            self.0.push((k, base, stride));
-        }
-    }
-    // The invocation multiset is invariant under compilation AND any
-    // fusion policy — only the order changes.
-    for policy in [
-        FusionPolicy::disabled(),
-        FusionPolicy::new(64),
-        FusionPolicy::unbounded(),
-    ] {
-        let compiled = CompiledPlan::compile(&plan).fuse(&policy);
-        let mut flat: Vec<(u32, usize, usize)> = Vec::new();
-        compiled.traverse(&mut Collect(&mut flat));
-        assert_eq!(flat.len(), interp.len());
-        let mut interp_sorted = interp.clone();
-        interp_sorted.sort_unstable();
-        flat.sort_unstable();
-        assert_eq!(
-            flat, interp_sorted,
-            "same invocation multiset, different order"
-        );
-    }
-}
-
-#[test]
-fn traverse_reports_super_pass_structure() {
-    #[derive(Default)]
-    struct Count {
-        super_passes: Vec<(usize, usize, usize)>,
-        fused_units: usize,
-        child_loops: usize,
-    }
-    impl ExecHooks for Count {
-        fn super_pass(&mut self, sp: &SuperPass) {
-            self.super_passes
-                .push((sp.parts().len(), sp.tiles(), sp.tile_elems()));
-            self.fused_units += usize::from(sp.provenance().fused);
-        }
-        fn child_loops(&mut self, _c: u32, _r: usize, _s: usize) {
-            self.child_loops += 1;
-        }
-    }
-    let compiled = CompiledPlan::compile(&Plan::iterative(8).unwrap());
-    let fused = compiled.fuse(&FusionPolicy::new(1 << 4));
-    let mut c = Count::default();
-    fused.traverse(&mut c);
-    // 4 factors fused over 16 tiles + 4 single passes.
-    assert_eq!(c.super_passes.len(), 5);
-    assert_eq!(c.super_passes[0], (4, 16, 16));
-    assert_eq!(c.fused_units, 1, "provenance travels through the hook");
-    // child_loops fires once per part per tile: 4 * 16 + 4.
-    assert_eq!(c.child_loops, 4 * 16 + 4);
 }
 
 #[test]
@@ -977,13 +860,17 @@ fn invocation_indexing_is_consistent_with_apply() {
     let input = signal(5);
     let mut whole = input.clone();
     compiled.apply(&mut whole).unwrap();
-    // Re-run pass by pass through the public invocation API.
+    // Re-run invocation by invocation through the public indexing API.
     let mut pieces = input;
     for pass in compiled.passes() {
         for q in 0..pass.invocations() {
-            // SAFETY: q ranges over the pass grid and the buffer has
-            // the full transform size.
-            unsafe { pass.apply_invocation(&mut pieces, q) };
+            crate::apply_codelet_checked(
+                pass.k,
+                &mut pieces,
+                pass.invocation_base(q),
+                pass.codelet_stride(),
+            )
+            .unwrap();
         }
     }
     assert_eq!(pieces, whole);
@@ -1005,9 +892,13 @@ fn tile_pass_restriction_is_consistent_with_apply() {
             for p in 0..sp.parts().len() {
                 let pass = sp.tile_pass(p, j);
                 for q in 0..pass.invocations() {
-                    // SAFETY: q ranges over the restricted grid; the
-                    // schedule is valid by construction.
-                    unsafe { pass.apply_invocation(&mut pieces, q) };
+                    crate::apply_codelet_checked(
+                        pass.k,
+                        &mut pieces,
+                        pass.invocation_base(q),
+                        pass.codelet_stride(),
+                    )
+                    .unwrap();
                 }
             }
         }
@@ -1138,10 +1029,11 @@ fn batch_stage_declines_when_it_cannot_help() {
     // premise is gone: no product, apply_batch replays per row.
     let big = CompiledPlan::compile(&Plan::iterative(19).unwrap());
     assert!(!big.with_batch(&BatchPolicy::default()).is_batched());
-    // A hand-built schedule whose every pass is already full lane width
-    // has nothing to run cross-transform. (`verify` proves bounds,
-    // disjointness, coverage and Σk = n, not that the strides chain into
-    // a WHT, so five stride-16 passes at n = 5 pass the gate.)
+    // Two hand-built schedules the split must decline: one whose every
+    // pass is already full lane width (nothing to run cross-transform),
+    // and one with decreasing inner extents (not in canonical chained
+    // form: the narrow passes are no prefix). Neither applies the radix-2
+    // levels in order, so `from_super_passes` refuses both ...
     let wide = Pass {
         k: 1,
         r: 1,
@@ -1149,46 +1041,45 @@ fn batch_stage_declines_when_it_cannot_help() {
         base: 0,
         stride: 1,
     };
-    let all_wide =
-        CompiledPlan::from_super_passes(5, vec![SuperPass::new(vec![wide; 5], 32, 1, 0, 1)])
-            .unwrap();
-    assert!(!all_wide.with_batch(&BatchPolicy::default()).is_batched());
-    // A hand-built schedule with decreasing inner extents is not in
-    // canonical chained form: the narrow passes are no prefix, so the
-    // split declines rather than build a wrong program.
-    let decreasing = CompiledPlan::from_super_passes(
-        2,
-        vec![
-            SuperPass::new(
-                vec![Pass {
-                    k: 1,
-                    r: 1,
-                    s: 2,
-                    base: 0,
-                    stride: 1,
-                }],
-                4,
-                1,
-                0,
-                1,
-            ),
-            SuperPass::new(
-                vec![Pass {
-                    k: 1,
-                    r: 2,
-                    s: 1,
-                    base: 0,
-                    stride: 1,
-                }],
-                4,
-                1,
-                0,
-                1,
-            ),
-        ],
-    )
-    .unwrap();
-    assert!(!decreasing.with_batch(&BatchPolicy::default()).is_batched());
+    let all_wide = vec![SuperPass::new(vec![wide; 5], 32, 1, 0, 1)];
+    let narrow = |s: usize| {
+        SuperPass::new(
+            vec![Pass {
+                k: 1,
+                r: 2 / s,
+                s,
+                base: 0,
+                stride: 1,
+            }],
+            4,
+            1,
+            0,
+            1,
+        )
+    };
+    let decreasing = vec![narrow(2), narrow(1)];
+    for (n, schedule) in [(5, &all_wide), (2, &decreasing)] {
+        match CompiledPlan::from_super_passes(n, schedule.clone()) {
+            Err(WhtError::InvalidSchedule { msg, .. }) => {
+                assert!(msg.starts_with("[coverage]"), "n = {n}: {msg}");
+            }
+            other => panic!("n = {n}: expected a coverage refusal, got {other:?}"),
+        }
+    }
+    // ... and `build_batch`'s own guard still declines them when they
+    // bypass the verifier (the batch replay's safety argument cites it).
+    for (n, schedule) in [(5, all_wide), (2, decreasing)] {
+        let unverified = CompiledPlan {
+            n,
+            passes: schedule
+                .iter()
+                .flat_map(|sp| (0..sp.parts().len()).map(move |p| sp.flat_pass(p)))
+                .collect(),
+            schedule,
+            batch: None,
+        };
+        assert!(!unverified.with_batch(&BatchPolicy::default()).is_batched());
+    }
 }
 
 #[test]

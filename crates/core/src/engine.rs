@@ -21,9 +21,9 @@
 //! and the cache-trace executor in `wht-measure` are hooks, so measured
 //! counts and executed work can never drift apart. [`apply_plan`], the
 //! production entry point, instead replays the plan's flattened pass
-//! schedule from [`crate::compile`] (bit-identical output, no recursion);
-//! the same hooks can be driven from a compiled schedule via
-//! [`crate::compile::CompiledPlan::traverse`].
+//! schedule from [`crate::compile`] (bit-identical output, no recursion).
+//! The hooks observe the interpreter only: the paper's counters count
+//! its loop nest, not the compiled schedule.
 //!
 //! ## Child order (WHT-package convention)
 //!
@@ -129,31 +129,13 @@ fn apply_rec<T: Scalar>(plan: &Plan, x: &mut [T], base: usize, stride: usize) {
 ///
 /// The default methods do nothing, so implementors override only what they
 /// need (e.g. the trace executor only overrides [`ExecHooks::leaf_call`]).
-/// Callback order is the exact execution order of [`apply_plan`].
+/// Callback order is the exact execution order of
+/// [`apply_plan_recursive`].
 pub trait ExecHooks {
     /// A split node of size `2^n` with `t` children begins one invocation.
     #[inline]
     fn enter_split(&mut self, n: u32, t: usize) {
         let _ = (n, t);
-    }
-
-    /// A compiled scheduling unit begins: the hook receives the whole
-    /// [`crate::compile::SuperPass`] — its part/tile geometry, the kernel
-    /// backend recorded in the schedule (so measurement consumers see
-    /// exactly the program the executor runs, SIMD selection included),
-    /// the column geometry when the unit is a column tail (its "tiles"
-    /// are chunks), and the per-stage
-    /// [`crate::compile::Provenance`] saying which lowering rewrites
-    /// produced it. Passing the unit itself means a new lowering stage
-    /// never changes this signature again — consumers read the fields
-    /// they care about. Emitted only by
-    /// [`crate::compile::CompiledPlan::traverse`] (the recursive
-    /// interpreter has no super-pass structure); consumers that segment
-    /// measurements per super-pass (e.g. the per-super-pass traffic report
-    /// in `wht-measure`) override this, everything else ignores it.
-    #[inline]
-    fn super_pass(&mut self, sp: &crate::compile::SuperPass) {
-        let _ = sp;
     }
 
     /// Within the current split invocation, child `i` (of size `2^child_n`)
@@ -179,7 +161,7 @@ pub trait ExecHooks {
 ///
 /// The `(base, stride)` arguments passed to [`ExecHooks::leaf_call`] are
 /// element indices into the conceptual in-place vector of `plan.size()`
-/// elements, identical to the indices [`apply_plan`] touches.
+/// elements, identical to the indices [`apply_plan_recursive`] touches.
 pub fn traverse<H: ExecHooks>(plan: &Plan, hooks: &mut H) {
     traverse_rec(plan, 0, 1, hooks);
 }

@@ -40,12 +40,12 @@
 //! | [`parse`] | WHT-package plan grammar (`split[small[1],...]` strings) |
 //! | [`codelets`] | unrolled base cases `small[1]`..`small[8]`, the SIMD lane-block backend ([`SimdPolicy`]), and the batch path's lane transposes |
 //! | [`engine`] | the triply-nested-loop interpreter ([`apply_plan_recursive`]) and the hook-based traversal ([`traverse`]) instrumentation builds on |
-//! | [`compile`] | flattened pass schedules and the staged lowering pipeline: [`CompiledPlan`] compilation, the [`ExecPolicy`]-driven stage chain of [`CompiledPlan::lower`] — fuse ([`FusionPolicy`], [`SuperPass`]) → the in-place column tail, chunk by chunk ([`RelayoutPolicy`], [`ColumnTail`], [`apply_columns`]) → re-codelet ([`RecodeletPolicy`]) → kernel backend selection ([`PassBackend`]) → batch ([`BatchPolicy`]) → stream ([`StreamPolicy`]) — per-unit stage [`Provenance`], the zero-recursion executor behind [`apply_plan`], the per-thread `(plan, ExecPolicy)` schedule cache |
+//! | [`compile`] | flattened pass schedules and the staged lowering pipeline: [`CompiledPlan`] compilation, the [`ExecPolicy`]-driven stage chain of [`CompiledPlan::lower`] — fuse ([`FusionPolicy`], [`SuperPass`]) → the in-place column tail, chunk by chunk ([`RelayoutPolicy`], [`ColumnTail`]) → re-codelet ([`RecodeletPolicy`]) → kernel backend selection ([`PassBackend`]) → batch ([`BatchPolicy`]) → stream ([`StreamPolicy`]) — per-unit stage [`Provenance`], the zero-recursion executor behind [`apply_plan`], the per-thread `(plan, ExecPolicy)` schedule cache |
 //! | [`mod@env`] | the `WHT_THREADS` crew-size knob and its strict parse contract |
 //! | [`srht`] | SRHT sketching ([`Srht`]): Rademacher signs and subsampling fused into the batched executor's transposes |
 //! | [`mod@reference`] | `O(N^2)` ground truth ([`naive_wht`]) and test helpers |
 //! | [`testkit`] | shared test scaffolding: seeded random-plan generator, `O(n·2^n)` fast reference transform, deterministic signals |
-//! | [`verify`] | static schedule safety verifier: proves bounds, write-disjointness, coverage/permutation, and exact scratch sizing of a lowered schedule ([`CompiledPlan::verify`], [`VerifyDiagnostic`]); the gate [`CompiledPlan::from_super_passes`] applies to hand-built schedules |
+//! | [`verify`] | static schedule verifier: proves bounds, write-disjointness, coverage (the level chain: the interpreter's radix-2 levels, once each and in order), and exact scratch sizing of a lowered schedule ([`CompiledPlan::verify`], [`VerifyDiagnostic`]); the gate [`CompiledPlan::from_super_passes`] applies to hand-built schedules |
 //! | [`ordering`] | natural (Hadamard) vs sequency (Walsh) ordering |
 //! | [`scalar`] | element types: `f64` (default), `f32`, `i64`, `i32` |
 
@@ -72,9 +72,9 @@ pub use codelets::{
     SimdPolicy,
 };
 pub use compile::{
-    apply_columns, compiled_for, compiled_for_exec, BatchPolicy, BatchSchedule, ColumnTail,
-    CompiledPlan, ExecPolicy, FusionPolicy, Pass, PassBackend, Provenance, RecodeletPolicy,
-    RelayoutPolicy, StreamPolicy, SuperPass,
+    compiled_for, compiled_for_exec, BatchPolicy, BatchSchedule, ColumnTail, CompiledPlan,
+    ExecPolicy, FusionPolicy, Pass, PassBackend, Provenance, RecodeletPolicy, RelayoutPolicy,
+    StreamPolicy, SuperPass,
 };
 pub use dyadic::{dyadic_autocorrelation, dyadic_convolution, dyadic_convolution_naive};
 pub use engine::{apply_plan, apply_plan_recursive, for_each_leaf_call, traverse, ExecHooks};

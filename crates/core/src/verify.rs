@@ -1,7 +1,8 @@
-//! Static schedule safety verifier: proves — without executing anything —
-//! that a lowered [`CompiledPlan`] cannot index out of bounds, race, skip,
-//! or double-write an element, and that its declared scratch requirements
-//! are exactly what its geometry implies.
+//! Static schedule verifier: proves — without executing anything — that
+//! a lowered [`CompiledPlan`] cannot index out of bounds, race, skip, or
+//! double-write an element, that it applies the interpreter's radix-2
+//! levels once each and in order, and that its declared scratch
+//! requirements are exactly what its geometry implies.
 //!
 //! The `unsafe` kernels in [`crate::codelets`] replay whatever schedule
 //! the lowering pipeline hands them; their soundness rests entirely on
@@ -11,7 +12,8 @@
 //! violations as typed [`VerifyDiagnostic`]s (site, unit provenance,
 //! violated invariant) instead of one error. Differential
 //! tests witness "bit-identical on the inputs we sampled"; `verify()`
-//! upgrades that to "cannot fault for any input".
+//! upgrades that to "cannot fault, and computes the interpreter's bits,
+//! for any input".
 //!
 //! # The four invariant families
 //!
@@ -37,20 +39,24 @@
 //! power of two dividing `P`, so the chunks partition the residues, and
 //! every part's in-place stride must be a multiple of `P` (the **mod-`P`
 //! closure**), so that each part maps each residue class mod `P` onto
-//! itself and chunks stay write-disjoint across all parts. This verifier
-//! does not require the strides of *separate* units to chain, so the
-//! parallel engine checks the closure itself before it groups single-tile
-//! units into a column unit of its own. With those checks, `apply`'s
+//! itself and chunks stay write-disjoint across all parts. Column tails
+//! are the only units cut into chunks, so with those checks `apply`'s
 //! chunk-major replay and `par_apply_*` are race-free by construction,
 //! not by testing.
 //!
-//! **Coverage / permutation** ([`VerifyInvariant::Coverage`]): every
+//! **Coverage / the level chain** ([`VerifyInvariant::Coverage`]): every
 //! pass writes every element of its unit exactly once (canonical frame:
 //! `base = 0`, `stride = 1`, span equal to its tile), every unit's tile
-//! grid covers the whole vector, and the composed factor sequence
-//! multiplies out to `2^n` (the `Σk = n` check — a schedule that is
-//! bounds-safe but drops or repeats a factor computes the wrong
-//! transform).
+//! grid covers the whole vector, and the flat passes, in execution
+//! order, apply the radix-2 levels `0..n` once each and in increasing
+//! order: each pass starts at the next unapplied level (inner extent
+//! `s = 2^level`) and the walk ends at level `n`. Every plan of the
+//! paper's family applies its levels in that order, so a schedule that
+//! passes is bit-identical to the recursive interpreter for every input.
+//! A schedule that is bounds-safe but drops, repeats or reorders a level
+//! is refused, whether it then computes a wrong transform or the right
+//! one with other bits. The same chain runs over the flat factor list
+//! and the batch product's `cross ++ tail` passes.
 //!
 //! **Scratch sizing** ([`VerifyInvariant::Scratch`]): the batched path's
 //! declared [`CompiledPlan::batch_scratch_elems`] must *equal* the L1
@@ -70,8 +76,9 @@
 //!   [`WhtError::InvalidSchedule`](crate::WhtError::InvalidSchedule).
 //! - the `verifier_fuzz` test runs the checker over thousands of random
 //!   plans × [`ExecPolicy`](crate::ExecPolicy) points and
-//!   mutation-tests it (corrupted stride/offset/k must be rejected with
-//!   a diagnostic naming the invariant).
+//!   mutation-tests it (corrupted stride/offset/k, or a part moved onto
+//!   an applied level, must be rejected with a diagnostic naming the
+//!   invariant).
 
 use crate::compile::{
     cross_tile_cols_for, BatchSchedule, CompiledPlan, Pass, Provenance, SuperPass, BATCH_MAX_ELEMS,
@@ -106,8 +113,10 @@ pub enum VerifyInvariant {
     /// that are not closed under a part or do not partition the residues,
     /// or parallel shard boundaries that would split a butterfly.
     Disjointness,
-    /// An element is skipped or the factor sequence does not compose to
-    /// `WHT(2^n)` (wrong result, even if memory-safe).
+    /// An element is skipped, or the flat passes do not apply the
+    /// radix-2 levels `0..n` once each and in order (the level chain): a
+    /// wrong result, or other bits than the interpreter's, even if
+    /// memory-safe.
     Coverage,
     /// A declared scratch requirement differs from the one the geometry
     /// implies.
@@ -270,7 +279,7 @@ fn checked_reach(p: &Pass) -> Option<usize> {
 
 /// What [`check_pass_in_frame`] established about a pass, gating the
 /// dependent checks: exhaustive write-counting needs every index
-/// in-range (`indexable`), the factor-product sum needs the pass fully
+/// in-range (`indexable`), the level chain needs the pass fully
 /// canonical (`clean`).
 #[derive(Clone, Copy)]
 struct PassCheck {
@@ -422,14 +431,87 @@ fn check_exact_cover(
     }
 }
 
-/// Verify one scheduling unit against the vector size. Adds the unit's
-/// contribution (`Σk` over its parts) to `sum_k` when its parts are sound
-/// enough to count.
+/// The level chain (see the module docs): fed a schedule's flat passes
+/// in execution order, it requires each to start at the next unapplied
+/// radix-2 level — inner extent `s = 2^level` — and stay within the `n`
+/// levels, and the walk to end at level `n`. The first miss is one
+/// [`VerifyInvariant::Coverage`] diagnostic at its pass; the walk stops
+/// there.
+struct LevelChain {
+    n: u32,
+    /// Levels applied so far; `None` once a pass broke the chain or was
+    /// too malformed to have a level (its own checks reported it).
+    level: Option<u32>,
+}
+
+impl LevelChain {
+    fn new(n: u32) -> Self {
+        LevelChain { n, level: Some(0) }
+    }
+
+    /// A pass too malformed to have a level (its own checks reported
+    /// it): the walk stops without a further diagnostic.
+    fn stop(&mut self) {
+        self.level = None;
+    }
+
+    /// The next flat pass in execution order.
+    fn step(
+        &mut self,
+        p: &Pass,
+        site: VerifySite,
+        provenance: Option<Provenance>,
+        diags: &mut Diags,
+    ) {
+        let Some(level) = self.level.take() else {
+            return;
+        };
+        let message = if p.s != 1usize << level {
+            format!(
+                "pass at inner extent {} does not start at the next unapplied \
+                 radix-2 level {level} (inner extent {}): it repeats, skips or \
+                 reorders levels",
+                p.s,
+                1usize << level
+            )
+        } else if p.k > self.n - level {
+            format!(
+                "pass applies radix-2 levels {level}..{}, past the transform's {}",
+                level + p.k,
+                self.n
+            )
+        } else {
+            self.level = Some(level + p.k);
+            return;
+        };
+        diags.push(site, provenance, VerifyInvariant::Coverage, message);
+    }
+
+    /// The walk is over: it must have reached level `n` (reported at
+    /// `site` when it stopped short).
+    fn end(self, site: VerifySite, diags: &mut Diags) {
+        if let Some(level) = self.level.filter(|&level| level != self.n) {
+            diags.push(
+                site,
+                None,
+                VerifyInvariant::Coverage,
+                format!(
+                    "factor sequence applies radix-2 levels 0..{level}: it multiplies \
+                     to 2^{level}, not the transform size 2^{}",
+                    self.n
+                ),
+            );
+        }
+    }
+}
+
+/// Verify one scheduling unit against the vector size, and feed its
+/// parts, as flat passes, to the level chain.
 fn check_unit(
     index: usize,
     sp: &SuperPass,
     size: usize,
-    sum_k: &mut Option<u64>,
+    chain: &mut LevelChain,
     diags: &mut Diags,
 ) {
     let prov = Some(sp.provenance());
@@ -444,6 +526,7 @@ fn check_unit(
             VerifyInvariant::Structure,
             "super-pass has no parts".into(),
         );
+        chain.stop();
         return;
     }
     // A column unit's geometry first: its chunk grid is derived from it,
@@ -486,6 +569,7 @@ fn check_unit(
                 sp.tile_elems()
             ),
         );
+        chain.stop();
         return;
     }
     // Canonical top-level frame: both the tile partition argument and the
@@ -541,30 +625,33 @@ fn check_unit(
         if check.indexable && sp.tile_elems() <= EXACT_COVER_MAX_TILE {
             check_exact_cover(part, sp.tile_elems(), psite, prov, diags);
         }
-        if check.clean {
-            *sum_k = sum_k.and_then(|s| s.checked_add(u64::from(part.k)));
-            // Parallel invocation-granular sharding replays the unfused
-            // flat pass; its frame is the whole vector.
-            let flat = sp.flat_pass(pi);
-            if checked_reach(&flat).is_none_or(|reach| reach >= size)
-                || flat.base != 0
-                || flat.stride != 1
-                || checked_span(&flat) != Some(size)
-            {
-                diags.push(
-                    psite,
-                    prov,
-                    VerifyInvariant::Disjointness,
-                    format!(
-                        "unfused replay of this part is not a whole-vector pass \
-                         (k = {}, r = {}, s = {}, base = {}, stride = {}): \
-                         invocation-granular parallel shards would mis-slice",
-                        flat.k, flat.r, flat.s, flat.base, flat.stride
-                    ),
-                );
-            }
+        if !check.clean {
+            chain.stop();
+            continue;
+        }
+        // Parallel invocation-granular sharding replays the unfused flat
+        // pass, and the level chain reads it; its frame is the whole
+        // vector.
+        let flat = sp.flat_pass(pi);
+        if checked_reach(&flat).is_none_or(|reach| reach >= size)
+            || flat.base != 0
+            || flat.stride != 1
+            || checked_span(&flat) != Some(size)
+        {
+            diags.push(
+                psite,
+                prov,
+                VerifyInvariant::Disjointness,
+                format!(
+                    "unfused replay of this part is not a whole-vector pass \
+                     (k = {}, r = {}, s = {}, base = {}, stride = {}): \
+                     invocation-granular parallel shards would mis-slice",
+                    flat.k, flat.r, flat.s, flat.base, flat.stride
+                ),
+            );
+            chain.stop();
         } else {
-            *sum_k = None;
+            chain.step(&flat, psite, prov, diags);
         }
     }
 }
@@ -652,8 +739,8 @@ fn check_column_unit(index: usize, sp: &SuperPass, size: usize, diags: &mut Diag
 }
 
 /// Verify a super-pass schedule for a `2^n`-element transform: every
-/// unit's bounds, disjointness, and coverage, plus the schedule-wide
-/// factor product `Σk = n`. This is the core of [`CompiledPlan::verify`],
+/// unit's bounds, disjointness, and coverage, plus the level chain over
+/// its flat passes. This is the core of [`CompiledPlan::verify`],
 /// exposed standalone so hand-built (including deliberately corrupted)
 /// unit lists can be checked without constructing a `CompiledPlan` — the
 /// mutation tests' entry point, since [`CompiledPlan::from_super_passes`]
@@ -672,35 +759,21 @@ pub fn verify_schedule(n: u32, schedule: &[SuperPass]) -> Vec<VerifyDiagnostic> 
         );
         return diags.out;
     }
-    // Σk across every part of every unit: each part is one composed
-    // factor WHT(2^k) of the global Kronecker product (re-codeleted parts
-    // carry the regrouped exponent), so the product of all factor sizes is
-    // 2^Σk and must equal 2^n. `None` once any part is too malformed for
-    // its k to mean anything.
-    let mut sum_k = Some(0u64);
+    // Every part is one composed factor WHT(2^k) of the global Kronecker
+    // product (re-codeleted parts carry the regrouped exponent), applying
+    // k radix-2 levels at its in-place stride.
+    let mut chain = LevelChain::new(n);
     for (index, sp) in schedule.iter().enumerate() {
-        check_unit(index, sp, size, &mut sum_k, &mut diags);
+        check_unit(index, sp, size, &mut chain, &mut diags);
     }
-    if let Some(sum) = sum_k {
-        if sum != u64::from(n) {
-            diags.push(
-                VerifySite::Schedule,
-                None,
-                VerifyInvariant::Coverage,
-                format!(
-                    "composed factor sequence multiplies to 2^{sum}, not the \
-                     transform size 2^{n}"
-                ),
-            );
-        }
-    }
+    chain.end(VerifySite::Schedule, &mut diags);
     diags.out
 }
 
 /// Verify the flat factor schedule (the unfused view every regrouping
 /// stage preserves and the parallel engine's in-place replay runs):
 /// every pass must cover the whole vector exactly once in the
-/// canonical frame, and the factor sizes must multiply to `2^n`.
+/// canonical frame, and the passes must form the level chain.
 pub fn verify_flat_passes(n: u32, passes: &[Pass]) -> Vec<VerifyDiagnostic> {
     let mut diags = Diags::new();
     let Some(size) = checked_size(n, &mut diags) else {
@@ -715,7 +788,7 @@ pub fn verify_flat_passes(n: u32, passes: &[Pass]) -> Vec<VerifyDiagnostic> {
         );
         return diags.out;
     }
-    let mut sum_k = Some(0u64);
+    let mut chain = LevelChain::new(n);
     for (index, p) in passes.iter().enumerate() {
         let site = VerifySite::FlatPass { index };
         let check = check_pass_in_frame(p, size, "vector", site, None, &mut diags);
@@ -723,24 +796,12 @@ pub fn verify_flat_passes(n: u32, passes: &[Pass]) -> Vec<VerifyDiagnostic> {
             check_exact_cover(p, size, site, None, &mut diags);
         }
         if check.clean {
-            sum_k = sum_k.and_then(|s| s.checked_add(u64::from(p.k)));
+            chain.step(p, site, None, &mut diags);
         } else {
-            sum_k = None;
+            chain.stop();
         }
     }
-    if let Some(sum) = sum_k {
-        if sum != u64::from(n) {
-            diags.push(
-                VerifySite::Schedule,
-                None,
-                VerifyInvariant::Coverage,
-                format!(
-                    "flat factor sequence multiplies to 2^{sum}, not the \
-                     transform size 2^{n}"
-                ),
-            );
-        }
-    }
+    chain.end(VerifySite::Schedule, &mut diags);
     diags.out
 }
 
@@ -759,7 +820,8 @@ pub fn verify_batch(n: u32, batch: &BatchSchedule) -> Vec<VerifyDiagnostic> {
 }
 
 /// Verify a batched-execution split against the transform exponent: the
-/// `cross ++ tail` split must itself be a valid flat schedule, the split
+/// `cross ++ tail` split must itself be a valid flat schedule (whole-vector
+/// passes forming the level chain), the split
 /// must respect the lane-width threshold it was cut at, and the
 /// cross-tile sweep [`CompiledPlan::apply_batch_with_scratch`] runs must
 /// be exact (whole butterflies per tile, whole tiles per row) for every
@@ -793,31 +855,19 @@ pub fn verify_batch_split(n: u32, cross: &[Pass], tail: &[Pass]) -> Vec<VerifyDi
         );
     }
     // The concatenated split is the flat schedule apply_batch replays per
-    // transform: same whole-vector-per-pass + Σk = n obligations.
-    let mut sum_k = Some(0u64);
-    let mut prev_s = 0usize;
+    // transform: the same whole-vector-per-pass and level-chain
+    // obligations. The chain's increasing inner extents also make the
+    // narrow passes a prefix, which the lane-width checks below pin to
+    // the cross side.
+    let mut chain = LevelChain::new(n);
     let cross_len = cross.len();
     for (index, p) in cross.iter().chain(tail).enumerate() {
         let site = VerifySite::Batch { pass: Some(index) };
-        if check_pass_in_frame(p, size, "vector", site, None, &mut diags).clean {
-            sum_k = sum_k.and_then(|s| s.checked_add(u64::from(p.k)));
-        } else {
-            sum_k = None;
+        if !check_pass_in_frame(p, size, "vector", site, None, &mut diags).clean {
+            chain.stop();
             continue;
         }
-        if p.s < prev_s {
-            diags.push(
-                site,
-                None,
-                VerifyInvariant::Structure,
-                format!(
-                    "inner extents must be non-decreasing across the split \
-                     (s = {} after s = {prev_s})",
-                    p.s
-                ),
-            );
-        }
-        prev_s = p.s;
+        chain.step(p, site, None, &mut diags);
         if index < cross_len && p.s >= CROSS_MAX_S {
             diags.push(
                 site,
@@ -843,19 +893,7 @@ pub fn verify_batch_split(n: u32, cross: &[Pass], tail: &[Pass]) -> Vec<VerifyDi
             );
         }
     }
-    if let Some(sum) = sum_k {
-        if sum != u64::from(n) {
-            diags.push(
-                whole,
-                None,
-                VerifyInvariant::Coverage,
-                format!(
-                    "batched factor sequence multiplies to 2^{sum}, not the \
-                     transform size 2^{n}"
-                ),
-            );
-        }
-    }
+    chain.end(whole, &mut diags);
     // Per lane width: re-derive the cross-tile geometry and prove the
     // sweep exact. tile_cols must divide the row (or the last gather
     // overruns it) and every cross footprint must divide tile_cols (or a
@@ -928,8 +966,10 @@ pub fn verify_batch_split(n: u32, cross: &[Pass], tail: &[Pass]) -> Vec<VerifyDi
 impl CompiledPlan {
     /// Statically prove this lowered schedule safe to execute: every
     /// index in bounds, every write-set disjoint, every element covered
-    /// exactly once per factor with the factor product equal to `2^n`,
-    /// and every declared scratch requirement exactly the derived one —
+    /// exactly once per factor with the factors applying the radix-2
+    /// levels `0..n` once each and in order (so the replay computes the
+    /// interpreter's bits), and every declared scratch requirement
+    /// exactly the derived one —
     /// for the super-pass schedule, the flat factor view, and the
     /// batched product alike. Returns **all** violations (empty means
     /// proven); see the [module docs](crate::verify) for the invariant

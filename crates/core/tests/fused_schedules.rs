@@ -363,9 +363,9 @@ fn relayout_geometry_violations_rejected() {
 #[test]
 fn bad_second_super_pass_is_reported_by_index() {
     // The first unit is sound on its own (its three factors leave the
-    // schedule-wide factor product short, which the verifier reports
-    // after every unit-level finding), so the error must point past it,
-    // at index 1.
+    // level chain short of level 4, which the verifier reports after
+    // every unit-level finding), so the error must point past it, at
+    // index 1.
     let good = SuperPass::new(
         vec![part(1, 1, 16), part(1, 2, 16), part(1, 4, 16)],
         16,

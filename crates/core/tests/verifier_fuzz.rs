@@ -8,8 +8,8 @@
 //!   the corpus — must verify clean, for the super-pass schedule, the
 //!   flat view, and the batched product alike.
 //! - **Sensitivity of the verifier** (mutation): deliberately corrupted
-//!   schedules (stride, offset, exponent, grid, column geometry, batch
-//!   split) must each be *rejected* with a diagnostic
+//!   schedules (stride, offset, exponent, grid, column geometry, level
+//!   order, batch split) must each be *rejected* with a diagnostic
 //!   naming the violated invariant — no silent acceptance. Corruptions
 //!   are injected through `SuperPass::new`/`new_columns` (unchecked
 //!   carriers by design) and the slice-based `verify_*` entry points,
@@ -413,15 +413,15 @@ fn fused_tile_escape_is_rejected_as_bounds() {
             vec![
                 Pass {
                     k: 1,
-                    r: 1,
-                    s: 2,
+                    r: 2,
+                    s: 1,
                     base: 0,
                     stride: 1,
                 },
                 Pass {
                     k: 1,
-                    r: 2,
-                    s: 1,
+                    r: 1,
+                    s: 2,
                     base: 0,
                     stride: 1,
                 },
@@ -460,15 +460,15 @@ fn fused_tile_escape_is_rejected_as_bounds() {
         vec![
             Pass {
                 k: 1,
-                r: 1,
-                s: 4,
+                r: 2,
+                s: 1,
                 base: 0,
                 stride: 1,
             },
             Pass {
                 k: 1,
-                r: 2,
-                s: 1,
+                r: 1,
+                s: 4,
                 base: 0,
                 stride: 1,
             },
@@ -491,7 +491,7 @@ fn fused_tile_escape_is_rejected_as_bounds() {
 fn valid_relayout_units() -> (u32, Vec<SuperPass>, ColumnTail) {
     let n = 6u32;
     let rl = ColumnTail { period: 8, cols: 2 };
-    let mut units: Vec<SuperPass> = (3..6)
+    let mut units: Vec<SuperPass> = (0..3)
         .map(|i| {
             let s = 1usize << i;
             SuperPass::new(
@@ -723,6 +723,119 @@ fn dropped_and_duplicated_factors_are_rejected_as_coverage() {
         VerifyInvariant::Coverage,
         "duplicated flat factor",
     );
+}
+
+/// The two schedules `from_super_passes(4, …)` used to accept: levels
+/// 0–1 twice and levels 2–3 never (Σk = n, yet the wrong transform), and
+/// levels 2–3 before 0–1 (a WHT, but not the interpreter's bits on
+/// floats). The level chain refuses both at the first out-of-order pass.
+#[test]
+fn repeated_and_reordered_levels_are_rejected_as_coverage() {
+    let (n, units) = valid_units();
+    let repeated = vec![
+        units[0].clone(),
+        units[1].clone(),
+        units[0].clone(),
+        units[1].clone(),
+    ];
+    let reordered = vec![
+        units[2].clone(),
+        units[3].clone(),
+        units[0].clone(),
+        units[1].clone(),
+    ];
+    for (ctx, schedule, at) in [
+        ("levels 0-1 twice", repeated, 2),
+        ("levels 2-3 before 0-1", reordered, 0),
+    ] {
+        let diags = verify_schedule(n, &schedule);
+        assert_rejects(&diags, VerifyInvariant::Coverage, ctx);
+        assert_eq!(
+            diags.iter().map(|d| d.site).collect::<Vec<_>>(),
+            [VerifySite::Unit {
+                unit: at,
+                part: Some(0)
+            }],
+            "{ctx}"
+        );
+        match CompiledPlan::from_super_passes(n, schedule) {
+            Err(WhtError::InvalidSchedule { index, msg }) => {
+                assert_eq!(index, at, "{ctx}: {msg}");
+                assert!(msg.starts_with("[coverage]"), "{ctx}: {msg}");
+            }
+            other => panic!("{ctx}: expected a coverage refusal, got {other:?}"),
+        }
+    }
+}
+
+/// Mutation: move one part of a valid whole-vector schedule onto a
+/// radix-2 level an earlier part already applied. The moved part still
+/// covers the vector exactly once, so only the level chain can see it.
+#[test]
+fn part_moved_onto_an_applied_level_is_rejected_as_coverage() {
+    let mut rng = Rng(0x1E7E1);
+    for _ in 0..300 {
+        let n = 2 + u32::try_from(rng.below(11)).unwrap();
+        let size = 1usize << n;
+        // A random composition of n into codelets of at most 4 levels,
+        // one whole-vector unit each, chained.
+        let mut ks = Vec::new();
+        let mut level = 0u32;
+        while level < n {
+            let k = 1 + u32::try_from(rng.below(u64::from((n - level).min(4)))).unwrap();
+            ks.push(k);
+            level += k;
+        }
+        let unit = |k: u32, l: u32| {
+            SuperPass::new(
+                vec![Pass {
+                    k,
+                    r: size >> (k + l),
+                    s: 1 << l,
+                    base: 0,
+                    stride: 1,
+                }],
+                size,
+                1,
+                0,
+                1,
+            )
+        };
+        let starts: Vec<u32> = ks
+            .iter()
+            .scan(0, |l, &k| {
+                let start = *l;
+                *l += k;
+                Some(start)
+            })
+            .collect();
+        let mut units: Vec<SuperPass> = ks.iter().zip(&starts).map(|(&k, &l)| unit(k, l)).collect();
+        assert_eq!(verify_schedule(n, &units), vec![], "n = {n}, ks {ks:?}");
+        if ks.len() < 2 {
+            continue;
+        }
+        let victim = 1 + usize::try_from(rng.below(ks.len() as u64 - 1)).unwrap();
+        let applied = u32::try_from(rng.below(u64::from(starts[victim]))).unwrap();
+        units[victim] = unit(ks[victim], applied);
+        let ctx = format!("n = {n}, ks {ks:?}: unit {victim} moved onto level {applied}");
+        let diags = verify_schedule(n, &units);
+        assert_rejects(&diags, VerifyInvariant::Coverage, &ctx);
+        assert!(
+            diags
+                .iter()
+                .all(|d| d.invariant == VerifyInvariant::Coverage
+                    && d.site
+                        == VerifySite::Unit {
+                            unit: victim,
+                            part: Some(0)
+                        }),
+            "{ctx}: {diags:?}"
+        );
+        match CompiledPlan::from_super_passes(n, units) {
+            Err(WhtError::InvalidSchedule { index, .. }) => assert_eq!(index, victim, "{ctx}"),
+            other => panic!("{ctx}: expected a refusal, got {other:?}"),
+        }
+    }
 }
 
 #[test]

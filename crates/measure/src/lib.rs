@@ -7,8 +7,8 @@
 //! | paper counter | here |
 //! |---------------|------|
 //! | PAPI cycles   | [`timer`] — wall-clock median timing of the real engine; [`simcycles`] — deterministic cycles on a simulated Opteron |
-//! | PAPI instructions | [`instrumented`] — hook-driven operation counting of the exact loop nest |
-//! | PAPI L1 data misses | [`trace`] — exact memory trace through `wht-cachesim` hierarchies |
+//! | PAPI instructions | [`instrumented`] — hook-driven operation counting of the interpreter's exact loop nest |
+//! | PAPI L1 data misses | [`trace`] — the interpreter's exact memory trace through `wht-cachesim` hierarchies |
 //!
 //! [`record::measure_plan`] bundles all of them into one [`Measurement`]
 //! per algorithm — a row of the paper's experimental data.
@@ -23,15 +23,9 @@ pub mod simcycles;
 pub mod timer;
 pub mod trace;
 
-pub use instrumented::{
-    compiled_instruction_count, compiled_op_counts, measured_instruction_count, measured_op_counts,
-    InstructionCounter,
-};
+pub use instrumented::{measured_instruction_count, measured_op_counts, InstructionCounter};
 pub use policy_trace::{opteron_l1_policy_misses, policy_trace_misses};
 pub use record::{measure_plan, MeasureOptions, Measurement};
 pub use simcycles::{simulated_cycles, SimMachine};
 pub use timer::{time_plan, TimingConfig, TimingResult};
-pub use trace::{
-    direct_mapped_unit_misses, opteron_misses, super_pass_traffic, trace_misses,
-    trace_misses_compiled, SuperPassTraffic, TraceExecutor,
-};
+pub use trace::{direct_mapped_unit_misses, opteron_misses, trace_misses, TraceExecutor};

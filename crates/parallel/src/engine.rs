@@ -27,52 +27,39 @@
 //!
 //! ## Units of work
 //!
-//! The engine lowers the schedule into a list of units separated by
-//! barriers; each unit splits into *claims*, the pieces of work a worker
-//! takes. Workers always run the kernel backend the sequential replay
-//! picked (`PassBackend`, recorded in the schedule), so opting a process
-//! into or out of SIMD changes sequential and parallel execution
+//! The engine walks the lowered schedule once, in order, and turns every
+//! super-pass into barrier-separated units; each unit splits into
+//! *claims*, the pieces of work a worker takes. The lowering pipeline is
+//! the only place a schedule is cut into pieces: the engine claims the
+//! tiles the stages cut and adds no rule of its own about what runs
+//! chunk by chunk. Workers always run the kernel backend the sequential
+//! replay picked (`PassBackend`, recorded in the schedule), so opting a
+//! process into or out of SIMD changes sequential and parallel execution
 //! together.
 //!
-//! * A **tiled** direct super-pass (two or more tiles) shards by *tile*:
-//!   a claimed tile runs all fused factors while cache-hot on the
-//!   claiming worker (`SuperPass::apply_tile`), so the parallel engine
-//!   inherits the fusion layer's locality. It keeps its tiles even when
-//!   there are fewer of them than workers: replaying a fused unit
-//!   pass-major would cost one barrier and one sweep per factor.
-//! * A **column tail** (the lowered `ColumnTail` super-pass) becomes one
-//!   **column unit** over its in-place factors (`SuperPass::flat_pass`)
-//!   at its own period `P`, re-chunked for the crew (below), when `P`
-//!   has room for two chunks; otherwise its factors are cut like a run.
-//! * Every other unit is a single-tile direct unit, replayed as its flat,
-//!   in-place factor. Consecutive such units form one *run* of flat
-//!   passes, which the engine cuts greedily from the left:
-//!   - A pass at stride `P` opens a column unit of its own when `P` holds
-//!     at least two chunks of 256 columns whose elements, across all
-//!     rows, fit the *budget*: the largest tile of any unit with two or
-//!     more tiles (the default fusion budget when there is none). The
-//!     unit takes every following pass of the run on the same backend
-//!     whose stride is a multiple of `P`.
-//!   - Any other pass is a **pass unit** on its own: claim `i` is a
-//!     contiguous range of invocations (one invocation is one codelet
-//!     call at one grid point) covering at least 2^14 elements (128 KiB
-//!     of `f64`s) unless the whole pass is smaller. On the lane backend a
-//!     claim's partial rows run as one `apply_codelet_cols` call each and
-//!     its whole rows as one `apply_pass_lanes` call; the scalar backend
-//!     runs the codelet loop.
+//! * A super-pass with **two or more tiles** is one **tile unit**: claim
+//!   `j` is tile `j`, run by `SuperPass::apply_tile`, the call sequential
+//!   replay makes for the same tile. A fused tile runs all its parts
+//!   while it stays cache-hot on the claiming worker, so the parallel
+//!   engine inherits the fusion layer's locality. A column tail's tile is
+//!   a chunk of residues mod its period `P`: the claiming worker runs
+//!   every in-place part over it with no barrier between parts, so a
+//!   large-stride tail costs one barrier and one cache-resident sweep per
+//!   chunk instead of one barrier and one full sweep per pass. A tile
+//!   unit keeps its tiles even when there are fewer of them than
+//!   workers: replaying a fused unit pass-major would cost one barrier
+//!   and one sweep per factor.
+//! * A **one-tile** super-pass runs each part, in order, as a **pass
+//!   unit** of its own, replayed as the part's flat, in-place factor
+//!   (`SuperPass::flat_pass`): claim `i` is a contiguous range of
+//!   invocations (one invocation is one codelet call at one grid point)
+//!   covering at least 2^14 elements (128 KiB of `f64`s) unless the whole
+//!   pass is smaller. On the lane backend a claim's partial rows run as
+//!   one `apply_codelet_cols` call each and its whole rows as one
+//!   `apply_pass_lanes` call; the scalar backend runs the codelet loop.
 //!
-//! Claim `c` of a column unit is the residues `[c·cols, (c+1)·cols)` mod
-//! `P`, and it runs *every* pass of the unit over them through the chunk
-//! kernel sequential replay uses (`wht_core::apply_columns`), with no
-//! barrier between passes. A large-stride tail thus costs one barrier and
-//! one cache-resident sweep per chunk instead of one barrier and one full
-//! sweep per pass. `cols` is the widest power of two that fits the
-//! budget, halved while the unit has fewer than four chunks per worker
-//! and a halved chunk still holds 2^14 elements and 256 columns.
-//!
-//! Claim order and grouping never change the butterflies a column sees
-//! or their order, so output stays bit-identical to sequential
-//! execution.
+//! Claim order never changes the butterflies an element sees or their
+//! order, so output stays bit-identical to sequential execution.
 //!
 //! ## Stable shard ranges and stealing
 //!
@@ -97,17 +84,16 @@
 //! the schedule invariants (`CompiledPlan::verify`); the parts within a
 //! claimed tile run sequentially on the claiming worker.
 //!
-//! A column unit needs one more fact, the **mod-`P` closure**: every pass
-//! of the unit has a stride `s = m·P`, so each element `j·2^k·s + t +
-//! u·s` it touches is congruent to `t` mod `P`. Every pass therefore maps
-//! each residue class mod `P` onto itself, the chunks (disjoint residue
-//! ranges) stay write-disjoint across *all* passes of the unit, and no
-//! barrier is needed between them. Each chunk still sees its passes in
-//! schedule order, so every column gets the same butterflies in the same
-//! order as sequentially. `verify` proves the closure for a lowered
-//! column tail; for a run it groups from single-tile units, whose strides
-//! `verify` does not require to chain, the engine checks `s % P == 0`
-//! itself before it groups a pass.
+//! A column tail's chunk claims need one more fact, the **mod-`P`
+//! closure**: every part of the tail has an in-place stride `s = m·P`, so
+//! each element `j·2^k·s + t + u·s` it touches is congruent to `t` mod
+//! `P`. Every part therefore maps each residue class mod `P` onto itself,
+//! the chunks (disjoint residue ranges) stay write-disjoint across *all*
+//! parts of the tail, and no barrier is needed between them. Each chunk
+//! still sees its parts in schedule order, so every column gets the same
+//! butterflies in the same order as sequentially. `verify` proves the
+//! closure for every column tail, and column tails are the only units
+//! cut into chunks.
 //!
 //! Distributing disjoint claims over threads is race-free even though
 //! the *slices* overlap; a raw pointer wrapper carries the buffer across
@@ -118,9 +104,9 @@
 //!
 //! Because each worker runs the same codelet on the same values as the
 //! sequential schedule, parallel output is **bit-identical** to
-//! sequential output — property-tested in `tests/proptests.rs` (fused,
-//! lowered and engine-grouped column tails, batch; global-pool,
-//! per-call-pool, and sequential against each other).
+//! sequential output — property-tested in `tests/proptests.rs` (fused
+//! tiles, column tails and pass units, batch; global-pool, per-call-pool,
+//! and sequential against each other).
 //!
 //! ## Batched execution
 //!
@@ -136,7 +122,7 @@
 
 use crate::pool::{scratch_words, PoisonBarrier, PoisonOnPanic, WorkerPool};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use wht_core::{CompiledPlan, FusionPolicy, Pass, PassBackend, Plan, Scalar, SuperPass, WhtError};
+use wht_core::{CompiledPlan, Pass, PassBackend, Plan, Scalar, SuperPass, WhtError};
 
 /// Raw-pointer wrapper that lets worker threads write disjoint element
 /// sets of one buffer.
@@ -161,33 +147,17 @@ impl Default for Threads {
     }
 }
 
-/// How finely [`build_units`] cuts the units that do not shard by tile
-/// (module docs' "Units of work").
-#[derive(Debug, Clone, Copy)]
-struct Grain {
-    /// Fewest elements one claim covers unless its unit is smaller.
-    min_claim: usize,
-    /// Narrowest column chunk a column unit cuts. A power of two at
-    /// least the widest `Scalar::LANES`, so every chunk (a power of two
-    /// of columns, at least this wide) is lane-aligned.
-    min_cols: usize,
-}
-
-/// The grain every dispatch uses. On a 2-vCPU Xeon, claims of one
-/// 8-column lane block each (one kernel call per claim) ran 2-worker
+/// Fewest elements one claim of a pass unit covers, unless the pass is
+/// smaller (module docs' "Units of work"). On a 2-vCPU Xeon, claims of
+/// one 8-column lane block each (one kernel call per claim) ran 2-worker
 /// replay of `Plan::iterative(n)` at n = 18–22 slower than one thread.
-/// Claims of at least 2^14 elements (128 KiB of `f64`s) and column
-/// fragments of at least 256 columns keep both the claim protocol and the
-/// kernel calls far from that shape; neither value was tuned.
-const GRAIN: Grain = Grain {
-    min_claim: 1 << 14,
-    min_cols: 256,
-};
-const _: () =
-    assert!(GRAIN.min_cols.is_power_of_two() && GRAIN.min_cols >= wht_core::lane_width::<f32>());
+/// Claims of at least 2^14 elements (128 KiB of `f64`s) keep both the
+/// claim protocol and the kernel calls far from that shape; the value
+/// was not tuned.
+const MIN_CLAIM: usize = 1 << 14;
 
-/// One flat (whole-vector, in-place) factor of a unit that does not
-/// shard by tile, and whether it runs on the lane kernels.
+/// One flat (whole-vector, in-place) factor of a one-tile unit, and
+/// whether it runs on the lane kernels.
 #[derive(Debug, Clone, Copy)]
 struct FlatPass {
     pass: Pass,
@@ -266,21 +236,13 @@ impl FlatPass {
 /// One barrier-separated work unit of a lowered schedule (module docs'
 /// "Units of work").
 enum Unit<'a> {
-    /// Claim indices are tile numbers of the super-pass.
+    /// Claim indices are tile numbers of a super-pass with two or more
+    /// tiles: fused tiles, or a column tail's chunks.
     Tiles(&'a SuperPass),
     /// One flat pass in `claims` contiguous invocation ranges: claim `i`
     /// is invocations `[i·len, (i+1)·len)` with `len = invocations /
     /// claims`, the last claim taking any remainder.
     Pass { flat: FlatPass, claims: usize },
-    /// Flat passes whose strides are all multiples of `period` (a power
-    /// of two `cols` divides): claim `c` runs every pass, in order, over
-    /// the residues `[c·cols, (c+1)·cols)` mod `period`.
-    Columns {
-        run: Vec<Pass>,
-        backend: PassBackend,
-        period: usize,
-        cols: usize,
-    },
 }
 
 impl Unit<'_> {
@@ -288,7 +250,6 @@ impl Unit<'_> {
         match self {
             Unit::Tiles(sp) => sp.tiles(),
             Unit::Pass { claims, .. } => *claims,
-            Unit::Columns { period, cols, .. } => period / cols,
         }
     }
 
@@ -300,7 +261,8 @@ impl Unit<'_> {
     unsafe fn exec<T: Scalar>(&self, data: &mut [T], i: usize) {
         match self {
             // SAFETY: i < count = tiles() and the buffer holds the full
-            // transform (caller contract).
+            // transform the verified schedule was built for (caller
+            // contract).
             Unit::Tiles(sp) => unsafe { sp.apply_tile(data, i) },
             Unit::Pass { flat, claims } => {
                 let inv = flat.pass.invocations();
@@ -310,153 +272,30 @@ impl Unit<'_> {
                 // caller contract.
                 unsafe { flat.run_invocations(data, i * len, end) };
             }
-            Unit::Columns {
-                run,
-                backend,
-                period,
-                cols,
-            } => {
-                // SAFETY: every pass is a verified whole-vector pass whose
-                // stride is a multiple of the period (verified for a
-                // column tail, checked by Cut::push_run for a grouped
-                // run), and (i + 1)·cols <= period since cols divides it.
-                unsafe {
-                    wht_core::apply_columns(
-                        data,
-                        run.iter().copied(),
-                        *backend,
-                        *period,
-                        i * cols,
-                        *cols,
-                    )
-                };
-            }
         }
     }
 }
 
-/// Lower the compiled schedule into barrier-separated work units for a
-/// crew of `workers` (module docs' "Units of work").
-fn build_units(compiled: &CompiledPlan, workers: usize, grain: Grain) -> Vec<Unit<'_>> {
-    let schedule = compiled.super_passes();
-    // Column chunks stay inside the cache level the schedule's own tiles
-    // or chunks were sized for.
-    let budget = schedule
-        .iter()
-        .filter(|sp| sp.tiles() > 1)
-        .map(SuperPass::tile_elems)
-        .max()
-        .unwrap_or(FusionPolicy::DEFAULT_BUDGET_ELEMS);
-    let cut = Cut {
-        size: compiled.size(),
-        budget,
-        workers,
-        grain,
-    };
+/// Lower the compiled schedule into barrier-separated work units, in
+/// schedule order (module docs' "Units of work"): a super-pass with two
+/// or more tiles is one tile unit; every part of a one-tile super-pass is
+/// a pass unit of claims covering at least `min_claim` elements.
+fn build_units(compiled: &CompiledPlan, min_claim: usize) -> Vec<Unit<'_>> {
     let mut units = Vec::new();
-    let mut run = Vec::new();
-    for sp in schedule {
-        if sp.tiles() == 1 && !sp.is_column_tail() {
-            run.extend((0..sp.parts().len()).map(|p| FlatPass::of(sp, p)));
+    for sp in compiled.super_passes() {
+        if sp.tiles() > 1 {
+            units.push(Unit::Tiles(sp));
             continue;
         }
-        cut.push_run(&mut units, &run);
-        run.clear();
-        match sp.columns() {
-            Some(g) => cut.push_column_tail(&mut units, sp, g.period),
-            None => units.push(Unit::Tiles(sp)),
+        for p in 0..sp.parts().len() {
+            let flat = FlatPass::of(sp, p);
+            units.push(Unit::Pass {
+                flat,
+                claims: (flat.pass.span() / min_claim).clamp(1, flat.pass.invocations()),
+            });
         }
     }
-    cut.push_run(&mut units, &run);
     units
-}
-
-/// The geometry [`build_units`] cuts a run of flat passes with.
-struct Cut {
-    size: usize,
-    /// Most elements one column chunk may hold.
-    budget: usize,
-    workers: usize,
-    grain: Grain,
-}
-
-impl Cut {
-    /// A lowered column tail as one column unit at its own period
-    /// (`verify` proved every stride a multiple of it), re-chunked for
-    /// the crew; cut like a run when the period has no room for two
-    /// chunks.
-    fn push_column_tail(&self, units: &mut Vec<Unit<'_>>, sp: &SuperPass, period: usize) {
-        let flats: Vec<FlatPass> = (0..sp.parts().len()).map(|p| FlatPass::of(sp, p)).collect();
-        match self.chunk_cols(period) {
-            Some(cols) => units.push(Unit::Columns {
-                run: flats.iter().map(|f| f.pass).collect(),
-                backend: sp.backend(),
-                period,
-                cols,
-            }),
-            None => self.push_run(units, &flats),
-        }
-    }
-
-    /// Cut a run of flat passes into column units and pass units,
-    /// greedily from the left (module docs' "Units of work").
-    fn push_run(&self, units: &mut Vec<Unit<'_>>, run: &[FlatPass]) {
-        let mut i = 0;
-        while i < run.len() {
-            let period = run[i].pass.s;
-            if let Some(cols) = self.chunk_cols(period) {
-                let lanes = run[i].lanes;
-                let end = i
-                    + 1
-                    + run[i + 1..]
-                        .iter()
-                        .take_while(|f| f.pass.s.is_multiple_of(period) && f.lanes == lanes)
-                        .count();
-                units.push(Unit::Columns {
-                    run: run[i..end].iter().map(|f| f.pass).collect(),
-                    backend: if lanes {
-                        PassBackend::Lanes
-                    } else {
-                        PassBackend::Scalar
-                    },
-                    period,
-                    cols,
-                });
-                i = end;
-            } else {
-                let elems = run[i].pass.span();
-                units.push(Unit::Pass {
-                    flat: run[i],
-                    claims: (elems / self.grain.min_claim).clamp(1, run[i].pass.invocations()),
-                });
-                i += 1;
-            }
-        }
-    }
-
-    /// Columns per chunk of a column unit with stride `period`, or `None`
-    /// when the period has no room for two chunks of `min_cols` columns
-    /// within the budget.
-    fn chunk_cols(&self, period: usize) -> Option<usize> {
-        let Grain {
-            min_claim,
-            min_cols,
-        } = self.grain;
-        // Elements one column (one residue mod the period) holds.
-        let depth = self.size / period;
-        let fit = (self.budget / depth).checked_ilog2().map_or(0, |b| 1 << b);
-        let mut cols = (period / 2).min(fit);
-        if cols < min_cols {
-            return None;
-        }
-        while period / cols < 4 * self.workers
-            && cols / 2 >= min_cols
-            && cols / 2 * depth >= min_claim
-        {
-            cols /= 2;
-        }
-        Some(cols)
-    }
 }
 
 /// Worker `owner`'s stable claim range within a unit of `count` claims:
@@ -621,7 +460,7 @@ pub fn par_apply_compiled_on<T: Scalar>(
     if crew == 1 {
         return compiled.apply(x);
     }
-    run_on(pool, compiled, x, &build_units(compiled, crew, GRAIN), crew)
+    run_on(pool, compiled, x, &build_units(compiled, MIN_CLAIM), crew)
 }
 
 /// Dispatch `units`, built from `compiled` for a crew of `crew`, on
@@ -877,8 +716,8 @@ mod tests {
         // tiles = size / budget: with 8 workers, budget N/2 gives 2 tiles
         // and budget N/64 gives 64 tiles (both shard by tile); budget 0
         // leaves every pass a single-tile unit, so the whole schedule
-        // runs as pass and column units. All must agree with the
-        // sequential SIMD replay exactly, for floats and integers.
+        // runs as pass units. All must agree with the sequential SIMD
+        // replay exactly, for floats and integers.
         let n = 13u32;
         for plan in [Plan::iterative(n).unwrap(), Plan::balanced(n, 4).unwrap()] {
             for budget in [0usize, 1 << (n - 1), 1 << (n - 6)] {
@@ -912,10 +751,10 @@ mod tests {
         use wht_core::{ExecPolicy, FusionPolicy, RelayoutPolicy, SimdPolicy};
         // Fused head tile 2^6 at n = 14 leaves a column tail at period
         // 2^6 with 2^8-element columns. Chunk budget 2^9 gives cols 2 ->
-        // 32 chunks, budget 2^12 cols 16 -> 4 chunks; the engine cuts its
-        // own units from the tail's in-place factors either way. Both
-        // must agree with the sequential chunked replay exactly, scalar
-        // and SIMD, floats and integers.
+        // 32 chunks, budget 2^12 cols 16 -> 4 chunks; the engine claims
+        // the tail's chunks either way. Both must agree with the
+        // sequential chunked replay exactly, scalar and SIMD, floats and
+        // integers.
         let n = 14u32;
         for plan in [
             Plan::iterative(n).unwrap(),
@@ -1173,8 +1012,8 @@ mod tests {
         assert_eq!(par, seq);
     }
 
-    /// Elements each claim of `unit` covers, on a `size`-element vector.
-    fn claim_elems(unit: &Unit<'_>, size: usize) -> Vec<usize> {
+    /// Elements each claim of `unit` covers.
+    fn claim_elems(unit: &Unit<'_>) -> Vec<usize> {
         (0..unit.count())
             .map(|i| match unit {
                 Unit::Tiles(sp) => sp.tile_elems(),
@@ -1184,17 +1023,16 @@ mod tests {
                     let end = if i + 1 == *claims { inv } else { (i + 1) * len };
                     (end - i * len) << flat.pass.k
                 }
-                Unit::Columns { period, cols, .. } => cols * (size / period),
             })
             .collect()
     }
 
-    /// Every claim of every pass or column unit holds at least the grain's
-    /// floor, unless the unit itself is smaller.
+    /// Every claim of every pass unit holds at least the claim floor,
+    /// unless the unit itself is smaller.
     fn assert_claims_at_least(units: &[Unit<'_>], size: usize, floor: usize) {
         for (u, unit) in units.iter().enumerate() {
-            if matches!(unit, Unit::Pass { .. } | Unit::Columns { .. }) {
-                let claims = claim_elems(unit, size);
+            if matches!(unit, Unit::Pass { .. }) {
+                let claims = claim_elems(unit);
                 assert_eq!(
                     claims.iter().sum::<usize>(),
                     size,
@@ -1216,8 +1054,9 @@ mod tests {
         // The default lowering of Plan::iterative(n) at n = 18 and 20 is a
         // fused head of 2^17-element tiles plus a tail at strides 2^17..:
         // one single-tile k = 1 pass at n = 18, a column tail (one merged
-        // small[3]) at n = 20. The head shards by tile and the whole tail
-        // is one column unit, whatever the crew.
+        // small[3]) at n = 20. The head shards by tile and the tail is one
+        // unit, whatever the crew: the pass's invocation ranges at n = 18,
+        // the column tail's own chunks at n = 20.
         let pools = [
             crate::pool::WorkerPool::new(2),
             crate::pool::WorkerPool::new(3),
@@ -1230,18 +1069,20 @@ mod tests {
             lowered.apply(&mut seq).unwrap();
             for pool in &pools {
                 let crew = pool.workers();
-                let units = build_units(&lowered, crew, GRAIN);
+                let units = build_units(&lowered, MIN_CLAIM);
                 assert_eq!(units.len(), 2, "n = {n}, crew {crew}");
                 let Unit::Tiles(head) = &units[0] else {
                     panic!("n = {n}, crew {crew}: the head does not shard by tile");
                 };
                 assert_eq!(head.tile_elems(), 1 << 17);
-                let Unit::Columns { run, period, .. } = &units[1] else {
-                    panic!("n = {n}, crew {crew}: the tail is not one column unit");
-                };
-                assert_eq!(*period, 1 << 17);
-                assert_eq!(run.len(), lowered.super_passes().len() - 1);
-                assert_claims_at_least(&units, 1 << n, GRAIN.min_claim);
+                match &units[1] {
+                    Unit::Pass { flat, .. } if n == 18 => assert_eq!(flat.pass.s, 1 << 17),
+                    Unit::Tiles(tail) if n == 20 => {
+                        assert_eq!(tail.columns().map(|g| g.period), Some(1 << 17));
+                    }
+                    _ => panic!("n = {n}, crew {crew}: the tail is not one unit"),
+                }
+                assert_claims_at_least(&units, 1 << n, MIN_CLAIM);
                 let mut par = input.clone();
                 par_apply_compiled_on(pool, &lowered, &mut par, Threads(crew)).unwrap();
                 assert_eq!(par, seq, "n = {n}, crew {crew}");
@@ -1249,76 +1090,78 @@ mod tests {
         }
     }
 
-    /// A hand-built schedule: a fused head of 2^10-element tiles, then
-    /// one single-tile `k = 1` pass per stride in `tail`, on `n = 12`.
-    fn head_and_tail(tail: [usize; 2], backend: wht_core::PassBackend) -> CompiledPlan {
-        let tile = 1usize << 10;
-        let head = (0..10)
-            .map(|b| Pass {
-                k: 1,
-                r: tile >> (b + 1),
-                s: 1 << b,
-                base: 0,
-                stride: 1,
-            })
-            .collect();
-        let mut schedule = vec![SuperPass::new(head, tile, 4, 0, 1).with_backend(backend)];
-        for s in tail {
-            let pass = Pass {
-                k: 1,
-                r: (1 << 12) / (2 * s),
-                s,
-                base: 0,
-                stride: 1,
-            };
-            schedule.push(SuperPass::new(vec![pass], 1 << 12, 1, 0, 1).with_backend(backend));
-        }
-        CompiledPlan::from_super_passes(12, schedule).unwrap()
-    }
-
     #[test]
-    fn a_tail_stride_that_is_not_a_multiple_of_the_first_is_not_grouped() {
-        use wht_core::PassBackend;
-        // Factors commute, so a tail may run its strides in any order and
-        // still verify; the column unit's mod-P closure holds only for
-        // strides that are multiples of its first one.
-        let pool = crate::pool::WorkerPool::new(2);
-        for backend in [PassBackend::Scalar, PassBackend::Lanes] {
-            for (tail, grouped) in [([1 << 11, 1 << 10], false), ([1 << 10, 1 << 11], true)] {
-                let compiled = head_and_tail(tail, backend);
-                let units = build_units(&compiled, 2, GRAIN);
-                let passes: Vec<usize> = units
-                    .iter()
-                    .filter_map(|u| match u {
-                        Unit::Columns { run, .. } => Some(run.len()),
-                        Unit::Pass { .. } => Some(1),
-                        _ => None,
-                    })
-                    .collect();
-                let want = if grouped { vec![2] } else { vec![1, 1] };
-                assert_eq!(passes, want, "tail strides {tail:?}");
-                let input = noise(12);
-                let mut seq = input.clone();
-                compiled.apply(&mut seq).unwrap();
-                let mut par = input.clone();
-                par_apply_compiled_on(&pool, &compiled, &mut par, Threads(2)).unwrap();
-                assert_eq!(par, seq, "tail strides {tail:?}, {backend:?}");
-                let ints: Vec<i32> = input.iter().map(|&v| v as i32).collect();
-                let mut seq_i = ints.clone();
-                compiled.apply(&mut seq_i).unwrap();
-                let mut par_i = ints;
-                par_apply_compiled_on(&pool, &compiled, &mut par_i, Threads(2)).unwrap();
-                assert_eq!(par_i, seq_i, "tail strides {tail:?}, {backend:?} (i32)");
+    fn every_unit_is_claimed_at_its_lowered_geometry() {
+        use wht_core::ExecPolicy;
+        // The default lowering of Plan::iterative(n), n = 17..=24: one
+        // tile unit per lowered unit with two or more tiles, carrying that
+        // unit's own tile count (fused tiles or column-tail chunks), and
+        // one pass unit per part of every one-tile unit, in schedule
+        // order. The cut takes no crew: every crew of 2..=4 claims exactly
+        // those tiles and ranges through its stable shard ranges.
+        let mut tails = Vec::new();
+        for n in 17u32..=24 {
+            let lowered =
+                CompiledPlan::compile(&Plan::iterative(n).unwrap()).lower(&ExecPolicy::default());
+            let units = build_units(&lowered, MIN_CLAIM);
+            let mut next = units.iter();
+            for (i, sp) in lowered.super_passes().iter().enumerate() {
+                if sp.tiles() > 1 {
+                    match next.next() {
+                        Some(Unit::Tiles(unit)) => {
+                            assert!(std::ptr::eq(*unit, sp), "n = {n}, unit {i}");
+                            assert_eq!(unit.tiles(), sp.tiles());
+                        }
+                        _ => panic!("n = {n}: unit {i} is not one tile unit"),
+                    }
+                    continue;
+                }
+                for p in 0..sp.parts().len() {
+                    match next.next() {
+                        Some(Unit::Pass { flat, claims }) => {
+                            assert_eq!(flat.pass, sp.flat_pass(p), "n = {n}, unit {i}");
+                            assert!(*claims >= 1 && *claims <= flat.pass.invocations());
+                        }
+                        _ => panic!("n = {n}: part {p} of unit {i} is not a pass unit"),
+                    }
+                }
             }
+            assert!(next.next().is_none(), "n = {n}: units past the schedule");
+            assert_claims_at_least(&units, 1 << n, MIN_CLAIM);
+            for crew in 2..=4 {
+                for unit in &units {
+                    let claimed: usize = (0..crew)
+                        .map(|w| {
+                            let (base, end) = shard_range(w, crew, unit.count());
+                            end - base
+                        })
+                        .sum();
+                    assert_eq!(claimed, unit.count(), "n = {n}, crew {crew}");
+                }
+            }
+            tails.push(
+                units
+                    .iter()
+                    .skip(1)
+                    .map(|u| match u {
+                        Unit::Tiles(sp) => (sp.is_column_tail(), sp.tiles()),
+                        Unit::Pass { claims, .. } => (false, *claims),
+                    })
+                    .collect::<Vec<_>>(),
+            );
         }
+        // The tails, pinned: at n = 18 one pass of 16 range claims, at
+        // n = 20 and 22 a column tail of 8 and 32 chunks.
+        assert_eq!(tails[1], [(false, 16)]);
+        assert_eq!(tails[3], [(true, 8)]);
+        assert_eq!(tails[5], [(true, 32)]);
     }
 
     #[test]
     fn unfused_passes_claim_contiguous_ranges_of_at_least_the_floor() {
         use wht_core::{ExecPolicy, SimdPolicy};
-        // Unfused, every factor is a single-tile unit: the small strides
-        // become pass units of several range claims, the large ones one
-        // column unit.
+        // Unfused, every factor is a single-tile unit, so each becomes a
+        // pass unit of several range claims.
         let pool = crate::pool::WorkerPool::new(3);
         let n = 16u32;
         for simd in [SimdPolicy::auto(), SimdPolicy::disabled()] {
@@ -1328,17 +1171,14 @@ mod tests {
             let mut seq = input.clone();
             lowered.apply(&mut seq).unwrap();
             for crew in [2usize, 3] {
-                let units = build_units(&lowered, crew, GRAIN);
+                let units = build_units(&lowered, MIN_CLAIM);
                 let ranged = units
                     .iter()
                     .filter(|u| matches!(u, Unit::Pass { claims, .. } if *claims > 1))
                     .count();
-                let columns = units
-                    .iter()
-                    .filter(|u| matches!(u, Unit::Columns { .. }))
-                    .count();
-                assert!(ranged > 0 && columns == 1, "crew {crew}");
-                assert_claims_at_least(&units, 1 << n, GRAIN.min_claim);
+                assert_eq!(ranged, n as usize, "crew {crew}");
+                assert_eq!(units.len(), n as usize, "crew {crew}");
+                assert_claims_at_least(&units, 1 << n, MIN_CLAIM);
                 let mut par = input.clone();
                 par_apply_compiled_on(&pool, &lowered, &mut par, Threads(crew)).unwrap();
                 assert_eq!(par, seq, "{simd:?}, crew {crew}");
@@ -1347,9 +1187,9 @@ mod tests {
     }
 
     /// The race-detector target: small schedules on explicit pools with a
-    /// fine grain, so one run covers tile, column (lowered column tails
-    /// and engine-grouped runs) and multi-claim pass units. No global pool
-    /// is touched (the pools are dropped and their workers joined).
+    /// fine claim floor, so one run covers all three claim shapes: fused
+    /// tiles, column-tail chunks and multi-claim pass units. No global
+    /// pool is touched (the pools are dropped and their workers joined).
     #[test]
     fn small_grain_sharding_matches_sequential_on_explicit_pools() {
         use wht_core::{ExecPolicy, FusionPolicy, RelayoutPolicy, SimdPolicy};
@@ -1357,12 +1197,11 @@ mod tests {
             let input: Vec<T> = wht_core::testkit::random_signal(compiled.size(), 7);
             let mut seq = input.clone();
             compiled.apply(&mut seq).unwrap();
-            let units = build_units(compiled, crew, FINE);
+            let units = build_units(compiled, FINE);
             let kinds = units
                 .iter()
                 .map(|u| match u {
-                    Unit::Tiles(_) => 0,
-                    Unit::Columns { .. } => 1,
+                    Unit::Tiles(sp) => u8::from(sp.is_column_tail()),
                     Unit::Pass { claims, .. } => {
                         assert!(*claims > 1, "a pass unit of one claim");
                         2
@@ -1374,10 +1213,7 @@ mod tests {
             assert_eq!(par, seq, "crew {crew}");
             kinds
         }
-        const FINE: Grain = Grain {
-            min_claim: 16,
-            min_cols: 16,
-        };
+        const FINE: usize = 16;
         let n = 10u32;
         let plan = Plan::iterative(n).unwrap();
         let pool = crate::pool::WorkerPool::new(3);
@@ -1386,8 +1222,8 @@ mod tests {
             for policy in [
                 ExecPolicy::all_disabled(),
                 ExecPolicy::all_disabled().with_fusion(FusionPolicy::new(1 << 6)),
-                // A column tail of two 2^9-element chunks, which the
-                // engine re-chunks for the crew.
+                // A column tail of two 2^9-element chunks, claimed one
+                // chunk at a time.
                 ExecPolicy::all_disabled()
                     .with_fusion(FusionPolicy::new(1 << 6))
                     .with_relayout(RelayoutPolicy::new(1 << 9)),
@@ -1401,7 +1237,10 @@ mod tests {
                 }
             }
         }
-        assert_eq!(seen, [true; 3], "tiles, columns, ranged passes");
+        assert_eq!(
+            seen, [true; 3],
+            "fused tiles, column-tail chunks, ranged passes"
+        );
     }
 
     #[test]

@@ -229,11 +229,11 @@ proptest! {
         check::<i32>(&lowered, rows, seed, threads);
     }
 
-    /// Tails of several single-tile passes (small fusion budgets) and
-    /// column tails with fewer chunks than workers replay as the
-    /// engine's column units and range-claimed pass units; an explicit
-    /// pool and the default entry point's crew both agree with the
-    /// sequential replay bit for bit, for all four scalar types.
+    /// Tails of several single-tile passes (small fusion budgets) replay
+    /// as range-claimed pass units, and column tails with fewer chunks
+    /// than workers as claims of their own chunks; an explicit pool and
+    /// the default entry point's crew both agree with the sequential
+    /// replay bit for bit, for all four scalar types.
     #[test]
     fn column_and_pass_units_agree_with_sequential(
         n in 4u32..=14,

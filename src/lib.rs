@@ -5,11 +5,11 @@
 //!
 //! | crate | contents |
 //! |-------|----------|
-//! | [`core`] (`wht-core`) | split-tree plans, unrolled codelets, the in-place strided interpreter, and the compiled-plan layer ([`CompiledPlan`](wht_core::CompiledPlan)) behind `apply_plan`: a staged lowering pipeline — cache-blocked pass fusion ([`FusionPolicy`](wht_core::FusionPolicy)) → the in-place column tail, replayed chunk by chunk ([`RelayoutPolicy`](wht_core::RelayoutPolicy)) → re-codeleting ([`RecodeletPolicy`](wht_core::RecodeletPolicy)) → SIMD lane-block kernel selection ([`SimdPolicy`](wht_core::SimdPolicy)) → batched-small cross-transform scheduling ([`BatchPolicy`](wht_core::BatchPolicy), behind [`CompiledPlan::apply_batch`](wht_core::CompiledPlan::apply_batch)) → streaming-store/prefetch memory codelets for out-of-LLC batches ([`StreamPolicy`](wht_core::StreamPolicy)) — driven by one [`ExecPolicy`](wht_core::ExecPolicy) passed in code ([`CompiledPlan::lower`](wht_core::CompiledPlan::lower), `compiled_for_exec`, `Planner::with_exec`), every stage on in `ExecPolicy::default()`, which `apply_plan` uses; plus SRHT sketching ([`Srht`](wht_core::Srht)) fused into the batched executor, and the static schedule safety verifier ([`CompiledPlan::verify`](wht_core::CompiledPlan::verify)) proving bounds, write-disjointness, coverage, and scratch sizing of every lowered schedule |
+//! | [`core`] (`wht-core`) | split-tree plans, unrolled codelets, the in-place strided interpreter, and the compiled-plan layer ([`CompiledPlan`](wht_core::CompiledPlan)) behind `apply_plan`: a staged lowering pipeline — cache-blocked pass fusion ([`FusionPolicy`](wht_core::FusionPolicy)) → the in-place column tail, replayed chunk by chunk ([`RelayoutPolicy`](wht_core::RelayoutPolicy)) → re-codeleting ([`RecodeletPolicy`](wht_core::RecodeletPolicy)) → SIMD lane-block kernel selection ([`SimdPolicy`](wht_core::SimdPolicy)) → batched-small cross-transform scheduling ([`BatchPolicy`](wht_core::BatchPolicy), behind [`CompiledPlan::apply_batch`](wht_core::CompiledPlan::apply_batch)) → streaming-store/prefetch memory codelets for out-of-LLC batches ([`StreamPolicy`](wht_core::StreamPolicy)) — driven by one [`ExecPolicy`](wht_core::ExecPolicy) passed in code ([`CompiledPlan::lower`](wht_core::CompiledPlan::lower), `compiled_for_exec`, `Planner::with_exec`), every stage on in `ExecPolicy::default()`, which `apply_plan` uses; plus SRHT sketching ([`Srht`](wht_core::Srht)) fused into the batched executor, and the static schedule verifier ([`CompiledPlan::verify`](wht_core::CompiledPlan::verify)) proving bounds, write-disjointness, coverage (the interpreter's radix-2 levels, once each and in order), and scratch sizing of every lowered schedule |
 //! | [`space`] (`wht-space`) | algorithm-space counting, enumeration, the recursive-split-uniform sampler |
 //! | [`models`] (`wht-models`) | instruction-count model, direct-mapped cache-miss model, combined model, theory |
 //! | [`cachesim`] (`wht-cachesim`) | set-associative LRU cache simulator (Opteron presets) |
-//! | [`measure`] (`wht-measure`) | timing, instrumented execution, trace-driven miss measurement |
+//! | [`measure`] (`wht-measure`) | timing, and the paper's counters over the interpreter's loop nest: instrumented operation counts and trace-driven miss measurement |
 //! | [`stats`] (`wht-stats`) | Pearson, histograms, IQR fences, pruning curves, grid search |
 //! | [`search`] (`wht-search`) | plan search: the memoized branch-and-bound engine ([`memo_search`](wht_search::memo_search) over a [`MemoTable`](wht_search::MemoTable) of factor-span groups with provenance), the classic DP autotuner ([`dp_search`](wht_search::dp_search)), exhaustive/random/model-pruned strategies, cost backends that each score one transform under fixed weights ([`PlanCost`](wht_search::PlanCost); the model backends also report their work/traffic terms as a [`CostVec`](wht_search::CostVec)), the [`Planner`](wht_search::Planner) facade with wisdom caching, and crash-safe wisdom persistence: the sharded [`ShardedStore`](wht_search::ShardedStore) (atomic commit, typed [`StoreDiagnostic`](wht_search::StoreDiagnostic) quarantine, keep-best merge) with a hermetic fault-injection layer (`wht_search::failpoints`, `WHT_FAILPOINTS`) |
 //! | [`parallel`] (`wht-parallel`) | multi-threaded WHT over a persistent [`WorkerPool`](wht_parallel::WorkerPool) (zero spawn/join on the warm path, stable shard ranges with work stealing, [`PoolStats`](wht_parallel::PoolStats) introspection) — one dispatch path, with a per-call pool for crews larger than the global one — and parallel measurement sweeps |
@@ -64,8 +64,7 @@ pub mod prelude {
         StreamPolicy, SuperPass, VerifyDiagnostic, VerifyInvariant, WhtError,
     };
     pub use wht_measure::{
-        measure_plan, super_pass_traffic, time_plan, MeasureOptions, Measurement, SimMachine,
-        SuperPassTraffic, TimingConfig,
+        measure_plan, time_plan, MeasureOptions, Measurement, SimMachine, TimingConfig,
     };
     pub use wht_models::{
         analytic_misses, instruction_count, op_counts, CombinedModel, CostModel, ModelCache,
