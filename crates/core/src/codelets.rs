@@ -39,6 +39,18 @@
 //! runtime detection; every other type and host uses the portable
 //! fallback, which still vectorizes at the target's baseline width.
 //!
+//! The `s == 1` head pass — the first pass of every fused tile and of
+//! every single-leaf plan — has no columns to block across, so under
+//! AVX2 the floats run it through an explicit shuffle-network kernel
+//! instead: each 16-element block is loaded into registers and the
+//! codelet's first four levels run there (`permute`/`blend` within a
+//! register, add/sub across registers), and a `small[k]` with `k > 4`
+//! finishes as a `small[k − 4]` lane pass at `s = 16` held in registers.
+//! On a 2-vCPU Xeon it runs a 4096-element `s == 1` pass at 0.04–0.14 ns
+//! per element per level, against 0.13–0.89 for the portable
+//! contiguous codelet (`k = 2..8`, `f64` and `f32`). See the `avx2`
+//! module for the network and why its bits are the scalar codelet's.
+//!
 //! Every lane grouping performs the **same** additions and subtractions on
 //! the same values as the scalar loop — vector lanes never interact in an
 //! add/sub — so lane-blocked output is bit-identical for floats and exact
@@ -67,7 +79,8 @@
 //! | [`apply_codelet`] | `k ≤ MAX_LEAF_K`; `base + (2^k−1)·stride < x.len()` | executor replaying a lowered pass; engine's top-level length check | Structure (`k` in family) + Bounds (farthest-index interval) |
 //! | [`apply_codelet_cols`] | column range inside one pass row at unit global stride; `base + cols−1 + (2^k−1)·s < x.len()` | the column tail's chunk kernel (`compile::apply_columns`): the `cols`-wide residue chunk of each `P`-column stretch of a row of a verified column tail's in-place part, run by `SuperPass::apply_tile` for sequential replay and the parallel engine's chunk claims alike; and the parallel engine's partial rows of a pass unit's contiguous invocation range | Bounds + Disjointness (whole-vector flat-pass frame) + the column tail's mod-`P` closure and chunk partition |
 //! | [`apply_pass_lanes`] | whole pass at unit global stride; `base + r·2^k·s ≤ x.len()` | backend-select stage only picks `PassBackend::Lanes` at `stride == 1` | Bounds + Coverage (canonical frame `base = 0`, `stride = 1`, span = extent) |
-//! | `gather_lanes*` / `scatter_lanes*` | transpose buffer `≥ n·w` elements; source/destination tile in bounds | batched executor tile loop (`cross_tile_cols` geometry) | Batch checks (Bounds `size % tile_cols`, Disjointness `tile_cols % foot`, Scratch `batch_scratch_elems`) |
+//! | `avx2::unit_pass` (the unit-stride head kernel, behind [`apply_pass_lanes`] and [`apply_codelet_cols`] for `f64`/`f32` on AVX2 hosts) | `s = 1`; `k ≤ MAX_LEAF_K`; `base + r·2^k ≤ x.len()` (`r = cols ≤ 1` from [`apply_codelet_cols`]) | the two entry points' own contracts at `s = 1`, plus the runtime AVX2 check before dispatch | Bounds + Coverage, as for the entry point |
+//! | `gather_lanes*` / `scatter_lanes*` | transpose buffer `≥ n·w` elements; source/destination tile in bounds | batched executor's lane-group loop (whole rows of at most `BATCH_MAX_ELEMS` elements) and the SRHT's fused path (whole rows) | Scratch (`batch_scratch_elems` = `w · 2^n`) + Structure (the batch size cap) |
 //!
 //! The checked wrapper [`apply_codelet_checked`] bounds-checks at the
 //! call site and is the entry point for hand-built indices (tests,
@@ -441,43 +454,356 @@ fn avx2_available() -> bool {
 
 /// The portable bodies re-monomorphized under AVX2 for the float types:
 /// same Rust code, compiled against 256-bit vectors and selected at
-/// runtime. Integer lane kernels stay on the portable path — the baseline
+/// runtime — plus explicit shuffle-network kernels for the `s == 1` head
+/// pass, the one pass whose columns are too narrow for lane blocks.
+/// Integer lane kernels stay on the portable path — the baseline
 /// target already vectorizes integer add/sub well enough that a second
 /// copy is not worth the code size.
+///
+/// ## The unit-stride head kernels
+///
+/// At `s == 1` a pass is `r` contiguous `2^k`-element codelets, and
+/// every butterfly of the codelet's first four levels pairs two elements
+/// of the same 16-element block. Left to LLVM, `codelet_unit` vectorizes
+/// across codelets with scalar gathers. The kernels below instead load
+/// each 16-element block into registers and run the first `min(k, 4)`
+/// levels there: `f64` runs the `h = 1` and `h = 2` levels inside one
+/// `__m256d` and `h = 4, 8` across registers, `f32` runs `h = 1, 2, 4`
+/// inside one `__m256` and `h = 8` across the two. A `small[k]` with
+/// `k > 4` then runs its remaining levels as a `small[k − 4]` lane pass
+/// at `s = 16` — the same levels in the same order, so the same
+/// butterflies.
+///
+/// An in-register level pairs `v` with its partner-swapped copy `p`
+/// (`permute_pd`/`permute_ps`/`permute2f128`) and keeps `v + p` in the
+/// low element of each pair and `p − v` in the high one (`blend`). In the
+/// low element `v` holds `a` and `p` holds `b`; in the high one `p` holds
+/// `a` and `v` holds `b`: every output is `a + b` or `a − b`, the scalar
+/// codelet's operations, so every output is bit for bit the scalar
+/// codelet's, signed zeros included. (Which payload a sum of two
+/// different NaNs keeps is not fixed by Rust for any kernel here: LLVM
+/// commutes `fadd` at will.)
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
     use super::*;
+    use std::arch::x86_64::*;
+
+    /// One float type's registers for the unit-stride head kernel (see
+    /// the module docs).
+    trait Head: Scalar {
+        /// One `__m256d` or `__m256`.
+        type V: Copy;
+        /// Elements per register.
+        const VEC: usize;
+
+        /// # Safety
+        /// `p` valid for `VEC` reads; AVX2 available.
+        unsafe fn load(p: *const Self) -> Self::V;
+
+        /// # Safety
+        /// `p` valid for `VEC` writes; AVX2 available.
+        unsafe fn store(p: *mut Self, v: Self::V);
+
+        /// One butterfly across two registers: `(a + b, a − b)`.
+        ///
+        /// # Safety
+        /// AVX2 available.
+        unsafe fn across(a: Self::V, b: Self::V) -> (Self::V, Self::V);
+
+        /// Levels `0..M` (`h = 1 .. 2^(M−1)`) of every codelet inside
+        /// each of the `blocks` consecutive 16-element blocks from `p`.
+        ///
+        /// # Safety
+        /// `p` valid for `16 · blocks` reads and writes; AVX2 available;
+        /// `1 ≤ M ≤ 4`.
+        unsafe fn head<const M: u32>(p: *mut Self, blocks: usize);
+    }
+
+    /// The in-register level of the module docs for `f64`: `p` is `v`
+    /// with partners swapped, `MASK` selects the high element of each
+    /// pair.
+    ///
+    /// # Safety
+    /// AVX2 must be available.
+    #[inline(always)]
+    unsafe fn within_pd<const MASK: i32>(v: __m256d, p: __m256d) -> __m256d {
+        // SAFETY: register arithmetic; AVX2 is the caller's contract.
+        unsafe { _mm256_blend_pd::<MASK>(_mm256_add_pd(v, p), _mm256_sub_pd(p, v)) }
+    }
+
+    /// `f64`: four registers per block, `h = 1, 2` inside each, `h = 4`
+    /// and `h = 8` across them.
+    impl Head for f64 {
+        type V = __m256d;
+        const VEC: usize = 4;
+
+        #[inline(always)]
+        unsafe fn load(p: *const f64) -> __m256d {
+            // SAFETY: the caller's contract.
+            unsafe { _mm256_loadu_pd(p) }
+        }
+
+        #[inline(always)]
+        unsafe fn store(p: *mut f64, v: __m256d) {
+            // SAFETY: the caller's contract.
+            unsafe { _mm256_storeu_pd(p, v) }
+        }
+
+        #[inline(always)]
+        unsafe fn across(a: __m256d, b: __m256d) -> (__m256d, __m256d) {
+            // SAFETY: register arithmetic; AVX2 is the caller's contract.
+            unsafe { (_mm256_add_pd(a, b), _mm256_sub_pd(a, b)) }
+        }
+
+        #[inline(always)]
+        unsafe fn head<const M: u32>(p: *mut f64, blocks: usize) {
+            // SAFETY: block b's 16 elements at p + 16b are inside the
+            // caller's range; the rest is register arithmetic.
+            unsafe {
+                for b in 0..blocks {
+                    let p = p.add(16 * b);
+                    let mut v: [__m256d; 4] = core::array::from_fn(|i| Self::load(p.add(4 * i)));
+                    for r in &mut v {
+                        *r = within_pd::<0b1010>(*r, _mm256_permute_pd::<0b0101>(*r));
+                    }
+                    if M > 1 {
+                        for r in &mut v {
+                            *r = within_pd::<0b1100>(*r, _mm256_permute2f128_pd::<0x01>(*r, *r));
+                        }
+                    }
+                    if M > 2 {
+                        (v[0], v[1]) = Self::across(v[0], v[1]);
+                        (v[2], v[3]) = Self::across(v[2], v[3]);
+                    }
+                    if M > 3 {
+                        (v[0], v[2]) = Self::across(v[0], v[2]);
+                        (v[1], v[3]) = Self::across(v[1], v[3]);
+                    }
+                    for (i, r) in v.into_iter().enumerate() {
+                        Self::store(p.add(4 * i), r);
+                    }
+                }
+            }
+        }
+    }
+
+    /// The `f32` twin of [`within_pd`].
+    ///
+    /// # Safety
+    /// AVX2 must be available.
+    #[inline(always)]
+    unsafe fn within_ps<const MASK: i32>(v: __m256, p: __m256) -> __m256 {
+        // SAFETY: register arithmetic; AVX2 is the caller's contract.
+        unsafe { _mm256_blend_ps::<MASK>(_mm256_add_ps(v, p), _mm256_sub_ps(p, v)) }
+    }
+
+    /// `f32`: two registers per block, `h = 1, 2, 4` inside each, `h = 8`
+    /// across them.
+    impl Head for f32 {
+        type V = __m256;
+        const VEC: usize = 8;
+
+        #[inline(always)]
+        unsafe fn load(p: *const f32) -> __m256 {
+            // SAFETY: the caller's contract.
+            unsafe { _mm256_loadu_ps(p) }
+        }
+
+        #[inline(always)]
+        unsafe fn store(p: *mut f32, v: __m256) {
+            // SAFETY: the caller's contract.
+            unsafe { _mm256_storeu_ps(p, v) }
+        }
+
+        #[inline(always)]
+        unsafe fn across(a: __m256, b: __m256) -> (__m256, __m256) {
+            // SAFETY: register arithmetic; AVX2 is the caller's contract.
+            unsafe { (_mm256_add_ps(a, b), _mm256_sub_ps(a, b)) }
+        }
+
+        #[inline(always)]
+        unsafe fn head<const M: u32>(p: *mut f32, blocks: usize) {
+            // SAFETY: as for f64.
+            unsafe {
+                for b in 0..blocks {
+                    let p = p.add(16 * b);
+                    let mut v = [Self::load(p), Self::load(p.add(8))];
+                    for r in &mut v {
+                        *r = within_ps::<0b1010_1010>(*r, _mm256_permute_ps::<0b1011_0001>(*r));
+                    }
+                    if M > 1 {
+                        for r in &mut v {
+                            *r = within_ps::<0b1100_1100>(*r, _mm256_permute_ps::<0b0100_1110>(*r));
+                        }
+                    }
+                    if M > 2 {
+                        for r in &mut v {
+                            *r = within_ps::<0b1111_0000>(
+                                *r,
+                                _mm256_permute2f128_ps::<0x01>(*r, *r),
+                            );
+                        }
+                    }
+                    if M > 3 {
+                        (v[0], v[1]) = Self::across(v[0], v[1]);
+                    }
+                    Self::store(p, v[0]);
+                    Self::store(p.add(8), v[1]);
+                }
+            }
+        }
+    }
+
+    /// [`Head::head`] for the first `min(k, 4)` levels.
+    ///
+    /// # Safety
+    /// As [`Head::head`], and `k ≥ 1`.
+    #[inline(always)]
+    unsafe fn head_levels<T: Head>(k: u32, p: *mut T, blocks: usize) {
+        // SAFETY: forwarded contract; every arm's M is in 1..=4.
+        unsafe {
+            match k {
+                1 => T::head::<1>(p, blocks),
+                2 => T::head::<2>(p, blocks),
+                3 => T::head::<3>(p, blocks),
+                _ => T::head::<4>(p, blocks),
+            }
+        }
+    }
+
+    /// Levels `4..k` of the `small[k]` codelet at `p`, `ROWS = 2^(k−4)`:
+    /// the `small[k − 4]` lane pass at `s = 16` over the codelet read as
+    /// `ROWS` rows of 16, one register column at a time — its `ROWS`
+    /// registers loaded, the levels run across them, stored. (The
+    /// portable lane block keeps two or four registers per row live and
+    /// spills at `k ≥ 6`.)
+    ///
+    /// # Safety
+    /// `p` valid for `16 · ROWS` reads and writes; AVX2 available.
+    #[inline(always)]
+    unsafe fn rows_levels<T: Head, const ROWS: usize>(p: *mut T) {
+        // SAFETY: row u's register at column c covers p + 16u + c ..
+        // + VEC, inside the codelet since c + VEC ≤ 16 and u < ROWS.
+        unsafe {
+            for c in (0..16).step_by(T::VEC) {
+                let mut v: [T::V; ROWS] = core::array::from_fn(|u| T::load(p.add(16 * u + c)));
+                let mut h = 1;
+                while h < ROWS {
+                    for i in (0..ROWS).step_by(2 * h) {
+                        for j in i..i + h {
+                            (v[j], v[j + h]) = T::across(v[j], v[j + h]);
+                        }
+                    }
+                    h *= 2;
+                }
+                for (u, r) in v.into_iter().enumerate() {
+                    T::store(p.add(16 * u + c), r);
+                }
+            }
+        }
+    }
+
+    /// The `s == 1` pass of `small[k]`: `r` contiguous codelets from
+    /// `base`. Its first `min(k, 4)` levels run on every whole 16-element
+    /// block in registers — and, when `k < 4` leaves codelets past the
+    /// last whole block, on those too, copied through a 16-element stack
+    /// block. For `k > 4`, each codelet runs them on its own blocks and
+    /// then levels `4..k` across its rows of 16 ([`rows_levels`]).
+    ///
+    /// # Safety
+    /// `k` in `1..=MAX_LEAF_K`, `base + r·2^k ≤ x.len()`, AVX2 available.
+    #[inline(always)]
+    unsafe fn unit_pass<T: Head>(k: u32, x: &mut [T], base: usize, r: usize) {
+        debug_assert!((1..=MAX_LEAF_K).contains(&k) && base + (r << k) <= x.len());
+        if k > 4 {
+            for row in 0..r {
+                // SAFETY: codelet `row` spans base + row·2^k .. + 2^k,
+                // inside x per the contract.
+                unsafe {
+                    let p = x.as_mut_ptr().add(base + (row << k));
+                    T::head::<4>(p, 1 << (k - 4));
+                    match k {
+                        5 => rows_levels::<T, 2>(p),
+                        6 => rows_levels::<T, 4>(p),
+                        7 => rows_levels::<T, 8>(p),
+                        _ => rows_levels::<T, 16>(p),
+                    }
+                }
+            }
+            return;
+        }
+        let len = r << k;
+        let whole = len / 16 * 16;
+        // SAFETY: the whole blocks are the first `whole ≤ len` elements
+        // of this pass, inside x per the contract.
+        unsafe { head_levels(k, x.as_mut_ptr().add(base), whole / 16) };
+        if whole < len {
+            // Whole codelets (2^k divides 16), so the stack block's
+            // zero-padded end holds codelets of its own.
+            let rest = &mut x[base + whole..base + len];
+            let mut block = [T::ZERO; 16];
+            block[..rest.len()].copy_from_slice(rest);
+            // SAFETY: the stack block holds 16 elements.
+            unsafe { head_levels(k, block.as_mut_ptr(), 1) };
+            rest.copy_from_slice(&block[..rest.len()]);
+        }
+    }
 
     /// # Safety
     /// [`codelet_cols_body`]'s contract, plus AVX2 must be available.
     #[target_feature(enable = "avx2")]
     pub unsafe fn codelet_cols_f64(k: u32, x: &mut [f64], base: usize, s: usize, cols: usize) {
-        // SAFETY: forwarded contract.
-        unsafe { codelet_cols_body(k, x, base, s, cols) }
+        // SAFETY: forwarded contract; at s == 1, cols <= 1 codelet of
+        // 2^k contiguous elements from base.
+        unsafe {
+            if s == 1 {
+                unit_pass(k, x, base, cols)
+            } else {
+                codelet_cols_body(k, x, base, s, cols)
+            }
+        }
     }
 
     /// # Safety
     /// [`codelet_cols_body`]'s contract, plus AVX2 must be available.
     #[target_feature(enable = "avx2")]
     pub unsafe fn codelet_cols_f32(k: u32, x: &mut [f32], base: usize, s: usize, cols: usize) {
-        // SAFETY: forwarded contract.
-        unsafe { codelet_cols_body(k, x, base, s, cols) }
+        // SAFETY: as codelet_cols_f64.
+        unsafe {
+            if s == 1 {
+                unit_pass(k, x, base, cols)
+            } else {
+                codelet_cols_body(k, x, base, s, cols)
+            }
+        }
     }
 
     /// # Safety
     /// [`pass_lanes_body`]'s contract, plus AVX2 must be available.
     #[target_feature(enable = "avx2")]
     pub unsafe fn pass_lanes_f64(k: u32, x: &mut [f64], base: usize, r: usize, s: usize) {
-        // SAFETY: forwarded contract.
-        unsafe { pass_lanes_body(k, x, base, r, s) }
+        // SAFETY: forwarded contract; at s == 1 it is unit_pass's.
+        unsafe {
+            if s == 1 {
+                unit_pass(k, x, base, r)
+            } else {
+                pass_lanes_body(k, x, base, r, s)
+            }
+        }
     }
 
     /// # Safety
     /// [`pass_lanes_body`]'s contract, plus AVX2 must be available.
     #[target_feature(enable = "avx2")]
     pub unsafe fn pass_lanes_f32(k: u32, x: &mut [f32], base: usize, r: usize, s: usize) {
-        // SAFETY: forwarded contract.
-        unsafe { pass_lanes_body(k, x, base, r, s) }
+        // SAFETY: as pass_lanes_f64.
+        unsafe {
+            if s == 1 {
+                unit_pass(k, x, base, r)
+            } else {
+                pass_lanes_body(k, x, base, r, s)
+            }
+        }
     }
 }
 
@@ -644,7 +970,11 @@ pub unsafe fn apply_pass_lanes<T: Scalar>(k: u32, x: &mut [T], base: usize, r: u
 // are identical to the per-row replay. The kernels below are the
 // transposes that carry blocks in and out of that domain (plus the
 // SRHT-fused variants); the butterflies themselves reuse the lane kernels
-// above through the ordinary `Pass` machinery with `s` scaled by `w`.
+// above through the ordinary `Pass` machinery with `s` scaled by `w`. The
+// transposes cost about two sweeps of the group, which pays only where a
+// lone transform leaves lanes idle: batches of transforms of at most
+// `compile::BATCH_MAX_ELEMS` elements, and the SRHT sketches that fuse
+// their sign flips and sampling into the copies (see `crate::srht`).
 
 /// Columns per transpose tile: each tile moves `w × TRANSPOSE_TILE`
 /// elements — at most 16 lanes × 32 columns × 8 bytes = 4 KiB, L1-resident
@@ -1157,6 +1487,25 @@ pub unsafe fn scatter_lanes<T: Scalar>(dst: &mut [T], n: usize, w: usize, src: &
     unsafe { scatter_lanes_tile(dst, n, n, w, src) }
 }
 
+/// `true` when [`gather_lanes_signed`] of `w` rows of length `n` runs its
+/// in-register AVX2 kernel: `f64` lane groups of eight on an AVX2 host,
+/// `n` a multiple of four. Every other case runs a per-element body.
+#[inline]
+pub(crate) fn signed_gather_in_registers<T: Scalar>(n: usize, w: usize) -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        std::any::TypeId::of::<T>() == std::any::TypeId::of::<f64>()
+            && w == 8
+            && n.is_multiple_of(4)
+            && avx2_available()
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        let _ = (n, w);
+        false
+    }
+}
+
 /// [`gather_lanes`] with the SRHT's per-coordinate Rademacher sign flips
 /// fused into the load: `dst[j*w + u] = signs[j] * src[u*n + j]`
 /// (`signs[j] < 0` negates — exact for every scalar type). The diagonal
@@ -1177,7 +1526,7 @@ pub unsafe fn gather_lanes_signed<T: Scalar>(
     {
         use std::any::TypeId;
         if TypeId::of::<T>() == TypeId::of::<f64>() && avx2_available() {
-            if w == 8 && n.is_multiple_of(4) {
+            if signed_gather_in_registers::<T>(n, w) {
                 // SAFETY: forwarded contract (cols == row_stride == n);
                 // AVX2 presence checked above. The fused flip is the same
                 // `0.0 - v` the portable body computes, so bit-identical.
@@ -1542,18 +1891,26 @@ mod tests {
     }
 
     /// The lane-block kernels against the scalar per-column loop: same
-    /// pass, bit-identical elements, for every leaf size, a spread of
-    /// inner extents (below, at, and above every block width, plus twice
-    /// the narrowest stride that makes a pass of more than eight rows
-    /// wide, so it runs as chained sweeps), and all four scalar types —
-    /// the floats on inputs whose sums round, so a sweep order that
-    /// reassociated any butterfly would show. Each pass also runs as
+    /// pass, the same bits in every element, for every leaf size, a
+    /// spread of inner extents (below, at, and above every block width,
+    /// plus twice the narrowest stride that makes a pass of more than
+    /// eight rows wide, so it runs as chained sweeps), and all four scalar
+    /// types — the floats on inputs whose sums round, so a sweep order
+    /// that reassociated any butterfly would show. Each pass also runs as
     /// `apply_codelet_cols` calls over a ragged column sub-range of every
     /// row, which the chained split covers the same way at the wide
-    /// stride.
+    /// stride. The floats also run every `s = 1` pass on ±0.0, ±∞ and
+    /// NaN: the first codelet on signed zeros alone, whose output signs
+    /// follow every `a − b` of the network (`b − a` flips them), the
+    /// other two on a mix that turns whole codelets into ±∞ and NaN. `==`
+    /// cannot see a flipped zero sign, so the comparison is on `to_bits`.
+    /// The NaN is the host's own, the one `∞ − ∞` makes, so every NaN in
+    /// a pass has the same bits: which of two different NaNs a sum keeps
+    /// is not fixed by Rust in any kernel (LLVM commutes `fadd`).
     #[test]
     fn lane_pass_is_bit_identical_to_scalar_columns() {
-        fn check<T: Scalar>(value: fn(usize) -> T) {
+        fn check<T: Scalar>(value: fn(usize) -> T, bits: fn(T) -> u64, special: &[T]) {
+            let bitwise = |v: &[T]| v.iter().map(|&e| bits(e)).collect::<Vec<u64>>();
             for k in 1..=MAX_LEAF_K {
                 let rows = 1usize << k;
                 let mut strides = vec![1usize, 2, 3, 4, 6, 8, 16, 17, 32];
@@ -1563,40 +1920,70 @@ mod tests {
                 for s in strides {
                     let r = 3usize;
                     let len = r * rows * s;
-                    let input: Vec<T> = (0..len).map(value).collect();
-                    let mut scalar = input.clone();
-                    for j in 0..r {
-                        let row = j * rows * s;
-                        for t in 0..s {
-                            // SAFETY: (row + t) + (2^k - 1) * s < len.
-                            unsafe { apply_codelet(k, &mut scalar, row + t, s) };
-                        }
+                    let mut inputs = vec![(0..len).map(value).collect::<Vec<T>>()];
+                    if s == 1 && !special.is_empty() {
+                        inputs.push(
+                            (0..len)
+                                .map(|j| {
+                                    let pool = if j < rows { &special[..2] } else { special };
+                                    pool[(j * 37 + 11) % 251 % pool.len()]
+                                })
+                                .collect(),
+                        );
                     }
-                    let mut lanes = input.clone();
-                    // SAFETY: whole pass fits the buffer by construction.
-                    unsafe { apply_pass_lanes(k, &mut lanes, 0, r, s) };
-                    assert_eq!(lanes, scalar, "k={k}, s={s}");
-                    let t0 = s / 3;
-                    let cols = (s - t0).div_ceil(2);
-                    let mut scalar = input.clone();
-                    let mut ranged = input;
-                    for j in 0..r {
-                        let row = j * rows * s;
-                        for t in t0..t0 + cols {
-                            // SAFETY: (row + t) + (2^k - 1) * s < len.
-                            unsafe { apply_codelet(k, &mut scalar, row + t, s) };
+                    for input in inputs {
+                        let mut scalar = input.clone();
+                        for j in 0..r {
+                            let row = j * rows * s;
+                            for t in 0..s {
+                                // SAFETY: (row + t) + (2^k - 1) * s < len.
+                                unsafe { apply_codelet(k, &mut scalar, row + t, s) };
+                            }
                         }
-                        // SAFETY: cols <= s - t0 and the row is in bounds.
-                        unsafe { apply_codelet_cols(k, &mut ranged, row + t0, s, cols) };
+                        let mut lanes = input.clone();
+                        // SAFETY: whole pass fits the buffer by construction.
+                        unsafe { apply_pass_lanes(k, &mut lanes, 0, r, s) };
+                        assert_eq!(bitwise(&lanes), bitwise(&scalar), "k={k}, s={s}");
+                        let t0 = s / 3;
+                        let cols = (s - t0).div_ceil(2);
+                        let mut scalar = input.clone();
+                        let mut ranged = input;
+                        for j in 0..r {
+                            let row = j * rows * s;
+                            for t in t0..t0 + cols {
+                                // SAFETY: (row + t) + (2^k - 1) * s < len.
+                                unsafe { apply_codelet(k, &mut scalar, row + t, s) };
+                            }
+                            // SAFETY: cols <= s - t0 and the row is in bounds.
+                            unsafe { apply_codelet_cols(k, &mut ranged, row + t0, s, cols) };
+                        }
+                        assert_eq!(
+                            bitwise(&ranged),
+                            bitwise(&scalar),
+                            "k={k}, s={s}, columns {t0}..+{cols}"
+                        );
                     }
-                    assert_eq!(ranged, scalar, "k={k}, s={s}, columns {t0}..+{cols}");
                 }
             }
         }
-        check::<f64>(|j| ((j * 37 + 11) % 251) as f64 * 0.37 - 41.3);
-        check::<f32>(|j| ((j * 37 + 11) % 251) as f32 * 0.37 - 41.3);
-        check::<i64>(|j| ((j * 37 + 11) % 251) as i64 - 125);
-        check::<i32>(|j| ((j * 37 + 11) % 251) as i32 - 125);
+        let inf = std::hint::black_box(f64::INFINITY);
+        check::<f64>(
+            |j| ((j * 37 + 11) % 251) as f64 * 0.37 - 41.3,
+            f64::to_bits,
+            &[0.0, -0.0, inf, -inf, inf - inf, 1.5, -2.25],
+        );
+        let inf = std::hint::black_box(f32::INFINITY);
+        check::<f32>(
+            |j| ((j * 37 + 11) % 251) as f32 * 0.37 - 41.3,
+            |v| u64::from(v.to_bits()),
+            &[0.0, -0.0, inf, -inf, inf - inf, 1.5, -2.25],
+        );
+        check::<i64>(|j| ((j * 37 + 11) % 251) as i64 - 125, |v| v as u64, &[]);
+        check::<i32>(
+            |j| ((j * 37 + 11) % 251) as i32 - 125,
+            |v| u64::from(v as u32),
+            &[],
+        );
     }
 
     /// The lane transposes are exact inverses, for every scalar type and

@@ -77,7 +77,10 @@
 //!    kernel replays each unit ([`PassBackend`]): the scalar per-column
 //!    codelet loop, or the SIMD lane-block kernels of [`crate::codelets`].
 //! 5. **Batch** ([`BatchPolicy`]) — build the [`BatchSchedule`] that
-//!    [`CompiledPlan::apply_batch`] runs across adjacent transforms.
+//!    [`CompiledPlan::apply_batch`] runs across adjacent transforms, for
+//!    transforms of at most `BATCH_MAX_ELEMS` (`2^4`) elements: lane groups
+//!    of [`Scalar::LANES`] rows replay every flat pass transposed. Past
+//!    that size a per-row replay is faster and no product is built.
 //! 6. **Stream** ([`StreamPolicy`]) — mark the batch product's copy
 //!    sweeps for the streaming-store memory codelets.
 //!
@@ -619,62 +622,52 @@ impl SuperPass {
     }
 }
 
-/// Inner extents at or past this are already full lane width for every
-/// scalar type (the widest lane block is 16 — `f32`/`i32`), so the batched
-/// executor runs those passes within-transform; only the narrower head
-/// passes pay the transposes to run cross-transform. Type-independent so
-/// schedules stay scalar-type-agnostic.
-pub(crate) const CROSS_MAX_S: usize = 16;
-
 /// Largest transform the batch stage builds a [`BatchSchedule`] for
-/// (`2^18` elements): the transposed working set of one lane group is
-/// `LANES · 2^n` elements — 16 MiB of `f64`s at this cap, LLC-resident on
-/// the reference host. Past it the batched-small premise (per-call
-/// overhead and idle lanes dominate) no longer holds: the single-transform
-/// pipeline's own stages are the right tool, and a per-row replay is what
-/// `apply_batch` falls back to.
-pub(crate) const BATCH_MAX_ELEMS: usize = 1 << 18;
-
-/// Target size of one transposed cross-stage tile in elements (a power of
-/// two): `512` is 4 KiB of `f64`s — small enough that the tile, the lane
-/// group's streaming rows, and the codelet working set all stay
-/// L1-resident together (measured best among 256–4096 on an AVX2 host) —
-/// so the cross passes hit cache however large `2^n` grows, at the cost
-/// of re-walking the short cross pass list once per tile. The actual tile
-/// widens past this only when a single cross footprint `2^k·s` is larger
-/// (it must divide the tile).
-const CROSS_TILE_ELEMS: usize = 512;
+/// (`2^4` elements): the size up to which running lane groups of
+/// [`Scalar::LANES`] rows transposed beats replaying the rows one by
+/// one. Measured on a 2-vCPU Xeon (AVX2, 2 MiB L2) by interleaved
+/// timing of the transposed path against a per-row `apply` loop over
+/// the same default-lowered `Plan::iterative(n)` schedule, as the median
+/// per-row / batched time ratio of 41 alternations (above 1: batching
+/// wins; the range of two runs):
+///
+/// | rows | scalar | n = 2 | 3 | 4 | 5 | 6 | 8 | 10 | 12 |
+/// |------|--------|-------|---|---|---|---|---|----|----|
+/// | 16 | `f64` | 2.81–3.06 | 2.49–2.89 | 1.32–1.52 | 0.95–1.06 | 0.81–0.87 | 0.73–0.76 | 0.73–0.76 | 0.68–0.72 |
+/// | 64 | `f64` | 3.17–3.47 | 2.63–2.74 | 1.44–1.68 | 0.99–1.04 | 0.82–0.91 | 0.70–0.72 | 0.66–0.70 | 0.74–0.77 |
+/// | 16 | `f32` | 2.92–2.96 | 1.55–1.69 | 0.86–0.93 | 0.76–0.79 | 0.53–0.58 | 0.40–0.51 | 0.42–0.49 | 0.47–0.60 |
+/// | 64 | `f32` | 2.26–3.22 | 1.62–1.68 | 0.95–0.97 | 0.76–0.80 | 0.61–0.64 | 0.43–0.52 | 0.40–0.51 | 0.43–0.61 |
+///
+/// Since the unit-stride head pass runs in registers
+/// ([`crate::codelets`]), a lone transform keeps its lanes busy from
+/// `n = 5` on, so the transposes stop paying for themselves there. The
+/// cap sits at the `f64` crossover; `f32` at `n = 4` loses 3–14% to a
+/// per-row replay, a size no perfbench workload sends. At this size one
+/// lane group is one transposed row block (`LANES · 2^n` elements, at
+/// most 2 KiB), so every pass runs whole on it.
+pub(crate) const BATCH_MAX_ELEMS: usize = 1 << 4;
 
 /// The batched-execution product of the lowering pipeline's batch stage:
 /// how [`CompiledPlan::apply_batch`] runs a `rows × 2^n` batch of adjacent
-/// transforms (see the module docs' "the lowering pipeline").
+/// transforms of at most `BATCH_MAX_ELEMS` (`2^4`) elements (see the module
+/// docs' "the lowering pipeline").
 ///
-/// The flat factor schedule is split at [`struct@Pass`] granularity by inner
-/// extent: the **cross** prefix (every pass with `s <` the widest lane
-/// width) runs in the transposed scratch domain, where a lane group of
-/// `w = `[`crate::Scalar::LANES`] adjacent rows turns each pass
-/// `(k, r, s)` into `(k, r, s·w)` at unit stride — full-width butterflies
-/// whatever `s` was; the **tail** (passes already at full lane width
-/// within one transform) runs per row after the scatter back, while the
-/// group's rows are still cache-resident. Execution order per transform is
-/// exactly the flat schedule's, and lanes never interact, so batched
-/// output is bit-identical to the per-row replay.
+/// A lane group of `w = `[`crate::Scalar::LANES`] adjacent rows is
+/// transposed into scratch, where every flat pass `(k, r, s)` of the
+/// schedule runs as `(k, r, s·w)` at unit stride — full-width
+/// butterflies whatever `s` was — and is transposed back. Execution
+/// order per transform is exactly the flat schedule's, and lanes never
+/// interact, so batched output is bit-identical to the per-row replay.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BatchSchedule {
-    /// Flat-schedule prefix run cross-transform, in per-transform
-    /// coordinates (`base` 0, `stride` 1; strides are scaled by the lane
-    /// width at execution time, keeping the schedule scalar-type-agnostic).
-    cross: Vec<Pass>,
-    /// Flat-schedule suffix run within-transform per row.
-    tail: Vec<Pass>,
     /// Engagement threshold recorded from the [`BatchPolicy`] this
     /// schedule was lowered under (see [`BatchPolicy::block_rows`]).
     block_rows: usize,
-    /// Kernel backend replaying both domains (the batch stage runs after
-    /// backend selection and inherits its choice).
+    /// Kernel backend replaying the transposed passes (the batch stage
+    /// runs after backend selection and inherits its choice).
     backend: PassBackend,
-    /// Total batch elements (`rows · 2^n`) at which the cross-stage copy
-    /// sweeps use the streaming memory codelets — recorded from the
+    /// Total batch elements (`rows · 2^n`) at which the transposes use
+    /// the streaming memory codelets — recorded from the
     /// [`StreamPolicy`] by the stream stage and compared against the
     /// live batch length at apply time (rows are unknown at compile
     /// time). `usize::MAX` when streaming is disabled.
@@ -682,20 +675,7 @@ pub struct BatchSchedule {
 }
 
 impl BatchSchedule {
-    /// The flat-schedule prefix run cross-transform (per-transform
-    /// coordinates).
-    #[inline]
-    pub fn cross(&self) -> &[Pass] {
-        &self.cross
-    }
-
-    /// The flat-schedule suffix run within-transform per row.
-    #[inline]
-    pub fn tail(&self) -> &[Pass] {
-        &self.tail
-    }
-
-    /// Minimum batch rows at which the cross path engages.
+    /// Minimum batch rows at which lane groups engage.
     #[inline]
     pub fn block_rows(&self) -> usize {
         self.block_rows
@@ -707,40 +687,12 @@ impl BatchSchedule {
         self.backend
     }
 
-    /// Total batch elements at which the cross-stage copy sweeps stream
+    /// Total batch elements at which the transposes stream
     /// (`usize::MAX`: never — streaming disabled for this schedule).
     #[inline]
     pub fn stream_min_elems(&self) -> usize {
         self.stream_min_elems
     }
-
-    /// Columns per transposed cross-stage tile at lane width `lanes`, for
-    /// a `size`-element transform: the power-of-two `CROSS_TILE_ELEMS`
-    /// target widened to the largest cross footprint `2^k·s` (a tile must
-    /// hold whole butterfly blocks), clamped to the row. `None` when a
-    /// footprint computation overflows (hand-built splits can hold absurd
-    /// extents; geometry derivation must not panic). This is the one
-    /// derivation [`CompiledPlan::apply_batch_with_scratch`],
-    /// [`CompiledPlan::batch_scratch_elems`], and the
-    /// [`crate::verify`] checks all share.
-    pub fn cross_tile_cols(&self, size: usize, lanes: usize) -> Option<usize> {
-        cross_tile_cols_for(&self.cross, size, lanes)
-    }
-}
-
-/// [`BatchSchedule::cross_tile_cols`] over a raw cross prefix — shared
-/// with [`crate::verify`], which re-derives the geometry for hand-built
-/// (including deliberately corrupted) splits that never became a
-/// `BatchSchedule`.
-pub(crate) fn cross_tile_cols_for(cross: &[Pass], size: usize, lanes: usize) -> Option<usize> {
-    let mut max_foot = 1usize;
-    for p in cross {
-        if p.k >= usize::BITS {
-            return None;
-        }
-        max_foot = max_foot.max((1usize << p.k).checked_mul(p.s)?);
-    }
-    Some((CROSS_TILE_ELEMS / lanes.max(1)).max(max_foot).min(size))
 }
 
 /// A [`Plan`] lowered to its flat factor schedule, grouped into
@@ -775,7 +727,7 @@ pub struct CompiledPlan {
     /// program), `None` until the batch stage builds one (and always
     /// `None` when the [`BatchPolicy`] is disabled or the transform is
     /// past [`BATCH_MAX_ELEMS`]). Pre-batch stages reset it: they rewrite
-    /// the flat schedule the split was derived from.
+    /// the flat schedule it replays.
     batch: Option<BatchSchedule>,
 }
 
@@ -810,8 +762,8 @@ impl CompiledPlan {
     /// fusion must run before the tail stage (the tail is whatever fusion
     /// could not merge), re-fusing later would discard the tail grouping,
     /// re-codeleting before backend selection keeps the structural
-    /// rewrites together, the batch stage's cross/tail split is derived
-    /// from the final flat factor list and inherits the selected backend
+    /// rewrites together, the batch stage replays the final flat factor
+    /// list and inherits the selected backend
     /// (every earlier stage resets the batch product it would
     /// invalidate), and the stream stage — a pure dispatch marking over
     /// whatever units the pipeline produced — runs last.
@@ -902,16 +854,26 @@ impl CompiledPlan {
             .any(|sp| sp.backend == PassBackend::Lanes)
     }
 
+    /// The backend a replay of the flat passes outside the schedule (the
+    /// transposed lane groups of a batch or a sketch) runs with: the lane
+    /// kernels when backend selection chose them.
+    pub(crate) fn flat_backend(&self) -> PassBackend {
+        if self.is_simd() {
+            PassBackend::Lanes
+        } else {
+            PassBackend::Scalar
+        }
+    }
+
     /// Build the batched-execution product under `policy` (lowering stage
-    /// 5 — the last stage, so it sees the post-re-codelet flat factor list
-    /// and the selected backend). The single-transform schedule is
-    /// untouched: the product is *additional* ([`CompiledPlan::apply`]
-    /// replays exactly as before), so like every stage this is
-    /// output-bit-preserving by construction. With a disabled policy —
-    /// or a transform past the `BATCH_MAX_ELEMS` size cap, or a
-    /// hand-built schedule
-    /// whose flat factors are not in canonical chained form — no product
-    /// is built and [`CompiledPlan::apply_batch`] replays per row.
+    /// 5 — it sees the post-re-codelet flat factor list and the selected
+    /// backend). The single-transform schedule is untouched: the product
+    /// is *additional* ([`CompiledPlan::apply`] replays exactly as
+    /// before), so like every stage this is output-bit-preserving by
+    /// construction. With a disabled policy — or a transform past the
+    /// [`BATCH_MAX_ELEMS`] size cap, or a hand-built schedule whose flat
+    /// factors are not whole-vector passes — no product is built and
+    /// [`CompiledPlan::apply_batch`] replays per row.
     #[must_use]
     pub(crate) fn with_batch(&self, policy: &BatchPolicy) -> CompiledPlan {
         let mut out = self.clone();
@@ -919,52 +881,30 @@ impl CompiledPlan {
         out
     }
 
-    /// The [`BatchSchedule`] split for this schedule under `policy`, when
-    /// one applies (see [`CompiledPlan::with_batch`] for when it doesn't).
+    /// The [`BatchSchedule`] for this schedule under `policy`, when one
+    /// applies (see [`CompiledPlan::with_batch`] for when it doesn't).
     fn build_batch(&self, policy: &BatchPolicy) -> Option<BatchSchedule> {
-        if !policy.enabled() || self.size() > BATCH_MAX_ELEMS || self.passes.is_empty() {
-            return None;
-        }
-        // The split relies on the flat schedule's canonical form: every
-        // pass covers the whole vector at base 0, stride 1 (that is what
-        // makes the lane-width scaling of the cross prefix safe on the
-        // transposed scratch), with non-decreasing inner extents (so the
-        // narrow passes form a prefix). Every pipeline-compiled plan has
-        // it by construction; a hand-built schedule that doesn't simply
-        // does not batch.
         let size = self.size();
-        let mut prev_s = 0usize;
-        for p in &self.passes {
-            if p.base != 0 || p.stride != 1 || p.checked_span() != Some(size) || p.s < prev_s {
-                return None;
-            }
-            prev_s = p.s;
-        }
-        let split = self
+        // The transposed replay scales each flat pass by the lane width,
+        // which is safe only in the flat schedule's canonical form: every
+        // pass covers the whole vector at base 0, stride 1. Every
+        // pipeline-compiled plan has it by construction; a hand-built
+        // schedule that doesn't simply does not batch.
+        let canonical = self
             .passes
             .iter()
-            .position(|p| p.s >= CROSS_MAX_S)
-            .unwrap_or(self.passes.len());
-        if split == 0 {
-            // Every pass is already full lane width within one transform:
-            // the transposes would buy nothing.
+            .all(|p| p.base == 0 && p.stride == 1 && p.checked_span() == Some(size));
+        if !policy.enabled() || size > BATCH_MAX_ELEMS || self.passes.is_empty() || !canonical {
             return None;
         }
-        let backend = if self.is_simd() {
-            PassBackend::Lanes
-        } else {
-            PassBackend::Scalar
-        };
         Some(BatchSchedule {
-            cross: self.passes[..split].to_vec(),
-            tail: self.passes[split..].to_vec(),
             block_rows: policy.block_rows,
-            backend,
+            backend: self.flat_backend(),
             stream_min_elems: usize::MAX,
         })
     }
 
-    /// Mark the batch product's copy sweeps for the streaming memory
+    /// Mark the batch product's transposes for the streaming memory
     /// codelets under `policy` (lowering stage 6 — the last stage: a pure
     /// dispatch marking that rewrites nothing). The batched product
     /// (whose live size depends on the row count) records the policy's
@@ -1002,16 +942,16 @@ impl CompiledPlan {
 
     /// Scratch elements one [`CompiledPlan::apply_batch_with_scratch`]
     /// call needs at lane width `lanes` ([`Scalar::LANES`] of the batch's
-    /// scalar type): one transposed cross tile, or `0` when no batch
-    /// product was built (the per-row path replays in place). A
-    /// *declared* requirement that [`CompiledPlan::verify`] re-derives
-    /// independently and checks for exact equality.
+    /// scalar type): one transposed lane group (`lanes · 2^n`), or `0`
+    /// when no batch product was built (the per-row path replays in
+    /// place). A *declared* requirement that [`CompiledPlan::verify`]
+    /// re-derives independently and checks for exact equality.
     pub fn batch_scratch_elems(&self, lanes: usize) -> usize {
-        self.batch
-            .as_ref()
-            .and_then(|b| b.cross_tile_cols(self.size(), lanes))
-            .and_then(|tc| tc.checked_mul(lanes))
-            .unwrap_or(0)
+        if self.batch.is_some() {
+            lanes * self.size()
+        } else {
+            0
+        }
     }
 
     /// `true` if this schedule carries a batched-execution product (the
@@ -1145,15 +1085,14 @@ impl CompiledPlan {
     /// scratch setup amortize over the whole batch, and when the batch
     /// stage built a [`BatchSchedule`] (see [`BatchPolicy`]) and `rows`
     /// reaches the engagement threshold, lane groups of
-    /// [`Scalar::LANES`] adjacent rows run the narrow head passes
-    /// **cross-transform**: the group is transposed into scratch
-    /// ([`crate::codelets::gather_lanes`]), where every head pass
-    /// `(k, r, s)` becomes `(k, r, s·w)` at unit stride — full-width
-    /// butterflies regardless of `s` — and the full-width tail then runs
-    /// per row while the group is still cache-resident. Each transform's
-    /// butterfly DAG is identical to the per-row replay (lanes never
-    /// interact), so output is bit-identical for floats and exact for
-    /// integers, whatever path a row took.
+    /// [`Scalar::LANES`] adjacent rows run **cross-transform**: the group
+    /// is transposed into scratch ([`crate::codelets::gather_lanes`]),
+    /// where every flat pass `(k, r, s)` becomes `(k, r, s·w)` at unit
+    /// stride — full-width butterflies regardless of `s` — and is
+    /// transposed back. Each transform's butterfly DAG is identical to
+    /// the per-row replay (lanes never interact), so output is
+    /// bit-identical for floats and exact for integers, whatever path a
+    /// row took.
     ///
     /// Batches below the threshold (and the sub-lane-group remainder of
     /// any batch) replay row by row through the ordinary schedule, so a
@@ -1170,8 +1109,8 @@ impl CompiledPlan {
     }
 
     /// [`CompiledPlan::apply_batch`] with a caller-owned scratch buffer:
-    /// grown to one transposed cross tile
-    /// (`LANES` · tile columns — L1-sized) on first use, never shrunk — the
+    /// grown to one transposed lane group
+    /// (`LANES · 2^n` elements, at most 2 KiB) on first use, never shrunk — the
     /// warm path allocates nothing (asserted by the counting-allocator
     /// test in `tests/noalloc.rs`).
     ///
@@ -1232,73 +1171,39 @@ impl CompiledPlan {
             return Ok(());
         };
         let group = w * size;
-        // Column-tile the cross stage so the transposed scratch stays
-        // L1-resident whatever 2^n is: every cross footprint 2^k·s is a
-        // power of two, so a power-of-two tile at least as wide as the
-        // largest footprint splits every pass into whole butterfly blocks
-        // — pass (k, r, s) becomes (k, tile/2^k·s, s·w) per tile, same
-        // butterflies, same order within each column. The geometry is
-        // derived once in BatchSchedule::cross_tile_cols, shared with
-        // batch_scratch_elems and the verify checks; a batch-stage
-        // schedule can never overflow it (validated extents).
-        let tile_cols = b
-            .cross_tile_cols(size, w)
-            .expect("validated batch split has computable tile geometry");
-        let tile_elems = tile_cols * w;
         let groups = rows / w;
+        let tblock = &mut scratch[..group];
         // Streaming engages on the *live* batch footprint (rows are a
         // call-time property), gated against the floor the stream stage
         // recorded.
         let stream = x.len() >= b.stream_min_elems;
-        for g in 0..groups {
-            let block = &mut x[g * group..(g + 1) * group];
-            let mut j0 = 0;
-            while j0 < size {
-                let tblock = &mut scratch[..tile_elems];
-                // SAFETY: j0 + tile_cols <= size (both powers of two), so
-                // the window reads (w-1)·size + tile_cols elements past
-                // j0 within the w·size block; tblock holds w·tile_cols.
-                // The streamed variants share the plain kernels'
-                // contracts and move the same bytes.
-                unsafe {
-                    if stream {
-                        gather_lanes_tile_prefetch(&block[j0..], tile_cols, size, w, tblock);
-                    } else {
-                        gather_lanes_tile(&block[j0..], tile_cols, size, w, tblock);
-                    }
-                };
-                for p in &b.cross {
-                    let scaled = Pass {
-                        k: p.k,
-                        r: tile_cols / ((1usize << p.k) * p.s),
-                        s: p.s * w,
-                        base: 0,
-                        stride: 1,
-                    };
-                    // SAFETY: the scaled pass spans r·2^k·s·w =
-                    // tile_cols·w == tblock.len() elements at base 0,
-                    // stride 1.
-                    unsafe { scaled.apply_full_backend(tblock, b.backend) };
+        for block in x[..groups * group].chunks_exact_mut(group) {
+            // SAFETY: block holds the w rows of size elements the
+            // transposes read and write (cols == row_stride == size), and
+            // tblock holds w·size. The streamed variants share the plain
+            // kernels' contracts and move the same bytes.
+            unsafe {
+                if stream {
+                    gather_lanes_tile_prefetch(block, size, size, w, tblock);
+                } else {
+                    gather_lanes_tile(block, size, size, w, tblock);
                 }
-                // SAFETY: same bounds as the gather.
-                unsafe {
-                    if stream {
-                        scatter_lanes_tile_stream(&mut block[j0..], tile_cols, size, w, tblock);
-                    } else {
-                        scatter_lanes_tile(&mut block[j0..], tile_cols, size, w, tblock);
-                    }
-                };
-                j0 += tile_cols;
+            };
+            for p in &self.passes {
+                let scaled = Pass { s: p.s * w, ..*p };
+                // SAFETY: build_batch checked that each flat pass spans
+                // exactly size elements at base 0, stride 1, so the
+                // scaled pass spans size·w == tblock.len().
+                unsafe { scaled.apply_full_backend(tblock, b.backend) };
             }
-            if !b.tail.is_empty() {
-                for row in block.chunks_exact_mut(size) {
-                    for p in &b.tail {
-                        // SAFETY: build_batch checked each flat pass spans
-                        // exactly size elements at base 0, stride 1.
-                        unsafe { p.apply_full_backend(row, b.backend) };
-                    }
+            // SAFETY: same bounds as the gather.
+            unsafe {
+                if stream {
+                    scatter_lanes_tile_stream(block, size, size, w, tblock);
+                } else {
+                    scatter_lanes_tile(block, size, size, w, tblock);
                 }
-            }
+            };
         }
         for row in x[groups * group..].chunks_exact_mut(size) {
             self.apply(row)?;

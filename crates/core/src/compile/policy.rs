@@ -265,12 +265,17 @@ impl Default for RecodeletPolicy {
 ///
 /// A batch is a row-major `rows × 2^n` matrix of independent transforms.
 /// The batched executor transposes lane groups of [`crate::Scalar::LANES`]
-/// adjacent rows into scratch, where every head pass (`s <` the widest
-/// lane block) runs full-width *across* transforms; the two transposes
-/// cost about two sweeps of the group, so the path only pays off once
-/// enough rows amortize them. `block_rows` is that measured engagement
-/// threshold. Mirrors [`FusionPolicy`]: [`BatchPolicy::disabled`] turns
-/// the stage off, and the schedule cache keys on it.
+/// adjacent rows into scratch, where every pass runs full-width *across*
+/// transforms; the two transposes cost about two sweeps of the group, so
+/// the path only pays off once enough rows amortize them. `block_rows` is
+/// that engagement threshold. The stage builds a product only for
+/// transforms of at most `2^4` elements (`BATCH_MAX_ELEMS` in
+/// [`crate::compile`], whose docs hold the measured crossover): past
+/// that a lone transform already keeps its lanes busy, since its
+/// unit-stride head pass runs in registers, and the per-row replay is
+/// faster. [`crate::Srht`] sketches do not follow this policy (see its
+/// module docs). Mirrors [`FusionPolicy`]: [`BatchPolicy::disabled`]
+/// turns the stage off, and the schedule cache keys on it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BatchPolicy {
     /// Minimum batch rows at which [`CompiledPlan::apply_batch`](crate::compile::CompiledPlan::apply_batch)
@@ -285,15 +290,14 @@ impl BatchPolicy {
     /// Default engagement threshold: one full lane group of the widest
     /// scalar type (16 rows — `f32`/`i32` lane width; two groups of
     /// `f64`/`i64`), so the path engages as soon as a full group of any
-    /// type exists. Measured with perfbench's `core.batch.gain.nN` (a
-    /// per-row `apply_with_scratch` loop over the same schedule, divided
-    /// by `apply_batch_with_scratch`; f64, 64 rows, AVX2): on a 2-vCPU
-    /// Xeon with a 300 MiB L3, 1.5–2.5 at n = 6, 1.05–1.42 at n = 8 and
-    /// 0.93–1.10 at n = 10–12 in three traced runs; on one with a 105 MiB
-    /// L3, 1.57 and 2.05 at n = 6 and 0.69–1.14 at n = 8–12 in two. So
-    /// the stage gains where lone transforms leave lanes idle (n = 6) and
-    /// shows no gain once the full-width tail dominates.
-    /// `core.batch.gain.nN` and `core.ablate.batch.nN` re-measure it.
+    /// type exists. At the sizes the stage now serves (`n ≤ 4`) the
+    /// threshold costs nothing: on a 2-vCPU AVX2 Xeon, interleaved timing
+    /// of a 16-row batch against a per-row loop read 2.8–3.1, 2.5–2.9 and
+    /// 1.3–1.5 (`f64`) and 2.9–3.0, 1.6–1.7 and 0.86–0.93 (`f32`) at
+    /// `n = 2, 3, 4` in two runs — the same picture as at 64 rows (the
+    /// table on `BATCH_MAX_ELEMS`). perfbench's `core.batch.gain.nN`
+    /// and `core.ablate.batch.nN` time sizes past the cap, where the
+    /// stage now builds nothing and the ablation reads exactly 1.0.
     pub const DEFAULT_BLOCK_ROWS: usize = 16;
 
     /// Policy with an explicit engagement threshold.

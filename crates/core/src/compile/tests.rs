@@ -713,7 +713,11 @@ fn lower_runs_the_documented_stage_order() {
     assert_eq!(lowered, by_hand);
     assert!(lowered.is_fused() && lowered.has_relayout());
     assert!(lowered.has_recodeleted() && lowered.is_simd());
-    assert!(lowered.is_batched());
+    // The batch stage builds its product only up to its size cap: the
+    // same policy engages it on a 2^4-element plan.
+    assert!(!lowered.is_batched());
+    let small = CompiledPlan::compile(&Plan::iterative(4).unwrap());
+    assert!(small.lower(&policy).is_batched());
     // All stages disabled: the pipeline is the identity on the compiled
     // schedule (the pure scalar unfused baseline).
     let baseline = CompiledPlan::compile(&plan).lower(&ExecPolicy::all_disabled());
@@ -981,23 +985,18 @@ fn env_policy_constructors() {
 }
 
 #[test]
-fn batch_stage_splits_at_the_lane_width_frontier() {
-    // iterative(10): radix-2 passes at s = 1, 2, ..., 512. The cross
-    // prefix is every pass narrower than the widest lane block (16); the
-    // tail is everything already full width within one transform.
-    let compiled = CompiledPlan::compile(&Plan::iterative(10).unwrap());
+fn batch_stage_builds_an_additive_product_up_to_the_cap() {
+    // iterative(4): radix-2 passes at s = 1, 2, 4, 8, all of which the
+    // product replays transposed on lane groups of rows.
+    let compiled = CompiledPlan::compile(&Plan::iterative(4).unwrap());
     let batched = compiled.with_batch(&BatchPolicy::new(8));
     assert!(batched.is_batched());
     let b = batched.batch_schedule().unwrap();
     assert_eq!(b.block_rows(), 8);
     assert_eq!(b.backend(), PassBackend::Scalar);
-    assert_eq!(b.cross().len(), 4, "s = 1, 2, 4, 8 run cross-transform");
-    assert!(b.cross().iter().all(|p| p.s < 16));
-    assert!(b.tail().iter().all(|p| p.s >= 16));
-    // The split partitions the flat factor list in order.
-    let mut joined = b.cross().to_vec();
-    joined.extend_from_slice(b.tail());
-    assert_eq!(joined.as_slice(), batched.passes());
+    // One transposed lane group of scratch, whatever the lane width.
+    assert_eq!(batched.batch_scratch_elems(8), 8 * 16);
+    assert_eq!(batched.batch_scratch_elems(16), 16 * 16);
     // The single-transform schedule is untouched: the product is additive.
     assert_eq!(batched.super_passes(), compiled.super_passes());
     assert_eq!(batched.passes(), compiled.passes());
@@ -1023,54 +1022,37 @@ fn batch_stage_splits_at_the_lane_width_frontier() {
 #[test]
 fn batch_stage_declines_when_it_cannot_help() {
     // A disabled policy builds no product.
-    let compiled = CompiledPlan::compile(&Plan::iterative(10).unwrap());
+    let compiled = CompiledPlan::compile(&Plan::iterative(4).unwrap());
     assert!(!compiled.with_batch(&BatchPolicy::disabled()).is_batched());
-    // Past the size cap (2^19 > BATCH_MAX_ELEMS = 2^18) the batched-small
-    // premise is gone: no product, apply_batch replays per row.
-    let big = CompiledPlan::compile(&Plan::iterative(19).unwrap());
+    // Past the size cap (2^5 > BATCH_MAX_ELEMS = 2^4) a per-row replay
+    // is faster: no product, apply_batch replays per row.
+    let big = CompiledPlan::compile(&Plan::iterative(5).unwrap());
     assert!(!big.with_batch(&BatchPolicy::default()).is_batched());
-    // Two hand-built schedules the split must decline: one whose every
-    // pass is already full lane width (nothing to run cross-transform),
-    // and one with decreasing inner extents (not in canonical chained
-    // form: the narrow passes are no prefix). Neither applies the radix-2
-    // levels in order, so `from_super_passes` refuses both ...
-    let wide = Pass {
+    // Two hand-built schedules whose flat passes do not cover the
+    // vector in the canonical frame: one pass spans half of it, another
+    // sits at base 1. The verifier refuses both ...
+    let part = |r: usize, base: usize| Pass {
         k: 1,
-        r: 1,
-        s: 16,
-        base: 0,
+        r,
+        s: 1,
+        base,
         stride: 1,
     };
-    let all_wide = vec![SuperPass::new(vec![wide; 5], 32, 1, 0, 1)];
-    let narrow = |s: usize| {
-        SuperPass::new(
-            vec![Pass {
-                k: 1,
-                r: 2 / s,
-                s,
-                base: 0,
-                stride: 1,
-            }],
-            4,
-            1,
-            0,
-            1,
-        )
-    };
-    let decreasing = vec![narrow(2), narrow(1)];
-    for (n, schedule) in [(5, &all_wide), (2, &decreasing)] {
-        match CompiledPlan::from_super_passes(n, schedule.clone()) {
+    let short = vec![SuperPass::new(vec![part(1, 0)], 2, 1, 0, 1)];
+    let shifted = vec![SuperPass::new(vec![part(1, 1)], 4, 1, 0, 1)];
+    for schedule in [&short, &shifted] {
+        match CompiledPlan::from_super_passes(2, schedule.clone()) {
             Err(WhtError::InvalidSchedule { msg, .. }) => {
-                assert!(msg.starts_with("[coverage]"), "n = {n}: {msg}");
+                assert!(msg.starts_with("[coverage]"), "{msg}");
             }
-            other => panic!("n = {n}: expected a coverage refusal, got {other:?}"),
+            other => panic!("expected a coverage refusal, got {other:?}"),
         }
     }
     // ... and `build_batch`'s own guard still declines them when they
     // bypass the verifier (the batch replay's safety argument cites it).
-    for (n, schedule) in [(5, all_wide), (2, decreasing)] {
+    for schedule in [short, shifted] {
         let unverified = CompiledPlan {
-            n,
+            n: 2,
             passes: schedule
                 .iter()
                 .flat_map(|sp| (0..sp.parts().len()).map(move |p| sp.flat_pass(p)))
@@ -1099,7 +1081,7 @@ fn apply_batch_is_bit_identical_to_per_row_apply() {
         compiled.apply_batch(&mut batched, rows).unwrap();
         assert_eq!(batched, per_row, "rows {rows}");
     }
-    for n in [3u32, 7, 10] {
+    for n in [2u32, 3, 4] {
         for plan in test_plans(n) {
             let lowered = CompiledPlan::compile(&plan).lower(&ExecPolicy {
                 batch: BatchPolicy::new(1),
@@ -1145,7 +1127,7 @@ fn apply_batch_scratch_warms_once_and_is_reused() {
     // The warm path allocates nothing: one scratch grow on first use,
     // then stable capacity across batches (the counting-allocator proof
     // lives in tests/noalloc.rs; this pins the sizing contract).
-    let compiled = CompiledPlan::compile(&Plan::iterative(8).unwrap()).lower(&ExecPolicy {
+    let compiled = CompiledPlan::compile(&Plan::iterative(4).unwrap()).lower(&ExecPolicy {
         batch: BatchPolicy::new(1),
         ..ExecPolicy::default()
     });
@@ -1160,7 +1142,7 @@ fn apply_batch_scratch_warms_once_and_is_reused() {
     assert_eq!(
         warm,
         compiled.batch_scratch_elems(<f64 as Scalar>::LANES),
-        "scratch is exactly one transposed cross tile"
+        "scratch is exactly one transposed lane group"
     );
     assert!(
         warm >= <f64 as Scalar>::LANES,
@@ -1168,7 +1150,7 @@ fn apply_batch_scratch_warms_once_and_is_reused() {
     );
     assert!(
         warm <= <f64 as Scalar>::LANES * size,
-        "the cross tile never exceeds one transposed lane group"
+        "scratch never exceeds one transposed lane group"
     );
     compiled
         .apply_batch_with_scratch(&mut x, rows, &mut scratch)

@@ -87,6 +87,5 @@ pub use scalar::Scalar;
 pub use srht::Srht;
 pub use twod::{apply_plan_2d, naive_wht_2d};
 pub use verify::{
-    verify_batch, verify_batch_split, verify_flat_passes, verify_schedule, VerifyDiagnostic,
-    VerifyInvariant, VerifySite,
+    verify_flat_passes, verify_schedule, VerifyDiagnostic, VerifyInvariant, VerifySite,
 };

@@ -1,5 +1,5 @@
 //! Subsampled randomized Hadamard transform (SRHT) sketching, composed
-//! on top of the batched-small executor.
+//! on top of the transposed lane-group replay of the batched executor.
 //!
 //! The SRHT sketch of a row vector `x` of size `N = 2^n` is
 //! `y = P · H · D · x`: a diagonal of Rademacher signs `D`, the
@@ -22,19 +22,29 @@
 //!   coordinates ever leave the transposed domain, and the full inverse
 //!   transpose never happens.
 //!
-//! Between the two, *every* pass of the lowered flat schedule runs
-//! full-lane-width across transforms (the tail passes stay in the
-//! transposed domain too: with the sampled store there is no reason to
-//! scatter back early). Each transform's butterfly DAG is identical to a
-//! per-row replay, and negation is exact for every scalar type, so the
-//! sketch is bit-identical to the reference composition
-//! sign-flip → full WHT → subsample.
+//! Between the two, *every* pass of the lowered flat schedule
+//! ([`CompiledPlan::passes`]) runs full-lane-width across transforms
+//! (with the sampled store there is no reason to scatter back early).
+//! Each transform's butterfly DAG is identical to a per-row replay, and
+//! negation is exact for every scalar type, so the sketch is
+//! bit-identical to the reference composition sign-flip → full WHT →
+//! subsample.
 //!
-//! Engagement follows the batch product: the fused path runs exactly when
-//! the compiled schedule carries a [`crate::compile::BatchSchedule`] and
-//! the batch reaches its threshold, so a schedule lowered with
-//! [`crate::compile::BatchPolicy::disabled`] falls the sketch back to a
-//! bit-identical per-row composition through the ordinary executor.
+//! Engagement does not follow the batch product. The fused path needs
+//! only the flat passes, and it runs on each full lane group wherever it
+//! beats a per-row composition through the ordinary executor (which
+//! every other row, and every other case, replays — bit-identical
+//! either way): at every size up to the batch stage's cap (`2^4`), and
+//! up to `2^14` (`FUSED_SKETCH_MAX_ELEMS`) where the sign flip rides
+//! the in-register transpose (`f64` on AVX2 hosts). Elsewhere the
+//! per-row composition, whose unit-stride head pass runs in registers,
+//! is faster. Interleaved
+//! timing of 64-row sketches (`m = 2^n / 8`, default-lowered
+//! `Plan::iterative(n)`, a 2-vCPU AVX2 Xeon; per-row / fused time,
+//! above 1: the fused path wins) read, for `n = 4, 6, 8, 10, 12, 14, 15`:
+//! `f64` 1.98, 2.21, 1.32, 1.13, 0.99–1.04, 1.05, 0.90; `f32` 1.26,
+//! 0.90, 0.58, 0.58, 0.46; `i64` 1.02, 0.78, 0.72, 0.71, 0.79; `i32`
+//! 1.21, 0.84, 0.72, 0.73, 0.71.
 //!
 //! ```
 //! use wht_core::{CompiledPlan, ExecPolicy, Plan, Srht};
@@ -49,11 +59,17 @@
 //! # Ok::<(), wht_core::WhtError>(())
 //! ```
 
-use crate::codelets::{gather_lanes_signed, scatter_lanes_sampled};
-use crate::compile::{CompiledPlan, Pass};
+use crate::codelets::{gather_lanes_signed, scatter_lanes_sampled, signed_gather_in_registers};
+use crate::compile::{CompiledPlan, Pass, BATCH_MAX_ELEMS};
 use crate::error::WhtError;
 use crate::plan::MAX_N;
 use crate::scalar::Scalar;
+
+/// Largest transform whose sketch runs the fused transposed path when the
+/// sign flip rides the in-register transpose (see the module docs): the
+/// `f64` crossover on the reference host, past which the per-row
+/// composition wins.
+const FUSED_SKETCH_MAX_ELEMS: usize = 1 << 14;
 
 /// One draw of the SRHT's random operators: the Rademacher sign diagonal
 /// `D` (length `2^n`) and the sampled coordinate set `P` (`m` distinct
@@ -176,13 +192,12 @@ impl Srht {
     /// [`Srht::sketch_batch`] with a caller-owned scratch buffer, grown on
     /// first use and never shrunk — the warm path allocates nothing.
     ///
-    /// When `compiled` carries a batch product and `rows` reaches its
-    /// threshold, lane groups of [`Scalar::LANES`] rows run the fused
-    /// path: signed transpose in, the whole lowered flat schedule at
-    /// scaled stride (full lane width across transforms), sampled
-    /// transpose out. Sub-threshold batches and the sub-lane-group
-    /// remainder replay the composition per row through the ordinary
-    /// executor — bit-identical either way.
+    /// Where the fused path wins (see the module docs), every full lane
+    /// group of [`Scalar::LANES`] rows runs it: signed transpose in, the
+    /// whole lowered flat schedule at scaled stride (full lane width
+    /// across transforms), sampled transpose out. The sub-lane-group
+    /// remainder, and every row elsewhere, replays the composition per
+    /// row through the ordinary executor — bit-identical either way.
     ///
     /// # Errors
     /// As [`Srht::sketch_batch`].
@@ -226,10 +241,11 @@ impl Srht {
         if scratch.len() < needed {
             scratch.resize(needed, T::ZERO);
         }
-        let engaged = compiled
-            .batch_schedule()
-            .filter(|b| rows >= b.block_rows().max(w));
-        let groups = if let Some(b) = engaged {
+        let fused = rows >= w
+            && (size <= BATCH_MAX_ELEMS
+                || (size <= FUSED_SKETCH_MAX_ELEMS && signed_gather_in_registers::<T>(size, w)));
+        let groups = if fused {
+            let backend = compiled.flat_backend();
             let group = w * size;
             for g in 0..rows / w {
                 let block = &x[g * group..(g + 1) * group];
@@ -237,12 +253,14 @@ impl Srht {
                 // SAFETY: block and tblock both hold exactly w·size
                 // elements and signs covers all size coordinates.
                 unsafe { gather_lanes_signed(block, size, w, &self.signs, tblock) };
-                for p in b.cross().iter().chain(b.tail()) {
+                for p in compiled.passes() {
                     let scaled = Pass { s: p.s * w, ..*p };
-                    // SAFETY: the batch product certifies each flat pass
-                    // spans exactly size elements at base 0, stride 1, so
-                    // the scaled pass spans size·w == tblock.len().
-                    unsafe { scaled.apply_full_backend(tblock, b.backend()) };
+                    // SAFETY: every flat pass of a CompiledPlan spans
+                    // exactly size elements at base 0, stride 1 — compile
+                    // emits them so, the lowering stages keep them so, and
+                    // from_super_passes proves it (verify_flat_passes) —
+                    // so the scaled pass spans size·w == tblock.len().
+                    unsafe { scaled.apply_full_backend(tblock, backend) };
                 }
                 // SAFETY: every index is < size (constructor invariant),
                 // so index·w + w - 1 < size·w; the destination rows are
@@ -331,7 +349,10 @@ mod tests {
 
     #[test]
     fn sketch_matches_the_reference_composition_for_every_scalar_type() {
-        for n in [3u32, 6, 9] {
+        // Sizes at and below the batch stage's cap (every type runs the
+        // fused path) and past it (f64 on AVX2 hosts still does, the other
+        // types replay per row).
+        for n in [3u32, 4, 6, 9] {
             let srht = Srht::new(n, (1usize << n) / 2, 7 * u64::from(n)).unwrap();
             for (i, plan) in [
                 Plan::iterative(n).unwrap(),
@@ -345,7 +366,7 @@ mod tests {
                     batch: BatchPolicy::new(1),
                     ..ExecPolicy::default()
                 });
-                assert!(compiled.is_batched());
+                assert_eq!(compiled.is_batched(), n <= 4);
                 // Engaged groups, remainders, sub-group batches, and a
                 // batch of one.
                 for rows in [1usize, 5, 16, 19, 48] {
@@ -356,12 +377,12 @@ mod tests {
     }
 
     #[test]
-    fn sketch_falls_back_per_row_when_the_batch_stage_is_off() {
-        // A disabled batch stage must change nothing about the sketch's
-        // bits.
-        let n = 8u32;
-        let srht = Srht::new(n, 40, 3).unwrap();
-        let plan = Plan::binary_iterative(n, 4).unwrap();
+    fn sketch_bits_do_not_depend_on_the_batch_stage() {
+        // The sketch's engagement does not follow the batch product, and a
+        // disabled batch stage must change nothing about its bits.
+        let n = 4u32;
+        let srht = Srht::new(n, 5, 3).unwrap();
+        let plan = Plan::binary_iterative(n, 2).unwrap();
         let on = CompiledPlan::compile(&plan).lower(&ExecPolicy {
             batch: BatchPolicy::new(1),
             ..ExecPolicy::default()
@@ -373,9 +394,9 @@ mod tests {
         assert!(on.is_batched() && !off.is_batched());
         let rows = 37;
         let x: Vec<f64> = random_signal(rows << n, 11);
-        let mut fused = vec![0.0; rows * 40];
+        let mut fused = vec![0.0; rows * 5];
         srht.sketch_batch(&on, &x, rows, &mut fused).unwrap();
-        let mut per_row = vec![0.0; rows * 40];
+        let mut per_row = vec![0.0; rows * 5];
         srht.sketch_batch(&off, &x, rows, &mut per_row).unwrap();
         assert_eq!(fused, per_row);
     }

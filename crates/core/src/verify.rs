@@ -21,8 +21,7 @@
 //! every index expression the executor evaluates. A part `(k, r, s)` at
 //! `base`/`stride` reaches element `base + (r·2^k·s − 1)·stride` of its
 //! tile, and its in-place replay the same of the vector; a column tail's
-//! period must divide the vector; a batched cross tile sweeps
-//! `tile_cols` columns at a time across a `2^n`-element row.
+//! period must divide the vector.
 //! All of it must stay inside the declared extent, computed with checked
 //! arithmetic so absurd hand-built extents surface as
 //! [`VerifyInvariant::Overflow`], never as a wrapped index that happens
@@ -55,15 +54,16 @@
 //! passes is bit-identical to the recursive interpreter for every input.
 //! A schedule that is bounds-safe but drops, repeats or reorders a level
 //! is refused, whether it then computes a wrong transform or the right
-//! one with other bits. The same chain runs over the flat factor list
-//! and the batch product's `cross ++ tail` passes.
+//! one with other bits. The same chain runs over the flat factor list,
+//! which the batch product replays on its transposed lane groups.
 //!
 //! **Scratch sizing** ([`VerifyInvariant::Scratch`]): the batched path's
-//! declared [`CompiledPlan::batch_scratch_elems`] must *equal* the L1
-//! tile the cross sweep actually streams through, for every lane width
-//! (not merely exceed it — over-allocation is a bug the ROADMAP's
-//! service front-end would pay per worker). The single-transform replay
-//! runs in place and needs none.
+//! declared [`CompiledPlan::batch_scratch_elems`] must *equal* the
+//! transposed lane group it runs on, for every lane width (not merely
+//! exceed it — over-allocation is a bug the ROADMAP's service front-end
+//! would pay per worker), and the product must stay within the
+//! batch stage's size cap, where one lane group is one transposed row
+//! block. The single-transform replay runs in place and needs none.
 //!
 //! # Wiring
 //!
@@ -80,10 +80,7 @@
 //!   an applied level, must be rejected with a diagnostic naming the
 //!   invariant).
 
-use crate::compile::{
-    cross_tile_cols_for, BatchSchedule, CompiledPlan, Pass, Provenance, SuperPass, BATCH_MAX_ELEMS,
-    CROSS_MAX_S,
-};
+use crate::compile::{CompiledPlan, Pass, Provenance, SuperPass, BATCH_MAX_ELEMS};
 use crate::plan::{MAX_LEAF_K, MAX_N};
 use std::fmt;
 
@@ -101,7 +98,8 @@ pub const EXACT_COVER_MAX_TILE: usize = 1 << 10;
 pub enum VerifyInvariant {
     /// The schedule is not in the canonical form every executor path
     /// assumes (empty grids, non-canonical top-level frame, codelet
-    /// exponent outside the unrolled family, malformed batch split, …).
+    /// exponent outside the unrolled family, a batch product past its
+    /// size cap, …).
     Structure,
     /// An index expression escapes its declared extent (tile, vector,
     /// column period, or batched row).
@@ -160,13 +158,9 @@ pub enum VerifySite {
         /// Index into the flat pass list.
         index: usize,
     },
-    /// The batched-execution product ([`BatchSchedule`]), optionally one
-    /// pass of the concatenated `cross ++ tail` sequence.
-    Batch {
-        /// Index into `cross ++ tail` (cross passes first), when the
-        /// violation is attributable to one pass.
-        pass: Option<usize>,
-    },
+    /// The batched-execution product
+    /// ([`BatchSchedule`](crate::compile::BatchSchedule)).
+    Batch,
     /// The schedule as a whole (factor-product and scratch-sizing
     /// violations have no single offending unit).
     Schedule,
@@ -181,8 +175,7 @@ impl fmt::Display for VerifySite {
                 part: Some(p),
             } => write!(f, "unit {unit} part {p}"),
             VerifySite::FlatPass { index } => write!(f, "flat pass {index}"),
-            VerifySite::Batch { pass: None } => write!(f, "batch schedule"),
-            VerifySite::Batch { pass: Some(p) } => write!(f, "batch pass {p}"),
+            VerifySite::Batch => write!(f, "batch schedule"),
             VerifySite::Schedule => write!(f, "schedule"),
         }
     }
@@ -807,161 +800,10 @@ pub fn verify_flat_passes(n: u32, passes: &[Pass]) -> Vec<VerifyDiagnostic> {
 
 /// Lane widths ([`crate::Scalar::LANES`]) of the supported scalar types:
 /// 8 for the 8-byte scalars (`f64`/`i64`), 16 for the 4-byte ones
-/// (`f32`/`i32`). The batch checks re-derive the cross-tile geometry at
-/// every width, since the schedule is scalar-type-agnostic but the
-/// executed tile arithmetic is not.
+/// (`f32`/`i32`). The scratch check re-derives the transposed lane group
+/// at every width, since the schedule is scalar-type-agnostic but the
+/// executed scratch is not.
 const BATCH_LANE_WIDTHS: [usize; 2] = [8, 16];
-
-/// Verify a batched-execution product against the transform exponent
-/// (see [`verify_batch_split`] for the checks; this borrows them for a
-/// pipeline-built [`BatchSchedule`]).
-pub fn verify_batch(n: u32, batch: &BatchSchedule) -> Vec<VerifyDiagnostic> {
-    verify_batch_split(n, batch.cross(), batch.tail())
-}
-
-/// Verify a batched-execution split against the transform exponent: the
-/// `cross ++ tail` split must itself be a valid flat schedule (whole-vector
-/// passes forming the level chain), the split
-/// must respect the lane-width threshold it was cut at, and the
-/// cross-tile sweep [`CompiledPlan::apply_batch_with_scratch`] runs must
-/// be exact (whole butterflies per tile, whole tiles per row) for every
-/// lane width. Takes the raw pass lists so hand-built (including
-/// deliberately corrupted) splits can be checked — the batch mutation
-/// tests' entry point, since only the batch stage constructs a
-/// [`BatchSchedule`].
-pub fn verify_batch_split(n: u32, cross: &[Pass], tail: &[Pass]) -> Vec<VerifyDiagnostic> {
-    let mut diags = Diags::new();
-    let Some(size) = checked_size(n, &mut diags) else {
-        return diags.out;
-    };
-    let whole = VerifySite::Batch { pass: None };
-    if cross.is_empty() {
-        diags.push(
-            whole,
-            None,
-            VerifyInvariant::Structure,
-            "batch product with an empty cross prefix".into(),
-        );
-    }
-    if size > BATCH_MAX_ELEMS {
-        diags.push(
-            whole,
-            None,
-            VerifyInvariant::Structure,
-            format!(
-                "2^{n}-element transform exceeds the {BATCH_MAX_ELEMS}-element \
-                 batch cap"
-            ),
-        );
-    }
-    // The concatenated split is the flat schedule apply_batch replays per
-    // transform: the same whole-vector-per-pass and level-chain
-    // obligations. The chain's increasing inner extents also make the
-    // narrow passes a prefix, which the lane-width checks below pin to
-    // the cross side.
-    let mut chain = LevelChain::new(n);
-    let cross_len = cross.len();
-    for (index, p) in cross.iter().chain(tail).enumerate() {
-        let site = VerifySite::Batch { pass: Some(index) };
-        if !check_pass_in_frame(p, size, "vector", site, None, &mut diags).clean {
-            chain.stop();
-            continue;
-        }
-        chain.step(p, site, None, &mut diags);
-        if index < cross_len && p.s >= CROSS_MAX_S {
-            diags.push(
-                site,
-                None,
-                VerifyInvariant::Structure,
-                format!(
-                    "pass with inner extent {} ≥ {CROSS_MAX_S} is already full \
-                     lane width, yet scheduled cross-transform",
-                    p.s
-                ),
-            );
-        }
-        if index >= cross_len && p.s < CROSS_MAX_S {
-            diags.push(
-                site,
-                None,
-                VerifyInvariant::Structure,
-                format!(
-                    "narrow pass (inner extent {} < {CROSS_MAX_S}) left in the \
-                     within-transform tail",
-                    p.s
-                ),
-            );
-        }
-    }
-    chain.end(whole, &mut diags);
-    // Per lane width: re-derive the cross-tile geometry and prove the
-    // sweep exact. tile_cols must divide the row (or the last gather
-    // overruns it) and every cross footprint must divide tile_cols (or a
-    // tile boundary would split a butterfly — the batched counterpart of
-    // the parallel shard rule).
-    for w in BATCH_LANE_WIDTHS {
-        for (ci, p) in cross.iter().enumerate() {
-            let site = VerifySite::Batch { pass: Some(ci) };
-            let Some(foot) = checked_span(&Pass { r: 1, ..*p }) else {
-                // Already diagnosed as Overflow by the flat checks above.
-                continue;
-            };
-            let Some(tile_cols) = cross_tile_cols_for(cross, size, w) else {
-                diags.push(
-                    whole,
-                    None,
-                    VerifyInvariant::Overflow,
-                    format!("cross-tile geometry overflows at lane width {w}"),
-                );
-                break;
-            };
-            if tile_cols == 0 || size % tile_cols != 0 {
-                diags.push(
-                    site,
-                    None,
-                    VerifyInvariant::Bounds,
-                    format!(
-                        "cross tile of {tile_cols} columns does not divide the \
-                         {size}-element row at lane width {w}: the tile sweep \
-                         would overrun the lane group"
-                    ),
-                );
-                continue;
-            }
-            if foot == 0 || tile_cols % foot != 0 {
-                diags.push(
-                    site,
-                    None,
-                    VerifyInvariant::Disjointness,
-                    format!(
-                        "cross tile of {tile_cols} columns splits the \
-                         {foot}-element butterfly block at lane width {w}"
-                    ),
-                );
-                continue;
-            }
-            // The scaled pass (k, tile_cols/foot, s·w) must span exactly
-            // the transposed tile: (tile_cols/foot)·2^k·s·w = tile_cols·w.
-            let scaled_ok =
-                p.s.checked_mul(w)
-                    .and_then(|sw| (1usize << p.k).checked_mul(sw))
-                    .and_then(|block| (tile_cols / foot).checked_mul(block))
-                    == tile_cols.checked_mul(w);
-            if !scaled_ok {
-                diags.push(
-                    site,
-                    None,
-                    VerifyInvariant::Coverage,
-                    format!(
-                        "lane-scaled pass does not span the transposed \
-                         {tile_cols}×{w} tile exactly"
-                    ),
-                );
-            }
-        }
-    }
-    diags.out
-}
 
 impl CompiledPlan {
     /// Statically prove this lowered schedule safe to execute: every
@@ -977,21 +819,33 @@ impl CompiledPlan {
     pub fn verify(&self) -> Vec<VerifyDiagnostic> {
         let mut diags = verify_schedule(self.n(), self.super_passes());
         diags.extend(verify_flat_passes(self.n(), self.passes()));
-        if let Some(batch) = self.batch_schedule() {
-            diags.extend(verify_batch(self.n(), batch));
+        if self.batch_schedule().is_some() {
+            // The transposed replay runs every flat pass (proven above) on
+            // whole lane groups of rows: one transposed row block, which
+            // the size cap keeps small.
+            let size = self.size();
+            if size > BATCH_MAX_ELEMS {
+                diags.push(VerifyDiagnostic {
+                    site: VerifySite::Batch,
+                    provenance: None,
+                    invariant: VerifyInvariant::Structure,
+                    message: format!(
+                        "{size}-element transform exceeds the {BATCH_MAX_ELEMS}-element \
+                         batch cap"
+                    ),
+                });
+            }
             for w in BATCH_LANE_WIDTHS {
                 let declared = self.batch_scratch_elems(w);
-                let expected = batch
-                    .cross_tile_cols(self.size(), w)
-                    .and_then(|tc| tc.checked_mul(w));
+                let expected = w.checked_mul(size);
                 if expected != Some(declared) {
                     diags.push(VerifyDiagnostic {
-                        site: VerifySite::Batch { pass: None },
+                        site: VerifySite::Batch,
                         provenance: None,
                         invariant: VerifyInvariant::Scratch,
                         message: format!(
                             "declared batch scratch {declared} at lane width {w} \
-                             differs from the derived cross tile ({expected:?})"
+                             differs from the transposed lane group ({expected:?})"
                         ),
                     });
                 }

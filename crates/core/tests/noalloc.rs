@@ -135,9 +135,10 @@ fn compiled_relayout_with_scratch_does_not_allocate_after_warmup() {
 #[test]
 fn apply_batch_with_scratch_does_not_allocate_after_warmup() {
     // The batched-small fast path: the first call sizes the scratch for
-    // the transposed cross tile, then every warm batch — engaged lane
-    // groups, remainder, and all — must be allocation-free.
-    let n = 10u32;
+    // the transposed lane group, then every warm batch — engaged lane
+    // groups, remainder, and all — must be allocation-free. (n = 4: the
+    // batch stage builds no product past 2^4 elements.)
+    let n = 4u32;
     let compiled = CompiledPlan::compile(&Plan::iterative(n).unwrap()).lower(&ExecPolicy {
         batch: BatchPolicy::new(1),
         ..ExecPolicy::default()

@@ -484,7 +484,8 @@ proptest! {
             .with_batch(BatchPolicy::new(block_rows));
         let compiled = CompiledPlan::compile(&plan).lower(&exec);
         prop_assert!(compiled.verify().is_empty());
-        prop_assert_eq!(compiled.is_batched(), block_rows > 0);
+        // The batch stage builds its product up to its 2^4-element cap.
+        prop_assert_eq!(compiled.is_batched(), block_rows > 0 && n <= 4);
         check::<f64>(&compiled, rows, seed);
         check::<f32>(&compiled, rows, seed);
         check::<i64>(&compiled, rows, seed);

@@ -9,7 +9,7 @@
 //!   flat view, and the batched product alike.
 //! - **Sensitivity of the verifier** (mutation): deliberately corrupted
 //!   schedules (stride, offset, exponent, grid, column geometry, level
-//!   order, batch split) must each be *rejected* with a diagnostic
+//!   order) must each be *rejected* with a diagnostic
 //!   naming the violated invariant — no silent acceptance. Corruptions
 //!   are injected through `SuperPass::new`/`new_columns` (unchecked
 //!   carriers by design) and the slice-based `verify_*` entry points,
@@ -19,8 +19,7 @@
 use proptest::prelude::*;
 use wht_core::testkit::{decode_plan, random_plan, random_signal, reference_wht};
 use wht_core::verify::{
-    verify_batch_split, verify_flat_passes, verify_schedule, VerifyDiagnostic, VerifyInvariant,
-    VerifySite,
+    verify_flat_passes, verify_schedule, VerifyDiagnostic, VerifyInvariant, VerifySite,
 };
 use wht_core::{
     compiled_for_exec, BatchPolicy, ColumnTail, CompiledPlan, ExecPolicy, FusionPolicy, Pass,
@@ -836,53 +835,6 @@ fn part_moved_onto_an_applied_level_is_rejected_as_coverage() {
             other => panic!("{ctx}: expected a refusal, got {other:?}"),
         }
     }
-}
-
-#[test]
-fn corrupted_batch_splits_are_rejected() {
-    let n = 6u32;
-    // The canonical n = 6 radix-2 split: narrow passes cross, wide tail.
-    let flat: Vec<Pass> = (0..6)
-        .map(|i| Pass {
-            k: 1,
-            r: 32 >> i,
-            s: 1 << i,
-            base: 0,
-            stride: 1,
-        })
-        .collect();
-    let (cross, tail) = flat.split_at(4);
-    assert_eq!(verify_batch_split(n, cross, tail), vec![]);
-    // A full-lane-width pass scheduled cross-transform breaks the split
-    // contract.
-    assert_rejects(
-        &verify_batch_split(n, &flat[..5], &flat[5..]),
-        VerifyInvariant::Structure,
-        "tail pass moved into cross",
-    );
-    // Dropping a tail factor breaks the product.
-    assert_rejects(
-        &verify_batch_split(n, cross, &tail[..1]),
-        VerifyInvariant::Coverage,
-        "dropped batch tail factor",
-    );
-    // An empty cross prefix is not a batch product at all.
-    assert_rejects(
-        &verify_batch_split(n, &[], &flat),
-        VerifyInvariant::Structure,
-        "empty cross prefix",
-    );
-    // A non-power-of-two inner extent misaligns the butterflies against
-    // the power-of-two cross tile (and no longer spans the vector).
-    let mut warped = cross.to_vec();
-    warped[1] = Pass { s: 3, ..warped[1] };
-    let diags = verify_batch_split(n, &warped, tail);
-    assert_rejects(&diags, VerifyInvariant::Coverage, "cross pass s 2 -> 3");
-    assert_rejects(
-        &diags,
-        VerifyInvariant::Disjointness,
-        "cross pass s 2 -> 3 (tile splits a butterfly)",
-    );
 }
 
 #[test]

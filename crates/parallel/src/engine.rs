@@ -960,7 +960,8 @@ mod tests {
         // The default entry point (global or per-call pool) and an
         // explicit pool must both agree with the sequential batch replay.
         let pool = crate::pool::WorkerPool::new(3);
-        let n = 8u32;
+        // n = 4: the batch stage builds no product past 2^4 elements.
+        let n = 4u32;
         for plan in [Plan::iterative(n).unwrap(), Plan::balanced(n, 3).unwrap()] {
             let lowered = CompiledPlan::compile(&plan).lower(&ExecPolicy {
                 batch: BatchPolicy::new(8),

@@ -1050,11 +1050,12 @@ mod tests {
     fn batch_kill_switch_and_pinning_beat_recorded_thresholds() {
         // Wisdom searched under one row threshold is served under the
         // importer's: off, or its own threshold.
-        let wisdom = recorded_under(ExecPolicy::default().with_batch(BatchPolicy::new(16)), 10);
+        // (n = 4: the batch stage builds no product past 2^4 elements.)
+        let wisdom = recorded_under(ExecPolicy::default().with_batch(BatchPolicy::new(16)), 4);
         let off = ExecPolicy::default().with_batch(BatchPolicy::disabled());
-        assert!(!served(off, &wisdom, 10).is_batched());
+        assert!(!served(off, &wisdom, 4).is_batched());
         let eight = ExecPolicy::default().with_batch(BatchPolicy::new(8));
-        assert!(served(eight, &wisdom, 10).is_batched());
+        assert!(served(eight, &wisdom, 4).is_batched());
     }
 
     #[test]

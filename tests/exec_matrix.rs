@@ -12,8 +12,10 @@ use wht::core::testkit::{random_plan, random_signal};
 use wht::prelude::*;
 use wht::search::Wisdom;
 
-/// Transform exponent of the matrix (256 elements).
-const N: u32 = 8;
+/// Transform exponents of the matrix: 256 elements, where fusion, the
+/// column tail and re-codeleting engage at the corner settings, and 16,
+/// the batch stage's size cap, where the batch and stream stages do.
+const SIZES: [u32; 2] = [8, 4];
 /// Batch rows: a full lane group of every scalar type plus a remainder
 /// that replays per row.
 const ROWS: usize = 17;
@@ -71,12 +73,17 @@ fn can_engage(corner: u8, stage: usize) -> bool {
         }
 }
 
-fn plans() -> [Plan; 3] {
-    [
-        Plan::iterative(N).unwrap(),
-        Plan::balanced(N, 3).unwrap(),
-        random_plan(N, 2026),
-    ]
+fn plans() -> Vec<Plan> {
+    SIZES
+        .iter()
+        .flat_map(|&n| {
+            [
+                Plan::iterative(n).unwrap(),
+                Plan::balanced(n, 3).unwrap(),
+                random_plan(n, 2026),
+            ]
+        })
+        .collect()
 }
 
 fn run<T: Scalar>(x: &[T], f: impl FnOnce(&mut [T]) -> Result<(), WhtError>) -> Vec<T> {
@@ -90,8 +97,8 @@ fn pool() -> &'static WorkerPool {
     POOL.get_or_init(|| WorkerPool::new(3))
 }
 
-fn srht() -> Srht {
-    Srht::new(N, 24, 7).unwrap()
+fn srht(n: u32) -> Srht {
+    Srht::new(n, ((3usize << n) / 32).max(6), 7).unwrap()
 }
 
 /// One plan's inputs in one scalar type and the answers every entry point
@@ -117,9 +124,9 @@ impl<T: Scalar> Case<T> {
         let x = random_signal(plan.size(), seed);
         let batch = random_signal(ROWS * plan.size(), seed + 1);
         let baseline = CompiledPlan::compile_exec(plan, &ExecPolicy::all_disabled());
-        let mut want_sketch = vec![T::ZERO; ROWS * srht().sample_len()];
-        srht()
-            .sketch_batch(&baseline, &batch, ROWS, &mut want_sketch)
+        let srht = srht(plan.n());
+        let mut want_sketch = vec![T::ZERO; ROWS * srht.sample_len()];
+        srht.sketch_batch(&baseline, &batch, ROWS, &mut want_sketch)
             .unwrap();
         Case {
             plan: plan.clone(),
@@ -148,7 +155,7 @@ impl<T: Scalar> Case<T> {
         let batched = run(&self.batch, |v| planner.transform_batch(v, ROWS));
         assert_eq!(batched, *rows, "transform_batch: {at}");
         let mut sketch = vec![T::ZERO; self.want_sketch.len()];
-        srht()
+        srht(self.plan.n())
             .sketch_batch(lowered, &self.batch, ROWS, &mut sketch)
             .unwrap();
         assert_eq!(sketch, self.want_sketch, "sketch_batch: {at}");
@@ -164,7 +171,9 @@ fn every_corner_agrees_with_the_interpreter_through_every_entry_point() {
         let i64s = Case::<i64>::new(plan, seed);
         let i32s = Case::<i32>::new(plan, seed);
         let mut wisdom = Wisdom::new();
-        wisdom.insert(N, "instruction-model", plan.clone()).unwrap();
+        wisdom
+            .insert(plan.n(), "instruction-model", plan.clone())
+            .unwrap();
         for corner in 0..64u8 {
             let exec = corner_policy(corner);
             let at = format!("corner {corner:06b}, plan {plan}");
@@ -233,9 +242,9 @@ fn the_default_policy_engages_every_stage_at_production_sizes() {
     assert!(tail.parts().iter().all(|p| p.k <= 3), "at most eight rows");
     assert!(tail.provenance().relayouted && tail.provenance().recodeleted > 0);
 
-    // apply_plan's cache serves the default lowering, batched at n = 12,
+    // apply_plan's cache serves the default lowering, batched at n = 4,
     // with the stream stage's floor recorded on the batch product.
-    let small = Plan::iterative(12).unwrap();
+    let small = Plan::iterative(4).unwrap();
     let served = wht::core::compiled_for(&small);
     let lowered = CompiledPlan::compile_exec(&small, &ExecPolicy::default());
     assert_eq!(*served, lowered);
