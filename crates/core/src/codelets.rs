@@ -79,8 +79,8 @@
 //! | [`apply_codelet`] | `k ≤ MAX_LEAF_K`; `base + (2^k−1)·stride < x.len()` | executor replaying a lowered pass; engine's top-level length check | Structure (`k` in family) + Bounds (farthest-index interval) |
 //! | [`apply_codelet_cols`] | column range inside one pass row at unit global stride; `base + cols−1 + (2^k−1)·s < x.len()` | the column tail's chunk kernel (`compile::apply_columns`): the `cols`-wide residue chunk of each `P`-column stretch of a row of a verified column tail's in-place part, run by `SuperPass::apply_tile` for sequential replay and the parallel engine's chunk claims alike; and the parallel engine's partial rows of a pass unit's contiguous invocation range | Bounds + Disjointness (whole-vector flat-pass frame) + the column tail's mod-`P` closure and chunk partition |
 //! | [`apply_pass_lanes`] | whole pass at unit global stride; `base + r·2^k·s ≤ x.len()` | backend-select stage only picks `PassBackend::Lanes` at `stride == 1` | Bounds + Coverage (canonical frame `base = 0`, `stride = 1`, span = extent) |
-//! | `avx2::unit_pass` (the unit-stride head kernel, behind [`apply_pass_lanes`] and [`apply_codelet_cols`] for `f64`/`f32` on AVX2 hosts) | `s = 1`; `k ≤ MAX_LEAF_K`; `base + r·2^k ≤ x.len()` (`r = cols ≤ 1` from [`apply_codelet_cols`]) | the two entry points' own contracts at `s = 1`, plus the runtime AVX2 check before dispatch | Bounds + Coverage, as for the entry point |
-//! | `gather_lanes*` / `scatter_lanes*` | transpose buffer `≥ n·w` elements; source/destination tile in bounds | batched executor's lane-group loop (whole rows of at most `BATCH_MAX_ELEMS` elements) and the SRHT's fused path (whole rows) | Scratch (`batch_scratch_elems` = `w · 2^n`) + Structure (the batch size cap) |
+//! | `avx2::unit_pass` (the unit-stride head kernel, behind [`apply_pass_lanes`] for `f64`/`f32` on AVX2 hosts) | `s = 1`; `k ≤ MAX_LEAF_K`; `base + r·2^k ≤ x.len()` | [`apply_pass_lanes`]'s own contract at `s = 1`, plus the runtime AVX2 check before dispatch | Bounds + Coverage, as for [`apply_pass_lanes`] |
+//! | `gather_lanes*` / `scatter_lanes*` | transpose buffer `≥ n·w` elements; source/destination tile in bounds | batched executor's lane-group loop (whole rows of at most `BATCH_MAX_ELEMS` elements; `apply_batch_in` refuses scratch shorter than `batch_scratch_elems` = `w · 2^n`) and the SRHT's fused path (whole rows, scratch sized by the call) | Structure (the batch size cap); the scratch length is checked at run time |
 //!
 //! The checked wrapper [`apply_codelet_checked`] bounds-checks at the
 //! call site and is the entry point for hand-built indices (tests,
@@ -753,29 +753,16 @@ mod avx2 {
     /// [`codelet_cols_body`]'s contract, plus AVX2 must be available.
     #[target_feature(enable = "avx2")]
     pub unsafe fn codelet_cols_f64(k: u32, x: &mut [f64], base: usize, s: usize, cols: usize) {
-        // SAFETY: forwarded contract; at s == 1, cols <= 1 codelet of
-        // 2^k contiguous elements from base.
-        unsafe {
-            if s == 1 {
-                unit_pass(k, x, base, cols)
-            } else {
-                codelet_cols_body(k, x, base, s, cols)
-            }
-        }
+        // SAFETY: forwarded contract.
+        unsafe { codelet_cols_body(k, x, base, s, cols) }
     }
 
     /// # Safety
     /// [`codelet_cols_body`]'s contract, plus AVX2 must be available.
     #[target_feature(enable = "avx2")]
     pub unsafe fn codelet_cols_f32(k: u32, x: &mut [f32], base: usize, s: usize, cols: usize) {
-        // SAFETY: as codelet_cols_f64.
-        unsafe {
-            if s == 1 {
-                unit_pass(k, x, base, cols)
-            } else {
-                codelet_cols_body(k, x, base, s, cols)
-            }
-        }
+        // SAFETY: forwarded contract.
+        unsafe { codelet_cols_body(k, x, base, s, cols) }
     }
 
     /// # Safety

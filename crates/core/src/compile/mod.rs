@@ -130,8 +130,8 @@ pub use policy::{
 };
 
 use crate::codelets::{
-    apply_codelet, apply_pass_lanes, gather_lanes_tile, gather_lanes_tile_prefetch,
-    scatter_lanes_tile, scatter_lanes_tile_stream, SimdPolicy,
+    apply_codelet, apply_pass_lanes, gather_lanes, gather_lanes_tile_prefetch, scatter_lanes,
+    scatter_lanes_tile_stream, SimdPolicy,
 };
 use crate::error::WhtError;
 use crate::plan::Plan;
@@ -663,9 +663,6 @@ pub struct BatchSchedule {
     /// Engagement threshold recorded from the [`BatchPolicy`] this
     /// schedule was lowered under (see [`BatchPolicy::block_rows`]).
     block_rows: usize,
-    /// Kernel backend replaying the transposed passes (the batch stage
-    /// runs after backend selection and inherits its choice).
-    backend: PassBackend,
     /// Total batch elements (`rows · 2^n`) at which the transposes use
     /// the streaming memory codelets — recorded from the
     /// [`StreamPolicy`] by the stream stage and compared against the
@@ -679,12 +676,6 @@ impl BatchSchedule {
     #[inline]
     pub fn block_rows(&self) -> usize {
         self.block_rows
-    }
-
-    /// Kernel backend replaying the batched passes.
-    #[inline]
-    pub fn backend(&self) -> PassBackend {
-        self.backend
     }
 
     /// Total batch elements at which the transposes stream
@@ -899,7 +890,6 @@ impl CompiledPlan {
         }
         Some(BatchSchedule {
             block_rows: policy.block_rows,
-            backend: self.flat_backend(),
             stream_min_elems: usize::MAX,
         })
     }
@@ -944,8 +934,8 @@ impl CompiledPlan {
     /// call needs at lane width `lanes` ([`Scalar::LANES`] of the batch's
     /// scalar type): one transposed lane group (`lanes · 2^n`), or `0`
     /// when no batch product was built (the per-row path replays in
-    /// place). A *declared* requirement that [`CompiledPlan::verify`]
-    /// re-derives independently and checks for exact equality.
+    /// place). [`CompiledPlan::apply_batch_in`] refuses a shorter
+    /// caller-sized scratch.
     pub fn batch_scratch_elems(&self, lanes: usize) -> usize {
         if self.batch.is_some() {
             lanes * self.size()
@@ -1172,6 +1162,7 @@ impl CompiledPlan {
         };
         let group = w * size;
         let groups = rows / w;
+        let backend = self.flat_backend();
         let tblock = &mut scratch[..group];
         // Streaming engages on the *live* batch footprint (rows are a
         // call-time property), gated against the floor the stream stage
@@ -1186,7 +1177,7 @@ impl CompiledPlan {
                 if stream {
                     gather_lanes_tile_prefetch(block, size, size, w, tblock);
                 } else {
-                    gather_lanes_tile(block, size, size, w, tblock);
+                    gather_lanes(block, size, w, tblock);
                 }
             };
             for p in &self.passes {
@@ -1194,14 +1185,14 @@ impl CompiledPlan {
                 // SAFETY: build_batch checked that each flat pass spans
                 // exactly size elements at base 0, stride 1, so the
                 // scaled pass spans size·w == tblock.len().
-                unsafe { scaled.apply_full_backend(tblock, b.backend) };
+                unsafe { scaled.apply_full_backend(tblock, backend) };
             }
             // SAFETY: same bounds as the gather.
             unsafe {
                 if stream {
                     scatter_lanes_tile_stream(block, size, size, w, tblock);
                 } else {
-                    scatter_lanes_tile(block, size, size, w, tblock);
+                    scatter_lanes(block, size, w, tblock);
                 }
             };
         }

@@ -993,21 +993,19 @@ fn batch_stage_builds_an_additive_product_up_to_the_cap() {
     assert!(batched.is_batched());
     let b = batched.batch_schedule().unwrap();
     assert_eq!(b.block_rows(), 8);
-    assert_eq!(b.backend(), PassBackend::Scalar);
+    assert_eq!(batched.flat_backend(), PassBackend::Scalar);
     // One transposed lane group of scratch, whatever the lane width.
     assert_eq!(batched.batch_scratch_elems(8), 8 * 16);
     assert_eq!(batched.batch_scratch_elems(16), 16 * 16);
     // The single-transform schedule is untouched: the product is additive.
     assert_eq!(batched.super_passes(), compiled.super_passes());
     assert_eq!(batched.passes(), compiled.passes());
-    // The stage runs after backend selection and inherits its choice.
+    // The transposed replay runs the kernels backend selection chose.
     let lanes = compiled
         .with_simd(&SimdPolicy::auto())
         .with_batch(&BatchPolicy::new(8));
-    assert_eq!(
-        lanes.batch_schedule().unwrap().backend(),
-        PassBackend::Lanes
-    );
+    assert!(lanes.is_batched());
+    assert_eq!(lanes.flat_backend(), PassBackend::Lanes);
     // A pre-batch stage that rewrites the schedule resets the product it
     // would invalidate; a no-op stage (nothing to merge in these
     // single-part units) preserves it.

@@ -45,7 +45,7 @@
 //! | [`srht`] | SRHT sketching ([`Srht`]): Rademacher signs and subsampling fused into the batched executor's transposes |
 //! | [`mod@reference`] | `O(N^2)` ground truth ([`naive_wht`]) and test helpers |
 //! | [`testkit`] | shared test scaffolding: seeded random-plan generator, `O(n·2^n)` fast reference transform, deterministic signals |
-//! | [`verify`] | static schedule verifier: proves bounds, write-disjointness, coverage (the level chain: the interpreter's radix-2 levels, once each and in order), and exact scratch sizing of a lowered schedule ([`CompiledPlan::verify`], [`VerifyDiagnostic`]); the gate [`CompiledPlan::from_super_passes`] applies to hand-built schedules |
+//! | [`verify`] | static schedule verifier: proves bounds, write-disjointness, and coverage (the level chain: the interpreter's radix-2 levels, once each and in order) of a lowered schedule ([`CompiledPlan::verify`], [`VerifyDiagnostic`]); the gate [`CompiledPlan::from_super_passes`] applies to hand-built schedules |
 //! | [`ordering`] | natural (Hadamard) vs sequency (Walsh) ordering |
 //! | [`scalar`] | element types: `f64` (default), `f32`, `i64`, `i32` |
 

@@ -378,8 +378,9 @@ mod tests {
 
     #[test]
     fn sketch_bits_do_not_depend_on_the_batch_stage() {
-        // The sketch's engagement does not follow the batch product, and a
-        // disabled batch stage must change nothing about its bits.
+        // The sketch's engagement does not follow the batch product: with
+        // the batch stage on or off, its fused lane groups and per-row
+        // remainder reproduce the reference composition.
         let n = 4u32;
         let srht = Srht::new(n, 5, 3).unwrap();
         let plan = Plan::binary_iterative(n, 2).unwrap();
@@ -392,13 +393,9 @@ mod tests {
             ..ExecPolicy::default()
         });
         assert!(on.is_batched() && !off.is_batched());
-        let rows = 37;
-        let x: Vec<f64> = random_signal(rows << n, 11);
-        let mut fused = vec![0.0; rows * 5];
-        srht.sketch_batch(&on, &x, rows, &mut fused).unwrap();
-        let mut per_row = vec![0.0; rows * 5];
-        srht.sketch_batch(&off, &x, rows, &mut per_row).unwrap();
-        assert_eq!(fused, per_row);
+        for compiled in [&on, &off] {
+            check_all_scalars(compiled, &srht, 37, 11);
+        }
     }
 
     #[test]

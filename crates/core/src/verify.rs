@@ -1,8 +1,7 @@
 //! Static schedule verifier: proves — without executing anything — that
 //! a lowered [`CompiledPlan`] cannot index out of bounds, race, skip, or
-//! double-write an element, that it applies the interpreter's radix-2
-//! levels once each and in order, and that its declared scratch
-//! requirements are exactly what its geometry implies.
+//! double-write an element, and that it applies the interpreter's
+//! radix-2 levels once each and in order.
 //!
 //! The `unsafe` kernels in [`crate::codelets`] replay whatever schedule
 //! the lowering pipeline hands them; their soundness rests entirely on
@@ -15,7 +14,7 @@
 //! upgrades that to "cannot fault, and computes the interpreter's bits,
 //! for any input".
 //!
-//! # The four invariant families
+//! # The three invariant families
 //!
 //! **Bounds** ([`VerifyInvariant::Bounds`]): interval arithmetic over
 //! every index expression the executor evaluates. A part `(k, r, s)` at
@@ -57,13 +56,13 @@
 //! one with other bits. The same chain runs over the flat factor list,
 //! which the batch product replays on its transposed lane groups.
 //!
-//! **Scratch sizing** ([`VerifyInvariant::Scratch`]): the batched path's
-//! declared [`CompiledPlan::batch_scratch_elems`] must *equal* the
-//! transposed lane group it runs on, for every lane width (not merely
-//! exceed it — over-allocation is a bug the ROADMAP's service front-end
-//! would pay per worker), and the product must stay within the
-//! batch stage's size cap, where one lane group is one transposed row
-//! block. The single-transform replay runs in place and needs none.
+//! The batched product replays those flat passes on transposed lane
+//! groups of whole rows, so beyond them it must only stay within the
+//! batch stage's size cap ([`VerifyInvariant::Structure`]), where one
+//! lane group is one transposed row block. Its scratch is that block
+//! ([`CompiledPlan::batch_scratch_elems`]), checked against a caller's
+//! buffer at run time; the single-transform replay runs in place and
+//! needs none.
 //!
 //! # Wiring
 //!
@@ -116,9 +115,6 @@ pub enum VerifyInvariant {
     /// wrong result, or other bits than the interpreter's, even if
     /// memory-safe.
     Coverage,
-    /// A declared scratch requirement differs from the one the geometry
-    /// implies.
-    Scratch,
 }
 
 impl VerifyInvariant {
@@ -130,7 +126,6 @@ impl VerifyInvariant {
             VerifyInvariant::Overflow => "overflow",
             VerifyInvariant::Disjointness => "disjointness",
             VerifyInvariant::Coverage => "coverage",
-            VerifyInvariant::Scratch => "scratch",
         }
     }
 }
@@ -161,8 +156,8 @@ pub enum VerifySite {
     /// The batched-execution product
     /// ([`BatchSchedule`](crate::compile::BatchSchedule)).
     Batch,
-    /// The schedule as a whole (factor-product and scratch-sizing
-    /// violations have no single offending unit).
+    /// The schedule as a whole (a broken level chain has no single
+    /// offending unit).
     Schedule,
 }
 
@@ -798,58 +793,32 @@ pub fn verify_flat_passes(n: u32, passes: &[Pass]) -> Vec<VerifyDiagnostic> {
     diags.out
 }
 
-/// Lane widths ([`crate::Scalar::LANES`]) of the supported scalar types:
-/// 8 for the 8-byte scalars (`f64`/`i64`), 16 for the 4-byte ones
-/// (`f32`/`i32`). The scratch check re-derives the transposed lane group
-/// at every width, since the schedule is scalar-type-agnostic but the
-/// executed scratch is not.
-const BATCH_LANE_WIDTHS: [usize; 2] = [8, 16];
-
 impl CompiledPlan {
     /// Statically prove this lowered schedule safe to execute: every
     /// index in bounds, every write-set disjoint, every element covered
     /// exactly once per factor with the factors applying the radix-2
     /// levels `0..n` once each and in order (so the replay computes the
-    /// interpreter's bits), and every declared scratch requirement
-    /// exactly the derived one —
-    /// for the super-pass schedule, the flat factor view, and the
-    /// batched product alike. Returns **all** violations (empty means
+    /// interpreter's bits) — for the super-pass schedule and the flat
+    /// factor view the batched product replays — and the batched
+    /// product within its size cap. Returns **all** violations (empty means
     /// proven); see the [module docs](crate::verify) for the invariant
     /// families and what each guards.
     pub fn verify(&self) -> Vec<VerifyDiagnostic> {
         let mut diags = verify_schedule(self.n(), self.super_passes());
         diags.extend(verify_flat_passes(self.n(), self.passes()));
-        if self.batch_schedule().is_some() {
-            // The transposed replay runs every flat pass (proven above) on
-            // whole lane groups of rows: one transposed row block, which
-            // the size cap keeps small.
-            let size = self.size();
-            if size > BATCH_MAX_ELEMS {
-                diags.push(VerifyDiagnostic {
-                    site: VerifySite::Batch,
-                    provenance: None,
-                    invariant: VerifyInvariant::Structure,
-                    message: format!(
-                        "{size}-element transform exceeds the {BATCH_MAX_ELEMS}-element \
-                         batch cap"
-                    ),
-                });
-            }
-            for w in BATCH_LANE_WIDTHS {
-                let declared = self.batch_scratch_elems(w);
-                let expected = w.checked_mul(size);
-                if expected != Some(declared) {
-                    diags.push(VerifyDiagnostic {
-                        site: VerifySite::Batch,
-                        provenance: None,
-                        invariant: VerifyInvariant::Scratch,
-                        message: format!(
-                            "declared batch scratch {declared} at lane width {w} \
-                             differs from the transposed lane group ({expected:?})"
-                        ),
-                    });
-                }
-            }
+        // The transposed batch replay runs every flat pass (proven above)
+        // on whole lane groups of rows: one transposed row block, which
+        // the size cap keeps small.
+        let size = self.size();
+        if self.batch_schedule().is_some() && size > BATCH_MAX_ELEMS {
+            diags.push(VerifyDiagnostic {
+                site: VerifySite::Batch,
+                provenance: None,
+                invariant: VerifyInvariant::Structure,
+                message: format!(
+                    "{size}-element transform exceeds the {BATCH_MAX_ELEMS}-element batch cap"
+                ),
+            });
         }
         diags
     }

@@ -103,7 +103,8 @@ fn srht(n: u32) -> Srht {
 
 /// One plan's inputs in one scalar type and the answers every entry point
 /// must reproduce: the recursive interpreter's, row by row for the batch,
-/// and the sketch through the every-stage-off lowering.
+/// and the sketch's reference composition (sign flip, the interpreter,
+/// sample), also row by row.
 struct Case<T> {
     plan: Plan,
     x: Vec<T>,
@@ -122,12 +123,17 @@ impl<T: Scalar> Case<T> {
             })
         };
         let x = random_signal(plan.size(), seed);
-        let batch = random_signal(ROWS * plan.size(), seed + 1);
-        let baseline = CompiledPlan::compile_exec(plan, &ExecPolicy::all_disabled());
+        let batch: Vec<T> = random_signal(ROWS * plan.size(), seed + 1);
         let srht = srht(plan.n());
-        let mut want_sketch = vec![T::ZERO; ROWS * srht.sample_len()];
-        srht.sketch_batch(&baseline, &batch, ROWS, &mut want_sketch)
-            .unwrap();
+        let signed: Vec<T> = batch
+            .chunks_exact(plan.size())
+            .flat_map(|row| row.iter().zip(srht.signs()))
+            .map(|(&v, &sign)| if sign < 0 { T::ZERO - v } else { v })
+            .collect();
+        let want_sketch = recursive(&signed)
+            .chunks_exact(plan.size())
+            .flat_map(|row| srht.indices().iter().map(|&j| row[j]))
+            .collect();
         Case {
             plan: plan.clone(),
             want: recursive(&x),
