@@ -24,7 +24,13 @@
 //!
 //! Between the two, *every* pass of the lowered flat schedule
 //! ([`CompiledPlan::passes`]) runs full-lane-width across transforms
-//! (with the sampled store there is no reason to scatter back early).
+//! (with the sampled store there is no reason to scatter back early);
+//! a pass whose codelet has more than 16 rows runs as two sweeps of at
+//! most 16, which keeps the lane blocks from spilling. A 64-row sketch
+//! through a single-leaf `small[6]` plan (`f64`, a 2-vCPU AVX2 Xeon)
+//! took 3.4–3.8 µs that way in four runs, against 4.1–4.3 µs as one
+//! sweep, or 6.6 µs in runs that hit a slow mode, which one sweep's
+//! 4 KiB stack block shows in some processes and builds and not others.
 //! Each transform's butterfly DAG is identical to a per-row replay, and
 //! negation is exact for every scalar type, so the sketch is
 //! bit-identical to the reference composition sign-flip → full WHT →
@@ -60,7 +66,7 @@
 //! ```
 
 use crate::codelets::{gather_lanes_signed, scatter_lanes_sampled, signed_gather_in_registers};
-use crate::compile::{CompiledPlan, Pass, BATCH_MAX_ELEMS};
+use crate::compile::{CompiledPlan, Pass, RecodeletPolicy, BATCH_MAX_ELEMS};
 use crate::error::WhtError;
 use crate::plan::MAX_N;
 use crate::scalar::Scalar;
@@ -70,6 +76,38 @@ use crate::scalar::Scalar;
 /// `f64` crossover on the reference host, past which the per-row
 /// composition wins.
 const FUSED_SKETCH_MAX_ELEMS: usize = 1 << 14;
+
+/// Flat pass `p` as it runs on a transposed lane group of `w` rows: at
+/// inner extent `s · w`, every pass is a lane pass, and a lane block of
+/// more than `2^4` codelet rows spills its registers (the reason the
+/// re-codelet stage caps codelets at
+/// [`RecodeletPolicy::DEFAULT_MAX_K`](crate::compile::RecodeletPolicy::DEFAULT_MAX_K)).
+/// A single-leaf plan's `small[k > 4]` keeps its leaf in the lowered
+/// schedule, since its `s == 1` pass runs in registers, so here it runs
+/// as a `small[4]` sweep over each group of 16 rows and a `small[k − 4]`
+/// sweep at 16 times the stride: the codelet's levels in the same
+/// order, so the same butterflies and the same bits.
+fn transposed_sweeps(p: &Pass, w: usize) -> [Option<Pass>; 2] {
+    let s = p.s * w;
+    let a = RecodeletPolicy::DEFAULT_MAX_K;
+    if p.k <= a {
+        return [Some(Pass { s, ..*p }), None];
+    }
+    let b = p.k - a;
+    [
+        Some(Pass {
+            k: a,
+            r: p.r << b,
+            s,
+            ..*p
+        }),
+        Some(Pass {
+            k: b,
+            s: s << a,
+            ..*p
+        }),
+    ]
+}
 
 /// One draw of the SRHT's random operators: the Rademacher sign diagonal
 /// `D` (length `2^n`) and the sampled coordinate set `P` (`m` distinct
@@ -254,13 +292,15 @@ impl Srht {
                 // elements and signs covers all size coordinates.
                 unsafe { gather_lanes_signed(block, size, w, &self.signs, tblock) };
                 for p in compiled.passes() {
-                    let scaled = Pass { s: p.s * w, ..*p };
-                    // SAFETY: every flat pass of a CompiledPlan spans
-                    // exactly size elements at base 0, stride 1 — compile
-                    // emits them so, the lowering stages keep them so, and
-                    // from_super_passes proves it (verify_flat_passes) —
-                    // so the scaled pass spans size·w == tblock.len().
-                    unsafe { scaled.apply_full_backend(tblock, backend) };
+                    for sweep in transposed_sweeps(p, w).into_iter().flatten() {
+                        // SAFETY: every flat pass of a CompiledPlan spans
+                        // exactly size elements at base 0, stride 1 —
+                        // compile emits them so, the lowering stages keep
+                        // them so, and from_super_passes proves it
+                        // (verify_flat_passes) — so each sweep of the
+                        // scaled pass spans size·w == tblock.len().
+                        unsafe { sweep.apply_full_backend(tblock, backend) };
+                    }
                 }
                 // SAFETY: every index is < size (constructor invariant),
                 // so index·w + w - 1 < size·w; the destination rows are
@@ -351,17 +391,18 @@ mod tests {
     fn sketch_matches_the_reference_composition_for_every_scalar_type() {
         // Sizes at and below the batch stage's cap (every type runs the
         // fused path) and past it (f64 on AVX2 hosts still does, the other
-        // types replay per row).
+        // types replay per row). A single leaf keeps its codelet in the
+        // lowered schedule, which at n = 6 the fused path runs as two
+        // sweeps.
         for n in [3u32, 4, 6, 9] {
             let srht = Srht::new(n, (1usize << n) / 2, 7 * u64::from(n)).unwrap();
-            for (i, plan) in [
+            let mut plans = vec![
                 Plan::iterative(n).unwrap(),
                 Plan::balanced(n, 3).unwrap(),
                 random_plan(n, 99 + u64::from(n)),
-            ]
-            .iter()
-            .enumerate()
-            {
+            ];
+            plans.extend(Plan::leaf(n).ok());
+            for (i, plan) in plans.iter().enumerate() {
                 let compiled = CompiledPlan::compile(plan).lower(&ExecPolicy {
                     batch: BatchPolicy::new(1),
                     ..ExecPolicy::default()
